@@ -29,20 +29,9 @@ use tg_tensor::Tensor;
 use tgat::{TgatConfig, TgatParams};
 use tgopt::{OptConfig, TgoptEngine};
 
-// Behind the `jemalloc` feature the vendored shim delegates to the system
-// allocator (no registry access in this environment); the report string
-// below keeps the numbers honestly attributed either way.
-#[cfg(feature = "jemalloc")]
-#[global_allocator]
-static GLOBAL: jemallocator::Jemalloc = jemallocator::Jemalloc;
-
-fn allocator_name() -> &'static str {
-    if cfg!(feature = "jemalloc") {
-        "jemalloc-shim(system)"
-    } else {
-        "system"
-    }
-}
+/// Recorded with every report so numbers stay attributed to the allocator
+/// that produced them.
+const ALLOCATOR: &str = "system";
 
 struct Opts {
     dataset: String,
@@ -422,7 +411,7 @@ fn main() {
         o.workers,
         o.shards,
         o.strategy,
-        allocator_name(),
+        ALLOCATOR,
         if o.pin_cores { ", pinned cores" } else { "" }
     );
 
@@ -515,7 +504,7 @@ fn main() {
             nodes: data.stream.num_nodes() as u64,
             edges: data.stream.len() as u64,
             host_cpus: std::thread::available_parallelism().map_or(1, usize::from) as u64,
-            allocator: allocator_name().to_string(),
+            allocator: ALLOCATOR.to_string(),
             pin_cores: o.pin_cores,
             strategy: o.strategy.clone(),
             clients: o.clients as u64,

@@ -39,6 +39,9 @@ pub struct EmbedCache {
     /// Insertion order across all shards, for FIFO eviction.
     fifo: Mutex<FifoState>,
     count: AtomicUsize,
+    /// Recorded fingerprint pairs (`u64` words) held by live entries, so
+    /// `bytes_used` charges constraints as well as embedding rows.
+    constraint_words: AtomicUsize,
     limit: usize,
     dim: usize,
     lookups: AtomicU64,
@@ -51,9 +54,8 @@ pub struct EmbedCache {
     /// accounting identity `inserted == evictions + invalidated + len()`
     /// at quiescence (asserted by `tests/streaming_stress.rs`).
     inserted: AtomicU64,
-    /// Entries removed by `invalidate_node`, the targeted
-    /// `invalidate_node_entries_if` / `invalidate_time_after` /
-    /// `invalidate_constraints_after` sweeps, or `clear`.
+    /// Entries removed by [`EmbedCache::sweep`] (directly or through
+    /// `invalidate_node`) or `clear`.
     invalidated: AtomicU64,
     /// Rows silently dropped at admission because a single `store` call
     /// exceeded the whole item limit (the oldest rows of that call). These
@@ -67,10 +69,11 @@ struct Entry {
     /// Temporal-subgraph fingerprint: packed `(node, time)` pairs whose
     /// most-recent-`k` windows this embedding's computation sampled (the
     /// entry's own `(node, time)` plus every interior pair of its recursive
-    /// frontier). An appended edge can change the embedding only by
-    /// entering one of these windows. Empty means "unrecorded" (layer-1
-    /// entries, which have a closed-form staleness rule, and warm-restored
-    /// entries): such entries take the conservative sweep path.
+    /// frontier). A graph event can change the embedding only by changing
+    /// one of these windows. Empty means "unrecorded", which
+    /// [`EmbedCache::sweep`] reads by the table's depth: a layer-1 entry
+    /// depends on its own key alone (the degenerate fingerprint, never
+    /// materialized), a deeper one (warm-restored) on an unknown set.
     constraint: Box<[u64]>,
 }
 
@@ -130,6 +133,7 @@ impl EmbedCache {
             shards: (0..NUM_SHARDS).map(|_| RwLock::new(FxHashMap::default())).collect(),
             fifo: Mutex::new(FifoState { queue: VecDeque::new(), slots: FxHashMap::default() }),
             count: AtomicUsize::new(0),
+            constraint_words: AtomicUsize::new(0),
             limit,
             dim,
             lookups: AtomicU64::new(0),
@@ -227,15 +231,15 @@ impl EmbedCache {
 
     /// Like [`EmbedCache::store`] but records `constraints[i]` — the
     /// temporal-subgraph fingerprint, sorted packed `(node, time)` pairs —
-    /// beside row `i`, for constraint-tracked invalidation via
-    /// [`EmbedCache::invalidate_constraints_after`]. Errors if
-    /// `constraints.len() != keys.len()`.
+    /// beside row `i`, for [`EmbedCache::sweep`] to validate against.
+    /// Errors if `constraints.len() != keys.len()`.
     ///
     /// # Invariants
     ///
     /// - Same capacity/FIFO/counter behavior as [`EmbedCache::store`].
     /// - Row `i` and `constraints[i]` are installed atomically under one
-    ///   shard lock; an overwrite replaces both.
+    ///   shard lock; an overwrite replaces both, and `bytes_used()` moves
+    ///   by the difference.
     pub fn store_with_constraints(
         &self,
         keys: &[u64],
@@ -291,8 +295,17 @@ impl EmbedCache {
         }
 
         let insert_one = |key: u64, row: &[f32], constraint: Box<[u64]>| -> bool {
-            let mut shard = self.shards[shard_of(key)].write();
-            shard.insert(key, Entry { row: row.into(), constraint }).is_none()
+            let added = constraint.len();
+            let entry = Entry { row: row.into(), constraint };
+            let old = self.shards[shard_of(key)].write().insert(key, entry);
+            let dropped = old.as_ref().map_or(0, |e| e.constraint.len());
+            if added > 0 {
+                self.constraint_words.fetch_add(added, Ordering::Relaxed);
+            }
+            if dropped > 0 {
+                self.constraint_words.fetch_sub(dropped, Ordering::Relaxed);
+            }
+            old.is_none()
         };
         // Constrained stores stay sequential so each fingerprint moves by
         // value; deep-layer miss batches are small (the parallel threshold
@@ -391,6 +404,7 @@ impl EmbedCache {
     fn evict(&self, n: usize) {
         let mut fifo = self.fifo.lock();
         let mut removed = 0usize;
+        let mut words = 0usize;
         // Stale FIFO entries (already invalidated) don't free capacity, so
         // keep popping until n live entries are gone.
         while removed < n {
@@ -401,175 +415,109 @@ impl EmbedCache {
                 // not be evicted as if it were this old.
                 continue;
             }
-            let mut shard = self.shards[shard_of(key)].write();
-            if shard.remove(&key).is_some() {
+            if let Some(e) = self.shards[shard_of(key)].write().remove(&key) {
                 removed += 1;
+                words += e.constraint.len();
             }
         }
-        if removed > 0 {
-            self.count.fetch_sub(removed, Ordering::Relaxed);
-            self.evictions.fetch_add(removed as u64, Ordering::Relaxed);
-        }
+        self.account_removed(removed, words, &self.evictions);
     }
 
-    /// Drops every cached embedding of `node` (future-work §7: graph change
-    /// events such as node-feature updates or edge deletion invalidate the
-    /// node's embeddings). Returns how many entries were removed.
+    /// The one invalidation question: is any `(y, t')` pair an entry
+    /// depends on stale? Examines every entry (with `after = Some(te)`,
+    /// only those keyed strictly after `te` — sampling looks backward, so
+    /// every pair of an entry keyed at `t <= te` has `t' <= te` and an
+    /// event at `te` cannot reach it) and drops the entry iff `stale`
+    /// holds for one of its pairs.
     ///
-    /// # Invariants
+    /// An entry's pairs are its own key plus its recorded fingerprint
+    /// ([`crate::fingerprint::capture`] at `levels`). `levels` is the
+    /// sampling depth below this table's entries (layer `l` has
+    /// `levels = l - 1`) and settles what a *missing* fingerprint means:
+    /// with `levels == 0` the key is the whole fingerprint (layer 1 — no
+    /// per-entry storage, same code path), while with `levels > 0` the
+    /// entry's reach is unknown (restored from a snapshot, or overwritten
+    /// by a plain `store`) and an examined entry is dropped conservatively.
     ///
-    /// - After return, no key unpacking to `node` is live in any shard.
-    /// - FIFO slots for removed keys go stale rather than being excised;
-    ///   eviction skips them without counting them as live removals.
-    /// - `len()` decreases by exactly the returned count.
-    pub fn invalidate_node(&self, node: NodeId) -> usize {
-        let (removed, _) = self.invalidate_node_entries_if(node, |_| true);
-        removed
-    }
-
-    /// Targeted invalidation: drops only the entries of `node` whose
-    /// cached time `t` satisfies `stale(t)` — the streaming-ingest
-    /// replacement for the [`EmbedCache::invalidate_node`] sledgehammer
-    /// (an appended edge at `te` can only enter the most-recent-`k`
-    /// sample of entries with `t > te` whose window it reaches; see
-    /// DESIGN.md "Streaming ingest"). Returns `(removed, retained)` where
-    /// `retained` counts `node`'s entries that survived the sweep.
-    ///
-    /// # Invariants
-    ///
-    /// - After return, no live key of `node` has a time passing `stale`
-    ///   (entries stored concurrently are the *caller's* obligation — the
-    ///   serve layer replays pending sweeps after each worker wave).
-    /// - Entries of other nodes, and `node`'s non-stale entries, are
-    ///   untouched and uncounted except in `retained`.
-    /// - `len()` decreases by exactly `removed`; FIFO slots of removed
-    ///   keys go stale and are skipped by eviction without freeing
-    ///   capacity twice.
-    pub fn invalidate_node_entries_if(
-        &self,
-        node: NodeId,
-        mut stale: impl FnMut(Time) -> bool,
-    ) -> (usize, usize) {
-        let mut removed = 0usize;
-        let mut retained = 0usize;
-        for shard in &self.shards {
-            let mut shard = shard.write();
-            shard.retain(|&key, _| {
-                let (n, t) = unpack_key(key);
-                if n != node {
-                    return true;
-                }
-                if stale(t) {
-                    removed += 1;
-                    false
-                } else {
-                    retained += 1;
-                    true
-                }
-            });
-        }
-        self.finish_invalidate(removed);
-        (removed, retained)
-    }
-
-    /// Conservative whole-cache sweep: drops every entry whose cached
-    /// time is strictly after `te`, regardless of node. Used for cached
-    /// layers `>= 2`, where an appended edge can reach an entry through
-    /// multi-hop recursion and the precise per-node window rule no longer
-    /// applies. Returns `(removed, retained)` over all entries.
-    ///
-    /// # Invariants
-    ///
-    /// - After return, every live entry has time `<= te` (modulo
-    ///   concurrent stores, handled by the caller's replay protocol).
-    /// - `len()` decreases by exactly `removed`; stale FIFO slots are
-    ///   skipped lazily by eviction.
-    pub fn invalidate_time_after(&self, te: Time) -> (usize, usize) {
-        let mut removed = 0usize;
-        let mut retained = 0usize;
-        for shard in &self.shards {
-            let mut shard = shard.write();
-            shard.retain(|&key, _| {
-                let (_, t) = unpack_key(key);
-                if t > te {
-                    removed += 1;
-                    false
-                } else {
-                    retained += 1;
-                    true
-                }
-            });
-        }
-        self.finish_invalidate(removed);
-        (removed, retained)
-    }
-
-    /// Constraint-tracked sweep for an edge appended at time `te`: examines
-    /// only entries keyed at `t > te` (all window times in an entry's
-    /// subgraph are `<= t`, so entries at `t <= te` are provably
-    /// unaffected) and drops an examined entry iff
-    ///
-    /// - it carries no fingerprint (conservative fallback, e.g. entries
-    ///   restored from a persistence snapshot), or
-    /// - `stale(node, time)` holds for some recorded `(node, time)` pair —
-    ///   i.e. the new edge enters one of the most-recent-`k` windows the
-    ///   entry's computation actually sampled.
-    ///
-    /// Returns `(removed, retained)` where `retained` counts only *at-risk
-    /// survivors*: examined entries (`t > te`) whose fingerprint proved
-    /// them fresh. This is the precision the sweep buys over the
-    /// [`EmbedCache::invalidate_time_after`] sledgehammer, which removes
-    /// every examined entry.
+    /// Returns `(removed, retained)`; `retained` counts the examined
+    /// entries that stayed, so `removed + retained` is what the sweep
+    /// looked at and entries keyed at `t <= te` appear in neither.
     ///
     /// # Invariants
     ///
     /// - Entries keyed at `t <= te` are untouched and uncounted.
-    /// - After return, every live entry at `t > te` either had a
-    ///   fingerprint with no pair passing `stale`, or was stored
-    ///   concurrently (the caller's replay protocol re-runs the sweep).
-    /// - `len()` decreases by exactly `removed`; stale FIFO slots are
-    ///   skipped lazily by eviction, as for every other sweep.
-    pub fn invalidate_constraints_after(
+    /// - After return, no examined entry has a pair passing `stale`, and
+    ///   no examined deep entry lacks a fingerprint (entries stored
+    ///   concurrently are the *caller's* obligation — the serve layer
+    ///   replays pending sweeps after each worker wave).
+    /// - `len()` decreases by exactly `removed` and `bytes_used()` by the
+    ///   removed rows and fingerprints; FIFO slots of removed keys go
+    ///   stale and are skipped by eviction without freeing capacity twice.
+    pub fn sweep(
         &self,
-        te: Time,
+        after: Option<Time>,
+        levels: usize,
         mut stale: impl FnMut(NodeId, Time) -> bool,
     ) -> (usize, usize) {
+        let mut pair_stale = |pk: u64| {
+            let (y, t) = unpack_key(pk);
+            stale(y, t)
+        };
         let mut removed = 0usize;
         let mut retained = 0usize;
+        let mut words = 0usize;
         for shard in &self.shards {
-            let mut shard = shard.write();
-            shard.retain(|&key, entry| {
-                let (_, t) = unpack_key(key);
-                if t <= te {
+            shard.write().retain(|&key, entry| {
+                if after.is_some_and(|te| unpack_key(key).1 <= te) {
                     return true;
                 }
-                if entry.constraint.is_empty() {
-                    removed += 1;
-                    return false;
-                }
-                let hit = entry.constraint.iter().any(|&pk| {
-                    let (y, ty) = unpack_key(pk);
-                    stale(y, ty)
-                });
+                let fp = &entry.constraint;
+                let hit = if fp.is_empty() && levels > 0 {
+                    true
+                } else {
+                    pair_stale(key) || fp.iter().any(|&pk| pk != key && pair_stale(pk))
+                };
                 if hit {
                     removed += 1;
-                    false
+                    words += fp.len();
                 } else {
                     retained += 1;
-                    true
                 }
+                !hit
             });
         }
-        self.finish_invalidate(removed);
+        self.account_removed(removed, words, &self.invalidated);
         (removed, retained)
     }
 
-    fn finish_invalidate(&self, removed: usize) {
-        if removed > 0 {
-            self.count.fetch_sub(removed, Ordering::Relaxed);
-            self.invalidated.fetch_add(removed as u64, Ordering::Relaxed);
+    /// Drops every entry of this table keyed by `node`, and every entry
+    /// whose recorded fingerprint sampled `node`'s history (future-work
+    /// §7: graph change events such as edge deletion invalidate what was
+    /// computed from the node's interactions). Entries without a
+    /// fingerprint are judged by their key alone; a holder of deep tables
+    /// goes through [`LayerCaches::invalidate_node`], which states each
+    /// layer's depth. Returns how many entries were removed.
+    ///
+    /// # Invariants
+    ///
+    /// - After return, no key unpacking to `node` is live in any shard.
+    /// - `len()` decreases by exactly the returned count (see
+    ///   [`EmbedCache::sweep`]).
+    pub fn invalidate_node(&self, node: NodeId) -> usize {
+        self.sweep(None, 0, |y, _| y == node).0
+    }
+
+    /// The one place an entry's departure is accounted, whatever removed
+    /// it (`counter` is `evictions` or `invalidated`). FIFO slots are not
+    /// excised here: a removed key's slot goes stale and `evict` skips it.
+    fn account_removed(&self, entries: usize, constraint_words: usize, counter: &AtomicU64) {
+        if entries > 0 {
+            self.count.fetch_sub(entries, Ordering::Relaxed);
+            counter.fetch_add(entries as u64, Ordering::Relaxed);
         }
-        // Stale FIFO entries are skipped lazily during eviction.
+        if constraint_words > 0 {
+            self.constraint_words.fetch_sub(constraint_words, Ordering::Relaxed);
+        }
     }
 
     /// Removes everything.
@@ -583,20 +531,19 @@ impl EmbedCache {
     ///   `inserted == evictions + invalidated + len()` identity intact.
     pub fn clear(&self) {
         let mut removed = 0usize;
+        let mut words = 0usize;
         for shard in &self.shards {
-            let mut shard = shard.write();
-            removed += shard.len();
-            shard.clear();
+            for (_, e) in shard.write().drain() {
+                removed += 1;
+                words += e.constraint.len();
+            }
         }
         {
             let mut fifo = self.fifo.lock();
             fifo.queue.clear();
             fifo.slots.clear();
         }
-        self.count.store(0, Ordering::Relaxed);
-        if removed > 0 {
-            self.invalidated.fetch_add(removed as u64, Ordering::Relaxed);
-        }
+        self.account_removed(removed, words, &self.invalidated);
     }
 
     /// Current number of cached embeddings.
@@ -619,9 +566,11 @@ impl EmbedCache {
         self.dim
     }
 
-    /// Approximate payload memory (embedding floats only), in bytes.
+    /// Payload memory in bytes: embedding floats plus recorded
+    /// fingerprint pairs (FIFO slots and map overhead are not counted).
     pub fn bytes_used(&self) -> usize {
         self.len() * self.dim * std::mem::size_of::<f32>()
+            + self.constraint_words.load(Ordering::Relaxed) * std::mem::size_of::<u64>()
     }
 
     /// Total keys looked up.
@@ -786,14 +735,52 @@ impl LayerCaches {
         self.iter().next().map(|c| c.dim())
     }
 
-    /// Invalidates `node` in every layer; returns total removals.
+    /// [`EmbedCache::sweep`] over every cached layer, stating each layer's
+    /// depth (`levels = l - 1`) so a layer-1 entry is its own fingerprint
+    /// and a deep entry without one is dropped. `report` receives
+    /// `(layer, removed, retained)` once per cached layer.
     ///
     /// # Invariants
     ///
-    /// - Applies [`EmbedCache::invalidate_node`] to every cached layer; no
-    ///   layer is skipped, so a node never survives at a deeper layer.
+    /// - No cached layer is skipped, so an entry `stale` reaches never
+    ///   survives at a deeper layer.
+    pub fn sweep(
+        &self,
+        after: Option<Time>,
+        mut stale: impl FnMut(NodeId, Time) -> bool,
+        mut report: impl FnMut(usize, usize, usize),
+    ) {
+        for (l, cache) in self.per_layer.iter().enumerate() {
+            if let Some(cache) = cache {
+                let (removed, retained) = cache.sweep(after, l.saturating_sub(1), &mut stale);
+                report(l, removed, retained);
+            }
+        }
+    }
+
+    /// Drops, in every layer, each entry that sampled the history of one
+    /// of `nodes` — keyed by it, or recording it in its fingerprint — which
+    /// is what a change to those histories (an edge deleted between two
+    /// nodes, a node flushed) can reach at any model depth. Returns total
+    /// removals.
+    ///
+    /// # Invariants
+    ///
+    /// - One [`LayerCaches::sweep`] with the predicate `y ∈ nodes`; deep
+    ///   entries without a fingerprint go too.
+    pub fn invalidate_nodes(&self, nodes: &[NodeId]) -> usize {
+        let mut total = 0;
+        self.sweep(None, |y, _| nodes.contains(&y), |_, removed, _| total += removed);
+        total
+    }
+
+    /// [`LayerCaches::invalidate_nodes`] for a single node.
+    ///
+    /// # Invariants
+    ///
+    /// - After return, no key unpacking to `node` is live in any layer.
     pub fn invalidate_node(&self, node: NodeId) -> usize {
-        self.iter().map(|c| c.invalidate_node(node)).sum()
+        self.invalidate_nodes(&[node])
     }
 
     /// Clears every layer.
@@ -968,14 +955,14 @@ mod tests {
     }
 
     #[test]
-    fn targeted_invalidation_removes_only_matching_times() {
+    fn sweep_removes_only_entries_whose_key_is_stale() {
         let cache = EmbedCache::new(10, 1);
         let keys = [pack_key(1, 1.0), pack_key(1, 5.0), pack_key(1, 9.0), pack_key(2, 9.0)];
         cache.store(&keys, &Tensor::zeros(4, 1), false).unwrap();
         // Stale: node 1 entries with t > 4.0. Node 2 is untouched even
-        // though its time matches.
-        let (removed, retained) = cache.invalidate_node_entries_if(1, |t| t > 4.0);
-        assert_eq!((removed, retained), (2, 1));
+        // though its time matches. Unbounded, so all four are examined.
+        let (removed, retained) = cache.sweep(None, 0, |n, t| n == 1 && t > 4.0);
+        assert_eq!((removed, retained), (2, 2));
         assert_eq!(cache.len(), 2);
         assert!(cache.contains(keys[0]) && cache.contains(keys[3]));
         assert!(!cache.contains(keys[1]) && !cache.contains(keys[2]));
@@ -983,12 +970,14 @@ mod tests {
     }
 
     #[test]
-    fn time_sweep_removes_entries_after_cutoff_for_all_nodes() {
+    fn bounded_sweep_examines_only_entries_keyed_after_the_cutoff() {
         let cache = EmbedCache::new(10, 1);
         let keys = [pack_key(1, 1.0), pack_key(2, 5.0), pack_key(3, 9.0)];
         cache.store(&keys, &Tensor::zeros(3, 1), false).unwrap();
-        let (removed, retained) = cache.invalidate_time_after(4.0);
-        assert_eq!((removed, retained), (2, 1));
+        // Even an always-stale predicate cannot reach the entry at t <= te,
+        // which is neither removed nor counted as retained.
+        let (removed, retained) = cache.sweep(Some(4.0), 0, |_, _| true);
+        assert_eq!((removed, retained), (2, 0));
         assert!(cache.contains(keys[0]));
         assert!(!cache.contains(keys[1]) && !cache.contains(keys[2]));
     }
@@ -1000,7 +989,7 @@ mod tests {
             cache.store(&[pack_key(i, i as f32)], &Tensor::zeros(1, 1), false).unwrap();
         }
         cache.invalidate_node(3);
-        cache.invalidate_time_after(100.0); // removes everything left
+        cache.sweep(Some(1.0), 0, |_, _| true);
         cache.store(&[pack_key(9, 1.0)], &Tensor::zeros(1, 1), false).unwrap();
         cache.clear(); // clear counts as invalidation
         cache.store(&[pack_key(10, 1.0)], &Tensor::zeros(1, 1), false).unwrap();
@@ -1093,28 +1082,57 @@ mod tests {
         cache.store_with_constraints(&keys, &Tensor::zeros(3, 1), constraints, false).unwrap();
         // Edge at te=4.5: only pairs with time > 4.5 can be entered; say
         // the edge lands in node 9's window but not node 1's or 2's own.
-        let (removed, retained) =
-            cache.invalidate_constraints_after(4.5, |n, t| t > 4.5 && n == 9);
+        let (removed, retained) = cache.sweep(Some(4.5), 1, |n, t| t > 4.5 && n == 9);
         assert_eq!((removed, retained), (2, 1), "entry 2 (hit) and entry 3 (no fp) go");
         assert!(cache.contains(keys[0]));
         assert!(!cache.contains(keys[1]) && !cache.contains(keys[2]));
         // Entries at t <= te are never examined.
-        let (removed, retained) = cache.invalidate_constraints_after(9.0, |_, _| true);
+        let (removed, retained) = cache.sweep(Some(9.0), 1, |_, _| true);
         assert_eq!((removed, retained), (0, 0));
         assert!(cache.contains(keys[0]));
+        // A node flush is the same question with another predicate: it
+        // reaches the survivor through its fingerprint, not its key.
+        assert_eq!(cache.invalidate_node(8), 1);
+        assert!(cache.is_empty());
     }
 
     #[test]
-    fn plain_restore_drops_a_previous_fingerprint() {
-        // Overwriting a constrained entry through the plain store path must
-        // leave it conservative (empty fingerprint), not freshly guaranteed.
+    fn a_missing_fingerprint_means_what_the_depth_says() {
+        // Overwriting a constrained entry through the plain store path
+        // leaves it unrecorded, not freshly guaranteed.
         let cache = EmbedCache::new(10, 1);
         let k = [pack_key(1, 5.0)];
-        let fp = vec![vec![pack_key(1, 5.0)].into_boxed_slice()];
+        let fp = vec![vec![pack_key(1, 5.0), pack_key(8, 4.0)].into_boxed_slice()];
         cache.store_with_constraints(&k, &Tensor::zeros(1, 1), fp, false).unwrap();
         cache.store(&k, &Tensor::zeros(1, 1), false).unwrap();
-        let (removed, _) = cache.invalidate_constraints_after(4.0, |_, _| false);
-        assert_eq!(removed, 1, "fingerprint-less entry takes the conservative path");
+        // In a layer-1 table the key is the whole fingerprint: provably fresh.
+        assert_eq!(cache.sweep(Some(4.0), 0, |_, _| false), (0, 1));
+        // In a deep table its reach is unknown: dropped without asking.
+        assert_eq!(cache.sweep(Some(4.0), 1, |_, _| false), (1, 0));
+    }
+
+    #[test]
+    fn bytes_used_follows_fingerprints_through_every_way_out() {
+        let row = std::mem::size_of::<f32>();
+        let pair = std::mem::size_of::<u64>();
+        let cache = EmbedCache::new(2, 1);
+        let fp = |n: u32| vec![(0..n).map(|i| pack_key(100 + i, 1.0)).collect::<Box<[u64]>>()];
+        let (a, b, c) = ([pack_key(1, 5.0)], [pack_key(2, 5.0)], [pack_key(3, 5.0)]);
+        cache.store_with_constraints(&a, &Tensor::zeros(1, 1), fp(3), false).unwrap();
+        assert_eq!(cache.bytes_used(), row + 3 * pair);
+        // Overwrite: the old fingerprint's bytes leave with it.
+        cache.store_with_constraints(&a, &Tensor::zeros(1, 1), fp(5), false).unwrap();
+        assert_eq!(cache.bytes_used(), row + 5 * pair);
+        // Eviction of `a` (limit 2) takes its five pairs along.
+        cache.store_with_constraints(&b, &Tensor::zeros(1, 1), fp(2), false).unwrap();
+        cache.store_with_constraints(&c, &Tensor::zeros(1, 1), fp(4), false).unwrap();
+        assert_eq!(cache.total_evictions(), 1);
+        assert_eq!(cache.bytes_used(), 2 * row + 6 * pair);
+        // Sweep of `b`, then clear of `c`.
+        assert_eq!(cache.sweep(None, 1, |n, _| n == 2), (1, 1));
+        assert_eq!(cache.bytes_used(), row + 4 * pair);
+        cache.clear();
+        assert_eq!(cache.bytes_used(), 0);
     }
 
     #[test]

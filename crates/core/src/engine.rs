@@ -260,36 +260,21 @@ impl<'a> TgoptEngine<'a> {
         &self.opt
     }
 
-    /// Invalidate all cached embeddings of `node` — called by the holder
-    /// after a graph-change event that alters the node's history semantics
-    /// (edge deletion, node-feature update; future-work §7).
+    /// Invalidate every cached embedding computed from `node`'s history —
+    /// called by the holder after a graph-change event that alters it
+    /// (future-work §7).
     pub fn invalidate_node(&mut self, node: NodeId) -> usize {
         self.caches.invalidate_node(node)
     }
 
     /// Invalidation for the deletion of an edge between `src` and `dst`
-    /// (future-work §7), correct for *any* model depth: a cached layer-`l`
-    /// embedding of node `X` can embed the deleted interaction when `X` is
-    /// within `l - 1` hops of either endpoint, so every node within
-    /// `max_cached_layer - 1` hops is invalidated (conservatively across all
-    /// cached layers). For the paper's 2-layer configuration this reduces to
-    /// invalidating the two endpoints.
-    ///
-    /// Call *after* removing the edge from the graph; the hop expansion only
-    /// shrinks with the deletion, so post-deletion expansion plus the
-    /// endpoints themselves covers every affected node.
+    /// (future-work §7), correct for *any* model depth: the deleted
+    /// interaction sat only in windows of its two endpoints, so exactly the
+    /// entries that sampled `src`'s or `dst`'s history — by key at layer 1,
+    /// by recorded fingerprint above — can embed it. For the paper's 2-layer
+    /// configuration this reduces to invalidating the two endpoints.
     pub fn invalidate_edge_deletion(&mut self, src: NodeId, dst: NodeId) -> usize {
-        let max_cached = if self.opt.cache_last_layer {
-            self.params.cfg.n_layers
-        } else {
-            self.params.cfg.n_layers.saturating_sub(1)
-        };
-        let hops = max_cached.saturating_sub(1);
-        let mut victims: Vec<NodeId> = self.ctx.graph.k_hop_nodes(src, hops);
-        victims.extend(self.ctx.graph.k_hop_nodes(dst, hops));
-        victims.sort_unstable();
-        victims.dedup();
-        victims.iter().map(|&n| self.caches.invalidate_node(n)).sum()
+        self.caches.invalidate_nodes(&[src, dst])
     }
 
     /// True if memoization is actually in effect (enabled *and* sound under
@@ -486,11 +471,10 @@ impl<'a> TgoptEngine<'a> {
                     let parallel = self.opt.parallel_store;
                     if l >= 2 {
                         // Layers >= 2 record each entry's temporal-subgraph
-                        // fingerprint so streaming inserts can revalidate
-                        // entries instead of sweeping everything at t > te
-                        // (DESIGN.md "Constraint-tracked invalidation").
-                        // Layer 1 keeps plain stores: its staleness rule is
-                        // closed-form over the endpoint's own window.
+                        // fingerprint for `EmbedCache::sweep` to validate
+                        // (DESIGN.md "One validity question"). A layer-1
+                        // entry's fingerprint is its key, so plain stores
+                        // record nothing.
                         let k = cfg.n_neighbors;
                         let (graph, view) = (self.ctx.graph, self.view.as_ref());
                         let stats = &mut self.stats;

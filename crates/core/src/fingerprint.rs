@@ -9,10 +9,11 @@
 //! of `(y, t')` pairs whose windows were sampled, packed with
 //! [`crate::hash::pack_key`] and sorted; an appended edge `(src, dst, te)`
 //! changes the embedding only if it enters `W(y, te < t')` for some
-//! recorded pair with `y ∈ {src, dst}` — the exact check
-//! [`crate::cache::EmbedCache::invalidate_constraints_after`] applies,
-//! replacing the conservative whole-cache `t > te` sweep for layers ≥ 2
-//! (DESIGN.md "Constraint-tracked invalidation").
+//! recorded pair with `y ∈ {src, dst}` — the question
+//! [`crate::cache::EmbedCache::sweep`] asks of every entry, at every
+//! layer (DESIGN.md "One validity question"). With `levels = 0` the
+//! fingerprint is the target's own pair, which is why layer-1 entries
+//! store none: their key already is it.
 //!
 //! Every recorded time satisfies `t' <= t` (temporal sampling only looks
 //! backward), so an entry keyed at `t <= te` can never be hit: the sweep

@@ -1,13 +1,14 @@
 //! Streaming-ingest coordination: targeted cache invalidation plus the
 //! event-replay protocol that makes it safe under concurrent waves.
 //!
-//! When an edge is appended to the live graph, only cached layer-1
-//! entries whose most-recent-k neighbor window the new edge could enter
-//! are stale — everything older keeps sampling the same neighborhood and
-//! stays valid. [`entry_stale_after_insert`] encodes that predicate
-//! exactly; [`sweep_insert`] applies it to the shared cache. This
-//! replaces sledgehammer per-node invalidation with a sweep that retains
-//! provably-fresh entries (counted in telemetry as `entries_retained`).
+//! When an edge is appended to the live graph, a cached entry is stale
+//! only if the edge enters one of the most-recent-k windows the entry
+//! sampled — everything else keeps sampling the same neighborhoods and
+//! stays valid. [`entry_stale_after_insert`] answers that for one
+//! `(node, time)` window exactly; [`sweep_insert`] asks it of every pair
+//! each cached entry depends on, at every layer, through the cache's one
+//! sweep. Entries the sweep examined and kept are counted in telemetry as
+//! `entries_retained`.
 //!
 //! The sweep alone is not enough under concurrency: a worker that pinned
 //! a pre-insert [`GraphView`] may *store* entries computed from stale
@@ -123,12 +124,11 @@ impl IngestSync {
     }
 }
 
-/// Could a cached layer-1 entry `(x, t)` change after inserting an edge
-/// at time `te` incident to `x`, given the *post-insert* view and a
-/// sampler window of `k` most-recent neighbors?
+/// Does the most-recent-`k` window of `(x, t)` change after inserting an
+/// edge at time `te` incident to `x`, given the *post-insert* view?
 ///
-/// The entry sampled the `k` most recent interactions of `x` strictly
-/// before `t`. The new edge enters that window iff it precedes `t` and
+/// The window holds the `k` most recent interactions of `x` strictly
+/// before `t`. The new edge enters it iff it precedes `t` and
 /// either the history is still shorter than `k` (every interaction is in
 /// the window) or it lands at-or-after the window's oldest slot. With
 /// `cut` the post-insert history length before `t`, the oldest window
@@ -160,8 +160,9 @@ pub(crate) fn entry_stale_after_insert(
 pub(crate) const TRACKED_SWEEP_LAYERS: usize = 4;
 
 /// What one [`sweep_insert`] did, broken down by cache layer so
-/// telemetry can report where invalidation pressure lands (deep-layer
-/// retention is the signal that constraint tracking is paying off).
+/// telemetry can report where invalidation pressure lands. At every
+/// layer `retained` means the same thing: entries keyed after the edge's
+/// time — the only ones the sweep examines — that it proved fresh.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub(crate) struct SweepReport {
     /// `(removed, retained)` per layer bin; see [`TRACKED_SWEEP_LAYERS`].
@@ -186,26 +187,22 @@ impl SweepReport {
         self.per_layer.iter().map(|&(r, _)| r).sum()
     }
 
-    /// Total at-risk entries retained across layers.
+    /// Total examined entries retained across layers.
     pub fn retained(&self) -> u64 {
         self.per_layer.iter().map(|&(_, k)| k).sum()
     }
 }
 
 /// Applies the targeted invalidation for one inserted edge against the
-/// shared cache: the exact window predicate on the layer-1 cache for
-/// both endpoints, and the fingerprint check on every deeper cached
-/// layer — an entry whose recorded temporal-subgraph constraint
-/// (`tgopt::fingerprint`) the new edge cannot enter is provably fresh
-/// and survives; entries without a fingerprint (warm-restored) fall
-/// back to conservative removal. `retained` counts proven-fresh
-/// survivors the old sweeps would have killed: layer-1 endpoint
-/// entries outside the window, and deep entries at `t > te` whose
-/// fingerprint the edge misses.
+/// shared cache: one sweep over the cached layers drops each entry keyed
+/// after `te` that depends on a `(y, t')` window the edge enters — its own
+/// key at layer 1, its recorded temporal-subgraph fingerprint
+/// (`tgopt::fingerprint`) above, unknown and therefore assumed for a deep
+/// entry without one (warm-restored).
 ///
-/// `view` must be a post-insert snapshot (epoch past the edge's seq);
-/// both predicates stay sound at any later epoch, so replays may reuse
-/// a single fresh view for a batch of events.
+/// `view` must be a post-insert snapshot (epoch past the edge's seq); the
+/// predicate stays sound at any later epoch, so replays may reuse a
+/// single fresh view for a batch of events.
 pub(crate) fn sweep_insert(
     cache: &LayerCaches,
     view: &GraphView,
@@ -215,32 +212,22 @@ pub(crate) fn sweep_insert(
     te: Time,
 ) -> SweepReport {
     let mut report = SweepReport::default();
-    if let Some(c1) = cache.layer(1) {
-        let both = [src, dst];
-        let distinct = if src == dst { 1 } else { 2 };
-        for &x in both.iter().take(distinct) {
-            let (r, kept) =
-                c1.invalidate_node_entries_if(x, |t| entry_stale_after_insert(view, k, x, te, t));
-            report.add(1, r as u64, kept as u64);
-        }
-    }
-    // Distinct deep entries share frontier pairs heavily (the fingerprints
-    // of nearby targets overlap), so memoize the per-pair window check
-    // across entries and layers.
+    // Entries share pairs heavily (fingerprints of nearby targets overlap,
+    // and a deep entry's pairs are layer-1 keys), so memoize the window
+    // check across entries and layers; pairs the edge cannot touch (another
+    // node's, or at `t <= te`) are turned away before the memo.
     let mut memo: FxHashMap<u64, bool> = FxHashMap::default();
-    for l in 2..=cache.num_layers() {
-        if let Some(cl) = cache.layer(l) {
-            let (r, kept) = cl.invalidate_constraints_after(te, |y, ty| {
-                if y != src && y != dst {
-                    return false;
-                }
-                *memo
-                    .entry(pack_key(y, ty))
-                    .or_insert_with(|| entry_stale_after_insert(view, k, y, te, ty))
-            });
-            report.add(l, r as u64, kept as u64);
-        }
-    }
+    cache.sweep(
+        Some(te),
+        |y, t| {
+            (y == src || y == dst)
+                && t > te
+                && *memo
+                    .entry(pack_key(y, t))
+                    .or_insert_with(|| entry_stale_after_insert(view, k, y, te, t))
+        },
+        |layer, removed, retained| report.add(layer, removed as u64, retained as u64),
+    );
     report
 }
 
@@ -359,5 +346,187 @@ mod tests {
         assert_eq!(sync.events_since_pin(1).len(), 3);
         sync.release_pin(1);
         assert_eq!(sync.pending_events(), 0);
+    }
+
+    /// An executable oracle for the one sweep: caches filled by the real
+    /// engine, every verdict checked against recomputation.
+    mod oracle {
+        use super::*;
+        use proptest::prelude::*;
+        use proptest::test_runner::TestCaseError;
+        use rustc_hash::FxHashSet;
+        use tg_graph::{EdgeId, HistorySource};
+        use tg_tensor::{init, Tensor};
+        use tgat::engine::GraphContext;
+        use tgat::{BaselineEngine, TgatConfig, TgatParams};
+        use tgopt::hash::unpack_key;
+        use tgopt::{OptConfig, TgoptEngine};
+
+        const NODES: u32 = 8;
+        const K: usize = 2;
+
+        struct World {
+            params: TgatParams,
+            node_features: Tensor,
+            edge_features: Tensor,
+        }
+
+        impl World {
+            fn new(n_layers: usize, n_edges: usize) -> Self {
+                let cfg = TgatConfig {
+                    dim: 4,
+                    edge_dim: 2,
+                    time_dim: 4,
+                    n_layers,
+                    n_heads: 2,
+                    n_neighbors: K,
+                };
+                let mut rng = init::seeded_rng(17);
+                Self {
+                    params: TgatParams::init(cfg, 5).unwrap(),
+                    node_features: init::normal(&mut rng, NODES as usize, cfg.dim, 0.5),
+                    edge_features: init::normal(&mut rng, n_edges, cfg.edge_dim, 0.5),
+                }
+            }
+
+            fn ctx<'a>(&'a self, graph: &'a TemporalGraph) -> GraphContext<'a> {
+                GraphContext { graph, node_features: &self.node_features, edge_features: &self.edge_features }
+            }
+
+            /// A cache-everything engine over `graph` after answering every
+            /// node at three times, so entries land on both sides of any
+            /// event time.
+            fn warm_engine<'a>(&'a self, graph: &'a TemporalGraph, max_t: Time) -> TgoptEngine<'a> {
+                let opt = OptConfig { cache_last_layer: true, ..OptConfig::all() };
+                let mut eng = TgoptEngine::new(&self.params, self.ctx(graph), opt);
+                let mut ns = Vec::new();
+                let mut ts = Vec::new();
+                for t in [max_t / 2.0 + 0.5, max_t + 0.5, max_t + 2.0] {
+                    ns.extend(0..NODES);
+                    ts.resize(ns.len(), t);
+                }
+                eng.embed_batch(&ns, &ts).unwrap();
+                eng
+            }
+
+            /// Layer-`l` rows of `keys` recomputed cold over `graph` by the
+            /// independent baseline, on the model's first `l` layers.
+            fn recompute(&self, graph: &TemporalGraph, l: usize, keys: &[u64]) -> Tensor {
+                let mut params = self.params.clone();
+                params.cfg.n_layers = l;
+                params.layers.truncate(l);
+                let (ns, ts): (Vec<NodeId>, Vec<Time>) = keys.iter().map(|&k| unpack_key(k)).unzip();
+                BaselineEngine::new(&params, self.ctx(graph)).embed_batch(&ns, &ts)
+            }
+
+            /// No live entry of any layer differs from its recomputed row.
+            fn assert_survivors_fresh(
+                &self,
+                caches: &LayerCaches,
+                graph: &TemporalGraph,
+            ) -> Result<(), TestCaseError> {
+                for l in 1..=caches.num_layers() {
+                    let live = caches.layer(l).unwrap().export_fifo_order();
+                    let keys: Vec<u64> = live.iter().map(|(k, _)| *k).collect();
+                    let fresh = self.recompute(graph, l, &keys);
+                    for (i, (key, row)) in live.iter().enumerate() {
+                        let diff = row
+                            .iter()
+                            .zip(fresh.row(i))
+                            .map(|(a, b)| (a - b).abs())
+                            .fold(0.0, f32::max);
+                        prop_assert!(diff <= 1e-5, "layer {l} kept {:?} off by {diff}", unpack_key(*key));
+                    }
+                }
+                Ok(())
+            }
+        }
+
+        fn window(graph: &TemporalGraph, x: NodeId, t: Time) -> Vec<EdgeId> {
+            let mut eids = Vec::new();
+            graph.most_recent(x, t, graph.hist_len_before(x, t).min(K), |_, e| eids.push(e.eid));
+            eids
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            #[test]
+            fn sweep_verdicts_match_recomputation(
+                raw in proptest::collection::vec((0..NODES, 1..NODES), 10..40),
+                n_layers in 2usize..=3,
+                (src, off, when) in (0..NODES, 1..NODES, 0usize..1000),
+                victim in 0usize..1000,
+            ) {
+                // Timestamps tie in pairs, and the inserted edge lands on an
+                // existing integer time as often as between two.
+                let edges: Vec<Edge> = raw.iter().enumerate().map(|(i, &(s, d))| Edge {
+                    src: s, dst: (s + d) % NODES, time: (i / 2 + 1) as Time, eid: i as EdgeId,
+                }).collect();
+                let max_t = edges.last().unwrap().time;
+                let mut graph = TemporalGraph::with_nodes(NODES as usize);
+                edges.iter().for_each(|e| graph.insert(e));
+                let world = World::new(n_layers, edges.len() + 1);
+
+                // --- Insertion -------------------------------------------
+                let caches = world.warm_engine(&graph, max_t).shared_cache();
+                // Strip every other top-layer fingerprint, as a warm
+                // restore would.
+                let top = caches.layer(n_layers).unwrap();
+                let bare: FxHashSet<u64> = top.export_fifo_order().iter().step_by(2).map(|(key, row)| {
+                    let row = Tensor::from_vec(1, row.len(), row.to_vec());
+                    top.store(&[*key], &row, false).unwrap();
+                    *key
+                }).collect();
+                // before[l]: layer l's keys going in (layer 0 is never cached).
+                let before: Vec<Vec<u64>> = (0..=n_layers).map(|l| {
+                    let live = caches.layer(l).map(|c| c.export_fifo_order()).unwrap_or_default();
+                    live.iter().map(|(k, _)| *k).collect()
+                }).collect();
+
+                let new = Edge {
+                    src,
+                    dst: (src + off) % NODES,
+                    time: (when % (max_t as usize + 2)) as Time,
+                    eid: edges.len() as EdgeId,
+                };
+                let mut after = graph.clone();
+                after.insert(&new);
+                let view = LiveGraph::new(after.clone()).view();
+                let report = sweep_insert(&caches, &view, K, new.src, new.dst, new.time);
+
+                for (l, keys) in before.iter().enumerate().skip(1) {
+                    let cache = caches.layer(l).unwrap();
+                    let gone = keys.iter().filter(|&&k| !cache.contains(k)).count();
+                    let examined = keys.iter().filter(|&&k| unpack_key(k).1 > new.time).count();
+                    prop_assert_eq!(
+                        report.per_layer[SweepReport::slot(l)],
+                        (gone as u64, (examined - gone) as u64)
+                    );
+                }
+                // Layer 1: removed exactly when the sampled window changed.
+                let c1 = caches.layer(1).unwrap();
+                for &key in &before[1] {
+                    let (x, t) = unpack_key(key);
+                    let changed = window(&graph, x, t) != window(&after, x, t);
+                    prop_assert_eq!(!c1.contains(key), changed, "layer-1 ({}, {})", x, t);
+                }
+                // Unrecorded deep entries: removed exactly when examined.
+                for &key in &bare {
+                    prop_assert_eq!(!top.contains(key), unpack_key(key).1 > new.time);
+                }
+                // Every layer: whatever changed is gone.
+                world.assert_survivors_fresh(&caches, &after)?;
+
+                // --- Deletion --------------------------------------------
+                let mut engine = world.warm_engine(&graph, max_t);
+                let dead = edges[victim % edges.len()];
+                let mut after = graph.clone();
+                prop_assert!(after.delete_edge(dead.src, dead.dst, dead.eid));
+                engine.invalidate_edge_deletion(dead.src, dead.dst);
+                let caches = engine.shared_cache();
+                world.assert_survivors_fresh(&caches, &after)?;
+            }
+        }
     }
 }

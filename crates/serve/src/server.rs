@@ -100,11 +100,11 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Worker threads in threaded mode.
     pub workers: usize,
-    /// Cache payload budget: once `bytes_used()` reaches it, batches run
-    /// in degraded (store-skipping) mode instead of failing — so a budget
-    /// of 0 serves lookup-only from the start. The budget is soft by one
-    /// wave: the store that crosses it completes before degradation kicks
-    /// in.
+    /// Cache payload budget (embedding rows plus recorded fingerprints):
+    /// once `bytes_used()` reaches it, batches run in degraded
+    /// (store-skipping) mode instead of failing — so a budget of 0 serves
+    /// lookup-only from the start. The budget is soft by one wave: the
+    /// store that crosses it completes before degradation kicks in.
     pub memory_budget_bytes: Option<usize>,
     /// Engine optimization settings (shared by every worker).
     pub opt: OptConfig,
@@ -826,9 +826,10 @@ impl TgServer {
         self.shared.queue.len()
     }
 
-    /// Drops every cached embedding of `node` — safe concurrently with
-    /// serving traffic (in-flight batches recompute on their next miss).
-    /// Returns how many entries were removed.
+    /// Drops every cached embedding computed from `node`'s history — keyed
+    /// by it, or recording it in a deep layer's fingerprint — safe
+    /// concurrently with serving traffic (in-flight batches recompute on
+    /// their next miss). Returns how many entries were removed.
     pub fn invalidate_node(&self, node: NodeId) -> usize {
         self.shared.cache.invalidate_node(node)
     }

@@ -117,7 +117,7 @@ impl ServeCounters {
 
     /// Records the outcome of one targeted-invalidation sweep: `removed`
     /// cached entries dropped as potentially stale, `retained` examined
-    /// and proven fresh.
+    /// (keyed after the inserted edge's time) and proven fresh.
     ///
     /// # Invariants
     ///
@@ -131,8 +131,8 @@ impl ServeCounters {
 
     /// Records one layer bin of a sweep's outcome (`slot` as defined by
     /// `SweepReport::slot`: layer `l` → bin `min(l - 1, 3)`), so telemetry
-    /// can attribute invalidation pressure and fingerprint-driven
-    /// retention per cache layer. Out-of-range slots are ignored.
+    /// can attribute invalidation pressure and retention per cache layer.
+    /// Out-of-range slots are ignored.
     ///
     /// # Invariants
     ///
@@ -228,14 +228,14 @@ pub struct ServeStats {
     pub edges_ingested: u64,
     /// Cached entries dropped by targeted invalidation sweeps.
     pub entries_invalidated: u64,
-    /// Cached entries examined by a submit-time sweep and proven fresh.
+    /// Cached entries examined by a submit-time sweep — keyed after the
+    /// inserted edge's time, at any layer — and proven fresh.
     pub entries_retained: u64,
     /// Per-layer breakdown of `entries_invalidated`: bin `i` holds cache
     /// layer `i + 1`, with layers past the fourth folded into the last bin.
     pub layer_removed: [u64; TRACKED_SWEEP_LAYERS],
-    /// Per-layer breakdown of `entries_retained`, same binning. Deep bins
-    /// (`i >= 1`) count entries the pre-fingerprint conservative sweep
-    /// would have removed.
+    /// Per-layer breakdown of `entries_retained`, same binning and the
+    /// same definition in every bin.
     pub layer_retained: [u64; TRACKED_SWEEP_LAYERS],
     /// Sampled layer-1 frontier neighbor reads (sharded servers only).
     pub frontier_reads: u64,

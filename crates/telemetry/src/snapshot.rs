@@ -104,8 +104,7 @@ pub struct ServeTelemetry {
 }
 
 /// One cache layer's invalidation-sweep bin: how many entries streaming
-/// inserts removed from it versus revalidated in place via their
-/// recorded temporal-subgraph fingerprints.
+/// inserts removed from it versus examined and kept.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LayerSweepTelemetry {
     /// Cache layer this bin covers (1-based); the last bin folds in every
@@ -113,9 +112,9 @@ pub struct LayerSweepTelemetry {
     pub layer: u64,
     /// Entries this layer's sweeps removed as potentially stale.
     pub removed: u64,
-    /// At-risk entries proven fresh by a submit-time sweep. For layers
-    /// >= 2 these are exactly the entries the pre-fingerprint
-    /// conservative `t > te` sweep would have dropped.
+    /// Entries keyed after an inserted edge's time — the only ones a
+    /// sweep examines — that a submit-time sweep proved fresh. The same
+    /// definition at every layer.
     pub retained: u64,
 }
 

@@ -10,7 +10,7 @@
 use crate::attention::{self, AttentionInputs};
 use crate::params::TgatParams;
 use crate::stats::{OpKind, OpStats};
-use tg_graph::{GraphView, NodeId, TemporalGraph, TemporalSampler, Time, INVALID_EDGE};
+use tg_graph::{NodeId, TemporalGraph, TemporalSampler, Time, INVALID_EDGE};
 use tg_tensor::{ops, Scratch, Tensor};
 
 /// Borrowed views of everything an engine reads: the evolving graph plus the
@@ -69,9 +69,6 @@ pub struct BaselineEngine<'a> {
     sampler: TemporalSampler,
     ctx: GraphContext<'a>,
     stats: OpStats,
-    /// When pinned, neighborhood sampling reads this epoch-stamped live
-    /// snapshot instead of `ctx.graph` (streaming-ingest read path).
-    view: Option<GraphView>,
     /// Recycled per-batch buffers; owned by the engine so steady-state
     /// batches run allocation-free (see `tg_tensor::scratch`).
     scratch: Scratch,
@@ -96,21 +93,8 @@ impl<'a> BaselineEngine<'a> {
             sampler,
             ctx,
             stats: OpStats::disabled(),
-            view: None,
             scratch: Scratch::new(),
         }
-    }
-
-    /// Pins an epoch-stamped live snapshot: until
-    /// [`BaselineEngine::unpin_view`], neighborhood sampling reads `view`
-    /// instead of the frozen `ctx.graph`.
-    pub fn pin_view(&mut self, view: GraphView) {
-        self.view = Some(view);
-    }
-
-    /// Unpins the live snapshot; sampling reverts to `ctx.graph`.
-    pub fn unpin_view(&mut self) {
-        self.view = None;
     }
 
     /// Turns on per-operation timing (Table 3 reproduction).
@@ -139,11 +123,8 @@ impl<'a> BaselineEngine<'a> {
             return self.scratch.take(0, self.params.cfg.dim);
         }
 
-        let (graph, sampler, view) = (self.ctx.graph, &self.sampler, self.view.as_ref());
-        let nb = self.stats.time(OpKind::NghLookup, || match view {
-            Some(v) => sampler.sample_view(v, ns, ts),
-            None => sampler.sample(graph, ns, ts),
-        });
+        let (graph, sampler) = (self.ctx.graph, &self.sampler);
+        let nb = self.stats.time(OpKind::NghLookup, || sampler.sample(graph, ns, ts));
 
         // One recursive call for targets and neighbors together (Algorithm 1
         // line 12: Embed(l-1, ns ∪ ns_ngh, ts ∪ ts_ngh)).

@@ -177,10 +177,8 @@ impl TemporalGraph {
     }
 
     /// Nodes within `hops` undirected hops of `node` (including itself),
-    /// ignoring time. Used to invalidate cached embeddings after an event
-    /// that changes `node`'s history in models deeper than 2 layers: a
-    /// layer-`l` embedding of a node `h` hops away can embed the change
-    /// when `l > h`.
+    /// ignoring time: the nodes whose layer-`l` embedding can embed a
+    /// change to `node`'s history when `l > hops`.
     pub fn k_hop_nodes(&self, node: NodeId, hops: usize) -> Vec<NodeId> {
         let mut seen = std::collections::HashSet::new();
         seen.insert(node);

@@ -20,8 +20,10 @@
 #      DESIGN.md "Error handling & lint policy", "Concurrency model",
 #      "Call-graph reachability (L9-L12)", and
 #      "Effect inference (L13-L16)")
-#   4. streaming --verify           — live-ingest served rows vs cold
-#      rebuild (the blocking half of the streaming smoke bench in CI)
+#   4. ledger --smoke               — all four perf-ledger workloads at
+#      scale 0.05 (~10 s); exits 1 on any oracle mismatch (replay vs the
+#      opposite config, served vs direct, post-ingest served vs cold
+#      rebuild)
 #   5. serve --shards 4 --verify    — sharded router rows vs a direct
 #      engine (the blocking half of the sharded smoke bench in CI)
 #
@@ -47,17 +49,17 @@ cargo test -q --workspace
 echo "==> cargo run -p tg-xtask -- lint"
 cargo run --release -q -p tg-xtask -- lint
 
-# Streaming-ingest equivalence gate (mirrors the blocking CI step): serve
-# from a live graph while ingesting the whole tail, then check served
-# rows against a cold rebuild. Exits nonzero on divergence.
-echo "==> streaming --verify"
-cargo build --release -q -p tg-bench
-./target/release/streaming --verify >/dev/null
+# Perf-ledger smoke (mirrors the blocking CI step): every workload's
+# correctness oracle, including post-ingest served rows against a cold
+# rebuild. Exits nonzero on divergence.
+echo "==> ledger --smoke"
+cargo run --release -q -p tg-bench --bin ledger -- --smoke >/dev/null
 
 # Sharding equivalence gate (mirrors the blocking CI step): replay the
 # query stream through a 4-shard deterministic router and check every row
 # against a direct engine. Exits nonzero on divergence.
 echo "==> serve --shards 4 --verify"
+cargo build --release -q -p tg-bench
 ./target/release/serve -d snap-msg --scale 0.02 --clients 2 --requests 200 \
   --shards 4 --verify >/dev/null
 

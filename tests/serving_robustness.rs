@@ -10,7 +10,7 @@ use tgopt_repro::graph::{EdgeStream, NodeId, TemporalGraph, Time};
 use tgopt_repro::serve::{ModelBundle, ServeConfig, TgServer};
 use tgopt_repro::tensor::init;
 use tgopt_repro::tgat::{TgatConfig, TgatParams};
-use tgopt_repro::tgopt::TgoptEngine;
+use tgopt_repro::tgopt::{OptConfig, TgoptEngine};
 use tg_error::TgError;
 
 fn world() -> &'static Arc<ModelBundle> {
@@ -132,6 +132,37 @@ fn degraded_mode_serves_correct_embeddings_without_growing_the_cache() {
     let stats = server.shutdown();
     assert_eq!(stats.degraded_batches, stats.batches);
     assert!(stats.batches > 0);
+}
+
+#[test]
+fn memory_budget_counts_fingerprints_as_well_as_rows() {
+    let bundle = world();
+    let opt = OptConfig { cache_last_layer: true, ..OptConfig::all() };
+    let ns: Vec<NodeId> = (0..10).collect();
+    let ts: Vec<Time> = vec![70.0; 10];
+
+    // Unbudgeted, one wave: what the workload's rows cost alone, and what
+    // they cost with the last layer's fingerprints.
+    let cfg = ServeConfig::default().with_max_batch(ns.len()).with_opt(opt);
+    let server = TgServer::deterministic(Arc::clone(bundle), cfg).unwrap();
+    server.submit_many(&ns, &ts).unwrap();
+    server.drain().unwrap();
+    let cache = server.shared_cache();
+    let rows = cache.len() * cache.dim().unwrap() * std::mem::size_of::<f32>();
+    let total = cache.bytes_used();
+    assert!(total > rows, "layer-2 fingerprints must be charged ({total} vs {rows} row bytes)");
+
+    // A budget between the two: rows alone never reach it, rows plus
+    // fingerprints do, so the wave after the stores must run degraded.
+    let cfg = cfg.with_memory_budget((rows + total) / 2);
+    let server = TgServer::deterministic(Arc::clone(bundle), cfg).unwrap();
+    server.submit_many(&ns, &ts).unwrap();
+    server.drain().unwrap();
+    assert_eq!(server.stats().degraded_batches, 0, "the cache was empty when the first wave began");
+    server.submit(0, 71.0).unwrap();
+    server.drain().unwrap();
+    let stats = server.shutdown();
+    assert_eq!((stats.batches, stats.degraded_batches), (2, 1));
 }
 
 #[test]
