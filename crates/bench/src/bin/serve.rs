@@ -21,7 +21,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use tg_bench::harness::percentile;
 use tg_graph::{NodeId, ShardAssignment, TemporalGraph, Time};
 use tg_serve::{ModelBundle, ServeConfig, ShardRouter};
@@ -41,7 +41,6 @@ struct Opts {
     clients: usize,
     requests_per_client: usize,
     max_batch: usize,
-    linger_us: u64,
     workers: usize,
     hot: usize,
     hot_prob: f64,
@@ -65,7 +64,6 @@ impl Default for Opts {
             clients: 4,
             requests_per_client: 1500,
             max_batch: 64,
-            linger_us: 200,
             workers: 2,
             hot: 16,
             hot_prob: 0.6,
@@ -83,8 +81,8 @@ impl Default for Opts {
 
 const USAGE: &str = "\
 Usage: serve [-d NAME] [--scale F] [--seed N] [--dim N] [--clients N]
-             [--requests N] [--batch N] [--linger-us N] [--workers N]
-             [--hot N] [--hot-prob F] [--budget-bytes N] [--stats-json PATH]
+             [--requests N] [--batch N] [--workers N] [--hot N] [--hot-prob F]
+             [--budget-bytes N] [--stats-json PATH]
              [--shards N] [--strategy hash|degree] [--scaling] [--verify]
              [--json PATH] [--pin-cores]
 
@@ -117,7 +115,6 @@ fn parse() -> Opts {
             "--clients" => o.clients = num::<f64>(&take("--clients")) as usize,
             "--requests" => o.requests_per_client = num::<f64>(&take("--requests")) as usize,
             "--batch" => o.max_batch = num::<f64>(&take("--batch")) as usize,
-            "--linger-us" => o.linger_us = num::<f64>(&take("--linger-us")) as u64,
             "--workers" => o.workers = num::<f64>(&take("--workers")) as usize,
             "--hot" => o.hot = num::<f64>(&take("--hot")) as usize,
             "--hot-prob" => o.hot_prob = num(&take("--hot-prob")),
@@ -192,7 +189,6 @@ fn assignment_for(o: &Opts, graph: &TemporalGraph, n_shards: usize) -> ShardAssi
 fn serve_config(o: &Opts, total_requests: usize) -> ServeConfig {
     let mut cfg = ServeConfig::default()
         .with_max_batch(o.max_batch)
-        .with_linger(Duration::from_micros(o.linger_us))
         .with_queue_capacity(total_requests.max(1024))
         .with_workers(o.workers)
         .with_pin_cores(o.pin_cores)
@@ -399,7 +395,7 @@ fn main() {
 
     println!(
         "dataset {} (scale {}): {} nodes, {} edges; {} clients x {} requests, \
-         batch {} linger {}us workers {} shards {} ({}); allocator {}{}",
+         batch {} workers {} shards {} ({}); allocator {}{}",
         o.dataset,
         o.scale,
         data.stream.num_nodes(),
@@ -407,7 +403,6 @@ fn main() {
         o.clients,
         o.requests_per_client,
         o.max_batch,
-        o.linger_us,
         o.workers,
         o.shards,
         o.strategy,

@@ -66,6 +66,11 @@ pub enum TgError {
     /// A request's deadline expired before its embedding was computed; the
     /// caller gets this error instead of a stale or partial tensor.
     DeadlineExceeded,
+
+    /// The serving layer dropped an admitted request without computing it
+    /// (the worker holding its wave panicked or returned early); the
+    /// waiter gets this error instead of blocking forever.
+    Abandoned,
 }
 
 impl TgError {
@@ -123,6 +128,7 @@ impl fmt::Display for TgError {
                 write!(f, "overloaded: serving queue full at capacity {capacity}")
             }
             TgError::DeadlineExceeded => write!(f, "deadline exceeded before completion"),
+            TgError::Abandoned => write!(f, "request abandoned: its wave was dropped unserved"),
         }
     }
 }
@@ -168,6 +174,7 @@ mod tests {
         let e = TgError::Overloaded { capacity: 128 };
         assert!(e.to_string().contains("capacity 128"));
         assert!(TgError::DeadlineExceeded.to_string().contains("deadline"));
+        assert!(TgError::Abandoned.to_string().contains("abandoned"));
     }
 
     #[test]

@@ -12,15 +12,28 @@ use crate::request::{Request, Slot};
 use rustc_hash::FxHashMap;
 use std::sync::Arc;
 use std::time::Instant;
+use tg_error::TgError;
 use tg_graph::{NodeId, Time};
 
 /// One admitted request travelling through the pipeline with its
 /// completion slot and admission timestamp (the start of the end-to-end
 /// latency measurement).
+///
+/// Dropping it unfulfilled — a worker panicking mid-wave, or any early
+/// return between the queue pop and the scatter — completes the ticket
+/// with [`TgError::Abandoned`] instead of leaving its waiter blocked
+/// forever. On the normal path the slot is already fulfilled and the
+/// first write wins, so the drop changes nothing and allocates nothing.
 pub(crate) struct Pending {
     pub(crate) req: Request,
     pub(crate) slot: Arc<Slot>,
     pub(crate) submitted_at: Instant,
+}
+
+impl Drop for Pending {
+    fn drop(&mut self) {
+        self.slot.fulfill(Err(TgError::Abandoned));
+    }
 }
 
 /// The unique targets of a wave plus the per-request scatter map.
@@ -67,6 +80,28 @@ pub fn coalesce(targets: &[(NodeId, Time)]) -> CoalescePlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::Ticket;
+
+    fn pending() -> (Pending, Ticket) {
+        let slot = Slot::new();
+        let ticket = Ticket::new(Arc::clone(&slot));
+        (Pending { req: Request::new(1, 1.0), slot, submitted_at: Instant::now() }, ticket)
+    }
+
+    #[test]
+    fn dropped_unfulfilled_pending_fails_its_ticket() {
+        let (p, ticket) = pending();
+        drop(p);
+        assert!(matches!(ticket.wait(), Err(TgError::Abandoned)));
+    }
+
+    #[test]
+    fn dropped_fulfilled_pending_keeps_its_row() {
+        let (p, ticket) = pending();
+        p.slot.fulfill(Ok(vec![7.0]));
+        drop(p);
+        assert_eq!(ticket.wait().unwrap(), vec![7.0]);
+    }
 
     #[test]
     fn duplicates_share_rows_in_first_appearance_order() {

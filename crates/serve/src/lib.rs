@@ -3,12 +3,14 @@
 //! The engine's §3.1 dedup only exploits duplicates *within* a
 //! caller-provided batch. This crate adds the layer that makes such
 //! batches exist in the first place: client handles submit individual
-//! `(node, time)` queries into a bounded admission queue, a batcher
-//! coalesces them into micro-batches (flushing on a size threshold or a
-//! max-linger timer), cross-request deduplication collapses hot targets
-//! *across* callers on top of the engine's own dedup, a worker pool runs
-//! [`tgopt::TgoptEngine::embed_batch`] over one shared memoization cache,
-//! and per-row results scatter back to each waiter in submission order.
+//! `(node, time)` queries into a bounded admission queue, each worker of
+//! the pool pops whatever is queued (up to a size threshold) as one
+//! micro-batch — a lone request is served at once, and batches grow by
+//! themselves while every worker is busy — cross-request deduplication
+//! collapses hot targets *across* callers on top of the engine's own
+//! dedup, the worker runs [`tgopt::TgoptEngine::embed_batch`] over one
+//! shared memoization cache, and per-row results scatter back to each
+//! waiter in submission order.
 //!
 //! Robustness is part of the contract, not an afterthought:
 //!
@@ -18,6 +20,9 @@
 //! * **Deadlines** — each request may carry a deadline; expired requests
 //!   complete with [`tg_error::TgError::DeadlineExceeded`], never a stale
 //!   or partial tensor.
+//! * **No hung tickets** — an admitted request whose wave is dropped
+//!   unserved (a worker panic) completes with
+//!   [`tg_error::TgError::Abandoned`] instead of blocking its waiter.
 //! * **Degraded mode** — when the cache payload exceeds a configured
 //!   memory budget, batches run with stores skipped (the engine keeps
 //!   reading the cache and keeps returning exact results) instead of

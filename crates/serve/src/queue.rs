@@ -1,11 +1,24 @@
-//! The bounded admission queue between client handles and the batcher.
+//! The bounded admission queue between client handles and the workers.
 //!
 //! Capacity is a hard bound: a full queue rejects with
 //! [`TgError::Overloaded`] instead of blocking the caller or growing
 //! without limit, so overload sheds at the front door (backpressure). The
-//! consumer side pops *waves* — up to `max` items, after lingering briefly
-//! for stragglers — which is what turns individual requests into
-//! micro-batches.
+//! consumer side pops *waves* — up to `max` items at once — which is what
+//! turns individual requests into micro-batches: whatever queued up while
+//! every consumer was busy leaves as one wave.
+//!
+//! # Invariants
+//!
+//! Many producers, many consumers (every serving worker pops its own
+//! waves), and no accepted item is stranded or dropped:
+//!
+//! - every successful `push` wakes one parked consumer;
+//! - a consumer re-checks emptiness under the lock before it parks, so an
+//!   item pushed between its check and its wait cannot be missed, and a
+//!   wakeup "stolen" by a consumer that was not parked still leaves the
+//!   item with a consumer that is awake;
+//! - `close` wakes every parked consumer, and each keeps popping until the
+//!   backlog is empty before it sees `None`.
 
 use crate::relock;
 use std::collections::VecDeque;
@@ -18,7 +31,7 @@ struct State<T> {
     closed: bool,
 }
 
-/// A bounded MPSC queue with wave-draining consumers.
+/// A bounded MPMC queue with wave-draining consumers.
 pub struct BoundedQueue<T> {
     state: Mutex<State<T>>,
     /// Signaled on push and on close.
@@ -83,7 +96,8 @@ impl<T> BoundedQueue<T> {
     /// Blocks until at least one item is queued (or the queue is closed
     /// *and* empty — then `None`, the consumer's exit signal), lingers up
     /// to `linger` for more items to coalesce with, then drains up to
-    /// `max` items in FIFO order.
+    /// `max` items in FIFO order. The serving workers pass
+    /// `Duration::ZERO`: take what is there, never hold a request back.
     ///
     /// # Invariants
     ///

@@ -37,25 +37,37 @@ impl Request {
     }
 }
 
+#[derive(Default)]
+struct Cell {
+    /// Set by the first fulfillment and never cleared, so the slot stays
+    /// closed to later writes after the waiter has taken `result`.
+    fulfilled: bool,
+    result: Option<Result<Vec<f32>, TgError>>,
+}
+
 /// The server side of a ticket: fulfilled exactly once with either an
 /// embedding row or a typed error.
 pub(crate) struct Slot {
-    cell: Mutex<Option<Result<Vec<f32>, TgError>>>,
+    cell: Mutex<Cell>,
     ready: Condvar,
 }
 
 impl Slot {
     pub(crate) fn new() -> Arc<Self> {
-        Arc::new(Self { cell: Mutex::new(None), ready: Condvar::new() })
+        Arc::new(Self { cell: Mutex::new(Cell::default()), ready: Condvar::new() })
     }
 
-    /// First write wins; later fulfillments are ignored, so a race between
-    /// a deadline rejection and a late batch result cannot clobber the
-    /// value a waiter already observed.
+    /// First write wins; later fulfillments are ignored — even after the
+    /// waiter took the value — so neither a race between a deadline
+    /// rejection and a late batch result nor the drop-time
+    /// [`TgError::Abandoned`] of a served request (see
+    /// `crate::batch::Pending`) can clobber or follow the value a waiter
+    /// observed.
     pub(crate) fn fulfill(&self, result: Result<Vec<f32>, TgError>) {
         let mut cell = relock(self.cell.lock());
-        if cell.is_none() {
-            *cell = Some(result);
+        if !cell.fulfilled {
+            cell.fulfilled = true;
+            cell.result = Some(result);
             drop(cell);
             self.ready.notify_all();
         }
@@ -64,7 +76,7 @@ impl Slot {
     fn wait(&self) -> Result<Vec<f32>, TgError> {
         let mut cell = relock(self.cell.lock());
         loop {
-            if let Some(result) = cell.take() {
+            if let Some(result) = cell.result.take() {
                 return result;
             }
             cell = relock(self.ready.wait(cell));
@@ -72,7 +84,7 @@ impl Slot {
     }
 
     fn try_take(&self) -> Option<Result<Vec<f32>, TgError>> {
-        relock(self.cell.lock()).take()
+        relock(self.cell.lock()).result.take()
     }
 }
 
@@ -87,7 +99,8 @@ pub struct Ticket {
 
 impl std::fmt::Debug for Ticket {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let state = if relock(self.slot.cell.lock()).is_some() { "ready" } else { "pending" };
+        let ready = relock(self.slot.cell.lock()).result.is_some();
+        let state = if ready { "ready" } else { "pending" };
         f.debug_struct("Ticket").field("state", &state).finish()
     }
 }
@@ -98,7 +111,8 @@ impl Ticket {
     }
 
     /// Blocks until the request completes; returns the embedding row or
-    /// the typed rejection ([`TgError::DeadlineExceeded`], a batch failure).
+    /// the typed rejection ([`TgError::DeadlineExceeded`], a batch failure,
+    /// or [`TgError::Abandoned`] if its wave was dropped unserved).
     pub fn wait(self) -> Result<Vec<f32>, TgError> {
         self.slot.wait()
     }
@@ -128,6 +142,9 @@ mod tests {
         assert!(ticket.try_take().is_none());
         slot.fulfill(Ok(vec![2.0]));
         assert_eq!(ticket.try_take().unwrap().unwrap(), vec![2.0]);
+        // The slot stays closed once taken: a late write is not a second result.
+        slot.fulfill(Err(TgError::Abandoned));
+        assert!(ticket.try_take().is_none());
     }
 
     #[test]

@@ -1,11 +1,13 @@
-//! The micro-batching server: admission queue → batcher → worker pool.
+//! The micro-batching server: admission queue → worker pool.
 //!
 //! Two execution modes share every line of batch-processing logic:
 //!
-//! * **Threaded** — a batcher thread pops waves off the bounded queue
-//!   (flushing on size or linger expiry) and hands them to a pool of
-//!   worker threads, each with its own [`TgoptEngine`] over one shared
-//!   [`LayerCaches`]. This is the production shape.
+//! * **Threaded** — a pool of worker threads, each with its own
+//!   [`TgoptEngine`] over one shared [`LayerCaches`], pops waves straight
+//!   off the bounded queue. An idle worker takes whatever is queued the
+//!   moment it arrives; while every worker is busy the queue fills, and
+//!   the first one back takes up to `max_batch` — batches form under load
+//!   without a timer. This is the production shape.
 //! * **Deterministic** — no threads. Requests accumulate in the queue and
 //!   [`TgServer::drain`] processes them on the caller's thread in exact
 //!   submission order with size-only flushing, so every scheduling
@@ -18,7 +20,7 @@ use crate::relock;
 use crate::request::{Request, Slot, Ticket};
 use crate::shard::ShardScope;
 use crate::stats::{ServeCounters, ServeStats};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tg_error::TgError;
@@ -90,11 +92,8 @@ impl ModelBundle {
 /// Serving-layer configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
-    /// Flush a micro-batch once this many requests have coalesced.
+    /// Most requests one wave (micro-batch) takes off the queue.
     pub max_batch: usize,
-    /// Maximum time the batcher lingers waiting for a batch to fill
-    /// (threaded mode only; deterministic mode flushes on size alone).
-    pub linger: Duration,
     /// Bound on queued-but-unbatched requests; beyond it submissions are
     /// rejected with [`TgError::Overloaded`].
     pub queue_capacity: usize,
@@ -129,7 +128,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         Self {
             max_batch: 64,
-            linger: Duration::from_micros(500),
             queue_capacity: 1024,
             workers: 2,
             memory_budget_bytes: None,
@@ -146,12 +144,6 @@ impl ServeConfig {
     /// Builder-style batch-size threshold.
     pub fn with_max_batch(mut self, n: usize) -> Self {
         self.max_batch = n;
-        self
-    }
-
-    /// Builder-style linger timer.
-    pub fn with_linger(mut self, linger: Duration) -> Self {
-        self.linger = linger;
         self
     }
 
@@ -217,7 +209,7 @@ impl ServeConfig {
     }
 }
 
-/// State shared by client handles, the batcher, and the workers.
+/// State shared by client handles and the workers.
 struct Shared {
     bundle: Arc<ModelBundle>,
     cfg: ServeConfig,
@@ -416,12 +408,7 @@ fn merge_engine_telemetry(shared: &Shared, engine: TgoptEngine<'_>) {
 }
 
 // hot-path-root(serve)
-fn worker_loop(
-    shared: Arc<Shared>,
-    rx: Arc<Mutex<mpsc::Receiver<Vec<Pending>>>>,
-    wave_hist: Arc<LatencyHistogram>,
-    slot: usize,
-) {
+fn worker_loop(shared: Arc<Shared>, wave_hist: Arc<LatencyHistogram>, slot: usize) {
     let bundle = Arc::clone(&shared.bundle);
     if shared.cfg.pin_cores {
         // Best-effort: shard s's worker slot w asks for CPU
@@ -445,15 +432,14 @@ fn worker_loop(
     if shared.cfg.record_spans {
         engine.enable_stats();
     }
-    loop {
-        // The guard is scoped to the recv call: exactly one idle worker
-        // waits inside recv, the rest wait on the lock. Processing runs
-        // unlocked, so waves execute concurrently across workers.
-        // lint: allow(lock-across, rx exists only to make the !Sync Receiver shareable; the guard protects nothing else and no holder ever takes another lock)
-        let wave = match relock(rx.lock()).recv() { // bounded-by: idle wait for work, not request latency; the per-wave deadline clock starts at dequeue, and shutdown drops the sender which wakes recv with Err
-            Ok(wave) => wave,
-            Err(_) => break,
-        };
+    // The worker's only unbounded wait is `arrived.wait` inside `pop_wave`:
+    // idle time, not request latency — a queued request is taken by the
+    // first worker that is (or becomes) free, with no timer in between —
+    // and `close` ends it, after which each worker drains the backlog and
+    // gets `None`. (L14 skips `wait` by name, so this comment is the
+    // record of that argument.) Waves run with no queue lock held, so
+    // they execute concurrently across workers.
+    while let Some(wave) = shared.queue.pop_wave(shared.cfg.max_batch, Duration::ZERO) {
         if let Some(live) = shared.live.as_ref() {
             engine.pin_view(pin_live_view(&shared, live, slot));
         }
@@ -468,7 +454,6 @@ fn worker_loop(
 /// The micro-batching request server over one [`TgoptEngine`] world.
 pub struct TgServer {
     shared: Arc<Shared>,
-    batcher: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
     deterministic: bool,
 }
@@ -525,11 +510,11 @@ impl TgServer {
         scope: Option<ShardScope>,
     ) -> Result<Self, TgError> {
         let shared = Self::shared_state(bundle, cfg, scope)?;
-        Ok(Self { shared, batcher: None, workers: Vec::new(), deterministic: true })
+        Ok(Self { shared, workers: Vec::new(), deterministic: true })
     }
 
-    /// A threaded server: one batcher thread plus `cfg.workers` inference
-    /// workers sharing a single memoization cache.
+    /// A threaded server: `cfg.workers` inference workers pulling waves
+    /// off the admission queue and sharing a single memoization cache.
     pub fn threaded(bundle: Arc<ModelBundle>, cfg: ServeConfig) -> Result<Self, TgError> {
         Self::threaded_scoped(bundle, cfg, None)
     }
@@ -541,28 +526,14 @@ impl TgServer {
         scope: Option<ShardScope>,
     ) -> Result<Self, TgError> {
         let shared = Self::shared_state(bundle, cfg, scope)?;
-        let (tx, rx) = mpsc::channel::<Vec<Pending>>();
-        let rx = Arc::new(Mutex::new(rx));
         let workers: Vec<JoinHandle<()>> = (0..shared.cfg.workers)
             .map(|i| {
                 let wave_hist = Arc::clone(&shared.worker_latency[i]);
                 let shared = Arc::clone(&shared);
-                let rx = Arc::clone(&rx);
-                std::thread::spawn(move || worker_loop(shared, rx, wave_hist, i))
+                std::thread::spawn(move || worker_loop(shared, wave_hist, i))
             })
             .collect();
-        let batcher_shared = Arc::clone(&shared);
-        let batcher = std::thread::spawn(move || {
-            let (max, linger) = (batcher_shared.cfg.max_batch, batcher_shared.cfg.linger);
-            while let Some(wave) = batcher_shared.queue.pop_wave(max, linger) {
-                if tx.send(wave).is_err() {
-                    break;
-                }
-            }
-            // Dropping `tx` disconnects the channel; workers exit after
-            // draining every wave already sent.
-        });
-        Ok(Self { shared, batcher: Some(batcher), workers, deterministic: false })
+        Ok(Self { shared, workers, deterministic: false })
     }
 
     /// Submits one query with no deadline.
@@ -663,7 +634,7 @@ impl TgServer {
 
     /// Submits `ns[i], ts[i]` pairs in order; ticket `i` resolves to the
     /// embedding row of query `i` (per-request row order is preserved no
-    /// matter how the batcher groups or dedups them).
+    /// matter how waves group or dedup them).
     pub fn submit_many(&self, ns: &[NodeId], ts: &[Time]) -> Result<Vec<Ticket>, TgError> {
         if ns.len() != ts.len() {
             return Err(TgError::InvalidArgument(format!(
@@ -876,9 +847,6 @@ impl TgServer {
         if self.deterministic {
             // Flush the backlog so no ticket is left forever pending.
             let _ = self.drain();
-        }
-        if let Some(b) = self.batcher.take() {
-            let _ = b.join();
         }
         for w in self.workers.drain(..) {
             let _ = w.join();

@@ -83,7 +83,7 @@ impl ShardRouter {
         Self::build(bundle, cfg, assignment, TgServer::deterministic_scoped)
     }
 
-    /// A router over threaded shards: each shard runs its own batcher and
+    /// A router over threaded shards: each shard runs its own queue and
     /// worker pool (`cfg.workers` threads *per shard*).
     pub fn threaded(
         bundle: Arc<ModelBundle>,

@@ -14,14 +14,15 @@ fn snapshot_bins(bins: &[AtomicU64; TRACKED_SWEEP_LAYERS]) -> [u64; TRACKED_SWEE
     out
 }
 
-/// Shared atomic counters bumped by client handles, the batcher, and the
-/// workers. Read them through [`ServeCounters::snapshot`].
+/// Shared atomic counters bumped by client handles and the workers. Read
+/// them through [`ServeCounters::snapshot`].
 ///
 /// Accounting identity: every submission attempt that is not shed by
 /// backpressure is recorded as `submitted` *before* any terminal counter,
 /// so any snapshot satisfies `submitted >= completed + rejected_deadline`
-/// (strict once a micro-batch fails with an engine error, since those
-/// requests resolve without bumping either terminal counter).
+/// (strict once a micro-batch fails with an engine error or is dropped
+/// unserved, since those requests resolve without bumping either terminal
+/// counter).
 #[derive(Debug, Default)]
 pub struct ServeCounters {
     submitted: AtomicU64,

@@ -26,20 +26,21 @@ use tgopt::{pack_key, EmbedCache};
 /// Mirror of `tg_serve::request::Slot`'s first-write-wins protocol
 /// (`fulfill` + consuming `wait`); the real type is crate-private.
 struct SlotModel {
-    cell: Mutex<Option<u32>>,
+    /// `(fulfilled, result)`: the flag outlives the waiter's `take`.
+    cell: Mutex<(bool, Option<u32>)>,
     ready: Condvar,
 }
 
 impl SlotModel {
     fn new() -> Self {
-        Self { cell: Mutex::new(None), ready: Condvar::new() }
+        Self { cell: Mutex::new((false, None)), ready: Condvar::new() }
     }
 
     /// Returns true if this call's value won the slot.
     fn fulfill(&self, value: u32) -> bool {
         let mut cell = self.cell.lock().unwrap();
-        if cell.is_none() {
-            *cell = Some(value);
+        if !cell.0 {
+            *cell = (true, Some(value));
             drop(cell);
             self.ready.notify_all();
             true
@@ -51,7 +52,7 @@ impl SlotModel {
     fn wait(&self) -> u32 {
         let mut cell = self.cell.lock().unwrap();
         loop {
-            if let Some(v) = cell.take() {
+            if let Some(v) = cell.1.take() {
                 return v;
             }
             cell = self.ready.wait(cell).unwrap();
@@ -219,58 +220,89 @@ fn cache_accounting_survives_store_lookup_invalidate_race() {
     assert!(ITERS.load(Ordering::SeqCst) > 1, "model must explore more than one schedule");
 }
 
-/// (c) BoundedQueue close/backpressure handshake: every accepted push is
-/// popped exactly once (no lost or duplicated items), rejected pushes are
-/// really rejected, close wakes the blocked consumer, and the backlog
-/// never exceeds capacity.
+/// One schedule of the queue handshake: two producers race `consumers`
+/// consumers parked in `pop_wave(2, ZERO)` and a `close`. Every accepted
+/// push is popped exactly once across all consumers (no lost, stranded or
+/// duplicated item), rejected pushes are really rejected, each wave is
+/// non-empty, at most `max` long and FIFO, the backlog never exceeds
+/// capacity, and `close` wakes every consumer — joining them all is the
+/// "each drains to `None`" assertion; one left parked would hang here.
+fn queue_handshake_schedule(consumers: usize) {
+    let queue: Arc<BoundedQueue<u32>> = Arc::new(BoundedQueue::new(2));
+
+    let consumers: Vec<_> = (0..consumers)
+        .map(|_| {
+            let q = Arc::clone(&queue);
+            thread::spawn(move || {
+                let mut popped = Vec::new();
+                while let Some(wave) = q.pop_wave(2, Duration::ZERO) {
+                    assert!(!wave.is_empty(), "pop_wave returned an empty wave");
+                    assert!(wave.len() <= 2, "wave exceeded max");
+                    // Items are `producer * 10 + i`, pushed with `i`
+                    // increasing: one producer's items never reorder.
+                    assert!(
+                        wave.windows(2).all(|w| w[0] / 10 != w[1] / 10 || w[0] < w[1]),
+                        "wave {wave:?} is not FIFO"
+                    );
+                    popped.extend(wave);
+                    thread::yield_now();
+                }
+                popped
+            })
+        })
+        .collect();
+
+    let producers: Vec<_> = (0..2u32)
+        .map(|p| {
+            let q = Arc::clone(&queue);
+            thread::spawn(move || {
+                let mut accepted = Vec::new();
+                for i in 0..3u32 {
+                    let item = p * 10 + i;
+                    if q.push(item).is_ok() {
+                        accepted.push(item);
+                    }
+                    assert!(q.len() <= q.capacity(), "backlog exceeded capacity");
+                    thread::yield_now();
+                }
+                accepted
+            })
+        })
+        .collect();
+
+    let mut accepted: Vec<u32> = producers.into_iter().flat_map(|t| t.join().unwrap()).collect();
+    // Consumers exit only once the queue is closed *and* drained.
+    queue.close();
+    assert!(queue.is_closed());
+    assert!(queue.push(99).is_err(), "push after close must be rejected");
+
+    let mut popped: Vec<u32> = consumers.into_iter().flat_map(|t| t.join().unwrap()).collect();
+    accepted.sort_unstable();
+    popped.sort_unstable();
+    assert_eq!(popped, accepted, "every accepted item pops exactly once");
+    assert_eq!(queue.len(), 0, "drained queue must account to empty");
+}
+
+/// (c) BoundedQueue close/backpressure handshake with a single consumer
+/// (see [`queue_handshake_schedule`]).
 #[test]
 fn bounded_queue_close_backpressure_handshake() {
     static ITERS: AtomicUsize = AtomicUsize::new(0);
     loom::model(|| {
         ITERS.fetch_add(1, Ordering::SeqCst);
-        let queue: Arc<BoundedQueue<u32>> = Arc::new(BoundedQueue::new(2));
+        queue_handshake_schedule(1);
+    });
+    assert!(ITERS.load(Ordering::SeqCst) > 1, "model must explore more than one schedule");
+}
 
-        let producers: Vec<_> = (0..2u32)
-            .map(|p| {
-                let q = Arc::clone(&queue);
-                thread::spawn(move || {
-                    let mut accepted = Vec::new();
-                    for i in 0..3u32 {
-                        let item = p * 10 + i;
-                        if q.push(item).is_ok() {
-                            accepted.push(item);
-                        }
-                        assert!(q.len() <= q.capacity(), "backlog exceeded capacity");
-                        thread::yield_now();
-                    }
-                    accepted
-                })
-            })
-            .collect();
-
-        let q = Arc::clone(&queue);
-        let consumer = thread::spawn(move || {
-            let mut popped = Vec::new();
-            while let Some(wave) = q.pop_wave(2, Duration::ZERO) {
-                assert!(!wave.is_empty(), "pop_wave returned an empty wave");
-                assert!(wave.len() <= 2, "wave exceeded max");
-                popped.extend(wave);
-            }
-            popped
-        });
-
-        let mut accepted: Vec<u32> =
-            producers.into_iter().flat_map(|t| t.join().unwrap()).collect();
-        // Consumer exits only once the queue is closed *and* drained.
-        queue.close();
-        assert!(queue.is_closed());
-        assert!(queue.push(99).is_err(), "push after close must be rejected");
-
-        let mut popped = consumer.join().unwrap();
-        accepted.sort_unstable();
-        popped.sort_unstable();
-        assert_eq!(popped, accepted, "every accepted item pops exactly once");
-        assert_eq!(queue.len(), 0, "drained queue must account to empty");
+/// (c') The same handshake in the production shape — every serving worker
+/// pops its own waves, so two consumers share the queue.
+#[test]
+fn bounded_queue_two_consumers_drain_exactly_once() {
+    static ITERS: AtomicUsize = AtomicUsize::new(0);
+    loom::model(|| {
+        ITERS.fetch_add(1, Ordering::SeqCst);
+        queue_handshake_schedule(2);
     });
     assert!(ITERS.load(Ordering::SeqCst) > 1, "model must explore more than one schedule");
 }

@@ -1,10 +1,10 @@
 //! Serving-layer equivalence properties: anything served through
 //! `tg-serve` must equal a direct `TgoptEngine::embed_batch` call within
 //! 1e-5, for arbitrary request streams, arrival interleavings, and
-//! batch-size/linger configurations — including with deadlines attached
+//! batch-size configurations — including with deadlines attached
 //! and degraded (store-skipping) mode forced on.
 //!
-//! The deterministic single-threaded batcher mode makes every scheduling
+//! The deterministic single-threaded mode makes every scheduling
 //! decision a pure function of the submit/drain sequence, so each random
 //! case is exactly reproducible.
 

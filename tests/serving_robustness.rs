@@ -168,10 +168,7 @@ fn memory_budget_counts_fingerprints_as_well_as_rows() {
 #[test]
 fn threaded_server_end_to_end_matches_direct() {
     let bundle = world();
-    let cfg = ServeConfig::default()
-        .with_workers(2)
-        .with_max_batch(8)
-        .with_linger(Duration::from_millis(1));
+    let cfg = ServeConfig::default().with_workers(2).with_max_batch(8);
     let server = TgServer::threaded(Arc::clone(bundle), cfg).unwrap();
 
     let ns: Vec<NodeId> = (0..40u32).map(|i| (i % 10) as NodeId).collect();
@@ -213,6 +210,35 @@ fn threaded_server_end_to_end_matches_direct() {
     assert_eq!(stats.completed, 80);
     assert!(stats.batches > 0);
     assert!(stats.unique_rows <= stats.batched_requests);
+}
+
+#[test]
+fn immediate_shutdown_serves_every_admitted_request() {
+    let cfg = ServeConfig::default().with_workers(2).with_max_batch(4);
+    let server = TgServer::threaded(Arc::clone(world()), cfg).unwrap();
+    // Far more than one wave, so the backlog is still queued when `close`
+    // lands and the workers have to drain it on their way out.
+    let ns: Vec<NodeId> = (0..200u32).map(|i| (i % 10) as NodeId).collect();
+    let ts: Vec<Time> = (0..200).map(|i| 65.0 + (i % 7) as Time).collect();
+    let tickets = server.submit_many(&ns, &ts).unwrap();
+    let stats = server.shutdown();
+    assert_eq!((stats.submitted, stats.completed), (200, 200));
+    assert_eq!(stats.batched_requests, 200);
+    for (i, t) in tickets.into_iter().enumerate() {
+        assert!(t.wait().is_ok(), "ticket {i} did not resolve to a row");
+    }
+}
+
+#[test]
+fn lone_request_on_idle_server_is_one_wave_of_one_row() {
+    let server = TgServer::threaded(Arc::clone(world()), ServeConfig::default()).unwrap();
+    // No second arrival and no timer: the wait returns only because an
+    // idle worker takes the request as its own wave.
+    let row = server.submit(3, 70.0).unwrap().wait().unwrap();
+    assert_eq!(row.len(), world().params.cfg.dim);
+    let stats = server.stats();
+    assert_eq!((stats.batches, stats.batched_requests, stats.unique_rows), (1, 1, 1));
+    server.shutdown();
 }
 
 #[test]
