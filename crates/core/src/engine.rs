@@ -438,28 +438,27 @@ impl<'a> TgoptEngine<'a> {
                 });
             }
             let (ht0, ht) = (ht0, ht);
-            let e_feat = self.ctx.gather_edge_features_with(&nb.eids, &mut self.scratch);
             let mask = nb.mask();
 
             let layer = &self.params.layers[l - 1];
             let stats = &mut self.stats;
             let scratch = &mut self.scratch;
             let h_m = stats.time(OpKind::Attention, || {
-                attention::forward_with(
+                attention::forward_by_eid(
                     layer,
                     cfg,
                     &AttentionInputs {
                         h_src: &h_src,
                         ht0: &ht0,
                         h_ngh: &h_ngh,
-                        e_feat: &e_feat,
+                        e_feat: self.ctx.edge_features,
                         ht: &ht,
                         mask: &mask,
                     },
+                    &nb.eids,
                     scratch,
                 )
             });
-            self.scratch.give(e_feat);
             self.scratch.give(ht);
             self.scratch.give(ht0);
             self.scratch.give(h_ngh);

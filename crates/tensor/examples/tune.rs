@@ -1,88 +1,133 @@
-//! Measures the `ROW_BLOCK` / `PAR_THRESHOLD` tuning constants on the
-//! matmul shapes the inference hot path actually produces.
+//! Prints what the dense kernels deliver on the shapes the inference hot
+//! path produces: GFLOP/s of `matmul_into` / `addmm_into`, and the cost of
+//! one attention layer per target-block size.
 //!
 //! ```sh
 //! cargo run --release -p tg-tensor --example tune
 //! ```
 //!
-//! The measured tables are copied into DESIGN.md ("Kernel architecture");
-//! rerun this after changing the kernels or the vendored rayon shim. Note
-//! that the shim executes `par_*` sequentially, so `ROW_BLOCK` here only
-//! measures chunk-dispatch overhead and `PAR_THRESHOLD` the cost of taking
-//! the chunked path at all — with a real thread pool both would be retuned.
+//! Every candidate runs round-robin inside this one process and is reported
+//! as min and median over the rounds: this host's run-to-run drift is larger
+//! than the differences between block sizes, so numbers from separate
+//! invocations do not compare. The tables are copied into DESIGN.md
+//! ("Kernel architecture"); CI uploads them, so a toolchain bump that
+//! spills the microkernel's accumulators again shows as a GFLOP/s drop.
 
+use std::hint::black_box;
 use std::time::Instant;
-use tg_tensor::matmul::{matmul_forced, matmul_with_row_block};
-use tg_tensor::{init, Tensor};
+use tg_tensor::matmul::{addmm_into, matmul_into};
+use tg_tensor::{init, Scratch, Tensor};
+use tgat::attention::{forward_blocked, AttentionInputs};
+use tgat::{TgatConfig, TgatParams};
 
-fn bench<F: FnMut() -> Tensor>(mut f: F) -> f64 {
-    // Warm up, then take the best of 5 (least-noise estimator for
-    // single-threaded compute-bound loops).
-    let mut sink = 0.0f64;
-    sink += f().as_slice().iter().map(|&v| v as f64).sum::<f64>();
-    let mut best = f64::INFINITY;
-    for _ in 0..5 {
-        let t = Instant::now();
-        let c = f();
-        best = best.min(t.elapsed().as_secs_f64());
-        sink += c.as_slice().first().copied().unwrap_or(0.0) as f64;
+/// Rounds per table: a dense-kernel round is ~10 ms, an attention round up
+/// to ~250 ms.
+const DENSE_ROUNDS: usize = 41;
+const ATTENTION_ROUNDS: usize = 9;
+
+/// Times every candidate once per round, in order, and returns each
+/// candidate's `(min, median)` seconds.
+fn round_robin(rounds: usize, candidates: &mut [Box<dyn FnMut() + '_>]) -> Vec<(f64, f64)> {
+    let mut secs = vec![Vec::with_capacity(rounds); candidates.len()];
+    for round in 0..=rounds {
+        for (f, s) in candidates.iter_mut().zip(&mut secs) {
+            let t = Instant::now();
+            f();
+            if round > 0 {
+                s.push(t.elapsed().as_secs_f64()); // round 0 warms caches and pools
+            }
+        }
     }
-    assert!(sink.is_finite());
-    best
+    secs.into_iter()
+        .map(|mut s| {
+            s.sort_by(f64::total_cmp);
+            (s[0], s[s.len() / 2])
+        })
+        .collect()
 }
 
 fn main() {
     let mut rng = init::seeded_rng(7);
-    // (label, m, k, n): the shapes embed_batch feeds matmul with the bench
-    // protocol (batch 200 -> 400 targets, 10 neighbors, dim 32, 2 heads).
+
+    // (label, m, k, n, bias): the bench protocol's shapes (batch 200 -> 400
+    // targets -> 4400 layer-1 targets, 10 neighbours, dim 32, edge dim 172,
+    // 2 heads); 640 rows is one 64-target block.
     let shapes = [
-        ("K/V layer-1  [44000,164]x[164,16]", 44_000usize, 164usize, 16usize),
-        ("Q   layer-1  [4400,64]x[64,16]", 4_400, 64, 16),
-        ("FFN fc1      [4400,64]x[64,32]", 4_400, 64, 32),
-        ("FFN fc2      [4400,32]x[32,32]", 4_400, 32, 32),
-        ("Q   layer-2  [400,64]x[64,16]", 400, 64, 16),
+        ("K/V whole layer-1", 44_000usize, 236usize, 16usize, false),
+        ("K/V one block", 640, 236, 16, false),
+        ("Q   layer-1", 4_400, 64, 16, false),
+        ("FFN fc1 (addmm)", 4_400, 64, 32, true),
+        ("FFN fc2 (addmm)", 4_400, 32, 32, true),
     ];
-
-    println!("== ROW_BLOCK sweep (parallel path pinned on, best of 5, ms) ==");
-    print!("{:<38}", "shape");
-    let blocks = [8usize, 16, 32, 64, 128];
-    for rb in blocks {
-        print!("  rb={rb:<4}");
+    let operands: Vec<(Tensor, Tensor, Tensor)> = shapes
+        .iter()
+        .map(|&(_, m, k, n, _)| {
+            (
+                init::uniform(&mut rng, m, k, 1.0),
+                init::uniform(&mut rng, k, n, 1.0),
+                init::uniform(&mut rng, 1, n, 1.0),
+            )
+        })
+        .collect();
+    let mut outs: Vec<Tensor> = shapes.iter().map(|&(_, m, _, n, _)| Tensor::zeros(m, n)).collect();
+    let mut runs: Vec<Box<dyn FnMut() + '_>> = Vec::new();
+    for ((&(_, _, _, _, bias), (a, b, bv)), c) in shapes.iter().zip(&operands).zip(&mut outs) {
+        runs.push(Box::new(move || {
+            if bias {
+                addmm_into(black_box(a), b, bv, c);
+            } else {
+                matmul_into(black_box(a), b, c);
+            }
+            black_box(c.as_slice());
+        }));
     }
-    println!();
-    for (label, m, k, n) in shapes {
-        let a = init::uniform(&mut rng, m, k, 1.0);
-        let b = init::uniform(&mut rng, k, n, 1.0);
-        print!("{label:<38}");
-        for rb in blocks {
-            let secs = bench(|| matmul_with_row_block(&a, &b, rb));
-            print!("  {:>7.3}", secs * 1e3);
-        }
-        println!();
-    }
-
-    println!();
-    println!("== PAR_THRESHOLD crossover (work = m*n*k, best of 5, us) ==");
-    println!("{:<26}{:>12}{:>12}{:>12}", "shape", "work", "serial", "chunked");
-    for (m, k, n) in [
-        (8usize, 32usize, 32usize),
-        (16, 32, 32),
-        (32, 32, 32),
-        (64, 32, 32),
-        (128, 32, 32),
-        (400, 64, 16),
-        (1024, 64, 64),
-    ] {
-        let a = init::uniform(&mut rng, m, k, 1.0);
-        let b = init::uniform(&mut rng, k, n, 1.0);
-        let serial = bench(|| matmul_forced(&a, &b, false));
-        let chunked = bench(|| matmul_forced(&a, &b, true));
+    println!("== dense kernels (round-robin, {DENSE_ROUNDS} rounds) ==");
+    println!("{:<20}{:<24}{:>10}{:>10}{:>12}{:>12}", "kernel", "shape", "min ms", "med ms", "max GF/s", "med GF/s");
+    for (&(label, m, k, n, _), (min, med)) in shapes.iter().zip(round_robin(DENSE_ROUNDS, &mut runs)) {
+        let gflop = 2.0 * (m * k * n) as f64 / 1e9;
         println!(
-            "{:<26}{:>12}{:>12.2}{:>12.2}",
+            "{label:<20}{:<24}{:>10.3}{:>10.3}{:>12.1}{:>12.1}",
             format!("[{m},{k}]x[{k},{n}]"),
-            m * n * k,
-            serial * 1e6,
-            chunked * 1e6
+            min * 1e3,
+            med * 1e3,
+            gflop / min,
+            gflop / med
         );
+    }
+    drop(runs);
+
+    // One attention layer at the bench protocol's model (layer-1 inputs:
+    // zero node features, dense edge features and time encodings), edge
+    // rows read from a feature table by edge id as the engines do.
+    let cfg = TgatConfig { dim: 32, edge_dim: 172, time_dim: 32, n_heads: 2, n_layers: 2, n_neighbors: 10 };
+    let params = TgatParams::init(cfg, 7).expect("valid bench-protocol config");
+    let k = cfg.n_neighbors;
+    let table = init::uniform(&mut rng, 50_000, cfg.edge_dim, 1.0);
+    println!();
+    println!("== attention layer by target-block size (round-robin, {ATTENTION_ROUNDS} rounds, us per call) ==");
+    println!("{:<8}{:<8}{:>12}{:>12}{:>14}", "n", "block", "min us", "med us", "med us/row");
+    for n in [4_400usize, 400, 64, 1] {
+        let h_src = Tensor::zeros(n, cfg.dim);
+        let h_ngh = Tensor::zeros(n * k, cfg.dim);
+        let ht0 = init::uniform(&mut rng, n, cfg.time_dim, 1.0);
+        let ht = init::uniform(&mut rng, n * k, cfg.time_dim, 1.0);
+        let eids: Vec<u32> = (0..n * k).map(|s| (s * 7919 % table.rows()) as u32).collect();
+        let mask = vec![true; n * k];
+        let inp = AttentionInputs { h_src: &h_src, ht0: &ht0, h_ngh: &h_ngh, e_feat: &table, ht: &ht, mask: &mask };
+        let mut blocks: Vec<usize> = [16usize, 32, 64, 128, 256].into_iter().filter(|&b| b < n).collect();
+        blocks.push(n);
+        let mut scratches: Vec<Scratch> = blocks.iter().map(|_| Scratch::new()).collect();
+        let mut runs: Vec<Box<dyn FnMut() + '_>> = Vec::new();
+        for (&block, scratch) in blocks.iter().zip(&mut scratches) {
+            let (layer, inp, eids) = (&params.layers[0], &inp, &eids);
+            runs.push(Box::new(move || {
+                let out = forward_blocked(layer, &cfg, black_box(inp), Some(eids), block, scratch);
+                black_box(out.as_slice());
+                scratch.give(out);
+            }));
+        }
+        for (&block, (min, med)) in blocks.iter().zip(round_robin(ATTENTION_ROUNDS, &mut runs)) {
+            println!("{n:<8}{block:<8}{:>12.1}{:>12.1}{:>14.2}", min * 1e6, med * 1e6, med * 1e6 / n as f64);
+        }
     }
 }

@@ -13,12 +13,15 @@
 //! # Kernel architecture
 //!
 //! All dense work funnels into a 4×16 register-tiled rank-1 microkernel
-//! ([`quad_panel`]): four rows of `A` update a 16-column panel of `C` held
-//! in 64 scalar accumulators, so each 16-wide load of a `B` row feeds four
-//! fused multiply-adds and `C` is written once per panel instead of once
-//! per `k`-step. The 8/16-lane inner loops are written over constant-length
-//! slices so LLVM lowers them to full-width SIMD without per-element bounds
-//! checks or branches.
+//! ([`full_panel`]): four rows of `A` update a 16-column panel of `C` held
+//! in four `[f32; NR]` accumulator rows, so each 16-wide load of a `B` row
+//! feeds four multiply-add pairs (separate `vmulps`/`vaddps`, never FMA:
+//! the sum is bit-equal to [`reference::matmul`]) and `C` is written once
+//! per panel instead of once per `k`-step. The accumulator rows are
+//! separate locals indexed only by constant-trip loops, which is what lets
+//! LLVM keep them in registers; the ragged last panel (`n % 16` columns)
+//! lives in its own function ([`ragged_panel`]) so its runtime-indexed
+//! accumulators cannot drag the hot loop's onto the stack.
 //!
 //! The dense path carries **no** per-element `if av == 0.0` skip. TGAT's
 //! layer-0 inputs are zero node-feature rows concatenated with dense time
@@ -135,48 +138,62 @@ fn nonzero_span(row: &[f32]) -> (usize, usize) {
     (lo, hi)
 }
 
-/// The 4×16 register-tile microkernel: accumulates
-/// `C[r, off..off+w] += A[r, lo..hi] * B[lo..hi, off..off+w]` for the
-/// `rows` live rows of one row-quad. `w <= NR`; the full-panel case
-/// (`w == NR`) compiles to constant-trip SIMD loops.
-#[inline]
-fn quad_panel(
-    a: &[&[f32]; MR],
-    rows: usize,
-    b: &[f32],
-    n: usize,
-    span: (usize, usize),
-    c: &mut [f32],
-    off: usize,
-    w: usize,
-) {
-    debug_assert!(w <= NR && off + w <= n);
-    let mut acc = [[0.0f32; NR]; MR];
-    if w == NR {
-        for kk in span.0..span.1 {
-            let base = kk * n + off;
-            let bp = &b[base..base + NR];
-            let av = [a[0][kk], a[1][kk], a[2][kk], a[3][kk]];
-            for r in 0..MR {
-                for j in 0..NR {
-                    acc[r][j] += av[r] * bp[j];
-                }
-            }
+/// Full-width panel of the 4×16 microkernel:
+/// `C[r, off..off+NR] += A[r, :] * B[:, off..off+NR]` for the `rows` live
+/// rows of one row-quad, with `a` and `b` already cut to the quad's span.
+///
+/// The shape of this function is load-bearing (DESIGN.md "Kernel
+/// architecture"): each accumulator row is its own fixed-size local that
+/// only constant-trip loops index, so all eight 8-lane accumulators stay in
+/// registers for the whole `k` loop; the `A` rows are sliced to one length
+/// up front so `a_r[kk]` needs no per-step check. Kept out of line so
+/// `objdump -d` can show it.
+#[inline(never)]
+fn full_panel(a: [&[f32]; MR], rows: usize, b: &[f32], n: usize, c: &mut [f32], off: usize) {
+    let len = a[0].len();
+    let (a0, a1, a2, a3) = (a[0], &a[1][..len], &a[2][..len], &a[3][..len]);
+    let (mut c0, mut c1, mut c2, mut c3) = ([0.0f32; NR], [0.0f32; NR], [0.0f32; NR], [0.0f32; NR]);
+    for kk in 0..len {
+        let bp = &b[kk * n + off..][..NR];
+        for j in 0..NR {
+            c0[j] += a0[kk] * bp[j];
         }
-    } else {
-        for kk in span.0..span.1 {
-            let base = kk * n + off;
-            let bp = &b[base..base + w];
-            let av = [a[0][kk], a[1][kk], a[2][kk], a[3][kk]];
-            for r in 0..MR {
-                for j in 0..w {
-                    acc[r][j] += av[r] * bp[j];
-                }
+        for j in 0..NR {
+            c1[j] += a1[kk] * bp[j];
+        }
+        for j in 0..NR {
+            c2[j] += a2[kk] * bp[j];
+        }
+        for j in 0..NR {
+            c3[j] += a3[kk] * bp[j];
+        }
+    }
+    for (r, acc) in [c0, c1, c2, c3].iter().enumerate().take(rows) {
+        let crow = &mut c[r * n + off..][..NR];
+        for j in 0..NR {
+            crow[j] += acc[j];
+        }
+    }
+}
+
+/// The ragged last panel (columns `off..n`, fewer than `NR`) of a row-quad:
+/// same sum as [`full_panel`], with its own runtime-indexed accumulators so
+/// their stack slots never touch the full-width loop.
+#[inline(never)]
+fn ragged_panel(a: [&[f32]; MR], rows: usize, b: &[f32], n: usize, c: &mut [f32], off: usize) {
+    let w = n - off;
+    debug_assert!(w < NR);
+    let mut acc = [[0.0f32; NR]; MR];
+    for kk in 0..a[0].len() {
+        let bp = &b[kk * n + off..][..w];
+        for r in 0..MR {
+            for j in 0..w {
+                acc[r][j] += a[r][kk] * bp[j];
             }
         }
     }
     for r in 0..rows {
-        let crow = &mut c[r * n + off..r * n + off + w];
+        let crow = &mut c[r * n + off..][..w];
         for j in 0..w {
             crow[j] += acc[r][j];
         }
@@ -200,13 +217,15 @@ fn mm_quad(a: [&[f32]; MR], rows: usize, b: &[f32], n: usize, c: &mut [f32]) {
     if lo >= hi {
         return; // all live rows zero: C rows keep their initial value
     }
+    let a = a.map(|row| &row[lo..hi]);
+    let b = &b[lo * n..hi * n];
     let mut off = 0;
     while off + NR <= n {
-        quad_panel(&a, rows, b, n, (lo, hi), c, off, NR);
+        full_panel(a, rows, b, n, c, off);
         off += NR;
     }
     if off < n {
-        quad_panel(&a, rows, b, n, (lo, hi), c, off, n - off);
+        ragged_panel(a, rows, b, n, c, off);
     }
 }
 
@@ -552,6 +571,57 @@ mod tests {
         let c = matmul(&a, &b);
         assert!(c.max_abs_diff(&reference::matmul(&a, &b)) < 1e-5);
         assert!(c.row(2).iter().all(|&v| v == 0.0));
+    }
+
+    #[test]
+    fn kernel_sum_is_bit_equal_to_reference() {
+        // The microkernel's sum is the naive sequential-k sum: the terms the
+        // span pre-scan skips are exact zeros. Pinned bit for bit over every
+        // quad/panel remainder so an FMA, a reassociation or a changed span
+        // rule cannot slip in. Rows cycle through: dense, zero prefix, zero
+        // suffix, interior zeros, all-zero (lands inside a quad), prefix
+        // and suffix both.
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut shapes = 0;
+        for &m in &[1usize, 2, 3, 4, 5, 7, 8, 9, 63, 64, 65] {
+            for &k in &[1usize, 5, 32, 64, 236] {
+                let mut a = seq_tensor(m, k, 1.0);
+                for r in 0..m {
+                    let row = a.row_mut(r);
+                    match r % 6 {
+                        1 => row[..k / 2].fill(0.0),
+                        2 => row[k - k / 3..].fill(0.0),
+                        3 => row.iter_mut().step_by(3).for_each(|v| *v = 0.0),
+                        4 => row.fill(0.0),
+                        5 => {
+                            row[..k / 4].fill(0.0);
+                            row[k - k / 4..].fill(0.0);
+                        }
+                        _ => {}
+                    }
+                }
+                for &n in &[1usize, 7, 15, 16, 17, 31, 32, 33, 64] {
+                    let b = seq_tensor(k, n, 1.0);
+                    let want = reference::matmul(&a, &b);
+                    assert_eq!(bits(&matmul(&a, &b)), bits(&want), "matmul ({m},{k},{n})");
+                    let mut c = Tensor::full(m, n, 777.0);
+                    matmul_into(&a, &b, &mut c);
+                    assert_eq!(bits(&c), bits(&want), "matmul_into ({m},{k},{n})");
+                    // addmm seeds C with the bias and adds the finished
+                    // sum to it: one rounding, `bias + reference`.
+                    let bias = seq_tensor(1, n, 0.5);
+                    let mut with_bias = want.clone();
+                    for r in 0..m {
+                        for (v, &bv) in with_bias.row_mut(r).iter_mut().zip(bias.as_slice()) {
+                            *v += bv;
+                        }
+                    }
+                    assert_eq!(bits(&addmm(&a, &b, &bias)), bits(&with_bias), "addmm ({m},{k},{n})");
+                    shapes += 1;
+                }
+            }
+        }
+        assert_eq!(shapes, 495);
     }
 
     #[test]

@@ -4,21 +4,32 @@
 //! training path in [`crate::train`] records the identical computation on an
 //! autograd tape.
 //!
-//! The hot entry point is [`forward_with`], which threads a
-//! [`Scratch`] arena through the whole layer: every intermediate (`z_src`,
-//! `z_ngh`, per-head Q/K/V, scores, the FFN input/hidden) lives in recycled
-//! buffers, per-head outputs are written directly into their column block of
-//! the FFN input, and the fused `addmm` / `scale+mask+softmax` kernels avoid
-//! separate bias/scale passes. A steady-state batch therefore performs O(1)
-//! allocator calls (only the escaping output tensor, and none once its
-//! buffer cycles back through the pool). [`forward_reference`] keeps the
-//! original per-op allocating implementation as the semantic baseline for
-//! equivalence tests.
+//! There is one implementation, [`forward_blocked`], and its unit of work is
+//! a block of [`TARGET_BLOCK`] targets: each block builds its own `z_src` /
+//! `z_ngh` rows, runs Q/K/V → scores → masked softmax → weighted sum → FFN
+//! in block-sized [`Scratch`] buffers and writes its rows of the output, so
+//! the K/V operand is multiplied while it is still in L2 and no full-height
+//! intermediate is ever materialised. A slot's edge-feature row is copied
+//! straight into `z_ngh`, either from a pre-gathered `[N*K, edge_dim]`
+//! tensor ([`forward_with`]) or from the feature table by edge id
+//! ([`forward_by_eid`], what the engines call). Every row's arithmetic is
+//! independent of the block it lands in, so the result is bit-identical for
+//! every block size. A steady-state batch performs O(1) allocator calls
+//! (only the escaping output tensor, and none once its buffer cycles back
+//! through the pool). [`forward_reference`] keeps the original per-op
+//! allocating implementation as the semantic baseline for equivalence tests.
 
 use crate::config::TgatConfig;
 use crate::params::LayerParams;
+use tg_graph::INVALID_EDGE;
 use tg_tensor::matmul::{addmm_into, matmul, matmul_into};
 use tg_tensor::{ops, Scratch, Tensor};
+
+/// Targets per attention block. With 10 neighbours and 236 input columns a
+/// block's `z_ngh` is 640 rows ≈ 600 KB — inside L2 — and 64 is also
+/// `ServeConfig::max_batch`, so a serving wave's top layer is one block.
+/// 64, 128 and 256 measured the same (DESIGN.md "Target blocks").
+pub const TARGET_BLOCK: usize = 64;
 
 /// Inputs to one attention layer for a batch of `N` targets, each with `K`
 /// sampled neighbors (rows `i*K..(i+1)*K` of the `N*K` tensors).
@@ -29,7 +40,8 @@ pub struct AttentionInputs<'a> {
     pub ht0: &'a Tensor,
     /// `[N*K, dim]` previous-layer embeddings of the sampled neighbors.
     pub h_ngh: &'a Tensor,
-    /// `[N*K, edge_dim]` features of the interaction edges.
+    /// `[N*K, edge_dim]` features of the interaction edges — or, for
+    /// [`forward_by_eid`], the whole `[num_edges, edge_dim]` feature table.
     pub e_feat: &'a Tensor,
     /// `[N*K, time_dim]` neighbor-side time encodings `Phi(t - t_j)` (Eq. 5).
     pub ht: &'a Tensor,
@@ -40,7 +52,7 @@ pub struct AttentionInputs<'a> {
 /// Computes `h_i^{(l)}(t)` for every target (Eqs. 4–7). Returns `[N, dim]`.
 ///
 /// Convenience wrapper over [`forward_with`] with a throwaway scratch; the
-/// engines hold a long-lived [`Scratch`] and call [`forward_with`] directly.
+/// engines hold a long-lived [`Scratch`] and call [`forward_by_eid`].
 ///
 /// # Panics
 /// Panics (in debug builds) on inconsistent input shapes.
@@ -59,66 +71,113 @@ pub fn forward_with(
     inp: &AttentionInputs<'_>,
     scratch: &mut Scratch,
 ) -> Tensor {
+    forward_blocked(layer, cfg, inp, None, TARGET_BLOCK, scratch)
+}
+
+/// [`forward_with`] reading edge rows from the feature table: `inp.e_feat`
+/// is the `[num_edges, edge_dim]` table and slot `s` uses row `eids[s]`
+/// ([`INVALID_EDGE`] padding reads row 0 — its weight is masked to zero, so
+/// any valid row works). Saves writing and re-reading a gathered copy.
+pub fn forward_by_eid(
+    layer: &LayerParams,
+    cfg: &TgatConfig,
+    inp: &AttentionInputs<'_>,
+    eids: &[u32],
+    scratch: &mut Scratch,
+) -> Tensor {
+    forward_blocked(layer, cfg, inp, Some(eids), TARGET_BLOCK, scratch)
+}
+
+/// The block routine behind both entry points, with the block size pinned by
+/// the caller — for the block-equivalence tests and `examples/tune.rs` only.
+#[doc(hidden)]
+pub fn forward_blocked(
+    layer: &LayerParams,
+    cfg: &TgatConfig,
+    inp: &AttentionInputs<'_>,
+    eids: Option<&[u32]>,
+    block: usize,
+    scratch: &mut Scratch,
+) -> Tensor {
     let n = inp.h_src.rows();
     let nk = inp.h_ngh.rows();
     debug_assert_eq!(inp.ht0.rows(), n);
     debug_assert_eq!(nk % n.max(1), 0);
-    debug_assert_eq!(nk, inp.e_feat.rows());
+    debug_assert_eq!(nk, eids.map_or(inp.e_feat.rows(), <[u32]>::len));
     debug_assert_eq!(nk, inp.ht.rows());
     debug_assert_eq!(nk, inp.mask.len());
 
-    let out_dim = layer.fc2_w.cols();
+    let (dim, edge_dim) = (inp.h_src.cols(), inp.e_feat.cols());
+    let mut out = scratch.take(n, layer.fc2_w.cols());
     if n == 0 {
-        return scratch.take(0, out_dim);
+        return out;
     }
     let k_per = nk / n;
-
-    // Message creation: z_i = h_i || Phi(0); z_j = h_j || e_ij || Phi(dt).
-    // At layer 0 of the recursion h_ngh rows are raw node features, which
-    // are all-zero in the standard TGAT setup — the matmul below skips that
-    // zero prefix via its per-row span pre-scan.
-    let mut z_src = scratch.take(n, inp.h_src.cols() + inp.ht0.cols());
-    ops::concat_cols_into(&[inp.h_src, inp.ht0], &mut z_src);
-    let mut z_ngh = scratch.take(nk, inp.h_ngh.cols() + inp.e_feat.cols() + inp.ht.cols());
-    ops::concat_cols_into(&[inp.h_ngh, inp.e_feat, inp.ht], &mut z_ngh);
-
-    let scale = 1.0 / (cfg.head_dim() as f32).sqrt(); // lint: allow(lossy-cast, head_dim is a small config value)
+    let edge_row = |slot: usize| match eids {
+        None => inp.e_feat.row(slot),
+        Some(eids) if eids[slot] == INVALID_EDGE => inp.e_feat.row(0),
+        Some(eids) => inp.e_feat.row(eids[slot] as usize),
+    };
     let head_dim = cfg.head_dim();
+    let scale = 1.0 / (head_dim as f32).sqrt(); // lint: allow(lossy-cast, head_dim is a small config value)
     let r_cols = layer.heads.len() * head_dim;
 
-    // ffn_in = [r || h_src]: head outputs land directly in their column
-    // block, so the multi-head concat never materializes separately.
-    let mut ffn_in = scratch.take(n, r_cols + inp.h_src.cols());
-    let mut q = scratch.take(n, head_dim);
-    let mut k = scratch.take(nk, head_dim);
-    let mut v = scratch.take(nk, head_dim);
-    let mut scores = scratch.take(n, k_per);
-    for (hidx, head) in layer.heads.iter().enumerate() {
-        matmul_into(&z_src, &head.wq, &mut q);
-        matmul_into(&z_ngh, &head.wk, &mut k);
-        matmul_into(&z_ngh, &head.wv, &mut v);
-        ops::attn_scores_into(&q, &k, 1.0, &mut scores);
-        ops::scale_softmax_rows_masked_inplace(&mut scores, scale, inp.mask);
-        ops::attn_weighted_sum_into(&scores, &v, &mut ffn_in, hidx * head_dim);
-    }
-    for i in 0..n {
-        ffn_in.row_mut(i)[r_cols..].copy_from_slice(inp.h_src.row(i));
-    }
-    scratch.give(scores);
-    scratch.give(v);
-    scratch.give(k);
-    scratch.give(q);
-    scratch.give(z_ngh);
-    scratch.give(z_src);
+    for t0 in (0..n).step_by(block) {
+        let nb = block.min(n - t0);
+        let (s0, ns) = (t0 * k_per, nb * k_per);
 
-    // Feature update: h = FFN(r || h_src)  (Eq. 7), with fused bias adds.
-    let mut hidden = scratch.take(n, layer.fc1_w.cols());
-    addmm_into(&ffn_in, &layer.fc1_w, &layer.fc1_b, &mut hidden);
-    ops::relu_inplace(&mut hidden);
-    scratch.give(ffn_in);
-    let mut out = scratch.take(n, out_dim);
-    addmm_into(&hidden, &layer.fc2_w, &layer.fc2_b, &mut out);
-    scratch.give(hidden);
+        // Message creation: z_i = h_i || Phi(0); z_j = h_j || e_ij || Phi(dt).
+        // At layer 0 of the recursion h_ngh rows are raw node features, which
+        // are all-zero in the standard TGAT setup — the matmul below skips
+        // that zero prefix via its per-row span pre-scan.
+        let mut z_src = scratch.take(nb, dim + inp.ht0.cols());
+        for i in 0..nb {
+            let (h, t) = z_src.row_mut(i).split_at_mut(dim);
+            h.copy_from_slice(inp.h_src.row(t0 + i));
+            t.copy_from_slice(inp.ht0.row(t0 + i));
+        }
+        let mut z_ngh = scratch.take(ns, dim + edge_dim + inp.ht.cols());
+        for s in 0..ns {
+            let (h, rest) = z_ngh.row_mut(s).split_at_mut(dim);
+            let (e, t) = rest.split_at_mut(edge_dim);
+            h.copy_from_slice(inp.h_ngh.row(s0 + s));
+            e.copy_from_slice(edge_row(s0 + s));
+            t.copy_from_slice(inp.ht.row(s0 + s));
+        }
+
+        // ffn_in = [r || h_src]: head outputs land directly in their column
+        // block, so the multi-head concat never materializes separately.
+        let mut ffn_in = scratch.take(nb, r_cols + dim);
+        let mut q = scratch.take(nb, head_dim);
+        let mut k = scratch.take(ns, head_dim);
+        let mut v = scratch.take(ns, head_dim);
+        let mut scores = scratch.take(nb, k_per);
+        for (hidx, head) in layer.heads.iter().enumerate() {
+            matmul_into(&z_src, &head.wq, &mut q);
+            matmul_into(&z_ngh, &head.wk, &mut k);
+            matmul_into(&z_ngh, &head.wv, &mut v);
+            ops::attn_scores_into(&q, &k, 1.0, &mut scores);
+            ops::scale_softmax_rows_masked_inplace(&mut scores, scale, &inp.mask[s0..s0 + ns]);
+            ops::attn_weighted_sum_into(&scores, &v, &mut ffn_in, hidx * head_dim);
+        }
+        for i in 0..nb {
+            ffn_in.row_mut(i)[r_cols..].copy_from_slice(inp.h_src.row(t0 + i));
+        }
+        for t in [scores, v, k, q, z_ngh, z_src] {
+            scratch.give(t);
+        }
+
+        // Feature update: h = FFN(r || h_src)  (Eq. 7), with fused bias adds.
+        let mut hidden = scratch.take(nb, layer.fc1_w.cols());
+        addmm_into(&ffn_in, &layer.fc1_w, &layer.fc1_b, &mut hidden);
+        ops::relu_inplace(&mut hidden);
+        let mut h_out = scratch.take(nb, out.cols());
+        addmm_into(&hidden, &layer.fc2_w, &layer.fc2_b, &mut h_out);
+        out.as_mut_slice()[t0 * h_out.cols()..][..h_out.len()].copy_from_slice(h_out.as_slice());
+        for t in [h_out, hidden, ffn_in] {
+            scratch.give(t);
+        }
+    }
     out
 }
 
@@ -160,7 +219,13 @@ mod tests {
     use tg_tensor::init;
 
     fn setup(n: usize) -> (TgatConfig, TgatParams, Tensor, Tensor, Tensor, Tensor, Tensor) {
-        let cfg = TgatConfig::tiny();
+        setup_with(TgatConfig::tiny(), n)
+    }
+
+    fn setup_with(
+        cfg: TgatConfig,
+        n: usize,
+    ) -> (TgatConfig, TgatParams, Tensor, Tensor, Tensor, Tensor, Tensor) {
         let p = TgatParams::init(cfg, 3).unwrap();
         let k = cfg.n_neighbors;
         let mut rng = init::seeded_rng(9);
@@ -205,21 +270,81 @@ mod tests {
 
     #[test]
     fn scratch_pool_reaches_steady_state() {
-        let (cfg, p, h_src, ht0, h_ngh, e_feat, ht) = setup(4);
-        let mask = vec![true; 4 * cfg.n_neighbors];
-        let inp =
-            AttentionInputs { h_src: &h_src, ht0: &ht0, h_ngh: &h_ngh, e_feat: &e_feat, ht: &ht, mask: &mask };
-        let mut scratch = Scratch::new();
-        let out = forward_with(&p.layers[0], &cfg, &inp, &mut scratch);
-        scratch.give(out);
-        let cap_after_one = scratch.pooled_capacity();
-        for _ in 0..5 {
+        // 4 targets is one ragged block; 4 * TARGET_BLOCK + 5 is four full
+        // blocks and a ragged fifth, all recycling one block's buffers.
+        for n in [4, 4 * TARGET_BLOCK + 5] {
+            let (cfg, p, h_src, ht0, h_ngh, e_feat, ht) = setup(n);
+            let mask = vec![true; n * cfg.n_neighbors];
+            let inp =
+                AttentionInputs { h_src: &h_src, ht0: &ht0, h_ngh: &h_ngh, e_feat: &e_feat, ht: &ht, mask: &mask };
+            let mut scratch = Scratch::new();
             let out = forward_with(&p.layers[0], &cfg, &inp, &mut scratch);
             scratch.give(out);
+            let cap_after_one = scratch.pooled_capacity();
+            for _ in 0..5 {
+                let out = forward_with(&p.layers[0], &cfg, &inp, &mut scratch);
+                scratch.give(out);
+            }
+            // Steady state: no new capacity is ever acquired after the first
+            // batch, i.e. every later batch runs entirely out of the pool.
+            assert_eq!(scratch.pooled_capacity(), cap_after_one, "n = {n}");
         }
-        // Steady state: no new capacity is ever acquired after the first
-        // batch, i.e. every later batch runs entirely out of the pool.
-        assert_eq!(scratch.pooled_capacity(), cap_after_one);
+    }
+
+    #[test]
+    fn blocks_and_table_rows_change_nothing() {
+        // Every block size, and edge rows read from the table by id, must
+        // give the single-block pre-gathered result bit for bit: a row's
+        // arithmetic never depends on which block (or quad) it lands in.
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        // head_dim 16 and a 64-wide FFN: full panels as well as ragged ones.
+        let cfg = TgatConfig { dim: 32, n_layers: 1, ..TgatConfig::tiny() };
+        for n in [0usize, 1, 63, 64, 65, 129, 1000] {
+            let (cfg, p, h_src, ht0, mut h_ngh, _, mut ht) = setup_with(cfg, n);
+            let k = cfg.n_neighbors;
+            let mut rng = init::seeded_rng(11);
+            let mut table = init::normal(&mut rng, 40, cfg.edge_dim, 1.0);
+            table.row_mut(1).fill(0.0);
+            let mut eids: Vec<u32> = (0..n * k).map(|s| (2 + s * 7 % 38) as u32).collect();
+            let mut mask = vec![true; n * k];
+            // Rows cycle zero / zero-prefix / dense, so the span union of a
+            // quad depends on where the block boundaries cut.
+            for (s, eid) in eids.iter_mut().enumerate() {
+                if s % 3 != 2 {
+                    h_ngh.row_mut(s).fill(0.0);
+                }
+                if s % 3 == 0 {
+                    *eid = 1;
+                    ht.row_mut(s).fill(0.0);
+                }
+            }
+            if n > 0 {
+                mask[1] = false; // a masked slot
+                eids[2] = INVALID_EDGE; // padding: reads table row 0
+                mask[2] = false;
+                mask[(n - 1) * k..].fill(false); // fully masked target, last (ragged) block
+            }
+            let rows: Vec<usize> =
+                eids.iter().map(|&e| if e == INVALID_EDGE { 0 } else { e as usize }).collect();
+            let gathered = ops::gather_rows(&table, &rows);
+            let pre = AttentionInputs { h_src: &h_src, ht0: &ht0, h_ngh: &h_ngh, e_feat: &gathered, ht: &ht, mask: &mask };
+            let by_id = AttentionInputs { e_feat: &table, ..pre };
+            let layer = &p.layers[0];
+            let mut scratch = Scratch::new();
+            let want = forward_blocked(layer, &cfg, &pre, None, n.max(1), &mut scratch);
+            assert_eq!(want.shape(), (n, cfg.dim));
+            assert!(want.max_abs_diff(&forward_reference(layer, &cfg, &pre)) < 1e-5, "n = {n}");
+            for block in [1, 16, 64, n.max(1)] {
+                let got = forward_blocked(layer, &cfg, &pre, None, block, &mut scratch);
+                assert_eq!(bits(&got), bits(&want), "n = {n}, block = {block}, pre-gathered");
+                scratch.give(got);
+                let got = forward_blocked(layer, &cfg, &by_id, Some(&eids), block, &mut scratch);
+                assert_eq!(bits(&got), bits(&want), "n = {n}, block = {block}, by edge id");
+                scratch.give(got);
+            }
+            assert_eq!(bits(&forward_with(layer, &cfg, &pre, &mut scratch)), bits(&want));
+            assert_eq!(bits(&forward_by_eid(layer, &cfg, &by_id, &eids, &mut scratch)), bits(&want));
+        }
     }
 
     #[test]

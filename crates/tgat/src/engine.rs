@@ -6,6 +6,11 @@
 //! and applies the attention operator — with no deduplication, memoization,
 //! or time-encoding reuse. TGOpt (`crates/core`) is the drop-in optimized
 //! replacement that must produce identical outputs.
+//!
+//! Edge features are not gathered per batch: the engine hands the attention
+//! layer the whole feature table plus the sampled edge ids
+//! ([`attention::forward_by_eid`]), and each 64-target block copies the rows
+//! it needs straight into its own `z_ngh`.
 
 use crate::attention::{self, AttentionInputs};
 use crate::params::TgatParams;
@@ -46,20 +51,6 @@ impl<'a> GraphContext<'a> {
         let idx: Vec<usize> =
             eids.iter().map(|&e| if e == INVALID_EDGE { 0 } else { e as usize }).collect();
         ops::gather_rows(self.edge_features, &idx)
-    }
-
-    /// [`Self::gather_edge_features`] into a scratch-provided destination.
-    /// Translates ids (and the padding sentinel) on the fly so no index
-    /// buffer is allocated per batch.
-    pub fn gather_edge_features_with(&self, eids: &[u32], scratch: &mut Scratch) -> Tensor {
-        let mut out = scratch.take(eids.len(), self.edge_features.cols());
-        ops::gather_rows_map_into(
-            self.edge_features,
-            eids.len(),
-            |i| if eids[i] == INVALID_EDGE { 0 } else { eids[i] as usize },
-            &mut out,
-        );
-        out
     }
 }
 
@@ -153,7 +144,6 @@ impl<'a> BaselineEngine<'a> {
             params.time.encode_into(&nb.dts, &mut t);
             t
         });
-        let e_feat = self.ctx.gather_edge_features_with(&nb.eids, &mut self.scratch);
         let mask = nb.mask();
 
         let layer = &self.params.layers[l - 1];
@@ -161,21 +151,21 @@ impl<'a> BaselineEngine<'a> {
         let stats = &mut self.stats;
         let scratch = &mut self.scratch;
         let out = stats.time(OpKind::Attention, || {
-            attention::forward_with(
+            attention::forward_by_eid(
                 layer,
                 cfg,
                 &AttentionInputs {
                     h_src: &h_src,
                     ht0: &ht0,
                     h_ngh: &h_ngh,
-                    e_feat: &e_feat,
+                    e_feat: self.ctx.edge_features,
                     ht: &ht,
                     mask: &mask,
                 },
+                &nb.eids,
                 scratch,
             )
         });
-        self.scratch.give(e_feat);
         self.scratch.give(ht);
         self.scratch.give(ht0);
         self.scratch.give(h_ngh);

@@ -58,13 +58,15 @@ impl TimeEncoder {
     pub fn encode_into(&self, dts: &[f32], out: &mut Tensor) {
         let d = self.dim();
         assert_eq!(out.shape(), (dts.len(), d), "encode_into: bad output shape");
-        let om = self.omega.as_slice();
-        let ph = self.phi.as_slice();
         for (r, &dt) in dts.iter().enumerate() {
-            let row = out.row_mut(r);
-            for j in 0..d {
-                row[j] = (dt * om[j] + ph[j]).cos();
-            }
+            self.encode_row(dt, out.row_mut(r));
+        }
+    }
+
+    /// `Phi(dt)` into one `d_t`-wide row.
+    fn encode_row(&self, dt: f32, row: &mut [f32]) {
+        for ((v, &om), &ph) in row.iter_mut().zip(self.omega.as_slice()).zip(self.phi.as_slice()) {
+            *v = (dt * om + ph).cos();
         }
     }
 
@@ -82,12 +84,19 @@ impl TimeEncoder {
         out
     }
 
-    /// [`Self::encode_zeros`] into a preallocated `[n, d_t]` destination.
+    /// [`Self::encode_zeros`] into a preallocated `[n, d_t]` destination;
+    /// prior contents are overwritten. Allocation-free: `Phi(0)` is computed
+    /// in row 0 of `out` and broadcast from there.
     pub fn encode_zeros_into(&self, out: &mut Tensor) {
-        assert_eq!(out.cols(), self.dim(), "encode_zeros_into: bad output width");
-        let zero_row = self.encode_one(0.0);
-        for r in 0..out.rows() {
-            out.row_mut(r).copy_from_slice(zero_row.row(0));
+        let d = self.dim();
+        assert_eq!(out.cols(), d, "encode_zeros_into: bad output width");
+        if out.rows() == 0 {
+            return;
+        }
+        let (first, rest) = out.as_mut_slice().split_at_mut(d);
+        self.encode_row(0.0, first);
+        for row in rest.chunks_exact_mut(d) {
+            row.copy_from_slice(first);
         }
     }
 }
@@ -137,12 +146,17 @@ mod tests {
     #[test]
     fn encode_zeros_broadcasts() {
         let enc = TimeEncoder::random(6, 1);
-        let z = enc.encode_zeros(3);
-        assert_eq!(z.shape(), (3, 6));
-        for r in 1..3 {
-            assert_eq!(z.row(r), z.row(0));
+        let zero = enc.encode_one(0.0);
+        // 0, 1 and 3 rows, over stale contents (a recycled scratch buffer).
+        for n in [0usize, 1, 3] {
+            let mut z = Tensor::full(n, 6, 777.0);
+            enc.encode_zeros_into(&mut z);
+            assert_eq!(z.shape(), (n, 6));
+            for r in 0..n {
+                assert_eq!(z.row(r), zero.row(0), "row {r} of {n}");
+            }
+            assert_eq!(enc.encode_zeros(n), z);
         }
-        assert_eq!(z.row(0), enc.encode_one(0.0).row(0));
     }
 
     #[test]

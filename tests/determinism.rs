@@ -6,11 +6,19 @@
 use tgopt_repro::datasets::{generate, spec_by_name};
 use tgopt_repro::graph::{BatchIter, TemporalGraph};
 use tgopt_repro::tensor::Tensor;
+use tgopt_repro::tgat::attention::TARGET_BLOCK;
 use tgopt_repro::tgat::engine::GraphContext;
 use tgopt_repro::tgat::{BaselineEngine, TgatConfig, TgatParams};
 use tgopt_repro::tgopt::{OptConfig, TgoptEngine};
 
 fn full_replay(seed: u64, opt: Option<OptConfig>) -> Vec<f32> {
+    replay(seed, opt, 100)
+}
+
+/// Replays the whole stream in batches of `batch` edges (`2 * batch`
+/// targets, so `2 * batch * (1 + n_neighbors)` layer-1 targets when nothing
+/// is deduplicated or cached).
+fn replay(seed: u64, opt: Option<OptConfig>, batch: usize) -> Vec<f32> {
     let spec = spec_by_name("snap-email").unwrap();
     let data = generate(&spec, 0.004, seed).unwrap();
     let cfg = TgatConfig {
@@ -33,14 +41,14 @@ fn full_replay(seed: u64, opt: Option<OptConfig>) -> Vec<f32> {
     match opt {
         None => {
             let mut eng = BaselineEngine::new(&params, ctx);
-            for batch in BatchIter::new(&data.stream, 100) {
+            for batch in BatchIter::new(&data.stream, batch) {
                 let (ns, ts) = batch.targets();
                 out.extend_from_slice(eng.embed_batch(&ns, &ts).as_slice());
             }
         }
         Some(opt) => {
             let mut eng = TgoptEngine::new(&params, ctx, opt);
-            for batch in BatchIter::new(&data.stream, 100) {
+            for batch in BatchIter::new(&data.stream, batch) {
                 let (ns, ts) = batch.targets();
                 out.extend_from_slice(eng.embed_batch(&ns, &ts).unwrap().as_slice());
             }
@@ -65,6 +73,25 @@ fn parallel_flags_do_not_change_bits() {
     let par = OptConfig { parallel_lookup: true, parallel_store: true, ..OptConfig::all() };
     let seq = OptConfig { parallel_lookup: false, parallel_store: false, ..OptConfig::all() };
     assert_eq!(full_replay(11, Some(par)), full_replay(11, Some(seq)));
+}
+
+#[test]
+fn replays_spanning_many_attention_blocks_agree_across_engines() {
+    // 300 edges -> 600 targets (10 attention blocks at layer 2) -> 3000
+    // layer-1 targets (47 blocks, the last ragged) through the baseline
+    // and the all-off engine; dedup and the cache shrink and reshuffle the
+    // blocks of the all-on engine. Block boundaries must not show in any
+    // of them.
+    let batch = 300;
+    assert!(2 * batch * (1 + 4) > 8 * TARGET_BLOCK);
+    let base = replay(11, None, batch);
+    assert_eq!(base, replay(11, None, batch));
+    assert_eq!(base, replay(11, Some(OptConfig::none()), batch), "all-off engine is the baseline, bit for bit");
+    let all = replay(11, Some(OptConfig::all()), batch);
+    assert_eq!(all, replay(11, Some(OptConfig::all()), batch));
+    assert_eq!(all.len(), base.len());
+    let drift = all.iter().zip(&base).map(|(a, b)| (a - b).abs()).fold(0.0f32, f32::max);
+    assert!(drift <= 1e-5, "all-on engine drifted {drift} from the baseline");
 }
 
 #[test]

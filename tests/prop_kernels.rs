@@ -146,12 +146,16 @@ fn random_mask(len: usize, seed: u64) -> Vec<bool> {
         .collect()
 }
 
+/// Target counts for the attention property: the small cases, plus the
+/// counts around one, two and four `TARGET_BLOCK`s (full and ragged blocks).
+const ATTENTION_TARGETS: [usize; 18] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 63, 64, 65, 127, 128, 129, 257];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
     fn scratch_attention_matches_reference_impl(
-        n in 1usize..12,
+        n_pick in 0usize..ATTENTION_TARGETS.len(),
         k_per in 1usize..8,
         n_heads in 1usize..3,
         head_dim in 1usize..5,
@@ -170,6 +174,7 @@ proptest! {
         let params = TgatParams::init(cfg.clone(), seed).expect("valid config");
         let layer = &params.layers[0];
 
+        let n = ATTENTION_TARGETS[n_pick];
         let nk = n * k_per;
         let h_src = tensor_for(n, cfg.dim, seed ^ 1, 0);
         let ht0 = tensor_for(n, cfg.time_dim, seed ^ 2, 0);
