@@ -2,16 +2,20 @@
 //!
 //! A sharded concurrent hash table maps the collision-free `(node, time)`
 //! key to a cached embedding row. Capacity is bounded by an item limit
-//! (paper default 2M ≈ <1 GiB at 100 dims) with FIFO eviction. Lookups can
-//! be parallelized across keys (the paper parallelizes `CacheLookup` on both
-//! machines and `CacheStore` only on the GPU host, §5.1.3 — both are
-//! configurable here).
+//! (paper default 2M ≈ <1 GiB at 100 dims) with FIFO eviction. Each shard
+//! also keeps its keys ordered by key time, so the invalidation sweep for
+//! an event at `te` (the paper's §7 future work) walks only the entries
+//! keyed after `te` instead of the whole table. The paper parallelizes
+//! `CacheLookup` and, on the GPU host, `CacheStore` across keys (§5.1.3);
+//! the `parallel` flags keep that shape, but the vendored rayon is
+//! sequential, so both settings run the same loop here.
 
-use crate::hash::unpack_key;
+use crate::hash::{first_time_major_after, from_time_major, time_major, unpack_key};
 use parking_lot::{Mutex, RwLock};
 use rayon::prelude::*;
 use rustc_hash::FxHashMap;
-use std::collections::VecDeque;
+use std::collections::hash_map::Entry as MapEntry;
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use tg_error::TgError;
 use tg_graph::{NodeId, Time};
@@ -35,9 +39,15 @@ const NUM_SHARDS: usize = 16;
 /// assert_eq!(out.row(0), &[0.5, -0.5]);
 /// ```
 pub struct EmbedCache {
-    shards: Vec<RwLock<FxHashMap<u64, Entry>>>,
-    /// Insertion order across all shards, for FIFO eviction.
-    fifo: Mutex<FifoState>,
+    shards: Vec<RwLock<Shard>>,
+    /// Insertion order across all shards, for FIFO eviction: one
+    /// `(key, stamp)` slot per fresh insert. A slot owns the live entry
+    /// under its key iff the stamps match; a slot whose entry was swept
+    /// (and perhaps re-stored under a newer stamp) is stale, skipped
+    /// wherever it is met and dropped when the queue is compacted.
+    fifo: Mutex<VecDeque<(u64, u64)>>,
+    /// Source of entry stamps; unique per fresh insert.
+    next_stamp: AtomicU64,
     count: AtomicUsize,
     /// Recorded fingerprint pairs (`u64` words) held by live entries, so
     /// `bytes_used` charges constraints as well as embedding rows.
@@ -75,43 +85,87 @@ struct Entry {
     /// depends on its own key alone (the degenerate fingerprint, never
     /// materialized), a deeper one (warm-restored) on an unknown set.
     constraint: Box<[u64]>,
+    /// Identity of the insert that made this key live, matched against the
+    /// FIFO's `(key, stamp)` slots. An overwrite keeps it (the entry keeps
+    /// its queue position); a re-store after removal draws a new one.
+    stamp: u64,
 }
 
-/// FIFO queue plus per-key slot counts. Re-storing a key after its entry
-/// was invalidated leaves the old (stale) queue slot behind and appends a
-/// fresh one; the count lets eviction and export treat only the *newest*
-/// slot of a key as owning the live entry.
-struct FifoState {
-    queue: VecDeque<u64>,
-    /// Number of queue slots currently held per key (absent == 0).
-    slots: FxHashMap<u64, u32>,
+/// One shard: the entries, plus the same keys in [`time_major`] order so a
+/// bounded sweep can start at the first key after `te`. Both live under
+/// the shard's one lock and change together.
+#[derive(Default)]
+struct Shard {
+    map: FxHashMap<u64, Entry>,
+    by_time: BTreeSet<u64>,
 }
 
-impl FifoState {
-    fn push(&mut self, key: u64) {
-        *self.slots.entry(key).or_insert(0) += 1;
-        self.queue.push_back(key);
+impl Shard {
+    /// Installs `row` and `constraint` under `key`; returns the live
+    /// entry's stamp and the entry it replaced (`None` for a fresh key,
+    /// which draws its stamp from `next_stamp` and joins the index).
+    fn insert(
+        &mut self,
+        key: u64,
+        row: Box<[f32]>,
+        constraint: Box<[u64]>,
+        next_stamp: &AtomicU64,
+    ) -> (u64, Option<Entry>) {
+        let out = match self.map.entry(key) {
+            MapEntry::Occupied(mut live) => {
+                let stamp = live.get().stamp;
+                (stamp, Some(live.insert(Entry { row, constraint, stamp })))
+            }
+            MapEntry::Vacant(free) => {
+                let stamp = next_stamp.fetch_add(1, Ordering::Relaxed);
+                free.insert(Entry { row, constraint, stamp });
+                // Admission already allocates (the row it owns, map growth);
+                // the index adds a B-tree node once per several fresh keys.
+                self.by_time.insert(time_major(key));
+                (stamp, None)
+            }
+        };
+        debug_assert_eq!(self.map.len(), self.by_time.len());
+        out
     }
 
-    /// Pops the oldest slot; returns `(key, newest)` where `newest` is
-    /// false when a more recent slot for the same key remains queued (the
-    /// popped slot was a stale duplicate and must not touch the live entry).
-    fn pop(&mut self) -> Option<(u64, bool)> {
-        let key = self.queue.pop_front()?;
-        let newest = match self.slots.get_mut(&key) {
-            Some(c) if *c > 1 => {
-                *c -= 1;
-                false
-            }
-            Some(_) => {
-                self.slots.remove(&key);
-                true
-            }
-            // Slot accounting never under-counts queued keys; treat an
-            // unknown key as sole owner rather than corrupting eviction.
-            None => true,
-        };
-        Some((key, newest))
+    /// Removes the entry under `key` if `stamp` still owns it.
+    fn remove(&mut self, key: u64, stamp: u64) -> Option<Entry> {
+        let MapEntry::Occupied(live) = self.map.entry(key) else { return None };
+        if live.get().stamp != stamp {
+            return None;
+        }
+        self.by_time.remove(&time_major(key));
+        let entry = live.remove();
+        debug_assert_eq!(self.map.len(), self.by_time.len());
+        Some(entry)
+    }
+
+    /// Drops every entry `dead` says to, asking it of the entries whose
+    /// [`time_major`] key is `>= from` in that order, or of all of them
+    /// (in map order) when `from` is `None`.
+    fn remove_where(&mut self, from: Option<u64>, mut dead: impl FnMut(u64, &Entry) -> bool) {
+        let Shard { map, by_time } = self;
+        match from {
+            Some(from) => by_time
+                .extract_if(from.., |&tm| {
+                    let key = from_time_major(tm);
+                    let gone = map.get(&key).is_some_and(|e| dead(key, e));
+                    if gone {
+                        map.remove(&key);
+                    }
+                    gone
+                })
+                .for_each(drop),
+            None => map.retain(|&key, e| {
+                let gone = dead(key, e);
+                if gone {
+                    by_time.remove(&time_major(key));
+                }
+                !gone
+            }),
+        }
+        debug_assert_eq!(map.len(), by_time.len());
     }
 }
 
@@ -130,8 +184,9 @@ impl EmbedCache {
         assert!(limit > 0, "cache limit must be positive");
         assert!(dim > 0, "embedding dimension must be positive");
         Self {
-            shards: (0..NUM_SHARDS).map(|_| RwLock::new(FxHashMap::default())).collect(),
-            fifo: Mutex::new(FifoState { queue: VecDeque::new(), slots: FxHashMap::default() }),
+            shards: (0..NUM_SHARDS).map(|_| RwLock::new(Shard::default())).collect(),
+            fifo: Mutex::new(VecDeque::new()),
+            next_stamp: AtomicU64::new(0),
             count: AtomicUsize::new(0),
             constraint_words: AtomicUsize::new(0),
             limit,
@@ -185,7 +240,7 @@ impl EmbedCache {
         let mut mask = vec![false; keys.len()];
         let fetch = |key: u64, row: &mut [f32], hit: &mut bool| {
             let shard = self.shards[shard_of(key)].read();
-            if let Some(v) = shard.get(&key) {
+            if let Some(v) = shard.map.get(&key) {
                 row.copy_from_slice(&v.row);
                 *hit = true;
             }
@@ -216,12 +271,17 @@ impl EmbedCache {
     ///
     /// - `len() <= limit()` holds on return, even under concurrent stores
     ///   (a corrective eviction runs after the FIFO append).
-    /// - Re-storing an existing key overwrites in place without growing the
-    ///   FIFO, so `len()` only counts distinct live keys.
-    /// - Every key newly inserted by this call is appended to the FIFO
-    ///   exactly once, after all older entries; a key re-stored after
-    ///   invalidation supersedes its stale queue slot (the entry's FIFO age
-    ///   restarts from this call).
+    /// - Re-storing an existing key overwrites in place, keeping the entry's
+    ///   stamp and so its FIFO slot, so `len()` only counts distinct live
+    ///   keys.
+    /// - Every key newly inserted by this call gets a fresh stamp, joins its
+    ///   shard's time index under the same lock as the map insert, and is
+    ///   appended to the FIFO exactly once, after all older entries; a key
+    ///   re-stored after invalidation no longer matches its old slot's
+    ///   stamp (the entry's FIFO age restarts from this call).
+    /// - A call that inserts a fresh key leaves at most `2 * len() + 1`
+    ///   FIFO slots: stale slots are compacted away once they outnumber
+    ///   the live ones.
     /// - The `stores` counter grows by the number of *admitted* rows only;
     ///   rows dropped because this one call exceeds the whole limit are
     ///   counted in [`EmbedCache::total_store_dropped`] instead.
@@ -294,10 +354,12 @@ impl EmbedCache {
             self.evict((cur + fresh_count).saturating_sub(self.limit));
         }
 
-        let insert_one = |key: u64, row: &[f32], constraint: Box<[u64]>| -> bool {
+        // Some((key, stamp)) for a fresh key, which then needs a FIFO slot.
+        let insert_one = |key: u64, row: &[f32], constraint: Box<[u64]>| -> Option<(u64, u64)> {
             let added = constraint.len();
-            let entry = Entry { row: row.into(), constraint };
-            let old = self.shards[shard_of(key)].write().insert(key, entry);
+            let row: Box<[f32]> = row.into();
+            let (stamp, old) =
+                self.shards[shard_of(key)].write().insert(key, row, constraint, &self.next_stamp);
             let dropped = old.as_ref().map_or(0, |e| e.constraint.len());
             if added > 0 {
                 self.constraint_words.fetch_add(added, Ordering::Relaxed);
@@ -305,16 +367,16 @@ impl EmbedCache {
             if dropped > 0 {
                 self.constraint_words.fetch_sub(dropped, Ordering::Relaxed);
             }
-            old.is_none()
+            old.is_none().then_some((key, stamp))
         };
         // Constrained stores stay sequential so each fingerprint moves by
         // value; deep-layer miss batches are small (the parallel threshold
         // below would rarely trigger anyway).
         if parallel && constraints.is_none() && incoming >= 256 {
-            let fresh: Vec<u64> = keys[skip..]
+            let fresh: Vec<(u64, u64)> = keys[skip..]
                 .par_iter()
                 .zip(h.as_slice()[skip * self.dim..].par_chunks(self.dim))
-                .filter_map(|(&key, row)| insert_one(key, row, Box::default()).then_some(key))
+                .filter_map(|(&key, row)| insert_one(key, row, Box::default()))
                 .collect();
             self.finish_store(fresh, incoming);
         } else {
@@ -328,16 +390,14 @@ impl EmbedCache {
                     Some(v) => std::mem::take(&mut v[skip + j]),
                     None => Box::default(),
                 };
-                if insert_one(key, row, constraint) {
-                    fresh.push(key);
-                }
+                fresh.extend(insert_one(key, row, constraint));
             }
             self.finish_store(fresh, incoming);
         }
         Ok(())
     }
 
-    fn finish_store(&self, fresh: Vec<u64>, admitted: usize) {
+    fn finish_store(&self, fresh: Vec<(u64, u64)>, admitted: usize) {
         self.stores.fetch_add(admitted as u64, Ordering::Relaxed);
         debug_assert!(
             fresh.len() <= admitted,
@@ -349,17 +409,19 @@ impl EmbedCache {
         }
         self.inserted.fetch_add(fresh.len() as u64, Ordering::Relaxed);
         self.count.fetch_add(fresh.len(), Ordering::Relaxed);
-        {
-            let mut fifo = self.fifo.lock();
-            for &key in &fresh {
-                fifo.push(key); // alloc-ok: FIFO admission grows the queue and slot map by the fresh keys just inserted — bounded by the batch
-            }
-        }
+        let mut fifo = self.fifo.lock();
+        fifo.extend(fresh); // alloc-ok: FIFO admission grows the queue by the fresh keys just inserted — bounded by the batch
         // Concurrent stores may each have passed the pre-insert capacity
         // check; a corrective eviction keeps the limit a hard bound.
         let over = self.count.load(Ordering::Relaxed).saturating_sub(self.limit);
-        if over > 0 {
-            self.evict(over);
+        self.evict_from(&mut fifo, over);
+        // Sweeps leave stale slots behind and only eviction pops, so a cache
+        // that never fills would grow the queue by one slot per
+        // invalidation forever. Every stale slot was paid for by the
+        // removal that made it, so dropping them all once they outnumber
+        // the live ones is amortised O(1) per store.
+        if fifo.len() > 2 * self.len() + 1 {
+            fifo.retain(|&slot| self.owned(slot, |_| ()).is_some());
         }
         debug_assert!(
             self.count.load(Ordering::Relaxed) <= self.limit,
@@ -371,51 +433,45 @@ impl EmbedCache {
 
     /// True if `key` is currently cached.
     pub fn contains(&self, key: u64) -> bool {
-        self.shards[shard_of(key)].read().contains_key(&key)
+        self.shards[shard_of(key)].read().map.contains_key(&key)
+    }
+
+    /// `read` of the live entry that FIFO slot `(key, stamp)` owns, if any.
+    fn owned<R>(&self, (key, stamp): (u64, u64), read: impl FnOnce(&Entry) -> R) -> Option<R> {
+        let shard = self.shards[shard_of(key)].read();
+        shard.map.get(&key).filter(|e| e.stamp == stamp).map(read)
     }
 
     /// Snapshot of all live entries in FIFO (oldest-first) order, for
-    /// persistence. Stale queue slots (invalidated entries) are skipped,
-    /// and a key re-stored after invalidation is emitted exactly once, at
-    /// its *newest* slot position — never as a duplicate row.
+    /// persistence.
+    ///
+    /// # Invariants
+    ///
+    /// - Every live entry is emitted exactly once, at the queue position of
+    ///   the one slot carrying its stamp: stale slots (swept entries) match
+    ///   nothing, and a key re-stored after invalidation appears at its
+    ///   re-store position — never as a duplicate row.
     pub fn export_fifo_order(&self) -> Vec<(u64, Box<[f32]>)> {
         let fifo = self.fifo.lock();
-        let mut remaining = fifo.slots.clone();
-        let mut out = Vec::with_capacity(self.len());
-        for &key in fifo.queue.iter() {
-            let last = match remaining.get_mut(&key) {
-                Some(c) => {
-                    *c -= 1;
-                    *c == 0
-                }
-                None => true,
-            };
-            if !last {
-                continue; // an older duplicate slot; emit at the newest one
-            }
-            if let Some(e) = self.shards[shard_of(key)].read().get(&key) {
-                out.push((key, e.row.clone()));
-            }
-        }
-        out
+        fifo.iter()
+            .filter_map(|&slot| Some((slot.0, self.owned(slot, |e| e.row.clone())?)))
+            .collect()
     }
 
     /// Removes the `n` oldest entries.
     fn evict(&self, n: usize) {
-        let mut fifo = self.fifo.lock();
+        self.evict_from(&mut self.fifo.lock(), n);
+    }
+
+    fn evict_from(&self, fifo: &mut VecDeque<(u64, u64)>, n: usize) {
         let mut removed = 0usize;
         let mut words = 0usize;
-        // Stale FIFO entries (already invalidated) don't free capacity, so
-        // keep popping until n live entries are gone.
+        // Stale FIFO slots (entry swept, perhaps re-stored under a newer
+        // stamp) own nothing and free no capacity, so keep popping until n
+        // live entries are gone.
         while removed < n {
-            let Some((key, newest)) = fifo.pop() else { break };
-            if !newest {
-                // A superseded slot from before the key was invalidated and
-                // re-stored: the live entry belongs to a newer slot and must
-                // not be evicted as if it were this old.
-                continue;
-            }
-            if let Some(e) = self.shards[shard_of(key)].write().remove(&key) {
+            let Some((key, stamp)) = fifo.pop_front() else { break };
+            if let Some(e) = self.shards[shard_of(key)].write().remove(key, stamp) {
                 removed += 1;
                 words += e.constraint.len();
             }
@@ -445,7 +501,17 @@ impl EmbedCache {
     ///
     /// # Invariants
     ///
-    /// - Entries keyed at `t <= te` are untouched and uncounted.
+    /// - Entries keyed at `t <= te` are untouched, uncounted and — with
+    ///   `after = Some(te)` — not visited: each shard's walk starts at the
+    ///   first key after `te` in its time-ordered index, so a sweep costs
+    ///   what it examines, not what the cache holds. `after = None` (node
+    ///   flush, edge deletion) scans every entry.
+    /// - "After `te`" is exactly "not `t <= te`": `-0.0` and `0.0` are the
+    ///   same instant on either side, and a NaN-timed key (never `<=`
+    ///   anything; `store` accepts any key bits, as a snapshot may hold
+    ///   them) sorts above `+inf` and is examined by every bounded sweep.
+    /// - Index and map change together under the shard's one write lock,
+    ///   so no reader or sweep sees a key in one and not the other.
     /// - After return, no examined entry has a pair passing `stale`, and
     ///   no examined deep entry lacks a fingerprint (entries stored
     ///   concurrently are the *caller's* obligation — the serve layer
@@ -466,11 +532,9 @@ impl EmbedCache {
         let mut removed = 0usize;
         let mut retained = 0usize;
         let mut words = 0usize;
+        let from = after.map(first_time_major_after);
         for shard in &self.shards {
-            shard.write().retain(|&key, entry| {
-                if after.is_some_and(|te| unpack_key(key).1 <= te) {
-                    return true;
-                }
+            shard.write().remove_where(from, |key, entry| {
                 let fp = &entry.constraint;
                 let hit = if fp.is_empty() && levels > 0 {
                     true
@@ -483,7 +547,7 @@ impl EmbedCache {
                 } else {
                     retained += 1;
                 }
-                !hit
+                hit
             });
         }
         self.account_removed(removed, words, &self.invalidated);
@@ -509,7 +573,8 @@ impl EmbedCache {
 
     /// The one place an entry's departure is accounted, whatever removed
     /// it (`counter` is `evictions` or `invalidated`). FIFO slots are not
-    /// excised here: a removed key's slot goes stale and `evict` skips it.
+    /// excised here: a swept key's slot goes stale, `evict` skips it and
+    /// `finish_store` compacts it away.
     fn account_removed(&self, entries: usize, constraint_words: usize, counter: &AtomicU64) {
         if entries > 0 {
             self.count.fetch_sub(entries, Ordering::Relaxed);
@@ -533,16 +598,13 @@ impl EmbedCache {
         let mut removed = 0usize;
         let mut words = 0usize;
         for shard in &self.shards {
-            for (_, e) in shard.write().drain() {
-                removed += 1;
-                words += e.constraint.len();
-            }
+            let mut shard = shard.write();
+            removed += shard.map.len();
+            words += shard.map.values().map(|e| e.constraint.len()).sum::<usize>();
+            shard.map.clear();
+            shard.by_time.clear();
         }
-        {
-            let mut fifo = self.fifo.lock();
-            fifo.queue.clear();
-            fifo.slots.clear();
-        }
+        self.fifo.lock().clear();
         self.account_removed(removed, words, &self.invalidated);
     }
 
@@ -567,7 +629,8 @@ impl EmbedCache {
     }
 
     /// Payload memory in bytes: embedding floats plus recorded
-    /// fingerprint pairs (FIFO slots and map overhead are not counted).
+    /// fingerprint pairs (FIFO slots, the time index and map overhead are
+    /// not counted).
     pub fn bytes_used(&self) -> usize {
         self.len() * self.dim * std::mem::size_of::<f32>()
             + self.constraint_words.load(Ordering::Relaxed) * std::mem::size_of::<u64>()
@@ -1069,6 +1132,29 @@ mod tests {
     }
 
     #[test]
+    fn fifo_queue_stays_bounded_when_the_cache_never_fills() {
+        // Under the limit nothing is ever evicted, so nothing pops: each
+        // invalidate + re-store used to leave one more slot queued forever.
+        let cache = EmbedCache::new(1000, 1);
+        let bystanders: Vec<u64> = (10..14u32).map(|i| pack_key(i, 1.0)).collect();
+        cache.store(&bystanders, &Tensor::zeros(4, 1), false).unwrap();
+        let k = [pack_key(1, 2.0)];
+        for round in 0..10_000 {
+            cache.store(&k, &Tensor::from_vec(1, 1, vec![round as f32]), false).unwrap();
+            assert_eq!(cache.invalidate_node(1), 1);
+            // The store left <= 2 * len + 1 slots; the sweep then took one entry.
+            let slots = cache.fifo.lock().len();
+            assert!(slots <= 2 * cache.len() + 3, "round {round}: {slots} slots for {} entries", cache.len());
+        }
+        cache.store(&k, &Tensor::from_vec(1, 1, vec![-1.0]), false).unwrap();
+        let export = cache.export_fifo_order();
+        let exported: Vec<u64> = export.iter().map(|(key, _)| *key).collect();
+        assert_eq!(exported, [&bystanders[..], &k[..]].concat(), "each live key once, re-store last");
+        assert_eq!(export[4].1.as_ref(), &[-1.0]);
+        assert_eq!(cache.total_inserted(), cache.total_invalidated() + cache.len() as u64);
+    }
+
+    #[test]
     fn constraint_sweep_removes_only_entries_whose_sample_is_hit() {
         let cache = EmbedCache::new(10, 1);
         let keys = [pack_key(1, 5.0), pack_key(2, 6.0), pack_key(3, 7.0)];
@@ -1204,6 +1290,173 @@ mod tests {
         cache.store(&k, &Tensor::zeros(1, 4), false).unwrap();
         let _ = cache.lookup(&k, &mut out, false).unwrap();
         assert!((cache.hit_rate() - 0.5).abs() < 1e-12);
+    }
+
+    /// The indexed sweep against the scan it replaced: a naive model keeps
+    /// the entries in one FIFO-ordered `Vec` and filters *every* key with
+    /// the old `unpack_key(key).1 <= te` rule.
+    mod equivalence {
+        use super::*;
+        use proptest::prelude::*;
+        use proptest::test_runner::TestCaseError;
+
+        struct Model {
+            limit: usize,
+            /// `(key, row value, fingerprint)`, oldest first.
+            live: Vec<(u64, f32, Vec<u64>)>,
+            inserted: u64,
+            evicted: u64,
+            invalidated: u64,
+        }
+
+        impl Model {
+            fn evict(&mut self, n: usize) {
+                let n = n.min(self.live.len());
+                self.live.drain(..n);
+                self.evicted += n as u64;
+            }
+
+            fn store(&mut self, keys: &[u64], vals: &[f32], fps: &[Vec<u64>]) {
+                let skip = keys.len() - keys.len().min(self.limit);
+                let mut fresh: Vec<u64> = keys[skip..].to_vec();
+                fresh.sort_unstable();
+                fresh.dedup();
+                fresh.retain(|k| !self.live.iter().any(|e| e.0 == *k));
+                self.evict((self.live.len() + fresh.len()).saturating_sub(self.limit));
+                for j in skip..keys.len() {
+                    let new = (keys[j], vals[j], fps[j].clone());
+                    match self.live.iter_mut().find(|e| e.0 == keys[j]) {
+                        Some(e) => *e = new,
+                        None => {
+                            self.live.push(new);
+                            self.inserted += 1;
+                        }
+                    }
+                }
+                self.evict(self.live.len().saturating_sub(self.limit));
+            }
+
+            fn sweep(
+                &mut self,
+                after: Option<Time>,
+                levels: usize,
+                stale: impl Fn(NodeId, Time) -> bool,
+            ) -> (usize, usize) {
+                let pair_stale = |pk: u64| {
+                    let (y, t) = unpack_key(pk);
+                    stale(y, t)
+                };
+                let mut retained = 0;
+                let before = self.live.len();
+                self.live.retain(|(key, _, fp)| {
+                    if after.is_some_and(|te| unpack_key(*key).1 <= te) {
+                        return true;
+                    }
+                    let hit = (fp.is_empty() && levels > 0)
+                        || pair_stale(*key)
+                        || fp.iter().any(|&pk| pair_stale(pk));
+                    retained += usize::from(!hit);
+                    !hit
+                });
+                let removed = before - self.live.len();
+                self.invalidated += removed as u64;
+                (removed, retained)
+            }
+        }
+
+        const TIMES: [Time; 12] = [
+            f32::NEG_INFINITY, -2.0, -0.0, 0.0, 1.0, 1.0000001, 2.0, 3.5, f32::MAX,
+            f32::INFINITY, f32::NAN, -f32::NAN,
+        ];
+
+        fn key_of(x: u32) -> u64 {
+            pack_key(x % 5, TIMES[(x / 5) as usize % TIMES.len()])
+        }
+
+        fn check(cache: &EmbedCache, model: &Model) -> Result<(), TestCaseError> {
+            let got: Vec<(u64, f32)> =
+                cache.export_fifo_order().iter().map(|(k, row)| (*k, row[0])).collect();
+            let want: Vec<(u64, f32)> = model.live.iter().map(|e| (e.0, e.1)).collect();
+            prop_assert_eq!(got, want, "survivors in FIFO order");
+            prop_assert_eq!(cache.len(), model.live.len());
+            prop_assert_eq!(
+                (cache.total_inserted(), cache.total_evictions(), cache.total_invalidated()),
+                (model.inserted, model.evicted, model.invalidated)
+            );
+            prop_assert_eq!(
+                cache.total_inserted(),
+                cache.total_evictions() + cache.total_invalidated() + cache.len() as u64
+            );
+            let words: usize = model.live.iter().map(|e| e.2.len()).sum();
+            prop_assert_eq!(cache.bytes_used(), 4 * model.live.len() + 8 * words);
+            for shard in &cache.shards {
+                let shard = shard.read();
+                let indexed: Vec<u64> = shard.by_time.iter().map(|&tm| from_time_major(tm)).collect();
+                let mut mapped: Vec<u64> = shard.map.keys().copied().collect();
+                mapped.sort_unstable_by_key(|&k| time_major(k));
+                prop_assert_eq!(indexed, mapped, "index and map hold the same keys");
+            }
+            Ok(())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn indexed_sweep_matches_the_full_scan_it_replaced(
+                limit in 2usize..24,
+                ops in proptest::collection::vec((0u32..10, any::<u32>(), any::<u32>(), any::<u32>()), 1..60),
+            ) {
+                let cache = EmbedCache::new(limit, 1);
+                let mut model =
+                    Model { limit, live: Vec::new(), inserted: 0, evicted: 0, invalidated: 0 };
+                for (step, &(kind, x, y, z)) in ops.iter().enumerate() {
+                    match kind {
+                        // Stores of 1..=4 keys (repeats within a call and
+                        // overwrites included), half of them fingerprinted,
+                        // a fingerprint in three left empty.
+                        0..=5 => {
+                            let keys: Vec<u64> =
+                                (0..1 + z % 4).map(|i| key_of(x.wrapping_add(i.wrapping_mul(y)))).collect();
+                            let vals: Vec<f32> = (0..keys.len()).map(|i| (step * 8 + i) as f32).collect();
+                            let h = Tensor::from_vec(keys.len(), 1, vals.clone());
+                            let fps: Vec<Vec<u64>> = keys.iter().enumerate().map(|(i, &k)| {
+                                if kind < 3 || (y as usize + i).is_multiple_of(3) { vec![] } else { vec![k, key_of(y.wrapping_add(i as u32))] }
+                            }).collect();
+                            if kind < 3 {
+                                cache.store(&keys, &h, false).unwrap();
+                            } else {
+                                let boxed = fps.iter().map(|fp| fp.clone().into_boxed_slice()).collect();
+                                cache.store_with_constraints(&keys, &h, boxed, false).unwrap();
+                            }
+                            let inserted = model.inserted;
+                            model.store(&keys, &vals, &fps);
+                            if model.inserted > inserted {
+                                prop_assert!(cache.fifo.lock().len() <= 2 * cache.len() + 1);
+                            }
+                        }
+                        6..=8 => {
+                            // kind 8 is the unbounded sweep; te also takes
+                            // every edge-case time, NaN included.
+                            let after = (kind < 8).then(|| TIMES[x as usize % TIMES.len()]);
+                            let levels = (y % 2) as usize;
+                            let stale = |n: NodeId, t: Time| n % 3 == z % 3 || t.to_bits() % 7 == z % 7;
+                            prop_assert_eq!(
+                                cache.sweep(after, levels, stale),
+                                model.sweep(after, levels, stale),
+                                "step {}: sweep({:?}, {})", step, after, levels
+                            );
+                        }
+                        _ => {
+                            cache.clear();
+                            model.invalidated += model.live.len() as u64;
+                            model.live.clear();
+                        }
+                    }
+                    check(&cache, &model)?;
+                }
+            }
+        }
     }
 
     #[test]
