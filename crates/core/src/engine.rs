@@ -13,6 +13,7 @@ use crate::hash::compute_keys;
 use crate::timecache::{HashTimeCache, TimeCache};
 use tg_error::TgError;
 use tg_graph::{GraphView, NodeId, SamplingStrategy, TemporalSampler, Time};
+use tg_tensor::fanout::host_cores;
 use tg_tensor::{ops, Scratch, Tensor};
 use tgat::attention::{self, AttentionInputs};
 use tgat::engine::GraphContext;
@@ -146,6 +147,8 @@ pub struct TgoptEngine<'a> {
     /// Recycled per-batch buffers; owned by the engine (one per serve
     /// worker) so steady-state batches run allocation-free.
     scratch: Scratch,
+    /// One scratch per core beyond the caller's: the fan-out width − 1.
+    helpers: Vec<Scratch>,
 }
 
 impl<'a> TgoptEngine<'a> {
@@ -183,7 +186,22 @@ impl<'a> TgoptEngine<'a> {
             store_enabled: true,
             view: None,
             scratch: Scratch::new(),
+            helpers: Vec::new(),
         }
+        .with_cores(host_cores())
+    }
+
+    /// Sets how many cores a batch may fan out over, the caller's included
+    /// (default: all of the host's; `tg-serve` divides them among its
+    /// workers). Results are bit-identical at every value.
+    pub fn with_cores(mut self, cores: usize) -> Self {
+        self.helpers.resize_with(cores.saturating_sub(1), Scratch::new);
+        self
+    }
+
+    /// Number of helper scratches: the fan-out width − 1.
+    pub fn helper_count(&self) -> usize {
+        self.helpers.len()
     }
 
     /// Rebuilds an engine around an existing cache (and counters), e.g.
@@ -429,11 +447,12 @@ impl<'a> TgoptEngine<'a> {
             {
                 let timecache = &mut self.timecache;
                 let stats = &mut self.stats;
+                let helpers = &mut self.helpers[..];
                 stats.time(OpKind::TimeEncodeDt, || {
                     if precompute {
                         timecache.encode_into(&params.time, &nb.dts, &mut ht);
                     } else {
-                        params.time.encode_into(&nb.dts, &mut ht);
+                        params.time.encode_into_fanned(&nb.dts, &mut ht, helpers);
                     }
                 });
             }
@@ -443,6 +462,7 @@ impl<'a> TgoptEngine<'a> {
             let layer = &self.params.layers[l - 1];
             let stats = &mut self.stats;
             let scratch = &mut self.scratch;
+            let helpers = &mut self.helpers[..];
             let h_m = stats.time(OpKind::Attention, || {
                 attention::forward_by_eid(
                     layer,
@@ -457,6 +477,7 @@ impl<'a> TgoptEngine<'a> {
                     },
                     &nb.eids,
                     scratch,
+                    helpers,
                 )
             });
             self.scratch.give(ht);

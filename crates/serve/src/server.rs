@@ -29,6 +29,7 @@ use tg_telemetry::{
     EmbedCacheTelemetry, EngineTelemetry, IngestTelemetry, LatencyHistogram, LatencyTelemetry,
     LayerSweepTelemetry, Recorder, ServeTelemetry, TelemetrySnapshot, TimeCacheTelemetry,
 };
+use tg_tensor::fanout::host_cores;
 use tg_tensor::Tensor;
 use tgat::engine::GraphContext;
 use tgat::TgatParams;
@@ -242,6 +243,18 @@ struct Shared {
     scope: Option<ShardScope>,
 }
 
+impl Shared {
+    /// Cores each engine may fan a wave out over: the host's divided among
+    /// the workers of every shard. Once `workers >= cores` that is 1 — no
+    /// helper threads, waves run inline — because fanning the rare
+    /// multi-block wave out beside workers that already own the cores cost
+    /// `stream-mixed` throughput (DESIGN.md "Fan-out").
+    fn engine_cores(&self) -> usize {
+        let n_shards = self.scope.as_ref().map_or(1, |s| s.assignment.n_shards());
+        (host_cores() / (self.cfg.workers * n_shards)).max(1)
+    }
+}
+
 /// Pins `slot` to a fresh snapshot of the live graph. The pin registers
 /// under the same `ingest` critical section that takes the view, so an
 /// edge invisible to this snapshot is guaranteed to still be (or later
@@ -407,6 +420,21 @@ fn merge_engine_telemetry(shared: &Shared, engine: TgoptEngine<'_>) {
     tc.1 += tc_misses;
 }
 
+/// An engine over the server's shared cache, with its share of the cores.
+fn serving_engine<'b>(
+    bundle: &'b ModelBundle,
+    shared: &Shared,
+    counters: EngineCounters,
+) -> TgoptEngine<'b> {
+    let (opt, cache) = (shared.cfg.opt, Arc::clone(&shared.cache));
+    let mut engine = TgoptEngine::with_cache(&bundle.params, bundle.context(), opt, cache, counters)
+        .with_cores(shared.engine_cores());
+    if shared.cfg.record_spans {
+        engine.enable_stats();
+    }
+    engine
+}
+
 // hot-path-root(serve)
 fn worker_loop(shared: Arc<Shared>, wave_hist: Arc<LatencyHistogram>, slot: usize) {
     let bundle = Arc::clone(&shared.bundle);
@@ -422,16 +450,7 @@ fn worker_loop(shared: Arc<Shared>, wave_hist: Arc<LatencyHistogram>, slot: usiz
     // `Scratch` arena per worker: after the first wave, steady-state
     // batches run the whole attention stack out of recycled buffers with
     // no allocator traffic (see DESIGN.md "Kernel architecture").
-    let mut engine = TgoptEngine::with_cache(
-        &bundle.params,
-        bundle.context(),
-        shared.cfg.opt,
-        Arc::clone(&shared.cache),
-        EngineCounters::default(),
-    );
-    if shared.cfg.record_spans {
-        engine.enable_stats();
-    }
+    let mut engine = serving_engine(&bundle, &shared, EngineCounters::default());
     // The worker's only unbounded wait is `arrived.wait` inside `pop_wave`:
     // idle time, not request latency — a queued request is taken by the
     // first worker that is (or becomes) free, with no timer in between —
@@ -663,16 +682,7 @@ impl TgServer {
         }
         let bundle = Arc::clone(&self.shared.bundle);
         let counters = *relock(self.shared.engine_counters.lock());
-        let mut engine = TgoptEngine::with_cache(
-            &bundle.params,
-            bundle.context(),
-            self.shared.cfg.opt,
-            Arc::clone(&self.shared.cache),
-            counters,
-        );
-        if self.shared.cfg.record_spans {
-            engine.enable_stats();
-        }
+        let mut engine = serving_engine(&bundle, &self.shared, counters);
         // The drain owns the pin slot past the worker range; one snapshot
         // covers the whole drain so every wave in it sees the same graph.
         let drain_slot = self.shared.cfg.workers;
@@ -785,6 +795,12 @@ impl TgServer {
             },
             ..TelemetrySnapshot::new()
         }
+    }
+
+    /// Cores each worker's engine may use (1: waves run with no helper
+    /// threads).
+    pub fn engine_cores(&self) -> usize {
+        self.shared.engine_cores()
     }
 
     /// The memoization cache shared by every worker.

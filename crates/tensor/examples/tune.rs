@@ -1,6 +1,9 @@
 //! Prints what the dense kernels deliver on the shapes the inference hot
-//! path produces: GFLOP/s of `matmul_into` / `addmm_into`, and the cost of
-//! one attention layer per target-block size.
+//! path produces: GFLOP/s of `matmul_into` / `addmm_into`, the cost of one
+//! attention layer per target-block size, and the same layer per fan-out
+//! width beside what one scoped spawn + join costs — the table the width
+//! rule (`fanout::helpers_for`: two blocks per core before anything is
+//! spawned) is read from.
 //!
 //! ```sh
 //! cargo run --release -p tg-tensor --example tune
@@ -15,15 +18,17 @@
 
 use std::hint::black_box;
 use std::time::Instant;
+use tg_tensor::fanout::{fan_chunks, host_cores};
 use tg_tensor::matmul::{addmm_into, matmul_into};
 use tg_tensor::{init, Scratch, Tensor};
-use tgat::attention::{forward_blocked, AttentionInputs};
+use tgat::attention::{forward_blocked, AttentionInputs, TARGET_BLOCK};
 use tgat::{TgatConfig, TgatParams};
 
 /// Rounds per table: a dense-kernel round is ~10 ms, an attention round up
 /// to ~250 ms.
 const DENSE_ROUNDS: usize = 41;
 const ATTENTION_ROUNDS: usize = 9;
+const WIDTH_ROUNDS: usize = 31;
 
 /// Times every candidate once per round, in order, and returns each
 /// candidate's `(min, median)` seconds.
@@ -121,7 +126,7 @@ fn main() {
         for (&block, scratch) in blocks.iter().zip(&mut scratches) {
             let (layer, inp, eids) = (&params.layers[0], &inp, &eids);
             runs.push(Box::new(move || {
-                let out = forward_blocked(layer, &cfg, black_box(inp), Some(eids), block, scratch);
+                let out = forward_blocked(layer, &cfg, black_box(inp), Some(eids), block, scratch, &mut []);
                 black_box(out.as_slice());
                 scratch.give(out);
             }));
@@ -130,4 +135,46 @@ fn main() {
             println!("{n:<8}{block:<8}{:>12.1}{:>12.1}{:>14.2}", min * 1e6, med * 1e6, med * 1e6 / n as f64);
         }
     }
+
+    // The width rule's table: the layer at the shipped block size with the
+    // width pinned (no rule applied), so a row shows what fanning a call of
+    // that many blocks out would cost or save on this host; n = 64 is one
+    // block and cannot fan out. The last candidate is an empty two-chunk
+    // fan-out: one scoped spawn + join.
+    let cores = host_cores();
+    println!();
+    println!("== attention layer by fan-out width ({cores} cores, round-robin, {WIDTH_ROUNDS} rounds, us per call) ==");
+    println!("{:<8}{:<8}{:<8}{:>12}{:>12}{:>14}", "n", "blocks", "width", "min us", "med us", "med us/row");
+    for n in [64usize, 128, 256, 400, 4_400] {
+        let h_src = Tensor::zeros(n, cfg.dim);
+        let h_ngh = Tensor::zeros(n * k, cfg.dim);
+        let ht0 = init::uniform(&mut rng, n, cfg.time_dim, 1.0);
+        let ht = init::uniform(&mut rng, n * k, cfg.time_dim, 1.0);
+        let eids: Vec<u32> = (0..n * k).map(|s| (s * 7919 % table.rows()) as u32).collect();
+        let mask = vec![true; n * k];
+        let inp = AttentionInputs { h_src: &h_src, ht0: &ht0, h_ngh: &h_ngh, e_feat: &table, ht: &ht, mask: &mask };
+        let widths = [1, cores.max(2)];
+        let mut scratches: Vec<Vec<Scratch>> =
+            widths.iter().map(|&w| (0..w).map(|_| Scratch::new()).collect()).collect();
+        let mut runs: Vec<Box<dyn FnMut() + '_>> = Vec::new();
+        for scratches in &mut scratches {
+            let (layer, inp, eids) = (&params.layers[0], &inp, &eids);
+            runs.push(Box::new(move || {
+                let (own, helpers) = scratches.split_first_mut().expect("width >= 1");
+                let out = forward_blocked(layer, &cfg, black_box(inp), Some(eids), TARGET_BLOCK, own, helpers);
+                black_box(out.as_slice());
+                own.give(out);
+            }));
+        }
+        for (&width, (min, med)) in widths.iter().zip(round_robin(WIDTH_ROUNDS, &mut runs)) {
+            let blocks = n.div_ceil(TARGET_BLOCK);
+            println!("{n:<8}{blocks:<8}{width:<8}{:>12.1}{:>12.1}{:>14.2}", min * 1e6, med * 1e6, med * 1e6 / n as f64);
+        }
+    }
+    let mut two = [0.0f32; 2];
+    let mut spawn_join: Vec<Box<dyn FnMut() + '_>> = vec![Box::new(|| {
+        black_box(fan_chunks(black_box(&mut two), 1, &mut (), &mut [()], |_, _, ()| {}));
+    })];
+    let (min, med) = round_robin(1_001, &mut spawn_join)[0];
+    println!("{:<24}{:>12.1}{:>12.1}", "spawn + join", min * 1e6, med * 1e6);
 }

@@ -8,6 +8,8 @@
 //! * Parallel kernels — blocked matrix multiplication, masked row softmax,
 //!   elementwise maps, column concatenation and row gathering, all
 //!   parallelized with rayon above a size threshold.
+//! * [`fanout`] — the one real fan-out (scoped threads over row-independent
+//!   output chunks); the rayon above is a sequential stub.
 //! * [`autograd`] — a tape-based reverse-mode autodiff engine covering the
 //!   operations used by TGAT (including fused batched attention primitives),
 //!   plus an [`adam`] optimizer for training.
@@ -18,6 +20,7 @@
 
 pub mod adam;
 pub mod autograd;
+pub mod fanout;
 pub mod init;
 pub mod matmul;
 pub mod ops;

@@ -14,14 +14,18 @@
 //! tensor ([`forward_with`]) or from the feature table by edge id
 //! ([`forward_by_eid`], what the engines call). Every row's arithmetic is
 //! independent of the block it lands in, so the result is bit-identical for
-//! every block size. A steady-state batch performs O(1) allocator calls
-//! (only the escaping output tensor, and none once its buffer cycles back
-//! through the pool). [`forward_reference`] keeps the original per-op
-//! allocating implementation as the semantic baseline for equivalence tests.
+//! every block size — and for every width: [`forward_by_eid`] hands a call
+//! with at least two blocks per core to the engine's helper scratches via
+//! [`fan_chunks`], one block's output rows per chunk. A steady-state batch
+//! performs O(1) allocator calls (only the escaping output tensor, and none
+//! once its buffer cycles back through the pool). [`forward_reference`] keeps
+//! the original per-op allocating implementation as the semantic baseline for
+//! equivalence tests.
 
 use crate::config::TgatConfig;
 use crate::params::LayerParams;
 use tg_graph::INVALID_EDGE;
+use tg_tensor::fanout::{fan_chunks, helpers_for};
 use tg_tensor::matmul::{addmm_into, matmul, matmul_into};
 use tg_tensor::{ops, Scratch, Tensor};
 
@@ -71,25 +75,30 @@ pub fn forward_with(
     inp: &AttentionInputs<'_>,
     scratch: &mut Scratch,
 ) -> Tensor {
-    forward_blocked(layer, cfg, inp, None, TARGET_BLOCK, scratch)
+    forward_blocked(layer, cfg, inp, None, TARGET_BLOCK, scratch, &mut [])
 }
 
 /// [`forward_with`] reading edge rows from the feature table: `inp.e_feat`
 /// is the `[num_edges, edge_dim]` table and slot `s` uses row `eids[s]`
 /// ([`INVALID_EDGE`] padding reads row 0 — its weight is masked to zero, so
 /// any valid row works). Saves writing and re-reading a gathered copy.
+/// `helpers` are the engine's spare-core scratches; the width rule
+/// ([`helpers_for`]) decides how many of them this call's blocks occupy.
 pub fn forward_by_eid(
     layer: &LayerParams,
     cfg: &TgatConfig,
     inp: &AttentionInputs<'_>,
     eids: &[u32],
     scratch: &mut Scratch,
+    helpers: &mut [Scratch],
 ) -> Tensor {
-    forward_blocked(layer, cfg, inp, Some(eids), TARGET_BLOCK, scratch)
+    let helpers = helpers_for(helpers, inp.h_src.rows().div_ceil(TARGET_BLOCK));
+    forward_blocked(layer, cfg, inp, Some(eids), TARGET_BLOCK, scratch, helpers)
 }
 
-/// The block routine behind both entry points, with the block size pinned by
-/// the caller — for the block-equivalence tests and `examples/tune.rs` only.
+/// The block routine behind both entry points, with the block size and the
+/// width (`helpers.len() + 1`, no rule applied) pinned by the caller — for
+/// the equivalence tests and `examples/tune.rs` only.
 #[doc(hidden)]
 pub fn forward_blocked(
     layer: &LayerParams,
@@ -98,6 +107,7 @@ pub fn forward_blocked(
     eids: Option<&[u32]>,
     block: usize,
     scratch: &mut Scratch,
+    helpers: &mut [Scratch],
 ) -> Tensor {
     let n = inp.h_src.rows();
     let nk = inp.h_ngh.rows();
@@ -112,6 +122,7 @@ pub fn forward_blocked(
     if n == 0 {
         return out;
     }
+    let out_cols = out.cols();
     let k_per = nk / n;
     let edge_row = |slot: usize| match eids {
         None => inp.e_feat.row(slot),
@@ -122,8 +133,8 @@ pub fn forward_blocked(
     let scale = 1.0 / (head_dim as f32).sqrt(); // lint: allow(lossy-cast, head_dim is a small config value)
     let r_cols = layer.heads.len() * head_dim;
 
-    for t0 in (0..n).step_by(block) {
-        let nb = block.min(n - t0);
+    fan_chunks(out.as_mut_slice(), block * out_cols, scratch, helpers, |b, out_rows, scratch| {
+        let (t0, nb) = (b * block, out_rows.len() / out_cols);
         let (s0, ns) = (t0 * k_per, nb * k_per);
 
         // Message creation: z_i = h_i || Phi(0); z_j = h_j || e_ij || Phi(dt).
@@ -171,13 +182,13 @@ pub fn forward_blocked(
         let mut hidden = scratch.take(nb, layer.fc1_w.cols());
         addmm_into(&ffn_in, &layer.fc1_w, &layer.fc1_b, &mut hidden);
         ops::relu_inplace(&mut hidden);
-        let mut h_out = scratch.take(nb, out.cols());
+        let mut h_out = scratch.take(nb, out_cols);
         addmm_into(&hidden, &layer.fc2_w, &layer.fc2_b, &mut h_out);
-        out.as_mut_slice()[t0 * h_out.cols()..][..h_out.len()].copy_from_slice(h_out.as_slice());
+        out_rows.copy_from_slice(h_out.as_slice());
         for t in [h_out, hidden, ffn_in] {
             scratch.give(t);
         }
-    }
+    });
     out
 }
 
@@ -289,17 +300,39 @@ mod tests {
             // batch, i.e. every later batch runs entirely out of the pool.
             assert_eq!(scratch.pooled_capacity(), cap_after_one, "n = {n}");
         }
+
+        // Fanned out: whichever blocks a helper claims, its pool is empty or
+        // exactly one block's working set after every call, the first included.
+        let pools_after_each_call = |n: usize, helpers: &mut [Scratch]| {
+            let (cfg, p, h_src, ht0, h_ngh, e_feat, ht) = setup(n);
+            let mask = vec![true; n * cfg.n_neighbors];
+            let inp =
+                AttentionInputs { h_src: &h_src, ht0: &ht0, h_ngh: &h_ngh, e_feat: &e_feat, ht: &ht, mask: &mask };
+            let mut scratch = Scratch::new();
+            let mut seen = Vec::new();
+            for _ in 0..6 {
+                // The output escapes, so the pools hold block buffers only.
+                drop(forward_blocked(&p.layers[0], &cfg, &inp, None, TARGET_BLOCK, &mut scratch, helpers));
+                seen.extend(helpers.iter().chain([&scratch]).map(Scratch::pooled_capacity));
+            }
+            seen
+        };
+        let one_block = pools_after_each_call(TARGET_BLOCK, &mut [])[0];
+        let seen = pools_after_each_call(6 * TARGET_BLOCK, &mut [Scratch::new(), Scratch::new()]);
+        assert!(seen.iter().all(|&held| held == 0 || held == one_block), "{seen:?} vs {one_block}");
     }
 
     #[test]
     fn blocks_and_table_rows_change_nothing() {
-        // Every block size, and edge rows read from the table by id, must
-        // give the single-block pre-gathered result bit for bit: a row's
-        // arithmetic never depends on which block (or quad) it lands in.
+        // Every block size, every width, and edge rows read from the table
+        // by id, must give the single-block pre-gathered width-1 result bit
+        // for bit: a row's arithmetic never depends on which block (or quad)
+        // it lands in, nor on which thread runs the block. The pinned width
+        // spawns real helper threads whatever the runner's core count.
         let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         // head_dim 16 and a 64-wide FFN: full panels as well as ragged ones.
         let cfg = TgatConfig { dim: 32, n_layers: 1, ..TgatConfig::tiny() };
-        for n in [0usize, 1, 63, 64, 65, 129, 1000] {
+        for n in [0usize, 1, 63, 64, 65, 129, 255, 256, 257, 1000, 6600] {
             let (cfg, p, h_src, ht0, mut h_ngh, _, mut ht) = setup_with(cfg, n);
             let k = cfg.n_neighbors;
             let mut rng = init::seeded_rng(11);
@@ -331,19 +364,27 @@ mod tests {
             let by_id = AttentionInputs { e_feat: &table, ..pre };
             let layer = &p.layers[0];
             let mut scratch = Scratch::new();
-            let want = forward_blocked(layer, &cfg, &pre, None, n.max(1), &mut scratch);
+            let want = forward_blocked(layer, &cfg, &pre, None, n.max(1), &mut scratch, &mut []);
             assert_eq!(want.shape(), (n, cfg.dim));
             assert!(want.max_abs_diff(&forward_reference(layer, &cfg, &pre)) < 1e-5, "n = {n}");
-            for block in [1, 16, 64, n.max(1)] {
-                let got = forward_blocked(layer, &cfg, &pre, None, block, &mut scratch);
-                assert_eq!(bits(&got), bits(&want), "n = {n}, block = {block}, pre-gathered");
+            let mut helpers: Vec<Scratch> = (0..7).map(|_| Scratch::new()).collect();
+            let cells = [(64, 2), (64, 3), (64, 8), (64, 1), (n.max(1), 8), (1, 1), (16, 1), (16, 3)];
+            // 6,600 targets (the layer-1 frontier of a 600-target batch) run
+            // the shipped block size at the helper widths only, for time.
+            for (block, width) in cells.into_iter().take(if n > 1000 { 3 } else { 8 }) {
+                let helpers = &mut helpers[..width - 1];
+                let got = forward_blocked(layer, &cfg, &pre, None, block, &mut scratch, helpers);
+                assert_eq!(bits(&got), bits(&want), "n = {n}, block = {block}, width = {width}, pre-gathered");
                 scratch.give(got);
-                let got = forward_blocked(layer, &cfg, &by_id, Some(&eids), block, &mut scratch);
-                assert_eq!(bits(&got), bits(&want), "n = {n}, block = {block}, by edge id");
+                let got = forward_blocked(layer, &cfg, &by_id, Some(&eids), block, &mut scratch, helpers);
+                assert_eq!(bits(&got), bits(&want), "n = {n}, block = {block}, width = {width}, by edge id");
                 scratch.give(got);
             }
             assert_eq!(bits(&forward_with(layer, &cfg, &pre, &mut scratch)), bits(&want));
-            assert_eq!(bits(&forward_by_eid(layer, &cfg, &by_id, &eids, &mut scratch)), bits(&want));
+            for width in [1, 2, 3, 8] {
+                let got = forward_by_eid(layer, &cfg, &by_id, &eids, &mut scratch, &mut helpers[..width - 1]);
+                assert_eq!(bits(&got), bits(&want), "n = {n}, width = {width}, under the width rule");
+            }
         }
     }
 

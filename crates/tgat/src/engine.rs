@@ -10,12 +10,15 @@
 //! Edge features are not gathered per batch: the engine hands the attention
 //! layer the whole feature table plus the sampled edge ids
 //! ([`attention::forward_by_eid`]), and each 64-target block copies the rows
-//! it needs straight into its own `z_ngh`.
+//! it needs straight into its own `z_ngh`. A frontier with at least two
+//! blocks (or two 2,048-row time-encode chunks) per core is fanned out over
+//! the engine's helper scratches (DESIGN.md "Fan-out").
 
 use crate::attention::{self, AttentionInputs};
 use crate::params::TgatParams;
 use crate::stats::{OpKind, OpStats};
 use tg_graph::{NodeId, TemporalGraph, TemporalSampler, Time, INVALID_EDGE};
+use tg_tensor::fanout::host_cores;
 use tg_tensor::{ops, Scratch, Tensor};
 
 /// Borrowed views of everything an engine reads: the evolving graph plus the
@@ -63,6 +66,8 @@ pub struct BaselineEngine<'a> {
     /// Recycled per-batch buffers; owned by the engine so steady-state
     /// batches run allocation-free (see `tg_tensor::scratch`).
     scratch: Scratch,
+    /// One scratch per core beyond the caller's: the fan-out width − 1.
+    helpers: Vec<Scratch>,
 }
 
 impl<'a> BaselineEngine<'a> {
@@ -85,7 +90,17 @@ impl<'a> BaselineEngine<'a> {
             ctx,
             stats: OpStats::disabled(),
             scratch: Scratch::new(),
+            helpers: Vec::new(),
         }
+        .with_cores(host_cores())
+    }
+
+    /// Sets how many cores a batch may fan out over, the caller's included
+    /// (default: all of the host's). Results are bit-identical at every
+    /// value; tests pin it to run real helper threads on any runner.
+    pub fn with_cores(mut self, cores: usize) -> Self {
+        self.helpers.resize_with(cores.saturating_sub(1), Scratch::new);
+        self
     }
 
     /// Turns on per-operation timing (Table 3 reproduction).
@@ -134,6 +149,7 @@ impl<'a> BaselineEngine<'a> {
         let params = self.params;
         let stats = &mut self.stats;
         let scratch = &mut self.scratch;
+        let helpers = &mut self.helpers[..];
         let ht0 = stats.time(OpKind::TimeEncodeZero, || {
             let mut t = scratch.take(ns.len(), params.time.dim());
             params.time.encode_zeros_into(&mut t);
@@ -141,7 +157,7 @@ impl<'a> BaselineEngine<'a> {
         });
         let ht = stats.time(OpKind::TimeEncodeDt, || {
             let mut t = scratch.take(nb.dts.len(), params.time.dim());
-            params.time.encode_into(&nb.dts, &mut t);
+            params.time.encode_into_fanned(&nb.dts, &mut t, helpers);
             t
         });
         let mask = nb.mask();
@@ -150,6 +166,7 @@ impl<'a> BaselineEngine<'a> {
         let cfg = &self.params.cfg;
         let stats = &mut self.stats;
         let scratch = &mut self.scratch;
+        let helpers = &mut self.helpers[..];
         let out = stats.time(OpKind::Attention, || {
             attention::forward_by_eid(
                 layer,
@@ -164,6 +181,7 @@ impl<'a> BaselineEngine<'a> {
                 },
                 &nb.eids,
                 scratch,
+                helpers,
             )
         });
         self.scratch.give(ht);

@@ -1,10 +1,10 @@
 //! Determinism: everything in the pipeline is reproducible from seeds —
-//! generation, initialization, and both engines — including under the
-//! (single-core or multi-core) rayon parallel paths, which only partition
-//! work and never reorder accumulation.
+//! generation, initialization, and both engines — at every fan-out width:
+//! helper threads only partition rows and never reorder an accumulation.
 
 use tgopt_repro::datasets::{generate, spec_by_name};
 use tgopt_repro::graph::{BatchIter, TemporalGraph};
+use tgopt_repro::tensor::fanout::host_cores;
 use tgopt_repro::tensor::Tensor;
 use tgopt_repro::tgat::attention::TARGET_BLOCK;
 use tgopt_repro::tgat::engine::GraphContext;
@@ -17,8 +17,14 @@ fn full_replay(seed: u64, opt: Option<OptConfig>) -> Vec<f32> {
 
 /// Replays the whole stream in batches of `batch` edges (`2 * batch`
 /// targets, so `2 * batch * (1 + n_neighbors)` layer-1 targets when nothing
-/// is deduplicated or cached).
+/// is deduplicated or cached), on the host's cores.
 fn replay(seed: u64, opt: Option<OptConfig>, batch: usize) -> Vec<f32> {
+    replay_on(host_cores(), seed, opt, batch)
+}
+
+/// [`replay`] with the engine's core count pinned, so 2 and 3 run real
+/// helper threads even on a one-core runner.
+fn replay_on(cores: usize, seed: u64, opt: Option<OptConfig>, batch: usize) -> Vec<f32> {
     let spec = spec_by_name("snap-email").unwrap();
     let data = generate(&spec, 0.004, seed).unwrap();
     let cfg = TgatConfig {
@@ -40,14 +46,14 @@ fn replay(seed: u64, opt: Option<OptConfig>, batch: usize) -> Vec<f32> {
     let mut out = Vec::new();
     match opt {
         None => {
-            let mut eng = BaselineEngine::new(&params, ctx);
+            let mut eng = BaselineEngine::new(&params, ctx).with_cores(cores);
             for batch in BatchIter::new(&data.stream, batch) {
                 let (ns, ts) = batch.targets();
                 out.extend_from_slice(eng.embed_batch(&ns, &ts).as_slice());
             }
         }
         Some(opt) => {
-            let mut eng = TgoptEngine::new(&params, ctx, opt);
+            let mut eng = TgoptEngine::new(&params, ctx, opt).with_cores(cores);
             for batch in BatchIter::new(&data.stream, batch) {
                 let (ns, ts) = batch.targets();
                 out.extend_from_slice(eng.embed_batch(&ns, &ts).unwrap().as_slice());
@@ -92,6 +98,25 @@ fn replays_spanning_many_attention_blocks_agree_across_engines() {
     assert_eq!(all.len(), base.len());
     let drift = all.iter().zip(&base).map(|(a, b)| (a - b).abs()).fold(0.0f32, f32::max);
     assert!(drift <= 1e-5, "all-on engine drifted {drift} from the baseline");
+}
+
+#[test]
+fn fan_out_width_does_not_change_bits() {
+    // The same 300-edge-batch replay (47 layer-1 blocks, 6 time-encode
+    // chunks, 10 layer-2 blocks) at widths 1, 2 and 3: the baseline and the
+    // all-off engine bit for bit; the all-on engine, whose dense time window
+    // is not bit-equal to `cos`, within the paper's 1e-5 of the baseline.
+    let batch = 300;
+    let base = replay_on(1, 11, None, batch);
+    assert_eq!(base, replay(11, None, batch), "host width");
+    for cores in [2, 3] {
+        assert_eq!(base, replay_on(cores, 11, None, batch), "baseline, {cores} cores");
+        assert_eq!(base, replay_on(cores, 11, Some(OptConfig::none()), batch), "all-off, {cores} cores");
+        let all = replay_on(cores, 11, Some(OptConfig::all()), batch);
+        assert_eq!(all, replay_on(1, 11, Some(OptConfig::all()), batch), "all-on, {cores} cores");
+        let drift = all.iter().zip(&base).map(|(a, b)| (a - b).abs()).fold(0.0f32, f32::max);
+        assert!(drift <= 1e-5, "all-on engine at {cores} cores drifted {drift} from the baseline");
+    }
 }
 
 #[test]

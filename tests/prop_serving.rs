@@ -13,6 +13,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 use tgopt_repro::graph::{EdgeStream, NodeId, TemporalGraph, Time};
 use tgopt_repro::serve::{ModelBundle, ServeConfig, TgServer, Ticket};
+use tgopt_repro::tensor::fanout::host_cores;
 use tgopt_repro::tensor::init;
 use tgopt_repro::tgat::{TgatConfig, TgatParams};
 use tgopt_repro::tgopt::{OptConfig, TgoptEngine};
@@ -71,18 +72,25 @@ proptest! {
     fn served_equals_direct_under_arbitrary_interleavings(
         reqs in proptest::collection::vec((any::<u32>(), any::<u32>(), any::<bool>()), 1..40),
         max_batch in 1usize..8,
+        workers in 1usize..6,
         use_deadline in any::<bool>(),
         degraded in any::<bool>(),
     ) {
         let bundle = world();
         let mut cfg = ServeConfig::default()
             .with_max_batch(max_batch)
+            .with_workers(workers)
             .with_queue_capacity(reqs.len() + 1);
         if degraded {
             // Budget 0: every wave runs lookup-only (stores skipped).
             cfg = cfg.with_memory_budget(0);
         }
         let server = TgServer::deterministic(Arc::clone(bundle), cfg).unwrap();
+        // Engines never oversubscribe the host: workers that already own
+        // the cores get one each, i.e. no helper scratches, inline waves.
+        let cores = server.engine_cores();
+        prop_assert!(cores == 1 || cores * workers <= host_cores(), "{cores} x {workers} workers");
+        prop_assert!(workers < host_cores() || cores == 1);
 
         let far_deadline = Instant::now() + Duration::from_secs(3600);
         let mut tickets: Vec<Ticket> = Vec::new();

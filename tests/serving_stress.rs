@@ -12,9 +12,11 @@ use std::sync::Arc;
 use tgopt_repro::datasets::{generate, spec_by_name};
 use tgopt_repro::graph::{NodeId, TemporalGraph, Time};
 use tgopt_repro::serve::{ModelBundle, ServeConfig, TgServer};
+use tgopt_repro::tensor::fanout::host_cores;
 use tgopt_repro::tensor::Tensor;
 use tgopt_repro::tgat::engine::GraphContext;
 use tgopt_repro::tgat::{BaselineEngine, TgatConfig, TgatParams};
+use tgopt_repro::tgopt::{OptConfig, TgoptEngine};
 
 fn bundle() -> (Arc<ModelBundle>, usize) {
     let spec = spec_by_name("snap-email").unwrap();
@@ -56,6 +58,30 @@ fn workload(bundle: &ModelBundle, n: usize) -> (Vec<NodeId>, Vec<Time>) {
         node = (node + 1) % bundle.graph.num_nodes();
     }
     (ns, vec![t; n])
+}
+
+#[test]
+fn workers_that_own_the_cores_serve_with_no_helper_threads() {
+    // `workers >= cores`: every engine `TgServer::threaded` builds is handed
+    // one core, and an engine with one core holds zero helper scratches, so
+    // a wave cannot spawn. One worker alone gets the whole host. Either way
+    // the rows are the direct engine's.
+    let (bundle, _) = bundle();
+    let (ns, ts) = workload(&bundle, 200);
+    let cores = host_cores();
+    let ctx = bundle.context();
+    let mut direct = TgoptEngine::new(&bundle.params, ctx, OptConfig::all()).with_cores(1);
+    assert_eq!(direct.helper_count(), 0);
+    let expected = direct.embed_batch(&ns, &ts).unwrap();
+    for (workers, engine_cores) in [(cores, 1), (cores + 1, 1), (2 * cores, 1), (1, cores)] {
+        let cfg = ServeConfig::default().with_workers(workers).with_max_batch(200);
+        let server = TgServer::threaded(Arc::clone(&bundle), cfg).unwrap();
+        assert_eq!(server.engine_cores(), engine_cores, "{workers} workers on {cores} cores");
+        for (i, ticket) in server.submit_many(&ns, &ts).unwrap().into_iter().enumerate() {
+            assert_eq!(ticket.wait().unwrap(), expected.row(i), "{workers} workers, query {i}");
+        }
+        server.shutdown();
+    }
 }
 
 #[test]
