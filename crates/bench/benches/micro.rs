@@ -16,7 +16,7 @@ use tgat::attention::{self, AttentionInputs};
 use tgat::{TgatConfig, TgatParams, TimeEncoder};
 use tgopt::dedup::dedup_filter;
 use tgopt::hash::{compute_keys, pack_key};
-use tgopt::{EmbedCache, HashTimeCache, TimeCache};
+use tgopt::{EmbedCache, TimeCache};
 
 fn batch_targets(n: usize) -> (Vec<u32>, Vec<f32>) {
     // ~60% duplication, like a layer-1 input batch.
@@ -105,15 +105,10 @@ fn bench_timeencode(c: &mut Criterion) {
     let mut g = c.benchmark_group("time_encode");
     let enc = TimeEncoder::new(100);
     let mut cache = TimeCache::precompute(&enc, 10_000);
-    let mut hash_cache = HashTimeCache::new(10_000);
     let dts: Vec<f32> = (0..8000).map(|i| (i % 9000) as f32).collect();
-    hash_cache.encode(&enc, &dts); // pre-warm so the bench measures hits
     g.bench_function("direct", |b| b.iter(|| black_box(enc.encode(black_box(&dts)))));
     g.bench_function("precomputed_window", |b| {
         b.iter(|| black_box(cache.encode(&enc, black_box(&dts))))
-    });
-    g.bench_function("hash_memoized", |b| {
-        b.iter(|| black_box(hash_cache.encode(&enc, black_box(&dts))))
     });
     g.finish();
 }
@@ -190,7 +185,7 @@ fn bench_engine(c: &mut Criterion) {
     // End-to-end replay of a small stream: the headline comparison as a
     // tracked microbenchmark.
     use tg_datasets::{generate, spec_by_name};
-    use tg_bench::{replay, EngineKind};
+    use tg_bench::replay;
     use tgat::TgatParams;
     use tgopt::OptConfig;
 
@@ -210,14 +205,10 @@ fn bench_engine(c: &mut Criterion) {
     let mut g = c.benchmark_group("engine_replay");
     g.sample_size(10);
     g.bench_function("baseline", |b| {
-        b.iter(|| black_box(replay(&ds, &params, EngineKind::Baseline, 200, false).seconds))
+        b.iter(|| black_box(replay(&ds, &params, OptConfig::none(), 200, false).seconds))
     });
     g.bench_function("tgopt", |b| {
-        b.iter(|| {
-            black_box(
-                replay(&ds, &params, EngineKind::Tgopt(OptConfig::all()), 200, false).seconds,
-            )
-        })
+        b.iter(|| black_box(replay(&ds, &params, OptConfig::all(), 200, false).seconds))
     });
     g.finish();
 }

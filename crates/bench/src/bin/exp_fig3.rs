@@ -4,7 +4,7 @@
 //! The unbounded-reuse trend is measured with an effectively infinite cache,
 //! matching the paper's analysis setting.
 
-use tg_bench::{harness, replay, table, EngineKind, ExpArgs};
+use tg_bench::{harness, replay, table, ExpArgs};
 use tgopt::OptConfig;
 
 fn main() {
@@ -24,7 +24,7 @@ fn main() {
         }
         let ds = harness::dataset_for(&args, spec.name);
         let params = harness::params_for(&args, &ds);
-        let run = replay(&ds, &params, EngineKind::Tgopt(opt), args.batch_size, false);
+        let run = replay(&ds, &params, opt, args.batch_size, false);
 
         // Bucket batches into ~16 time points of cumulative counts.
         let nb = run.batches.len().max(1);

@@ -4,7 +4,7 @@
 //! the CPU server; this reproduction is CPU-only, see DESIGN.md).
 
 use tg_bench::harness::{self, geomean, mean_std};
-use tg_bench::{replay, table, EngineKind, ExpArgs};
+use tg_bench::{replay, table, ExpArgs};
 use tgopt::OptConfig;
 
 fn main() {
@@ -27,8 +27,8 @@ fn main() {
         let mut opt_times = Vec::new();
         let mut checks = (0.0f64, 0.0f64);
         for _ in 0..args.runs {
-            let b = replay(&ds, &params, EngineKind::Baseline, args.batch_size, false);
-            let o = replay(&ds, &params, EngineKind::Tgopt(opt), args.batch_size, false);
+            let b = replay(&ds, &params, OptConfig::none(), args.batch_size, false);
+            let o = replay(&ds, &params, opt, args.batch_size, false);
             base_times.push(b.seconds);
             opt_times.push(o.seconds);
             checks = (b.checksum, o.checksum);

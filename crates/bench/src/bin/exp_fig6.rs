@@ -3,7 +3,7 @@
 //! two representative datasets (paper: jodie-lastfm and snap-msg).
 
 use tg_bench::harness::{self, mean_std};
-use tg_bench::{replay, table, EngineKind, ExpArgs};
+use tg_bench::{replay, table, ExpArgs};
 use tgopt::OptConfig;
 
 fn main() {
@@ -15,11 +15,11 @@ fn main() {
         "Figure 6: accumulative ablation, {} run(s), scale {}, dim {}\n",
         args.runs, args.scale, args.dim
     );
-    let stages: [(&str, Option<OptConfig>); 4] = [
-        ("baseline", None),
-        ("cache", Some(OptConfig::cache_only())),
-        ("cache+dedup", Some(OptConfig::cache_dedup())),
-        ("all (+time)", Some(OptConfig::all())),
+    let stages: [(&str, OptConfig); 4] = [
+        ("baseline", OptConfig::none()),
+        ("cache", OptConfig::cache_only()),
+        ("cache+dedup", OptConfig::cache_dedup()),
+        ("all (+time)", OptConfig::all()),
     ];
 
     let mut rows = Vec::new();
@@ -32,18 +32,13 @@ fn main() {
         let mut base_mean = 0.0f64;
         let mut labels = Vec::new();
         let mut speeds = Vec::new();
-        for (label, cfg) in &stages {
-            let kind = match cfg {
-                None => EngineKind::Baseline,
-                Some(c) => {
-                    EngineKind::Tgopt(c.with_cache_limit(args.effective_cache_limit()))
-                }
-            };
+        for (i, (label, cfg)) in stages.iter().enumerate() {
+            let opt = cfg.with_cache_limit(args.effective_cache_limit());
             let times: Vec<f64> = (0..args.runs)
-                .map(|_| replay(&ds, &params, kind, args.batch_size, false).seconds)
+                .map(|_| replay(&ds, &params, opt, args.batch_size, false).seconds)
                 .collect();
             let (mean, _) = mean_std(&times);
-            if cfg.is_none() {
+            if i == 0 {
                 base_mean = mean;
             }
             let speedup = base_mean / mean.max(1e-12);

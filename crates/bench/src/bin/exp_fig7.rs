@@ -2,7 +2,7 @@
 //! over a sliding window of the last 10 batches (paper: jodie-lastfm and
 //! snap-msg; the rate passes ~80% early and keeps climbing).
 
-use tg_bench::{harness, replay, table, EngineKind, ExpArgs};
+use tg_bench::{harness, replay, table, ExpArgs};
 use tgopt::OptConfig;
 
 fn main() {
@@ -18,7 +18,7 @@ fn main() {
         }
         let ds = harness::dataset_for(&args, spec.name);
         let params = harness::params_for(&args, &ds);
-        let run = replay(&ds, &params, EngineKind::Tgopt(opt), args.batch_size, false);
+        let run = replay(&ds, &params, opt, args.batch_size, false);
 
         const WINDOW: usize = 10;
         let mut series = Vec::new();

@@ -2,7 +2,7 @@
 //! baseline and TGOpt, plus average cache hit rate and used cache size, on
 //! the two representative datasets.
 
-use tg_bench::{harness, replay, table, EngineKind, ExpArgs};
+use tg_bench::{harness, replay, table, ExpArgs};
 use tgat::OpKind;
 use tgopt::OptConfig;
 
@@ -22,8 +22,8 @@ fn main() {
         }
         let ds = harness::dataset_for(&args, spec.name);
         let params = harness::params_for(&args, &ds);
-        let base = replay(&ds, &params, EngineKind::Baseline, args.batch_size, true);
-        let ours = replay(&ds, &params, EngineKind::Tgopt(opt), args.batch_size, true);
+        let base = replay(&ds, &params, OptConfig::none(), args.batch_size, true);
+        let ours = replay(&ds, &params, opt, args.batch_size, true);
 
         let mut rows = Vec::new();
         for kind in OpKind::ALL {

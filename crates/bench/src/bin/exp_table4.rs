@@ -4,7 +4,7 @@
 //! limit until the working set fits).
 
 use tg_bench::harness::{self, mean_std};
-use tg_bench::{replay, table, EngineKind, ExpArgs};
+use tg_bench::{replay, table, ExpArgs};
 use tgopt::OptConfig;
 
 fn main() {
@@ -33,7 +33,7 @@ fn main() {
             let mut bytes = 0usize;
             let mut items = 0usize;
             for _ in 0..args.runs {
-                let r = replay(&ds, &params, EngineKind::Tgopt(opt), args.batch_size, false);
+                let r = replay(&ds, &params, opt, args.batch_size, false);
                 times.push(r.seconds);
                 bytes = r.cache_bytes;
                 items = r.cache_items;

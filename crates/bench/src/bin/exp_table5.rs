@@ -3,7 +3,7 @@
 //! engine's exact cache traffic through a V100-class transfer cost model
 //! (see `tgopt::devicesim` and the substitution note in DESIGN.md).
 
-use tg_bench::{harness, replay, table, EngineKind, ExpArgs};
+use tg_bench::{harness, replay, table, ExpArgs};
 use tgopt::devicesim::{simulate_transfers, CostModel, StorePolicy, TransferLedger};
 use tgopt::OptConfig;
 
@@ -25,7 +25,7 @@ fn main() {
         }
         let ds = harness::dataset_for(&args, spec.name);
         let params = harness::params_for(&args, &ds);
-        let run = replay(&ds, &params, EngineKind::Tgopt(opt), args.batch_size, false);
+        let run = replay(&ds, &params, opt, args.batch_size, false);
 
         let row_bytes = params.cfg.dim * 4;
         // Per-batch staged inputs: both feature gathers plus index arrays,

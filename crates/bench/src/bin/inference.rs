@@ -8,9 +8,9 @@
 //! ```
 
 use tg_bench::harness::{self, mean_std};
-use tg_bench::{replay, table, EngineKind, ExpArgs};
+use tg_bench::{replay, table, ExpArgs};
 use tgat::OpKind;
-use tgopt::{OptConfig, TimeCacheKind};
+use tgopt::{OptConfig, TgoptEngine};
 
 struct CliOpts {
     base: ExpArgs,
@@ -19,7 +19,6 @@ struct CliOpts {
     opt_dedup: bool,
     opt_cache: bool,
     opt_time: bool,
-    hash_time_cache: bool,
     stats: bool,
     time_window: usize,
     verify: bool,
@@ -35,7 +34,6 @@ fn parse() -> CliOpts {
         opt_dedup: false,
         opt_cache: false,
         opt_time: false,
-        hash_time_cache: false,
         stats: false,
         time_window: 10_000,
         verify: false,
@@ -62,7 +60,6 @@ fn parse() -> CliOpts {
             "--opt-dedup" => out.opt_dedup = true,
             "--opt-cache" => out.opt_cache = true,
             "--opt-time" => out.opt_time = true,
-            "--hash-time-cache" => out.hash_time_cache = true,
             "--stats" => out.stats = true,
             "--verify" => out.verify = true,
             "--json" => out.json = Some(take("--json")),
@@ -96,20 +93,23 @@ fn parse() -> CliOpts {
 const USAGE: &str = "\
 Usage: inference [-d NAME | --csv PATH] [--opt-all | --opt-dedup --opt-cache --opt-time]
                  [--stats] [--verify] [--json PATH] [--stats-json PATH]
-                 [--time-window N] [--hash-time-cache]
+                 [--time-window N]
                  [--scale F] [--runs N] [--dim N] [--neighbors N] [--batch N]
                  [--cache-limit N] [--seed N]
 
 Runs the standard inference task (chronological batches, both endpoints of
-every edge embedded) with the baseline TGAT engine and, if any --opt-* flag
-is given, the TGOpt engine, reporting runtimes and statistics.
+every edge embedded) with every optimization off (the baseline) and, if any
+--opt-* flag is given, with those optimizations on, reporting runtimes and
+statistics. --verify instead replays every batch with everything off and
+everything on and checks that they agree.
 
 --stats-json writes the unified telemetry snapshot (stable schema shared
 with the serve bench); pass --stats as well to populate its per-stage
 spans.";
 
-/// The paper's §5.1.3 validation: replay every batch through both engines
-/// and report the worst elementwise deviation.
+/// The paper's §5.1.3 validation: replay every batch with every
+/// optimization off and with every optimization on, and report the worst
+/// elementwise deviation.
 fn verify(cli: &CliOpts, ds: &tg_datasets::Dataset, params: &tgat::TgatParams) {
     use tg_graph::{BatchIter, TemporalGraph};
     use tgat::engine::GraphContext;
@@ -119,18 +119,18 @@ fn verify(cli: &CliOpts, ds: &tg_datasets::Dataset, params: &tgat::TgatParams) {
         node_features: &ds.node_features,
         edge_features: &ds.edge_features,
     };
-    let mut base = tgat::BaselineEngine::new(params, ctx);
+    let mut base = TgoptEngine::new(params, ctx, OptConfig::none());
     let opt = OptConfig {
         cache_limit: cli.base.effective_cache_limit(),
         time_window: cli.time_window,
         ..OptConfig::all()
     };
-    let mut ours = tgopt::TgoptEngine::new(params, ctx, opt);
+    let mut ours = TgoptEngine::new(params, ctx, opt);
     let mut worst = 0.0f32;
     let mut batches = 0usize;
     for batch in BatchIter::new(&ds.stream, cli.base.batch_size) {
         let (ns, ts) = batch.targets();
-        let hb = base.embed_batch(&ns, &ts);
+        let hb = base.embed_batch(&ns, &ts).unwrap_or_else(|e| fail("baseline inference", e));
         let ho = ours.embed_batch(&ns, &ts).unwrap_or_else(|e| fail("tgopt inference", e));
         worst = worst.max(hb.max_abs_diff(&ho));
         batches += 1;
@@ -257,7 +257,7 @@ fn main() {
     let mut base_times = Vec::new();
     let mut base_run = None;
     for _ in 0..cli.base.runs {
-        let r = replay(&ds, &params, EngineKind::Baseline, cli.base.batch_size, cli.stats);
+        let r = replay(&ds, &params, OptConfig::none(), cli.base.batch_size, cli.stats);
         base_times.push(r.seconds);
         base_run = Some(r);
     }
@@ -280,17 +280,12 @@ fn main() {
             enable_time_precompute: cli.opt_time,
             cache_limit: cli.base.effective_cache_limit(),
             time_window: cli.time_window,
-            time_cache_kind: if cli.hash_time_cache {
-                TimeCacheKind::Hash
-            } else {
-                TimeCacheKind::DenseWindow
-            },
             ..OptConfig::all()
         };
         let mut opt_times = Vec::new();
         let mut opt_run = None;
         for _ in 0..cli.base.runs {
-            let r = replay(&ds, &params, EngineKind::Tgopt(opt), cli.base.batch_size, cli.stats);
+            let r = replay(&ds, &params, opt, cli.base.batch_size, cli.stats);
             opt_times.push(r.seconds);
             opt_run = Some(r);
         }

@@ -6,15 +6,8 @@ use std::time::Instant;
 use tg_datasets::Dataset;
 use tg_graph::{BatchIter, TemporalGraph};
 use tgat::engine::GraphContext;
-use tgat::{BaselineEngine, OpStats, TgatParams};
+use tgat::{OpStats, TgatParams};
 use tgopt::{EngineCounters, OptConfig, TgoptEngine};
-
-/// Which engine to replay.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum EngineKind {
-    Baseline,
-    Tgopt(OptConfig),
-}
 
 /// Per-batch observations (drive Figures 3 and 7).
 #[derive(Clone, Copy, Debug, Default)]
@@ -57,13 +50,13 @@ pub struct RunResult {
     pub cache_evictions: u64,
     /// Rows dropped because one store call exceeded the whole cache limit.
     pub cache_store_drops: u64,
-    /// Configured cache row capacity (0 for the baseline engine).
+    /// Configured cache row capacity (0 when memoization is off).
     pub cache_limit: usize,
-    /// Time-encoding cache `(hits, misses)` over the run (zeros for the
-    /// baseline engine, which has no time cache).
+    /// Time-encoding cache `(hits, misses)` over the run (zeros when time
+    /// precomputation is off).
     pub time_cache: (u64, u64),
-    /// Embedding checksum (sum of all outputs) — lets callers assert the
-    /// two engines did the same computation.
+    /// Embedding checksum (sum of all outputs) — lets callers assert two
+    /// configurations did the same computation.
     pub checksum: f64,
 }
 
@@ -98,7 +91,8 @@ impl RunResult {
     }
 }
 
-/// Replays the standard inference task over `dataset` with `params`.
+/// Replays the standard inference task over `dataset` with `params` under
+/// `opt` (`OptConfig::none()` is the baseline).
 ///
 /// The temporal graph is built up-front (as in the official TGAT artifact);
 /// the strict `t_j < t` sampling constraint ensures a batch never sees
@@ -106,7 +100,7 @@ impl RunResult {
 pub fn replay(
     dataset: &Dataset,
     params: &TgatParams,
-    kind: EngineKind,
+    opt: OptConfig,
     batch_size: usize,
     collect_stats: bool,
 ) -> RunResult {
@@ -118,75 +112,41 @@ pub fn replay(
     };
     let mut batches = Vec::new();
     let mut checksum = 0.0f64;
-
-    match kind {
-        EngineKind::Baseline => {
-            let mut eng = BaselineEngine::new(params, ctx);
-            if collect_stats {
-                eng.enable_stats();
-            }
-            let start = Instant::now();
-            for batch in BatchIter::new(&dataset.stream, batch_size) {
-                let (ns, ts) = batch.targets();
-                let h = eng.embed_batch(&ns, &ts);
-                checksum += h.as_slice().iter().map(|&v| v as f64).sum::<f64>();
-                batches.push(BatchRecord {
-                    time: batch.edges.last().map_or(0.0, |e| e.time),
-                    ..Default::default()
-                });
-            }
-            RunResult {
-                seconds: start.elapsed().as_secs_f64(),
-                stats: eng.stats().clone(),
-                counters: EngineCounters::default(),
-                batches,
-                cache_bytes: 0,
-                cache_items: 0,
-                cache_evictions: 0,
-                cache_store_drops: 0,
-                cache_limit: 0,
-                time_cache: (0, 0),
-                checksum,
-            }
-        }
-        EngineKind::Tgopt(opt) => {
-            let mut eng = TgoptEngine::new(params, ctx, opt);
-            if collect_stats {
-                eng.enable_stats();
-            }
-            let start = Instant::now();
-            let mut prev = eng.counters();
-            for batch in BatchIter::new(&dataset.stream, batch_size) {
-                let (ns, ts) = batch.targets();
-                let h = eng
-                    .embed_batch(&ns, &ts)
-                    .unwrap_or_else(|e| panic!("tgopt replay failed: {e}"));
-                checksum += h.as_slice().iter().map(|&v| v as f64).sum::<f64>();
-                let now = eng.counters();
-                let delta = now.delta_since(&prev);
-                prev = now;
-                batches.push(BatchRecord {
-                    time: batch.edges.last().map_or(0.0, |e| e.time),
-                    lookups: delta.cache_lookups,
-                    hits: delta.cache_hits,
-                    recomputed: delta.recomputed,
-                });
-            }
-            let seconds = start.elapsed().as_secs_f64();
-            RunResult {
-                seconds,
-                stats: eng.stats().clone(),
-                counters: eng.counters(),
-                cache_bytes: eng.cache().bytes_used(),
-                cache_items: eng.cache().len(),
-                cache_evictions: eng.cache().total_evictions(),
-                cache_store_drops: eng.cache().total_store_dropped(),
-                cache_limit: eng.cache().limit(),
-                time_cache: eng.time_cache_stats(),
-                batches,
-                checksum,
-            }
-        }
+    let mut eng = TgoptEngine::new(params, ctx, opt);
+    if collect_stats {
+        eng.enable_stats();
+    }
+    let start = Instant::now();
+    let mut prev = eng.counters();
+    for batch in BatchIter::new(&dataset.stream, batch_size) {
+        let (ns, ts) = batch.targets();
+        let h = eng
+            .embed_batch(&ns, &ts)
+            .unwrap_or_else(|e| panic!("tgopt replay failed: {e}"));
+        checksum += h.as_slice().iter().map(|&v| v as f64).sum::<f64>();
+        let now = eng.counters();
+        let delta = now.delta_since(&prev);
+        prev = now;
+        batches.push(BatchRecord {
+            time: batch.edges.last().map_or(0.0, |e| e.time),
+            lookups: delta.cache_lookups,
+            hits: delta.cache_hits,
+            recomputed: delta.recomputed,
+        });
+    }
+    let seconds = start.elapsed().as_secs_f64();
+    RunResult {
+        seconds,
+        stats: eng.stats().clone(),
+        counters: eng.counters(),
+        cache_bytes: eng.cache().bytes_used(),
+        cache_items: eng.cache().len(),
+        cache_evictions: eng.cache().total_evictions(),
+        cache_store_drops: eng.cache().total_store_dropped(),
+        cache_limit: if eng.memoization_active() { eng.cache().limit() } else { 0 },
+        time_cache: eng.time_cache_stats(),
+        batches,
+        checksum,
     }
 }
 

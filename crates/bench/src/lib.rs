@@ -11,4 +11,4 @@ pub mod harness;
 pub mod table;
 
 pub use args::ExpArgs;
-pub use harness::{replay, BatchRecord, EngineKind, RunResult};
+pub use harness::{replay, BatchRecord, RunResult};

@@ -2,17 +2,6 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Which time-encoding reuse structure to use (§4.3).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum TimeCacheKind {
-    /// The paper's design: a dense precomputed window of `0..time_window`
-    /// integer deltas; the delta is the index (no lookup cost beyond a copy).
-    DenseWindow,
-    /// Ablation alternative: lazy hash memoization of up to `time_window`
-    /// distinct deltas of any value — broader coverage, costlier lookups.
-    Hash,
-}
-
 /// Which optimizations are active and how the reuse structures are sized.
 ///
 /// The ablation study (Figure 6) enables one optimization at a time via
@@ -39,8 +28,6 @@ pub struct OptConfig {
     /// never an input to another computation, so skipping it reduces memory
     /// (§4.2.2) at a negligible reuse cost.
     pub cache_last_layer: bool,
-    /// Time-encoding reuse structure (dense window is the paper's design).
-    pub time_cache_kind: TimeCacheKind,
 }
 
 impl Default for OptConfig {
@@ -61,12 +48,11 @@ impl OptConfig {
             parallel_lookup: true,
             parallel_store: false,
             cache_last_layer: false,
-            time_cache_kind: TimeCacheKind::DenseWindow,
         }
     }
 
-    /// Everything off — behaves like the baseline (used to validate that the
-    /// optimized engine's plumbing itself is semantics-preserving).
+    /// Everything off — the paper's baseline: the unchanged TGAT recursion
+    /// (Fig. 5's denominator and the first bar of the Fig. 6 ablation).
     pub fn none() -> Self {
         Self {
             enable_dedup: false,
@@ -77,7 +63,6 @@ impl OptConfig {
             parallel_lookup: false,
             parallel_store: false,
             cache_last_layer: false,
-            time_cache_kind: TimeCacheKind::DenseWindow,
         }
     }
 
@@ -100,12 +85,6 @@ impl OptConfig {
     /// Builder-style time window override.
     pub fn with_time_window(mut self, window: usize) -> Self {
         self.time_window = window;
-        self
-    }
-
-    /// Builder-style time-cache kind override.
-    pub fn with_time_cache_kind(mut self, kind: TimeCacheKind) -> Self {
-        self.time_cache_kind = kind;
         self
     }
 }
@@ -136,13 +115,6 @@ mod tests {
         let c = OptConfig::all().with_cache_limit(10).with_time_window(5);
         assert_eq!(c.cache_limit, 10);
         assert_eq!(c.time_window, 5);
-    }
-
-    #[test]
-    fn time_cache_kind_builder() {
-        let c = OptConfig::all().with_time_cache_kind(TimeCacheKind::Hash);
-        assert_eq!(c.time_cache_kind, TimeCacheKind::Hash);
-        assert_eq!(OptConfig::all().time_cache_kind, TimeCacheKind::DenseWindow);
     }
 
     #[test]

@@ -1,16 +1,19 @@
 //! The optimized inference engine (Algorithm 1).
 //!
-//! `TgoptEngine` is a drop-in replacement for `tgat::BaselineEngine`: same
-//! inputs, same outputs within floating-point tolerance, with deduplication,
-//! memoization, and time-encoding precomputation layered in front of the
-//! original computation.
+//! `TgoptEngine` is the one inference recursion. With every optimization
+//! off ([`OptConfig::none`]) it is the paper's baseline — the unchanged TGAT
+//! computation; deduplication, memoization and time-encoding precomputation
+//! each layer in front of it behind their own switch, with outputs equal
+//! within floating-point tolerance. The tape forward
+//! `tgat::train::forward_embeddings` is the independent oracle the tests
+//! hold every configuration to.
 
-use crate::cache::LayerCaches;
-use crate::config::{OptConfig, TimeCacheKind};
+use crate::cache::{EmbedCache, LayerCaches};
+use crate::config::OptConfig;
 use crate::dedup::{dedup_filter, dedup_invert};
 use crate::fingerprint;
 use crate::hash::compute_keys;
-use crate::timecache::{HashTimeCache, TimeCache};
+use crate::timecache::TimeCache;
 use tg_error::TgError;
 use tg_graph::{GraphView, NodeId, SamplingStrategy, TemporalSampler, Time};
 use tg_tensor::fanout::host_cores;
@@ -74,60 +77,6 @@ impl EngineCounters {
     }
 }
 
-/// The configured time-encoding reuse structure (§4.3): either the paper's
-/// dense precomputed window or the hash-memoization alternative (an
-/// ablation of that design choice — see DESIGN.md).
-enum TimeCacheImpl {
-    Dense(TimeCache),
-    Hash { cache: HashTimeCache, zero_row: Vec<f32> },
-}
-
-impl TimeCacheImpl {
-    fn new(encoder: &tgat::TimeEncoder, opt: &OptConfig) -> Self {
-        match opt.time_cache_kind {
-            TimeCacheKind::DenseWindow => {
-                Self::Dense(TimeCache::precompute(encoder, opt.time_window.max(1)))
-            }
-            TimeCacheKind::Hash => Self::Hash {
-                cache: HashTimeCache::new(opt.time_window.max(1)),
-                zero_row: encoder.encode_one(0.0).into_vec(),
-            },
-        }
-    }
-
-    /// Encodes into a caller-provided (scratch-backed) destination so the
-    /// all-hit steady state allocates nothing; misses batch one encoder
-    /// fallback internally.
-    fn encode_into(&mut self, encoder: &tgat::TimeEncoder, dts: &[f32], out: &mut Tensor) {
-        match self {
-            Self::Dense(c) => c.encode_into(encoder, dts, out),
-            Self::Hash { cache, .. } => cache.encode_into(encoder, dts, out),
-        }
-    }
-
-    /// `Phi(0)` broadcast from the ahead-of-time row (both variants
-    /// precompute it once, per §3.3) into a caller-provided destination.
-    /// Every row of `out` is overwritten; allocation-free.
-    fn encode_zeros_into(&self, out: &mut Tensor) {
-        match self {
-            Self::Dense(c) => c.encode_zeros_into(out),
-            Self::Hash { zero_row, .. } => {
-                debug_assert_eq!(out.cols(), zero_row.len());
-                for r in 0..out.rows() {
-                    out.row_mut(r).copy_from_slice(zero_row);
-                }
-            }
-        }
-    }
-
-    fn stats(&self) -> (u64, u64) {
-        match self {
-            Self::Dense(c) => (c.hits(), c.misses()),
-            Self::Hash { cache, .. } => (cache.hits(), cache.misses()),
-        }
-    }
-}
-
 /// TGOpt's redundancy-aware TGAT inference engine.
 pub struct TgoptEngine<'a> {
     params: &'a TgatParams,
@@ -135,7 +84,9 @@ pub struct TgoptEngine<'a> {
     sampler: TemporalSampler,
     opt: OptConfig,
     caches: Arc<LayerCaches>,
-    timecache: TimeCacheImpl,
+    /// §4.3 precomputed window; `None` when `enable_time_precompute` is off,
+    /// so an engine that never reads the window never builds it.
+    timecache: Option<TimeCache>,
     stats: OpStats,
     counters: EngineCounters,
     store_enabled: bool,
@@ -168,7 +119,9 @@ impl<'a> TgoptEngine<'a> {
         opt: OptConfig,
         sampler: TemporalSampler,
     ) -> Self {
-        let timecache = TimeCacheImpl::new(&params.time, &opt);
+        let timecache = opt
+            .enable_time_precompute
+            .then(|| TimeCache::precompute(&params.time, opt.time_window.max(1)));
         Self {
             params,
             ctx,
@@ -262,14 +215,15 @@ impl<'a> TgoptEngine<'a> {
         &self.caches
     }
 
-    /// Hit/miss counters of the time-encoding cache `(hits, misses)`.
+    /// Hit/miss counters of the time-encoding cache `(hits, misses)`;
+    /// `(0, 0)` when time precomputation is off.
     pub fn time_cache_stats(&self) -> (u64, u64) {
-        self.timecache.stats()
+        self.timecache.as_ref().map_or((0, 0), |c| (c.hits(), c.misses()))
     }
 
     /// Hit rate of the time-encoding cache.
     pub fn time_cache_hit_rate(&self) -> f64 {
-        let (h, m) = self.timecache.stats();
+        let (h, m) = self.time_cache_stats();
         if h + m == 0 { 0.0 } else { h as f64 / (h + m) as f64 }
     }
 
@@ -338,9 +292,8 @@ impl<'a> TgoptEngine<'a> {
     }
 
     /// Computes final-layer temporal embeddings for `(ns[i], ts[i])` targets.
-    /// Drop-in equivalent of `BaselineEngine::embed_batch`, except that
-    /// internal cache shape violations surface as [`TgError`] instead of
-    /// aborting the serving thread.
+    /// Returns `[len(ns), dim]`; internal cache shape violations surface as
+    /// [`TgError`] instead of aborting the serving thread.
     // hot-path-root
     pub fn embed_batch(&mut self, ns: &[NodeId], ts: &[Time]) -> Result<Tensor, TgError> {
         if ns.len() != ts.len() {
@@ -355,14 +308,13 @@ impl<'a> TgoptEngine<'a> {
 
     fn embed(&mut self, l: usize, ns: &[NodeId], ts: &[Time]) -> Result<Tensor, TgError> {
         debug_assert_eq!(ns.len(), ts.len());
-        let cfg = &self.params.cfg;
         if l == 0 {
             // Layer 0 only gathers static features; dedup would cost more
             // than the lookup it saves (§4.1).
             return Ok(self.ctx.gather_node_features_with(ns, &mut self.scratch));
         }
         if ns.is_empty() {
-            return Ok(self.scratch.take(0, cfg.dim));
+            return Ok(self.scratch.take(0, self.params.cfg.dim));
         }
 
         // §4.1 DedupFilter.
@@ -377,151 +329,21 @@ impl<'a> TgoptEngine<'a> {
             Some(r) => (&r.ns, &r.ts),
             None => (ns, ts),
         };
-        let n_uniq = uns.len();
-        // Zeroed (not just taken) because a partial cache lookup only fills
-        // hit rows; the scatter below covers the misses.
-        let mut h = self.scratch.zeros(n_uniq, cfg.dim);
 
         // §4.2 memoization — sound only under most-recent sampling, and the
         // last layer is skipped unless configured otherwise. Each cached
         // layer has its own table: keys identify a (node, time) target, not
-        // a layer.
+        // a layer. A layer without one misses every row, so its attention
+        // output is `h` as is: no hit mask, no scatter.
         let caches = Arc::clone(&self.caches);
         let cache_l = if self.memoization_active() { caches.layer(l) } else { None };
-        let (keys, hit_mask) = if let Some(cache) = cache_l {
-            let parallel = self.opt.parallel_lookup;
-            let keys = self
-                .stats
-                .time(OpKind::ComputeKeys, || compute_keys(uns, uts, parallel));
-            let hit_mask = self
-                .stats
-                .time(OpKind::CacheLookup, || cache.lookup(&keys, &mut h, parallel))?;
-            self.counters.cache_lookups += n_uniq as u64;
-            self.counters.cache_hits += hit_mask.iter().filter(|&&m| m).count() as u64;
-            (keys, hit_mask)
-        } else {
-            (Vec::new(), vec![false; n_uniq]) // alloc-ok: cache-disabled fallback; one empty key vec and one bool mask per batch
+        let h = match cache_l {
+            Some(cache) => self.embed_cached(cache, l, uns, uts)?,
+            None => {
+                self.counters.recomputed += uns.len() as u64;
+                self.attend(l, uns, uts)?
+            }
         };
-
-        let miss_idx: Vec<usize> =
-            (0..n_uniq).filter(|&i| !hit_mask[i]).collect(); // alloc-ok: Algorithm 1 miss bookkeeping; shrinks to empty as hit rate rises
-        if !miss_idx.is_empty() {
-            let m_ns: Vec<NodeId> = miss_idx.iter().map(|&i| uns[i]).collect(); // alloc-ok: miss-target ids; variable-size id lists are not poolable f32 scratch
-            let m_ts: Vec<Time> = miss_idx.iter().map(|&i| uts[i]).collect(); // alloc-ok: miss-target times; same per-batch id bookkeeping as m_ns
-
-            let (graph, sampler, view) = (self.ctx.graph, &self.sampler, self.view.as_ref());
-            let nb = self.stats.time(OpKind::NghLookup, || match view {
-                Some(v) => sampler.sample_view(v, &m_ns, &m_ts),
-                None => sampler.sample(graph, &m_ns, &m_ts),
-            });
-
-            let mut all_ns = m_ns.clone();
-            all_ns.extend_from_slice(&nb.nodes);
-            let mut all_ts = m_ts.clone();
-            all_ts.extend_from_slice(&nb.times);
-            let h_prev = self.embed(l - 1, &all_ns, &all_ts)?;
-            let mut h_src = self.scratch.take(m_ns.len(), h_prev.cols());
-            let mut h_ngh = self.scratch.take(nb.nodes.len(), h_prev.cols());
-            ops::split_rows_into(&h_prev, m_ns.len(), &mut h_src, &mut h_ngh);
-            self.scratch.give(h_prev);
-
-            // §4.3 precomputed time encodings — both branches fill
-            // scratch-backed destinations, so a steady-state (all-hit)
-            // batch performs no time-encode allocations.
-            let params = self.params;
-            let time_dim = params.time.dim();
-            let precompute = self.opt.enable_time_precompute;
-            let mut ht0 = self.scratch.take(m_ns.len(), time_dim);
-            {
-                let timecache = &self.timecache;
-                let stats = &mut self.stats;
-                stats.time(OpKind::TimeEncodeZero, || {
-                    if precompute {
-                        timecache.encode_zeros_into(&mut ht0);
-                    } else {
-                        params.time.encode_zeros_into(&mut ht0);
-                    }
-                });
-            }
-            let mut ht = self.scratch.take(nb.dts.len(), time_dim);
-            {
-                let timecache = &mut self.timecache;
-                let stats = &mut self.stats;
-                let helpers = &mut self.helpers[..];
-                stats.time(OpKind::TimeEncodeDt, || {
-                    if precompute {
-                        timecache.encode_into(&params.time, &nb.dts, &mut ht);
-                    } else {
-                        params.time.encode_into_fanned(&nb.dts, &mut ht, helpers);
-                    }
-                });
-            }
-            let (ht0, ht) = (ht0, ht);
-            let mask = nb.mask();
-
-            let layer = &self.params.layers[l - 1];
-            let stats = &mut self.stats;
-            let scratch = &mut self.scratch;
-            let helpers = &mut self.helpers[..];
-            let h_m = stats.time(OpKind::Attention, || {
-                attention::forward_by_eid(
-                    layer,
-                    cfg,
-                    &AttentionInputs {
-                        h_src: &h_src,
-                        ht0: &ht0,
-                        h_ngh: &h_ngh,
-                        e_feat: self.ctx.edge_features,
-                        ht: &ht,
-                        mask: &mask,
-                    },
-                    &nb.eids,
-                    scratch,
-                    helpers,
-                )
-            });
-            self.scratch.give(ht);
-            self.scratch.give(ht0);
-            self.scratch.give(h_ngh);
-            self.scratch.give(h_src);
-
-            if let Some(cache) = cache_l {
-                if self.store_enabled {
-                    let miss_keys: Vec<u64> = miss_idx.iter().map(|&i| keys[i]).collect(); // alloc-ok: Algorithm 3 CacheStore keys; one u64 per recomputed row
-                    let parallel = self.opt.parallel_store;
-                    if l >= 2 {
-                        // Layers >= 2 record each entry's temporal-subgraph
-                        // fingerprint for `EmbedCache::sweep` to validate
-                        // (DESIGN.md "One validity question"). A layer-1
-                        // entry's fingerprint is its key, so plain stores
-                        // record nothing.
-                        let k = cfg.n_neighbors;
-                        let (graph, view) = (self.ctx.graph, self.view.as_ref());
-                        let stats = &mut self.stats;
-                        stats.time(OpKind::CacheStore, || {
-                            let fps = match view {
-                                Some(v) => fingerprint::capture_many(v, k, &m_ns, &m_ts, l - 1),
-                                None => fingerprint::capture_many(graph, k, &m_ns, &m_ts, l - 1),
-                            };
-                            cache.store_with_constraints(&miss_keys, &h_m, fps, parallel)
-                        })?;
-                    } else {
-                        self.stats
-                            .time(OpKind::CacheStore, || cache.store(&miss_keys, &h_m, parallel))?;
-                    }
-                    self.counters.cache_stores += miss_keys.len() as u64;
-                } else {
-                    self.counters.stores_skipped += miss_idx.len() as u64;
-                }
-            }
-            self.counters.recomputed += miss_idx.len() as u64;
-
-            // Copy recomputed rows into their unique-array positions.
-            for (src_row, &dst) in miss_idx.iter().enumerate() {
-                h.row_mut(dst).copy_from_slice(h_m.row(src_row));
-            }
-            self.scratch.give(h_m);
-        }
 
         // §4.1 DedupInvert: expand back to the original batch layout.
         Ok(match &dedup {
@@ -534,6 +356,140 @@ impl<'a> TgoptEngine<'a> {
             None => h,
         })
     }
+
+    /// Layer `l` of unique targets through the layer's cache: look every key
+    /// up, recompute the misses with [`Self::attend`], store them and copy
+    /// them into place (Algorithm 1 with Algorithm 3's lookup and store).
+    fn embed_cached(
+        &mut self,
+        cache: &EmbedCache,
+        l: usize,
+        uns: &[NodeId],
+        uts: &[Time],
+    ) -> Result<Tensor, TgError> {
+        let n_uniq = uns.len();
+        // Zeroed (not just taken) because a partial cache lookup only fills
+        // hit rows; the scatter below covers the misses.
+        let mut h = self.scratch.zeros(n_uniq, self.params.cfg.dim);
+        let parallel = self.opt.parallel_lookup;
+        let keys = self.stats.time(OpKind::ComputeKeys, || compute_keys(uns, uts, parallel));
+        let hit_mask =
+            self.stats.time(OpKind::CacheLookup, || cache.lookup(&keys, &mut h, parallel))?;
+        self.counters.cache_lookups += n_uniq as u64;
+        self.counters.cache_hits += hit_mask.iter().filter(|&&m| m).count() as u64;
+
+        let miss_idx: Vec<usize> =
+            (0..n_uniq).filter(|&i| !hit_mask[i]).collect(); // alloc-ok: Algorithm 1 miss bookkeeping; shrinks to empty as hit rate rises
+        if miss_idx.is_empty() {
+            return Ok(h);
+        }
+        let m_ns: Vec<NodeId> = miss_idx.iter().map(|&i| uns[i]).collect(); // alloc-ok: miss-target ids; variable-size id lists are not poolable f32 scratch
+        let m_ts: Vec<Time> = miss_idx.iter().map(|&i| uts[i]).collect(); // alloc-ok: miss-target times; same per-batch id bookkeeping as m_ns
+        let h_m = self.attend(l, &m_ns, &m_ts)?;
+
+        if self.store_enabled {
+            let miss_keys: Vec<u64> = miss_idx.iter().map(|&i| keys[i]).collect(); // alloc-ok: Algorithm 3 CacheStore keys; one u64 per recomputed row
+            let parallel = self.opt.parallel_store;
+            if l >= 2 {
+                // Layers >= 2 record each entry's temporal-subgraph
+                // fingerprint for `EmbedCache::sweep` to validate (DESIGN.md
+                // "One validity question"). A layer-1 entry's fingerprint is
+                // its key, so plain stores record nothing.
+                let k = self.params.cfg.n_neighbors;
+                let (graph, view) = (self.ctx.graph, self.view.as_ref());
+                self.stats.time(OpKind::CacheStore, || {
+                    let fps = match view {
+                        Some(v) => fingerprint::capture_many(v, k, &m_ns, &m_ts, l - 1),
+                        None => fingerprint::capture_many(graph, k, &m_ns, &m_ts, l - 1),
+                    };
+                    cache.store_with_constraints(&miss_keys, &h_m, fps, parallel)
+                })?;
+            } else {
+                self.stats.time(OpKind::CacheStore, || cache.store(&miss_keys, &h_m, parallel))?;
+            }
+            self.counters.cache_stores += miss_keys.len() as u64;
+        } else {
+            self.counters.stores_skipped += miss_idx.len() as u64;
+        }
+        self.counters.recomputed += miss_idx.len() as u64;
+
+        // Copy recomputed rows into their unique-array positions.
+        for (src_row, &dst) in miss_idx.iter().enumerate() {
+            h.row_mut(dst).copy_from_slice(h_m.row(src_row));
+        }
+        self.scratch.give(h_m);
+        Ok(h)
+    }
+
+    /// One TGAT layer over `ns`/`ts` with nothing reused at this layer:
+    /// sample, embed targets and neighbors together one layer down
+    /// (Algorithm 1 line 12: `Embed(l-1, ns ∪ ns_ngh, ts ∪ ts_ngh)`), encode
+    /// the time deltas and attend. Returns `[ns.len(), dim]`.
+    fn attend(&mut self, l: usize, ns: &[NodeId], ts: &[Time]) -> Result<Tensor, TgError> {
+        let (graph, sampler, view) = (self.ctx.graph, &self.sampler, self.view.as_ref());
+        let nb = self.stats.time(OpKind::NghLookup, || match view {
+            Some(v) => sampler.sample_view(v, ns, ts),
+            None => sampler.sample(graph, ns, ts),
+        });
+
+        let mut all_ns = Vec::with_capacity(ns.len() + nb.nodes.len()); // alloc-ok: per-layer id concatenation; id lists are not poolable f32 scratch
+        all_ns.extend_from_slice(ns);
+        all_ns.extend_from_slice(&nb.nodes);
+        let mut all_ts = Vec::with_capacity(ts.len() + nb.times.len()); // alloc-ok: per-layer time concatenation, same bookkeeping as all_ns
+        all_ts.extend_from_slice(ts);
+        all_ts.extend_from_slice(&nb.times);
+        let h_prev = self.embed(l - 1, &all_ns, &all_ts)?;
+        let mut h_src = self.scratch.take(ns.len(), h_prev.cols());
+        let mut h_ngh = self.scratch.take(nb.nodes.len(), h_prev.cols());
+        ops::split_rows_into(&h_prev, ns.len(), &mut h_src, &mut h_ngh);
+        self.scratch.give(h_prev);
+
+        // §4.3 precomputed time encodings when the window exists, the
+        // encoder otherwise; both fill scratch-backed destinations, so a
+        // steady-state batch performs no time-encode allocations.
+        let params = self.params;
+        let time_dim = params.time.dim();
+        let (stats, timecache) = (&mut self.stats, &mut self.timecache);
+        let mut ht0 = self.scratch.take(ns.len(), time_dim);
+        stats.time(OpKind::TimeEncodeZero, || match timecache {
+            Some(c) => c.encode_zeros_into(&mut ht0),
+            None => params.time.encode_zeros_into(&mut ht0),
+        });
+        let mut ht = self.scratch.take(nb.dts.len(), time_dim);
+        let helpers = &mut self.helpers[..];
+        stats.time(OpKind::TimeEncodeDt, || match timecache {
+            Some(c) => c.encode_into(&params.time, &nb.dts, &mut ht),
+            None => params.time.encode_into_fanned(&nb.dts, &mut ht, helpers),
+        });
+        let mask = nb.mask();
+
+        let layer = &params.layers[l - 1];
+        let cfg = &params.cfg;
+        let scratch = &mut self.scratch;
+        let helpers = &mut self.helpers[..];
+        let out = self.stats.time(OpKind::Attention, || {
+            attention::forward_by_eid(
+                layer,
+                cfg,
+                &AttentionInputs {
+                    h_src: &h_src,
+                    ht0: &ht0,
+                    h_ngh: &h_ngh,
+                    e_feat: self.ctx.edge_features,
+                    ht: &ht,
+                    mask: &mask,
+                },
+                &nb.eids,
+                scratch,
+                helpers,
+            )
+        });
+        self.scratch.give(ht);
+        self.scratch.give(ht0);
+        self.scratch.give(h_ngh);
+        self.scratch.give(h_src);
+        Ok(out)
+    }
 }
 
 #[cfg(test)]
@@ -541,7 +497,8 @@ mod tests {
     use super::*;
     use tg_graph::{EdgeStream, TemporalGraph};
     use tg_tensor::init;
-    use tgat::{BaselineEngine, TgatConfig};
+    use tgat::train::forward_embeddings;
+    use tgat::TgatConfig;
 
     fn world(cfg: TgatConfig, n_nodes: usize, n_edges: usize) -> (TemporalGraph, Tensor, Tensor) {
         let mut srcs = Vec::new();
@@ -560,76 +517,156 @@ mod tests {
         (graph, nf, ef)
     }
 
-    fn assert_matches_baseline(opt: OptConfig) {
+    /// The ablation presets: each stage of Figure 6, each optimization on
+    /// its own, and caching the last layer as well.
+    fn presets() -> [OptConfig; 7] {
+        [
+            OptConfig::none(),
+            OptConfig::cache_only(),
+            OptConfig::cache_dedup(),
+            OptConfig::all(),
+            OptConfig { enable_dedup: true, enable_cache: false, enable_time_precompute: false, ..OptConfig::all() },
+            OptConfig { enable_dedup: false, enable_cache: false, enable_time_precompute: true, ..OptConfig::all() },
+            OptConfig { cache_last_layer: true, ..OptConfig::all() },
+        ]
+    }
+
+    fn assert_matches_oracle(opt: OptConfig) {
         let cfg = TgatConfig::tiny();
         let params = TgatParams::init(cfg, 7).unwrap();
         let (graph, nf, ef) = world(cfg, 12, 80);
         let ctx = GraphContext { graph: &graph, node_features: &nf, edge_features: &ef };
-        let mut base = BaselineEngine::new(&params, ctx);
         let mut tgopt = TgoptEngine::new(&params, ctx, opt);
         // Several batches with heavy duplication and recurring targets.
         for round in 0..4 {
             let t = 40.0 + round as Time * 5.0;
             let ns: Vec<NodeId> = vec![0, 1, 2, 0, 1, 5, 0];
             let ts: Vec<Time> = vec![t, t, t + 1.0, t, t, t, t];
-            let hb = base.embed_batch(&ns, &ts);
+            let hb = forward_embeddings(&params, &ctx, &ns, &ts);
             let ho = tgopt.embed_batch(&ns, &ts).unwrap();
             let diff = hb.max_abs_diff(&ho);
-            assert!(diff < 1e-4, "round {round}: max diff {diff} vs baseline ({opt:?})");
+            assert!(diff < 1e-4, "round {round}: max diff {diff} vs the tape oracle ({opt:?})");
         }
     }
 
     #[test]
     fn all_optimizations_preserve_semantics() {
-        assert_matches_baseline(OptConfig::all());
+        assert_matches_oracle(OptConfig::all());
     }
 
     #[test]
     fn each_ablation_stage_preserves_semantics() {
-        assert_matches_baseline(OptConfig::none());
-        assert_matches_baseline(OptConfig::cache_only());
-        assert_matches_baseline(OptConfig::cache_dedup());
-        assert_matches_baseline(OptConfig { enable_dedup: true, enable_cache: false, enable_time_precompute: false, ..OptConfig::all() });
-        assert_matches_baseline(OptConfig { enable_dedup: false, enable_cache: false, enable_time_precompute: true, ..OptConfig::all() });
-    }
-
-    #[test]
-    fn cache_last_layer_also_preserves_semantics() {
-        assert_matches_baseline(OptConfig { cache_last_layer: true, ..OptConfig::all() });
+        for opt in presets() {
+            assert_matches_oracle(opt);
+        }
     }
 
     #[test]
     fn tiny_cache_limit_preserves_semantics() {
-        assert_matches_baseline(OptConfig::all().with_cache_limit(4));
-        assert_matches_baseline(OptConfig::all().with_time_window(2));
+        assert_matches_oracle(OptConfig::all().with_cache_limit(4));
+        assert_matches_oracle(OptConfig::all().with_time_window(2));
+    }
+
+    /// The keystone: the tape forward is a recursion built from autograd ops
+    /// alone — no `Scratch`, no attention blocks, no fan-out — so agreeing
+    /// with it checks the engine's pooled, blocked, fanned-out path and
+    /// every optimization layered in front of it, at 2 and 3 layers.
+    #[test]
+    fn tape_forward_matches_inference_engine() {
+        for n_layers in [2, 3] {
+            let cfg = TgatConfig { n_layers, ..TgatConfig::tiny() };
+            let params = TgatParams::init(cfg, 4).unwrap();
+            let (graph, nf, ef) = world(cfg, 14, 160);
+            let ctx = GraphContext { graph: &graph, node_features: &nf, edge_features: &ef };
+            // 90 targets, 70 of them unique: two attention blocks at the top
+            // layer even after dedup, several more below.
+            let ns: Vec<NodeId> = (0..90).map(|i| (i * 5 % 14) as NodeId).collect();
+            let ts: Vec<Time> = (0..90).map(|i| 100.0 + (i % 10) as Time).collect();
+            assert!(ns.len() > attention::TARGET_BLOCK);
+            let tape = forward_embeddings(&params, &ctx, &ns, &ts);
+            for opt in presets() {
+                for cores in [1, 2] {
+                    let mut eng = TgoptEngine::new(&params, ctx, opt).with_cores(cores);
+                    // The second pass reads whatever the first one stored.
+                    for pass in 0..2 {
+                        let diff = tape.max_abs_diff(&eng.embed_batch(&ns, &ts).unwrap());
+                        assert!(
+                            diff < 1e-5,
+                            "{n_layers} layers, {cores} cores, pass {pass}: {diff} ({opt:?})"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
-    fn hash_time_cache_preserves_semantics() {
-        use crate::config::TimeCacheKind;
-        assert_matches_baseline(OptConfig::all().with_time_cache_kind(TimeCacheKind::Hash));
-        assert_matches_baseline(
-            OptConfig::all().with_time_cache_kind(TimeCacheKind::Hash).with_time_window(3),
-        );
+    fn batching_does_not_change_results() {
+        // Embedding targets together vs one-by-one must agree: the batched
+        // recursion is semantically a per-target computation, and duplicate
+        // targets get identical rows without dedup.
+        let cfg = TgatConfig::tiny();
+        let params = TgatParams::init(cfg, 2).unwrap();
+        let (graph, nf, ef) = world(cfg, 12, 60);
+        let ctx = GraphContext { graph: &graph, node_features: &nf, edge_features: &ef };
+        let ns: Vec<NodeId> = vec![0, 5, 7, 0];
+        let ts: Vec<Time> = vec![50.0, 44.0, 61.0, 50.0];
+        let mut eng = TgoptEngine::new(&params, ctx, OptConfig::none());
+        let batched = eng.embed_batch(&ns, &ts).unwrap();
+        assert_eq!(batched.row(0), batched.row(3), "duplicate targets");
+        for i in 0..ns.len() {
+            let single = TgoptEngine::new(&params, ctx, OptConfig::none())
+                .embed_batch(&[ns[i]], &[ts[i]])
+                .unwrap();
+            let row = Tensor::from_vec(1, cfg.dim, batched.row(i).to_vec());
+            assert!(single.max_abs_diff(&row) < 1e-4, "target {i} differs");
+        }
+    }
+
+    #[test]
+    fn isolated_node_embeds_without_neighbors() {
+        let cfg = TgatConfig::tiny();
+        let params = TgatParams::init(cfg, 1).unwrap();
+        let (graph, nf, ef) = world(cfg, 10, 20);
+        let ctx = GraphContext { graph: &graph, node_features: &nf, edge_features: &ef };
+        // t=0.5 precedes every edge: all targets have empty neighborhoods.
+        let h = TgoptEngine::new(&params, ctx, OptConfig::none()).embed_batch(&[0], &[0.5]).unwrap();
+        assert!(h.all_finite());
+        assert!(h.max_abs_diff(&forward_embeddings(&params, &ctx, &[0], &[0.5])) < 1e-5);
+    }
+
+    #[test]
+    fn stats_capture_baseline_ops_only() {
+        let cfg = TgatConfig::tiny();
+        let params = TgatParams::init(cfg, 1).unwrap();
+        let (graph, nf, ef) = world(cfg, 10, 50);
+        let ctx = GraphContext { graph: &graph, node_features: &nf, edge_features: &ef };
+        let mut eng = TgoptEngine::new(&params, ctx, OptConfig::none());
+        eng.enable_stats();
+        let _ = eng.embed_batch(&[0, 1], &[30.0, 31.0]).unwrap();
+        let s = eng.stats();
+        assert_eq!(s.count(OpKind::NghLookup), cfg.n_layers as u64);
+        assert_eq!(s.count(OpKind::Attention), cfg.n_layers as u64);
+        for kind in [OpKind::DedupFilter, OpKind::ComputeKeys, OpKind::CacheLookup, OpKind::CacheStore] {
+            assert_eq!(s.count(kind), 0, "{kind:?}");
+        }
     }
 
     #[test]
     fn steady_state_time_encode_is_allocation_free() {
-        use crate::config::TimeCacheKind;
-        for kind in [TimeCacheKind::DenseWindow, TimeCacheKind::Hash] {
+        // Cache and dedup off: every batch re-runs both time-encode stages
+        // (through the window, then through the encoder), and the output
+        // tensor stays scratch-backed so it can be returned to the pool.
+        let precomputed = OptConfig { enable_cache: false, enable_dedup: false, ..OptConfig::all() };
+        for opt in [precomputed, OptConfig::none()] {
             let cfg = TgatConfig::tiny();
             let params = TgatParams::init(cfg, 7).unwrap();
             let (graph, nf, ef) = world(cfg, 12, 80);
             let ctx = GraphContext { graph: &graph, node_features: &nf, edge_features: &ef };
-            // Cache and dedup off: every batch re-runs both time-encode
-            // stages, and the output tensor stays scratch-backed so it can
-            // be returned to the pool.
-            let opt = OptConfig { enable_cache: false, enable_dedup: false, ..OptConfig::all() }
-                .with_time_cache_kind(kind);
             let mut eng = TgoptEngine::new(&params, ctx, opt);
             let ns: Vec<NodeId> = vec![0, 1, 2, 5];
             let ts: Vec<Time> = vec![50.0, 50.0, 51.0, 52.0];
-            // Warm-up: grow the scratch pool and (for Hash) memoize deltas.
+            // Warm-up: grow the scratch pool.
             for _ in 0..3 {
                 let h = eng.embed_batch(&ns, &ts).unwrap();
                 eng.scratch.give(h);
@@ -642,7 +679,7 @@ mod tests {
             assert_eq!(
                 eng.scratch.pooled_capacity(),
                 pooled,
-                "steady-state batches must not allocate scratch blocks ({kind:?})"
+                "steady-state batches must not allocate scratch blocks ({opt:?})"
             );
         }
     }
@@ -658,6 +695,11 @@ mod tests {
         let (h, m) = eng.time_cache_stats();
         assert!(h + m > 0, "time encoder must have been exercised");
         assert!(eng.time_cache_hit_rate() >= 0.0);
+        // With precomputation off no window is built and nothing is counted.
+        let mut none = TgoptEngine::new(&params, ctx, OptConfig::none());
+        assert!(none.timecache.is_none());
+        let _ = none.embed_batch(&[0, 1], &[50.0, 51.0]).unwrap();
+        assert_eq!(none.time_cache_stats(), (0, 0));
     }
 
     #[test]
@@ -729,7 +771,6 @@ mod tests {
         let params = TgatParams::init(cfg, 7).unwrap();
         let (graph, nf, ef) = world(cfg, 12, 80);
         let ctx = GraphContext { graph: &graph, node_features: &nf, edge_features: &ef };
-        let mut base = BaselineEngine::new(&params, ctx);
         let mut eng = TgoptEngine::new(&params, ctx, OptConfig::all());
         assert!(eng.store_enabled());
         eng.set_store_enabled(false);
@@ -738,7 +779,7 @@ mod tests {
         let ns: Vec<NodeId> = vec![0, 1, 2, 0];
         let ts: Vec<Time> = vec![50.0; 4];
         let h = eng.embed_batch(&ns, &ts).unwrap();
-        let hb = base.embed_batch(&ns, &ts);
+        let hb = forward_embeddings(&params, &ctx, &ns, &ts);
         assert!(h.max_abs_diff(&hb) < 1e-4, "degraded mode must stay correct");
 
         let c = eng.counters();

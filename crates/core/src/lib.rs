@@ -1,9 +1,10 @@
 //! **TGOpt** — redundancy-aware optimizations for TGAT inference
 //! (Wang & Mendis, PPoPP 2023).
 //!
-//! TGOpt is a drop-in replacement for the baseline TGAT inference engine
-//! that eliminates three classes of redundant work while producing the same
-//! embeddings within floating-point tolerance:
+//! TGOpt is the TGAT inference recursion with three classes of redundant
+//! work removed, each behind its own switch; with every switch off
+//! ([`OptConfig::none`]) it *is* the baseline, and with any combination on it
+//! produces the same embeddings within floating-point tolerance:
 //!
 //! 1. **Deduplication** ([`dedup`]) — batched edges expand into `(node, time)`
 //!    target pairs with heavy duplication (Table 1 reports up to 96% per
@@ -22,7 +23,9 @@
 //!
 //! [`engine::TgoptEngine`] assembles these into Algorithm 1. Each
 //! optimization can be toggled independently via [`config::OptConfig`] for
-//! the ablation study (Figure 6). [`devicesim`] converts the engine's cache
+//! the ablation study (Figure 6); the independent oracle every configuration
+//! is checked against is `tgat::train::forward_embeddings`, the autograd-tape
+//! forward. [`devicesim`] converts the engine's cache
 //! traffic counters into host/device transfer costs, reproducing the cache
 //! storage-placement analysis (Table 5) without a GPU.
 
@@ -38,8 +41,8 @@ pub mod timecache;
 pub mod train;
 
 pub use cache::{EmbedCache, LayerCaches};
-pub use config::{OptConfig, TimeCacheKind};
+pub use config::OptConfig;
 pub use dedup::{dedup_filter, dedup_invert, DedupResult};
 pub use engine::{EngineCounters, TgoptEngine};
 pub use hash::{pack_key, unpack_key};
-pub use timecache::{HashTimeCache, TimeCache};
+pub use timecache::TimeCache;

@@ -144,137 +144,6 @@ impl TimeCache {
     }
 }
 
-/// Lazily populated hash-table time cache — the ablation alternative to the
-/// dense window.
-///
-/// Where [`TimeCache`] precomputes a contiguous integer window (O(1) lookup,
-/// bounded memory, misses on non-integral or far deltas), this variant
-/// memoizes *any* repeated delta by its exact bit pattern, growing up to
-/// `limit` entries (then serving only what it has). Useful for data whose
-/// deltas repeat but are not small integers; slower per hit than the dense
-/// window (hash vs direct index) — `benches/micro.rs` quantifies the gap.
-#[derive(Clone, Debug, Default)]
-pub struct HashTimeCache {
-    table: rustc_hash::FxHashMap<u32, Box<[f32]>>,
-    limit: usize,
-    hits: u64,
-    misses: u64,
-}
-
-impl HashTimeCache {
-    /// An empty cache holding at most `limit` distinct deltas.
-    pub fn new(limit: usize) -> Self {
-        Self { table: Default::default(), limit: limit.max(1), ..Default::default() }
-    }
-
-    /// Number of memoized deltas.
-    pub fn len(&self) -> usize {
-        self.table.len()
-    }
-
-    /// True if nothing is memoized yet.
-    pub fn is_empty(&self) -> bool {
-        self.table.is_empty()
-    }
-
-    /// Window hit count so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Miss count so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Fraction of deltas served from memory.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
-    /// Encodes a batch of deltas, memoizing newly seen values. Repeats
-    /// *within* one batch are deduplicated too: each distinct missing delta
-    /// is computed once.
-    ///
-    /// # Invariants
-    ///
-    /// - `len() <= limit` holds on return; at the limit, new deltas are
-    ///   still computed for the output but no longer memoized.
-    /// - A memoized row is never overwritten — repeats of a delta serve the
-    ///   originally computed bits.
-    /// - `hits() + misses()` grows by exactly `dts.len()`.
-    pub fn encode(&mut self, encoder: &TimeEncoder, dts: &[f32]) -> Tensor { // alloc-ok: allocating convenience wrapper; the hot path calls encode_into with a scratch destination
-        let mut out = Tensor::zeros(dts.len(), encoder.dim());
-        self.encode_into(encoder, dts, &mut out);
-        out
-    }
-
-    /// Like [`HashTimeCache::encode`], but writes into a caller-provided
-    /// (typically scratch-backed) destination instead of allocating. Every
-    /// row of `out` is overwritten; `out` must have shape
-    /// `(dts.len(), encoder.dim())`.
-    ///
-    /// # Invariants
-    ///
-    /// - Same as [`HashTimeCache::encode`]: `len() <= limit`, memoized
-    ///   rows are never overwritten, and `hits() + misses()` grows by
-    ///   exactly `dts.len()`.
-    /// - Memoization happens in first-seen order, so which deltas survive
-    ///   an at-limit batch is deterministic.
-    pub fn encode_into(&mut self, encoder: &TimeEncoder, dts: &[f32], out: &mut Tensor) {
-        assert_eq!(
-            out.shape(),
-            (dts.len(), encoder.dim()),
-            "time-encode destination shape mismatch"
-        );
-        // rows to fill from the freshly computed block: (out row, block row)
-        let mut fills: Vec<(usize, usize)> = Vec::new(); // alloc-ok: miss bookkeeping; empty once the memo table has seen the working set
-        let mut pending: rustc_hash::FxHashMap<u32, usize> = Default::default();
-        let mut miss_dts: Vec<f32> = Vec::new(); // alloc-ok: distinct missing deltas batched into one fallback encode
-        for (r, &dt) in dts.iter().enumerate() {
-            if let Some(row) = self.table.get(&dt.to_bits()) {
-                out.row_mut(r).copy_from_slice(row);
-                self.hits += 1;
-                continue;
-            }
-            match pending.entry(dt.to_bits()) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    fills.push((r, *e.get())); // alloc-ok: grows only on cache misses
-                    self.hits += 1;
-                }
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    v.insert(miss_dts.len());
-                    fills.push((r, miss_dts.len())); // alloc-ok: grows only on cache misses
-                    miss_dts.push(dt); // alloc-ok: grows only on cache misses
-                    self.misses += 1;
-                }
-            }
-        }
-        if !miss_dts.is_empty() {
-            let computed = encoder.encode(&miss_dts);
-            for &(r, block_row) in &fills {
-                out.row_mut(r).copy_from_slice(computed.row(block_row));
-            }
-            // Memoize in first-seen (`miss_dts` index) order. `pending` is
-            // an FxHashMap whose iteration order is arbitrary, so walking
-            // it here made *which* deltas survive an at-limit batch vary
-            // run to run — nondeterministic hit counters and row
-            // provenance. First-seen order is reproducible.
-            for (block_row, &dt) in miss_dts.iter().enumerate() {
-                if self.table.len() >= self.limit {
-                    break;
-                }
-                self.table.insert(dt.to_bits(), computed.row(block_row).into());
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -328,62 +197,7 @@ mod tests {
     }
 
     #[test]
-    fn hash_cache_memoizes_exact_repeats() {
-        let enc = TimeEncoder::random(4, 2);
-        let mut hc = HashTimeCache::new(100);
-        let dts = [3.5f32, 1e7, 3.5, -2.0, 1e7, 3.5];
-        let out = hc.encode(&enc, &dts);
-        let direct = enc.encode(&dts);
-        assert!(out.max_abs_diff(&direct) < 1e-7);
-        assert_eq!(hc.misses(), 3, "three distinct deltas");
-        assert_eq!(hc.hits(), 3, "three repeats");
-        assert_eq!(hc.len(), 3);
-        assert!(!hc.is_empty());
-        // Second pass is all hits.
-        let out2 = hc.encode(&enc, &dts);
-        assert!(out2.max_abs_diff(&direct) < 1e-7);
-        assert_eq!(hc.misses(), 3);
-    }
-
-    #[test]
-    fn hash_cache_respects_its_limit() {
-        let enc = TimeEncoder::new(2);
-        let mut hc = HashTimeCache::new(2);
-        let dts: Vec<f32> = (0..10).map(|i| i as f32).collect();
-        let out = hc.encode(&enc, &dts);
-        assert!(out.max_abs_diff(&enc.encode(&dts)) < 1e-7);
-        assert_eq!(hc.len(), 2, "stops memoizing at the limit");
-        assert!((hc.hit_rate() - 0.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn hash_cache_memoizes_first_seen_deltas_deterministically() {
-        // Regression: at the limit, memoization used to iterate the
-        // per-batch `pending` FxHashMap, whose order is arbitrary — which
-        // two of the ten deltas survived varied run to run. First-seen
-        // (batch) order is the contract now.
-        let enc = TimeEncoder::new(2);
-        // Reciprocals: distinct bit patterns whose FxHashMap iteration
-        // order differs from insertion order, so the old code picks the
-        // wrong pair.
-        let dts: Vec<f32> = (0..10).map(|i| 1.0 / (i as f32 + 3.0)).collect(); // lint: allow(lossy-cast, small test integers are exact in f32)
-        let fill = || {
-            let mut hc = HashTimeCache::new(2);
-            let _ = hc.encode(&enc, &dts);
-            let mut keys: Vec<u32> = hc.table.keys().copied().collect();
-            keys.sort_unstable();
-            keys
-        };
-        let first = fill();
-        let second = fill();
-        assert_eq!(first, second, "identical fills must memoize identical key sets");
-        let mut expected = vec![dts[0].to_bits(), dts[1].to_bits()];
-        expected.sort_unstable();
-        assert_eq!(first, expected, "the first-seen deltas are the ones memoized");
-    }
-
-    #[test]
-    fn encode_into_matches_encode_for_both_caches() {
+    fn encode_into_matches_encode() {
         let enc = TimeEncoder::random(4, 11);
         let dts = [0.0f32, 3.0, 2.5, 300.0, 3.0];
         let mut window = TimeCache::precompute(&enc, 100);
@@ -394,23 +208,6 @@ mod tests {
         let mut zeros = Tensor::zeros(3, enc.dim());
         window.encode_zeros_into(&mut zeros);
         assert!(zeros.max_abs_diff(&enc.encode_zeros(3)) < 1e-7);
-        let mut hash = HashTimeCache::new(8);
-        let mut dst2 = Tensor::zeros(dts.len(), enc.dim());
-        hash.encode_into(&enc, &dts, &mut dst2);
-        assert!(dst2.max_abs_diff(&direct) < 1e-7);
-        assert_eq!(hash.hits(), 1, "within-batch repeat of 3.0");
-    }
-
-    #[test]
-    fn hash_cache_handles_non_integral_deltas_unlike_window() {
-        let enc = TimeEncoder::random(3, 5);
-        let mut window = TimeCache::precompute(&enc, 100);
-        let mut hash = HashTimeCache::new(100);
-        let dts = [0.25f32, 0.25, 0.25];
-        let _ = window.encode(&enc, &dts);
-        let _ = hash.encode(&enc, &dts);
-        assert_eq!(window.hits(), 0, "window cannot serve fractional deltas");
-        assert_eq!(hash.hits(), 2, "hash serves repeats of any value");
     }
 
     #[test]

@@ -358,7 +358,8 @@ mod tests {
         use tg_graph::{EdgeId, HistorySource};
         use tg_tensor::{init, Tensor};
         use tgat::engine::GraphContext;
-        use tgat::{BaselineEngine, TgatConfig, TgatParams};
+        use tgat::train::forward_embeddings;
+        use tgat::{TgatConfig, TgatParams};
         use tgopt::hash::unpack_key;
         use tgopt::{OptConfig, TgoptEngine};
 
@@ -410,13 +411,13 @@ mod tests {
             }
 
             /// Layer-`l` rows of `keys` recomputed cold over `graph` by the
-            /// independent baseline, on the model's first `l` layers.
+            /// independent tape forward, on the model's first `l` layers.
             fn recompute(&self, graph: &TemporalGraph, l: usize, keys: &[u64]) -> Tensor {
                 let mut params = self.params.clone();
                 params.cfg.n_layers = l;
                 params.layers.truncate(l);
                 let (ns, ts): (Vec<NodeId>, Vec<Time>) = keys.iter().map(|&k| unpack_key(k)).unzip();
-                BaselineEngine::new(&params, self.ctx(graph)).embed_batch(&ns, &ts)
+                forward_embeddings(&params, &self.ctx(graph), &ns, &ts)
             }
 
             /// No live entry of any layer differs from its recomputed row.

@@ -5,11 +5,11 @@ use std::time::{Duration, Instant};
 
 /// The operations of Algorithm 1 that the breakdown analysis times.
 ///
-/// The baseline engine only exercises `NghLookup`, the two `TimeEncode`
-/// variants, and `Attention`; the TGOpt engine additionally reports its
-/// dedup/cache overheads. Every engine reports all nine rows (zeros for
-/// stages it never runs) so the breakdown schema is identical across
-/// engines.
+/// The baseline (every optimization off) only exercises `NghLookup`, the
+/// two `TimeEncode` variants, and `Attention`; TGOpt additionally reports
+/// its dedup/cache overheads. Every configuration reports all nine rows
+/// (zeros for stages it never runs) so the breakdown schema is identical
+/// across them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum OpKind {

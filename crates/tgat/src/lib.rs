@@ -10,11 +10,16 @@
 //! * [`params::TgatParams`] — all learnable weights, with JSON checkpoints.
 //! * [`attention`] — the multi-head temporal attention operator `M`
 //!   implementing Eqs. (4)–(7).
-//! * [`engine::BaselineEngine`] — the unoptimized recursive batched
-//!   inference path (the paper's baseline), instrumented with [`stats`]
-//!   per-operation timers so Table 3 can be reproduced.
+//! * [`engine::GraphContext`] — the graph and feature tables an engine
+//!   reads. The batched inference recursion is `tgopt::TgoptEngine`; with
+//!   every optimization off it is the paper's baseline, timed per operation
+//!   by [`stats`] so Table 3 can be reproduced.
 //! * [`predictor`] / [`train`] — link-prediction decoder and training loop
-//!   (negative sampling + BCE + Adam) used to obtain trained weights.
+//!   (negative sampling + BCE + Adam) used to obtain trained weights. Its
+//!   tape forward ([`train::forward_embeddings`]) is a recursion built from
+//!   autograd ops alone — no scratch pool, no attention blocks, no fan-out —
+//!   and is the independent oracle every inference configuration is tested
+//!   against.
 
 pub mod attention;
 pub mod config;
@@ -26,7 +31,6 @@ pub mod time_encode;
 pub mod train;
 
 pub use config::TgatConfig;
-pub use engine::BaselineEngine;
 pub use params::TgatParams;
 pub use stats::{OpKind, OpStats};
 pub use time_encode::TimeEncoder;

@@ -1,8 +1,8 @@
 //! Per-operation runtime accounting — now provided by `tg-telemetry`.
 //!
 //! The Table-3 span types moved to the workspace-wide telemetry crate so
-//! the baseline engine, the TGOpt engine, and the serving layer all report
-//! the same breakdown schema. `OpStats` remains as a thin alias for the
+//! the inference engine (at every optimization setting) and the serving
+//! layer report the same breakdown schema. `OpStats` remains as a thin alias for the
 //! many existing call sites; new code should use [`tg_telemetry::Recorder`]
 //! directly.
 

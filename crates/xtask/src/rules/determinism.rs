@@ -1,8 +1,9 @@
 //! **L11 `float-determinism`** — order- and NaN-sensitive float patterns.
 //!
 //! The 10k-GPU-hours TGNN evaluation paper (PAPERS.md) documents how
-//! easily reported numbers drift under nondeterminism, and PR-5's
-//! `HashTimeCache` fix showed the same bug class live in this repo: float
+//! easily reported numbers drift under nondeterminism, and a fix to the
+//! since-deleted hash-memoized time cache showed the same bug class live in
+//! this repo (which deltas it kept followed map iteration order): float
 //! results must not depend on hash-iteration order or on `partial_cmp`'s
 //! NaN behavior. Three patterns:
 //!

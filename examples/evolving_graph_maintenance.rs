@@ -12,7 +12,7 @@ use tgopt_repro::datasets;
 use tgopt_repro::graph::{Edge, TemporalGraph};
 use tgopt_repro::tensor::Tensor;
 use tgopt_repro::tgat::engine::GraphContext;
-use tgopt_repro::tgat::{BaselineEngine, TgatConfig, TgatParams};
+use tgopt_repro::tgat::{TgatConfig, TgatParams};
 use tgopt_repro::tgopt::{OptConfig, TgoptEngine};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -64,8 +64,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Sanity: a cold baseline on the grown graph agrees exactly.
-    let mut cold = BaselineEngine::new(&params, ctx);
-    let h_cold = cold.embed_batch(&queries, &qts);
+    let mut cold = TgoptEngine::new(&params, ctx, OptConfig::none());
+    let h_cold = cold.embed_batch(&queries, &qts)?;
     println!(
         "         cached results match a cold baseline within {:.1e}",
         h_grown.max_abs_diff(&h_cold)
@@ -86,8 +86,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let h_after = engine.embed_batch(&queries, &qts)?;
-    let mut fresh = BaselineEngine::new(&params, ctx);
-    let h_fresh = fresh.embed_batch(&queries, &qts);
+    let mut fresh = TgoptEngine::new(&params, ctx, OptConfig::none());
+    let h_fresh = fresh.embed_batch(&queries, &qts)?;
     let diff = h_after.max_abs_diff(&h_fresh);
     println!("         post-delete embeddings match a fresh baseline within {diff:.1e}");
     assert!(diff < 1e-4, "invalidation must restore correctness");

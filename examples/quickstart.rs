@@ -10,7 +10,7 @@ use tgopt_repro::datasets;
 use tgopt_repro::graph::{BatchIter, TemporalGraph};
 use tgopt_repro::tensor::Tensor;
 use tgopt_repro::tgat::engine::GraphContext;
-use tgopt_repro::tgat::{BaselineEngine, TgatConfig, TgatParams};
+use tgopt_repro::tgat::{TgatConfig, TgatParams};
 use tgopt_repro::tgopt::{OptConfig, TgoptEngine};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -56,12 +56,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         edge_features: &data.edge_features,
     };
 
-    let mut baseline = BaselineEngine::new(&params, ctx);
+    // The baseline is the same engine with every optimization off.
+    let mut baseline = TgoptEngine::new(&params, ctx, OptConfig::none());
     let start = Instant::now();
     let mut base_sum = 0.0f64;
     for batch in BatchIter::new(&data.stream, 200) {
         let (ns, ts) = batch.targets();
-        let h = baseline.embed_batch(&ns, &ts);
+        let h = baseline.embed_batch(&ns, &ts)?;
         base_sum += h.as_slice().iter().map(|&v| v as f64).sum::<f64>();
     }
     let base_s = start.elapsed().as_secs_f64();

@@ -9,7 +9,8 @@ use tgopt_repro::datasets::{generate, spec_by_name};
 use tgopt_repro::graph::{BatchIter, TemporalGraph};
 use tgopt_repro::tensor::Tensor;
 use tgopt_repro::tgat::engine::GraphContext;
-use tgopt_repro::tgat::{BaselineEngine, TgatConfig, TgatParams};
+use tgopt_repro::tgat::train::forward_embeddings;
+use tgopt_repro::tgat::{TgatConfig, TgatParams};
 use tgopt_repro::tgopt::{OptConfig, TgoptEngine};
 
 #[test]
@@ -45,10 +46,10 @@ fn threads_sharing_a_cache_produce_correct_embeddings() {
         })
         .collect();
 
-    // Ground truth from the baseline.
+    // Ground truth from the tape forward.
     let expected: Vec<Tensor> = workloads
         .iter()
-        .map(|(ns, ts)| BaselineEngine::new(&params, ctx).embed_batch(ns, ts))
+        .map(|(ns, ts)| forward_embeddings(&params, &ctx, ns, ts))
         .collect();
 
     let seed_engine = TgoptEngine::new(&params, ctx, OptConfig::all());
@@ -80,7 +81,7 @@ fn threads_sharing_a_cache_produce_correct_embeddings() {
 
     for (i, (got, want)) in results.iter().zip(&expected).enumerate() {
         let diff = got.max_abs_diff(want);
-        assert!(diff < 1e-4, "thread {i}: max diff {diff} vs baseline");
+        assert!(diff < 1e-4, "thread {i}: max diff {diff} vs the tape forward");
     }
     assert!(!shared.is_empty(), "threads populated the shared cache");
     assert!(shared.len() <= shared.limit());

@@ -1,30 +1,30 @@
 //! Determinism: everything in the pipeline is reproducible from seeds —
-//! generation, initialization, and both engines — at every fan-out width:
-//! helper threads only partition rows and never reorder an accumulation.
+//! generation, initialization, and the engine at every optimization
+//! setting — at every fan-out width: helper threads only partition rows and
+//! never reorder an accumulation.
 
-use tgopt_repro::datasets::{generate, spec_by_name};
+use tgopt_repro::datasets::{generate, spec_by_name, Dataset};
 use tgopt_repro::graph::{BatchIter, TemporalGraph};
 use tgopt_repro::tensor::fanout::host_cores;
 use tgopt_repro::tensor::Tensor;
 use tgopt_repro::tgat::attention::TARGET_BLOCK;
 use tgopt_repro::tgat::engine::GraphContext;
-use tgopt_repro::tgat::{BaselineEngine, TgatConfig, TgatParams};
+use tgopt_repro::tgat::train::forward_embeddings;
+use tgopt_repro::tgat::{TgatConfig, TgatParams};
 use tgopt_repro::tgopt::{OptConfig, TgoptEngine};
 
-fn full_replay(seed: u64, opt: Option<OptConfig>) -> Vec<f32> {
+fn full_replay(seed: u64, opt: OptConfig) -> Vec<f32> {
     replay(seed, opt, 100)
 }
 
 /// Replays the whole stream in batches of `batch` edges (`2 * batch`
 /// targets, so `2 * batch * (1 + n_neighbors)` layer-1 targets when nothing
 /// is deduplicated or cached), on the host's cores.
-fn replay(seed: u64, opt: Option<OptConfig>, batch: usize) -> Vec<f32> {
+fn replay(seed: u64, opt: OptConfig, batch: usize) -> Vec<f32> {
     replay_on(host_cores(), seed, opt, batch)
 }
 
-/// [`replay`] with the engine's core count pinned, so 2 and 3 run real
-/// helper threads even on a one-core runner.
-fn replay_on(cores: usize, seed: u64, opt: Option<OptConfig>, batch: usize) -> Vec<f32> {
+fn world(seed: u64) -> (Dataset, TgatParams, TemporalGraph, Tensor) {
     let spec = spec_by_name("snap-email").unwrap();
     let data = generate(&spec, 0.004, seed).unwrap();
     let cfg = TgatConfig {
@@ -38,88 +38,106 @@ fn replay_on(cores: usize, seed: u64, opt: Option<OptConfig>, batch: usize) -> V
     let params = TgatParams::init(cfg, seed).unwrap();
     let graph = TemporalGraph::from_stream(&data.stream);
     let node_features = Tensor::zeros(data.stream.num_nodes(), cfg.dim);
+    (data, params, graph, node_features)
+}
+
+/// [`replay`] with the engine's core count pinned, so 2 and 3 run real
+/// helper threads even on a one-core runner.
+fn replay_on(cores: usize, seed: u64, opt: OptConfig, batch: usize) -> Vec<f32> {
+    let (data, params, graph, node_features) = world(seed);
+    let ctx = GraphContext {
+        graph: &graph,
+        node_features: &node_features,
+        edge_features: &data.edge_features,
+    };
+    let mut eng = TgoptEngine::new(&params, ctx, opt).with_cores(cores);
+    let mut out = Vec::new();
+    for batch in BatchIter::new(&data.stream, batch) {
+        let (ns, ts) = batch.targets();
+        out.extend_from_slice(eng.embed_batch(&ns, &ts).unwrap().as_slice());
+    }
+    out
+}
+
+/// The same replay through the independent tape forward.
+fn tape_replay(seed: u64, batch: usize) -> Vec<f32> {
+    let (data, params, graph, node_features) = world(seed);
     let ctx = GraphContext {
         graph: &graph,
         node_features: &node_features,
         edge_features: &data.edge_features,
     };
     let mut out = Vec::new();
-    match opt {
-        None => {
-            let mut eng = BaselineEngine::new(&params, ctx).with_cores(cores);
-            for batch in BatchIter::new(&data.stream, batch) {
-                let (ns, ts) = batch.targets();
-                out.extend_from_slice(eng.embed_batch(&ns, &ts).as_slice());
-            }
-        }
-        Some(opt) => {
-            let mut eng = TgoptEngine::new(&params, ctx, opt).with_cores(cores);
-            for batch in BatchIter::new(&data.stream, batch) {
-                let (ns, ts) = batch.targets();
-                out.extend_from_slice(eng.embed_batch(&ns, &ts).unwrap().as_slice());
-            }
-        }
+    for batch in BatchIter::new(&data.stream, batch) {
+        let (ns, ts) = batch.targets();
+        out.extend_from_slice(forward_embeddings(&params, &ctx, &ns, &ts).as_slice());
     }
     out
 }
 
+fn max_drift(a: &[f32], b: &[f32]) -> f32 {
+    assert_eq!(a.len(), b.len());
+    a.iter().zip(b).map(|(x, y)| (x - y).abs()).fold(0.0f32, f32::max)
+}
+
 #[test]
 fn baseline_replay_is_bitwise_deterministic() {
-    assert_eq!(full_replay(11, None), full_replay(11, None));
+    let none = OptConfig::none();
+    assert_eq!(full_replay(11, none), full_replay(11, none));
 }
 
 #[test]
 fn tgopt_replay_is_bitwise_deterministic() {
     let opt = OptConfig::all();
-    assert_eq!(full_replay(11, Some(opt)), full_replay(11, Some(opt)));
+    assert_eq!(full_replay(11, opt), full_replay(11, opt));
 }
 
 #[test]
 fn parallel_flags_do_not_change_bits() {
     let par = OptConfig { parallel_lookup: true, parallel_store: true, ..OptConfig::all() };
     let seq = OptConfig { parallel_lookup: false, parallel_store: false, ..OptConfig::all() };
-    assert_eq!(full_replay(11, Some(par)), full_replay(11, Some(seq)));
+    assert_eq!(full_replay(11, par), full_replay(11, seq));
 }
 
 #[test]
 fn replays_spanning_many_attention_blocks_agree_across_engines() {
     // 300 edges -> 600 targets (10 attention blocks at layer 2) -> 3000
-    // layer-1 targets (47 blocks, the last ragged) through the baseline
-    // and the all-off engine; dedup and the cache shrink and reshuffle the
-    // blocks of the all-on engine. Block boundaries must not show in any
-    // of them.
+    // layer-1 targets (47 blocks, the last ragged) through the all-off
+    // engine; dedup and the cache shrink and reshuffle the blocks of the
+    // all-on engine. Block boundaries must not show in either, and the
+    // all-off engine must agree with the tape forward, which has no blocks.
     let batch = 300;
     assert!(2 * batch * (1 + 4) > 8 * TARGET_BLOCK);
-    let base = replay(11, None, batch);
-    assert_eq!(base, replay(11, None, batch));
-    assert_eq!(base, replay(11, Some(OptConfig::none()), batch), "all-off engine is the baseline, bit for bit");
-    let all = replay(11, Some(OptConfig::all()), batch);
-    assert_eq!(all, replay(11, Some(OptConfig::all()), batch));
-    assert_eq!(all.len(), base.len());
-    let drift = all.iter().zip(&base).map(|(a, b)| (a - b).abs()).fold(0.0f32, f32::max);
-    assert!(drift <= 1e-5, "all-on engine drifted {drift} from the baseline");
+    let base = replay(11, OptConfig::none(), batch);
+    let drift = max_drift(&base, &tape_replay(11, batch));
+    assert!(drift <= 1e-5, "all-off engine drifted {drift} from the tape forward");
+    let all = replay(11, OptConfig::all(), batch);
+    assert_eq!(all, replay(11, OptConfig::all(), batch));
+    let drift = max_drift(&all, &base);
+    assert!(drift <= 1e-5, "all-on engine drifted {drift} from the all-off engine");
 }
 
 #[test]
 fn fan_out_width_does_not_change_bits() {
     // The same 300-edge-batch replay (47 layer-1 blocks, 6 time-encode
-    // chunks, 10 layer-2 blocks) at widths 1, 2 and 3: the baseline and the
-    // all-off engine bit for bit; the all-on engine, whose dense time window
-    // is not bit-equal to `cos`, within the paper's 1e-5 of the baseline.
+    // chunks, 10 layer-2 blocks) at widths 1, 2 and 3: the all-off engine
+    // bit for bit; the all-on engine, whose dense time window is not
+    // bit-equal to `cos`, bit for bit against itself and within the paper's
+    // 1e-5 of the all-off engine.
     let batch = 300;
-    let base = replay_on(1, 11, None, batch);
-    assert_eq!(base, replay(11, None, batch), "host width");
+    let none = OptConfig::none();
+    let base = replay_on(1, 11, none, batch);
+    assert_eq!(base, replay(11, none, batch), "host width");
     for cores in [2, 3] {
-        assert_eq!(base, replay_on(cores, 11, None, batch), "baseline, {cores} cores");
-        assert_eq!(base, replay_on(cores, 11, Some(OptConfig::none()), batch), "all-off, {cores} cores");
-        let all = replay_on(cores, 11, Some(OptConfig::all()), batch);
-        assert_eq!(all, replay_on(1, 11, Some(OptConfig::all()), batch), "all-on, {cores} cores");
-        let drift = all.iter().zip(&base).map(|(a, b)| (a - b).abs()).fold(0.0f32, f32::max);
-        assert!(drift <= 1e-5, "all-on engine at {cores} cores drifted {drift} from the baseline");
+        assert_eq!(base, replay_on(cores, 11, none, batch), "all-off, {cores} cores");
+        let all = replay_on(cores, 11, OptConfig::all(), batch);
+        assert_eq!(all, replay_on(1, 11, OptConfig::all(), batch), "all-on, {cores} cores");
+        let drift = max_drift(&all, &base);
+        assert!(drift <= 1e-5, "all-on engine at {cores} cores drifted {drift} from all-off");
     }
 }
 
 #[test]
 fn different_seeds_produce_different_embeddings() {
-    assert_ne!(full_replay(11, None), full_replay(12, None));
+    assert_ne!(full_replay(11, OptConfig::none()), full_replay(12, OptConfig::none()));
 }

@@ -6,7 +6,8 @@ use tgopt_repro::datasets::{generate, spec_by_name};
 use tgopt_repro::graph::TemporalGraph;
 use tgopt_repro::tensor::Tensor;
 use tgopt_repro::tgat::engine::GraphContext;
-use tgopt_repro::tgat::{BaselineEngine, TgatConfig, TgatParams};
+use tgopt_repro::tgat::train::forward_embeddings;
+use tgopt_repro::tgat::{TgatConfig, TgatParams};
 use tgopt_repro::tgopt::{OptConfig, TgoptEngine};
 
 fn cfg(edge_dim: usize) -> TgatConfig {
@@ -52,8 +53,8 @@ fn additions_preserve_cached_results_and_reuse() {
     assert_eq!(delta.cache_hits, delta.cache_lookups);
     assert_eq!(delta.cache_stores, 0);
 
-    // And the cold baseline on the grown graph agrees.
-    let hb = BaselineEngine::new(&params, ctx).embed_batch(&ns, &ts);
+    // And the cold tape forward on the grown graph agrees.
+    let hb = forward_embeddings(&params, &ctx, &ns, &ts);
     assert!(hb.max_abs_diff(&h_after) < 1e-4);
 }
 
@@ -91,10 +92,10 @@ fn deletion_with_invalidation_matches_fresh_baseline() {
     eng.invalidate_node(victim.src);
     eng.invalidate_node(victim.dst);
     let h_opt = eng.embed_batch(&ns, &ts).unwrap();
-    let h_base = BaselineEngine::new(&params, ctx).embed_batch(&ns, &ts);
+    let h_base = forward_embeddings(&params, &ctx, &ns, &ts);
     assert!(
         h_opt.max_abs_diff(&h_base) < 1e-4,
-        "deletion + invalidation must match a fresh baseline"
+        "deletion + invalidation must match a fresh recomputation"
     );
 }
 
@@ -138,7 +139,7 @@ fn deep_model_deletion_needs_multi_hop_invalidation() {
     assert!(removed > 0);
 
     let h_opt = eng.embed_batch(&ns, &ts).unwrap();
-    let h_base = BaselineEngine::new(&params, ctx).embed_batch(&ns, &ts);
+    let h_base = forward_embeddings(&params, &ctx, &ns, &ts);
     assert!(
         h_opt.max_abs_diff(&h_base) < 1e-4,
         "multi-hop invalidation must restore correctness for a 3-layer model"
@@ -174,7 +175,7 @@ fn deletion_without_invalidation_can_go_stale() {
     let ctx = GraphContext { graph: &graph, node_features: &node_features, edge_features: &data.edge_features };
     let mut stale = TgoptEngine::with_cache(&params, ctx, OptConfig::all(), cache, counters);
     let h_stale = stale.embed_batch(&ns, &ts).unwrap();
-    let h_fresh = BaselineEngine::new(&params, ctx).embed_batch(&ns, &ts);
+    let h_fresh = forward_embeddings(&params, &ctx, &ns, &ts);
 
     // The uncached top layer re-samples the mutated graph, but the cached
     // layer-1 embedding of (src, t) still reflects pre-deletion history, so

@@ -1,5 +1,5 @@
-//! Equivalence and caching behavior across model depths: TGOpt must remain
-//! a drop-in replacement for 1-layer (no cached layers at all by default)
+//! Equivalence and caching behavior across model depths: TGOpt must match
+//! the tape forward for 1-layer (no cached layers at all by default)
 //! and 3-layer (two cached layers, which exercises the per-layer cache
 //! tables) configurations.
 
@@ -7,7 +7,8 @@ use tgopt_repro::datasets::{generate, spec_by_name};
 use tgopt_repro::graph::{BatchIter, TemporalGraph};
 use tgopt_repro::tensor::Tensor;
 use tgopt_repro::tgat::engine::GraphContext;
-use tgopt_repro::tgat::{BaselineEngine, TgatConfig, TgatParams};
+use tgopt_repro::tgat::train::forward_embeddings;
+use tgopt_repro::tgat::{TgatConfig, TgatParams};
 use tgopt_repro::tgopt::{OptConfig, TgoptEngine};
 
 fn run_depth(n_layers: usize, opt: OptConfig) -> (f64, f64, u64) {
@@ -29,7 +30,6 @@ fn run_depth(n_layers: usize, opt: OptConfig) -> (f64, f64, u64) {
         node_features: &node_features,
         edge_features: &data.edge_features,
     };
-    let mut base = BaselineEngine::new(&params, ctx);
     let mut ours = TgoptEngine::new(&params, ctx, opt);
     let mut sum_b = 0.0f64;
     let mut sum_o = 0.0f64;
@@ -38,7 +38,7 @@ fn run_depth(n_layers: usize, opt: OptConfig) -> (f64, f64, u64) {
     for pass in 0..2 {
         for batch in BatchIter::new(&data.stream, 100) {
             let (ns, ts) = batch.targets();
-            let hb = base.embed_batch(&ns, &ts);
+            let hb = forward_embeddings(&params, &ctx, &ns, &ts);
             let ho = ours.embed_batch(&ns, &ts).unwrap();
             assert!(
                 hb.max_abs_diff(&ho) < 1e-4,

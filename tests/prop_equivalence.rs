@@ -1,12 +1,13 @@
 //! The heavyweight property: on *arbitrary* random dynamic graphs, batch
 //! compositions, and optimization configurations, TGOpt's embeddings equal
-//! the baseline's within floating-point tolerance.
+//! the tape forward's within floating-point tolerance.
 
 use proptest::prelude::*;
 use tgopt_repro::graph::{Edge, EdgeStream, TemporalGraph};
 use tgopt_repro::tensor::init;
 use tgopt_repro::tgat::engine::GraphContext;
-use tgopt_repro::tgat::{BaselineEngine, TgatConfig, TgatParams};
+use tgopt_repro::tgat::train::forward_embeddings;
+use tgopt_repro::tgat::{TgatConfig, TgatParams};
 use tgopt_repro::tgopt::{OptConfig, TgoptEngine};
 
 #[derive(Debug, Clone)]
@@ -86,7 +87,6 @@ proptest! {
             edge_features: &edge_features,
         };
 
-        let mut base = BaselineEngine::new(&params, ctx);
         let mut ours = TgoptEngine::new(&params, ctx, opt_for(s.opt_variant, s.cache_limit));
 
         // Feed the queries in three chunks so the cache sees repeat targets.
@@ -98,7 +98,7 @@ proptest! {
             if lo >= hi {
                 continue;
             }
-            let hb = base.embed_batch(&ns[lo..hi], &ts[lo..hi]);
+            let hb = forward_embeddings(&params, &ctx, &ns[lo..hi], &ts[lo..hi]);
             let ho = ours.embed_batch(&ns[lo..hi], &ts[lo..hi]).unwrap();
             let diff = hb.max_abs_diff(&ho);
             prop_assert!(diff < 1e-4, "chunk {chunk}: diff {diff} with {:?}", s);

@@ -15,7 +15,8 @@ use tgopt_repro::serve::{ModelBundle, ServeConfig, TgServer};
 use tgopt_repro::tensor::fanout::host_cores;
 use tgopt_repro::tensor::Tensor;
 use tgopt_repro::tgat::engine::GraphContext;
-use tgopt_repro::tgat::{BaselineEngine, TgatConfig, TgatParams};
+use tgopt_repro::tgat::train::forward_embeddings;
+use tgopt_repro::tgat::{TgatConfig, TgatParams};
 use tgopt_repro::tgopt::{OptConfig, TgoptEngine};
 
 fn bundle() -> (Arc<ModelBundle>, usize) {
@@ -97,7 +98,7 @@ fn invalidation_racing_with_traffic_keeps_values_and_accounting_correct() {
             node_features: &bundle.node_features,
             edge_features: &bundle.edge_features,
         };
-        BaselineEngine::new(&bundle.params, ctx).embed_batch(&ns, &ts)
+        forward_embeddings(&bundle.params, &ctx, &ns, &ts)
     };
 
     let cfg = ServeConfig::default().with_workers(3).with_queue_capacity(4096);

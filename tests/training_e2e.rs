@@ -1,12 +1,12 @@
 //! End-to-end training pipeline: train on a synthetic dataset, checkpoint,
-//! reload, and serve through both engines with identical results.
+//! reload, and serve through the engine with the tape forward's results.
 
 use tgopt_repro::datasets::{generate, spec_by_name};
 use tgopt_repro::graph::TemporalGraph;
 use tgopt_repro::tensor::Tensor;
 use tgopt_repro::tgat::engine::GraphContext;
-use tgopt_repro::tgat::train::{train, TrainConfig};
-use tgopt_repro::tgat::{BaselineEngine, TgatConfig, TgatParams};
+use tgopt_repro::tgat::train::{forward_embeddings, train, TrainConfig};
+use tgopt_repro::tgat::{TgatConfig, TgatParams};
 use tgopt_repro::tgopt::{OptConfig, TgoptEngine};
 
 #[test]
@@ -36,7 +36,7 @@ fn train_checkpoint_and_serve() {
     let loaded = TgatParams::load(&path).unwrap();
     std::fs::remove_file(&path).ok();
 
-    // Serve with trained weights through both engines; outputs must agree.
+    // Serve with trained weights; the engine must agree with the tape.
     let graph = TemporalGraph::from_stream(&data.stream);
     let ctx = GraphContext {
         graph: &graph,
@@ -46,9 +46,9 @@ fn train_checkpoint_and_serve() {
     let t = data.stream.max_time() + 5.0;
     let ns: Vec<u32> = data.stream.edges().iter().take(30).map(|e| e.src).collect();
     let ts = vec![t; ns.len()];
-    let hb = BaselineEngine::new(&loaded, ctx).embed_batch(&ns, &ts);
+    let hb = forward_embeddings(&loaded, &ctx, &ns, &ts);
     let ho = TgoptEngine::new(&loaded, ctx, OptConfig::all()).embed_batch(&ns, &ts).unwrap();
-    assert!(hb.max_abs_diff(&ho) < 1e-4, "trained-weight serving must agree across engines");
+    assert!(hb.max_abs_diff(&ho) < 1e-4, "trained-weight serving must agree with the tape forward");
     assert!(hb.all_finite());
 }
 
