@@ -173,22 +173,6 @@ pub fn params_for(args: &crate::ExpArgs, dataset: &Dataset) -> TgatParams {
         .unwrap_or_else(|e| panic!("invalid model configuration: {e}"))
 }
 
-/// Nearest-rank percentile of an ascending-sorted series: the smallest
-/// element with at least `p`% of the data at or below it (1-based rank
-/// `ceil(p/100 · n)`).
-///
-/// Replaces a `.round()` on `(p/100)·(n-1)`, which is neither
-/// nearest-rank nor linear interpolation and biases small samples — e.g.
-/// it reported the 2nd of 2 values as p50 and the 66th of 67 values as
-/// p99 (the true nearest-rank p99 of 67 values is the maximum).
-pub fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((p / 100.0).clamp(0.0, 1.0) * sorted.len() as f64).ceil().max(1.0) as usize;
-    sorted[rank.min(sorted.len()) - 1]
-}
-
 /// Mean and sample standard deviation of a series.
 pub fn mean_std(xs: &[f64]) -> (f64, f64) {
     if xs.is_empty() {
@@ -210,44 +194,3 @@ pub fn geomean(xs: &[f64]) -> f64 {
     (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
 }
 
-#[cfg(test)]
-mod tests {
-    use super::percentile;
-
-    #[test]
-    fn percentile_is_exact_nearest_rank() {
-        // n = 1: every percentile is the single sample.
-        assert_eq!(percentile(&[7.0], 50.0), 7.0);
-        assert_eq!(percentile(&[7.0], 99.0), 7.0);
-        // n = 2: p50 rank = ceil(0.5·2) = 1 -> first; p51+ -> second. The
-        // old rounding reported the *second* value as p50.
-        assert_eq!(percentile(&[1.0, 2.0], 50.0), 1.0);
-        assert_eq!(percentile(&[1.0, 2.0], 51.0), 2.0);
-        assert_eq!(percentile(&[1.0, 2.0], 99.0), 2.0);
-        // n = 100 (values 1..=100): rank p = ceil(p) -> the p-th value.
-        let v100: Vec<f64> = (1..=100).map(f64::from).collect();
-        assert_eq!(percentile(&v100, 50.0), 50.0);
-        assert_eq!(percentile(&v100, 95.0), 95.0);
-        assert_eq!(percentile(&v100, 99.0), 99.0);
-        assert_eq!(percentile(&v100, 100.0), 100.0);
-        // n = 101 (values 1..=101): p99 rank = ceil(99.99) = 100.
-        let v101: Vec<f64> = (1..=101).map(f64::from).collect();
-        assert_eq!(percentile(&v101, 50.0), 51.0);
-        assert_eq!(percentile(&v101, 99.0), 100.0);
-        // Degenerate inputs stay total: empty -> 0, p clamped to [0, 100].
-        assert_eq!(percentile(&[], 99.0), 0.0);
-        assert_eq!(percentile(&v100, 0.0), 1.0);
-        assert_eq!(percentile(&v100, 150.0), 100.0);
-    }
-
-    #[test]
-    fn percentile_agrees_with_brute_force_rank() {
-        for n in [1usize, 2, 3, 5, 67, 100, 101, 1000] {
-            let xs: Vec<f64> = (1..=n).map(|i| i as f64).collect();
-            for p in [1.0, 10.0, 50.0, 90.0, 95.0, 99.0, 99.9] {
-                let rank = ((p / 100.0) * n as f64).ceil().max(1.0) as usize;
-                assert_eq!(percentile(&xs, p), xs[rank.min(n) - 1], "n={n} p={p}");
-            }
-        }
-    }
-}

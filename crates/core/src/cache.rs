@@ -358,8 +358,14 @@ impl EmbedCache {
         let insert_one = |key: u64, row: &[f32], constraint: Box<[u64]>| -> Option<(u64, u64)> {
             let added = constraint.len();
             let row: Box<[f32]> = row.into();
-            let (stamp, old) =
-                self.shards[shard_of(key)].write().insert(key, row, constraint, &self.next_stamp);
+            let mut shard = self.shards[shard_of(key)].write();
+            let (stamp, old) = shard.insert(key, row, constraint, &self.next_stamp);
+            // Charged before the shard lock is released: a concurrent sweep
+            // can remove this entry, and subtract it, only after that, so
+            // `count` and `constraint_words` never dip below zero.
+            if old.is_none() {
+                self.count.fetch_add(1, Ordering::Relaxed);
+            }
             let dropped = old.as_ref().map_or(0, |e| e.constraint.len());
             if added > 0 {
                 self.constraint_words.fetch_add(added, Ordering::Relaxed);
@@ -367,6 +373,7 @@ impl EmbedCache {
             if dropped > 0 {
                 self.constraint_words.fetch_sub(dropped, Ordering::Relaxed);
             }
+            drop(shard);
             old.is_none().then_some((key, stamp))
         };
         // Constrained stores stay sequential so each fingerprint moves by
@@ -408,7 +415,6 @@ impl EmbedCache {
             return;
         }
         self.inserted.fetch_add(fresh.len() as u64, Ordering::Relaxed);
-        self.count.fetch_add(fresh.len(), Ordering::Relaxed);
         let mut fifo = self.fifo.lock();
         fifo.extend(fresh); // alloc-ok: FIFO admission grows the queue by the fresh keys just inserted — bounded by the batch
         // Concurrent stores may each have passed the pre-insert capacity

@@ -134,16 +134,17 @@ pub fn all_specs() -> Vec<DatasetSpec> {
 }
 
 /// Synthetic datasets that are *not* part of the paper's evaluation —
-/// sized for the sharded-serving scaling bench rather than Table 2
-/// fidelity. Kept out of [`all_specs`] so the `exp_*` reproduction
-/// binaries keep iterating exactly the paper's seven datasets.
+/// sized as a scale gate (served ≡ direct ≡ tape forward on a graph far
+/// larger than the toy fixtures) rather than for Table 2 fidelity. Kept
+/// out of [`all_specs`] so the `exp_*` reproduction binaries keep
+/// iterating exactly the paper's seven datasets.
 ///
 /// `synth-shard`: a ≥100k-node homogeneous graph. The Zipf exponent is
 /// deliberately flatter than the SNAP graphs (0.9) so that at full scale
-/// the generator actually touches ~93% of the 131,072 ids — a sharded
-/// server is only interesting when ownership spreads over many nodes.
-/// `edge_dim` is small (8) to keep the 1.2M-edge feature matrix tens of
-/// megabytes instead of the ~480MB a 100-dim substitute would cost.
+/// the generator actually touches ~93% of the 131,072 ids — a scale gate
+/// only tests scale when queries spread over many nodes. `edge_dim` is
+/// small (8) to keep the 1.2M-edge feature matrix tens of megabytes
+/// instead of the ~480MB a 100-dim substitute would cost.
 pub fn synthetic_specs() -> Vec<DatasetSpec> {
     vec![DatasetSpec {
         name: "synth-shard",

@@ -18,7 +18,6 @@ use crate::ingest::{sweep_insert, IngestEvent, IngestSync};
 use crate::queue::BoundedQueue;
 use crate::relock;
 use crate::request::{Request, Slot, Ticket};
-use crate::shard::ShardScope;
 use crate::stats::{ServeCounters, ServeStats};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -42,8 +41,8 @@ pub struct ModelBundle {
     /// Trained TGAT parameters.
     pub params: TgatParams,
     /// The temporal graph being served, frozen and `Arc`-shared so a
-    /// sharded deployment pays for the (large, immutable) T-CSR once no
-    /// matter how many per-shard `LiveGraph` delta views sit on top.
+    /// live-ingest server's `LiveGraph` layers its delta log over this
+    /// T-CSR instead of copying it.
     pub graph: Arc<TemporalGraph>,
     /// `[num_nodes, dim]` static node features.
     pub node_features: Tensor,
@@ -55,7 +54,7 @@ impl ModelBundle {
     /// Validates feature shapes against the model configuration. The
     /// graph is frozen here (reads are unchanged; see
     /// `TemporalGraph::freeze`) so every downstream consumer — engines,
-    /// per-shard live views — shares one compact immutable base.
+    /// the live view — shares one compact immutable base.
     pub fn new(
         params: TgatParams,
         mut graph: TemporalGraph,
@@ -118,10 +117,10 @@ pub struct ServeConfig {
     /// Delta-log length that triggers compaction back into CSR
     /// (live-ingest mode only; `usize::MAX` disables auto-compaction).
     pub compact_threshold: usize,
-    /// Best-effort worker-thread core pinning: worker `slot` of shard `s`
-    /// asks for logical CPU `s * workers + slot`. A refused mask (fewer
-    /// cores than workers, restricted cpuset, non-Linux target) leaves
-    /// the thread floating — never an error.
+    /// Best-effort worker-thread core pinning: worker `slot` asks for
+    /// logical CPU `slot`. A refused mask (fewer cores than workers,
+    /// restricted cpuset, non-Linux target) leaves the thread floating —
+    /// never an error.
     pub pin_cores: bool,
 }
 
@@ -236,22 +235,16 @@ struct Shared {
     /// pins register under the same critical section that takes the view,
     /// and appends pair with their replay event the same way.
     ingest: Mutex<IngestSync>,
-    /// Which shard of a [`crate::shard::ShardRouter`] this server is, if
-    /// any. Read-only after construction (no locks on the hot path); its
-    /// assignment drives the replicated-frontier traffic accounting and
-    /// the core-pinning offset.
-    scope: Option<ShardScope>,
 }
 
 impl Shared {
     /// Cores each engine may fan a wave out over: the host's divided among
-    /// the workers of every shard. Once `workers >= cores` that is 1 — no
-    /// helper threads, waves run inline — because fanning the rare
-    /// multi-block wave out beside workers that already own the cores cost
-    /// `stream-mixed` throughput (DESIGN.md "Fan-out").
+    /// the workers. Once `workers >= cores` that is 1 — no helper threads,
+    /// waves run inline — because fanning the rare multi-block wave out
+    /// beside workers that already own the cores cost `stream-mixed`
+    /// throughput (DESIGN.md "Fan-out").
     fn engine_cores(&self) -> usize {
-        let n_shards = self.scope.as_ref().map_or(1, |s| s.assignment.n_shards());
-        (host_cores() / (self.cfg.workers * n_shards)).max(1)
+        (host_cores() / self.cfg.workers).max(1)
     }
 }
 
@@ -289,52 +282,6 @@ fn finish_live_wave(shared: &Shared, live: &LiveGraph, slot: usize) {
     relock(shared.ingest.lock()).release_pin(slot);
 }
 
-/// Accounts the sampled layer-1 frontier of one wave's unique targets:
-/// how many of each target's `k` most-recent neighbors this shard owns
-/// versus how many are *replicated* from another shard's partition.
-/// Replicated-frontier serving keeps the compute local (layer-0 features
-/// and time-encode state are pure functions of shared immutable inputs,
-/// so replication costs memory traffic, not coordination); this counter
-/// is the measured price of that choice, recorded so a later placement
-/// policy can judge whether smarter routing would pay. No-op for an
-/// unsharded server.
-fn record_frontier_traffic(shared: &Shared, ns: &[NodeId], ts: &[Time]) {
-    let Some(scope) = shared.scope.as_ref() else { return };
-    let k = shared.bundle.params.cfg.n_neighbors;
-    let mut total = 0u64;
-    let mut remote = 0u64;
-    let mut count = |ngh: NodeId| {
-        total += 1;
-        if scope.assignment.owner(ngh) != scope.shard {
-            remote += 1;
-        }
-    };
-    match shared.live.as_ref() {
-        Some(live) => {
-            // A fresh view (Arc clone, no allocation) rather than the
-            // wave's pinned one: the counter tolerates being one epoch
-            // ahead, and threading the pin here would couple accounting
-            // to the ingest protocol for no accuracy gain.
-            let view = live.view();
-            for (&n, &t) in ns.iter().zip(ts) {
-                let take = view.hist_len_before(n, t).min(k);
-                view.most_recent(n, t, take, |_, e| count(e.ngh));
-            }
-        }
-        None => {
-            for (&n, &t) in ns.iter().zip(ts) {
-                let hist = shared.bundle.graph.neighbors_before(n, t);
-                // The window is the k most recent; counting order is
-                // irrelevant, so walk the suffix backward.
-                for e in hist.iter().rev().take(k) {
-                    count(e.ngh);
-                }
-            }
-        }
-    }
-    shared.counters.record_frontier(total, remote);
-}
-
 /// Runs one wave through `engine`: deadline filter → cross-request dedup →
 /// (possibly degraded) inference → per-request scatter. Every pending
 /// request in the wave is fulfilled exactly once before return. Wave
@@ -367,7 +314,6 @@ fn process_wave(
         .is_some_and(|budget| shared.cache.bytes_used() >= budget);
     engine.set_store_enabled(!degraded);
     shared.counters.record_batch(live.len() as u64, plan.ns.len() as u64, degraded);
-    record_frontier_traffic(shared, &plan.ns, &plan.ts);
     match engine.embed_batch(&plan.ns, &plan.ts) {
         Ok(h) => {
             for (p, &row) in live.iter().zip(&plan.row_of) {
@@ -420,13 +366,12 @@ fn merge_engine_telemetry(shared: &Shared, engine: TgoptEngine<'_>) {
     tc.1 += tc_misses;
 }
 
-/// An engine over the server's shared cache, with its share of the cores.
-fn serving_engine<'b>(
-    bundle: &'b ModelBundle,
-    shared: &Shared,
-    counters: EngineCounters,
-) -> TgoptEngine<'b> {
+/// An engine over the server's shared cache, with its share of the cores
+/// and zeroed counters: [`merge_engine_telemetry`] adds them to the
+/// server's totals when the engine retires.
+fn serving_engine<'b>(bundle: &'b ModelBundle, shared: &Shared) -> TgoptEngine<'b> {
     let (opt, cache) = (shared.cfg.opt, Arc::clone(&shared.cache));
+    let counters = EngineCounters::default();
     let mut engine = TgoptEngine::with_cache(&bundle.params, bundle.context(), opt, cache, counters)
         .with_cores(shared.engine_cores());
     if shared.cfg.record_spans {
@@ -439,18 +384,16 @@ fn serving_engine<'b>(
 fn worker_loop(shared: Arc<Shared>, wave_hist: Arc<LatencyHistogram>, slot: usize) {
     let bundle = Arc::clone(&shared.bundle);
     if shared.cfg.pin_cores {
-        // Best-effort: shard s's worker slot w asks for CPU
-        // s * workers + w, giving disjoint core ranges per shard. A
-        // refused mask (fewer cores than shards × workers, restricted
-        // cpuset, non-Linux) leaves the thread floating.
-        let base = shared.scope.as_ref().map_or(0, |s| s.shard * shared.cfg.workers);
-        let _ = core_affinity::set_for_current(core_affinity::CoreId { id: base + slot });
+        // Best-effort: worker slot w asks for CPU w. A refused mask (fewer
+        // cores than workers, restricted cpuset, non-Linux) leaves the
+        // thread floating.
+        let _ = core_affinity::set_for_current(core_affinity::CoreId { id: slot });
     }
     // One engine per worker, reused across waves — which also means one
     // `Scratch` arena per worker: after the first wave, steady-state
     // batches run the whole attention stack out of recycled buffers with
     // no allocator traffic (see DESIGN.md "Kernel architecture").
-    let mut engine = serving_engine(&bundle, &shared, EngineCounters::default());
+    let mut engine = serving_engine(&bundle, &shared);
     // The worker's only unbounded wait is `arrived.wait` inside `pop_wave`:
     // idle time, not request latency — a queued request is taken by the
     // first worker that is (or becomes) free, with no timer in between —
@@ -478,11 +421,7 @@ pub struct TgServer {
 }
 
 impl TgServer {
-    fn shared_state(
-        bundle: Arc<ModelBundle>,
-        cfg: ServeConfig,
-        scope: Option<ShardScope>,
-    ) -> Result<Arc<Shared>, TgError> {
+    fn shared_state(bundle: Arc<ModelBundle>, cfg: ServeConfig) -> Result<Arc<Shared>, TgError> {
         cfg.validate()?;
         let n_layers = bundle.params.cfg.n_layers;
         let dim = bundle.params.cfg.dim;
@@ -493,8 +432,8 @@ impl TgServer {
             dim,
         ));
         let live = cfg.live_ingest.then(|| {
-            // Zero-copy over the bundle's frozen base: every shard's live
-            // graph layers its own delta on the same shared T-CSR.
+            // Zero-copy over the bundle's frozen base: the live graph
+            // layers its delta on the shared T-CSR.
             LiveGraph::from_shared(Arc::clone(&bundle.graph))
                 .with_compact_threshold(cfg.compact_threshold)
         });
@@ -510,7 +449,6 @@ impl TgServer {
             live,
             // One pin slot per worker plus the deterministic drain slot.
             ingest: Mutex::new(IngestSync::new(cfg.workers + 1)),
-            scope,
             cfg,
         }))
     }
@@ -519,32 +457,14 @@ impl TgServer {
     /// processes them in submission order with size-only flushing. Every
     /// scheduling decision is a pure function of the submit/drain sequence.
     pub fn deterministic(bundle: Arc<ModelBundle>, cfg: ServeConfig) -> Result<Self, TgError> {
-        Self::deterministic_scoped(bundle, cfg, None)
-    }
-
-    /// [`TgServer::deterministic`] as one shard of a router.
-    pub(crate) fn deterministic_scoped(
-        bundle: Arc<ModelBundle>,
-        cfg: ServeConfig,
-        scope: Option<ShardScope>,
-    ) -> Result<Self, TgError> {
-        let shared = Self::shared_state(bundle, cfg, scope)?;
+        let shared = Self::shared_state(bundle, cfg)?;
         Ok(Self { shared, workers: Vec::new(), deterministic: true })
     }
 
     /// A threaded server: `cfg.workers` inference workers pulling waves
     /// off the admission queue and sharing a single memoization cache.
     pub fn threaded(bundle: Arc<ModelBundle>, cfg: ServeConfig) -> Result<Self, TgError> {
-        Self::threaded_scoped(bundle, cfg, None)
-    }
-
-    /// [`TgServer::threaded`] as one shard of a router.
-    pub(crate) fn threaded_scoped(
-        bundle: Arc<ModelBundle>,
-        cfg: ServeConfig,
-        scope: Option<ShardScope>,
-    ) -> Result<Self, TgError> {
-        let shared = Self::shared_state(bundle, cfg, scope)?;
+        let shared = Self::shared_state(bundle, cfg)?;
         let workers: Vec<JoinHandle<()>> = (0..shared.cfg.workers)
             .map(|i| {
                 let wave_hist = Arc::clone(&shared.worker_latency[i]);
@@ -681,8 +601,7 @@ impl TgServer {
             return Ok(0);
         }
         let bundle = Arc::clone(&self.shared.bundle);
-        let counters = *relock(self.shared.engine_counters.lock());
-        let mut engine = serving_engine(&bundle, &self.shared, counters);
+        let mut engine = serving_engine(&bundle, &self.shared);
         // The drain owns the pin slot past the worker range; one snapshot
         // covers the whole drain so every wave in it sees the same graph.
         let drain_slot = self.shared.cfg.workers;
@@ -699,16 +618,7 @@ impl TgServer {
         if let Some(live) = self.shared.live.as_ref() {
             finish_live_wave(&self.shared, live, drain_slot);
         }
-        let spans = engine.stats().clone();
-        let (tc_hits, tc_misses) = engine.time_cache_stats();
-        let (_, counters) = engine.into_cache();
-        *relock(self.shared.engine_counters.lock()) = counters;
-        relock(self.shared.stage_spans.lock()).merge(&spans);
-        {
-            let mut tc = relock(self.shared.time_cache.lock());
-            tc.0 += tc_hits;
-            tc.1 += tc_misses;
-        }
+        merge_engine_telemetry(&self.shared, engine);
         Ok(n)
     }
 
@@ -768,8 +678,6 @@ impl TgServer {
                 batched_requests: serve.batched_requests,
                 unique_rows: serve.unique_rows,
                 degraded_batches: serve.degraded_batches,
-                frontier_reads: serve.frontier_reads,
-                frontier_remote: serve.frontier_remote,
             },
             ingest: {
                 let graph = self.shared.live.as_ref().map(LiveGraph::ingest_stats);
@@ -889,5 +797,67 @@ impl TgServer {
 impl Drop for TgServer {
     fn drop(&mut self) {
         self.close_and_join();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tg_telemetry::TimeCacheTelemetry;
+    use tg_tensor::init;
+    use tgat::TgatConfig;
+
+    const NODES: usize = 8;
+
+    fn bundle() -> Arc<ModelBundle> {
+        let cfg = TgatConfig::tiny();
+        let mut graph = TemporalGraph::with_nodes(NODES);
+        for i in 0..24 {
+            let (src, dst) = ((i % NODES) as NodeId, ((i * 3 + 1) % NODES) as NodeId);
+            graph.insert(&Edge { src, dst, time: (i + 1) as Time, eid: i as EdgeId });
+        }
+        let mut rng = init::seeded_rng(11);
+        let nf = init::normal(&mut rng, NODES, cfg.dim, 0.5);
+        let ef = init::normal(&mut rng, 24, cfg.edge_dim, 0.5);
+        let params = TgatParams::init(cfg, 3).unwrap();
+        Arc::new(ModelBundle::new(params, graph, nf, ef).unwrap())
+    }
+
+    fn time_cache(engine: &TgoptEngine<'_>) -> TimeCacheTelemetry {
+        let (hits, misses) = engine.time_cache_stats();
+        TimeCacheTelemetry { lookups: hits + misses, hits }
+    }
+
+    #[test]
+    fn drains_add_their_engine_totals_instead_of_overwriting_them() {
+        let bundle = bundle();
+        let server = TgServer::deterministic(Arc::clone(&bundle), ServeConfig::default()).unwrap();
+        // A direct engine replays the same two waves over its own cache;
+        // its counters after each wave are the expected running totals.
+        let mut direct = TgoptEngine::new(&bundle.params, bundle.context(), server.config().opt);
+        let first: Vec<(NodeId, Time)> = (0..NODES as NodeId).map(|n| (n, 25.0)).collect();
+        let second: Vec<(NodeId, Time)> =
+            (0..NODES as NodeId).flat_map(|n| [(n, 25.0), (n, 30.0)]).collect();
+
+        let mut totals = Vec::new();
+        for wave in [&first, &second] {
+            let (ns, ts): (Vec<NodeId>, Vec<Time>) = wave.iter().copied().unzip();
+            let tickets = server.submit_many(&ns, &ts).unwrap();
+            assert_eq!(server.drain().unwrap(), wave.len());
+            for t in tickets {
+                t.wait().unwrap();
+            }
+            direct.embed_batch(&ns, &ts).unwrap();
+            totals.push((server.engine_counters(), server.telemetry().time_cache));
+            assert_eq!(totals.last(), Some(&(direct.counters(), time_cache(&direct))));
+        }
+
+        // Both drains did work of their own, so a fold that overwrote the
+        // first drain's totals with the second's would have failed above.
+        let (c1, tc1) = totals[0];
+        let (c2, tc2) = totals[1];
+        assert_ne!(c1, EngineCounters::default());
+        assert!(c2.delta_since(&c1).cache_hits > 0, "the second drain reuses the first's entries");
+        assert!(tc1.lookups > 0 && tc2.lookups > tc1.lookups);
     }
 }

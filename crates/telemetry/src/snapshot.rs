@@ -15,13 +15,16 @@ use serde::{Deserialize, Serialize, Value};
 /// Version stamp embedded in every snapshot; bump on any schema change
 /// (and regenerate the committed golden fingerprint).
 ///
-/// v3: per-shard sections ([`ShardTelemetry`] under `shards`) and the
-/// replicated-frontier counters on [`ServeTelemetry`].
+/// v3: per-shard sections under `shards` and the replicated-frontier
+/// counters on [`ServeTelemetry`].
 ///
 /// v4: constraint-tracked invalidation — per-layer sweep bins
 /// ([`LayerSweepTelemetry`] under `ingest.per_layer`) and the
 /// `store_drops` admission counter on [`EmbedCacheTelemetry`].
-pub const SCHEMA_VERSION: u32 = 4;
+///
+/// v5: one server, no shard router — `shards` and
+/// `serve.frontier_{reads,remote}` are gone.
+pub const SCHEMA_VERSION: u32 = 5;
 
 /// TGOpt engine counters (mirror of `tgopt::EngineCounters`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -95,12 +98,6 @@ pub struct ServeTelemetry {
     pub unique_rows: u64,
     /// Micro-batches run in degraded (store-skipping) mode.
     pub degraded_batches: u64,
-    /// Sampled layer-1 frontier neighbor reads (sharded servers only;
-    /// zero for a single-shard deployment).
-    pub frontier_reads: u64,
-    /// Frontier reads that hit a node owned by another shard — the
-    /// replicated-frontier traffic a smarter placement could cut.
-    pub frontier_remote: u64,
 }
 
 /// One cache layer's invalidation-sweep bin: how many entries streaming
@@ -153,56 +150,6 @@ impl IngestTelemetry {
     }
 }
 
-/// One shard's slice of a partitioned serving deployment: queue depth,
-/// admission/completion counters, its private cache's accounting, the
-/// replicated-frontier traffic it observed, and its latency
-/// distributions (each shard's worker histograms are folded into one via
-/// `HistogramSnapshot::merge`). Empty (`shards: []`) for an unsharded
-/// server.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct ShardTelemetry {
-    /// Shard index within the router (0-based).
-    pub shard: u64,
-    /// Requests admitted but not yet batched at snapshot time.
-    pub queue_depth: u64,
-    /// Submission attempts routed to this shard.
-    pub submitted: u64,
-    /// Requests this shard completed with an embedding row.
-    pub completed: u64,
-    /// Requests this shard shed with `Overloaded`.
-    pub rejected_overload: u64,
-    /// Requests this shard rejected with `DeadlineExceeded`.
-    pub rejected_deadline: u64,
-    /// Micro-batches this shard executed.
-    pub batches: u64,
-    /// Keys probed against this shard's private embedding cache.
-    pub cache_lookups: u64,
-    /// Probes that hit (the shard-local hit rate's numerator).
-    pub cache_hits: u64,
-    /// Rows resident in this shard's cache at snapshot time.
-    pub cache_items: u64,
-    /// Sampled frontier neighbor reads this shard performed.
-    pub frontier_reads: u64,
-    /// Frontier reads hitting nodes owned by another shard.
-    pub frontier_remote: u64,
-    /// End-to-end submit-to-fulfill latency of this shard's requests.
-    pub end_to_end: HistogramSnapshot,
-    /// This shard's per-worker wave histograms merged into one.
-    pub wave: HistogramSnapshot,
-}
-
-impl ShardTelemetry {
-    /// Shard-local embedding-cache hit fraction (0.0 before the first
-    /// lookup — never NaN).
-    pub fn hit_rate(&self) -> f64 {
-        if self.cache_lookups == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / self.cache_lookups as f64
-        }
-    }
-}
-
 /// Online latency distributions (log2-bucketed, nanoseconds).
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LatencyTelemetry {
@@ -229,10 +176,6 @@ pub struct TelemetrySnapshot {
     pub serve: ServeTelemetry,
     /// Streaming-ingest accounting (zeros for a frozen-graph run).
     pub ingest: IngestTelemetry,
-    /// Per-shard sections of a partitioned deployment, in shard order
-    /// (empty for a single/unsharded server). The flat sections above
-    /// hold the merged totals across shards.
-    pub shards: Vec<ShardTelemetry>,
     /// Latency distributions (empty histograms when not serving).
     pub latency: LatencyTelemetry,
 }
@@ -314,18 +257,6 @@ mod tests {
                 ],
                 ..Default::default()
             },
-            shards: vec![ShardTelemetry {
-                shard: 0,
-                submitted: 9,
-                completed: 8,
-                cache_lookups: 10,
-                cache_hits: 7,
-                frontier_reads: 40,
-                frontier_remote: 11,
-                end_to_end: hist.snapshot(),
-                wave: hist.snapshot(),
-                ..Default::default()
-            }],
             latency: LatencyTelemetry {
                 end_to_end: hist.snapshot(),
                 workers: vec![hist.snapshot(), Default::default()],
@@ -348,7 +279,6 @@ mod tests {
         let mut fresh = TelemetrySnapshot::new();
         fresh.stages = Recorder::disabled().breakdown();
         fresh.latency.workers.push(Default::default());
-        fresh.shards.push(Default::default());
         fresh.ingest.per_layer.push(Default::default());
         let pa = schema_paths(&serde::to_value(&populated()).unwrap());
         let pb = schema_paths(&serde::to_value(&fresh).unwrap());

@@ -91,10 +91,9 @@ impl DeltaState {
 /// One immutable-base + mutable-delta snapshot unit. A compaction swaps
 /// the whole generation; views pin the one they started on.
 ///
-/// The base is held through an `Arc` so several [`LiveGraph`]s can share
-/// one frozen T-CSR: a sharded server replicates the delta stream into
-/// every shard's live graph while paying for the (large, immutable) base
-/// exactly once.
+/// The base is held through an `Arc` so a [`LiveGraph`] can share one
+/// frozen T-CSR with its owner: a server layers its delta log over the
+/// model bundle's graph instead of copying the (large, immutable) base.
 struct Generation {
     /// Frozen T-CSR holding every edge with `seq < base_seq`.
     base: Arc<TemporalGraph>,
@@ -168,8 +167,7 @@ impl LiveGraph {
 
     /// Wraps an already-shared frozen base without copying it. Several
     /// live graphs built from the same `Arc` each get an independent
-    /// delta log over one physical T-CSR — the shard-replication shape.
-    /// An unfrozen base is cloned and frozen (the shared original is
+    /// delta log over one physical T-CSR. An unfrozen base is cloned and frozen (the shared original is
     /// left untouched); pass a frozen graph to stay zero-copy.
     pub fn from_shared(base: Arc<TemporalGraph>) -> Self {
         let base = if base.is_frozen() {

@@ -24,8 +24,6 @@
 #      scale 0.05 (~10 s); exits 1 on any oracle mismatch (replay vs the
 #      opposite config, served vs direct, post-ingest served vs cold
 #      rebuild)
-#   5. serve --shards 4 --verify    — sharded router rows vs a direct
-#      engine (the blocking half of the sharded smoke bench in CI)
 #
 # The lint also runs inside `cargo test` via tests/lint_gate.rs, so step 3
 # is technically redundant — but running it standalone gives file:line
@@ -54,13 +52,5 @@ cargo run --release -q -p tg-xtask -- lint
 # rebuild. Exits nonzero on divergence.
 echo "==> ledger --smoke"
 cargo run --release -q -p tg-bench --bin ledger -- --smoke >/dev/null
-
-# Sharding equivalence gate (mirrors the blocking CI step): replay the
-# query stream through a 4-shard deterministic router and check every row
-# against a direct engine. Exits nonzero on divergence.
-echo "==> serve --shards 4 --verify"
-cargo build --release -q -p tg-bench
-./target/release/serve -d snap-msg --scale 0.02 --clients 2 --requests 200 \
-  --shards 4 --verify >/dev/null
 
 echo "==> all checks passed"

@@ -3,7 +3,7 @@
 //!
 //! Every case replays a seeded random interleaving of `submit_edge`,
 //! query submissions, explicit compactions, and drains against a
-//! deterministic live-ingest server, then checks three things:
+//! deterministic live-ingest server, then checks four things:
 //!
 //! 1. **Embedding equivalence** — every ticket resolved by a drain equals
 //!    (within 1e-5, in submission-row order) a fresh engine over a graph
@@ -13,6 +13,9 @@
 //!    including exact-time ties and out-of-order arrivals.
 //! 3. **Deadline behavior** — deadlines on a live server reject exactly
 //!    as on a frozen one; expired requests never consume an embedding.
+//! 4. **Books** — with explicit invalidations mixed into the script, rows
+//!    still match the cold rebuild, and every request and edge is counted
+//!    exactly once in the stats and the telemetry built from them.
 //!
 //! The pool of ingestible edges deliberately mixes late timestamps,
 //! mid-stream arrivals (out of order), and exact ties with base edges, so
@@ -259,6 +262,83 @@ proptest! {
         server.drain().unwrap();
         check_pending(&mut pending, ingested)?;
         server.shutdown();
+    }
+
+    /// Explicit `invalidate_node` calls interleaved with ingest,
+    /// compaction and drains only force recomputation: every served row
+    /// still equals the cold rebuild, deep entries included. At the end
+    /// the queue and replay log are empty and the books balance — each
+    /// submission completed once, each edge ingested once, and the
+    /// telemetry's serve and ingest sections equal the stats.
+    fn invalidation_interleaved_with_ingest_keeps_rows_and_books(
+        script in proptest::collection::vec((any::<u8>(), any::<u32>(), any::<u32>()), 1..48),
+        max_batch in 1usize..8,
+        deep in any::<bool>(),
+    ) {
+        let w = world();
+        let mut cfg = ServeConfig::default()
+            .with_max_batch(max_batch)
+            .with_queue_capacity(512)
+            .with_live_ingest(true)
+            .with_compact_threshold(usize::MAX);
+        cfg.opt.cache_last_layer = deep;
+        let server = TgServer::deterministic(Arc::clone(&w.bundle), cfg).unwrap();
+
+        let mut ingested = 0usize;
+        let mut submitted = 0u64;
+        let mut pending: Vec<(Ticket, NodeId, Time)> = Vec::new();
+        for &(op, a, b) in &script {
+            match op % 6 {
+                0 | 3 => {
+                    if ingested < w.pool.len() {
+                        let e = w.pool[ingested];
+                        server.submit_edge(e.src, e.dst, e.time).unwrap();
+                        ingested += 1;
+                    }
+                }
+                1 => {
+                    let (n, t) = decode(a, b);
+                    pending.push((server.submit(n, t).unwrap(), n, t));
+                    submitted += 1;
+                }
+                2 => {
+                    server.drain().unwrap();
+                    check_pending(&mut pending, ingested)?;
+                }
+                4 => {
+                    prop_assert!(server.compact_live());
+                }
+                _ => {
+                    let (n, _) = decode(a, b);
+                    server.invalidate_node(n);
+                }
+            }
+        }
+        let (n, t) = decode(3, 9);
+        pending.push((server.submit(n, t).unwrap(), n, t));
+        submitted += 1;
+        server.drain().unwrap();
+        check_pending(&mut pending, ingested)?;
+
+        prop_assert_eq!(server.queued(), 0);
+        prop_assert_eq!(server.pending_ingest_events(), 0);
+        let stats = server.stats();
+        prop_assert_eq!(stats.submitted, submitted);
+        prop_assert_eq!(stats.completed, submitted);
+        prop_assert_eq!(stats.batched_requests, submitted);
+        prop_assert_eq!(stats.rejected_deadline, 0);
+        prop_assert_eq!(stats.rejected_overload, 0);
+        prop_assert_eq!(stats.edges_ingested, ingested as u64);
+        let telemetry = server.telemetry();
+        prop_assert_eq!(telemetry.serve.submitted, stats.submitted);
+        prop_assert_eq!(telemetry.serve.completed, stats.completed);
+        prop_assert_eq!(telemetry.serve.batches, stats.batches);
+        prop_assert_eq!(telemetry.serve.unique_rows, stats.unique_rows);
+        prop_assert_eq!(telemetry.ingest.edges_appended, ingested as u64);
+        prop_assert_eq!(telemetry.ingest.entries_invalidated, stats.entries_invalidated);
+        prop_assert_eq!(telemetry.ingest.entries_retained, stats.entries_retained);
+        let finals = server.shutdown();
+        prop_assert_eq!(finals.completed, stats.completed);
     }
 
     /// `GraphView` neighborhoods are bit-identical to the cold rebuild's,

@@ -1,26 +1,33 @@
 //! Concurrent ingest + query stress: real threads hammer a live-ingest
-//! server while a checker thread reads snapshots, then quiescent-state
-//! invariants are verified:
+//! server while a checker thread reads snapshots and an invalidator drops
+//! every node's entries, then quiescent-state invariants are verified:
 //!
 //! * **No torn epoch reads** — every `GraphView` taken mid-run has a
 //!   monotonically advancing epoch and internally consistent postings
 //!   (each visible edge contributes exactly two adjacency entries, so a
 //!   half-published edge would break the count identity).
 //! * **Cache accounting identity** — at quiescence, every admitted row is
-//!   accounted for: `inserted == evictions + invalidated + len`.
+//!   accounted for: `inserted == evictions + invalidated + len`, before
+//!   and after a final invalidation of every node empties the cache.
 //! * **No stale survivors** — targeted invalidation may retain entries,
 //!   but every layer-1 entry still cached after the run must equal a
 //!   from-scratch recompute over the fully-rebuilt graph (a one-layer
 //!   engine is the oracle: the layer-1 cache stores exactly the layer-1
 //!   embedding of its `(node, time)` key).
+//!
+//! A second test pins the *books* under the same kind of race on a
+//! generated graph: batched clients, a writer and an invalidator, then
+//! every counter the server reports must add up — edges once each, every
+//! request completed, telemetry equal to the stats it is built from.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use tgopt_repro::datasets::{generate, spec_by_name};
 use tgopt_repro::graph::{Edge, EdgeStream, NodeId, TemporalGraph, Time};
 use tgopt_repro::serve::{ModelBundle, ServeConfig, TgServer};
-use tgopt_repro::tensor::init;
+use tgopt_repro::tensor::{init, Tensor};
 use tgopt_repro::tgat::engine::GraphContext;
 use tgopt_repro::tgat::{TgatConfig, TgatParams};
 use tgopt_repro::tgopt::{unpack_key, OptConfig, TgoptEngine};
@@ -68,6 +75,38 @@ fn build_world() -> (Arc<ModelBundle>, Vec<Edge>) {
     (Arc::new(ModelBundle::new(params, graph, nf, ef).unwrap()), pool)
 }
 
+/// Spare edge-feature rows in [`generated_bundle`]: live-ingest capacity.
+const N_INGEST: usize = 120;
+
+/// A bundle over a generated `snap-email` graph with [`N_INGEST`] spare
+/// edge-feature rows, with its node count and last edge time.
+fn generated_bundle() -> (Arc<ModelBundle>, usize, Time) {
+    let spec = spec_by_name("snap-email").unwrap();
+    let data = generate(&spec, 0.01, 21).unwrap();
+    let cfg = TgatConfig {
+        dim: 8,
+        edge_dim: data.dim(),
+        time_dim: 8,
+        n_layers: 2,
+        n_heads: 2,
+        n_neighbors: 4,
+    };
+    let params = TgatParams::init(cfg, 3).unwrap();
+    let graph = TemporalGraph::from_stream(&data.stream);
+    let num_nodes = data.stream.num_nodes();
+    let max_t = data.stream.max_time();
+    let node_features = Tensor::zeros(num_nodes, cfg.dim);
+    let base_rows = data.edge_features.rows();
+    let mut rng = init::seeded_rng(9);
+    let extra = init::normal(&mut rng, N_INGEST, data.dim(), 0.5);
+    let mut all = Vec::with_capacity((base_rows + N_INGEST) * data.dim());
+    all.extend_from_slice(data.edge_features.as_slice());
+    all.extend_from_slice(extra.as_slice());
+    let edge_features = Tensor::from_vec(base_rows + N_INGEST, data.dim(), all);
+    let b = ModelBundle::new(params, graph, node_features, edge_features).unwrap();
+    (Arc::new(b), num_nodes, max_t)
+}
+
 #[test]
 fn concurrent_ingest_and_queries_hold_invariants() {
     let (bundle, pool) = build_world();
@@ -84,10 +123,12 @@ fn concurrent_ingest_and_queries_hold_invariants() {
     let server = TgServer::threaded(Arc::clone(&bundle), cfg).unwrap();
 
     let writer_done = AtomicBool::new(false);
+    let invalidator_done = AtomicBool::new(false);
     std::thread::scope(|scope| {
         let server = &server;
         let pool = &pool;
         let writer_done = &writer_done;
+        let invalidator_done = &invalidator_done;
 
         scope.spawn(move || {
             for e in pool {
@@ -119,10 +160,29 @@ fn concurrent_ingest_and_queries_hold_invariants() {
             }
         });
 
+        // Invalidator: explicit per-node invalidation racing the writer's
+        // appends and sweeps and the workers' stores. It only removes
+        // entries, so every assertion below still holds.
+        scope.spawn(move || {
+            while !writer_done.load(Ordering::Acquire) {
+                for n in 0..N_NODES {
+                    server.invalidate_node(n as NodeId);
+                    std::thread::yield_now();
+                }
+            }
+            invalidator_done.store(true, Ordering::Release);
+        });
+
         for c in 0..QUERY_THREADS {
             scope.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(0xace + c as u64);
-                for _ in 0..QUERIES_PER_THREAD {
+                for q in 0..QUERIES_PER_THREAD {
+                    // Each thread's last query waits out the invalidator's
+                    // last pass, so the cache the oracles sample is never
+                    // empty however the writer and the queries interleave.
+                    while q + 1 == QUERIES_PER_THREAD && !invalidator_done.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
                     let n = rng.gen_range(0..N_NODES as u32) as NodeId;
                     let t = 1.0 + rng.gen_range(0..400) as Time * 0.5;
                     let ticket = server.submit(n, t).unwrap();
@@ -240,4 +300,115 @@ fn concurrent_ingest_and_queries_hold_invariants() {
             "stale layer-2 entry survived the fingerprint sweep: ({n}, {t}) deviates by {diff}"
         );
     }
+
+    // Quiesced: invalidating every node drains every layer, and the
+    // accounting identity survives the drain (an underflow or a missed
+    // removal would show up here).
+    for n in 0..N_NODES {
+        cache.invalidate_node(n as NodeId);
+    }
+    assert_eq!(cache.len(), 0, "invalidating every node must empty the cache");
+    assert_eq!(
+        cache.total_inserted(),
+        cache.total_evictions() + cache.total_invalidated() + cache.len() as u64,
+        "cache accounting identity violated after the final invalidation"
+    );
+}
+
+#[test]
+fn batched_clients_racing_ingest_and_invalidation_keep_the_books() {
+    const CLIENTS: usize = 3;
+    const ROUNDS: usize = 6;
+    const WAVE: usize = 30;
+    let (bundle, num_nodes, max_t) = generated_bundle();
+    let t_query = max_t * 1.01;
+    // Sources with history, all queried past the stream's end.
+    let ns: Vec<NodeId> = (0..num_nodes as NodeId)
+        .filter(|&n| bundle.graph.degree(n) > 0)
+        .cycle()
+        .take(WAVE)
+        .collect();
+    let ts = vec![t_query; WAVE];
+    let base_edges = bundle.graph.num_edges() as usize;
+
+    let cfg = ServeConfig::default()
+        .with_workers(2)
+        .with_queue_capacity(4096)
+        .with_live_ingest(true);
+    let server = TgServer::threaded(Arc::clone(&bundle), cfg).unwrap();
+    let cache = server.shared_cache();
+
+    std::thread::scope(|scope| {
+        let server = &server;
+        for _ in 0..CLIENTS {
+            let (ns, ts) = (&ns, &ts);
+            scope.spawn(move || {
+                for _ in 0..ROUNDS {
+                    for ticket in server.submit_many(ns, ts).unwrap() {
+                        // Live edges land mid-flight, so values shift by
+                        // design; every ticket must still resolve cleanly.
+                        let row = ticket.wait().unwrap();
+                        assert!(row.iter().all(|x| x.is_finite()), "served row must be finite");
+                    }
+                }
+            });
+        }
+
+        // Ingest racing the clients: edge ids stay sequential.
+        scope.spawn(move || {
+            for i in 0..N_INGEST {
+                let src = (i * 7 + 1) as NodeId % num_nodes as NodeId;
+                let dst = (i * 11 + 3) as NodeId % num_nodes as NodeId;
+                let time = t_query - 0.5 + i as Time * 1e-3;
+                let eid = server.submit_edge(src, dst, time).unwrap();
+                assert_eq!(eid as usize, base_edges + i, "edge ids must stay sequential");
+                if i % 16 == 0 {
+                    std::thread::yield_now();
+                }
+            }
+        });
+
+        // And an invalidator sweeping every node.
+        scope.spawn(move || {
+            for node in 0..num_nodes {
+                server.invalidate_node(node as NodeId);
+            }
+        });
+    });
+
+    assert_eq!(server.live_view().unwrap().num_edges(), (base_edges + N_INGEST) as u64);
+    assert_eq!(server.ingest_stats().unwrap().edges_appended, N_INGEST as u64);
+
+    // Shutdown joins the workers, so the counters and the telemetry built
+    // from them are final and taken from the same quiesced state.
+    let (stats, telemetry) = server.shutdown_with_telemetry();
+    let requests = (CLIENTS * ROUNDS * WAVE) as u64;
+    assert_eq!(stats.edges_ingested, N_INGEST as u64, "each edge is counted once");
+    assert_eq!(stats.submitted, requests);
+    assert_eq!(stats.completed, requests, "every submitted request must complete");
+    assert_eq!(stats.rejected_deadline, 0);
+    assert_eq!(stats.rejected_overload, 0);
+    assert_eq!(stats.batched_requests, requests);
+    assert!(stats.unique_rows <= stats.batched_requests, "{stats:?}");
+
+    assert_eq!(telemetry.serve.submitted, stats.submitted);
+    assert_eq!(telemetry.serve.completed, stats.completed);
+    assert_eq!(telemetry.serve.batches, stats.batches);
+    assert_eq!(telemetry.serve.batched_requests, stats.batched_requests);
+    assert_eq!(telemetry.serve.unique_rows, stats.unique_rows);
+    assert_eq!(telemetry.ingest.edges_appended, N_INGEST as u64);
+    assert_eq!(telemetry.ingest.entries_invalidated, stats.entries_invalidated);
+    assert_eq!(telemetry.embed_cache.items, cache.len() as u64);
+
+    // Quiesced: a full sweep leaves the cache empty — an underflow or a
+    // leaked entry would show up as a nonzero count.
+    for node in 0..num_nodes {
+        cache.invalidate_node(node as NodeId);
+    }
+    assert_eq!(cache.len(), 0, "invalidating every node must empty the cache");
+    assert_eq!(
+        cache.total_inserted(),
+        cache.total_evictions() + cache.total_invalidated() + cache.len() as u64,
+        "cache accounting identity violated"
+    );
 }

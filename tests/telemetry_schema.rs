@@ -19,9 +19,14 @@
 //! TELEMETRY_STATS_JSON=telemetry.json cargo test --test telemetry_schema
 //! ```
 
+use std::sync::Arc;
+use tgopt_repro::graph::{Edge, NodeId, TemporalGraph, Time};
+use tgopt_repro::serve::{ModelBundle, ServeConfig, TgServer};
 use tgopt_repro::telemetry::{
     schema_paths, Recorder, TelemetrySnapshot, SCHEMA_VERSION,
 };
+use tgopt_repro::tensor::init;
+use tgopt_repro::tgat::{TgatConfig, TgatParams};
 
 const GOLDEN: &str = include_str!("golden/telemetry_schema.txt");
 const GOLDEN_PATH: &str =
@@ -37,6 +42,20 @@ fn shape_complete() -> TelemetrySnapshot {
     snap.latency.workers.push(Default::default());
     snap.ingest.per_layer.push(Default::default());
     snap
+}
+
+/// Fills the sequences an offline or idle run may leave empty, so the
+/// element paths compare against the same golden as [`shape_complete`].
+fn complete_shape(snap: &mut TelemetrySnapshot) {
+    if snap.stages.is_empty() {
+        snap.stages = Recorder::disabled().breakdown();
+    }
+    if snap.latency.workers.is_empty() {
+        snap.latency.workers.push(Default::default());
+    }
+    if snap.ingest.per_layer.is_empty() {
+        snap.ingest.per_layer.push(Default::default());
+    }
 }
 
 fn fingerprint(snap: &TelemetrySnapshot) -> Vec<String> {
@@ -134,17 +153,52 @@ fn stats_json_artifact_round_trips_against_golden() {
     let rejson = serde_json::to_string(&snap).expect("re-serialize");
     let back: TelemetrySnapshot = serde_json::from_str(&rejson).expect("re-parse");
     assert_eq!(back, snap, "artifact must survive a serde round trip");
-    // Offline runs leave `stages`/`workers` empty; shape-complete them so
-    // the element paths compare against the same golden as the in-process
-    // fingerprint.
-    if snap.stages.is_empty() {
-        snap.stages = Recorder::disabled().breakdown();
-    }
-    if snap.latency.workers.is_empty() {
-        snap.latency.workers.push(Default::default());
-    }
-    if snap.ingest.per_layer.is_empty() {
-        snap.ingest.per_layer.push(Default::default());
-    }
+    // Offline runs leave `stages`/`workers` empty.
+    complete_shape(&mut snap);
     assert_matches_golden(&fingerprint(&snap), "--stats-json artifact");
+}
+
+/// The snapshot a live-ingest server reports after real traffic carries
+/// the current schema version, survives a JSON round trip, fingerprints to
+/// the committed golden, and reports the traffic it saw.
+#[test]
+fn live_server_snapshot_matches_golden() {
+    const NODES: usize = 8;
+    const BASE: usize = 24;
+    let cfg = TgatConfig::tiny();
+    let mut graph = TemporalGraph::with_nodes(NODES);
+    for i in 0..BASE {
+        let (src, dst) = ((i % NODES) as NodeId, ((i * 3 + 1) % NODES) as NodeId);
+        graph.insert(&Edge { src, dst, time: (i + 1) as Time, eid: i as u32 });
+    }
+    let mut rng = init::seeded_rng(11);
+    let nf = init::normal(&mut rng, NODES, cfg.dim, 0.5);
+    // One spare edge-feature row for the live edge below.
+    let ef = init::normal(&mut rng, BASE + 1, cfg.edge_dim, 0.5);
+    let params = TgatParams::init(cfg, 3).unwrap();
+    let bundle = Arc::new(ModelBundle::new(params, graph, nf, ef).unwrap());
+    let server =
+        TgServer::deterministic(bundle, ServeConfig::default().with_live_ingest(true)).unwrap();
+
+    let ns: Vec<NodeId> = (0..NODES as NodeId).collect();
+    let ts = vec![BASE as Time + 1.0; NODES];
+    let first = server.submit_many(&ns, &ts).unwrap();
+    server.drain().unwrap();
+    server.submit_edge(0, 5, BASE as Time + 0.5).unwrap();
+    let second = server.submit_many(&ns, &ts).unwrap();
+    server.drain().unwrap();
+    for ticket in first.into_iter().chain(second) {
+        ticket.wait().unwrap();
+    }
+    let (stats, mut snap) = server.shutdown_with_telemetry();
+
+    assert_eq!(snap.schema_version, SCHEMA_VERSION);
+    assert_eq!(snap.serve.completed, stats.completed);
+    assert_eq!(snap.serve.completed, 2 * NODES as u64);
+    assert_eq!(snap.ingest.edges_appended, 1);
+    let json = serde_json::to_string(&snap).expect("serialize");
+    let back: TelemetrySnapshot = serde_json::from_str(&json).expect("deserialize");
+    assert_eq!(back, snap, "a served snapshot must survive a serde round trip");
+    complete_shape(&mut snap);
+    assert_matches_golden(&fingerprint(&snap), "live server snapshot");
 }
