@@ -55,7 +55,7 @@ impl TimeCache {
     }
 
     /// Encodes a batch of deltas, copying precomputed rows on hits and
-    /// falling back to `encoder` for the misses (computed as one batch).
+    /// encoding each miss with `encoder` straight into its row.
     ///
     /// # Invariants
     ///
@@ -79,14 +79,10 @@ impl TimeCache {
     /// - Same as [`TimeCache::encode`]: the table is immutable, only the
     ///   hit/miss counters change, and `hits() + misses()` grows by
     ///   exactly `dts.len()`.
-    /// - Allocation-free when every delta hits the window (misses batch
-    ///   one `encoder.encode` fallback).
+    /// - Allocation-free.
     pub fn encode_into(&mut self, encoder: &TimeEncoder, dts: &[f32], out: &mut Tensor) {
-        let d = self.dim();
         let window = self.window();
-        assert_eq!(out.shape(), (dts.len(), d), "time-encode destination shape mismatch");
-        let mut miss_rows: Vec<usize> = Vec::new(); // alloc-ok: miss bookkeeping stays empty while deltas hit the precomputed window
-        let mut miss_dts: Vec<f32> = Vec::new(); // alloc-ok: miss deltas batched into one fallback encode; empty on the all-hit path
+        assert_eq!(out.shape(), (dts.len(), self.dim()), "time-encode destination shape mismatch");
         for (r, &dt) in dts.iter().enumerate() {
             let idx = dt as usize; // lint: allow(lossy-cast, used only when dt is a non-negative integer below window)
             // Hit iff dt is a non-negative integer inside the window.
@@ -94,15 +90,8 @@ impl TimeCache {
                 out.row_mut(r).copy_from_slice(self.table.row(idx));
                 self.hits += 1;
             } else {
-                miss_rows.push(r); // alloc-ok: grows only on cache misses
-                miss_dts.push(dt); // alloc-ok: grows only on cache misses
+                encoder.encode_row_into(dt, out.row_mut(r));
                 self.misses += 1;
-            }
-        }
-        if !miss_rows.is_empty() {
-            let computed = encoder.encode(&miss_dts);
-            for (i, &r) in miss_rows.iter().enumerate() {
-                out.row_mut(r).copy_from_slice(computed.row(i));
             }
         }
     }
@@ -148,14 +137,16 @@ impl TimeCache {
 mod tests {
     use super::*;
 
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
     fn window_rows_match_direct_encoding() {
         let enc = TimeEncoder::random(6, 3);
         let mut tc = TimeCache::precompute(&enc, 100);
         let dts = [0.0f32, 1.0, 50.0, 99.0];
-        let cached = tc.encode(&enc, &dts);
-        let direct = enc.encode(&dts);
-        assert!(cached.max_abs_diff(&direct) < 1e-7);
+        assert_eq!(bits(&tc.encode(&enc, &dts)), bits(&enc.encode(&dts)));
         assert_eq!(tc.hits(), 4);
         assert_eq!(tc.misses(), 0);
     }
@@ -166,9 +157,7 @@ mod tests {
         let mut tc = TimeCache::precompute(&enc, 10);
         // 10 is outside [0,10); 2.5 is non-integral; -1 is negative.
         let dts = [10.0f32, 2.5, -1.0, 3.0];
-        let cached = tc.encode(&enc, &dts);
-        let direct = enc.encode(&dts);
-        assert!(cached.max_abs_diff(&direct) < 1e-7);
+        assert_eq!(bits(&tc.encode(&enc, &dts)), bits(&enc.encode(&dts)));
         assert_eq!(tc.hits(), 1);
         assert_eq!(tc.misses(), 3);
         assert!((tc.hit_rate() - 0.25).abs() < 1e-12);
@@ -178,9 +167,7 @@ mod tests {
     fn encode_zeros_matches_encoder() {
         let enc = TimeEncoder::random(5, 9);
         let tc = TimeCache::precompute(&enc, 16);
-        let z = tc.encode_zeros(3);
-        let direct = enc.encode_zeros(3);
-        assert!(z.max_abs_diff(&direct) < 1e-7);
+        assert_eq!(bits(&tc.encode_zeros(3)), bits(&enc.encode_zeros(3)));
     }
 
     #[test]
@@ -190,9 +177,7 @@ mod tests {
         let enc = TimeEncoder::new(4);
         let mut tc = TimeCache::precompute(&enc, 8);
         let dts = [3.0e8f32];
-        let cached = tc.encode(&enc, &dts);
-        let direct = enc.encode(&dts);
-        assert!(cached.max_abs_diff(&direct) < 1e-7);
+        assert_eq!(bits(&tc.encode(&enc, &dts)), bits(&enc.encode(&dts)));
         assert_eq!(tc.misses(), 1);
     }
 
@@ -204,10 +189,36 @@ mod tests {
         let direct = enc.encode(&dts);
         let mut dst = Tensor::zeros(dts.len(), enc.dim());
         window.encode_into(&enc, &dts, &mut dst);
-        assert!(dst.max_abs_diff(&direct) < 1e-7);
+        assert_eq!(bits(&dst), bits(&direct));
         let mut zeros = Tensor::zeros(3, enc.dim());
         window.encode_zeros_into(&mut zeros);
-        assert!(zeros.max_abs_diff(&enc.encode_zeros(3)) < 1e-7);
+        assert_eq!(bits(&zeros), bits(&enc.encode_zeros(3)));
+    }
+
+    #[test]
+    fn every_kernel_path_agrees_with_the_encoder_bit_for_bit() {
+        // At dim 32 with random phases, `dt * omega + phi` reaches every
+        // branch glibc's cosf takes: below 2^-12, below 0.75, the fast
+        // reduction, the 4/π product, and negative arguments. Hits and
+        // misses alike must equal `encoder.encode`.
+        let enc = TimeEncoder::random(32, 27);
+        let (om, ph) = (enc.omega.as_slice(), enc.phi.as_slice());
+        let mut dts = vec![0.0f32, 1.0, 3.0, 99.0, 2.5, -5.0, 100.0, 5_000.0, 16_777_216.0, 3.0e8];
+        dts.push(-ph[0] / om[0]); // cancels column 0 to within an ULP of phi
+        let args: Vec<f32> =
+            dts.iter().flat_map(|&dt| om.iter().zip(ph).map(move |(&o, &p)| dt * o + p)).collect();
+        let reached = |lo: f32, hi: f32| args.iter().any(|x| (lo..hi).contains(&x.abs()));
+        assert!(reached(0.0, 2f32.powi(-12)), "tiny");
+        assert!(reached(2f32.powi(-12), 0.75), "|x| < 0.75");
+        assert!(reached(0.75, 120.0), "fast reduction");
+        assert!(reached(120.0, f32::INFINITY), "large reduction");
+        assert!(args.iter().any(|&x| x < -120.0), "negative, large");
+
+        let mut tc = TimeCache::precompute(&enc, 100);
+        let mut dst = Tensor::full(dts.len(), 32, 777.0);
+        tc.encode_into(&enc, &dts, &mut dst);
+        assert_eq!(bits(&dst), bits(&enc.encode(&dts)));
+        assert_eq!((tc.hits(), tc.misses()), (4, 7));
     }
 
     #[test]

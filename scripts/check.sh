@@ -9,7 +9,10 @@
 #      (includes the streaming-ingest suites: tests/prop_streaming.rs,
 #      the seeded interleaving equivalence battery, and
 #      tests/streaming_stress.rs, real concurrent ingest+query workers)
-#   3. cargo run -p tg-xtask -- lint — the repo's static-analysis suite
+#   3. cargo test --release -p tgat -- --ignored — the time encoder's cos
+#      kernel against libm over all 2^32 f32 inputs (~30 s on two cores;
+#      see DESIGN.md "The time encoder's cos")
+#   4. cargo run -p tg-xtask -- lint — the repo's static-analysis suite
 #      (L1 panic, L2 lossy-cast, L3 std-hash, L4 missing-invariants; the
 #      concurrency rules L5 lock-order, L6 atomics, L7 lock-across,
 #      L8 unguarded-counter; the call-graph reachability rules
@@ -20,12 +23,12 @@
 #      DESIGN.md "Error handling & lint policy", "Concurrency model",
 #      "Call-graph reachability (L9-L12)", and
 #      "Effect inference (L13-L16)")
-#   4. ledger --smoke               — all four perf-ledger workloads at
+#   5. ledger --smoke               — all four perf-ledger workloads at
 #      scale 0.05 (~10 s); exits 1 on any oracle mismatch (replay vs the
 #      opposite config, served vs direct, post-ingest served vs cold
 #      rebuild)
 #
-# The lint also runs inside `cargo test` via tests/lint_gate.rs, so step 3
+# The lint also runs inside `cargo test` via tests/lint_gate.rs, so step 4
 # is technically redundant — but running it standalone gives file:line
 # output (and `--format json` for CI) without a test harness around it.
 #
@@ -43,6 +46,9 @@ cargo build --release
 
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
+
+echo "==> cargo test --release -p tgat -- --ignored"
+cargo test --release -q -p tgat -- --ignored
 
 echo "==> cargo run -p tg-xtask -- lint"
 cargo run --release -q -p tg-xtask -- lint
