@@ -3,7 +3,7 @@
 //!
 //! * dedup: joint two-array hash filter (Algorithm 2) vs sort-based unique
 //! * keys: collision-free bit-packing vs generic tuple hashing
-//! * cache: sequential vs parallel lookup
+//! * cache: lookup and store
 //! * time encoding: dense precomputed window vs direct computation
 //! * attention operator, temporal sampler, and matmul kernels
 
@@ -78,16 +78,10 @@ fn bench_cache(c: &mut Criterion) {
     let data = Tensor::zeros(50_000, dim);
     cache.store(&keys, &data, false).unwrap();
     let probe: Vec<u64> = (0..8400u32).map(|i| pack_key(i * 7 % 60_000, (i * 7 % 60_000) as f32)).collect();
-    g.bench_function("lookup_seq", |b| {
+    g.bench_function("lookup", |b| {
         b.iter(|| {
             let mut out = Tensor::zeros(probe.len(), dim);
             black_box(cache.lookup(black_box(&probe), &mut out, false).unwrap())
-        })
-    });
-    g.bench_function("lookup_par", |b| {
-        b.iter(|| {
-            let mut out = Tensor::zeros(probe.len(), dim);
-            black_box(cache.lookup(black_box(&probe), &mut out, true).unwrap())
         })
     });
     g.bench_function("store_1000", |b| {
@@ -157,13 +151,9 @@ fn bench_sampler(c: &mut Criterion) {
     }
     let ns: Vec<u32> = (0..8400u32).map(|i| i % n_nodes).collect();
     let ts: Vec<f32> = (0..8400).map(|i| 150_000.0 + (i % 100) as f32).collect();
-    let par = TemporalSampler::most_recent(20);
-    let seq = TemporalSampler::most_recent(20).sequential();
-    g.bench_function("most_recent_par", |b| {
-        b.iter(|| black_box(par.sample(&graph, black_box(&ns), black_box(&ts))))
-    });
-    g.bench_function("most_recent_seq", |b| {
-        b.iter(|| black_box(seq.sample(&graph, black_box(&ns), black_box(&ts))))
+    let sampler = TemporalSampler::most_recent(20);
+    g.bench_function("most_recent", |b| {
+        b.iter(|| black_box(sampler.sample(&graph, black_box(&ns), black_box(&ts))))
     });
     g.finish();
 }

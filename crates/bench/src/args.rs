@@ -48,33 +48,29 @@ impl ExpArgs {
         Self::parse_from(std::env::args().skip(1))
     }
 
-    /// Parses from an explicit iterator (testable).
+    /// Parses from an explicit iterator, exiting through `die` on a bad flag.
     pub fn parse_from(args: impl IntoIterator<Item = String>) -> Self {
+        Self::try_parse_from(args).unwrap_or_else(|e| die(&e))
+    }
+
+    /// [`ExpArgs::parse_from`] with the error returned instead of printed.
+    /// Integer flags parse as integers: a fractional, negative or
+    /// out-of-range value is an error, never a rounded or truncated run.
+    fn try_parse_from(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut out = Self::default();
         let mut it = args.into_iter();
         while let Some(flag) = it.next() {
-            let mut take = |name: &str| {
-                it.next().unwrap_or_else(|| die(&format!("{name} needs a value")))
-            };
+            let mut take = || it.next().ok_or_else(|| format!("{flag} needs a value"));
             match flag.as_str() {
-                "--scale" => out.scale = parse_num(&take("--scale"), "--scale"),
-                "--runs" => out.runs = parse_num::<f64>(&take("--runs"), "--runs") as usize,
-                "--seed" => out.seed = parse_num::<f64>(&take("--seed"), "--seed") as u64,
-                "--dim" => out.dim = parse_num::<f64>(&take("--dim"), "--dim") as usize,
-                "--neighbors" => {
-                    out.n_neighbors =
-                        parse_num::<f64>(&take("--neighbors"), "--neighbors") as usize
-                }
-                "--batch" => {
-                    out.batch_size = parse_num::<f64>(&take("--batch"), "--batch") as usize
-                }
-                "--cache-limit" => {
-                    out.cache_limit =
-                        parse_num::<f64>(&take("--cache-limit"), "--cache-limit") as usize
-                }
+                "--scale" => out.scale = parse_num(&take()?, &flag)?,
+                "--runs" => out.runs = parse_num(&take()?, &flag)?,
+                "--seed" => out.seed = parse_num(&take()?, &flag)?,
+                "--dim" => out.dim = parse_num(&take()?, &flag)?,
+                "--neighbors" => out.n_neighbors = parse_num(&take()?, &flag)?,
+                "--batch" => out.batch_size = parse_num(&take()?, &flag)?,
+                "--cache-limit" => out.cache_limit = parse_num(&take()?, &flag)?,
                 "--datasets" | "-d" => {
-                    out.datasets =
-                        take("--datasets").split(',').map(|s| s.trim().to_string()).collect()
+                    out.datasets = take()?.split(',').map(|s| s.trim().to_string()).collect()
                 }
                 "--paper" => {
                     // Paper-scale configuration (§5.1): slow on one core.
@@ -87,13 +83,13 @@ impl ExpArgs {
                     eprintln!("{}", USAGE);
                     std::process::exit(0);
                 }
-                other => die(&format!("unknown flag {other}\n{USAGE}")),
+                other => return Err(format!("unknown flag {other}\n{USAGE}")),
             }
         }
         if out.scale <= 0.0 || out.runs == 0 || out.dim == 0 {
-            die("scale, runs and dim must be positive");
+            return Err("scale, runs and dim must be positive".into());
         }
-        out
+        Ok(out)
     }
 
     /// Model configuration implied by these arguments for a dataset with the
@@ -137,8 +133,8 @@ Usage: exp_* [--scale F] [--runs N] [--seed N] [--dim N] [--neighbors N]
   --datasets LIST  comma-separated dataset filter
   --paper          full paper configuration (scale 1.0, dim 100, 20 nbrs, 10 runs)";
 
-fn parse_num<T: std::str::FromStr>(s: &str, flag: &str) -> T {
-    s.parse().unwrap_or_else(|_| die(&format!("invalid value {s:?} for {flag}")))
+fn parse_num<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, String> {
+    s.parse().map_err(|_| format!("invalid value {s:?} for {flag}"))
 }
 
 fn die(msg: &str) -> ! {
@@ -173,6 +169,23 @@ mod tests {
         assert!(a.selects("snap-msg"));
         assert!(!a.selects("jodie-mooc"));
         assert_eq!(a.effective_cache_limit(), 1000);
+    }
+
+    #[test]
+    fn integer_flags_parse_exactly_and_reject_fractions() {
+        // 2^53 + 1 is not an f64: parsing through f64 ran seed 2^53.
+        let a = parse(&["--seed", "9007199254740993", "--runs", "3", "--cache-limit", "4000000"]);
+        assert_eq!(a.seed, 9_007_199_254_740_993);
+        assert_eq!(a.runs, 3);
+        assert_eq!(a.cache_limit, 4_000_000);
+        for flag in ["--runs", "--seed", "--dim", "--neighbors", "--batch", "--cache-limit"] {
+            for bad in ["2.9", "-1", "1e3"] {
+                let err = ExpArgs::try_parse_from([flag, bad].map(String::from))
+                    .expect_err("fractional, negative and exponent values are rejected");
+                assert!(err.contains(flag), "{err}");
+            }
+        }
+        assert!(ExpArgs::try_parse_from(["--scale", "0.5"].map(String::from)).is_ok());
     }
 
     #[test]

@@ -1,11 +1,9 @@
 //! Writes a generated dataset to the artifact's `ml_{name}.csv` edge-list
 //! format so external tooling (or the original Python pipeline) can consume
-//! the synthetic graphs — and so `--csv` runs of the `inference` binary can
-//! be fed reproducible data.
+//! the synthetic graphs, and `tg_datasets::load_csv` reads them back.
 //!
 //! ```sh
 //! cargo run --release -p tg-bench --bin datagen -- -d snap-msg --scale 0.1 --out data/
-//! cargo run --release -p tg-bench --bin inference -- --csv data/ml_snap-msg.csv --opt-all
 //! ```
 
 use std::io::Write;

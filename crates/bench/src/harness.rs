@@ -46,49 +46,9 @@ pub struct RunResult {
     pub cache_bytes: usize,
     /// Cached items at the end of the run.
     pub cache_items: usize,
-    /// FIFO evictions performed over the run.
-    pub cache_evictions: u64,
-    /// Rows dropped because one store call exceeded the whole cache limit.
-    pub cache_store_drops: u64,
-    /// Configured cache row capacity (0 when memoization is off).
-    pub cache_limit: usize,
-    /// Time-encoding cache `(hits, misses)` over the run (zeros when time
-    /// precomputation is off).
-    pub time_cache: (u64, u64),
     /// Embedding checksum (sum of all outputs) — lets callers assert two
     /// configurations did the same computation.
     pub checksum: f64,
-}
-
-impl RunResult {
-    /// The unified telemetry snapshot of this replay (serving-layer fields
-    /// stay zero: an offline replay has no admission queue or workers).
-    pub fn telemetry(&self) -> tg_telemetry::TelemetrySnapshot {
-        let (tc_hits, tc_misses) = self.time_cache;
-        tg_telemetry::TelemetrySnapshot {
-            stages: self.stats.breakdown(),
-            engine: tg_telemetry::EngineTelemetry {
-                cache_lookups: self.counters.cache_lookups,
-                cache_hits: self.counters.cache_hits,
-                cache_stores: self.counters.cache_stores,
-                recomputed: self.counters.recomputed,
-                dedup_removed: self.counters.dedup_removed,
-                stores_skipped: self.counters.stores_skipped,
-            },
-            time_cache: tg_telemetry::TimeCacheTelemetry {
-                lookups: tc_hits + tc_misses,
-                hits: tc_hits,
-            },
-            embed_cache: tg_telemetry::EmbedCacheTelemetry {
-                items: self.cache_items as u64,
-                bytes: self.cache_bytes as u64,
-                limit: self.cache_limit as u64,
-                evictions: self.cache_evictions,
-                store_drops: self.cache_store_drops,
-            },
-            ..tg_telemetry::TelemetrySnapshot::new()
-        }
-    }
 }
 
 /// Replays the standard inference task over `dataset` with `params` under
@@ -141,10 +101,6 @@ pub fn replay(
         counters: eng.counters(),
         cache_bytes: eng.cache().bytes_used(),
         cache_items: eng.cache().len(),
-        cache_evictions: eng.cache().total_evictions(),
-        cache_store_drops: eng.cache().total_store_dropped(),
-        cache_limit: if eng.memoization_active() { eng.cache().limit() } else { 0 },
-        time_cache: eng.time_cache_stats(),
         batches,
         checksum,
     }

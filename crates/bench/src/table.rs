@@ -65,58 +65,6 @@ pub fn fmt_mib(bytes: usize) -> String {
     format!("{:.1}MiB", bytes as f64 / (1024.0 * 1024.0))
 }
 
-/// Re-indents compact JSON for a diff-friendly committed artifact (the
-/// vendored `serde_json` shim has no pretty printer). Only structural
-/// characters outside strings trigger breaks, so values pass through intact.
-pub fn pretty_json(compact: &str) -> String {
-    let mut out = String::with_capacity(compact.len() * 2);
-    let mut depth = 0usize;
-    let mut in_str = false;
-    let mut escaped = false;
-    let indent = |out: &mut String, depth: usize| {
-        out.push('\n');
-        for _ in 0..depth {
-            out.push_str("  ");
-        }
-    };
-    for c in compact.chars() {
-        if in_str {
-            out.push(c);
-            if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                in_str = false;
-            }
-            continue;
-        }
-        match c {
-            '"' => {
-                in_str = true;
-                out.push(c);
-            }
-            '{' | '[' => {
-                out.push(c);
-                depth += 1;
-                indent(&mut out, depth);
-            }
-            '}' | ']' => {
-                depth = depth.saturating_sub(1);
-                indent(&mut out, depth);
-                out.push(c);
-            }
-            ',' => {
-                out.push(c);
-                indent(&mut out, depth);
-            }
-            ':' => out.push_str(": "),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -7,12 +7,11 @@
 //! an event at `te` (the paper's §7 future work) walks only the entries
 //! keyed after `te` instead of the whole table. The paper parallelizes
 //! `CacheLookup` and, on the GPU host, `CacheStore` across keys (§5.1.3);
-//! the `parallel` flags keep that shape, but the vendored rayon is
-//! sequential, so both settings run the same loop here.
+//! here each is one loop over the keys, and the `parallel` arguments that
+//! still carry the paper's switch are ignored.
 
 use crate::hash::{first_time_major_after, from_time_major, time_major, unpack_key};
 use parking_lot::{Mutex, RwLock};
-use rayon::prelude::*;
 use rustc_hash::FxHashMap;
 use std::collections::hash_map::Entry as MapEntry;
 use std::collections::{BTreeSet, VecDeque};
@@ -226,8 +225,10 @@ impl EmbedCache {
     /// - `out` retains its previous contents in every row whose key missed.
     /// - The hit/lookup counters grow by exactly `keys.len()` attempted and
     ///   `mask.count_ones()` hit; no map or FIFO state changes.
-    /// - Sequential and parallel modes produce identical masks and rows.
-    pub fn lookup(&self, keys: &[u64], out: &mut Tensor, parallel: bool) -> Result<Vec<bool>, TgError> { // alloc-ok: the hit mask is the return value; embedding rows land in the caller's scratch tensor
+    ///
+    /// `_parallel` is ignored; the perf ledger's probe still passes it, and
+    /// ROADMAP 5(f) drops it.
+    pub fn lookup(&self, keys: &[u64], out: &mut Tensor, _parallel: bool) -> Result<Vec<bool>, TgError> { // alloc-ok: the hit mask is the return value; embedding rows land in the caller's scratch tensor
         if out.shape() != (keys.len(), self.dim) {
             return Err(TgError::shape(
                 "EmbedCache::lookup output",
@@ -236,26 +237,12 @@ impl EmbedCache {
             ));
         }
         self.lookups.fetch_add(keys.len() as u64, Ordering::Relaxed);
-        let dim = self.dim;
         let mut mask = vec![false; keys.len()];
-        let fetch = |key: u64, row: &mut [f32], hit: &mut bool| {
+        for ((row, hit), &key) in out.as_mut_slice().chunks_mut(self.dim).zip(&mut mask).zip(keys) {
             let shard = self.shards[shard_of(key)].read();
             if let Some(v) = shard.map.get(&key) {
                 row.copy_from_slice(&v.row);
                 *hit = true;
-            }
-        };
-        if parallel && keys.len() >= 256 {
-            out.as_mut_slice()
-                .par_chunks_mut(dim)
-                .zip(mask.par_iter_mut())
-                .zip(keys.par_iter())
-                .for_each(|((row, hit), &key)| fetch(key, row, hit));
-        } else {
-            for ((row, hit), &key) in
-                out.as_mut_slice().chunks_mut(dim).zip(mask.iter_mut()).zip(keys)
-            {
-                fetch(key, row, hit);
             }
         }
         let n_hits = mask.iter().filter(|&&h| h).count() as u64;
@@ -285,8 +272,10 @@ impl EmbedCache {
     /// - The `stores` counter grows by the number of *admitted* rows only;
     ///   rows dropped because this one call exceeds the whole limit are
     ///   counted in [`EmbedCache::total_store_dropped`] instead.
-    pub fn store(&self, keys: &[u64], h: &Tensor, parallel: bool) -> Result<(), TgError> {
-        self.store_impl(keys, h, None, parallel)
+    ///
+    /// `_parallel` is ignored, as in [`EmbedCache::lookup`].
+    pub fn store(&self, keys: &[u64], h: &Tensor, _parallel: bool) -> Result<(), TgError> {
+        self.store_impl(keys, h, None)
     }
 
     /// Like [`EmbedCache::store`] but records `constraints[i]` — the
@@ -305,7 +294,6 @@ impl EmbedCache {
         keys: &[u64],
         h: &Tensor,
         constraints: Vec<Box<[u64]>>,
-        parallel: bool,
     ) -> Result<(), TgError> {
         if constraints.len() != keys.len() {
             return Err(TgError::shape(
@@ -314,7 +302,7 @@ impl EmbedCache {
                 format_args!("{}", constraints.len()),
             ));
         }
-        self.store_impl(keys, h, Some(constraints), parallel)
+        self.store_impl(keys, h, Some(constraints))
     }
 
     fn store_impl( // alloc-ok: cache admission must copy the rows it will own; the fresh-key list is bounded by the batch
@@ -322,7 +310,6 @@ impl EmbedCache {
         keys: &[u64],
         h: &Tensor,
         mut constraints: Option<Vec<Box<[u64]>>>,
-        parallel: bool,
     ) -> Result<(), TgError> {
         if h.shape() != (keys.len(), self.dim) {
             return Err(TgError::shape(
@@ -354,8 +341,17 @@ impl EmbedCache {
             self.evict((cur + fresh_count).saturating_sub(self.limit));
         }
 
-        // Some((key, stamp)) for a fresh key, which then needs a FIFO slot.
-        let insert_one = |key: u64, row: &[f32], constraint: Box<[u64]>| -> Option<(u64, u64)> {
+        // Each fresh key's `(key, stamp)` then needs a FIFO slot.
+        let mut fresh = Vec::with_capacity(incoming);
+        for (j, (&key, row)) in keys[skip..]
+            .iter()
+            .zip(h.as_slice()[skip * self.dim..].chunks(self.dim))
+            .enumerate()
+        {
+            let constraint = match constraints.as_mut() {
+                Some(v) => std::mem::take(&mut v[skip + j]),
+                None => Box::default(),
+            };
             let added = constraint.len();
             let row: Box<[f32]> = row.into();
             let mut shard = self.shards[shard_of(key)].write();
@@ -374,33 +370,11 @@ impl EmbedCache {
                 self.constraint_words.fetch_sub(dropped, Ordering::Relaxed);
             }
             drop(shard);
-            old.is_none().then_some((key, stamp))
-        };
-        // Constrained stores stay sequential so each fingerprint moves by
-        // value; deep-layer miss batches are small (the parallel threshold
-        // below would rarely trigger anyway).
-        if parallel && constraints.is_none() && incoming >= 256 {
-            let fresh: Vec<(u64, u64)> = keys[skip..]
-                .par_iter()
-                .zip(h.as_slice()[skip * self.dim..].par_chunks(self.dim))
-                .filter_map(|(&key, row)| insert_one(key, row, Box::default()))
-                .collect();
-            self.finish_store(fresh, incoming);
-        } else {
-            let mut fresh = Vec::with_capacity(incoming);
-            for (j, (&key, row)) in keys[skip..]
-                .iter()
-                .zip(h.as_slice()[skip * self.dim..].chunks(self.dim))
-                .enumerate()
-            {
-                let constraint = match constraints.as_mut() {
-                    Some(v) => std::mem::take(&mut v[skip + j]),
-                    None => Box::default(),
-                };
-                fresh.extend(insert_one(key, row, constraint));
+            if old.is_none() {
+                fresh.push((key, stamp));
             }
-            self.finish_store(fresh, incoming);
         }
+        self.finish_store(fresh, incoming);
         Ok(())
     }
 
@@ -989,22 +963,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_sequential_lookup_agree() {
-        let cache = EmbedCache::new(2000, 4);
-        let keys: Vec<u64> = (0..1000u32).map(|i| pack_key(i, i as f32)).collect();
-        let data: Vec<f32> = (0..4000).map(|i| i as f32).collect();
-        cache.store(&keys, &Tensor::from_vec(1000, 4, data), true).unwrap();
-        let probe: Vec<u64> = (0..1500u32).map(|i| pack_key(i, i as f32)).collect();
-        let mut seq = Tensor::zeros(1500, 4);
-        let mut par = Tensor::zeros(1500, 4);
-        let m1 = cache.lookup(&probe, &mut seq, false).unwrap();
-        let m2 = cache.lookup(&probe, &mut par, true).unwrap();
-        assert_eq!(m1, m2);
-        assert_eq!(seq.as_slice(), par.as_slice());
-        assert_eq!(m1.iter().filter(|&&h| h).count(), 1000);
-    }
-
-    #[test]
     fn invalidate_node_removes_all_times() {
         let cache = EmbedCache::new(10, 1);
         cache.store(
@@ -1171,7 +1129,7 @@ mod tests {
             vec![pack_key(2, 6.0), pack_key(9, 5.0)].into_boxed_slice(),
             Box::default(),
         ];
-        cache.store_with_constraints(&keys, &Tensor::zeros(3, 1), constraints, false).unwrap();
+        cache.store_with_constraints(&keys, &Tensor::zeros(3, 1), constraints).unwrap();
         // Edge at te=4.5: only pairs with time > 4.5 can be entered; say
         // the edge lands in node 9's window but not node 1's or 2's own.
         let (removed, retained) = cache.sweep(Some(4.5), 1, |n, t| t > 4.5 && n == 9);
@@ -1195,7 +1153,7 @@ mod tests {
         let cache = EmbedCache::new(10, 1);
         let k = [pack_key(1, 5.0)];
         let fp = vec![vec![pack_key(1, 5.0), pack_key(8, 4.0)].into_boxed_slice()];
-        cache.store_with_constraints(&k, &Tensor::zeros(1, 1), fp, false).unwrap();
+        cache.store_with_constraints(&k, &Tensor::zeros(1, 1), fp).unwrap();
         cache.store(&k, &Tensor::zeros(1, 1), false).unwrap();
         // In a layer-1 table the key is the whole fingerprint: provably fresh.
         assert_eq!(cache.sweep(Some(4.0), 0, |_, _| false), (0, 1));
@@ -1210,14 +1168,14 @@ mod tests {
         let cache = EmbedCache::new(2, 1);
         let fp = |n: u32| vec![(0..n).map(|i| pack_key(100 + i, 1.0)).collect::<Box<[u64]>>()];
         let (a, b, c) = ([pack_key(1, 5.0)], [pack_key(2, 5.0)], [pack_key(3, 5.0)]);
-        cache.store_with_constraints(&a, &Tensor::zeros(1, 1), fp(3), false).unwrap();
+        cache.store_with_constraints(&a, &Tensor::zeros(1, 1), fp(3)).unwrap();
         assert_eq!(cache.bytes_used(), row + 3 * pair);
         // Overwrite: the old fingerprint's bytes leave with it.
-        cache.store_with_constraints(&a, &Tensor::zeros(1, 1), fp(5), false).unwrap();
+        cache.store_with_constraints(&a, &Tensor::zeros(1, 1), fp(5)).unwrap();
         assert_eq!(cache.bytes_used(), row + 5 * pair);
         // Eviction of `a` (limit 2) takes its five pairs along.
-        cache.store_with_constraints(&b, &Tensor::zeros(1, 1), fp(2), false).unwrap();
-        cache.store_with_constraints(&c, &Tensor::zeros(1, 1), fp(4), false).unwrap();
+        cache.store_with_constraints(&b, &Tensor::zeros(1, 1), fp(2)).unwrap();
+        cache.store_with_constraints(&c, &Tensor::zeros(1, 1), fp(4)).unwrap();
         assert_eq!(cache.total_evictions(), 1);
         assert_eq!(cache.bytes_used(), 2 * row + 6 * pair);
         // Sweep of `b`, then clear of `c`.
@@ -1433,7 +1391,7 @@ mod tests {
                                 cache.store(&keys, &h, false).unwrap();
                             } else {
                                 let boxed = fps.iter().map(|fp| fp.clone().into_boxed_slice()).collect();
-                                cache.store_with_constraints(&keys, &h, boxed, false).unwrap();
+                                cache.store_with_constraints(&keys, &h, boxed).unwrap();
                             }
                             let inserted = model.inserted;
                             model.store(&keys, &vals, &fps);

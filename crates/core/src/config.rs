@@ -19,10 +19,12 @@ pub struct OptConfig {
     pub cache_limit: usize,
     /// Precomputed time-encoding window (paper default 10,000).
     pub time_window: usize,
-    /// Parallelize `CacheLookup` across keys (on for both machines in §5.1.3).
+    /// The paper's switch for a `CacheLookup` parallel across keys (on for
+    /// both machines in §5.1.3). Ignored: a lookup is one loop over the keys.
+    /// The perf ledger's probe still reads it; ROADMAP 5(f) drops it.
     pub parallel_lookup: bool,
-    /// Parallelize `CacheStore` (the paper enables this only on the GPU
-    /// host to spread work across its slower cores).
+    /// The paper's switch for a parallel `CacheStore` (GPU host only).
+    /// Ignored like [`OptConfig::parallel_lookup`].
     pub parallel_store: bool,
     /// Also cache the final layer's embeddings. Off by default: `H^(L)` is
     /// never an input to another computation, so skipping it reduces memory
@@ -37,7 +39,7 @@ impl Default for OptConfig {
 }
 
 impl OptConfig {
-    /// Everything on — the configuration `--opt-all` benchmarks.
+    /// Everything on — the TGOpt side of every baseline-vs-TGOpt benchmark.
     pub fn all() -> Self {
         Self {
             enable_dedup: true,

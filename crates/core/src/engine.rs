@@ -371,10 +371,9 @@ impl<'a> TgoptEngine<'a> {
         // Zeroed (not just taken) because a partial cache lookup only fills
         // hit rows; the scatter below covers the misses.
         let mut h = self.scratch.zeros(n_uniq, self.params.cfg.dim);
-        let parallel = self.opt.parallel_lookup;
-        let keys = self.stats.time(OpKind::ComputeKeys, || compute_keys(uns, uts, parallel));
+        let keys = self.stats.time(OpKind::ComputeKeys, || compute_keys(uns, uts, false));
         let hit_mask =
-            self.stats.time(OpKind::CacheLookup, || cache.lookup(&keys, &mut h, parallel))?;
+            self.stats.time(OpKind::CacheLookup, || cache.lookup(&keys, &mut h, false))?;
         self.counters.cache_lookups += n_uniq as u64;
         self.counters.cache_hits += hit_mask.iter().filter(|&&m| m).count() as u64;
 
@@ -389,7 +388,6 @@ impl<'a> TgoptEngine<'a> {
 
         if self.store_enabled {
             let miss_keys: Vec<u64> = miss_idx.iter().map(|&i| keys[i]).collect(); // alloc-ok: Algorithm 3 CacheStore keys; one u64 per recomputed row
-            let parallel = self.opt.parallel_store;
             if l >= 2 {
                 // Layers >= 2 record each entry's temporal-subgraph
                 // fingerprint for `EmbedCache::sweep` to validate (DESIGN.md
@@ -402,10 +400,10 @@ impl<'a> TgoptEngine<'a> {
                         Some(v) => fingerprint::capture_many(v, k, &m_ns, &m_ts, l - 1),
                         None => fingerprint::capture_many(graph, k, &m_ns, &m_ts, l - 1),
                     };
-                    cache.store_with_constraints(&miss_keys, &h_m, fps, parallel)
+                    cache.store_with_constraints(&miss_keys, &h_m, fps)
                 })?;
             } else {
-                self.stats.time(OpKind::CacheStore, || cache.store(&miss_keys, &h_m, parallel))?;
+                self.stats.time(OpKind::CacheStore, || cache.store(&miss_keys, &h_m, false))?;
             }
             self.counters.cache_stores += miss_keys.len() as u64;
         } else {

@@ -5,7 +5,6 @@
 //! which is what lets the dedup filter and the memoization cache use the
 //! key alone as identity.
 
-use rayon::prelude::*;
 use tg_graph::{NodeId, Time};
 
 /// Packs a `(node, time)` pair into a unique 64-bit key.
@@ -81,14 +80,11 @@ pub(crate) fn first_time_major_after(te: Time) -> u64 {
 }
 
 /// Batched key computation (the `ComputeKeys` operation of Algorithm 1).
-/// Each pair is independent, so large batches are parallelized.
-pub fn compute_keys(ns: &[NodeId], ts: &[Time], parallel: bool) -> Vec<u64> { // alloc-ok: the key vector is the return value (ComputeKeys output), one u64 per target
+/// `_parallel` is ignored; the perf ledger's probe still passes it, and
+/// ROADMAP 5(f) drops it.
+pub fn compute_keys(ns: &[NodeId], ts: &[Time], _parallel: bool) -> Vec<u64> { // alloc-ok: the key vector is the return value (ComputeKeys output), one u64 per target
     assert_eq!(ns.len(), ts.len(), "node/time array length mismatch");
-    if parallel && ns.len() >= 4096 {
-        ns.par_iter().zip(ts.par_iter()).map(|(&n, &t)| pack_key(n, t)).collect()
-    } else {
-        ns.iter().zip(ts).map(|(&n, &t)| pack_key(n, t)).collect()
-    }
+    ns.iter().zip(ts).map(|(&n, &t)| pack_key(n, t)).collect()
 }
 
 #[cfg(test)]
@@ -152,13 +148,6 @@ mod tests {
             proptest::prop_assert_eq!(from_time_major(time_major(key)), key);
             proptest::prop_assert_eq!(time_major(from_time_major(key)), key);
         }
-    }
-
-    #[test]
-    fn compute_keys_parallel_matches_sequential() {
-        let ns: Vec<u32> = (0..10_000).map(|i| i % 97).collect();
-        let ts: Vec<f32> = (0..10_000).map(|i| (i % 31) as f32).collect();
-        assert_eq!(compute_keys(&ns, &ts, true), compute_keys(&ns, &ts, false));
     }
 
     #[test]

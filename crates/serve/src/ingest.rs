@@ -292,7 +292,7 @@ mod tests {
         // the 4-5 component, both keyed past the upcoming insert time.
         let keys = [tgopt::pack_key(0, 8.0), tgopt::pack_key(4, 8.0)];
         let fps = fingerprint::capture_many(&view, k, &[0, 4], &[8.0, 8.0], 1);
-        c2.store_with_constraints(&keys, &Tensor::zeros(2, 1), fps, false).unwrap();
+        c2.store_with_constraints(&keys, &Tensor::zeros(2, 1), fps).unwrap();
 
         // Insert 0-2@5: enters node 0's k=2 window before t=8, so the
         // first entry dies; the 4-5 entry's fingerprint never mentions the

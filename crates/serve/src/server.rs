@@ -117,11 +117,6 @@ pub struct ServeConfig {
     /// Delta-log length that triggers compaction back into CSR
     /// (live-ingest mode only; `usize::MAX` disables auto-compaction).
     pub compact_threshold: usize,
-    /// Best-effort worker-thread core pinning: worker `slot` asks for
-    /// logical CPU `slot`. A refused mask (fewer cores than workers,
-    /// restricted cpuset, non-Linux target) leaves the thread floating —
-    /// never an error.
-    pub pin_cores: bool,
 }
 
 impl Default for ServeConfig {
@@ -135,7 +130,6 @@ impl Default for ServeConfig {
             record_spans: false,
             live_ingest: false,
             compact_threshold: tg_graph::live::DEFAULT_COMPACT_THRESHOLD,
-            pin_cores: false,
         }
     }
 }
@@ -186,12 +180,6 @@ impl ServeConfig {
     /// Builder-style compaction threshold (live-ingest mode).
     pub fn with_compact_threshold(mut self, n: usize) -> Self {
         self.compact_threshold = n;
-        self
-    }
-
-    /// Builder-style best-effort core pinning for worker threads.
-    pub fn with_pin_cores(mut self, on: bool) -> Self {
-        self.pin_cores = on;
         self
     }
 
@@ -383,12 +371,6 @@ fn serving_engine<'b>(bundle: &'b ModelBundle, shared: &Shared) -> TgoptEngine<'
 // hot-path-root(serve)
 fn worker_loop(shared: Arc<Shared>, wave_hist: Arc<LatencyHistogram>, slot: usize) {
     let bundle = Arc::clone(&shared.bundle);
-    if shared.cfg.pin_cores {
-        // Best-effort: worker slot w asks for CPU w. A refused mask (fewer
-        // cores than workers, restricted cpuset, non-Linux) leaves the
-        // thread floating.
-        let _ = core_affinity::set_for_current(core_affinity::CoreId { id: slot });
-    }
     // One engine per worker, reused across waves — which also means one
     // `Scratch` arena per worker: after the first wave, steady-state
     // batches run the whole attention stack out of recycled buffers with

@@ -5,11 +5,11 @@
 //! ecosystem is thin, we provide the pieces TGAT actually needs:
 //!
 //! * [`Tensor`] — a row-major 2-D matrix of `f32` (vectors are `1 x n`).
-//! * Parallel kernels — blocked matrix multiplication, masked row softmax,
-//!   elementwise maps, column concatenation and row gathering, all
-//!   parallelized with rayon above a size threshold.
-//! * [`fanout`] — the one real fan-out (scoped threads over row-independent
-//!   output chunks); the rayon above is a sequential stub.
+//! * Kernels — register-tiled matrix multiplication, masked row softmax,
+//!   elementwise maps, column concatenation and row gathering, each one
+//!   sequential loop over its output.
+//! * [`fanout`] — the one fan-out (scoped threads over row-independent
+//!   output chunks), used by the attention layer and the time encoder.
 //! * [`autograd`] — a tape-based reverse-mode autodiff engine covering the
 //!   operations used by TGAT (including fused batched attention primitives),
 //!   plus an [`adam`] optimizer for training.
@@ -29,9 +29,3 @@ pub mod tensor;
 
 pub use scratch::Scratch;
 pub use tensor::Tensor;
-
-/// Number of `f32` elements below which kernels stay sequential.
-///
-/// Parallelizing tiny operations costs more in rayon scheduling than the
-/// arithmetic saves; this threshold was picked with `benches/matmul.rs`.
-pub const PAR_THRESHOLD: usize = 16 * 1024;

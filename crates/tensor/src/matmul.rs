@@ -30,18 +30,9 @@
 //! range once, and the inner loops stay branch-free.
 //!
 //! Every kernel keeps a naive triple-loop twin in [`reference`] for
-//! equivalence testing, and a `*_forced` entry point that pins the
-//! serial/parallel dispatch for exact-agreement tests.
+//! equivalence testing.
 
-use crate::{Tensor, PAR_THRESHOLD};
-use rayon::prelude::*;
-
-/// How many rows of the output each parallel task computes.
-///
-/// Retuned for the register-tiled kernels (see DESIGN.md "Kernel
-/// architecture"): a multiple of the row-quad height `MR`, big enough that
-/// a task amortizes dispatch, small enough to load-balance ragged shapes.
-pub const ROW_BLOCK: usize = 32;
+use crate::Tensor;
 
 /// Row-block height of the microkernel (rows of `A` per register tile).
 pub const MR: usize = 4;
@@ -229,51 +220,21 @@ fn mm_quad(a: [&[f32]; MR], rows: usize, b: &[f32], n: usize, c: &mut [f32]) {
     }
 }
 
-/// Accumulates `C += A * B` over the row range covered by `c_rows` (which
-/// starts at row `base` of the full output).
-fn mm_rows(a: &Tensor, b: &[f32], n: usize, base: usize, c_rows: &mut [f32]) {
-    let nrows = if n == 0 { 0 } else { c_rows.len() / n };
-    let mut r = 0;
-    while r < nrows {
-        let rows = (nrows - r).min(MR);
-        let a0 = a.row(base + r);
-        let a1 = a.row(base + r + (1).min(rows - 1));
-        let a2 = a.row(base + r + (2).min(rows - 1));
-        let a3 = a.row(base + r + (3).min(rows - 1));
-        mm_quad([a0, a1, a2, a3], rows, b, n, &mut c_rows[r * n..(r + rows) * n]);
-        r += rows;
-    }
-}
-
 /// `C[m,n] = A[m,k] * B[k,n]`.
 ///
 /// # Panics
 /// Panics if `A.cols() != B.rows()`.
 pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
-    let (m, k) = a.shape();
-    let work = m * b.cols() * k;
-    matmul_forced(a, b, work >= PAR_THRESHOLD && m > 1)
-}
-
-/// [`matmul`] with the serial/parallel dispatch pinned (exact-agreement
-/// tests; not part of the stable API).
-#[doc(hidden)]
-pub fn matmul_forced(a: &Tensor, b: &Tensor, parallel: bool) -> Tensor {
-    let (m, _) = a.shape();
-    let n = b.cols();
-    let mut c = Tensor::zeros(m, n);
-    matmul_accumulate(a, b, &mut c, parallel);
+    let mut c = Tensor::zeros(a.rows(), b.cols());
+    matmul_accumulate(a, b, &mut c);
     c
 }
 
 /// [`matmul`] into a preallocated `[A.rows(), B.cols()]` destination; prior
 /// contents are overwritten.
 pub fn matmul_into(a: &Tensor, b: &Tensor, c: &mut Tensor) {
-    let (m, _) = a.shape();
-    let n = b.cols();
-    let work = m * n * a.cols();
     c.as_mut_slice().fill(0.0);
-    matmul_accumulate(a, b, c, work >= PAR_THRESHOLD && m > 1);
+    matmul_accumulate(a, b, c);
 }
 
 /// `C = A * B + bias` (bias broadcast over rows) — the fused linear-layer
@@ -293,29 +254,16 @@ pub fn addmm_into(a: &Tensor, b: &Tensor, bias: &Tensor, c: &mut Tensor) {
     assert_eq!(bias.rows(), 1, "addmm: bias must be a row vector");
     assert_eq!(bias.cols(), b.cols(), "addmm: bias width must match B");
     assert_eq!(c.shape(), (a.rows(), b.cols()), "addmm: bad output shape");
-    let (m, n) = c.shape();
-    let work = m * n * a.cols();
     let bias_row = bias.as_slice();
-    for r in 0..m {
+    for r in 0..c.rows() {
         c.row_mut(r).copy_from_slice(bias_row);
     }
-    matmul_accumulate(a, b, c, work >= PAR_THRESHOLD && m > 1);
+    matmul_accumulate(a, b, c);
 }
 
-/// `C += A * B` into an existing, correctly-shaped output.
-fn matmul_accumulate(a: &Tensor, b: &Tensor, c: &mut Tensor, parallel: bool) {
-    matmul_accumulate_blocked(a, b, c, parallel, ROW_BLOCK);
-}
-
-/// [`matmul_accumulate`] with an explicit task height; only the tuning
-/// example (`examples/tune.rs`) and tests pass anything but [`ROW_BLOCK`].
-fn matmul_accumulate_blocked(
-    a: &Tensor,
-    b: &Tensor,
-    c: &mut Tensor,
-    parallel: bool,
-    row_block: usize,
-) {
+/// `C += A * B` into an existing, correctly-shaped output, one row-quad at
+/// a time from the top.
+fn matmul_accumulate(a: &Tensor, b: &Tensor, c: &mut Tensor) {
     let (m, k) = a.shape();
     let (k2, n) = b.shape();
     assert_eq!(k, k2, "matmul: inner dimensions differ ({k} vs {k2})");
@@ -323,26 +271,17 @@ fn matmul_accumulate_blocked(
     if m == 0 || n == 0 || k == 0 {
         return; // degenerate shapes: explicit early return, output untouched
     }
-    let bs = b.as_slice();
-    if !parallel {
-        mm_rows(a, bs, n, 0, c.as_mut_slice());
-    } else {
-        c.as_mut_slice()
-            .par_chunks_mut(row_block * n)
-            .enumerate()
-            .for_each(|(blk, c_chunk)| mm_rows(a, bs, n, blk * row_block, c_chunk));
+    let (b, c) = (b.as_slice(), c.as_mut_slice());
+    let mut r = 0;
+    while r < m {
+        let rows = (m - r).min(MR);
+        let a0 = a.row(r);
+        let a1 = a.row(r + (1).min(rows - 1));
+        let a2 = a.row(r + (2).min(rows - 1));
+        let a3 = a.row(r + (3).min(rows - 1));
+        mm_quad([a0, a1, a2, a3], rows, b, n, &mut c[r * n..(r + rows) * n]);
+        r += rows;
     }
-}
-
-/// [`matmul`] with the parallel path pinned on and an explicit task height.
-/// Exists solely so `examples/tune.rs` can measure [`ROW_BLOCK`] candidates
-/// against each other; not part of the stable API.
-#[doc(hidden)]
-pub fn matmul_with_row_block(a: &Tensor, b: &Tensor, row_block: usize) -> Tensor {
-    assert!(row_block > 0, "row_block must be positive");
-    let mut c = Tensor::zeros(a.rows(), b.cols());
-    matmul_accumulate_blocked(a, b, &mut c, true, row_block);
-    c
 }
 
 /// `C[m,n] = A[m,k] * B^T` where `B` is stored as `[n, k]`.
@@ -351,32 +290,17 @@ pub fn matmul_with_row_block(a: &Tensor, b: &Tensor, row_block: usize) -> Tensor
 /// natural layout for attention scores (`Q * K^T`).
 pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
     let (m, k) = a.shape();
-    let work = m * b.rows() * k;
-    matmul_nt_forced(a, b, work >= PAR_THRESHOLD && m > 1)
-}
-
-/// [`matmul_nt`] with the dispatch pinned (exact-agreement tests).
-#[doc(hidden)]
-pub fn matmul_nt_forced(a: &Tensor, b: &Tensor, parallel: bool) -> Tensor {
-    let (m, k) = a.shape();
     let (n, k2) = b.shape();
     assert_eq!(k, k2, "matmul_nt: inner dimensions differ ({k} vs {k2})");
     let mut c = Tensor::zeros(m, n);
     if m == 0 || n == 0 {
         return c;
     }
-    let body = |i: usize, crow: &mut [f32]| {
+    for (i, crow) in c.as_mut_slice().chunks_mut(n).enumerate() {
         let ar = a.row(i);
         for (j, cv) in crow.iter_mut().enumerate() {
             *cv = dot(ar, b.row(j));
         }
-    };
-    if !parallel {
-        for i in 0..m {
-            body(i, c.row_mut(i));
-        }
-    } else {
-        c.as_mut_slice().par_chunks_mut(n).enumerate().for_each(|(i, crow)| body(i, crow));
     }
     c
 }
@@ -384,16 +308,8 @@ pub fn matmul_nt_forced(a: &Tensor, b: &Tensor, parallel: bool) -> Tensor {
 /// `C[k,n] = A^T * B` where `A` is stored as `[m, k]` and `B` as `[m, n]`.
 ///
 /// This is the weight-gradient product of a linear layer
-/// (`dW = X^T * dY`). Parallelized over rows of the output (columns of `A`).
+/// (`dW = X^T * dY`), computed one output row (column of `A`) at a time.
 pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Tensor {
-    let (m, k) = a.shape();
-    let work = m * b.cols() * k;
-    matmul_tn_forced(a, b, work >= PAR_THRESHOLD && k > 1)
-}
-
-/// [`matmul_tn`] with the dispatch pinned (exact-agreement tests).
-#[doc(hidden)]
-pub fn matmul_tn_forced(a: &Tensor, b: &Tensor, parallel: bool) -> Tensor {
     let (m, k) = a.shape();
     let (m2, n) = b.shape();
     assert_eq!(m, m2, "matmul_tn: outer dimensions differ ({m} vs {m2})");
@@ -403,7 +319,7 @@ pub fn matmul_tn_forced(a: &Tensor, b: &Tensor, parallel: bool) -> Tensor {
     }
     let asl = a.as_slice();
     let quads = m - m % MR;
-    let body = |i: usize, crow: &mut [f32]| {
+    for (i, crow) in c.as_mut_slice().chunks_mut(n).enumerate() {
         let mut r = 0;
         while r < quads {
             let al = [
@@ -419,13 +335,6 @@ pub fn matmul_tn_forced(a: &Tensor, b: &Tensor, parallel: bool) -> Tensor {
             axpy(asl[r * k + i], b.row(r), crow);
             r += 1;
         }
-    };
-    if !parallel {
-        for i in 0..k {
-            body(i, c.row_mut(i));
-        }
-    } else {
-        c.as_mut_slice().par_chunks_mut(n).enumerate().for_each(|(i, crow)| body(i, crow));
     }
     c
 }
@@ -548,14 +457,6 @@ mod tests {
     }
 
     #[test]
-    fn matmul_matches_reference_large_parallel() {
-        let a = seq_tensor(130, 64, 1.0);
-        let b = seq_tensor(64, 48, 1.0);
-        let c = matmul(&a, &b);
-        assert!(c.max_abs_diff(&reference::matmul(&a, &b)) < 1e-4);
-    }
-
-    #[test]
     fn matmul_skips_zero_spans() {
         // Zero prefix/suffix rows (the TGAT layer-0 shape) and fully-zero
         // rows must give exactly the dense result.
@@ -653,50 +554,12 @@ mod tests {
     }
 
     #[test]
-    fn matmul_nt_parallel_path() {
-        let a = seq_tensor(90, 70, 1.0);
-        let bt = seq_tensor(40, 70, 1.0);
-        let c = matmul_nt(&a, &bt);
-        let c_ref = matmul(&a, &transpose(&bt));
-        assert!(c.max_abs_diff(&c_ref) < 1e-4);
-    }
-
-    #[test]
     fn matmul_tn_equals_matmul_with_transpose() {
         let at = seq_tensor(6, 8, 1.0); // A stored [m,k]; result is A^T*B = [8,n]
         let b = seq_tensor(6, 5, 1.0);
         let c = matmul_tn(&at, &b);
         let c_ref = matmul(&transpose(&at), &b);
         assert!(c.max_abs_diff(&c_ref) < 1e-5);
-    }
-
-    #[test]
-    fn matmul_tn_parallel_path() {
-        let at = seq_tensor(100, 64, 1.0);
-        let b = seq_tensor(100, 32, 1.0);
-        let c = matmul_tn(&at, &b);
-        let c_ref = matmul(&transpose(&at), &b);
-        assert!(c.max_abs_diff(&c_ref) < 1e-4);
-    }
-
-    #[test]
-    fn forced_serial_and_parallel_agree_exactly() {
-        let a = seq_tensor(70, 33, 1.0);
-        let b = seq_tensor(33, 29, 1.0);
-        assert_eq!(
-            matmul_forced(&a, &b, false).as_slice(),
-            matmul_forced(&a, &b, true).as_slice()
-        );
-        let bt = seq_tensor(29, 33, 1.0);
-        assert_eq!(
-            matmul_nt_forced(&a, &bt, false).as_slice(),
-            matmul_nt_forced(&a, &bt, true).as_slice()
-        );
-        let b2 = seq_tensor(70, 29, 1.0);
-        assert_eq!(
-            matmul_tn_forced(&a, &b2, false).as_slice(),
-            matmul_tn_forced(&a, &b2, true).as_slice()
-        );
     }
 
     #[test]
@@ -717,20 +580,6 @@ mod tests {
         for j in 0..37 {
             let want = y[j] + 0.1 * x[j] + 0.2 * x[j] + 0.3 * y[j] + 0.4 * y[j];
             assert!((out4[j] - want).abs() < 1e-5);
-        }
-    }
-
-    #[test]
-    fn row_block_variants_agree_exactly() {
-        let a = seq_tensor(70, 33, 1.0);
-        let b = seq_tensor(33, 29, 1.0);
-        let want = matmul_forced(&a, &b, false);
-        for rb in [1, 4, 8, 16, 32, 64, 128] {
-            assert_eq!(
-                matmul_with_row_block(&a, &b, rb).as_slice(),
-                want.as_slice(),
-                "row_block {rb} diverged"
-            );
         }
     }
 

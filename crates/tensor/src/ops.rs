@@ -8,18 +8,12 @@
 //! O(1) times; the wrappers keep call sites outside the hot path readable.
 
 use crate::matmul::{axpy, dot};
-use crate::{Tensor, PAR_THRESHOLD};
-use rayon::prelude::*;
+use crate::Tensor;
 
-/// Applies `f` to every element, in place, parallelizing large tensors.
-pub fn map_inplace(t: &mut Tensor, f: impl Fn(f32) -> f32 + Sync) {
-    let data = t.as_mut_slice();
-    if data.len() < PAR_THRESHOLD {
-        for v in data.iter_mut() {
-            *v = f(*v);
-        }
-    } else {
-        data.par_iter_mut().for_each(|v| *v = f(*v));
+/// Applies `f` to every element, in place.
+pub fn map_inplace(t: &mut Tensor, f: impl Fn(f32) -> f32) {
+    for v in t.as_mut_slice() {
+        *v = f(*v);
     }
 }
 
@@ -170,15 +164,8 @@ pub fn gather_rows_into(src: &Tensor, idx: &[usize], out: &mut Tensor) {
     if out.is_empty() {
         return;
     }
-    if idx.len() * cols < PAR_THRESHOLD {
-        for (i, &r) in idx.iter().enumerate() {
-            out.row_mut(i).copy_from_slice(src.row(r));
-        }
-    } else {
-        out.as_mut_slice()
-            .par_chunks_mut(cols)
-            .zip(idx.par_iter())
-            .for_each(|(orow, &r)| orow.copy_from_slice(src.row(r)));
+    for (orow, &r) in out.as_mut_slice().chunks_mut(cols).zip(idx) {
+        orow.copy_from_slice(src.row(r));
     }
 }
 
@@ -189,22 +176,15 @@ pub fn gather_rows_into(src: &Tensor, idx: &[usize], out: &mut Tensor) {
 // hot-path-root(alloc)
 pub fn gather_rows_map_into<F>(src: &Tensor, n: usize, map: F, out: &mut Tensor)
 where
-    F: Fn(usize) -> usize + Sync,
+    F: Fn(usize) -> usize,
 {
     let cols = src.cols();
     assert_eq!(out.shape(), (n, cols), "gather_rows_map_into: bad output shape");
     if out.is_empty() {
         return;
     }
-    if n * cols < PAR_THRESHOLD {
-        for i in 0..n {
-            out.row_mut(i).copy_from_slice(src.row(map(i)));
-        }
-    } else {
-        out.as_mut_slice()
-            .par_chunks_mut(cols)
-            .enumerate()
-            .for_each(|(i, orow)| orow.copy_from_slice(src.row(map(i))));
+    for (i, orow) in out.as_mut_slice().chunks_mut(cols).enumerate() {
+        orow.copy_from_slice(src.row(map(i)));
     }
 }
 
@@ -254,8 +234,7 @@ pub fn scale_softmax_rows_masked_inplace(t: &mut Tensor, s: f32, mask: &[bool]) 
     if t.is_empty() {
         return; // zero rows or zero cols: nothing to normalize
     }
-    let len = t.len();
-    let body = |(row, mrow): (&mut [f32], &[bool])| {
+    for (row, mrow) in t.as_mut_slice().chunks_mut(cols).zip(mask.chunks(cols)) {
         let mut max = f32::NEG_INFINITY;
         for (v, &m) in row.iter().zip(mrow) {
             if m && *v > max {
@@ -263,8 +242,8 @@ pub fn scale_softmax_rows_masked_inplace(t: &mut Tensor, s: f32, mask: &[bool]) 
             }
         }
         if max == f32::NEG_INFINITY {
-            row.iter_mut().for_each(|v| *v = 0.0);
-            return;
+            row.fill(0.0);
+            continue;
         }
         let mut sum = 0.0;
         for (v, &m) in row.iter_mut().zip(mrow) {
@@ -277,14 +256,6 @@ pub fn scale_softmax_rows_masked_inplace(t: &mut Tensor, s: f32, mask: &[bool]) 
         }
         let inv = 1.0 / sum;
         row.iter_mut().for_each(|v| *v *= inv);
-    };
-    if len < PAR_THRESHOLD {
-        t.as_mut_slice().chunks_mut(cols).zip(mask.chunks(cols)).for_each(body);
-    } else {
-        t.as_mut_slice()
-            .par_chunks_mut(cols)
-            .zip(mask.par_chunks(cols))
-            .for_each(body);
     }
 }
 
@@ -292,7 +263,7 @@ pub fn scale_softmax_rows_masked_inplace(t: &mut Tensor, s: f32, mask: &[bool]) 
 /// `[N, K]` with `s[n,k] = <q_n, key_{n*K+k}> * scale`.
 ///
 /// This is the hot kernel of the temporal attention operator `M`; each
-/// target's score row is independent, so rows are computed in parallel.
+/// target's score row is independent of the others.
 pub fn attn_scores(q: &Tensor, key: &Tensor, scale: f32) -> Tensor {
     let n = q.rows();
     if n == 0 {
@@ -320,21 +291,11 @@ pub fn attn_scores_into(q: &Tensor, key: &Tensor, scale: f32, out: &mut Tensor) 
     if k == 0 {
         return;
     }
-    let body = |i: usize, orow: &mut [f32]| {
+    for (i, orow) in out.as_mut_slice().chunks_mut(k).enumerate() {
         let qr = q.row(i);
         for (j, o) in orow.iter_mut().enumerate() {
             *o = dot(qr, key.row(i * k + j)) * scale;
         }
-    };
-    if n * k * d < PAR_THRESHOLD {
-        for i in 0..n {
-            body(i, out.row_mut(i));
-        }
-    } else {
-        out.as_mut_slice()
-            .par_chunks_mut(k)
-            .enumerate()
-            .for_each(|(i, orow)| body(i, orow));
     }
 }
 
@@ -364,7 +325,8 @@ pub fn attn_weighted_sum_into(w: &Tensor, v: &Tensor, out: &mut Tensor, col_off:
     if n == 0 || d == 0 {
         return;
     }
-    let body = |i: usize, orow_full: &mut [f32]| {
+    let cols = out.cols();
+    for (i, orow_full) in out.as_mut_slice().chunks_mut(cols).enumerate() {
         let orow = &mut orow_full[col_off..col_off + d];
         orow.fill(0.0);
         for j in 0..k {
@@ -374,17 +336,6 @@ pub fn attn_weighted_sum_into(w: &Tensor, v: &Tensor, out: &mut Tensor, col_off:
             }
             axpy(weight, v.row(i * k + j), orow);
         }
-    };
-    if n * k * d < PAR_THRESHOLD {
-        for i in 0..n {
-            body(i, out.row_mut(i));
-        }
-    } else {
-        let cols = out.cols();
-        out.as_mut_slice()
-            .par_chunks_mut(cols)
-            .enumerate()
-            .for_each(|(i, orow)| body(i, orow));
     }
 }
 

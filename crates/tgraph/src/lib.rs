@@ -11,7 +11,7 @@
 //! * [`LiveGraph`] — streaming ingest: an append-friendly delta-log beside
 //!   the frozen T-CSR with periodic compaction, serving epoch-stamped
 //!   [`GraphView`] snapshots to concurrent readers.
-//! * [`sampler`] — parallel most-recent and uniform temporal neighborhood
+//! * [`sampler`] — most-recent and uniform temporal neighborhood
 //!   samplers upholding the temporal constraint `t_j < t`, generic over
 //!   frozen graphs and live views via [`HistorySource`].
 //! * [`batch`] — fixed-size chronological batch iteration (batch size 200 in

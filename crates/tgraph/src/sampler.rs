@@ -12,7 +12,6 @@ use crate::live::GraphView;
 use crate::{EdgeId, NodeId, TemporalGraph, Time};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 
 /// Edge id marking a padding slot in a sampled neighborhood.
 pub const INVALID_EDGE: EdgeId = EdgeId::MAX;
@@ -145,28 +144,17 @@ impl NeighborhoodBatch {
 pub struct TemporalSampler {
     k: usize,
     strategy: SamplingStrategy,
-    /// Parallelize across targets when the batch is large enough.
-    parallel: bool,
 }
-
-/// Below this many targets, sequential sampling beats rayon overheads.
-const PAR_MIN_TARGETS: usize = 64;
 
 impl TemporalSampler {
     pub fn new(k: usize, strategy: SamplingStrategy) -> Self {
         assert!(k > 0, "sampler needs k >= 1");
-        Self { k, strategy, parallel: true }
+        Self { k, strategy }
     }
 
-    /// Most-recent sampler with paper-default parallelism.
+    /// Most-recent sampler (the paper's strategy).
     pub fn most_recent(k: usize) -> Self {
         Self::new(k, SamplingStrategy::MostRecent)
-    }
-
-    /// Disables cross-target parallelism (for the ablation benches).
-    pub fn sequential(mut self) -> Self {
-        self.parallel = false;
-        self
     }
 
     /// Neighbors sampled per target.
@@ -193,18 +181,18 @@ impl TemporalSampler {
     }
 
     /// Shared sampling core over any [`HistorySource`].
-    pub fn sample_from<S: HistorySource + Sync>(&self, src: &S, ns: &[NodeId], ts: &[Time]) -> NeighborhoodBatch {
+    pub fn sample_from<S: HistorySource>(&self, src: &S, ns: &[NodeId], ts: &[Time]) -> NeighborhoodBatch {
         assert_eq!(ns.len(), ts.len(), "node/time target arrays differ in length");
-        let n = ns.len();
-        let mut out = NeighborhoodBatch::empty(n, self.k, ts);
         let k = self.k;
-        let strategy = self.strategy;
-        let fill = |i: usize, nodes: &mut [NodeId], times: &mut [Time], eids: &mut [EdgeId], dts: &mut [Time]| {
+        let mut out = NeighborhoodBatch::empty(ns.len(), k, ts);
+        let rows = out.nodes.chunks_mut(k).zip(out.times.chunks_mut(k));
+        let rows = rows.zip(out.eids.chunks_mut(k)).zip(out.dts.chunks_mut(k));
+        for (i, (((nodes, times), eids), dts)) in rows.enumerate() {
             let len = src.hist_len_before(ns[i], ts[i]);
             if len == 0 {
-                return;
+                continue;
             }
-            match strategy {
+            match self.strategy {
                 SamplingStrategy::MostRecent => {
                     src.most_recent(ns[i], ts[i], len.min(k), |slot, e| {
                         nodes[slot] = e.ngh;
@@ -230,25 +218,6 @@ impl TemporalSampler {
                         dts[slot] = ts[i] - e.time;
                     }
                 }
-            }
-        };
-        if self.parallel && n >= PAR_MIN_TARGETS {
-            out.nodes
-                .par_chunks_mut(k)
-                .zip(out.times.par_chunks_mut(k))
-                .zip(out.eids.par_chunks_mut(k))
-                .zip(out.dts.par_chunks_mut(k))
-                .enumerate()
-                .for_each(|(i, (((nodes, times), eids), dts))| fill(i, nodes, times, eids, dts));
-        } else {
-            for i in 0..n {
-                let (nodes, times, eids, dts) = (
-                    &mut out.nodes[i * k..(i + 1) * k],
-                    &mut out.times[i * k..(i + 1) * k],
-                    &mut out.eids[i * k..(i + 1) * k],
-                    &mut out.dts[i * k..(i + 1) * k],
-                );
-                fill(i, nodes, times, eids, dts);
             }
         }
         out
@@ -321,21 +290,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_sequential_agree() {
-        let mut g = TemporalGraph::with_nodes(50);
-        for (eid, t) in (1..400u32).enumerate() {
-            g.insert(&Edge { src: t % 50, dst: (t * 7) % 50, time: t as Time, eid: eid as u32 });
-        }
-        let ns: Vec<NodeId> = (0..200).map(|i| i % 50).collect();
-        let ts: Vec<Time> = (0..200).map(|i| 100.0 + i as Time).collect();
-        let par = TemporalSampler::most_recent(5).sample(&g, &ns, &ts);
-        let seq = TemporalSampler::most_recent(5).sequential().sample(&g, &ns, &ts);
-        assert_eq!(par.nodes, seq.nodes);
-        assert_eq!(par.eids, seq.eids);
-        assert_eq!(par.dts, seq.dts);
-    }
-
-    #[test]
     fn uniform_is_deterministic_per_target_and_respects_time() {
         let g = line_graph();
         let s = TemporalSampler::new(4, SamplingStrategy::Uniform { seed: 7 });
@@ -378,7 +332,6 @@ mod tests {
         let ts: Vec<Time> = (0..100).map(|i| 20.0 + i as Time).collect();
         for sampler in [
             TemporalSampler::most_recent(5),
-            TemporalSampler::most_recent(5).sequential(),
             TemporalSampler::new(4, SamplingStrategy::Uniform { seed: 11 }),
         ] {
             let frozen = sampler.sample(&truth, &ns, &ts);

@@ -4,7 +4,9 @@
 #   ./scripts/check.sh
 #
 # Runs, in order:
-#   1. cargo build --release        — the workspace compiles with optimizations
+#   1. cargo build --release        — the workspace compiles with optimizations,
+#      and cargo bench --no-run -p tg-bench compiles the criterion benches
+#      (crates/bench/benches/micro.rs), which cargo test never builds
 #   2. cargo test -q --workspace    — every crate's unit + integration tests
 #      (includes the streaming-ingest suites: tests/prop_streaming.rs,
 #      the seeded interleaving equivalence battery, and
@@ -43,6 +45,9 @@ cd "$(dirname "$0")/.."
 
 echo "==> cargo build --release"
 cargo build --release
+
+echo "==> cargo bench --no-run -p tg-bench"
+cargo bench --no-run -q -p tg-bench
 
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace

@@ -1,12 +1,12 @@
-//! Cross-crate cache behavior: limits, hit-rate growth over a replayed
-//! stream, reuse accounting, and sampling-strategy interactions.
+//! Cross-crate cache behavior: limits, FIFO order, hit-rate growth over a
+//! replayed stream, reuse accounting, and sampling-strategy interactions.
 
 use tgopt_repro::datasets::{generate, spec_by_name};
 use tgopt_repro::graph::{BatchIter, SamplingStrategy, TemporalGraph, TemporalSampler};
 use tgopt_repro::tensor::Tensor;
 use tgopt_repro::tgat::engine::GraphContext;
 use tgopt_repro::tgat::{TgatConfig, TgatParams};
-use tgopt_repro::tgopt::{OptConfig, TgoptEngine};
+use tgopt_repro::tgopt::{pack_key, EmbedCache, OptConfig, TgoptEngine};
 
 fn cfg(edge_dim: usize) -> TgatConfig {
     TgatConfig { dim: 8, edge_dim, time_dim: 8, n_layers: 2, n_heads: 2, n_neighbors: 5 }
@@ -50,6 +50,36 @@ fn cache_never_exceeds_its_limit_during_replay() {
         assert!(eng.cache().len() <= limit, "cache overflow: {}", eng.cache().len());
     }
     assert!(eng.cache().total_evictions() > 0, "limit was never exercised");
+}
+
+/// A store of engine-batch size (hundreds of keys, with the `parallel`
+/// flags `OptConfig::all()` passes) admits its keys in slice order: the
+/// FIFO evicts them oldest-first, and a lookup returns exactly the
+/// surviving rows while every missed row keeps its previous contents.
+#[test]
+fn batch_sized_store_evicts_in_key_order() {
+    const N: usize = 1000;
+    const EXTRA: usize = 300;
+    const DIM: usize = 4;
+    let key = |i: usize| pack_key(i as u32, i as f32);
+    let cache = EmbedCache::new(N, DIM);
+    let keys: Vec<u64> = (0..N).map(key).collect();
+    let rows = Tensor::from_vec(N, DIM, (0..N * DIM).map(|v| v as f32).collect());
+    cache.store(&keys, &rows, true).unwrap();
+    let more: Vec<u64> = (N..N + EXTRA).map(key).collect();
+    cache.store(&more, &Tensor::zeros(EXTRA, DIM), true).unwrap();
+    assert_eq!(cache.len(), N);
+    assert_eq!(cache.total_evictions(), EXTRA as u64);
+
+    let mut out = Tensor::full(N, DIM, -1.0);
+    let hit = cache.lookup(&keys, &mut out, true).unwrap();
+    for i in 0..N {
+        assert_eq!(hit[i], i >= EXTRA, "key {i}: the {EXTRA} oldest go first");
+        let want = if hit[i] { rows.row(i).to_vec() } else { vec![-1.0; DIM] };
+        assert_eq!(out.row(i), want.as_slice(), "row {i}");
+    }
+    let mut tail = Tensor::zeros(EXTRA, DIM);
+    assert!(cache.lookup(&more, &mut tail, true).unwrap().iter().all(|&h| h));
 }
 
 #[test]

@@ -10,14 +10,6 @@
 //! ```sh
 //! UPDATE_TELEMETRY_GOLDEN=1 cargo test --test telemetry_schema
 //! ```
-//!
-//! CI additionally round-trips a real `--stats-json` artifact produced by
-//! the inference bench through this gate (see `.github/workflows/ci.yml`):
-//!
-//! ```sh
-//! ./target/release/inference ... --stats-json telemetry.json
-//! TELEMETRY_STATS_JSON=telemetry.json cargo test --test telemetry_schema
-//! ```
 
 use std::sync::Arc;
 use tgopt_repro::graph::{Edge, NodeId, TemporalGraph, Time};
@@ -131,31 +123,6 @@ fn snapshot_round_trips_and_reserialized_shape_is_stable() {
         fingerprint(&snap),
         "re-serialized snapshot changed shape"
     );
-}
-
-/// CI hook: when `TELEMETRY_STATS_JSON` names a `--stats-json` artifact
-/// written by a bench binary, parse it strictly (every schema field must
-/// be present), round-trip it, and hold its shape-completed fingerprint
-/// to the same golden. A no-op locally when the variable is unset.
-#[test]
-fn stats_json_artifact_round_trips_against_golden() {
-    let Some(path) = std::env::var_os("TELEMETRY_STATS_JSON") else {
-        return;
-    };
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.to_string_lossy()));
-    let mut snap: TelemetrySnapshot = serde_json::from_str(&text)
-        .expect("--stats-json artifact must parse as a TelemetrySnapshot");
-    assert_eq!(
-        snap.schema_version, SCHEMA_VERSION,
-        "artifact was written under a different schema version"
-    );
-    let rejson = serde_json::to_string(&snap).expect("re-serialize");
-    let back: TelemetrySnapshot = serde_json::from_str(&rejson).expect("re-parse");
-    assert_eq!(back, snap, "artifact must survive a serde round trip");
-    // Offline runs leave `stages`/`workers` empty.
-    complete_shape(&mut snap);
-    assert_matches_golden(&fingerprint(&snap), "--stats-json artifact");
 }
 
 /// The snapshot a live-ingest server reports after real traffic carries
