@@ -17,7 +17,7 @@ use crate::timecache::TimeCache;
 use tg_error::TgError;
 use tg_graph::{GraphView, NodeId, SamplingStrategy, TemporalSampler, Time};
 use tg_tensor::fanout::host_cores;
-use tg_tensor::{ops, Scratch, Tensor};
+use tg_tensor::{Scratch, Tensor};
 use tgat::attention::{self, AttentionInputs};
 use tgat::engine::GraphContext;
 use std::sync::Arc;
@@ -100,6 +100,9 @@ pub struct TgoptEngine<'a> {
     scratch: Scratch,
     /// One scratch per core beyond the caller's: the fan-out width − 1.
     helpers: Vec<Scratch>,
+    /// `0, 1, 2, …`: how attention indexes a lower layer's rows when dedup
+    /// is off (row `i` is target `i`). Grows to the largest frontier once.
+    identity: Vec<u32>,
 }
 
 impl<'a> TgoptEngine<'a> {
@@ -140,6 +143,7 @@ impl<'a> TgoptEngine<'a> {
             view: None,
             scratch: Scratch::new(),
             helpers: Vec::new(),
+            identity: Vec::new(),
         }
         .with_cores(host_cores())
     }
@@ -303,18 +307,26 @@ impl<'a> TgoptEngine<'a> {
                 ts.len()
             )));
         }
-        self.embed(self.params.cfg.n_layers, ns, ts)
+        let (h, inv_idx) = self.embed(self.params.cfg.n_layers, ns, ts)?;
+        // §4.1 DedupInvert, once: every layer below read its lower layer's
+        // unique rows through the inverse index instead.
+        Ok(match inv_idx {
+            Some(inv_idx) => {
+                let out = self.stats.time(OpKind::DedupInvert, || dedup_invert(&h, &inv_idx));
+                self.scratch.give(h);
+                out
+            }
+            None => h,
+        })
     }
 
-    fn embed(&mut self, l: usize, ns: &[NodeId], ts: &[Time]) -> Result<Tensor, TgError> {
+    /// Layer `l ≥ 1` of `(ns, ts)` as unique rows plus, when dedup ran, the
+    /// inverse index that maps target `i` to its row; without it row `i` is
+    /// target `i`.
+    fn embed(&mut self, l: usize, ns: &[NodeId], ts: &[Time]) -> Result<(Tensor, Option<Vec<u32>>), TgError> {
         debug_assert_eq!(ns.len(), ts.len());
-        if l == 0 {
-            // Layer 0 only gathers static features; dedup would cost more
-            // than the lookup it saves (§4.1).
-            return Ok(self.ctx.gather_node_features_with(ns, &mut self.scratch));
-        }
         if ns.is_empty() {
-            return Ok(self.scratch.take(0, self.params.cfg.dim));
+            return Ok((self.scratch.take(0, self.params.cfg.dim), None));
         }
 
         // §4.1 DedupFilter.
@@ -344,17 +356,7 @@ impl<'a> TgoptEngine<'a> {
                 self.attend(l, uns, uts)?
             }
         };
-
-        // §4.1 DedupInvert: expand back to the original batch layout.
-        Ok(match &dedup {
-            Some(r) => {
-                let out =
-                    self.stats.time(OpKind::DedupInvert, || dedup_invert(&h, &r.inv_idx));
-                self.scratch.give(h);
-                out
-            }
-            None => h,
-        })
+        Ok((h, dedup.map(|r| r.inv_idx)))
     }
 
     /// Layer `l` of unique targets through the layer's cache: look every key
@@ -368,9 +370,9 @@ impl<'a> TgoptEngine<'a> {
         uts: &[Time],
     ) -> Result<Tensor, TgError> {
         let n_uniq = uns.len();
-        // Zeroed (not just taken) because a partial cache lookup only fills
-        // hit rows; the scatter below covers the misses.
-        let mut h = self.scratch.zeros(n_uniq, self.params.cfg.dim);
+        // Taken, not zeroed: the lookup writes every hit row and the scatter
+        // below every miss row.
+        let mut h = self.scratch.take(n_uniq, self.params.cfg.dim);
         let keys = self.stats.time(OpKind::ComputeKeys, || compute_keys(uns, uts, false));
         let hit_mask =
             self.stats.time(OpKind::CacheLookup, || cache.lookup(&keys, &mut h, false))?;
@@ -433,14 +435,17 @@ impl<'a> TgoptEngine<'a> {
         let mut all_ns = Vec::with_capacity(ns.len() + nb.nodes.len()); // alloc-ok: per-layer id concatenation; id lists are not poolable f32 scratch
         all_ns.extend_from_slice(ns);
         all_ns.extend_from_slice(&nb.nodes);
-        let mut all_ts = Vec::with_capacity(ts.len() + nb.times.len()); // alloc-ok: per-layer time concatenation, same bookkeeping as all_ns
-        all_ts.extend_from_slice(ts);
-        all_ts.extend_from_slice(&nb.times);
-        let h_prev = self.embed(l - 1, &all_ns, &all_ts)?;
-        let mut h_src = self.scratch.take(ns.len(), h_prev.cols());
-        let mut h_ngh = self.scratch.take(nb.nodes.len(), h_prev.cols());
-        ops::split_rows_into(&h_prev, ns.len(), &mut h_src, &mut h_ngh);
-        self.scratch.give(h_prev);
+        // Layer 0 is the node-feature table itself, read by node id; above
+        // it the recursion returns unique rows and attention reads them by
+        // index, so no layer-(l-1) frontier is gathered, split or expanded.
+        let lower = if l == 1 {
+            None
+        } else {
+            let mut all_ts = Vec::with_capacity(ts.len() + nb.times.len()); // alloc-ok: per-layer time concatenation, same bookkeeping as all_ns
+            all_ts.extend_from_slice(ts);
+            all_ts.extend_from_slice(&nb.times);
+            Some(self.embed(l - 1, &all_ns, &all_ts)?)
+        };
 
         // §4.3 precomputed time encodings when the window exists, the
         // encoder otherwise; both fill scratch-backed destinations, so a
@@ -461,6 +466,15 @@ impl<'a> TgoptEngine<'a> {
         });
         let mask = nb.mask();
 
+        let (h_prev, h_idx): (&Tensor, &[u32]) = match &lower {
+            None => (self.ctx.node_features, &all_ns),
+            Some((h, Some(inv_idx))) => (h, inv_idx),
+            Some((h, None)) => {
+                let n = all_ns.len();
+                self.identity.extend(self.identity.len() as u32..n as u32); // lint: allow(lossy-cast, frontier rows are u32-indexed like dedup's inverse index)
+                (h, &self.identity[..n])
+            }
+        };
         let layer = &params.layers[l - 1];
         let cfg = &params.cfg;
         let scratch = &mut self.scratch;
@@ -470,22 +484,24 @@ impl<'a> TgoptEngine<'a> {
                 layer,
                 cfg,
                 &AttentionInputs {
-                    h_src: &h_src,
+                    h_src: h_prev,
                     ht0: &ht0,
-                    h_ngh: &h_ngh,
+                    h_ngh: h_prev,
                     e_feat: self.ctx.edge_features,
                     ht: &ht,
                     mask: &mask,
                 },
                 &nb.eids,
+                Some(h_idx),
                 scratch,
                 helpers,
             )
         });
         self.scratch.give(ht);
         self.scratch.give(ht0);
-        self.scratch.give(h_ngh);
-        self.scratch.give(h_src);
+        if let Some((h, _)) = lower {
+            self.scratch.give(h);
+        }
         Ok(out)
     }
 }
@@ -679,6 +695,33 @@ mod tests {
                 pooled,
                 "steady-state batches must not allocate scratch blocks ({opt:?})"
             );
+        }
+    }
+
+    #[test]
+    fn no_layer_0_frontier_is_ever_materialised() {
+        // Attention reads layer-0 rows from the node-feature table and a
+        // lower layer's unique rows through its index, so a batch never
+        // holds (nor pools) a layer-0 frontier: n·(1+k)² rows of dim.
+        // Gathering it and splitting it into targets and neighbours left
+        // two in the pool.
+        let cfg = TgatConfig { dim: 16, n_neighbors: 10, ..TgatConfig::tiny() };
+        let params = TgatParams::init(cfg, 7).unwrap();
+        // Mostly distinct (node, time) pairs, so dedup and the cold cache
+        // leave the all() frontier nearly as large as none()'s.
+        let (graph, nf, ef) = world(cfg, 400, 4000);
+        let ctx = GraphContext { graph: &graph, node_features: &nf, edge_features: &ef };
+        let ns: Vec<NodeId> = (0..100).collect();
+        let ts = vec![4001.0; ns.len()];
+        let frontier = ns.len() * (1 + cfg.n_neighbors).pow(2) * cfg.dim;
+        for opt in [OptConfig::none(), OptConfig::all()] {
+            let mut eng = TgoptEngine::new(&params, ctx, opt).with_cores(1);
+            for _ in 0..3 {
+                let h = eng.embed_batch(&ns, &ts).unwrap();
+                eng.scratch.give(h);
+            }
+            let pooled = eng.scratch.pooled_capacity();
+            assert!(pooled < frontier, "{pooled} pooled f32s vs a {frontier}-f32 frontier ({opt:?})");
         }
     }
 

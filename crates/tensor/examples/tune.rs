@@ -1,6 +1,7 @@
 //! Prints what the dense kernels deliver on the shapes the inference hot
 //! path produces: GFLOP/s of `matmul_into` / `addmm_into`, the cost of one
-//! attention layer per target-block size, and the same layer per fan-out
+//! attention layer per target-block size (read as the engine reads layer 1:
+//! node rows by node id, edge rows by edge id), and the same layer per fan-out
 //! width beside what one scoped spawn + join costs — the table the width
 //! rule (`fanout::helpers_for`: two blocks per core before anything is
 //! spawned) is read from.
@@ -101,32 +102,36 @@ fn main() {
     }
     drop(runs);
 
-    // One attention layer at the bench protocol's model (layer-1 inputs:
-    // zero node features, dense edge features and time encodings), edge
-    // rows read from a feature table by edge id as the engines do.
+    // One attention layer at the bench protocol's model, read the way the
+    // engines read layer 1: zero node features from jodie-wiki's 9,227-row
+    // node table by node id, dense edge features from a feature table by
+    // edge id, and dense time encodings.
     let cfg = TgatConfig { dim: 32, edge_dim: 172, time_dim: 32, n_heads: 2, n_layers: 2, n_neighbors: 10 };
     let params = TgatParams::init(cfg, 7).expect("valid bench-protocol config");
     let k = cfg.n_neighbors;
     let table = init::uniform(&mut rng, 50_000, cfg.edge_dim, 1.0);
+    let nodes = Tensor::zeros(9_227, cfg.dim);
+    let mut layer1 = |n: usize| {
+        let ht0 = init::uniform(&mut rng, n, cfg.time_dim, 1.0);
+        let ht = init::uniform(&mut rng, n * k, cfg.time_dim, 1.0);
+        let eids: Vec<u32> = (0..n * k).map(|s| (s * 7919 % table.rows()) as u32).collect();
+        let node_ids: Vec<u32> = (0..n + n * k).map(|j| (j * 4243 % nodes.rows()) as u32).collect();
+        (ht0, ht, eids, node_ids, vec![true; n * k])
+    };
     println!();
     println!("== attention layer by target-block size (round-robin, {ATTENTION_ROUNDS} rounds, us per call) ==");
     println!("{:<8}{:<8}{:>12}{:>12}{:>14}", "n", "block", "min us", "med us", "med us/row");
     for n in [4_400usize, 400, 64, 1] {
-        let h_src = Tensor::zeros(n, cfg.dim);
-        let h_ngh = Tensor::zeros(n * k, cfg.dim);
-        let ht0 = init::uniform(&mut rng, n, cfg.time_dim, 1.0);
-        let ht = init::uniform(&mut rng, n * k, cfg.time_dim, 1.0);
-        let eids: Vec<u32> = (0..n * k).map(|s| (s * 7919 % table.rows()) as u32).collect();
-        let mask = vec![true; n * k];
-        let inp = AttentionInputs { h_src: &h_src, ht0: &ht0, h_ngh: &h_ngh, e_feat: &table, ht: &ht, mask: &mask };
+        let (ht0, ht, eids, node_ids, mask) = layer1(n);
+        let inp = AttentionInputs { h_src: &nodes, ht0: &ht0, h_ngh: &nodes, e_feat: &table, ht: &ht, mask: &mask };
         let mut blocks: Vec<usize> = [16usize, 32, 64, 128, 256].into_iter().filter(|&b| b < n).collect();
         blocks.push(n);
         let mut scratches: Vec<Scratch> = blocks.iter().map(|_| Scratch::new()).collect();
         let mut runs: Vec<Box<dyn FnMut() + '_>> = Vec::new();
         for (&block, scratch) in blocks.iter().zip(&mut scratches) {
-            let (layer, inp, eids) = (&params.layers[0], &inp, &eids);
+            let (layer, inp, eids, node_ids) = (&params.layers[0], &inp, &eids, &node_ids);
             runs.push(Box::new(move || {
-                let out = forward_blocked(layer, &cfg, black_box(inp), Some(eids), block, scratch, &mut []);
+                let out = forward_blocked(layer, &cfg, black_box(inp), Some(eids), Some(node_ids), block, scratch, &mut []);
                 black_box(out.as_slice());
                 scratch.give(out);
             }));
@@ -146,22 +151,17 @@ fn main() {
     println!("== attention layer by fan-out width ({cores} cores, round-robin, {WIDTH_ROUNDS} rounds, us per call) ==");
     println!("{:<8}{:<8}{:<8}{:>12}{:>12}{:>14}", "n", "blocks", "width", "min us", "med us", "med us/row");
     for n in [64usize, 128, 256, 400, 4_400] {
-        let h_src = Tensor::zeros(n, cfg.dim);
-        let h_ngh = Tensor::zeros(n * k, cfg.dim);
-        let ht0 = init::uniform(&mut rng, n, cfg.time_dim, 1.0);
-        let ht = init::uniform(&mut rng, n * k, cfg.time_dim, 1.0);
-        let eids: Vec<u32> = (0..n * k).map(|s| (s * 7919 % table.rows()) as u32).collect();
-        let mask = vec![true; n * k];
-        let inp = AttentionInputs { h_src: &h_src, ht0: &ht0, h_ngh: &h_ngh, e_feat: &table, ht: &ht, mask: &mask };
+        let (ht0, ht, eids, node_ids, mask) = layer1(n);
+        let inp = AttentionInputs { h_src: &nodes, ht0: &ht0, h_ngh: &nodes, e_feat: &table, ht: &ht, mask: &mask };
         let widths = [1, cores.max(2)];
         let mut scratches: Vec<Vec<Scratch>> =
             widths.iter().map(|&w| (0..w).map(|_| Scratch::new()).collect()).collect();
         let mut runs: Vec<Box<dyn FnMut() + '_>> = Vec::new();
         for scratches in &mut scratches {
-            let (layer, inp, eids) = (&params.layers[0], &inp, &eids);
+            let (layer, inp, eids, node_ids) = (&params.layers[0], &inp, &eids, &node_ids);
             runs.push(Box::new(move || {
                 let (own, helpers) = scratches.split_first_mut().expect("width >= 1");
-                let out = forward_blocked(layer, &cfg, black_box(inp), Some(eids), TARGET_BLOCK, own, helpers);
+                let out = forward_blocked(layer, &cfg, black_box(inp), Some(eids), Some(node_ids), TARGET_BLOCK, own, helpers);
                 black_box(out.as_slice());
                 own.give(out);
             }));

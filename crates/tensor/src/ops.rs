@@ -197,18 +197,6 @@ pub fn split_rows(t: &Tensor, n: usize) -> (Tensor, Tensor) {
     (head, tail)
 }
 
-/// [`split_rows`] into two preallocated destinations of shapes
-/// `[n, cols]` and `[t.rows()-n, cols]`.
-// hot-path-root(alloc)
-pub fn split_rows_into(t: &Tensor, n: usize, head: &mut Tensor, tail: &mut Tensor) {
-    assert!(n <= t.rows(), "split point beyond row count");
-    let cols = t.cols();
-    assert_eq!(head.shape(), (n, cols), "split_rows_into: bad head shape");
-    assert_eq!(tail.shape(), (t.rows() - n, cols), "split_rows_into: bad tail shape");
-    head.as_mut_slice().copy_from_slice(&t.as_slice()[..n * cols]);
-    tail.as_mut_slice().copy_from_slice(&t.as_slice()[n * cols..]);
-}
-
 /// Masked row softmax used by the attention operator.
 ///
 /// `mask[r * cols + c] == false` marks a padding slot whose weight must be
@@ -440,17 +428,6 @@ mod tests {
         assert_eq!(h.shape(), (1, 2));
         assert_eq!(t.shape(), (2, 2));
         assert_eq!(t.row(0), &[3.0, 4.0]);
-    }
-
-    #[test]
-    fn split_rows_into_matches_split_rows() {
-        let src = Tensor::from_vec(3, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let mut head = Tensor::full(1, 2, 9.0);
-        let mut tail = Tensor::full(2, 2, 9.0);
-        split_rows_into(&src, 1, &mut head, &mut tail);
-        let (h, t) = split_rows(&src, 1);
-        assert_eq!(head.as_slice(), h.as_slice());
-        assert_eq!(tail.as_slice(), t.as_slice());
     }
 
     #[test]

@@ -9,13 +9,16 @@
 //! `z_ngh` rows, runs Q/K/V → scores → masked softmax → weighted sum → FFN
 //! in block-sized [`Scratch`] buffers and writes its rows of the output, so
 //! the K/V operand is multiplied while it is still in L2 and no full-height
-//! intermediate is ever materialised. A slot's edge-feature row is copied
-//! straight into `z_ngh`, either from a pre-gathered `[N*K, edge_dim]`
-//! tensor ([`forward_with`]) or from the feature table by edge id
-//! ([`forward_by_eid`], what the engines call). Every row's arithmetic is
-//! independent of the block it lands in, so the result is bit-identical for
-//! every block size — and for every width: [`forward_by_eid`] hands a call
-//! with at least two blocks per core to the engine's helper scratches via
+//! intermediate is ever materialised. Rows are copied into `z_src` / `z_ngh`
+//! straight from where they live: either from pre-gathered `[N, dim]` /
+//! `[N*K, dim]` / `[N*K, edge_dim]` tensors ([`forward_with`]), or — what
+//! the engines call, [`forward_by_eid`] — edge rows from the feature table
+//! by edge id and lower-layer rows from one table by index (the node
+//! features by node id, or a lower layer's unique rows by its inverse
+//! index). Every row's arithmetic is independent of the block it lands in
+//! and of where it was read from, so the result is bit-identical for every
+//! block size — and for every width: [`forward_by_eid`] hands a call with
+//! at least two blocks per core to the engine's helper scratches via
 //! [`fan_chunks`], one block's output rows per chunk. A steady-state batch
 //! performs O(1) allocator calls (only the escaping output tensor, and none
 //! once its buffer cycles back through the pool). [`forward_reference`] keeps
@@ -38,11 +41,13 @@ pub const TARGET_BLOCK: usize = 64;
 /// Inputs to one attention layer for a batch of `N` targets, each with `K`
 /// sampled neighbors (rows `i*K..(i+1)*K` of the `N*K` tensors).
 pub struct AttentionInputs<'a> {
-    /// `[N, dim]` previous-layer embeddings of the targets.
+    /// `[N, dim]` previous-layer embeddings of the targets — or, read
+    /// through an `h_idx` ([`forward_by_eid`]), the table they live in.
     pub h_src: &'a Tensor,
     /// `[N, time_dim]` target-side time encoding `Phi(0)` (Eq. 4).
     pub ht0: &'a Tensor,
-    /// `[N*K, dim]` previous-layer embeddings of the sampled neighbors.
+    /// `[N*K, dim]` previous-layer embeddings of the sampled neighbors — or,
+    /// through an `h_idx`, their table (the engines pass `h_src`'s).
     pub h_ngh: &'a Tensor,
     /// `[N*K, edge_dim]` features of the interaction edges — or, for
     /// [`forward_by_eid`], the whole `[num_edges, edge_dim]` feature table.
@@ -75,13 +80,16 @@ pub fn forward_with(
     inp: &AttentionInputs<'_>,
     scratch: &mut Scratch,
 ) -> Tensor {
-    forward_blocked(layer, cfg, inp, None, TARGET_BLOCK, scratch, &mut [])
+    forward_blocked(layer, cfg, inp, None, None, TARGET_BLOCK, scratch, &mut [])
 }
 
-/// [`forward_with`] reading edge rows from the feature table: `inp.e_feat`
-/// is the `[num_edges, edge_dim]` table and slot `s` uses row `eids[s]`
+/// [`forward_with`] reading rows from the tables they live in, so nothing
+/// is gathered, written and re-read first. Edge rows: `inp.e_feat` is the
+/// `[num_edges, edge_dim]` table and slot `s` uses row `eids[s]`
 /// ([`INVALID_EDGE`] padding reads row 0 — its weight is masked to zero, so
-/// any valid row works). Saves writing and re-reading a gathered copy.
+/// any valid row works). Previous-layer rows, with `h_idx` of length
+/// `N + N*K`: target `i` reads `inp.h_src.row(h_idx[i])` and slot `s` reads
+/// `inp.h_ngh.row(h_idx[N + s])`; `N` and `N*K` come from `ht0` and `ht`.
 /// `helpers` are the engine's spare-core scratches; the width rule
 /// ([`helpers_for`]) decides how many of them this call's blocks occupy.
 pub fn forward_by_eid(
@@ -89,33 +97,38 @@ pub fn forward_by_eid(
     cfg: &TgatConfig,
     inp: &AttentionInputs<'_>,
     eids: &[u32],
+    h_idx: Option<&[u32]>,
     scratch: &mut Scratch,
     helpers: &mut [Scratch],
 ) -> Tensor {
-    let helpers = helpers_for(helpers, inp.h_src.rows().div_ceil(TARGET_BLOCK));
-    forward_blocked(layer, cfg, inp, Some(eids), TARGET_BLOCK, scratch, helpers)
+    let helpers = helpers_for(helpers, inp.ht0.rows().div_ceil(TARGET_BLOCK));
+    forward_blocked(layer, cfg, inp, Some(eids), h_idx, TARGET_BLOCK, scratch, helpers)
 }
 
 /// The block routine behind both entry points, with the block size and the
 /// width (`helpers.len() + 1`, no rule applied) pinned by the caller — for
 /// the equivalence tests and `examples/tune.rs` only.
 #[doc(hidden)]
+#[allow(clippy::too_many_arguments)]
 pub fn forward_blocked(
     layer: &LayerParams,
     cfg: &TgatConfig,
     inp: &AttentionInputs<'_>,
     eids: Option<&[u32]>,
+    h_idx: Option<&[u32]>,
     block: usize,
     scratch: &mut Scratch,
     helpers: &mut [Scratch],
 ) -> Tensor {
-    let n = inp.h_src.rows();
-    let nk = inp.h_ngh.rows();
-    debug_assert_eq!(inp.ht0.rows(), n);
+    let n = inp.ht0.rows();
+    let nk = inp.ht.rows();
     debug_assert_eq!(nk % n.max(1), 0);
     debug_assert_eq!(nk, eids.map_or(inp.e_feat.rows(), <[u32]>::len));
-    debug_assert_eq!(nk, inp.ht.rows());
     debug_assert_eq!(nk, inp.mask.len());
+    match h_idx {
+        Some(idx) => debug_assert_eq!(idx.len(), n + nk),
+        None => debug_assert_eq!((inp.h_src.rows(), inp.h_ngh.rows()), (n, nk)),
+    }
 
     let (dim, edge_dim) = (inp.h_src.cols(), inp.e_feat.cols());
     let mut out = scratch.take(n, layer.fc2_w.cols());
@@ -129,6 +142,8 @@ pub fn forward_blocked(
         Some(eids) if eids[slot] == INVALID_EDGE => inp.e_feat.row(0),
         Some(eids) => inp.e_feat.row(eids[slot] as usize),
     };
+    let src_row = |i: usize| inp.h_src.row(h_idx.map_or(i, |idx| idx[i] as usize));
+    let ngh_row = |slot: usize| inp.h_ngh.row(h_idx.map_or(slot, |idx| idx[n + slot] as usize));
     let head_dim = cfg.head_dim();
     let scale = 1.0 / (head_dim as f32).sqrt(); // lint: allow(lossy-cast, head_dim is a small config value)
     let r_cols = layer.heads.len() * head_dim;
@@ -144,14 +159,14 @@ pub fn forward_blocked(
         let mut z_src = scratch.take(nb, dim + inp.ht0.cols());
         for i in 0..nb {
             let (h, t) = z_src.row_mut(i).split_at_mut(dim);
-            h.copy_from_slice(inp.h_src.row(t0 + i));
+            h.copy_from_slice(src_row(t0 + i));
             t.copy_from_slice(inp.ht0.row(t0 + i));
         }
         let mut z_ngh = scratch.take(ns, dim + edge_dim + inp.ht.cols());
         for s in 0..ns {
             let (h, rest) = z_ngh.row_mut(s).split_at_mut(dim);
             let (e, t) = rest.split_at_mut(edge_dim);
-            h.copy_from_slice(inp.h_ngh.row(s0 + s));
+            h.copy_from_slice(ngh_row(s0 + s));
             e.copy_from_slice(edge_row(s0 + s));
             t.copy_from_slice(inp.ht.row(s0 + s));
         }
@@ -172,7 +187,7 @@ pub fn forward_blocked(
             ops::attn_weighted_sum_into(&scores, &v, &mut ffn_in, hidx * head_dim);
         }
         for i in 0..nb {
-            ffn_in.row_mut(i)[r_cols..].copy_from_slice(inp.h_src.row(t0 + i));
+            ffn_in.row_mut(i)[r_cols..].copy_from_slice(src_row(t0 + i));
         }
         for t in [scores, v, k, q, z_ngh, z_src] {
             scratch.give(t);
@@ -312,7 +327,7 @@ mod tests {
             let mut seen = Vec::new();
             for _ in 0..6 {
                 // The output escapes, so the pools hold block buffers only.
-                drop(forward_blocked(&p.layers[0], &cfg, &inp, None, TARGET_BLOCK, &mut scratch, helpers));
+                drop(forward_blocked(&p.layers[0], &cfg, &inp, None, None, TARGET_BLOCK, &mut scratch, helpers));
                 seen.extend(helpers.iter().chain([&scratch]).map(Scratch::pooled_capacity));
             }
             seen
@@ -324,28 +339,35 @@ mod tests {
 
     #[test]
     fn blocks_and_table_rows_change_nothing() {
-        // Every block size, every width, and edge rows read from the table
-        // by id, must give the single-block pre-gathered width-1 result bit
-        // for bit: a row's arithmetic never depends on which block (or quad)
-        // it lands in, nor on which thread runs the block. The pinned width
-        // spawns real helper threads whatever the runner's core count.
+        // Every block size, every width, edge rows read from the table by
+        // id, and previous-layer rows read from one table through an index,
+        // must give the single-block pre-gathered width-1 result bit for
+        // bit: a row's arithmetic never depends on which block (or quad) it
+        // lands in, which thread runs the block, or where the row was read
+        // from. The pinned width spawns real helper threads whatever the
+        // runner's core count.
         let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         // head_dim 16 and a 64-wide FFN: full panels as well as ragged ones.
         let cfg = TgatConfig { dim: 32, n_layers: 1, ..TgatConfig::tiny() };
         for n in [0usize, 1, 63, 64, 65, 129, 255, 256, 257, 1000, 6600] {
-            let (cfg, p, h_src, ht0, mut h_ngh, _, mut ht) = setup_with(cfg, n);
+            let (cfg, p, _, ht0, _, _, mut ht) = setup_with(cfg, n);
             let k = cfg.n_neighbors;
             let mut rng = init::seeded_rng(11);
             let mut table = init::normal(&mut rng, 40, cfg.edge_dim, 1.0);
             table.row_mut(1).fill(0.0);
             let mut eids: Vec<u32> = (0..n * k).map(|s| (2 + s * 7 % 38) as u32).collect();
+            // A node-feature table whose even rows are featureless nodes,
+            // read by node id: targets out of order and repeated, slots
+            // cycling zero / zero-prefix / dense rows, so the span union of
+            // a quad depends on where the block boundaries cut.
+            let mut nodes = init::normal(&mut rng, 40, cfg.dim, 1.0);
+            for r in (0..40).step_by(2) {
+                nodes.row_mut(r).fill(0.0);
+            }
+            let mut h_idx: Vec<u32> = (0..n).map(|i| ((i * 17 + 3) % 40) as u32).collect();
+            h_idx.extend((0..n * k).map(|s| if s % 3 == 2 { s * 11 % 20 * 2 + 1 } else { s * 7 % 20 * 2 } as u32));
             let mut mask = vec![true; n * k];
-            // Rows cycle zero / zero-prefix / dense, so the span union of a
-            // quad depends on where the block boundaries cut.
             for (s, eid) in eids.iter_mut().enumerate() {
-                if s % 3 != 2 {
-                    h_ngh.row_mut(s).fill(0.0);
-                }
                 if s % 3 == 0 {
                     *eid = 1;
                     ht.row_mut(s).fill(0.0);
@@ -360,11 +382,16 @@ mod tests {
             let rows: Vec<usize> =
                 eids.iter().map(|&e| if e == INVALID_EDGE { 0 } else { e as usize }).collect();
             let gathered = ops::gather_rows(&table, &rows);
+            let node_rows: Vec<usize> = h_idx.iter().map(|&r| r as usize).collect();
+            let h_src = ops::gather_rows(&nodes, &node_rows[..n]);
+            let h_ngh = ops::gather_rows(&nodes, &node_rows[n..]);
             let pre = AttentionInputs { h_src: &h_src, ht0: &ht0, h_ngh: &h_ngh, e_feat: &gathered, ht: &ht, mask: &mask };
             let by_id = AttentionInputs { e_feat: &table, ..pre };
+            let by_index = AttentionInputs { h_src: &nodes, h_ngh: &nodes, ..by_id };
+            let idx = Some(&h_idx[..]);
             let layer = &p.layers[0];
             let mut scratch = Scratch::new();
-            let want = forward_blocked(layer, &cfg, &pre, None, n.max(1), &mut scratch, &mut []);
+            let want = forward_blocked(layer, &cfg, &pre, None, None, n.max(1), &mut scratch, &mut []);
             assert_eq!(want.shape(), (n, cfg.dim));
             assert!(want.max_abs_diff(&forward_reference(layer, &cfg, &pre)) < 1e-5, "n = {n}");
             let mut helpers: Vec<Scratch> = (0..7).map(|_| Scratch::new()).collect();
@@ -373,17 +400,25 @@ mod tests {
             // the shipped block size at the helper widths only, for time.
             for (block, width) in cells.into_iter().take(if n > 1000 { 3 } else { 8 }) {
                 let helpers = &mut helpers[..width - 1];
-                let got = forward_blocked(layer, &cfg, &pre, None, block, &mut scratch, helpers);
+                let got = forward_blocked(layer, &cfg, &pre, None, None, block, &mut scratch, helpers);
                 assert_eq!(bits(&got), bits(&want), "n = {n}, block = {block}, width = {width}, pre-gathered");
                 scratch.give(got);
-                let got = forward_blocked(layer, &cfg, &by_id, Some(&eids), block, &mut scratch, helpers);
+                let got = forward_blocked(layer, &cfg, &by_id, Some(&eids), None, block, &mut scratch, helpers);
                 assert_eq!(bits(&got), bits(&want), "n = {n}, block = {block}, width = {width}, by edge id");
+                scratch.give(got);
+                let got = forward_blocked(layer, &cfg, &by_index, Some(&eids), idx, block, &mut scratch, helpers);
+                assert_eq!(bits(&got), bits(&want), "n = {n}, block = {block}, width = {width}, by row index");
                 scratch.give(got);
             }
             assert_eq!(bits(&forward_with(layer, &cfg, &pre, &mut scratch)), bits(&want));
             for width in [1, 2, 3, 8] {
-                let got = forward_by_eid(layer, &cfg, &by_id, &eids, &mut scratch, &mut helpers[..width - 1]);
-                assert_eq!(bits(&got), bits(&want), "n = {n}, width = {width}, under the width rule");
+                let helpers = &mut helpers[..width - 1];
+                let got = forward_by_eid(layer, &cfg, &by_id, &eids, None, &mut scratch, helpers);
+                assert_eq!(bits(&got), bits(&want), "n = {n}, width = {width}, by edge id under the width rule");
+                scratch.give(got);
+                let got = forward_by_eid(layer, &cfg, &by_index, &eids, idx, &mut scratch, helpers);
+                assert_eq!(bits(&got), bits(&want), "n = {n}, width = {width}, by row index under the width rule");
+                scratch.give(got);
             }
         }
     }

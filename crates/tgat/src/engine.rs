@@ -7,7 +7,7 @@
 //! autograd-tape forward in [`crate::train`].
 
 use tg_graph::{NodeId, TemporalGraph, INVALID_EDGE};
-use tg_tensor::{ops, Scratch, Tensor};
+use tg_tensor::{ops, Tensor};
 
 /// Borrowed views of everything an engine reads: the evolving graph plus the
 /// static feature matrices.
@@ -25,14 +25,6 @@ impl<'a> GraphContext<'a> {
     pub fn gather_node_features(&self, ns: &[NodeId]) -> Tensor {
         let idx: Vec<usize> = ns.iter().map(|&n| n as usize).collect();
         ops::gather_rows(self.node_features, &idx)
-    }
-
-    /// [`Self::gather_node_features`] into a scratch-provided destination.
-    /// Translates ids on the fly so no index buffer is allocated per batch.
-    pub fn gather_node_features_with(&self, ns: &[NodeId], scratch: &mut Scratch) -> Tensor {
-        let mut out = scratch.take(ns.len(), self.node_features.cols());
-        ops::gather_rows_map_into(self.node_features, ns.len(), |i| ns[i] as usize, &mut out);
-        out
     }
 
     /// Gathers edge feature rows; padding slots ([`INVALID_EDGE`]) read row 0
