@@ -1,12 +1,12 @@
-//! Minimal flag parsing shared by the experiment binaries.
+//! Minimal flag parsing shared by `exp`, `datagen` and `train`.
 
 use tgat::TgatConfig;
 
 /// Common experiment options.
 ///
-/// Defaults are sized for a single-core laptop run of the whole suite; pass
-/// `--paper` (or individual overrides) to run the paper's full configuration
-/// (dim 100, 20 neighbors, full |E|).
+/// Defaults are sized for a laptop run of the whole suite; pass `--paper`
+/// (or individual overrides) to run the paper's full configuration (dim 100,
+/// 20 neighbors, full |E|).
 #[derive(Clone, Debug)]
 pub struct ExpArgs {
     /// Fraction of each dataset's |E| to generate.
@@ -73,7 +73,7 @@ impl ExpArgs {
                     out.datasets = take()?.split(',').map(|s| s.trim().to_string()).collect()
                 }
                 "--paper" => {
-                    // Paper-scale configuration (§5.1): slow on one core.
+                    // Paper-scale configuration (§5.1): slow without many cores.
                     out.scale = 1.0;
                     out.runs = 10;
                     out.dim = 100;
@@ -120,9 +120,10 @@ impl ExpArgs {
     }
 }
 
-const USAGE: &str = "\
-Usage: exp_* [--scale F] [--runs N] [--seed N] [--dim N] [--neighbors N]
-             [--batch N] [--cache-limit N] [--datasets a,b,...] [--paper]
+/// The experiment flags, for a binary's usage text.
+pub const USAGE: &str = "\
+Experiment flags: [--scale F] [--runs N] [--seed N] [--dim N] [--neighbors N]
+                  [--batch N] [--cache-limit N] [--datasets a,b,...] [--paper]
 
   --scale F        fraction of each dataset's edges to generate (default 0.02)
   --runs N         timed repetitions per configuration (default 2)

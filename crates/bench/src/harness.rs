@@ -6,7 +6,8 @@ use std::time::Instant;
 use tg_datasets::Dataset;
 use tg_graph::{BatchIter, TemporalGraph};
 use tgat::engine::GraphContext;
-use tgat::{OpStats, TgatParams};
+use tg_telemetry::Recorder;
+use tgat::TgatParams;
 use tgopt::{EngineCounters, OptConfig, TgoptEngine};
 
 /// Per-batch observations (drive Figures 3 and 7).
@@ -22,24 +23,13 @@ pub struct BatchRecord {
     pub recomputed: u64,
 }
 
-impl BatchRecord {
-    /// Hit rate of this batch (0 when nothing was probed).
-    pub fn hit_rate(&self) -> f64 {
-        if self.lookups == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.lookups as f64
-        }
-    }
-}
-
 /// Result of one full replay.
 #[derive(Clone, Debug)]
 pub struct RunResult {
     /// Wall time of the embedding work (graph build excluded, as the paper
     /// also uses a pre-built sampler structure).
     pub seconds: f64,
-    pub stats: OpStats,
+    pub stats: Recorder,
     pub counters: EngineCounters,
     pub batches: Vec<BatchRecord>,
     /// Cache payload bytes at the end of the run.

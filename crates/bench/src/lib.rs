@@ -1,12 +1,12 @@
 //! Shared experiment harness for the TGOpt reproduction.
 //!
-//! Each `src/bin/exp_*.rs` binary regenerates one table or figure of the
-//! paper (see DESIGN.md's per-experiment index); this library holds the
-//! pieces they share: CLI parsing, the inference replay loop, and plain-text
-//! table/series rendering.
+//! The `exp` binary regenerates every table and figure of the paper and
+//! checks their shapes (see DESIGN.md's per-experiment index); `ledger` is
+//! the perf ledger, and `datagen` and `train` mirror the original artifact's
+//! scripts. This library holds what they share: flag parsing, the inference
+//! replay loop, and plain-text table rendering.
 
 pub mod args;
-pub mod csv;
 pub mod harness;
 pub mod table;
 

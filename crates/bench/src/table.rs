@@ -1,4 +1,4 @@
-//! Plain-text table and series rendering for experiment output.
+//! Plain-text table rendering for experiment output.
 
 /// Renders rows as a fixed-width table with a header and rule.
 pub fn render(headers: &[&str], rows: &[Vec<String>]) -> String {
@@ -38,19 +38,6 @@ pub fn render(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Renders an ASCII bar series (used for figure-style outputs).
-pub fn bar_series(title: &str, labels: &[String], values: &[f64], width: usize) -> String {
-    assert_eq!(labels.len(), values.len());
-    let max = values.iter().cloned().fold(f64::MIN, f64::max).max(1e-12);
-    let lw = labels.iter().map(|l| l.len()).max().unwrap_or(0);
-    let mut out = format!("{title}\n");
-    for (label, &v) in labels.iter().zip(values) {
-        let n = ((v / max) * width as f64).round().max(0.0) as usize;
-        out.push_str(&format!("{label:<lw$} | {} {v:.4}\n", "#".repeat(n), lw = lw));
-    }
-    out
-}
-
 /// Formats seconds adaptively (ms below 1s).
 pub fn fmt_secs(s: f64) -> String {
     if s < 1.0 {
@@ -84,18 +71,6 @@ mod tests {
         assert!(lines[2].contains("alpha"));
         // numeric right-alignment: both value cells end at same column
         assert_eq!(lines[2].len(), lines[3].len());
-    }
-
-    #[test]
-    fn bars_scale_to_max() {
-        let s = bar_series(
-            "t",
-            &["a".to_string(), "b".to_string()],
-            &[1.0, 2.0],
-            10,
-        );
-        assert!(s.contains("##########"));
-        assert!(s.contains("#####"));
     }
 
     #[test]

@@ -19,9 +19,9 @@ use tg_graph::{GraphView, NodeId, SamplingStrategy, TemporalSampler, Time};
 use tg_tensor::fanout::host_cores;
 use tg_tensor::{Scratch, Tensor};
 use tgat::attention::{self, AttentionInputs};
-use tgat::engine::GraphContext;
+use tgat::{engine::GraphContext, TgatParams};
 use std::sync::Arc;
-use tgat::{OpKind, OpStats, TgatParams};
+use tg_telemetry::{OpKind, Recorder};
 
 /// Cumulative reuse counters (drive Figures 3 and 7 and Table 3's hit rate).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -87,7 +87,7 @@ pub struct TgoptEngine<'a> {
     /// §4.3 precomputed window; `None` when `enable_time_precompute` is off,
     /// so an engine that never reads the window never builds it.
     timecache: Option<TimeCache>,
-    stats: OpStats,
+    stats: Recorder,
     counters: EngineCounters,
     store_enabled: bool,
     /// When pinned, neighborhood sampling reads this epoch-stamped live
@@ -137,7 +137,7 @@ impl<'a> TgoptEngine<'a> {
                 params.cfg.dim,
             )),
             timecache,
-            stats: OpStats::disabled(),
+            stats: Recorder::disabled(),
             counters: EngineCounters::default(),
             store_enabled: true,
             view: None,
@@ -203,11 +203,11 @@ impl<'a> TgoptEngine<'a> {
 
     /// Turns on per-operation timing (Table 3 reproduction).
     pub fn enable_stats(&mut self) {
-        self.stats = OpStats::enabled();
+        self.stats = Recorder::enabled();
     }
 
     /// Accumulated operation timings.
-    pub fn stats(&self) -> &OpStats {
+    pub fn stats(&self) -> &Recorder {
         &self.stats
     }
 

@@ -25,6 +25,7 @@ fn within_one_bucket(estimate: u64, exact: u64) -> bool {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
+    #[test]
     fn count_equals_bucket_sum_and_sum_ns_is_exact(
         samples in proptest::collection::vec(0u64..(1u64 << 53), 1..200),
     ) {
@@ -38,6 +39,7 @@ proptest! {
         prop_assert_eq!(snap.sum_ns(), samples.iter().sum::<u64>());
     }
 
+    #[test]
     fn quantiles_are_within_one_log_bucket(
         samples in proptest::collection::vec(0u64..(1u64 << 53), 1..200),
         q_raw in 1u32..1000,
@@ -56,6 +58,7 @@ proptest! {
         );
     }
 
+    #[test]
     fn merge_equals_recording_both_streams(
         left in proptest::collection::vec(0u64..(1u64 << 53), 0..100),
         right in proptest::collection::vec(0u64..(1u64 << 53), 0..100),

@@ -26,11 +26,9 @@ pub mod config;
 pub mod engine;
 pub mod params;
 pub mod predictor;
-pub mod stats;
 pub mod time_encode;
 pub mod train;
 
 pub use config::TgatConfig;
 pub use params::TgatParams;
-pub use stats::{OpKind, OpStats};
 pub use time_encode::TimeEncoder;

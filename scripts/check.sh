@@ -29,6 +29,10 @@
 #      scale 0.05 (~10 s); exits 1 on any oracle mismatch (replay vs the
 #      opposite config, served vs direct, post-ingest served vs cold
 #      rebuild)
+#   6. exp all                      — every table and figure of the paper at
+#      the laptop profile (~2 min on two cores), each with its shape check;
+#      exits 1 if a shape stops holding. Logs go to a temporary directory,
+#      so the committed logs/ are left as they are
 #
 # The lint also runs inside `cargo test` via tests/lint_gate.rs, so step 4
 # is technically redundant — but running it standalone gives file:line
@@ -63,5 +67,10 @@ cargo run --release -q -p tg-xtask -- lint
 # rebuild. Exits nonzero on divergence.
 echo "==> ledger --smoke"
 cargo run --release -q -p tg-bench --bin ledger -- --smoke >/dev/null
+
+echo "==> exp all (paper shape checks)"
+exp_logs="$(mktemp -d)"
+trap 'rm -rf "$exp_logs"' EXIT
+cargo run --release -q -p tg-bench --bin exp -- all --out "$exp_logs" >/dev/null
 
 echo "==> all checks passed"

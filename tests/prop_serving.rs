@@ -69,6 +69,7 @@ proptest! {
     /// The headline property: served == direct within 1e-5 under arbitrary
     /// interleavings of submissions and drains, arbitrary micro-batch
     /// sizes, optional (non-expiring) deadlines, and forced degraded mode.
+    #[test]
     fn served_equals_direct_under_arbitrary_interleavings(
         reqs in proptest::collection::vec((any::<u32>(), any::<u32>(), any::<bool>()), 1..40),
         max_batch in 1usize..8,
@@ -134,6 +135,7 @@ proptest! {
 
     /// Duplicate-heavy streams: cross-request dedup collapses repeats, yet
     /// every request still receives its own row in submission order.
+    #[test]
     fn row_order_preserved_under_heavy_duplication(
         reqs in proptest::collection::vec((0u32..3, 0u32..2), 2..30),
         max_batch in 1usize..6,
@@ -169,6 +171,7 @@ proptest! {
 
     /// Degraded mode really does stop cache growth: with a zero budget the
     /// shared cache never stores anything, and results stay exact.
+    #[test]
     fn zero_budget_serves_lookup_only(
         reqs in proptest::collection::vec((any::<u32>(), any::<u32>()), 1..20),
     ) {

@@ -149,6 +149,7 @@ proptest! {
     /// The headline property: under arbitrary interleavings of ingest,
     /// query, compaction, and drain, every served embedding equals a cold
     /// rebuild of the edge stream visible at its drain, in row order.
+    #[test]
     fn streaming_served_equals_cold_rebuild(
         script in proptest::collection::vec((any::<u8>(), any::<u32>(), any::<u32>()), 1..48),
         max_batch in 1usize..8,
@@ -211,6 +212,7 @@ proptest! {
     /// re-queried after ingests so surviving layer-2 entries are actually
     /// *served*, and every served row must still match a cold rebuild —
     /// a single wrongly-accepted entry surfaces as a row deviation here.
+    #[test]
     fn fingerprinted_deep_cache_matches_cold_rebuild(
         script in proptest::collection::vec((any::<u8>(), any::<u32>(), any::<u32>()), 1..48),
     ) {
@@ -269,6 +271,7 @@ proptest! {
     /// the queue is empty and the books balance — each
     /// submission completed once, each edge ingested once, and the
     /// telemetry's serve and ingest sections equal the stats.
+    #[test]
     fn invalidation_interleaved_with_ingest_keeps_rows_and_books(
         script in proptest::collection::vec((any::<u8>(), any::<u32>(), any::<u32>()), 1..48),
         max_batch in 1usize..8,
@@ -342,6 +345,7 @@ proptest! {
     /// `GraphView` neighborhoods are bit-identical to the cold rebuild's,
     /// for both sampling strategies, at every ingest prefix and with a
     /// compaction injected at an arbitrary point.
+    #[test]
     fn view_sampling_matches_cold_rebuild(
         n_ingest in 0usize..=N_POOL,
         // Below N_POOL: compact after that ingest; otherwise never.
@@ -381,6 +385,7 @@ proptest! {
     /// Deadlines behave identically on a live server: an expired request
     /// resolves to `DeadlineExceeded` (at submit or at drain), never to a
     /// stale embedding, and live requests still match the cold rebuild.
+    #[test]
     fn deadlines_respected_while_ingesting(
         reqs in proptest::collection::vec((any::<u32>(), any::<u32>(), any::<bool>()), 1..24),
         n_ingest in 0usize..=N_POOL,
