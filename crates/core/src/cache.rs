@@ -16,10 +16,10 @@
 use crate::fingerprint::{Constraint, NO_CUT};
 use crate::hash::unpack_key;
 use parking_lot::{Mutex, RwLock};
-use rustc_hash::FxHashMap;
+use rustc_hash::{FxHashMap, FxHashSet};
 use std::collections::hash_map::Entry as MapEntry;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use tg_error::TgError;
 use tg_graph::{GraphView, NodeId, Time};
 use tg_tensor::Tensor;
@@ -43,41 +43,43 @@ const NUM_SHARDS: usize = 16;
 /// ```
 pub struct EmbedCache {
     shards: Vec<RwLock<FxHashMap<u64, Entry>>>,
-    /// Insertion order across all shards, for FIFO eviction: one
-    /// `(key, stamp)` slot per fresh insert. A slot owns the live entry
-    /// under its key iff the stamps match; a slot whose entry was swept
-    /// (and perhaps re-stored under a newer stamp) is stale, skipped
-    /// wherever it is met and dropped when the queue is compacted.
-    fifo: Mutex<VecDeque<(u64, u64)>>,
-    /// Source of entry stamps; unique per fresh insert.
-    next_stamp: AtomicU64,
-    count: AtomicUsize,
-    /// Recorded pairs and cuts (`u64` words) held by live entries, so
-    /// `bytes_used` charges dependency records as well as embedding rows.
-    constraint_words: AtomicUsize,
+    /// The admission lock: every change to the map (store, eviction,
+    /// sweep, clear) happens under it, so the queue and the totals always
+    /// agree with the shards. Lookups take only shard read locks.
+    fifo: Mutex<Fifo>,
     limit: usize,
     dim: usize,
     lookups: AtomicU64,
     hits: AtomicU64,
-    stores: AtomicU64,
-    evictions: AtomicU64,
-    /// Fresh keys actually inserted (a subset of `stores`, which counts
-    /// attempted rows). Every inserted entry leaves the cache through
-    /// exactly one of eviction, invalidation, or residency, giving the
-    /// accounting identity `inserted == evictions + invalidated + len()`
-    /// at quiescence (asserted by `tests/streaming_stress.rs`).
-    inserted: AtomicU64,
-    /// Entries removed by [`EmbedCache::sweep`] (directly or through
-    /// `invalidate_node`) or `clear`.
-    invalidated: AtomicU64,
-    /// Rows silently dropped at admission because a single `store` call
-    /// exceeded the whole item limit (the oldest rows of that call). These
-    /// never reach a shard and are *not* counted in `stores`.
-    store_dropped: AtomicU64,
     /// Entries a view-pinned lookup found but refused (counted as misses).
     rejected: AtomicU64,
     /// View-pinned hits accepted only after re-reading some pair's cut.
     revalidated: AtomicU64,
+}
+
+/// The eviction queue and the write-side totals, guarded by
+/// [`EmbedCache`]'s `fifo` lock.
+#[derive(Default)]
+struct Fifo {
+    /// The key of every live entry, oldest insert first: exactly one slot
+    /// per entry, so `len()` is this queue's length.
+    keys: VecDeque<u64>,
+    /// Recorded pairs and cuts (`u64` words) held by live entries, so
+    /// `bytes_used` charges dependency records as well as embedding rows.
+    words: usize,
+    stores: u64,
+    /// Fresh keys actually inserted (a subset of `stores`, which counts
+    /// attempted rows). Every inserted entry leaves the cache through
+    /// exactly one of eviction, invalidation, or residency, giving the
+    /// accounting identity `inserted == evictions + invalidated + len()`.
+    inserted: u64,
+    evictions: u64,
+    /// Entries removed by [`EmbedCache::sweep`] or `clear`.
+    invalidated: u64,
+    /// Rows silently dropped at admission because a single `store` call
+    /// exceeded the whole item limit (the oldest rows of that call). These
+    /// never reach a shard and are *not* counted in `stores`.
+    store_dropped: u64,
 }
 
 /// A cached embedding row plus what it was computed from.
@@ -100,10 +102,6 @@ struct Entry {
     /// grows, so they hold at every epoch from the compute epoch up to
     /// this one. An overwrite replaces it with row and cuts.
     valid_at: AtomicU64,
-    /// Identity of the insert that made this key live, matched against the
-    /// FIFO's `(key, stamp)` slots. An overwrite keeps it (the entry keeps
-    /// its queue position); a re-store after removal draws a new one.
-    stamp: u64,
 }
 
 /// What a view-pinned lookup makes of one entry.
@@ -170,19 +168,11 @@ impl EmbedCache {
         assert!(dim > 0, "embedding dimension must be positive");
         Self {
             shards: (0..NUM_SHARDS).map(|_| RwLock::new(FxHashMap::default())).collect(),
-            fifo: Mutex::new(VecDeque::new()),
-            next_stamp: AtomicU64::new(0),
-            count: AtomicUsize::new(0),
-            constraint_words: AtomicUsize::new(0),
+            fifo: Mutex::new(Fifo::default()),
             limit,
             dim,
             lookups: AtomicU64::new(0),
             hits: AtomicU64::new(0),
-            stores: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            inserted: AtomicU64::new(0),
-            invalidated: AtomicU64::new(0),
-            store_dropped: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             revalidated: AtomicU64::new(0),
         }
@@ -342,18 +332,13 @@ impl EmbedCache {
     ///
     /// # Invariants
     ///
-    /// - `len() <= limit()` holds on return, even under concurrent stores
-    ///   (a corrective eviction runs after the FIFO append).
-    /// - Re-storing an existing key overwrites in place, keeping the entry's
-    ///   stamp and so its FIFO slot, so `len()` only counts distinct live
-    ///   keys.
-    /// - Every key newly inserted by this call gets a fresh stamp and is
-    ///   appended to the FIFO exactly once, after all older entries; a key
-    ///   re-stored after invalidation no longer matches its old slot's
-    ///   stamp (the entry's FIFO age restarts from this call).
-    /// - A call that inserts a fresh key leaves at most `2 * len() + 1`
-    ///   FIFO slots: stale slots are compacted away once they outnumber
-    ///   the live ones.
+    /// - `len() <= limit()` at every instant, under any number of
+    ///   concurrent stores: admission runs whole under the `fifo` lock.
+    /// - Re-storing an existing key overwrites in place, keeping its FIFO
+    ///   slot, so `len()` only counts distinct live keys.
+    /// - Every key newly inserted by this call is appended to the FIFO
+    ///   exactly once, after all older entries; a key re-stored after
+    ///   invalidation starts its FIFO age from this call.
     /// - The `stores` counter grows by the number of *admitted* rows only;
     ///   rows dropped because this one call exceeds the whole limit are
     ///   counted in [`EmbedCache::total_store_dropped`] instead.
@@ -393,7 +378,7 @@ impl EmbedCache {
         self.store_impl(keys, h, Some(constraints), valid_at)
     }
 
-    fn store_impl( // alloc-ok: cache admission must copy the rows it will own; the fresh-key list is bounded by the batch
+    fn store_impl( // alloc-ok: cache admission must copy the rows it will own; entries and the distinct-key set are built before the lock, bounded by the batch
         &self,
         keys: &[u64],
         h: &Tensor,
@@ -410,108 +395,46 @@ impl EmbedCache {
         if keys.is_empty() {
             return Ok(());
         }
-        let incoming = keys.len().min(self.limit);
         // If a single store call exceeds the whole limit, keep the newest.
-        let skip = keys.len() - incoming;
-        if skip > 0 {
-            self.store_dropped.fetch_add(skip as u64, Ordering::Relaxed);
-        }
+        let skip = keys.len() - keys.len().min(self.limit);
+        let entries: Vec<Entry> = h.as_slice()[skip * self.dim..]
+            .chunks(self.dim)
+            .enumerate()
+            .map(|(j, row)| {
+                let record = match constraints.as_mut() {
+                    Some(v) => std::mem::take(&mut v[skip + j]),
+                    None => Constraint::default(),
+                };
+                let cuts = if valid_at.is_some() { record.cuts } else { Box::default() };
+                Entry { row: row.into(), constraint: record.pairs, cuts, valid_at: AtomicU64::new(valid_at.unwrap_or(0)) }
+            })
+            .collect();
+        let keys = &keys[skip..];
+        let distinct: FxHashSet<u64> = keys.iter().copied().collect();
+
+        let mut guard = self.fifo.lock();
+        let fifo = &mut *guard;
+        fifo.store_dropped += skip as u64;
+        fifo.stores += keys.len() as u64;
         // Only keys not already cached consume capacity: overwrites keep
         // their slot, and repeated keys within one call insert once.
-        let fresh_count = {
-            let mut seen = rustc_hash::FxHashSet::default();
-            keys[skip..]
-                .iter()
-                .filter(|&&k| seen.insert(k) && !self.contains(k))
-                .count()
-        };
-        let cur = self.count.load(Ordering::Relaxed);
-        if cur + fresh_count > self.limit {
-            self.evict((cur + fresh_count).saturating_sub(self.limit));
-        }
-
-        // Each fresh key's `(key, stamp)` then needs a FIFO slot.
-        let mut fresh = Vec::with_capacity(incoming);
-        for (j, (&key, row)) in keys[skip..]
-            .iter()
-            .zip(h.as_slice()[skip * self.dim..].chunks(self.dim))
-            .enumerate()
-        {
-            let record = match constraints.as_mut() {
-                Some(v) => std::mem::take(&mut v[skip + j]),
-                None => Constraint::default(),
-            };
-            let cuts = if valid_at.is_some() { record.cuts } else { Box::default() };
-            let mut entry = Entry {
-                row: row.into(),
-                constraint: record.pairs,
-                cuts,
-                valid_at: AtomicU64::new(valid_at.unwrap_or(0)),
-                stamp: 0,
-            };
-            let added = entry.words();
-            let mut shard = self.shards[shard_of(key)].write();
-            let old = match shard.entry(key) {
-                MapEntry::Occupied(mut live) => {
-                    entry.stamp = live.get().stamp;
-                    Some(live.insert(entry))
-                }
+        let fresh = distinct.iter().filter(|&&k| !self.contains(k)).count();
+        self.evict(fifo, (fifo.keys.len() + fresh).saturating_sub(self.limit));
+        for (&key, entry) in keys.iter().zip(entries) {
+            fifo.words += entry.words();
+            match self.shards[shard_of(key)].write().entry(key) {
+                MapEntry::Occupied(mut live) => fifo.words -= live.insert(entry).words(),
                 MapEntry::Vacant(free) => {
-                    entry.stamp = self.next_stamp.fetch_add(1, Ordering::Relaxed);
-                    fresh.push((key, entry.stamp));
                     free.insert(entry);
-                    None
+                    fifo.keys.push_back(key); // alloc-ok: the queue grows by the fresh keys just inserted, bounded by the limit
+                    fifo.inserted += 1;
                 }
-            };
-            // Charged before the shard lock is released: a concurrent sweep
-            // can remove this entry, and subtract it, only after that, so
-            // `count` and `constraint_words` never dip below zero.
-            if old.is_none() {
-                self.count.fetch_add(1, Ordering::Relaxed);
-            }
-            let dropped = old.as_ref().map_or(0, Entry::words);
-            if added > 0 {
-                self.constraint_words.fetch_add(added, Ordering::Relaxed);
-            }
-            if dropped > 0 {
-                self.constraint_words.fetch_sub(dropped, Ordering::Relaxed);
             }
         }
-        self.finish_store(fresh, incoming);
+        // The eviction above may have taken a key of this call that was
+        // cached, which then came back as a fresh insert.
+        self.evict(fifo, fifo.keys.len().saturating_sub(self.limit));
         Ok(())
-    }
-
-    fn finish_store(&self, fresh: Vec<(u64, u64)>, admitted: usize) {
-        self.stores.fetch_add(admitted as u64, Ordering::Relaxed);
-        debug_assert!(
-            fresh.len() <= admitted,
-            "inserted {} fresh keys out of {admitted} admitted",
-            fresh.len()
-        );
-        if fresh.is_empty() {
-            return;
-        }
-        self.inserted.fetch_add(fresh.len() as u64, Ordering::Relaxed);
-        let mut fifo = self.fifo.lock();
-        fifo.extend(fresh); // alloc-ok: FIFO admission grows the queue by the fresh keys just inserted — bounded by the batch
-        // Concurrent stores may each have passed the pre-insert capacity
-        // check; a corrective eviction keeps the limit a hard bound.
-        let over = self.count.load(Ordering::Relaxed).saturating_sub(self.limit);
-        self.evict_from(&mut fifo, over);
-        // Sweeps leave stale slots behind and only eviction pops, so a cache
-        // that never fills would grow the queue by one slot per
-        // invalidation forever. Every stale slot was paid for by the
-        // removal that made it, so dropping them all once they outnumber
-        // the live ones is amortised O(1) per store.
-        if fifo.len() > 2 * self.len() + 1 {
-            fifo.retain(|&slot| self.owned(slot, |_| ()).is_some());
-        }
-        debug_assert!(
-            self.count.load(Ordering::Relaxed) <= self.limit,
-            "cache count {} exceeds limit {} after corrective eviction",
-            self.count.load(Ordering::Relaxed),
-            self.limit
-        );
     }
 
     /// True if `key` is currently cached.
@@ -519,50 +442,27 @@ impl EmbedCache {
         self.shards[shard_of(key)].read().contains_key(&key)
     }
 
-    /// `read` of the live entry that FIFO slot `(key, stamp)` owns, if any.
-    fn owned<R>(&self, (key, stamp): (u64, u64), read: impl FnOnce(&Entry) -> R) -> Option<R> {
-        let shard = self.shards[shard_of(key)].read();
-        shard.get(&key).filter(|e| e.stamp == stamp).map(read)
-    }
-
     /// Snapshot of all live entries in FIFO (oldest-first) order, for
     /// persistence.
     ///
     /// # Invariants
     ///
-    /// - Every live entry is emitted exactly once, at the queue position of
-    ///   the one slot carrying its stamp: stale slots (swept entries) match
-    ///   nothing, and a key re-stored after invalidation appears at its
-    ///   re-store position — never as a duplicate row.
+    /// - Every live entry is emitted exactly once, at its queue position:
+    ///   a key re-stored after invalidation appears at its re-store
+    ///   position.
     pub fn export_fifo_order(&self) -> Vec<(u64, Box<[f32]>)> {
         let fifo = self.fifo.lock();
-        fifo.iter()
-            .filter_map(|&slot| Some((slot.0, self.owned(slot, |e| e.row.clone())?)))
-            .collect()
+        let row = |key: u64| Some((key, self.shards[shard_of(key)].read().get(&key)?.row.clone()));
+        fifo.keys.iter().filter_map(|&key| row(key)).collect()
     }
 
-    /// Removes the `n` oldest entries.
-    fn evict(&self, n: usize) {
-        self.evict_from(&mut self.fifo.lock(), n);
-    }
-
-    fn evict_from(&self, fifo: &mut VecDeque<(u64, u64)>, n: usize) {
-        let mut removed = 0usize;
-        let mut words = 0usize;
-        // Stale FIFO slots (entry swept, perhaps re-stored under a newer
-        // stamp) own nothing and free no capacity, so keep popping until n
-        // live entries are gone.
-        while removed < n {
-            let Some((key, stamp)) = fifo.pop_front() else { break };
-            let mut shard = self.shards[shard_of(key)].write();
-            if let MapEntry::Occupied(live) = shard.entry(key) {
-                if live.get().stamp == stamp {
-                    removed += 1;
-                    words += live.remove().words();
-                }
-            }
+    /// Removes the `n` oldest entries (`n <= len()`), under the `fifo` lock.
+    fn evict(&self, fifo: &mut Fifo, n: usize) {
+        for key in fifo.keys.drain(..n) {
+            let entry = self.shards[shard_of(key)].write().remove(&key);
+            fifo.words -= entry.map_or(0, |e| e.words());
         }
-        self.account_removed(removed, words, &self.evictions);
+        fifo.evictions += n as u64;
     }
 
     /// The explicit invalidation scan, for changes the lookup check cannot
@@ -578,7 +478,8 @@ impl EmbedCache {
     /// with `levels == 0` the key is the whole fingerprint, while with
     /// `levels > 0` the entry's reach is unknown (restored from a
     /// snapshot, or overwritten by a plain `store`) and it is dropped
-    /// conservatively.
+    /// conservatively. A holder of several tables goes through
+    /// [`LayerCaches::invalidate_nodes`], which states each layer's depth.
     ///
     /// # Invariants
     ///
@@ -586,16 +487,16 @@ impl EmbedCache {
     ///   entry lacks a fingerprint (entries stored concurrently are the
     ///   caller's obligation).
     /// - `len()` decreases by exactly `removed` and `bytes_used()` by the
-    ///   removed rows and records; FIFO slots of removed keys go stale and
-    ///   are skipped by eviction without freeing capacity twice.
+    ///   removed rows and records; the removed keys leave the FIFO in the
+    ///   same critical section, so every slot stays a live entry.
     pub fn sweep(&self, levels: usize, mut stale: impl FnMut(NodeId, Time) -> bool) -> (usize, usize) {
         let mut pair_stale = |pk: u64| {
             let (y, t) = unpack_key(pk);
             stale(y, t)
         };
-        let mut removed = 0usize;
+        let mut fifo = self.fifo.lock();
+        let mut gone = FxHashSet::default();
         let mut retained = 0usize;
-        let mut words = 0usize;
         for shard in &self.shards {
             shard.write().retain(|&key, entry| {
                 let fp = &entry.constraint;
@@ -603,74 +504,44 @@ impl EmbedCache {
                     || pair_stale(key)
                     || fp.iter().any(|&pk| pk != key && pair_stale(pk));
                 if hit {
-                    removed += 1;
-                    words += entry.words();
+                    gone.insert(key);
+                    fifo.words -= entry.words();
                 } else {
                     retained += 1;
                 }
                 !hit
             });
         }
-        self.account_removed(removed, words, &self.invalidated);
-        (removed, retained)
-    }
-
-    /// Drops every entry of this table keyed by `node`, and every entry
-    /// whose recorded fingerprint sampled `node`'s history (future-work
-    /// §7: graph change events such as edge deletion invalidate what was
-    /// computed from the node's interactions). Entries without a
-    /// fingerprint are judged by their key alone; a holder of deep tables
-    /// goes through [`LayerCaches::invalidate_node`], which states each
-    /// layer's depth. Returns how many entries were removed.
-    ///
-    /// # Invariants
-    ///
-    /// - After return, no key unpacking to `node` is live in any shard.
-    /// - `len()` decreases by exactly the returned count (see
-    ///   [`EmbedCache::sweep`]).
-    pub fn invalidate_node(&self, node: NodeId) -> usize {
-        self.sweep(0, |y, _| y == node).0
-    }
-
-    /// The one place an entry's departure is accounted, whatever removed
-    /// it (`counter` is `evictions` or `invalidated`). FIFO slots are not
-    /// excised here: a swept key's slot goes stale, `evict` skips it and
-    /// `finish_store` compacts it away.
-    fn account_removed(&self, entries: usize, constraint_words: usize, counter: &AtomicU64) {
-        if entries > 0 {
-            self.count.fetch_sub(entries, Ordering::Relaxed);
-            counter.fetch_add(entries as u64, Ordering::Relaxed);
+        if !gone.is_empty() {
+            fifo.keys.retain(|key| !gone.contains(key));
+            fifo.invalidated += gone.len() as u64;
         }
-        if constraint_words > 0 {
-            self.constraint_words.fetch_sub(constraint_words, Ordering::Relaxed);
-        }
+        (gone.len(), retained)
     }
 
     /// Removes everything.
     ///
     /// # Invariants
     ///
-    /// - All shards, the FIFO queue, and the live count reset together, so
-    ///   `len() == 0` and `bytes_used() == 0` on return.
+    /// - All shards and the FIFO queue empty under one `fifo` critical
+    ///   section, so `len() == 0` and `bytes_used() == 0` on return, and
+    ///   no concurrent store can leave an entry without its slot.
     /// - Lifetime counters (lookups/hits/stores/evictions) are preserved;
     ///   the dropped entries count as invalidated, keeping the
     ///   `inserted == evictions + invalidated + len()` identity intact.
     pub fn clear(&self) {
-        let mut removed = 0usize;
-        let mut words = 0usize;
+        let mut fifo = self.fifo.lock();
         for shard in &self.shards {
-            let mut shard = shard.write();
-            removed += shard.len();
-            words += shard.values().map(Entry::words).sum::<usize>();
-            shard.clear();
+            shard.write().clear();
         }
-        self.fifo.lock().clear();
-        self.account_removed(removed, words, &self.invalidated);
+        fifo.invalidated += fifo.keys.len() as u64;
+        fifo.keys.clear();
+        fifo.words = 0;
     }
 
     /// Current number of cached embeddings.
     pub fn len(&self) -> usize {
-        self.count.load(Ordering::Relaxed)
+        self.fifo.lock().keys.len()
     }
 
     /// True if nothing is cached.
@@ -692,8 +563,8 @@ impl EmbedCache {
     /// cuts (FIFO slots and map overhead are not counted). Entries no
     /// reader will accept again still count until evicted or overwritten.
     pub fn bytes_used(&self) -> usize {
-        self.len() * self.dim * std::mem::size_of::<f32>()
-            + self.constraint_words.load(Ordering::Relaxed) * std::mem::size_of::<u64>()
+        let fifo = self.fifo.lock();
+        fifo.keys.len() * self.dim * std::mem::size_of::<f32>() + fifo.words * std::mem::size_of::<u64>()
     }
 
     /// Total keys looked up.
@@ -710,29 +581,29 @@ impl EmbedCache {
     /// exceeded the whole limit are counted in
     /// [`EmbedCache::total_store_dropped`] instead).
     pub fn total_stores(&self) -> u64 {
-        self.stores.load(Ordering::Relaxed)
+        self.fifo.lock().stores
     }
 
     /// Total rows dropped at admission because one `store` call exceeded
     /// the whole item limit.
     pub fn total_store_dropped(&self) -> u64 {
-        self.store_dropped.load(Ordering::Relaxed)
+        self.fifo.lock().store_dropped
     }
 
     /// Total evicted entries.
     pub fn total_evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
+        self.fifo.lock().evictions
     }
 
     /// Total fresh keys actually inserted (distinct from
     /// [`EmbedCache::total_stores`], which counts attempted rows).
     pub fn total_inserted(&self) -> u64 {
-        self.inserted.load(Ordering::Relaxed)
+        self.fifo.lock().inserted
     }
 
     /// Total entries removed by invalidation sweeps (including `clear`).
     pub fn total_invalidated(&self) -> u64 {
-        self.invalidated.load(Ordering::Relaxed)
+        self.fifo.lock().invalidated
     }
 
     /// Total entries a view-pinned lookup found and refused.
@@ -887,15 +758,6 @@ impl LayerCaches {
         self.per_layer.iter().enumerate().filter_map(sweep).sum()
     }
 
-    /// [`LayerCaches::invalidate_nodes`] for a single node.
-    ///
-    /// # Invariants
-    ///
-    /// - After return, no key unpacking to `node` is live in any layer.
-    pub fn invalidate_node(&self, node: NodeId) -> usize {
-        self.invalidate_nodes(&[node])
-    }
-
     /// Clears every layer.
     ///
     /// # Invariants
@@ -1047,7 +909,7 @@ mod tests {
             &Tensor::zeros(3, 1),
             false,
         ).unwrap();
-        assert_eq!(cache.invalidate_node(1), 2);
+        assert_eq!(cache.sweep(0, |y, _| y == 1).0, 2);
         assert_eq!(cache.len(), 1);
         let mut out = Tensor::zeros(3, 1);
         let mask = cache.lookup(
@@ -1079,7 +941,7 @@ mod tests {
         for i in 0..5u32 {
             cache.store(&[pack_key(i, i as f32)], &Tensor::zeros(1, 1), false).unwrap();
         }
-        cache.invalidate_node(3);
+        cache.sweep(0, |y, _| y == 3);
         cache.sweep(0, |_, t| t > 1.0);
         cache.store(&[pack_key(9, 1.0)], &Tensor::zeros(1, 1), false).unwrap();
         cache.clear(); // clear counts as invalidation
@@ -1101,10 +963,10 @@ mod tests {
         for i in 0..3u32 {
             cache.store(&[pack_key(i, 0.0)], &Tensor::zeros(1, 1), false).unwrap();
         }
-        cache.invalidate_node(0);
+        cache.sweep(0, |y, _| y == 0);
         assert_eq!(cache.len(), 2);
-        // Storing two more must evict exactly one live entry (key 1) while
-        // skipping the stale FIFO slot for key 0.
+        // Storing two more must evict exactly one live entry (key 1): the
+        // swept key 0 left the FIFO with its entry.
         cache.store(&[pack_key(10, 0.0), pack_key(11, 0.0)], &Tensor::zeros(2, 1), false).unwrap();
         assert!(cache.len() <= 3);
         let mut out = Tensor::zeros(1, 1);
@@ -1131,7 +993,7 @@ mod tests {
         let cache = EmbedCache::new(10, 1);
         let keys: Vec<u64> = (0..3u32).map(|i| pack_key(i, 1.0)).collect();
         cache.store(&keys, &row_tensor(&[&[0.0], &[1.0], &[2.0]]), false).unwrap();
-        cache.invalidate_node(1);
+        cache.sweep(0, |y, _| y == 1);
         cache.store(&[keys[1]], &Tensor::from_vec(1, 1, vec![9.0]), false).unwrap();
         let export = cache.export_fifo_order();
         let exported: Vec<u64> = export.iter().map(|(k, _)| *k).collect();
@@ -1145,10 +1007,10 @@ mod tests {
         let cache = EmbedCache::new(3, 1);
         let keys: Vec<u64> = (0..3u32).map(|i| pack_key(i, 1.0)).collect();
         cache.store(&keys, &Tensor::zeros(3, 1), false).unwrap();
-        cache.invalidate_node(0);
+        cache.sweep(0, |y, _| y == 0);
         cache.store(&[keys[0]], &Tensor::zeros(1, 1), false).unwrap();
         // FIFO age order is now 1, 2, 0. Two more stores must evict keys 1
-        // and 2 — not the re-stored key 0 via its stale front slot.
+        // and 2 — not the re-stored key 0 at its old front position.
         cache.store(
             &[pack_key(10, 0.0), pack_key(11, 0.0)],
             &Tensor::zeros(2, 1),
@@ -1161,17 +1023,16 @@ mod tests {
 
     #[test]
     fn fifo_queue_stays_bounded_when_the_cache_never_fills() {
-        // Under the limit nothing is ever evicted, so nothing pops: each
-        // invalidate + re-store used to leave one more slot queued forever.
+        // Under the limit nothing is ever evicted, so only sweeps take
+        // slots out: each invalidate + re-store must not queue one more.
         let cache = EmbedCache::new(1000, 1);
         let bystanders: Vec<u64> = (10..14u32).map(|i| pack_key(i, 1.0)).collect();
         cache.store(&bystanders, &Tensor::zeros(4, 1), false).unwrap();
         let k = [pack_key(1, 2.0)];
         for round in 0..10_000 {
             cache.store(&k, &Tensor::from_vec(1, 1, vec![round as f32]), false).unwrap();
-            assert_eq!(cache.invalidate_node(1), 1);
-            // The store left <= 2 * len + 1 slots; the sweep then took one entry.
-            let slots = cache.fifo.lock().len();
+            assert_eq!(cache.sweep(0, |y, _| y == 1).0, 1);
+            let slots = cache.fifo.lock().keys.len();
             assert!(slots <= 2 * cache.len() + 3, "round {round}: {slots} slots for {} entries", cache.len());
         }
         cache.store(&k, &Tensor::from_vec(1, 1, vec![-1.0]), false).unwrap();
@@ -1202,7 +1063,7 @@ mod tests {
         assert!(!cache.contains(keys[1]) && !cache.contains(keys[2]));
         // A node flush is the same question with another predicate: it
         // reaches the survivor through its fingerprint, not its key.
-        assert_eq!(cache.invalidate_node(8), 1);
+        assert_eq!(cache.sweep(0, |y, _| y == 8).0, 1);
         assert!(cache.is_empty());
     }
 
@@ -1286,7 +1147,7 @@ mod tests {
         let lc = LayerCaches::new(2, true, 100, 1);
         lc.layer(1).unwrap().store(&[pack_key(5, 1.0)], &Tensor::zeros(1, 1), false).unwrap();
         lc.layer(2).unwrap().store(&[pack_key(5, 2.0)], &Tensor::zeros(1, 1), false).unwrap();
-        assert_eq!(lc.invalidate_node(5), 2);
+        assert_eq!(lc.invalidate_nodes(&[5]), 2);
         lc.layer(1).unwrap().store(&[pack_key(6, 1.0)], &Tensor::zeros(1, 1), false).unwrap();
         lc.clear();
         assert!(lc.is_empty());
@@ -1404,6 +1265,8 @@ mod tests {
             );
             let words: usize = model.live.iter().map(|e| e.3).sum();
             prop_assert_eq!(cache.bytes_used(), 4 * model.live.len() + 8 * words);
+            let entries: usize = cache.shards.iter().map(|s| s.read().len()).sum();
+            prop_assert_eq!(cache.fifo.lock().keys.len(), entries, "one FIFO slot per live entry");
             Ok(())
         }
 
@@ -1442,11 +1305,7 @@ mod tests {
                                 }).collect();
                                 cache.store_with_constraints(&keys, &h, records, with_cuts.then_some(1)).unwrap();
                             }
-                            let inserted = model.inserted;
                             model.store(&keys, &vals, &fps, with_cuts);
-                            if model.inserted > inserted {
-                                prop_assert!(cache.fifo.lock().len() <= 2 * cache.len() + 1);
-                            }
                         }
                         6..=8 => {
                             let levels = (y % 2) as usize;

@@ -239,13 +239,6 @@ impl<'a> TgoptEngine<'a> {
         &self.opt
     }
 
-    /// Invalidate every cached embedding computed from `node`'s history —
-    /// called by the holder after a graph-change event that alters it
-    /// (future-work §7).
-    pub fn invalidate_node(&mut self, node: NodeId) -> usize {
-        self.caches.invalidate_node(node)
-    }
-
     /// Invalidation for the deletion of an edge between `src` and `dst`
     /// (future-work §7), correct for *any* model depth: the deleted
     /// interaction sat only in windows of its two endpoints, so exactly the
@@ -870,7 +863,7 @@ mod tests {
         let _ = eng.embed_batch(&[0], &[50.0]).unwrap();
         let cached = eng.cache().len();
         assert!(cached > 0);
-        let removed: usize = (0..12).map(|n| eng.invalidate_node(n)).sum();
+        let removed: usize = (0..12).step_by(2).map(|n| eng.invalidate_edge_deletion(n, n + 1)).sum();
         assert_eq!(removed, cached);
         let before = eng.counters();
         let _ = eng.embed_batch(&[0], &[50.0]).unwrap();

@@ -129,7 +129,7 @@ proptest! {
             .filter(|&&(n, _)| n == victim)
             .map(|&(n, t)| pack_key(n, t as f32))
             .collect();
-        let removed = cache.invalidate_node(victim);
+        let removed = cache.sweep(0, |y, _| y == victim).0;
         prop_assert_eq!(removed, expected.len());
         for key in expected {
             let mut out = Tensor::zeros(1, 1);

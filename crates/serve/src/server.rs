@@ -658,7 +658,7 @@ impl TgServer {
     /// concurrently with serving traffic (in-flight batches recompute on
     /// their next miss). Returns how many entries were removed.
     pub fn invalidate_node(&self, node: NodeId) -> usize {
-        self.shared.cache.invalidate_node(node)
+        self.shared.cache.invalidate_nodes(&[node])
     }
 
     /// A consistent snapshot of the live graph, or `None` when live

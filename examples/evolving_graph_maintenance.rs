@@ -79,7 +79,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     graph.delete_edge(victim.src, victim.dst, victim.eid);
     let ctx = GraphContext { graph: &graph, node_features: &node_features, edge_features: &data.edge_features };
     let mut engine = TgoptEngine::with_cache(&params, ctx, OptConfig::all(), cache, counters);
-    let dropped = engine.invalidate_node(victim.src) + engine.invalidate_node(victim.dst);
+    let dropped = engine.invalidate_edge_deletion(victim.src, victim.dst);
     println!(
         "phase 3: deleted edge ({}, {}, t={}); invalidated {dropped} cached embeddings",
         victim.src, victim.dst, victim.time

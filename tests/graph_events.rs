@@ -89,8 +89,7 @@ fn deletion_with_invalidation_matches_fresh_baseline() {
 
     // For a 2-layer model only the endpoints' layer-1 embeddings can embed
     // the deleted interaction, so invalidating them restores correctness.
-    eng.invalidate_node(victim.src);
-    eng.invalidate_node(victim.dst);
+    eng.invalidate_edge_deletion(victim.src, victim.dst);
     let h_opt = eng.embed_batch(&ns, &ts).unwrap();
     let h_base = forward_embeddings(&params, &ctx, &ns, &ts);
     assert!(
@@ -185,8 +184,7 @@ fn deletion_without_invalidation_can_go_stale() {
         "deleting a node's most recent edge must change its embedding"
     );
     // ...until the node is invalidated, which restores agreement.
-    stale.invalidate_node(victim.src);
-    stale.invalidate_node(victim.dst);
+    stale.invalidate_edge_deletion(victim.src, victim.dst);
     let h_repaired = stale.embed_batch(&ns, &ts).unwrap();
     assert!(h_fresh.max_abs_diff(&h_repaired) < 1e-4);
 }

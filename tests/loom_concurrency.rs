@@ -213,11 +213,11 @@ fn live_graph_epoch_publish_never_tears_a_view() {
     assert!(ITERS.load(Ordering::SeqCst) > 1, "model must explore more than one schedule");
 }
 
-/// (b) EmbedCache store/lookup vs `invalidate_node`: after a writer, a
-/// reader, and an invalidator race, the atomic accounting (`len()`)
-/// agrees with the actual live entries, never underflows (an underflow
-/// wraps a usize and would blow the `<= limit` bound), and the capacity
-/// limit holds.
+/// (b) EmbedCache stores vs lookups, a sweep and a `clear`: two writers,
+/// a reader, and an invalidator that sweeps node 7 and clears once race.
+/// The reader never sees `len()` over the limit; at the end `len()`
+/// agrees with the exported FIFO (an entry left without its slot by a
+/// store racing `clear` would break it), and hit rows are never torn.
 #[test]
 fn cache_accounting_survives_store_lookup_invalidate_race() {
     static ITERS: AtomicUsize = AtomicUsize::new(0);
@@ -225,29 +225,33 @@ fn cache_accounting_survives_store_lookup_invalidate_race() {
         ITERS.fetch_add(1, Ordering::SeqCst);
         let cache = Arc::new(EmbedCache::new(4, 2));
 
-        let c = Arc::clone(&cache);
-        let writer = thread::spawn(move || {
-            for t in 0..3u32 {
-                let keys = [pack_key(7, t as f32), pack_key(100 + t, 1.0)];
-                let h = Tensor::from_vec(2, 2, vec![t as f32, 1.0, t as f32, 2.0]);
-                c.store(&keys, &h, false).unwrap();
-            }
-        });
+        let writers: Vec<_> = (0..2u32)
+            .map(|w| {
+                let c = Arc::clone(&cache);
+                thread::spawn(move || {
+                    for t in 0..3u32 {
+                        let keys = [pack_key(7, t as f32), pack_key(100 + 10 * w + t, 1.0)];
+                        let h = Tensor::from_vec(2, 2, vec![t as f32, 1.0, t as f32, 2.0]);
+                        c.store(&keys, &h, false).unwrap();
+                    }
+                })
+            })
+            .collect();
 
         let c = Arc::clone(&cache);
         let invalidator = thread::spawn(move || {
-            let mut removed = 0;
-            for _ in 0..2 {
-                removed += c.invalidate_node(7);
-                thread::yield_now();
-            }
-            removed
+            c.sweep(0, |y, _| y == 7);
+            thread::yield_now();
+            c.clear();
+            thread::yield_now();
+            c.sweep(0, |y, _| y == 7);
         });
 
         let c = Arc::clone(&cache);
         let reader = thread::spawn(move || {
             let mut out = Tensor::zeros(1, 2);
             for t in 0..3u32 {
+                assert!(c.len() <= c.limit(), "capacity bound violated mid-race: {}", c.len());
                 let hit = c.lookup(&[pack_key(7, t as f32)], &mut out, false).unwrap();
                 if hit[0] {
                     // A hit row is a fully-written row, never a torn one.
@@ -256,7 +260,9 @@ fn cache_accounting_survives_store_lookup_invalidate_race() {
             }
         });
 
-        writer.join().unwrap();
+        for writer in writers {
+            writer.join().unwrap();
+        }
         invalidator.join().unwrap();
         reader.join().unwrap();
 
@@ -264,7 +270,7 @@ fn cache_accounting_survives_store_lookup_invalidate_race() {
         assert_eq!(
             cache.len(),
             live,
-            "atomic count diverged from live entries (underflow or lost accounting)"
+            "count diverged from live entries (underflow or lost accounting)"
         );
         assert!(cache.len() <= cache.limit(), "capacity bound violated: {}", cache.len());
     });

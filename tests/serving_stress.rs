@@ -165,7 +165,7 @@ fn invalidation_racing_with_traffic_keeps_values_and_accounting_correct() {
 
     // Quiesced: invalidating everything must drain the cache to exactly
     // zero — a leak or an underflow would leave len() != 0.
-    let removed: usize = (0..num_nodes).map(|n| shared.invalidate_node(n as NodeId)).sum();
+    let removed: usize = (0..num_nodes).map(|n| shared.invalidate_nodes(&[n as NodeId])).sum();
     assert_eq!(shared.len(), 0, "after removing {removed} entries the cache must be empty");
     assert_eq!(shared.bytes_used(), 0);
 }

@@ -287,7 +287,7 @@ fn concurrent_ingest_and_queries_hold_invariants() {
     // accounting identity survives the drain (an underflow or a missed
     // removal would show up here).
     for n in 0..N_NODES {
-        cache.invalidate_node(n as NodeId);
+        cache.invalidate_nodes(&[n as NodeId]);
     }
     assert_eq!(cache.len(), 0, "invalidating every node must empty the cache");
     assert_eq!(
@@ -385,7 +385,7 @@ fn batched_clients_racing_ingest_and_invalidation_keep_the_books() {
     // Quiesced: a full sweep leaves the cache empty — an underflow or a
     // leaked entry would show up as a nonzero count.
     for node in 0..num_nodes {
-        cache.invalidate_node(node as NodeId);
+        cache.invalidate_nodes(&[node as NodeId]);
     }
     assert_eq!(cache.len(), 0, "invalidating every node must empty the cache");
     assert_eq!(

@@ -23,7 +23,7 @@ fn restore_after_invalidation_snapshots_each_key_once() {
     c1.store(&keys, &rows, false).unwrap();
 
     // Invalidate the middle key, then re-store it with fresh data.
-    let removed = c1.invalidate_node(1);
+    let removed = c1.sweep(0, |y, _| y == 1).0;
     assert_eq!(removed, 1);
     let fresh = Tensor::from_vec(1, 2, vec![9.0, 9.0]);
     c1.store(&keys[1..2], &fresh, false).unwrap();
