@@ -1,5 +1,6 @@
 //! Prints what the dense kernels deliver on the shapes the inference hot
-//! path produces: GFLOP/s of `matmul_into` / `addmm_into`, the cost of one
+//! path produces: GFLOP/s of `matmul_into` / `addmm_into` (headed by the
+//! full-width panel this build runs, `matmul::FULL_PANEL`), the cost of one
 //! attention layer per target-block size (read as the engine reads layer 1:
 //! node rows by node id, edge rows by edge id), and the same layer per fan-out
 //! width beside what one scoped spawn + join costs — the table the width
@@ -20,7 +21,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 use tg_tensor::fanout::{fan_chunks, host_cores};
-use tg_tensor::matmul::{addmm_into, matmul_into};
+use tg_tensor::matmul::{addmm_into, matmul_into, FULL_PANEL};
 use tg_tensor::{init, Scratch, Tensor};
 use tgat::attention::{forward_blocked, AttentionInputs, TARGET_BLOCK};
 use tgat::{TgatConfig, TgatParams};
@@ -88,6 +89,7 @@ fn main() {
         }));
     }
     println!("== dense kernels (round-robin, {DENSE_ROUNDS} rounds) ==");
+    println!("full panel: {FULL_PANEL}");
     println!("{:<20}{:<24}{:>10}{:>10}{:>12}{:>12}", "kernel", "shape", "min ms", "med ms", "max GF/s", "med GF/s");
     for (&(label, m, k, n, _), (min, med)) in shapes.iter().zip(round_robin(DENSE_ROUNDS, &mut runs)) {
         let gflop = 2.0 * (m * k * n) as f64 / 1e9;

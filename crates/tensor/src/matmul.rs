@@ -23,6 +23,13 @@
 //! lives in its own function ([`ragged_panel`]) so its runtime-indexed
 //! accumulators cannot drag the hot loop's onto the stack.
 //!
+//! LLVM auto-vectorises [`full_panel`] at most 256 bits wide, even where
+//! the build targets AVX-512. Such builds run `full_panel_avx512` instead:
+//! the same sum in one 16-lane register per accumulator row, chosen at
+//! build time ([`FULL_PANEL`] names the one compiled in). The portable
+//! panel is compiled everywhere: it is the path on every other target and
+//! under Miri, and the bit reference for the wide one.
+//!
 //! The dense path carries **no** per-element `if av == 0.0` skip. TGAT's
 //! layer-0 inputs are zero node-feature rows concatenated with dense time
 //! encodings, so sparsity appears as a contiguous zero *prefix/suffix* of
@@ -40,6 +47,18 @@ pub const MR: usize = 4;
 /// Column-panel width of the microkernel (columns of `C` per register
 /// tile); two 8-lane vectors, or one 16-lane vector on AVX-512.
 pub const NR: usize = 16;
+
+/// Which full-width panel [`matmul`], [`matmul_into`] and [`addmm`] run in
+/// this build; `tune` prints it above its GFLOP/s.
+pub const FULL_PANEL: &str = if cfg!(all(
+    target_arch = "x86_64",
+    target_feature = "avx512f",
+    not(miri)
+)) {
+    "avx512f: one 16-lane zmm accumulator per row"
+} else {
+    "portable: auto-vectorised [f32; 16] accumulator rows"
+};
 
 /// Dot product with two independent 8-lane accumulator banks.
 ///
@@ -140,6 +159,10 @@ fn nonzero_span(row: &[f32]) -> (usize, usize) {
 /// up front so `a_r[kk]` needs no per-step check. Kept out of line so
 /// `objdump -d` can show it.
 #[inline(never)]
+#[cfg_attr(
+    all(target_arch = "x86_64", target_feature = "avx512f", not(miri)),
+    allow(dead_code) // only the panel-vs-panel bit test calls it there
+)]
 fn full_panel(a: [&[f32]; MR], rows: usize, b: &[f32], n: usize, c: &mut [f32], off: usize) {
     let len = a[0].len();
     let (a0, a1, a2, a3) = (a[0], &a[1][..len], &a[2][..len], &a[3][..len]);
@@ -163,6 +186,43 @@ fn full_panel(a: [&[f32]; MR], rows: usize, b: &[f32], n: usize, c: &mut [f32], 
         let crow = &mut c[r * n + off..][..NR];
         for j in 0..NR {
             crow[j] += acc[j];
+        }
+    }
+}
+
+/// [`full_panel`] at the full AVX-512 width: one `__m512` accumulator per
+/// quad row, so a `k`-step is one 512-bit load of the `B` row, four
+/// multiplies by a broadcast `A` value and four adds. Each lane computes
+/// what the portable panel's does, an IEEE multiply and then an add, from
+/// `+0.0` in ascending `k`, and never an FMA, so the two panels give the
+/// same bits (`avx512_panel_is_bit_equal_to_portable`).
+///
+/// # Safety
+/// The host must have AVX-512F; builds that compile this fn target it.
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512f", not(miri)))]
+#[inline(never)]
+#[target_feature(enable = "avx512f")]
+fn full_panel_avx512(a: [&[f32]; MR], rows: usize, b: &[f32], n: usize, c: &mut [f32], off: usize) {
+    use core::arch::x86_64::*;
+    let len = a[0].len();
+    let (a0, a1, a2, a3) = (a[0], &a[1][..len], &a[2][..len], &a[3][..len]);
+    let [mut c0, mut c1, mut c2, mut c3] = [_mm512_setzero_ps(); MR];
+    for kk in 0..len {
+        let bp = &b[kk * n + off..][..NR];
+        // safety: `bp` is a checked slice of NR = 16 f32s, the load's width.
+        let bv = unsafe { _mm512_loadu_ps(bp.as_ptr()) };
+        c0 = _mm512_add_ps(c0, _mm512_mul_ps(_mm512_set1_ps(a0[kk]), bv));
+        c1 = _mm512_add_ps(c1, _mm512_mul_ps(_mm512_set1_ps(a1[kk]), bv));
+        c2 = _mm512_add_ps(c2, _mm512_mul_ps(_mm512_set1_ps(a2[kk]), bv));
+        c3 = _mm512_add_ps(c3, _mm512_mul_ps(_mm512_set1_ps(a3[kk]), bv));
+    }
+    for (r, acc) in [c0, c1, c2, c3].into_iter().enumerate().take(rows) {
+        let mut lanes = [0.0f32; NR];
+        // safety: `lanes` is a local array of NR = 16 f32s, the store's width.
+        unsafe { _mm512_storeu_ps(lanes.as_mut_ptr(), acc) };
+        let crow = &mut c[r * n + off..][..NR];
+        for j in 0..NR {
+            crow[j] += lanes[j];
         }
     }
 }
@@ -212,6 +272,12 @@ fn mm_quad(a: [&[f32]; MR], rows: usize, b: &[f32], n: usize, c: &mut [f32]) {
     let b = &b[lo * n..hi * n];
     let mut off = 0;
     while off + NR <= n {
+        #[cfg(all(target_arch = "x86_64", target_feature = "avx512f", not(miri)))]
+        // safety: compiled only when the whole build enables avx512f.
+        unsafe {
+            full_panel_avx512(a, rows, b, n, c, off)
+        };
+        #[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f", not(miri))))]
         full_panel(a, rows, b, n, c, off);
         off += NR;
     }
@@ -523,6 +589,69 @@ mod tests {
             }
         }
         assert_eq!(shapes, 495);
+    }
+
+    #[cfg(all(target_arch = "x86_64", target_feature = "avx512f", not(miri)))]
+    #[test]
+    fn avx512_panel_is_bit_equal_to_portable() {
+        // The 512-bit panel against the portable one it replaces in this
+        // build, quad by quad and panel by panel, over the 495 shapes of
+        // `kernel_sum_is_bit_equal_to_reference`. Rows cycle through dense,
+        // zero prefix, zero suffix, all-zero, ±0, subnormal and ±inf/NaN
+        // rows, and C starts nonzero, so an FMA, a reordered sum or a
+        // changed final add in either panel shows up in some lane's bits.
+        // A NaN compares as one pattern: Rust leaves the sign and payload
+        // of a NaN result unspecified, and where two NaNs meet in one add
+        // the two panels' operand order does differ (0xffc00000 vs
+        // 0x7fc00000).
+        let bits = |c: &[f32]| {
+            c.iter()
+                .map(|v| if v.is_nan() { u32::MAX } else { v.to_bits() })
+                .collect::<Vec<_>>()
+        };
+        let (mut shapes, mut panels) = (0, 0);
+        for &m in &[1usize, 2, 3, 4, 5, 7, 8, 9, 63, 64, 65] {
+            for &k in &[1usize, 5, 32, 64, 236] {
+                let mut a = seq_tensor(m, k, 1.0);
+                for r in 0..m {
+                    let row = a.row_mut(r);
+                    match r % 7 {
+                        1 => row[..k / 2].fill(0.0),
+                        2 => row[k - k / 3..].fill(0.0),
+                        3 => row.fill(0.0),
+                        4 => row.iter_mut().step_by(2).for_each(|v| *v *= -0.0), // -0 or +0
+                        5 => row.iter_mut().for_each(|v| *v *= 1e-39), // subnormal A, subnormal products
+                        6 => {
+                            row[k / 3] = f32::NEG_INFINITY;
+                            row[k / 2] = f32::INFINITY; // inf - inf: a NaN born in the sum
+                            row[k - 1] = f32::NAN; // meets it: two NaNs in one add
+                        }
+                        _ => {}
+                    }
+                }
+                for &n in &[1usize, 7, 15, 16, 17, 31, 32, 33, 64] {
+                    let b = seq_tensor(k, n, 1.0).as_slice().to_vec();
+                    let mut portable = seq_tensor(m, n, 0.5).as_slice().to_vec();
+                    let mut wide = portable.clone();
+                    for r in (0..m).step_by(MR) {
+                        let rows = (m - r).min(MR);
+                        let quad = [0, 1, 2, 3].map(|i| a.row(r + i.min(rows - 1)));
+                        let c = r * n..(r + rows) * n;
+                        for off in (0..n / NR).map(|p| p * NR) {
+                            full_panel(quad, rows, &b, n, &mut portable[c.clone()], off);
+                            // safety: this test is compiled only when the build enables avx512f.
+                            unsafe {
+                                full_panel_avx512(quad, rows, &b, n, &mut wide[c.clone()], off)
+                            };
+                            panels += 1;
+                        }
+                    }
+                    assert_eq!(bits(&wide), bits(&portable), "({m},{k},{n})");
+                    shapes += 1;
+                }
+            }
+        }
+        assert_eq!((shapes, panels), (495, 3_410));
     }
 
     #[test]

@@ -3,10 +3,11 @@
 //! `unsafe` line itself, or alone on the line above — documenting the
 //! invariant that makes the code sound.
 //!
-//! The workspace is currently `unsafe`-free (the inference and serving
-//! stack is deliberately safe, std-only Rust; see DESIGN.md), so this rule
-//! is a tripwire: the *first* `unsafe` anyone introduces arrives with its
-//! soundness argument attached, reviewable in the same diff. Test code is
+//! The inference and serving stack is deliberately safe, std-only Rust;
+//! the one exception is the 512-bit matmul panel in `tg-tensor` (see
+//! DESIGN.md). So this rule is a tripwire: every `unsafe` anyone
+//! introduces arrives with its soundness argument attached, reviewable in
+//! the same diff. Test code is
 //! exempt (`#[cfg(test)]` items), as are vendored files, and
 //! `// lint: allow(unsafe-audit, <reason>)` remains the generic escape
 //! hatch.

@@ -11,10 +11,14 @@
 #      (includes the streaming-ingest suites: tests/prop_streaming.rs,
 #      the seeded interleaving equivalence battery, and
 #      tests/streaming_stress.rs, real concurrent ingest+query workers)
-#   3. cargo test --release -p tgat -- --ignored — the time encoder's cos
+#   3. cargo test -q -p tg-tensor at target-cpu=x86-64-v3 (no AVX-512), in
+#      target/portable — keeps the portable matmul panel under its bit
+#      test on hosts whose native build runs the 512-bit one (DESIGN.md
+#      "Kernel architecture"); x86-64 hosts only
+#   4. cargo test --release -p tgat -- --ignored — the time encoder's cos
 #      kernel against libm over all 2^32 f32 inputs (~30 s on two cores;
 #      see DESIGN.md "The time encoder's cos")
-#   4. cargo run -p tg-xtask -- lint — the repo's static-analysis suite
+#   5. cargo run -p tg-xtask -- lint — the repo's static-analysis suite
 #      (L1 panic, L2 lossy-cast, L3 std-hash, L4 missing-invariants; the
 #      concurrency rules L5 lock-order, L6 atomics, L7 lock-across,
 #      L8 unguarded-counter; the call-graph reachability rules
@@ -25,16 +29,16 @@
 #      DESIGN.md "Error handling & lint policy", "Concurrency model",
 #      "Call-graph reachability (L9-L12)", and
 #      "Effect inference (L13-L16)")
-#   5. ledger --smoke               — all four perf-ledger workloads at
+#   6. ledger --smoke               — all four perf-ledger workloads at
 #      scale 0.05 (~10 s); exits 1 on any oracle mismatch (replay vs the
 #      opposite config, served vs direct, post-ingest served vs cold
 #      rebuild)
-#   6. exp all                      — every table and figure of the paper at
+#   7. exp all                      — every table and figure of the paper at
 #      the laptop profile (~2 min on two cores), each with its shape check;
 #      exits 1 if a shape stops holding. Logs go to a temporary directory,
 #      so the committed logs/ are left as they are
 #
-# The lint also runs inside `cargo test` via tests/lint_gate.rs, so step 4
+# The lint also runs inside `cargo test` via tests/lint_gate.rs, so step 5
 # is technically redundant — but running it standalone gives file:line
 # output (and `--format json` for CI) without a test harness around it.
 #
@@ -55,6 +59,11 @@ cargo bench --no-run -q -p tg-bench
 
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
+
+if [ "$(uname -m)" = x86_64 ]; then
+    echo "==> cargo test -q -p tg-tensor (portable panel, x86-64-v3)"
+    CARGO_TARGET_DIR=target/portable RUSTFLAGS="-C target-cpu=x86-64-v3" cargo test -q -p tg-tensor
+fi
 
 echo "==> cargo test --release -p tgat -- --ignored"
 cargo test --release -q -p tgat -- --ignored
