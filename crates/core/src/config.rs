@@ -15,6 +15,11 @@ pub struct OptConfig {
     pub enable_cache: bool,
     /// §4.3 precomputed time encodings.
     pub enable_time_precompute: bool,
+    /// Layer-1 attention reads each edge's projection `e · W[e-rows]` from
+    /// a shared table instead of multiplying the edge row once per sample
+    /// (DESIGN.md "Edge projection"). Applied only when the node-feature
+    /// table is all zero; the result is bit-identical either way.
+    pub enable_edge_proj: bool,
     /// Maximum cached embeddings (paper default 2M, ≈ <1 GiB at 100 dims).
     pub cache_limit: usize,
     /// Precomputed time-encoding window (paper default 10,000).
@@ -45,6 +50,7 @@ impl OptConfig {
             enable_dedup: true,
             enable_cache: true,
             enable_time_precompute: true,
+            enable_edge_proj: true,
             cache_limit: 2_000_000,
             time_window: 10_000,
             parallel_lookup: true,
@@ -60,6 +66,7 @@ impl OptConfig {
             enable_dedup: false,
             enable_cache: false,
             enable_time_precompute: false,
+            enable_edge_proj: false,
             cache_limit: 2_000_000,
             time_window: 10_000,
             parallel_lookup: false,
@@ -70,12 +77,13 @@ impl OptConfig {
 
     /// Ablation stage 1: memoization only.
     pub fn cache_only() -> Self {
-        Self { enable_dedup: false, enable_time_precompute: false, ..Self::all() }
+        Self { enable_dedup: false, ..Self::cache_dedup() }
     }
 
-    /// Ablation stage 2: memoization + deduplication.
+    /// Ablation stage 2: memoization + deduplication. Stage 3 adds the time
+    /// window (the paper's `all`), stage 4 the edge projection ([`Self::all`]).
     pub fn cache_dedup() -> Self {
-        Self { enable_time_precompute: false, ..Self::all() }
+        Self { enable_time_precompute: false, enable_edge_proj: false, ..Self::all() }
     }
 
     /// Builder-style cache limit override (Table 4 sweep).
@@ -98,18 +106,22 @@ mod tests {
     #[test]
     fn presets_match_ablation_stages() {
         let all = OptConfig::all();
-        assert!(all.enable_dedup && all.enable_cache && all.enable_time_precompute);
+        assert!(all.enable_dedup && all.enable_cache && all.enable_time_precompute && all.enable_edge_proj);
         assert_eq!(all.cache_limit, 2_000_000);
         assert_eq!(all.time_window, 10_000);
 
+        // Each stage adds exactly one switch to the one before it.
         let c = OptConfig::cache_only();
-        assert!(c.enable_cache && !c.enable_dedup && !c.enable_time_precompute);
+        assert!(c.enable_cache && !c.enable_dedup && !c.enable_time_precompute && !c.enable_edge_proj);
 
         let cd = OptConfig::cache_dedup();
-        assert!(cd.enable_cache && cd.enable_dedup && !cd.enable_time_precompute);
+        assert_eq!(cd, OptConfig { enable_dedup: true, ..c });
+
+        let time = OptConfig { enable_time_precompute: true, ..cd };
+        assert_eq!(all, OptConfig { enable_edge_proj: true, ..time });
 
         let none = OptConfig::none();
-        assert!(!none.enable_cache && !none.enable_dedup && !none.enable_time_precompute);
+        assert!(!none.enable_cache && !none.enable_dedup && !none.enable_time_precompute && !none.enable_edge_proj);
     }
 
     #[test]
