@@ -8,7 +8,7 @@ use tg_graph::{BatchIter, TemporalGraph};
 use tgat::engine::GraphContext;
 use tg_telemetry::Recorder;
 use tgat::TgatParams;
-use tgopt::{EngineCounters, OptConfig, TgoptEngine};
+use tgopt::{EdgeProjStats, EngineCounters, OptConfig, TgoptEngine};
 
 /// Per-batch observations (drive Figures 3 and 7).
 #[derive(Clone, Copy, Debug, Default)]
@@ -36,6 +36,8 @@ pub struct RunResult {
     pub cache_bytes: usize,
     /// Cached items at the end of the run.
     pub cache_items: usize,
+    /// The layer-1 edge-projection table's counters at the end of the run.
+    pub edge_proj: EdgeProjStats,
     /// Embedding checksum (sum of all outputs) — lets callers assert two
     /// configurations did the same computation.
     pub checksum: f64,
@@ -91,6 +93,7 @@ pub fn replay(
         counters: eng.counters(),
         cache_bytes: eng.cache().bytes_used(),
         cache_items: eng.cache().len(),
+        edge_proj: eng.cache().edge_proj().stats(),
         batches,
         checksum,
     }

@@ -13,6 +13,7 @@
 //! loop over the keys, and the `parallel` arguments that still carry the
 //! paper's switch are ignored.
 
+use crate::edgeproj::EdgeProjTable;
 use crate::fingerprint::{Constraint, NO_CUT};
 use crate::hash::unpack_key;
 use parking_lot::{Mutex, RwLock};
@@ -637,6 +638,8 @@ impl EmbedCache {
 /// single-cache design; deeper models split the item budget evenly.
 pub struct LayerCaches {
     per_layer: Vec<Option<EmbedCache>>,
+    /// Layer-1 edge projections, shared like the embedding tables.
+    edge_proj: EdgeProjTable,
 }
 
 impl std::fmt::Debug for LayerCaches {
@@ -649,7 +652,7 @@ impl std::fmt::Debug for LayerCaches {
                 None => "uncached".to_string(),
             })
             .collect();
-        f.debug_struct("LayerCaches").field("per_layer", &layers).finish()
+        f.debug_struct("LayerCaches").field("per_layer", &layers).field("edge_proj", &self.edge_proj.stats()).finish()
     }
 }
 
@@ -670,13 +673,19 @@ impl LayerCaches {
                 <= total_limit.max(count),
             "per-layer budgets must not exceed the total item budget"
         );
-        Self { per_layer }
+        Self::from_parts(per_layer)
     }
 
     /// Rebuilds from explicit per-layer caches (index = layer); used by the
-    /// persistence module.
+    /// persistence module. The edge-projection table starts empty.
     pub fn from_parts(per_layer: Vec<Option<EmbedCache>>) -> Self {
-        Self { per_layer }
+        Self { per_layer, edge_proj: EdgeProjTable::new() }
+    }
+
+    /// The layer-1 edge-projection table every engine over these caches
+    /// shares (not counted in [`Self::bytes_used`]: see its own stats).
+    pub fn edge_proj(&self) -> &EdgeProjTable {
+        &self.edge_proj
     }
 
     /// Highest addressable layer index (the model's `L`).

@@ -21,6 +21,11 @@
 //!    deltas starting at 0, and `Phi(0)` (always used for the target side)
 //!    is computed once.
 //!
+//! A fourth, beyond the paper: **edge projection** ([`edgeproj`]) — at
+//! layer 1 over featureless nodes, each edge's features are multiplied by
+//! the K/V weights once and kept in a shared table, not once per sample,
+//! with the same bits.
+//!
 //! [`engine::TgoptEngine`] assembles these into Algorithm 1. Each
 //! optimization can be toggled independently via [`config::OptConfig`] for
 //! the ablation study (Figure 6); the independent oracle every configuration
@@ -33,6 +38,7 @@ pub mod cache;
 pub mod config;
 pub mod dedup;
 pub mod devicesim;
+pub mod edgeproj;
 pub mod engine;
 pub mod fingerprint;
 pub mod hash;
@@ -43,6 +49,7 @@ pub mod train;
 pub use cache::{EmbedCache, LayerCaches};
 pub use config::OptConfig;
 pub use dedup::{dedup_filter, dedup_invert, DedupResult};
+pub use edgeproj::{EdgeProjStats, EdgeProjTable};
 pub use engine::{EngineCounters, TgoptEngine};
 pub use hash::{pack_key, unpack_key};
 pub use timecache::TimeCache;

@@ -133,7 +133,7 @@ fn main() {
         for (&block, scratch) in blocks.iter().zip(&mut scratches) {
             let (layer, inp, eids, node_ids) = (&params.layers[0], &inp, &eids, &node_ids);
             runs.push(Box::new(move || {
-                let out = forward_blocked(layer, &cfg, black_box(inp), Some(eids), Some(node_ids), block, scratch, &mut []);
+                let out = forward_blocked(layer, &cfg, black_box(inp), Some(eids), Some(node_ids), None, block, scratch, &mut []);
                 black_box(out.as_slice());
                 scratch.give(out);
             }));
@@ -163,7 +163,7 @@ fn main() {
             let (layer, inp, eids, node_ids) = (&params.layers[0], &inp, &eids, &node_ids);
             runs.push(Box::new(move || {
                 let (own, helpers) = scratches.split_first_mut().expect("width >= 1");
-                let out = forward_blocked(layer, &cfg, black_box(inp), Some(eids), Some(node_ids), TARGET_BLOCK, own, helpers);
+                let out = forward_blocked(layer, &cfg, black_box(inp), Some(eids), Some(node_ids), None, TARGET_BLOCK, own, helpers);
                 black_box(out.as_slice());
                 own.give(out);
             }));

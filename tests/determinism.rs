@@ -104,36 +104,40 @@ fn replays_spanning_many_attention_blocks_agree_across_engines() {
     // 300 edges -> 600 targets (10 attention blocks at layer 2) -> 3000
     // layer-1 targets (47 blocks, the last ragged) through the all-off
     // engine; dedup and the cache shrink and reshuffle the blocks of the
-    // all-on engine. Block boundaries must not show in either, and the
-    // all-off engine must agree with the tape forward, which has no blocks.
+    // all-on engine. Block boundaries must not show in either: the two
+    // engines agree bit for bit. The tape forward, which has no blocks and
+    // is a different implementation, agrees with them within 1e-5.
     let batch = 300;
     assert!(2 * batch * (1 + 4) > 8 * TARGET_BLOCK);
     let base = replay(11, OptConfig::none(), batch);
     let drift = max_drift(&base, &tape_replay(11, batch));
     assert!(drift <= 1e-5, "all-off engine drifted {drift} from the tape forward");
     let all = replay(11, OptConfig::all(), batch);
-    assert_eq!(all, replay(11, OptConfig::all(), batch));
-    let drift = max_drift(&all, &base);
-    assert!(drift <= 1e-5, "all-on engine drifted {drift} from the all-off engine");
+    assert_eq!(bits(&all), bits(&replay(11, OptConfig::all(), batch)));
+    assert_eq!(bits(&all), bits(&base), "all-on vs all-off engine");
+}
+
+fn bits(xs: &[f32]) -> Vec<u32> {
+    xs.iter().map(|v| v.to_bits()).collect()
 }
 
 #[test]
 fn fan_out_width_does_not_change_bits() {
     // The same 300-edge-batch replay (47 layer-1 blocks, 6 time-encode
     // chunks, 10 layer-2 blocks) at widths 1, 2 and 3: the all-off engine
-    // bit for bit; the all-on engine, whose dense time window is not
-    // bit-equal to `cos`, bit for bit against itself and within the paper's
-    // 1e-5 of the all-off engine.
+    // and the all-on engine, with and without the edge projection, bit for
+    // bit against the all-off engine at width 1. Every optimization keeps
+    // the bits: the time window holds the encoder's own rows and the edge
+    // projection continues the K/V sums it replaces.
     let batch = 300;
     let none = OptConfig::none();
-    let base = replay_on(1, 11, none, batch);
-    assert_eq!(base, replay(11, none, batch), "host width");
-    for cores in [2, 3] {
-        assert_eq!(base, replay_on(cores, 11, none, batch), "all-off, {cores} cores");
-        let all = replay_on(cores, 11, OptConfig::all(), batch);
-        assert_eq!(all, replay_on(1, 11, OptConfig::all(), batch), "all-on, {cores} cores");
-        let drift = max_drift(&all, &base);
-        assert!(drift <= 1e-5, "all-on engine at {cores} cores drifted {drift} from all-off");
+    let no_proj = OptConfig { enable_edge_proj: false, ..OptConfig::all() };
+    let base = bits(&replay_on(1, 11, none, batch));
+    assert_eq!(base, bits(&replay(11, none, batch)), "host width");
+    for cores in [1, 2, 3] {
+        assert_eq!(base, bits(&replay_on(cores, 11, none, batch)), "all-off, {cores} cores");
+        assert_eq!(base, bits(&replay_on(cores, 11, OptConfig::all(), batch)), "all-on, {cores} cores");
+        assert_eq!(base, bits(&replay_on(cores, 11, no_proj, batch)), "all-on without edge projection, {cores} cores");
     }
 }
 
