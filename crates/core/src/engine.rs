@@ -277,26 +277,17 @@ impl<'a> TgoptEngine<'a> {
         self.store_enabled
     }
 
-    /// Pins an epoch-stamped live snapshot: until [`TgoptEngine::unpin_view`],
-    /// neighborhood sampling reads `view` instead of the frozen
-    /// `ctx.graph`, cache stores record each row's dependencies under it,
-    /// and cache lookups accept an entry only if those dependencies still
-    /// hold for `view` ([`EmbedCache::lookup_in`]). Memoization stays
-    /// sound however the graph grew, with nothing invalidated at write
-    /// time (DESIGN.md "One validity question"); edge deletions still go
-    /// through [`TgoptEngine::invalidate_edge_deletion`].
+    /// Pins an epoch-stamped live snapshot, replacing any pinned before
+    /// (a view stays pinned for the engine's life): neighborhood sampling
+    /// reads `view` instead of the frozen `ctx.graph`, cache stores record
+    /// each row's dependencies under it, and cache lookups accept an entry
+    /// only if those dependencies still hold for `view`
+    /// ([`EmbedCache::lookup_in`]). Memoization stays sound however the
+    /// graph grew, with nothing invalidated at write time (DESIGN.md "One
+    /// validity question"); edge deletions still go through
+    /// [`TgoptEngine::invalidate_edge_deletion`].
     pub fn pin_view(&mut self, view: GraphView) {
         self.view = Some(view);
-    }
-
-    /// Unpins the live snapshot; sampling reverts to `ctx.graph`.
-    pub fn unpin_view(&mut self) {
-        self.view = None;
-    }
-
-    /// The epoch of the pinned view, if one is pinned.
-    pub fn pinned_epoch(&self) -> Option<u64> {
-        self.view.as_ref().map(|v| v.epoch())
     }
 
     /// Computes final-layer temporal embeddings for `(ns[i], ts[i])` targets.

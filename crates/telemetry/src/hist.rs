@@ -174,11 +174,6 @@ impl HistogramSnapshot {
         self.quantile_ns(0.50)
     }
 
-    /// 95th-percentile estimate, nanoseconds.
-    pub fn p95_ns(&self) -> u64 {
-        self.quantile_ns(0.95)
-    }
-
     /// 99th-percentile estimate, nanoseconds.
     pub fn p99_ns(&self) -> u64 {
         self.quantile_ns(0.99)

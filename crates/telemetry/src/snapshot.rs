@@ -141,19 +141,6 @@ pub struct IngestTelemetry {
     pub per_layer: Vec<LayerSweepTelemetry>,
 }
 
-impl IngestTelemetry {
-    /// Fraction of re-read hits that were accepted, `retained /
-    /// (invalidated + retained)` (0.0 before the first — never NaN).
-    pub fn retention_rate(&self) -> f64 {
-        let examined = self.entries_invalidated + self.entries_retained;
-        if examined == 0 {
-            0.0
-        } else {
-            self.entries_retained as f64 / examined as f64
-        }
-    }
-}
-
 /// Online latency distributions (log2-bucketed, nanoseconds).
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LatencyTelemetry {

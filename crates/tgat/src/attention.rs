@@ -145,22 +145,15 @@ pub struct AttentionInputs<'a> {
     pub mask: &'a [bool],
 }
 
-/// Computes `h_i^{(l)}(t)` for every target (Eqs. 4–7). Returns `[N, dim]`.
-///
-/// Convenience wrapper over [`forward_with`] with a throwaway scratch; the
-/// engines hold a long-lived [`Scratch`] and call [`forward_by_eid`].
-///
-/// # Panics
-/// Panics (in debug builds) on inconsistent input shapes.
-pub fn forward(layer: &LayerParams, cfg: &TgatConfig, inp: &AttentionInputs<'_>) -> Tensor {
-    let mut scratch = Scratch::new();
-    forward_with(layer, cfg, inp, &mut scratch)
-}
-
-/// [`forward`] with caller-provided scratch buffers (see module docs).
+/// Computes `h_i^{(l)}(t)` for every target (Eqs. 4–7) from pre-gathered
+/// inputs, in caller-provided scratch buffers (see module docs). Returns
+/// `[N, dim]`; the engines call [`forward_by_eid`] instead.
 ///
 /// The returned tensor is owned by the caller; handing it back to the same
 /// `Scratch` later (via `give`) closes the recycling loop.
+///
+/// # Panics
+/// Panics (in debug builds) on inconsistent input shapes.
 pub fn forward_with(
     layer: &LayerParams,
     cfg: &TgatConfig,
@@ -396,10 +389,11 @@ mod tests {
     fn output_shape_is_n_by_dim() {
         let (cfg, p, h_src, ht0, h_ngh, e_feat, ht) = setup(5);
         let mask = vec![true; 5 * cfg.n_neighbors];
-        let out = forward(
+        let out = forward_with(
             &p.layers[0],
             &cfg,
             &AttentionInputs { h_src: &h_src, ht0: &ht0, h_ngh: &h_ngh, e_feat: &e_feat, ht: &ht, mask: &mask },
+            &mut Scratch::new(),
         );
         assert_eq!(out.shape(), (5, cfg.dim));
         assert!(out.all_finite());
@@ -641,10 +635,11 @@ mod tests {
         let h_ngh = Tensor::zeros(0, cfg.dim);
         let e_feat = Tensor::zeros(0, cfg.edge_dim);
         let ht = Tensor::zeros(0, cfg.time_dim);
-        let out = forward(
+        let out = forward_with(
             &p.layers[0],
             &cfg,
             &AttentionInputs { h_src: &h_src, ht0: &ht0, h_ngh: &h_ngh, e_feat: &e_feat, ht: &ht, mask: &[] },
+            &mut Scratch::new(),
         );
         assert_eq!(out.shape(), (0, cfg.dim));
     }
@@ -655,10 +650,11 @@ mod tests {
         let k = cfg.n_neighbors;
         let mut mask = vec![true; 2 * k];
         mask[1] = false; // target 0, slot 1 is padding
-        let out1 = forward(
+        let out1 = forward_with(
             &p.layers[0],
             &cfg,
             &AttentionInputs { h_src: &h_src, ht0: &ht0, h_ngh: &h_ngh, e_feat: &e_feat, ht: &ht, mask: &mask },
+            &mut Scratch::new(),
         );
         // Corrupt the padding slot's inputs; output must not change.
         let mut h_ngh2 = h_ngh.clone();
@@ -669,10 +665,11 @@ mod tests {
         for v in e2.row_mut(1) {
             *v = -1e3;
         }
-        let out2 = forward(
+        let out2 = forward_with(
             &p.layers[0],
             &cfg,
             &AttentionInputs { h_src: &h_src, ht0: &ht0, h_ngh: &h_ngh2, e_feat: &e2, ht: &ht, mask: &mask },
+            &mut Scratch::new(),
         );
         assert!(out1.max_abs_diff(&out2) < 1e-5);
     }
@@ -681,10 +678,11 @@ mod tests {
     fn fully_masked_target_still_produces_finite_output() {
         let (cfg, p, h_src, ht0, h_ngh, e_feat, ht) = setup(1);
         let mask = vec![false; cfg.n_neighbors];
-        let out = forward(
+        let out = forward_with(
             &p.layers[0],
             &cfg,
             &AttentionInputs { h_src: &h_src, ht0: &ht0, h_ngh: &h_ngh, e_feat: &e_feat, ht: &ht, mask: &mask },
+            &mut Scratch::new(),
         );
         assert!(out.all_finite());
     }
@@ -695,10 +693,11 @@ mod tests {
         let (cfg, p, h_src, ht0, h_ngh, e_feat, ht) = setup(4);
         let k = cfg.n_neighbors;
         let mask = vec![true; 4 * k];
-        let full = forward(
+        let full = forward_with(
             &p.layers[0],
             &cfg,
             &AttentionInputs { h_src: &h_src, ht0: &ht0, h_ngh: &h_ngh, e_feat: &e_feat, ht: &ht, mask: &mask },
+            &mut Scratch::new(),
         );
         for i in 0..4 {
             let hs = Tensor::from_vec(1, cfg.dim, h_src.row(i).to_vec());
@@ -706,7 +705,7 @@ mod tests {
             let slice = |t: &Tensor, w: usize| {
                 Tensor::from_vec(k, w, t.as_slice()[i * k * w..(i + 1) * k * w].to_vec())
             };
-            let single = forward(
+            let single = forward_with(
                 &p.layers[0],
                 &cfg,
                 &AttentionInputs {
@@ -717,6 +716,7 @@ mod tests {
                     ht: &slice(&ht, cfg.time_dim),
                     mask: &mask[i * k..(i + 1) * k],
                 },
+                &mut Scratch::new(),
             );
             let batch_row = Tensor::from_vec(1, cfg.dim, full.row(i).to_vec());
             assert!(single.max_abs_diff(&batch_row) < 1e-5, "row {i} differs");

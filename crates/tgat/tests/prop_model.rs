@@ -3,8 +3,8 @@
 //! over arbitrary inputs.
 
 use proptest::prelude::*;
-use tg_tensor::Tensor;
-use tgat::attention::{forward, AttentionInputs};
+use tg_tensor::{Scratch, Tensor};
+use tgat::attention::{forward_with, AttentionInputs};
 use tgat::{TgatConfig, TgatParams, TimeEncoder};
 
 fn cfg() -> TgatConfig {
@@ -50,7 +50,7 @@ fn inputs(max_n: usize) -> impl Strategy<Value = Inputs> {
 fn run_attention(params: &TgatParams, inp: &Inputs) -> Tensor {
     let c = cfg();
     let k = c.n_neighbors;
-    forward(
+    forward_with(
         &params.layers[0],
         &c,
         &AttentionInputs {
@@ -61,6 +61,7 @@ fn run_attention(params: &TgatParams, inp: &Inputs) -> Tensor {
             ht: &Tensor::from_vec(inp.n * k, c.time_dim, inp.ht.clone()),
             mask: &inp.mask,
         },
+        &mut Scratch::new(),
     )
 }
 

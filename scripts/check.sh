@@ -4,9 +4,7 @@
 #   ./scripts/check.sh
 #
 # Runs, in order:
-#   1. cargo build --release        — the workspace compiles with optimizations,
-#      and cargo bench --no-run -p tg-bench compiles the criterion benches
-#      (crates/bench/benches/micro.rs), which cargo test never builds
+#   1. cargo build --release        — the workspace compiles with optimizations
 #   2. cargo test -q --workspace    — every crate's unit + integration tests
 #      (includes the streaming-ingest suites: tests/prop_streaming.rs,
 #      the seeded interleaving equivalence battery, and
@@ -18,7 +16,10 @@
 #   4. cargo test --release -p tgat -- --ignored — the time encoder's cos
 #      kernel against libm over all 2^32 f32 inputs (~30 s on two cores;
 #      see DESIGN.md "The time encoder's cos")
-#   5. cargo run -p tg-xtask -- lint — the repo's static-analysis suite
+#   5. cargo test --release --test replay_checksums -- --ignored — the
+#      whole jodie-wiki stream through none(), all() and a 2,000-entry
+#      cache, one pinned checksum per seed (~90 s on two cores)
+#   6. cargo run -p tg-xtask -- lint — the repo's static-analysis suite
 #      (L1 panic, L2 lossy-cast, L3 std-hash, L4 missing-invariants; the
 #      concurrency rules L5 lock-order, L6 atomics, L7 lock-across,
 #      L8 unguarded-counter; the call-graph reachability rules
@@ -29,16 +30,16 @@
 #      DESIGN.md "Error handling & lint policy", "Concurrency model",
 #      "Call-graph reachability (L9-L12)", and
 #      "Effect inference (L13-L16)")
-#   6. ledger --smoke               — all four perf-ledger workloads at
+#   7. ledger --smoke               — all four perf-ledger workloads at
 #      scale 0.05 (~10 s); exits 1 on any oracle mismatch (replay vs the
 #      opposite config, served vs direct, post-ingest served vs cold
 #      rebuild)
-#   7. exp all                      — every table and figure of the paper at
+#   8. exp all                      — every table and figure of the paper at
 #      the laptop profile (~2 min on two cores), each with its shape check;
 #      exits 1 if a shape stops holding. Logs go to a temporary directory,
 #      so the committed logs/ are left as they are
 #
-# The lint also runs inside `cargo test` via tests/lint_gate.rs, so step 5
+# The lint also runs inside `cargo test` via tests/lint_gate.rs, so step 6
 # is technically redundant — but running it standalone gives file:line
 # output (and `--format json` for CI) without a test harness around it.
 #
@@ -54,9 +55,6 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo bench --no-run -p tg-bench"
-cargo bench --no-run -q -p tg-bench
-
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
@@ -67,6 +65,9 @@ fi
 
 echo "==> cargo test --release -p tgat -- --ignored"
 cargo test --release -q -p tgat -- --ignored
+
+echo "==> cargo test --release --test replay_checksums -- --ignored"
+cargo test --release -q --test replay_checksums -- --ignored
 
 echo "==> cargo run -p tg-xtask -- lint"
 cargo run --release -q -p tg-xtask -- lint

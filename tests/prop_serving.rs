@@ -1,6 +1,6 @@
 //! Serving-layer equivalence properties: anything served through
-//! `tg-serve` must equal a direct `TgoptEngine::embed_batch` call within
-//! 1e-5, for arbitrary request streams, arrival interleavings, and
+//! `tg-serve` must equal a direct `TgoptEngine::embed_batch` call bit for
+//! bit, for arbitrary request streams, arrival interleavings, and
 //! batch-size configurations — including with deadlines attached
 //! and degraded (store-skipping) mode forced on.
 //!
@@ -54,6 +54,11 @@ fn direct_rows(ns: &[NodeId], ts: &[Time], opt: OptConfig) -> Vec<Vec<f32>> {
     (0..ns.len()).map(|i| h.row(i).to_vec()).collect()
 }
 
+fn bits(xs: &[f32]) -> Vec<u32> {
+    xs.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Reported on failure, to tell a rounding difference from a wrong row.
 fn max_abs_diff(a: &[f32], b: &[f32]) -> f32 {
     a.iter().zip(b).map(|(x, y)| (x - y).abs()).fold(0.0, f32::max)
 }
@@ -66,7 +71,7 @@ fn decode(node_raw: u32, t_raw: u32) -> (NodeId, Time) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// The headline property: served == direct within 1e-5 under arbitrary
+    /// The headline property: served == direct, bit for bit, under arbitrary
     /// interleavings of submissions and drains, arbitrary micro-batch
     /// sizes, optional (non-expiring) deadlines, and forced degraded mode.
     #[test]
@@ -116,11 +121,10 @@ proptest! {
         let expected = direct_rows(&ns, &ts, cfg.opt);
         for (i, ticket) in tickets.into_iter().enumerate() {
             let got = ticket.wait().unwrap();
-            let diff = max_abs_diff(&got, &expected[i]);
             prop_assert!(
-                diff < 1e-5,
-                "request {i} ({}, {}): served row deviates by {diff}",
-                ns[i], ts[i]
+                bits(&got) == bits(&expected[i]),
+                "request {i} ({}, {}): served row deviates by {}",
+                ns[i], ts[i], max_abs_diff(&got, &expected[i])
             );
         }
 
@@ -155,8 +159,9 @@ proptest! {
         for (i, ticket) in tickets.into_iter().enumerate() {
             let got = ticket.wait().unwrap();
             prop_assert!(
-                max_abs_diff(&got, &expected[i]) < 1e-5,
-                "row {i} out of order or wrong"
+                bits(&got) == bits(&expected[i]),
+                "row {i} out of order or wrong (deviates by {})",
+                max_abs_diff(&got, &expected[i])
             );
         }
 
@@ -194,7 +199,11 @@ proptest! {
         let expected = direct_rows(&ns, &ts, cfg.opt);
         for (i, ticket) in tickets.into_iter().enumerate() {
             let got = ticket.wait().unwrap();
-            prop_assert!(max_abs_diff(&got, &expected[i]) < 1e-5);
+            prop_assert!(
+                bits(&got) == bits(&expected[i]),
+                "row {i} deviates by {}",
+                max_abs_diff(&got, &expected[i])
+            );
         }
     }
 }

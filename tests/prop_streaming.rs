@@ -6,7 +6,7 @@
 //! deterministic live-ingest server, then checks four things:
 //!
 //! 1. **Embedding equivalence** — every ticket resolved by a drain equals
-//!    (within 1e-5, in submission-row order) a fresh engine over a graph
+//!    (bit for bit, in submission-row order) a fresh engine over a graph
 //!    rebuilt cold from the full edge sequence visible at that drain.
 //! 2. **Sampling equivalence** — `GraphView` neighborhoods (base + delta
 //!    merge, across compactions) are bit-identical to a cold rebuild's,
@@ -101,6 +101,11 @@ fn cold_graph(n_ingested: usize) -> TemporalGraph {
     g
 }
 
+fn bits(xs: &[f32]) -> Vec<u32> {
+    xs.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Reported on failure, to tell a rounding difference from a wrong row.
 fn max_abs_diff(a: &[f32], b: &[f32]) -> f32 {
     a.iter().zip(b).map(|(x, y)| (x - y).abs()).fold(0.0, f32::max)
 }
@@ -134,10 +139,10 @@ fn check_pending(
     let h = eng.embed_batch(&ns, &ts).unwrap();
     for (i, (ticket, n, t)) in pending.drain(..).enumerate() {
         let got = ticket.wait().unwrap();
-        let diff = max_abs_diff(&got, h.row(i));
         prop_assert!(
-            diff < 1e-5,
-            "query {i} ({n}, {t}) after {n_ingested} ingests: served row deviates by {diff}"
+            bits(&got) == bits(h.row(i)),
+            "query {i} ({n}, {t}) after {n_ingested} ingests: served row deviates by {}",
+            max_abs_diff(&got, h.row(i))
         );
     }
     Ok(())

@@ -121,7 +121,10 @@ fn degraded_mode_serves_correct_embeddings_without_growing_the_cache() {
                 .zip(expected.row(i))
                 .map(|(a, b)| (a - b).abs())
                 .fold(0.0, f32::max);
-            assert!(diff < 1e-5, "degraded row {i} deviates by {diff}");
+            assert!(
+                row.iter().map(|v| v.to_bits()).eq(expected.row(i).iter().map(|v| v.to_bits())),
+                "degraded row {i} deviates by {diff}"
+            );
         }
     }
 
