@@ -428,15 +428,25 @@ impl TgServer {
         self.submit_request(Request::new(node, time).with_deadline(deadline))
     }
 
-    /// Submits a [`Request`]. An already-expired deadline is rejected here,
-    /// before consuming a queue slot; a full queue rejects with
-    /// [`TgError::Overloaded`] without blocking.
+    /// Submits a [`Request`]. A node id outside the node-feature table is
+    /// rejected with [`TgError::InvalidArgument`] and an already-expired
+    /// deadline with [`TgError::DeadlineExceeded`], both before consuming
+    /// a queue slot; a full queue rejects with [`TgError::Overloaded`]
+    /// without blocking.
     ///
     /// `submitted` is recorded before any terminal counter — and before
     /// the request becomes visible to workers — so every counter snapshot
-    /// satisfies `submitted >= completed + rejected_deadline`.
+    /// satisfies `submitted >= completed + rejected_deadline`. An invalid
+    /// node id is a caller bug and is not counted.
     // hot-path-root(serve)
     pub fn submit_request(&self, req: Request) -> Result<Ticket, TgError> {
+        let n_nodes = self.shared.bundle.node_features.rows();
+        if req.node as usize >= n_nodes {
+            return Err(TgError::InvalidArgument(format!(
+                "node {} out of range: {n_nodes} node-feature rows",
+                req.node
+            )));
+        }
         let submitted_at = Instant::now();
         self.shared.counters.record_submitted();
         if req.expired_at(submitted_at) {

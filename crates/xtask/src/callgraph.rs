@@ -71,8 +71,8 @@ pub struct FnNode {
 }
 
 impl FnNode {
-    /// `Type::name` or bare `name` — the display label used in findings,
-    /// JSON, and DOT output.
+    /// `Type::name` or bare `name` — the display label used in findings
+    /// and `effects.lock`.
     pub fn label(&self) -> String {
         match &self.qual {
             Some(q) => format!("{q}::{}", self.name),
@@ -298,116 +298,6 @@ impl<'a> CallGraph<'a> {
                 self.witness(parent, node)
             ),
         });
-    }
-
-    /// Node indices sorted by `(file path, line, label)` — the canonical
-    /// emission order for JSON and DOT output, so artifacts diff cleanly
-    /// in CI regardless of discovery order.
-    fn display_order(&self) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..self.nodes.len()).collect();
-        order.sort_by(|&a, &b| {
-            let na = &self.nodes[a];
-            let nb = &self.nodes[b];
-            (&self.sources[na.file].path, na.line, na.label())
-                .cmp(&(&self.sources[nb.file].path, nb.line, nb.label()))
-        });
-        order
-    }
-
-    /// Machine-readable graph dump for `tg-xtask callgraph --format json`.
-    /// Functions are sorted by `(file, line, name)` and each `calls` list
-    /// lexicographically, so the artifact is byte-stable across runs.
-    pub fn render_json(&self) -> String {
-        use crate::report::json_string;
-        let alloc = self.reachable(RootKind::seeds_alloc);
-        let serve = self.reachable(RootKind::seeds_serve);
-        let mut s = String::from("{\"schema_version\":");
-        s.push_str(&crate::report::SCHEMA_VERSION.to_string());
-        s.push_str(",\"functions\":[");
-        for (k, &i) in self.display_order().iter().enumerate() {
-            let n = &self.nodes[i];
-            if k > 0 {
-                s.push(',');
-            }
-            let mut calls: Vec<String> =
-                self.edges[i].iter().map(|&j| json_string(&self.nodes[j].label())).collect();
-            calls.sort();
-            calls.dedup();
-            s.push_str(&format!(
-                "{{\"name\":{},\"file\":{},\"line\":{},\"root\":{},\"cold\":{},\
-                 \"reachable_alloc\":{},\"reachable_serve\":{},\"calls\":[{}]}}",
-                json_string(&n.label()),
-                json_string(&self.sources[n.file].path),
-                n.line,
-                match n.root {
-                    None => "null".to_string(),
-                    Some(RootKind::Both) => "\"both\"".to_string(),
-                    Some(RootKind::Alloc) => "\"alloc\"".to_string(),
-                    Some(RootKind::Serve) => "\"serve\"".to_string(),
-                },
-                n.cold,
-                alloc[i].is_some(),
-                serve[i].is_some(),
-                calls.join(","),
-            ));
-        }
-        s.push_str("]}");
-        s
-    }
-
-    /// Graphviz dump for `tg-xtask callgraph --format dot`. Only nodes in
-    /// a closure (or adjacent to one) are emitted — the full workspace
-    /// graph is too dense to read. Nodes are numbered in `(file, line,
-    /// label)` order and edges sorted, so the artifact is byte-stable.
-    pub fn render_dot(&self) -> String {
-        let alloc = self.reachable(RootKind::seeds_alloc);
-        let serve = self.reachable(RootKind::seeds_serve);
-        let keep: Vec<bool> = (0..self.nodes.len())
-            .map(|i| alloc[i].is_some() || serve[i].is_some())
-            .collect();
-        // Renumber: DOT ids follow the canonical display order, not the
-        // build order.
-        let order = self.display_order();
-        let mut dot_id = vec![usize::MAX; self.nodes.len()];
-        for (k, &i) in order.iter().enumerate() {
-            dot_id[i] = k;
-        }
-        let mut s = String::from("digraph hot_paths {\n  rankdir=LR;\n  node [shape=box];\n");
-        for &i in &order {
-            if !keep[i] {
-                continue;
-            }
-            let n = &self.nodes[i];
-            let color = match (n.root.is_some(), alloc[i].is_some() && serve[i].is_some()) {
-                (true, _) => "red",
-                (false, true) => "purple",
-                (false, false) if alloc[i].is_some() => "blue",
-                _ => "darkgreen",
-            };
-            s.push_str(&format!(
-                "  n{} [label=\"{}\\n{}:{}\", color={}];\n",
-                dot_id[i],
-                n.label().replace('"', "'"),
-                self.sources[n.file].path.replace('"', "'"),
-                n.line,
-                color
-            ));
-        }
-        let mut arcs: Vec<(usize, usize)> = Vec::new();
-        for (i, outs) in self.edges.iter().enumerate() {
-            for &j in outs {
-                if keep[i] && keep[j] {
-                    arcs.push((dot_id[i], dot_id[j]));
-                }
-            }
-        }
-        arcs.sort_unstable();
-        arcs.dedup();
-        for (i, j) in arcs {
-            s.push_str(&format!("  n{i} -> n{j};\n"));
-        }
-        s.push_str("}\n");
-        s
     }
 }
 
@@ -843,16 +733,5 @@ mod tests {
         let f = SourceFile::parse("crates/serve/src/t.rs", src);
         let sites = slice_index_sites(&f, (0, f.code.len() - 1));
         assert_eq!(sites.len(), 1, "only xs[i] is a finding");
-    }
-
-    #[test]
-    fn dot_output_mentions_reachable_nodes_only() {
-        let src = "// hot-path-root\nfn root() { warm(); }\nfn warm() {}\nfn stray() {}\n";
-        let sources = vec![SourceFile::parse("t.rs", src)];
-        let g = CallGraph::build(&sources);
-        let dot = g.render_dot();
-        assert!(dot.contains("root"));
-        assert!(dot.contains("warm"));
-        assert!(!dot.contains("stray"));
     }
 }

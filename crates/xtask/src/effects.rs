@@ -52,7 +52,10 @@
 //!   need `// bounded-by: <reason>` (timed variants are auto-bounded).
 //! * **L16** ([`check_drift`]) — hot-path-root summaries are serialized
 //!   to a committed `effects.lock`; any change fails lint until the lock
-//!   is deliberately regenerated via `UPDATE_EFFECTS_LOCK=1`.
+//!   is deliberately regenerated via `UPDATE_EFFECTS_LOCK=1`. The lock
+//!   names each root by `(file, label)` and holds no line numbers, so
+//!   moving or reordering code leaves it byte-identical: the lock text
+//!   changes exactly when L16 would report drift.
 
 use std::collections::BTreeSet;
 
@@ -65,6 +68,12 @@ use crate::source::{RootKind, SourceFile};
 
 /// File name of the committed lock at the workspace root.
 pub const LOCK_NAME: &str = "effects.lock";
+
+/// Version of the `effects.lock` text format, independent of the JSON
+/// lint report's [`crate::SCHEMA_VERSION`].
+/// v4: roots are keyed `file label` with no line number, sorted by
+/// `(file, label)`.
+pub const LOCK_SCHEMA: u32 = 4;
 
 /// One element of a function's effect summary. The derived `Ord` gives
 /// summaries (and therefore `effects.lock`) a stable serialization order.
@@ -86,7 +95,7 @@ pub enum Effect {
 }
 
 impl Effect {
-    /// Stable text form used in `effects.lock` and the JSON artifact.
+    /// Stable text form used in `effects.lock`.
     pub fn display(&self) -> String {
         match self {
             Effect::Alloc => "alloc".to_string(),
@@ -140,6 +149,8 @@ pub struct EffectSite {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RootSummary {
     pub file: String,
+    /// 1-based line of the root's `fn`, for finding locations only: the
+    /// lock does not record it, so a root parsed from the lock carries 0.
     pub line: usize,
     pub label: String,
     pub kind: RootKind,
@@ -474,7 +485,7 @@ impl<'a> EffectEngine<'a> {
     }
 
     /// The transitive summary of every `// hot-path-root` function, in
-    /// `(file, line, label)` order — the content of `effects.lock`.
+    /// `(file, label)` order — the content of `effects.lock`.
     pub fn root_summaries(&self) -> Vec<RootSummary> {
         let mut out: Vec<RootSummary> = Vec::new();
         for (i, node) in self.graph.nodes.iter().enumerate() {
@@ -490,39 +501,8 @@ impl<'a> EffectEngine<'a> {
                 effects: self.summaries[i].clone(),
             });
         }
-        out.sort_by(|a, b| (&a.file, a.line, &a.label).cmp(&(&b.file, b.line, &b.label)));
+        out.sort_by(|a, b| (&a.file, &a.label).cmp(&(&b.file, &b.label)));
         out
-    }
-
-    /// Machine-readable summary dump for `tg-xtask effects --format json`
-    /// (uploaded as a CI artifact and diffed against `effects.lock`).
-    pub fn render_json(&self) -> String {
-        use crate::report::json_string;
-        let roots = self.root_summaries();
-        let mut s = String::from("{\"schema_version\":");
-        s.push_str(&crate::report::SCHEMA_VERSION.to_string());
-        s.push_str(",\"count\":");
-        s.push_str(&roots.len().to_string());
-        s.push_str(",\"roots\":[");
-        for (k, r) in roots.iter().enumerate() {
-            if k > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"name\":{},\"file\":{},\"line\":{},\"kind\":\"{}\",\"effects\":[{}]}}",
-                json_string(&r.label),
-                json_string(&r.file),
-                r.line,
-                kind_str(r.kind),
-                r.effects
-                    .iter()
-                    .map(|e| json_string(&e.display()))
-                    .collect::<Vec<_>>()
-                    .join(","),
-            ));
-        }
-        s.push_str("]}");
-        s
     }
 
     /// A deterministic `callee → … → provider` chain showing where an
@@ -814,14 +794,14 @@ fn tarjan_sccs(edges: &[Vec<usize>]) -> (Vec<usize>, usize) {
 pub fn serialize_lock(roots: &[RootSummary]) -> String {
     let mut s = String::from(
         "# effects.lock — committed transitive effect summaries of every hot-path root\n\
-         # (L16 `effects-drift`). A diff here means the effect surface of a hot path\n\
-         # changed. Regenerate deliberately with:\n\
+         # (L16 `effects-drift`), keyed by file and label. A diff here means the effect\n\
+         # surface of a hot path changed. Regenerate deliberately with:\n\
          #   UPDATE_EFFECTS_LOCK=1 cargo run -q -p tg-xtask -- lint\n\
          # and commit the result after reviewing the change.\n",
     );
-    s.push_str(&format!("schema {}\n", crate::report::SCHEMA_VERSION));
+    s.push_str(&format!("schema {LOCK_SCHEMA}\n"));
     for r in roots {
-        s.push_str(&format!("root {}:{} {} {}\n", r.file, r.line, r.label, kind_str(r.kind)));
+        s.push_str(&format!("root {} {} {}\n", r.file, r.label, kind_str(r.kind)));
         for e in &r.effects {
             s.push_str(&format!("  effect {}\n", e.display()));
         }
@@ -844,16 +824,13 @@ pub fn parse_lock(text: &str) -> Result<Vec<RootSummary>, String> {
                 .trim()
                 .parse()
                 .map_err(|_| format!("line {}: bad schema version `{v}`", i + 1))?;
-            if v != crate::report::SCHEMA_VERSION {
-                return Err(format!(
-                    "schema {v}, expected {} — regenerate effects.lock",
-                    crate::report::SCHEMA_VERSION
-                ));
+            if v != LOCK_SCHEMA {
+                return Err(format!("schema {v}, expected {LOCK_SCHEMA} — regenerate effects.lock"));
             }
             schema_seen = true;
         } else if let Some(rest) = line.strip_prefix("root ") {
             let mut parts = rest.split_whitespace();
-            let loc = parts.next().ok_or_else(|| format!("line {}: missing location", i + 1))?;
+            let file = parts.next().ok_or_else(|| format!("line {}: missing file", i + 1))?;
             let label = parts
                 .next()
                 .ok_or_else(|| format!("line {}: missing label", i + 1))?
@@ -862,15 +839,9 @@ pub fn parse_lock(text: &str) -> Result<Vec<RootSummary>, String> {
                 .next()
                 .and_then(kind_parse)
                 .ok_or_else(|| format!("line {}: missing or bad root kind", i + 1))?;
-            let (file, line_no) = loc
-                .rsplit_once(':')
-                .ok_or_else(|| format!("line {}: bad location `{loc}`", i + 1))?;
-            let line_no: usize = line_no
-                .parse()
-                .map_err(|_| format!("line {}: bad line number in `{loc}`", i + 1))?;
             out.push(RootSummary {
                 file: file.to_string(),
-                line: line_no,
+                line: 0,
                 label,
                 kind,
                 effects: BTreeSet::new(),
@@ -895,7 +866,8 @@ pub fn parse_lock(text: &str) -> Result<Vec<RootSummary>, String> {
 /// **L16 `effects-drift`** — compares computed root summaries against the
 /// committed `effects.lock`. Roots are identified by `(file, label)` so
 /// unrelated edits that shift line numbers don't fire; any change to the
-/// root set, a root's kind, or a root's effect set does.
+/// root set, a root's kind, or a root's effect set does. The lock holds no
+/// line numbers, so a stale root is reported at line 1 of its file.
 pub fn check_drift(computed: &[RootSummary], committed: Option<&str>) -> Vec<Finding> {
     const REGEN: &str =
         "regenerate deliberately with `UPDATE_EFFECTS_LOCK=1 cargo run -q -p tg-xtask -- lint` \
@@ -979,7 +951,7 @@ pub fn check_drift(computed: &[RootSummary], committed: Option<&str>) -> Vec<Fin
             out.push(Finding {
                 lint: Lint::EffectsDrift,
                 file: r.file.clone(),
-                line: r.line,
+                line: 1,
                 message: format!(
                     "effects.lock records hot-path root `{}` which no longer exists (or \
                      lost its `// hot-path-root` annotation); {REGEN}",
@@ -1108,8 +1080,11 @@ mod tests {
             .collect(),
         }];
         let text = serialize_lock(&roots);
+        assert!(text.contains("\nroot crates/x/src/a.rs T::run serve\n"), "{text}");
         let parsed = parse_lock(&text).expect("round trip");
-        assert_eq!(parsed, roots);
+        let unlined: Vec<RootSummary> =
+            roots.into_iter().map(|r| RootSummary { line: 0, ..r }).collect();
+        assert_eq!(parsed, unlined);
     }
 
     #[test]
@@ -1135,6 +1110,11 @@ mod tests {
         shrunk[0].effects.clear();
         let d = check_drift(&shrunk, Some(&lock));
         assert!(d[0].message.contains("no longer inferred"), "{d:?}");
+        // Changed kind → drift.
+        let mut rekinded = base.clone();
+        rekinded[0].kind = RootKind::Serve;
+        let d = check_drift(&rekinded, Some(&lock));
+        assert!(d[0].message.contains("changed kind (both → serve)"), "{d:?}");
         // Missing lock file → one finding.
         let d = check_drift(&base, None);
         assert_eq!(d.len(), 1);
@@ -1142,7 +1122,7 @@ mod tests {
         // New root → drift; stale root → drift.
         let d = check_drift(&[], Some(&lock));
         assert!(d[0].message.contains("no longer exists"), "{d:?}");
-        let d = check_drift(&base, Some("schema 3\n"));
+        let d = check_drift(&base, Some(&format!("schema {LOCK_SCHEMA}\n")));
         assert!(d.iter().any(|f| f.message.contains("not recorded")), "{d:?}");
     }
 
@@ -1159,5 +1139,21 @@ mod tests {
         let mut moved = base.clone();
         moved[0].line = 99;
         assert!(check_drift(&moved, Some(&lock)).is_empty(), "roots keyed by (file, label)");
+        assert_eq!(serialize_lock(&moved), lock, "the lock must not record line numbers");
+
+        // End to end: a comment line above the roots and swapping their
+        // order moves every line but leaves the lock text unchanged.
+        let lock_of = |text: &'static str| {
+            let sources = vec![SourceFile::parse("a.rs", text)];
+            serialize_lock(&EffectEngine::build(&sources).root_summaries())
+        };
+        let before = lock_of(
+            "// hot-path-root\nfn b() { let v = Vec::new(); }\n// hot-path-root(serve)\nfn a() {}\n",
+        );
+        let after = lock_of(
+            "// moved\n// hot-path-root(serve)\nfn a() {}\n// hot-path-root\nfn b() { let v = Vec::new(); }\n",
+        );
+        assert_eq!(before, after);
+        assert!(before.ends_with("root a.rs a serve\nroot a.rs b both\n  effect alloc\n"), "{before}");
     }
 }

@@ -271,8 +271,9 @@ pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
 }
 
 /// Parses the call-graph file set (library `src/`, `examples/`, bench
-/// binaries) for the `callgraph` subcommand — same discovery and dedup
-/// rules as [`lint_workspace`], no linting.
+/// binaries) with the same discovery and dedup rules as
+/// [`lint_workspace`], no linting — for the test that compares L9/L10
+/// against their BFS oracles over the real tree.
 pub fn workspace_graph_sources(root: &Path) -> io::Result<Vec<SourceFile>> {
     let mut seen: BTreeSet<std::path::PathBuf> = BTreeSet::new();
     let mut files = Vec::new();

@@ -1,17 +1,14 @@
-//! CLI for the workspace lints: `cargo run -p tg-xtask -- lint`, the
-//! call-graph inspector `cargo run -p tg-xtask -- callgraph`, and the
-//! effect-summary dump `cargo run -p tg-xtask -- effects`.
+//! CLI for the workspace lints: `cargo run -p tg-xtask -- lint`. Its two
+//! outputs are the findings report (text or JSON) and, with
+//! `UPDATE_EFFECTS_LOCK=1`, a regenerated `effects.lock`.
 //!
-//! Exit codes: 0 = clean, 1 = findings (`lint` only), 2 = usage or I/O
-//! error.
+//! Exit codes: 0 = clean, 1 = findings, 2 = usage or I/O error.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 const USAGE: &str = "\
 Usage: cargo run -p tg-xtask -- lint [--format text|json] [--root PATH]
-       cargo run -p tg-xtask -- callgraph [--format json|dot] [--root PATH]
-       cargo run -p tg-xtask -- effects [--format json|lock] [--root PATH]
 
 `lint` runs the repo's static-analysis suite over the workspace library
 crates (src/, src/bin/, tests/), the harness code (examples/, bench
@@ -29,14 +26,9 @@ binaries), and the root integration suite:
   L15 unsafe-audit       L16 effects-drift    (`// safety:` justifications /
                                                summaries vs committed effects.lock)
 
-`callgraph` dumps the reachability graph itself: `--format json` for the
-full function/edge listing, `--format dot` for a Graphviz view of the
-hot-path closures.
-
-`effects` dumps the transitive effect summary of every hot-path root:
-`--format json` for the CI artifact, `--format lock` for the exact text
-committed as effects.lock (regenerate in place with
-UPDATE_EFFECTS_LOCK=1 cargo run -q -p tg-xtask -- lint).
+L16 compares every hot-path root's effect summary with effects.lock at
+the workspace root; regenerate it in place with
+UPDATE_EFFECTS_LOCK=1 cargo run -q -p tg-xtask -- lint.
 
 The canonical lock order, control-atomics list, and alloc-free lock set
 live in concurrency.toml at the workspace root. See DESIGN.md \"Error
@@ -48,27 +40,26 @@ handling & lint policy\", \"Concurrency model\", and \"Effect inference
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
-    let command = match args.next().as_deref() {
-        Some("lint") => Cmd::Lint,
-        Some("callgraph") => Cmd::Callgraph,
-        Some("effects") => Cmd::Effects,
+    match args.next().as_deref() {
+        Some("lint") => {}
         Some("-h") | Some("--help") => {
             println!("{USAGE}");
             return ExitCode::SUCCESS;
         }
         other => {
-            eprintln!("error: expected `lint`, `callgraph`, or `effects`, got {other:?}\n{USAGE}");
+            eprintln!("error: expected `lint`, got {other:?}\n{USAGE}");
             return ExitCode::from(2);
         }
-    };
-    let mut format: Option<String> = None;
+    }
+    let mut json = false;
     let mut root: Option<PathBuf> = None;
     while let Some(flag) = args.next() {
         match flag.as_str() {
-            "--format" => match args.next() {
-                Some(f) => format = Some(f),
-                None => {
-                    eprintln!("error: --format needs a value");
+            "--format" => match args.next().as_deref() {
+                Some("text") => json = false,
+                Some("json") => json = true,
+                other => {
+                    eprintln!("error: --format takes `text` or `json`, got {other:?}");
                     return ExitCode::from(2);
                 }
             },
@@ -92,29 +83,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    match command {
-        Cmd::Lint => run_lint(&root, format.as_deref()),
-        Cmd::Callgraph => run_callgraph(&root, format.as_deref()),
-        Cmd::Effects => run_effects(&root, format.as_deref()),
-    }
-}
-
-enum Cmd {
-    Lint,
-    Callgraph,
-    Effects,
-}
-
-fn run_lint(root: &Path, format: Option<&str>) -> ExitCode {
-    let json = match format {
-        None | Some("text") => false,
-        Some("json") => true,
-        other => {
-            eprintln!("error: lint --format takes `text` or `json`, got {other:?}");
-            return ExitCode::from(2);
-        }
-    };
-    let report = match tg_xtask::lint_workspace(root) {
+    let report = match tg_xtask::lint_workspace(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("error: lint walk failed: {e}");
@@ -131,56 +100,6 @@ fn run_lint(root: &Path, format: Option<&str>) -> ExitCode {
     } else {
         ExitCode::from(1)
     }
-}
-
-fn run_callgraph(root: &Path, format: Option<&str>) -> ExitCode {
-    let dot = match format {
-        None | Some("json") => false,
-        Some("dot") => true,
-        other => {
-            eprintln!("error: callgraph --format takes `json` or `dot`, got {other:?}");
-            return ExitCode::from(2);
-        }
-    };
-    let sources = match tg_xtask::workspace_graph_sources(root) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: callgraph walk failed: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let graph = tg_xtask::CallGraph::build(&sources);
-    if dot {
-        print!("{}", graph.render_dot());
-    } else {
-        println!("{}", graph.render_json());
-    }
-    ExitCode::SUCCESS
-}
-
-fn run_effects(root: &Path, format: Option<&str>) -> ExitCode {
-    let lock = match format {
-        None | Some("json") => false,
-        Some("lock") => true,
-        other => {
-            eprintln!("error: effects --format takes `json` or `lock`, got {other:?}");
-            return ExitCode::from(2);
-        }
-    };
-    let sources = match tg_xtask::workspace_graph_sources(root) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: effects walk failed: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let engine = tg_xtask::EffectEngine::build(&sources);
-    if lock {
-        print!("{}", tg_xtask::effects::serialize_lock(&engine.root_summaries()));
-    } else {
-        println!("{}", engine.render_json());
-    }
-    ExitCode::SUCCESS
 }
 
 /// Walks up from the current directory to the first `Cargo.toml` declaring

@@ -18,19 +18,13 @@
 //! The shape is frozen behind [`SCHEMA_VERSION`] and the field-path
 //! golden `tests/golden/lint_schema.txt` (see `tests/lint_schema.rs`):
 //! adding, removing, or renaming a field fails the gate until the golden
-//! is regenerated *and* the version is bumped.
-//!
-//! The `tg-xtask effects --format json` dump (root effect summaries,
-//! rendered by [`crate::effects::EffectEngine::render_json`]) shares the
-//! version and is fingerprinted by [`effects_schema_paths`] under the same
-//! golden.
+//! is regenerated *and* the version is bumped. The `effects.lock` text
+//! format has its own version, [`crate::effects::LOCK_SCHEMA`].
 
 use crate::LintReport;
 
-/// Version of the `lint --format json` / `callgraph --format json` /
-/// `effects --format json` report shapes. Bump on any change to the field
-/// sets in [`schema_paths`] or [`effects_schema_paths`].
-/// v3: added the effects report (L13–L16 effect-inference engine).
+/// Version of the `lint --format json` report shape. Bump on any change
+/// to the field set in [`schema_paths`].
 pub const SCHEMA_VERSION: u32 = 3;
 
 /// The sorted field-path fingerprint of the lint report JSON — the same
@@ -44,21 +38,6 @@ pub fn schema_paths() -> Vec<&'static str> {
         "findings[].line: number",
         "findings[].lint: string",
         "findings[].message: string",
-        "schema_version: number",
-    ]
-}
-
-/// The sorted field-path fingerprint of the effects JSON dump
-/// (`tg-xtask effects --format json`), frozen under the same golden as
-/// [`schema_paths`] with an `effects.` prefix.
-pub fn effects_schema_paths() -> Vec<&'static str> {
-    vec![
-        "count: number",
-        "roots[].effects[]: string",
-        "roots[].file: string",
-        "roots[].kind: string",
-        "roots[].line: number",
-        "roots[].name: string",
         "schema_version: number",
     ]
 }
@@ -100,7 +79,7 @@ pub fn render_json(report: &LintReport) -> String {
     out
 }
 
-pub(crate) fn json_string(s: &str) -> String {
+fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

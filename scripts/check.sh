@@ -41,7 +41,8 @@
 #
 # The lint also runs inside `cargo test` via tests/lint_gate.rs, so step 6
 # is technically redundant — but running it standalone gives file:line
-# output (and `--format json` for CI) without a test harness around it.
+# output without a test harness around it. It is the analyzer's only
+# command, and its L16 is the only effects.lock drift gate.
 #
 # Not run here (separate CI jobs, both seconds-to-minutes): the loom
 # concurrency models —

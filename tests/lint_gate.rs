@@ -139,35 +139,28 @@ fn summary_derived_reachability_matches_the_bfs_oracles() {
     );
 }
 
-/// CI artifacts must diff cleanly: the call-graph JSON/DOT dumps and the
-/// effects dump are canonically ordered, so source discovery order cannot
-/// leak into the output. Pinned against an exact rendering.
+/// `effects.lock` must be a pure function of the effect summaries:
+/// source discovery order cannot leak into it, and it names each root by
+/// file and label only. Pinned against an exact rendering.
 #[test]
-fn callgraph_and_effects_artifacts_are_canonically_ordered() {
-    let a = || SourceFile::parse("a.rs", "fn helper() { }\n");
+fn effects_lock_is_canonically_ordered() {
+    let a = || SourceFile::parse("a.rs", "// hot-path-root(serve)\nfn helper() { }\n");
     let b = || SourceFile::parse(
         "b.rs",
-        "// hot-path-root(alloc)\nfn hot() { helper(); other(); }\nfn other() { }\n",
+        "// hot-path-root(alloc)\nfn hot() { helper(); other(); }\nfn other() { let v = Vec::new(); }\n",
     );
-    let fwd = [a(), b()];
-    let rev = [b(), a()];
-    let g_fwd = CallGraph::build(&fwd);
-    let g_rev = CallGraph::build(&rev);
-    assert_eq!(g_fwd.render_json(), g_rev.render_json(), "JSON depends on discovery order");
-    assert_eq!(g_fwd.render_dot(), g_rev.render_dot(), "DOT depends on discovery order");
+    let lock = |sources: &[SourceFile]| {
+        effects::serialize_lock(&EffectEngine::build(sources).root_summaries())
+    };
+    let fwd = lock(&[a(), b()]);
+    assert_eq!(fwd, lock(&[b(), a()]), "effects.lock depends on discovery order");
+    let body = fwd.split_once("schema ").expect("schema line").1;
     assert_eq!(
-        EffectEngine::build(&fwd).render_json(),
-        EffectEngine::build(&rev).render_json(),
-        "effects JSON depends on discovery order"
-    );
-    assert_eq!(
-        g_fwd.render_dot(),
-        "digraph hot_paths {\n  rankdir=LR;\n  node [shape=box];\n\
-         \x20 n0 [label=\"helper\\na.rs:1\", color=blue];\n\
-         \x20 n1 [label=\"hot\\nb.rs:2\", color=red];\n\
-         \x20 n2 [label=\"other\\nb.rs:3\", color=blue];\n\
-         \x20 n1 -> n0;\n\
-         \x20 n1 -> n2;\n}\n"
+        body,
+        format!(
+            "{}\nroot a.rs helper serve\nroot b.rs hot alloc\n  effect alloc\n",
+            effects::LOCK_SCHEMA
+        )
     );
 }
 

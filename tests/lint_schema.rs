@@ -1,11 +1,9 @@
-//! Schema-drift gate for the `tg-xtask lint --format json` report and the
-//! `tg-xtask effects --format json` dump.
+//! Schema-drift gate for the `tg-xtask lint --format json` report.
 //!
-//! Both hand-rolled JSON writers' shapes are frozen behind
+//! The hand-rolled JSON writer's shape is frozen behind
 //! [`tg_xtask::SCHEMA_VERSION`]: the sorted field-path fingerprint
-//! (`report::schema_paths` prefixed `report.`, plus
-//! `report::effects_schema_paths` prefixed `effects.`) must match the
-//! committed golden file `tests/golden/lint_schema.txt` exactly, in both
+//! (`report::schema_paths` prefixed `report.`) must match the committed
+//! golden file `tests/golden/lint_schema.txt` exactly, in both
 //! directions — the same discipline `tests/telemetry_schema.rs` applies to
 //! telemetry snapshots. A field added, removed, or renamed fails this
 //! suite until the golden is regenerated *and* the schema version is
@@ -15,7 +13,7 @@
 //! UPDATE_LINT_GOLDEN=1 cargo test --test lint_schema
 //! ```
 
-use tg_xtask::{render_json, EffectEngine, LintReport, SourceFile, SCHEMA_VERSION};
+use tg_xtask::{render_json, LintReport, SCHEMA_VERSION};
 
 const GOLDEN: &str = include_str!("golden/lint_schema.txt");
 const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/lint_schema.txt");
@@ -44,14 +42,10 @@ fn sample_report() -> LintReport {
     LintReport { findings, files_checked: 1 }
 }
 
-/// The combined fingerprint: every lint-report path under `report.`, every
-/// effects-dump path under `effects.`, sorted as one list.
+/// The fingerprint: every lint-report path under `report.`, sorted.
 fn fingerprint() -> Vec<String> {
-    let mut out: Vec<String> = tg_xtask::report::schema_paths()
-        .iter()
-        .map(|p| format!("report.{p}"))
-        .chain(tg_xtask::report::effects_schema_paths().iter().map(|p| format!("effects.{p}")))
-        .collect();
+    let mut out: Vec<String> =
+        tg_xtask::report::schema_paths().iter().map(|p| format!("report.{p}")).collect();
     out.sort();
     out
 }
@@ -61,9 +55,8 @@ fn fingerprint_matches_committed_golden() {
     let actual = fingerprint();
     if std::env::var_os("UPDATE_LINT_GOLDEN").is_some() {
         let mut text = String::from(
-            "# Field-path fingerprint of the lint JSON report (report.*) and the\n\
-             # effects dump (effects.*), from report::schema_paths and\n\
-             # report::effects_schema_paths.\n\
+            "# Field-path fingerprint of the lint JSON report (report.*), from\n\
+             # report::schema_paths.\n\
              # Regenerate: UPDATE_LINT_GOLDEN=1 cargo test --test lint_schema\n\
              # Any diff here is a JSON schema change: bump tg_xtask SCHEMA_VERSION too.\n",
         );
@@ -138,31 +131,6 @@ fn rendered_report_covers_the_fingerprint() {
         assert!(
             top_level.contains(&key),
             "writer key {key} is not fingerprinted in schema_paths"
-        );
-    }
-}
-
-/// Same coverage discipline for the effects dump: a tiny engine with one
-/// allocating root exercises the `roots[]` element paths, and every
-/// fingerprinted key must appear in the rendered JSON.
-#[test]
-fn rendered_effects_dump_covers_the_fingerprint() {
-    let src = SourceFile::parse(
-        "t.rs",
-        "// hot-path-root(alloc)\nfn hot() { let mut v = Vec::new(); v.push(1u64); }\n",
-    );
-    let json = EffectEngine::build(std::slice::from_ref(&src)).render_json();
-    assert!(
-        json.starts_with(&format!("{{\"schema_version\":{SCHEMA_VERSION},")),
-        "schema_version must be the first emitted field: {json}"
-    );
-    assert!(json.contains("\"effects\":[\"alloc\"]"), "the root's alloc effect is missing: {json}");
-    for path in tg_xtask::report::effects_schema_paths() {
-        let (field, _ty) = path.split_once(':').expect("path: type convention");
-        let key = field.trim().rsplit('.').next().expect("nonempty").trim_end_matches("[]");
-        assert!(
-            json.contains(&format!("\"{key}\":")),
-            "fingerprinted key {key} (from {path}) missing in rendered effects JSON"
         );
     }
 }

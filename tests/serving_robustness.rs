@@ -261,8 +261,37 @@ fn invalid_configs_and_mode_misuse_are_typed_errors() {
     assert!(matches!(threaded.drain(), Err(TgError::InvalidArgument(_))));
     threaded.shutdown();
 
+    // A node id outside the feature table is refused at submit, so it
+    // never reaches a wave: drain() has nothing to panic on.
+    let server = TgServer::deterministic(Arc::clone(bundle), ServeConfig::default()).unwrap();
+    assert!(matches!(server.submit(10_000, 70.0), Err(TgError::InvalidArgument(_))));
+    assert_eq!(server.queued(), 0, "an invalid request must not consume a queue slot");
+    assert_eq!(server.drain().unwrap(), 0);
+    assert_eq!(server.shutdown().submitted, 0);
+
     // Submitting after shutdown is a caller bug, not an overload.
     let server = TgServer::deterministic(Arc::clone(bundle), ServeConfig::default()).unwrap();
     let stats = server.shutdown();
     assert_eq!(stats.submitted, 0);
+}
+
+#[test]
+fn out_of_range_node_is_refused_and_workers_keep_serving() {
+    let cfg = ServeConfig::default().with_workers(2);
+    let server = TgServer::threaded(Arc::clone(world()), cfg).unwrap();
+    // One bad id per worker: if either reached a wave, its worker would
+    // panic on the node-feature row and leave the next request unserved.
+    let bad: Vec<_> = (0..2).map(|_| server.submit(10_000, 70.0)).collect();
+    let good = server.submit(1, 70.0).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.stats().completed == 0 {
+        assert!(Instant::now() < deadline, "a valid request went unserved after bad node ids");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    for r in bad {
+        assert!(matches!(r, Err(TgError::InvalidArgument(_))), "{r:?}");
+    }
+    assert_eq!(good.wait().unwrap().len(), world().params.cfg.dim);
+    let stats = server.shutdown();
+    assert_eq!((stats.submitted, stats.completed), (1, 1));
 }

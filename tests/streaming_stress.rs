@@ -268,15 +268,9 @@ fn concurrent_ingest_and_queries_hold_invariants() {
         let (ns, ts): (Vec<NodeId>, Vec<Time>) = keys.iter().map(|&key| unpack_key(key)).unzip();
         let h = TgoptEngine::new(params, ctx, OptConfig::all()).embed_batch(&ns, &ts).unwrap();
         for (i, _) in accepted.iter().enumerate().filter(|(_, &hit)| hit) {
-            let diff = rows
-                .row(i)
-                .iter()
-                .zip(h.row(i))
-                .map(|(a, b)| (a - b).abs())
-                .fold(0.0f32, f32::max);
             assert!(
-                diff < 1e-5,
-                "stale layer-{l} hit: ({}, {}) deviates from recompute by {diff}",
+                rows.row(i).iter().map(|v| v.to_bits()).eq(h.row(i).iter().map(|v| v.to_bits())),
+                "stale layer-{l} hit: ({}, {}) differs from its recompute in the bits",
                 ns[i],
                 ts[i]
             );

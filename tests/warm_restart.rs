@@ -78,13 +78,13 @@ fn snapshot_restore_continues_with_full_reuse() {
         edge_features: &data.edge_features,
     };
 
-    // Continuous reference run over the whole stream.
+    // Continuous reference run over the whole stream, one bit hash per
+    // batch.
     let mut reference = TgoptEngine::new(&params, ctx, OptConfig::all());
-    let mut ref_sums: Vec<f64> = Vec::new();
+    let mut ref_hashes: Vec<u64> = Vec::new();
     for batch in BatchIter::new(&data.stream, 100) {
         let (ns, ts) = batch.targets();
-        let h = reference.embed_batch(&ns, &ts).unwrap();
-        ref_sums.push(h.as_slice().iter().map(|&v| v as f64).sum());
+        ref_hashes.push(fnv(reference.embed_batch(&ns, &ts).unwrap().as_slice()));
     }
 
     // Run A: first half, then snapshot to disk.
@@ -113,9 +113,7 @@ fn snapshot_restore_continues_with_full_reuse() {
     for (i, batch) in BatchIter::new(&data.stream, 100).enumerate().skip(half) {
         let (ns, ts) = batch.targets();
         let h = b.embed_batch(&ns, &ts).unwrap();
-        let sum: f64 = h.as_slice().iter().map(|&v| v as f64).sum();
-        let drift = (sum - ref_sums[i]).abs() / ref_sums[i].abs().max(1.0);
-        assert!(drift < 1e-9, "batch {i}: restored run diverged (drift {drift:.2e})");
+        assert_eq!(fnv(h.as_slice()), ref_hashes[i], "batch {i}: restored run changed its bits");
     }
     // The restored run must reuse, not rebuild: its stores are far fewer
     // than the warm set it inherited.
@@ -127,4 +125,11 @@ fn snapshot_restore_continues_with_full_reuse() {
         c.cache_stores,
         warm_items
     );
+}
+
+/// FNV-1a (64-bit) over the `f32` bit patterns, as in `replay_checksums`.
+fn fnv(xs: &[f32]) -> u64 {
+    xs.iter().fold(0xcbf2_9ce4_8422_2325, |h, v| {
+        (h ^ u64::from(v.to_bits())).wrapping_mul(0x0100_0000_01b3)
+    })
 }
