@@ -13,8 +13,8 @@
 use parking_lot::Mutex;
 use tg_graph::INVALID_EDGE;
 use tg_tensor::{Scratch, Tensor};
-use tgat::attention::{EdgeProjection, EdgeSeeds};
-use tgat::{TgatConfig, TgatParams};
+use tgat::attention::{zero_h_query, EdgeSeeds, KvWeights};
+use tgat::TgatParams;
 
 /// Slots of the table: 32k projections, 8 MB at 64 floats each. 64k hit
 /// more but cost `replay-opt` +14.5% peak RSS against a 15% bound
@@ -192,11 +192,14 @@ impl EdgeProjTable {
     }
 }
 
-/// One engine's layer-1 edge-projection state: the split weights and the
-/// per-call buffers of [`EdgeProjector::prepare`], reused across calls.
+/// One engine's layer-1 edge-projection state: the query every target
+/// shares and the per-call buffers of [`EdgeProjector::prepare`], reused
+/// across calls. The weights are the layer's [`KvWeights`], which the
+/// engine keeps.
 #[derive(Debug)]
 pub(crate) struct EdgeProjector {
-    proj: EdgeProjection,
+    /// Layer 1's [`zero_h_query`].
+    q: Tensor,
     /// Per table slot, the row of the edge last deduplicated there. A mark
     /// left by an earlier call is harmless: it counts only if the current
     /// call's row it names holds the same edge.
@@ -217,10 +220,9 @@ impl EdgeProjector {
     /// The projector for `params`' layer 1, if it applies: only when the
     /// node-feature table is all zero, so layer 1 never reads `h`.
     pub(crate) fn for_layer1(params: &TgatParams, node_features: &Tensor) -> Option<Self> {
-        let cfg: &TgatConfig = &params.cfg;
         let layer = params.layers.first()?;
         node_features.as_slice().iter().all(|&v| v == 0.0).then(|| Self {
-            proj: EdgeProjection::new(layer, cfg, &params.time),
+            q: zero_h_query(layer, &params.cfg, &params.time),
             seen: Vec::new(),
             uniq: Vec::new(),
             slot_row: Vec::new(),
@@ -253,11 +255,12 @@ impl EdgeProjector {
 
     /// Seeds for one layer-1 call's edges, one row per distinct edge: hits
     /// copied from `table` into the first rows, the misses projected from
-    /// `edge_features` into the rest in one matmul fanned over `helpers`,
-    /// and then offered to the table. Its lock is held for the two copies
-    /// only. Read the seeds with [`Self::seeds`].
+    /// `edge_features` by layer 1's `kv` into the rest in one matmul fanned
+    /// over `helpers`, and then offered to the table. Its lock is held for
+    /// the two copies only. Read the seeds with [`Self::seeds`].
     pub(crate) fn prepare(
         &mut self,
+        kv: &KvWeights,
         eids: &[u32],
         edge_features: &Tensor,
         table: &EdgeProjTable,
@@ -265,7 +268,7 @@ impl EdgeProjector {
         helpers: &mut [Scratch],
     ) {
         self.dedup(eids);
-        let (u, w) = (self.uniq.len(), self.proj.width());
+        let (u, w) = (self.uniq.len(), kv.width());
         self.rows.resize(u * w, 0.0); // alloc-ok: reused buffer, grows to the largest layer-1 call once
         self.row.resize(u, 0); // alloc-ok: reused buffer, grows to the largest layer-1 call once
         let hits = table.lookup(&self.uniq, w, &mut self.rows, &mut self.row);
@@ -281,13 +284,13 @@ impl EdgeProjector {
         self.miss.extend(missed.map(|(&eid, _)| eid)); // alloc-ok: reused buffer, grows to the largest layer-1 call once
         let miss = &self.miss;
         let fresh = &mut self.rows[hits * w..];
-        self.proj.project_into(|r| edge_features.row(miss[r] as usize), fresh, scratch, helpers);
+        kv.project_edges_into(|r| edge_features.row(miss[r] as usize), fresh, scratch, helpers);
         table.insert(miss, w, fresh);
     }
 
     /// Attention seeds from the last [`Self::prepare`].
     pub(crate) fn seeds(&self) -> EdgeSeeds<'_> {
-        EdgeSeeds { proj: &self.proj, rows: &self.rows, slot_row: &self.slot_row }
+        EdgeSeeds { q: &self.q, rows: &self.rows, slot_row: &self.slot_row }
     }
 }
 
@@ -350,7 +353,7 @@ mod tests {
 
     #[test]
     fn dedup_gives_each_edge_one_row_and_colliding_edges_their_own() {
-        let params = TgatParams::init(TgatConfig::tiny(), 1).unwrap();
+        let params = TgatParams::init(tgat::TgatConfig::tiny(), 1).unwrap();
         let nf = Tensor::zeros(4, params.cfg.dim);
         let mut p = EdgeProjector::for_layer1(&params, &nf).unwrap();
         let far = 9 + EDGE_PROJ_SLOTS as u32; // collides with 9

@@ -19,7 +19,7 @@ use tg_error::TgError;
 use tg_graph::{GraphView, NodeId, SamplingStrategy, TemporalSampler, Time};
 use tg_tensor::fanout::host_cores;
 use tg_tensor::{Scratch, Tensor};
-use tgat::attention::{self, AttentionInputs};
+use tgat::attention::{self, AttentionInputs, KvWeights};
 use tgat::{engine::GraphContext, TgatParams};
 use std::sync::Arc;
 use tg_telemetry::{OpKind, Recorder};
@@ -88,6 +88,9 @@ pub struct TgoptEngine<'a> {
     /// §4.3 precomputed window; `None` when `enable_time_precompute` is off,
     /// so an engine that never reads the window never builds it.
     timecache: Option<TimeCache>,
+    /// Each layer's K|V operand, built once here (attention multiplies
+    /// every head's K and V in one product).
+    kv: Vec<KvWeights>,
     /// Layer-1 edge projection; `None` unless `enable_edge_proj` is on and
     /// every node feature is zero (checked once, here).
     edge_proj: Option<EdgeProjector>,
@@ -142,6 +145,7 @@ impl<'a> TgoptEngine<'a> {
                 params.cfg.dim,
             )),
             timecache,
+            kv: params.layers.iter().map(|layer| KvWeights::new(layer, &params.cfg)).collect(),
             edge_proj,
             stats: Recorder::disabled(),
             counters: EngineCounters::default(),
@@ -474,7 +478,7 @@ impl<'a> TgoptEngine<'a> {
                 (h, &self.identity[..n])
             }
         };
-        let layer = &params.layers[l - 1];
+        let (layer, kv) = (&params.layers[l - 1], &self.kv[l - 1]);
         let cfg = &params.cfg;
         let scratch = &mut self.scratch;
         let helpers = &mut self.helpers[..];
@@ -485,11 +489,11 @@ impl<'a> TgoptEngine<'a> {
         let table = self.caches.edge_proj();
         let out = self.stats.time(OpKind::Attention, || {
             let seeds = projector.map(|p| {
-                p.prepare(&nb.eids, e_feat, table, scratch, helpers);
+                p.prepare(kv, &nb.eids, e_feat, table, scratch, helpers);
                 p.seeds()
             });
             let inp = AttentionInputs { h_src: h_prev, ht0: &ht0, h_ngh: h_prev, e_feat, ht: &ht, mask: &mask };
-            attention::forward_by_eid(layer, cfg, &inp, &nb.eids, Some(h_idx), seeds.as_ref(), scratch, helpers)
+            attention::forward_by_eid(layer, kv, cfg, &inp, &nb.eids, Some(h_idx), seeds.as_ref(), scratch, helpers)
         });
         self.scratch.give(ht);
         self.scratch.give(ht0);

@@ -1,6 +1,7 @@
 //! Prints what the dense kernels deliver on the shapes the inference hot
-//! path produces: GFLOP/s of `matmul_into` / `addmm_into` (headed by the
-//! full-width panel this build runs, `matmul::FULL_PANEL`), the cost of one
+//! path produces: GFLOP/s of `matmul_into` / `addmm_into`, and of
+//! `matmul_rows_into` over edge rows read by random id (headed by the
+//! panels this build runs, `matmul::FULL_PANEL` and `WIDE_PANEL`), the cost of one
 //! attention layer per target-block size (read as the engine reads layer 1:
 //! node rows by node id, edge rows by edge id), and the same layer per fan-out
 //! width beside what one scoped spawn + join costs — the table the width
@@ -21,9 +22,9 @@
 use std::hint::black_box;
 use std::time::Instant;
 use tg_tensor::fanout::{fan_chunks, host_cores};
-use tg_tensor::matmul::{addmm_into, matmul_into, FULL_PANEL};
+use tg_tensor::matmul::{addmm_into, matmul_into, matmul_rows_into, FULL_PANEL, WIDE_PANEL};
 use tg_tensor::{init, Scratch, Tensor};
-use tgat::attention::{forward_blocked, AttentionInputs, TARGET_BLOCK};
+use tgat::attention::{forward_blocked, AttentionInputs, KvWeights, TARGET_BLOCK};
 use tgat::{TgatConfig, TgatParams};
 
 /// Rounds per table: a dense-kernel round is ~10 ms, an attention round up
@@ -31,6 +32,15 @@ use tgat::{TgatConfig, TgatParams};
 const DENSE_ROUNDS: usize = 41;
 const ATTENTION_ROUNDS: usize = 9;
 const WIDTH_ROUNDS: usize = 31;
+
+/// How a dense-table row multiplies: `A` as a tensor, with a bias, or its
+/// rows read by id from a table of that many rows.
+#[derive(Clone, Copy)]
+enum Kind {
+    Matmul,
+    Addmm,
+    RowsById(usize),
+}
 
 /// Times every candidate once per round, in order, and returns each
 /// candidate's `(min, median)` seconds.
@@ -56,40 +66,45 @@ fn round_robin(rounds: usize, candidates: &mut [Box<dyn FnMut() + '_>]) -> Vec<(
 fn main() {
     let mut rng = init::seeded_rng(7);
 
-    // (label, m, k, n, bias): the bench protocol's shapes (batch 200 -> 400
+    // (label, m, k, n, kind): the bench protocol's shapes (batch 200 -> 400
     // targets -> 4400 layer-1 targets, 10 neighbours, dim 32, edge dim 172,
-    // 2 heads); 640 rows is one 64-target block.
+    // 2 heads); 640 rows is one 64-target block, whose K|V the engine
+    // multiplies for both heads at once (n = 64; the per-head n = 16 is the
+    // reference's and the tape's). The projection reads one layer-1 call's
+    // missed edges by random id from a jodie-wiki-sized edge table, 108 MB.
     let shapes = [
-        ("K/V whole layer-1", 44_000usize, 236usize, 16usize, false),
-        ("K/V one block", 640, 236, 16, false),
-        ("Q   layer-1", 4_400, 64, 16, false),
-        ("FFN fc1 (addmm)", 4_400, 64, 32, true),
-        ("FFN fc2 (addmm)", 4_400, 32, 32, true),
+        ("K/V whole layer-1", 44_000usize, 236usize, 16usize, Kind::Matmul),
+        ("K/V one block", 640, 236, 16, Kind::Matmul),
+        ("K|V one block", 640, 236, 64, Kind::Matmul),
+        ("edge projection", 3_008, 172, 64, Kind::RowsById(157_474)),
+        ("Q   layer-1", 4_400, 64, 16, Kind::Matmul),
+        ("FFN fc1 (addmm)", 4_400, 64, 32, Kind::Addmm),
+        ("FFN fc2 (addmm)", 4_400, 32, 32, Kind::Addmm),
     ];
-    let operands: Vec<(Tensor, Tensor, Tensor)> = shapes
+    let operands: Vec<(Tensor, Tensor, Tensor, Vec<usize>)> = shapes
         .iter()
-        .map(|&(_, m, k, n, _)| {
-            (
-                init::uniform(&mut rng, m, k, 1.0),
-                init::uniform(&mut rng, k, n, 1.0),
-                init::uniform(&mut rng, 1, n, 1.0),
-            )
+        .map(|&(_, m, k, n, kind)| {
+            let table_rows = if let Kind::RowsById(rows) = kind { rows } else { m };
+            let a = init::uniform(&mut rng, table_rows, k, 1.0);
+            let ids = (0..m).map(|i| i * 2_654_435_761 % table_rows).collect(); // scattered ids
+            (a, init::uniform(&mut rng, k, n, 1.0), init::uniform(&mut rng, 1, n, 1.0), ids)
         })
         .collect();
     let mut outs: Vec<Tensor> = shapes.iter().map(|&(_, m, _, n, _)| Tensor::zeros(m, n)).collect();
     let mut runs: Vec<Box<dyn FnMut() + '_>> = Vec::new();
-    for ((&(_, _, _, _, bias), (a, b, bv)), c) in shapes.iter().zip(&operands).zip(&mut outs) {
+    for ((&(_, _, k, _, kind), (a, b, bv, ids)), c) in shapes.iter().zip(&operands).zip(&mut outs) {
         runs.push(Box::new(move || {
-            if bias {
-                addmm_into(black_box(a), b, bv, c);
-            } else {
-                matmul_into(black_box(a), b, c);
+            match kind {
+                Kind::Matmul => matmul_into(black_box(a), b, c),
+                Kind::Addmm => addmm_into(black_box(a), b, bv, c),
+                Kind::RowsById(_) => matmul_rows_into(|r| black_box(a).row(ids[r]), b, 0..k, c.as_mut_slice()),
             }
             black_box(c.as_slice());
         }));
     }
     println!("== dense kernels (round-robin, {DENSE_ROUNDS} rounds) ==");
     println!("full panel: {FULL_PANEL}");
+    println!("wide panel: {WIDE_PANEL}");
     println!("{:<20}{:<24}{:>10}{:>10}{:>12}{:>12}", "kernel", "shape", "min ms", "med ms", "max GF/s", "med GF/s");
     for (&(label, m, k, n, _), (min, med)) in shapes.iter().zip(round_robin(DENSE_ROUNDS, &mut runs)) {
         let gflop = 2.0 * (m * k * n) as f64 / 1e9;
@@ -110,6 +125,7 @@ fn main() {
     // edge id, and dense time encodings.
     let cfg = TgatConfig { dim: 32, edge_dim: 172, time_dim: 32, n_heads: 2, n_layers: 2, n_neighbors: 10 };
     let params = TgatParams::init(cfg, 7).expect("valid bench-protocol config");
+    let kv = KvWeights::new(&params.layers[0], &cfg);
     let k = cfg.n_neighbors;
     let table = init::uniform(&mut rng, 50_000, cfg.edge_dim, 1.0);
     let nodes = Tensor::zeros(9_227, cfg.dim);
@@ -131,9 +147,9 @@ fn main() {
         let mut scratches: Vec<Scratch> = blocks.iter().map(|_| Scratch::new()).collect();
         let mut runs: Vec<Box<dyn FnMut() + '_>> = Vec::new();
         for (&block, scratch) in blocks.iter().zip(&mut scratches) {
-            let (layer, inp, eids, node_ids) = (&params.layers[0], &inp, &eids, &node_ids);
+            let (layer, kv, inp, eids, node_ids) = (&params.layers[0], &kv, &inp, &eids, &node_ids);
             runs.push(Box::new(move || {
-                let out = forward_blocked(layer, &cfg, black_box(inp), Some(eids), Some(node_ids), None, block, scratch, &mut []);
+                let out = forward_blocked(layer, kv, &cfg, black_box(inp), Some(eids), Some(node_ids), None, block, scratch, &mut []);
                 black_box(out.as_slice());
                 scratch.give(out);
             }));
@@ -160,10 +176,10 @@ fn main() {
             widths.iter().map(|&w| (0..w).map(|_| Scratch::new()).collect()).collect();
         let mut runs: Vec<Box<dyn FnMut() + '_>> = Vec::new();
         for scratches in &mut scratches {
-            let (layer, inp, eids, node_ids) = (&params.layers[0], &inp, &eids, &node_ids);
+            let (layer, kv, inp, eids, node_ids) = (&params.layers[0], &kv, &inp, &eids, &node_ids);
             runs.push(Box::new(move || {
                 let (own, helpers) = scratches.split_first_mut().expect("width >= 1");
-                let out = forward_blocked(layer, &cfg, black_box(inp), Some(eids), Some(node_ids), None, TARGET_BLOCK, own, helpers);
+                let out = forward_blocked(layer, kv, &cfg, black_box(inp), Some(eids), Some(node_ids), None, TARGET_BLOCK, own, helpers);
                 black_box(out.as_slice());
                 own.give(out);
             }));

@@ -26,9 +26,12 @@
 //! LLVM auto-vectorises [`full_panel`] at most 256 bits wide, even where
 //! the build targets AVX-512. Such builds run `full_panel_avx512` instead:
 //! the same sum in one 16-lane register per accumulator row, chosen at
-//! build time ([`FULL_PANEL`] names the one compiled in). The portable
-//! panel is compiled everywhere: it is the path on every other target and
-//! under Miri, and the bit reference for the wide one.
+//! build time ([`FULL_PANEL`] names the one compiled in). They also cover
+//! each 64 columns at once while at least 64 are left (`wide_panel_avx512`,
+//! [`WIDE_PANEL`]): sixteen `zmm` accumulators, four per quad row, so a
+//! `k`-step loads four `B` vectors against four broadcast `A` values. The
+//! portable panel is compiled everywhere: it is the path on every other
+//! target and under Miri, and the bit reference for both 512-bit ones.
 //!
 //! The dense path carries **no** per-element `if av == 0.0` skip. TGAT's
 //! layer-0 inputs are zero node-feature rows concatenated with dense time
@@ -40,6 +43,7 @@
 //! equivalence testing.
 
 use crate::Tensor;
+use std::ops::Range;
 
 /// Row-block height of the microkernel (rows of `A` per register tile).
 pub const MR: usize = 4;
@@ -47,6 +51,10 @@ pub const MR: usize = 4;
 /// Column-panel width of the microkernel (columns of `C` per register
 /// tile); two 8-lane vectors, or one 16-lane vector on AVX-512.
 pub const NR: usize = 16;
+
+/// Columns of `C` per wide panel: four `NR` panels side by side, run as
+/// one where the build targets AVX-512.
+pub const WIDE: usize = 4 * NR;
 
 /// Which full-width panel [`matmul`], [`matmul_into`] and [`addmm`] run in
 /// this build; `tune` prints it above its GFLOP/s.
@@ -59,6 +67,26 @@ pub const FULL_PANEL: &str = if cfg!(all(
 } else {
     "portable: auto-vectorised [f32; 16] accumulator rows"
 };
+
+/// Which panel covers each [`WIDE`] columns while that many are left; the
+/// [`FULL_PANEL`] takes the rest.
+pub const WIDE_PANEL: &str = if cfg!(all(
+    target_arch = "x86_64",
+    target_feature = "avx512f",
+    not(miri)
+)) {
+    "avx512f: 4x64, four zmm accumulators per row"
+} else {
+    "none: the full panel covers every 16 columns"
+};
+
+/// Row-quads ahead of the one being multiplied whose `A` rows
+/// [`matmul_rows_into`] prefetches. Its rows are read by id (edge rows of a
+/// 108 MB feature table), so no hardware prefetcher sees them coming. A
+/// quad of 172-column rows by 64 columns is ~1.7 µs of work; distances 1
+/// to 3 measured alike and 2 best, against 0.55 µs a row without
+/// (DESIGN.md "Kernel architecture").
+pub const PREFETCH_QUADS: usize = 2;
 
 /// Dot product with two independent 8-lane accumulator banks.
 ///
@@ -235,6 +263,56 @@ fn full_panel_avx512(a: [&[f32]; MR], rows: usize, b: &[f32], n: usize, c: &mut 
     }
 }
 
+/// Four [`full_panel_avx512`]s side by side: columns `off..off + WIDE` of a
+/// row-quad in sixteen `__m512` accumulators, four per quad row, so a
+/// `k`-step is four 512-bit loads of the `B` row, four broadcasts and
+/// sixteen multiplies and adds. Every lane's sum is the portable panel's —
+/// seed first, then mul and add in ascending `k`, never an FMA — and the
+/// finished sums are added to `C` in registers, with nothing spilled
+/// (`avx512_panel_is_bit_equal_to_portable`).
+///
+/// # Safety
+/// The host must have AVX-512F; builds that compile this fn target it.
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512f", not(miri)))]
+#[inline(never)]
+#[target_feature(enable = "avx512f")]
+fn wide_panel_avx512(a: [&[f32]; MR], rows: usize, b: &[f32], n: usize, c: &mut [f32], off: usize, seed: [&[f32]; MR]) {
+    use core::arch::x86_64::*;
+    // safety: each load reads a checked slice of NR = 16 f32s, its width.
+    let ld = |s: &[f32], p: usize| unsafe { _mm512_loadu_ps(s[p * NR..][..NR].as_ptr()) };
+    let len = a[0].len();
+    let (a0, a1, a2, a3) = (a[0], &a[1][..len], &a[2][..len], &a[3][..len]);
+    // Sixteen named accumulators, not arrays: an array indexed in a loop
+    // stays in memory, and the loop then spills every one of them per step.
+    let [s0, s1, s2, s3] = seed.map(|s| &s[..WIDE]);
+    let (mut c00, mut c01, mut c02, mut c03) = (ld(s0, 0), ld(s0, 1), ld(s0, 2), ld(s0, 3));
+    let (mut c10, mut c11, mut c12, mut c13) = (ld(s1, 0), ld(s1, 1), ld(s1, 2), ld(s1, 3));
+    let (mut c20, mut c21, mut c22, mut c23) = (ld(s2, 0), ld(s2, 1), ld(s2, 2), ld(s2, 3));
+    let (mut c30, mut c31, mut c32, mut c33) = (ld(s3, 0), ld(s3, 1), ld(s3, 2), ld(s3, 3));
+    for kk in 0..len {
+        let bp = &b[kk * n + off..][..WIDE];
+        let (b0, b1, b2, b3) = (ld(bp, 0), ld(bp, 1), ld(bp, 2), ld(bp, 3));
+        let step = |acc: __m512, x: __m512, bv: __m512| _mm512_add_ps(acc, _mm512_mul_ps(x, bv));
+        let x = _mm512_set1_ps(a0[kk]);
+        (c00, c01, c02, c03) = (step(c00, x, b0), step(c01, x, b1), step(c02, x, b2), step(c03, x, b3));
+        let x = _mm512_set1_ps(a1[kk]);
+        (c10, c11, c12, c13) = (step(c10, x, b0), step(c11, x, b1), step(c12, x, b2), step(c13, x, b3));
+        let x = _mm512_set1_ps(a2[kk]);
+        (c20, c21, c22, c23) = (step(c20, x, b0), step(c21, x, b1), step(c22, x, b2), step(c23, x, b3));
+        let x = _mm512_set1_ps(a3[kk]);
+        (c30, c31, c32, c33) = (step(c30, x, b0), step(c31, x, b1), step(c32, x, b2), step(c33, x, b3));
+    }
+    let sums = [(c00, c01, c02, c03), (c10, c11, c12, c13), (c20, c21, c22, c23), (c30, c31, c32, c33)];
+    for (r, (p0, p1, p2, p3)) in sums.into_iter().enumerate().take(rows) {
+        let crow = &mut c[r * n + off..][..WIDE];
+        for (p, acc) in [(0, p0), (1, p1), (2, p2), (3, p3)] {
+            let cp = &mut crow[p * NR..][..NR];
+            // safety: the load and the store each cover the checked 16-f32 slice `cp`.
+            unsafe { _mm512_storeu_ps(cp.as_mut_ptr(), _mm512_add_ps(_mm512_loadu_ps(cp.as_ptr()), acc)) };
+        }
+    }
+}
+
 /// The ragged last panel (columns `off..n`, fewer than `NR`) of a row-quad:
 /// same sum as [`full_panel`], with its own runtime-indexed accumulators so
 /// their stack slots never touch the full-width loop.
@@ -263,7 +341,7 @@ fn ragged_panel(a: [&[f32]; MR], rows: usize, b: &[f32], n: usize, c: &mut [f32]
 }
 
 /// The seed of every lane of a plain (unseeded) product.
-const ZERO_SEED: [f32; NR] = [0.0; NR];
+const ZERO_SEED: [f32; WIDE] = [0.0; WIDE];
 
 /// Computes one row-quad of `C += seed + A * B`: `c` holds `rows` output
 /// rows (`rows <= MR`); missing quad rows alias row 0 and are computed but
@@ -289,6 +367,12 @@ fn mm_quad(a: [&[f32]; MR], rows: usize, b: &[f32], n: usize, c: &mut [f32], see
     let b = &b[lo * n..hi * n];
     let seed_at = |off: usize| seed.map_or([&ZERO_SEED[..]; MR], |s| s.map(|row| &row[off..]));
     let mut off = 0;
+    #[cfg(all(target_arch = "x86_64", target_feature = "avx512f", not(miri)))]
+    while off + WIDE <= n {
+        // safety: compiled only when the whole build enables avx512f.
+        unsafe { wide_panel_avx512(a, rows, b, n, c, off, seed_at(off)) };
+        off += WIDE;
+    }
     while off + NR <= n {
         #[cfg(all(target_arch = "x86_64", target_feature = "avx512f", not(miri)))]
         // safety: compiled only when the whole build enables avx512f.
@@ -355,23 +439,29 @@ fn matmul_accumulate(a: &Tensor, b: &Tensor, c: &mut Tensor) {
     if m == 0 || n == 0 || k == 0 {
         return; // degenerate shapes: explicit early return, output untouched
     }
-    mm_rows(|r| a.row(r), b, c.as_mut_slice(), None);
+    mm_rows(|r| a.row(r), b.as_slice(), n, c.as_mut_slice(), None, false);
 }
 
-/// `C += seed + A * B` over `c.len() / B.cols()` rows, row `r` of `A` read
-/// from `a(r)`, one row-quad at a time from the top.
+/// `C += seed + A * B` over `c.len() / n` rows, `B` the row-major `[_, n]`
+/// slice `b` and row `r` of `A` read from `a(r)`, one row-quad at a time
+/// from the top; with `prefetch`, each quad first prefetches the `A` rows
+/// [`PREFETCH_QUADS`] quads ahead.
 fn mm_rows<'a, 's>(
     a: impl Fn(usize) -> &'a [f32],
-    b: &Tensor,
+    b: &[f32],
+    n: usize,
     c: &mut [f32],
     seed: Option<&dyn Fn(usize) -> &'s [f32]>,
+    prefetch: bool,
 ) {
-    let n = b.cols();
     let m = c.len() / n;
-    let b = b.as_slice();
     let mut r = 0;
     while r < m {
         let rows = (m - r).min(MR);
+        if prefetch {
+            let ahead = r + PREFETCH_QUADS * MR;
+            (ahead..m.min(ahead + MR)).for_each(|i| prefetch_row(a(i)));
+        }
         let quad = [0, 1, 2, 3].map(|i| r + i.min(rows - 1));
         let seed = seed.map(|s| quad.map(s));
         mm_quad(quad.map(&a), rows, b, n, &mut c[r * n..(r + rows) * n], seed);
@@ -379,25 +469,48 @@ fn mm_rows<'a, 's>(
     }
 }
 
-/// `C = A * B` for `c.len() / B.cols()` rows of `A` read from `a(r)`,
-/// wherever they live (rows of a feature table by id, say); bit-identical
-/// to [`matmul_into`] over the same rows gathered into a tensor.
+/// Asks the cache for every 64-byte line `row` touches, without waiting.
+#[inline]
+fn prefetch_row(row: &[f32]) {
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    for i in (0..row.len()).step_by(16).chain(row.len().checked_sub(1)) {
+        use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        // safety: a prefetch is a hint that never faults, and `row[i]` is in bounds.
+        unsafe { _mm_prefetch::<_MM_HINT_T0>(row[i..].as_ptr().cast()) };
+    }
+    #[cfg(not(all(target_arch = "x86_64", not(miri))))]
+    let _ = row;
+}
+
+/// The `[hi - lo, B.cols()]` block of rows `lo..hi` of `B`, row-major.
+fn row_block(b: &Tensor, rows: Range<usize>) -> &[f32] {
+    assert!(rows.start <= rows.end && rows.end <= b.rows(), "matmul: row block {rows:?} of {} rows", b.rows());
+    &b.as_slice()[rows.start * b.cols()..rows.end * b.cols()]
+}
+
+/// `C = A * B[b_rows]` for `c.len() / B.cols()` rows of `A` read from
+/// `a(r)`, wherever they live (rows of a feature table by id, say), with
+/// `B`'s row block `b_rows` as the operand; bit-identical to
+/// [`matmul_into`] over the same rows gathered into a tensor. Each quad
+/// prefetches the rows [`PREFETCH_QUADS`] quads ahead of it.
 ///
 /// # Panics
-/// Panics if a row of `A` is not `B.rows()` long or `c.len()` is not a
-/// multiple of `B.cols()`.
-pub fn matmul_rows_into<'a>(a: impl Fn(usize) -> &'a [f32], b: &Tensor, c: &mut [f32]) {
-    let (k, n) = b.shape();
+/// Panics if a row of `A` is shorter than `b_rows`, `b_rows` is not rows of
+/// `B`, or `c.len()` is not a multiple of `B.cols()`.
+pub fn matmul_rows_into<'a>(a: impl Fn(usize) -> &'a [f32], b: &Tensor, b_rows: Range<usize>, c: &mut [f32]) {
+    let (k, n) = (b_rows.len(), b.cols());
     assert!(n > 0 && c.len().is_multiple_of(n), "matmul_rows_into: bad output length");
+    let b = row_block(b, b_rows);
     c.fill(0.0);
     if k > 0 {
-        mm_rows(|r| &a(r)[..k], b, c, None);
+        mm_rows(|r| &a(r)[..k], b, n, c, None, true);
     }
 }
 
-/// `C = 0.0 + (seed + A * B)`, each lane's sum *starting* at its seed
-/// `seed(r)[j]` and adding `A[r, k] * B[k, j]` in ascending `k`; `A` is the
-/// row-major `[C.rows(), B.rows()]` slice `a`.
+/// `C = 0.0 + (seed + A * B[b_rows])`, each lane's sum *starting* at its
+/// seed `seed(r)[j]` and adding `A[r, k] * B[k, j]` in ascending `k` over
+/// `B`'s row block `b_rows`; `A` is the row-major `[C.rows(), b_rows.len()]`
+/// slice `a`.
 ///
 /// This is the plain product's own sum continued: if the seed row is the
 /// product of a row's leading columns by `B`'s leading rows, the result is
@@ -407,18 +520,25 @@ pub fn matmul_rows_into<'a>(a: impl Fn(usize) -> &'a [f32], b: &Tensor, c: &mut 
 /// and since a sum from `+0.0` is never `-0.0`, `0.0 + seed` is the seed.
 ///
 /// # Panics
-/// Panics if `a` or a seed row is too short for the shapes.
-pub fn matmul_seeded_into<'s>(a: &[f32], b: &Tensor, seed: impl Fn(usize) -> &'s [f32], c: &mut Tensor) {
-    let (k, n) = b.shape();
-    let m = c.rows();
+/// Panics if `a` or a seed row is too short for the shapes, or `b_rows` is
+/// not rows of `B`.
+pub fn matmul_seeded_into<'s>(
+    a: &[f32],
+    b: &Tensor,
+    b_rows: Range<usize>,
+    seed: impl Fn(usize) -> &'s [f32],
+    c: &mut Tensor,
+) {
+    let (k, n, m) = (b_rows.len(), b.cols(), c.rows());
     assert_eq!(c.cols(), n, "matmul_seeded_into: bad output shape");
     assert!(a.len() >= m * k, "matmul_seeded_into: A has fewer than {m} x {k} values");
+    let b = row_block(b, b_rows);
     if m == 0 || n == 0 {
         return;
     }
     let c = c.as_mut_slice();
     c.fill(0.0);
-    mm_rows(|r| &a[r * k..(r + 1) * k], b, c, Some(&|r| &seed(r)[..n]));
+    mm_rows(|r| &a[r * k..(r + 1) * k], b, n, c, Some(&|r| &seed(r)[..n]), false);
 }
 
 /// `C[m,n] = A[m,k] * B^T` where `B` is stored as `[n, k]`.
@@ -615,8 +735,9 @@ mod tests {
     fn kernel_sum_is_bit_equal_to_reference() {
         // The microkernel's sum is the naive sequential-k sum: the terms the
         // span pre-scan skips are exact zeros. Pinned bit for bit over every
-        // quad/panel remainder so an FMA, a reassociation or a changed span
-        // rule cannot slip in. Rows cycle through: dense, zero prefix, zero
+        // quad/panel remainder — n = 64 and 128 are wide panels only, 65 and
+        // 129 end ragged, 80 is a wide panel and a 16-panel — so an FMA, a
+        // reassociation or a changed span rule cannot slip in. Rows cycle through: dense, zero prefix, zero
         // suffix, interior zeros, all-zero (lands inside a quad), prefix
         // and suffix both.
         let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
@@ -638,7 +759,7 @@ mod tests {
                         _ => {}
                     }
                 }
-                for &n in &[1usize, 7, 15, 16, 17, 31, 32, 33, 64] {
+                for &n in &[1usize, 7, 15, 16, 17, 31, 32, 33, 64, 65, 80, 128, 129] {
                     let b = seq_tensor(k, n, 1.0);
                     let want = reference::matmul(&a, &b);
                     assert_eq!(bits(&matmul(&a, &b)), bits(&want), "matmul ({m},{k},{n})");
@@ -659,28 +780,30 @@ mod tests {
                 }
             }
         }
-        assert_eq!(shapes, 495);
+        assert_eq!(shapes, 715);
     }
 
     #[cfg(all(target_arch = "x86_64", target_feature = "avx512f", not(miri)))]
     #[test]
     fn avx512_panel_is_bit_equal_to_portable() {
-        // The 512-bit panel against the portable one it replaces in this
-        // build, quad by quad and panel by panel, over the 495 shapes of
-        // `kernel_sum_is_bit_equal_to_reference`. Rows cycle through dense,
-        // zero prefix, zero suffix, all-zero, ±0, subnormal and ±inf/NaN
-        // rows, and C starts nonzero, so an FMA, a reordered sum or a
-        // changed final add in either panel shows up in some lane's bits.
-        // A NaN compares as one pattern: Rust leaves the sign and payload
-        // of a NaN result unspecified, and where two NaNs meet in one add
-        // the two panels' operand order does differ (0xffc00000 vs
-        // 0x7fc00000).
+        // Both 512-bit panels against the portable one they replace in this
+        // build, quad by quad, over the 715 shapes of
+        // `kernel_sum_is_bit_equal_to_reference`: each 16-column panel
+        // against `full_panel_avx512`, and each 64-column one against
+        // `wide_panel_avx512`, its rest run as `mm_quad` does. Rows cycle
+        // through dense, zero prefix, zero suffix, all-zero, ±0, subnormal
+        // and ±inf/NaN rows, and C starts nonzero, so an FMA, a reordered
+        // sum or a changed final add in any panel's accumulator shows up in
+        // some lane's bits. A NaN compares as one pattern: Rust leaves the
+        // sign and payload of a NaN result unspecified, and where two NaNs
+        // meet in one add the panels' operand order does differ
+        // (0xffc00000 vs 0x7fc00000).
         let bits = |c: &[f32]| {
             c.iter()
                 .map(|v| if v.is_nan() { u32::MAX } else { v.to_bits() })
                 .collect::<Vec<_>>()
         };
-        let (mut shapes, mut panels) = (0, 0);
+        let (mut shapes, mut panels, mut wide_panels) = (0, 0, 0);
         for &m in &[1usize, 2, 3, 4, 5, 7, 8, 9, 63, 64, 65] {
             for &k in &[1usize, 5, 32, 64, 236] {
                 let mut a = seq_tensor(m, k, 1.0);
@@ -700,47 +823,56 @@ mod tests {
                         _ => {}
                     }
                 }
-                for &n in &[1usize, 7, 15, 16, 17, 31, 32, 33, 64] {
+                for &n in &[1usize, 7, 15, 16, 17, 31, 32, 33, 64, 65, 80, 128, 129] {
                     let b = seq_tensor(k, n, 1.0).as_slice().to_vec();
                     // Odd quads start from +0.0, even ones from seeds.
                     let seeds = seq_tensor(m, n, 0.25);
                     let mut portable = seq_tensor(m, n, 0.5).as_slice().to_vec();
-                    let mut wide = portable.clone();
+                    let (mut narrow, mut wide) = (portable.clone(), portable.clone());
                     for r in (0..m).step_by(MR) {
                         let rows = (m - r).min(MR);
                         let quad = [0, 1, 2, 3].map(|i| r + i.min(rows - 1));
-                        let c = r * n..(r + rows) * n;
-                        for off in (0..n / NR).map(|p| p * NR) {
-                            let seed = if (r / MR).is_multiple_of(2) {
+                        let seed = |off: usize| {
+                            if (r / MR).is_multiple_of(2) {
                                 quad.map(|q| &seeds.row(q)[off..])
                             } else {
                                 [&ZERO_SEED[..]; MR]
-                            };
-                            let quad = quad.map(|q| a.row(q));
-                            full_panel(quad, rows, &b, n, &mut portable[c.clone()], off, seed);
+                            }
+                        };
+                        let c = r * n..(r + rows) * n;
+                        let quad = quad.map(|q| a.row(q));
+                        for off in (0..n / NR).map(|p| p * NR) {
+                            full_panel(quad, rows, &b, n, &mut portable[c.clone()], off, seed(off));
                             // safety: this test is compiled only when the build enables avx512f.
-                            unsafe {
-                                full_panel_avx512(quad, rows, &b, n, &mut wide[c.clone()], off, seed)
-                            };
+                            unsafe { full_panel_avx512(quad, rows, &b, n, &mut narrow[c.clone()], off, seed(off)) };
+                            if off % WIDE == 0 && off + WIDE <= n {
+                                // safety: as above.
+                                unsafe { wide_panel_avx512(quad, rows, &b, n, &mut wide[c.clone()], off, seed(off)) };
+                                wide_panels += 1;
+                            } else if off >= n / WIDE * WIDE {
+                                full_panel(quad, rows, &b, n, &mut wide[c.clone()], off, seed(off));
+                            }
                             panels += 1;
                         }
                     }
-                    assert_eq!(bits(&wide), bits(&portable), "({m},{k},{n})");
+                    assert_eq!(bits(&narrow), bits(&portable), "({m},{k},{n}) 16-column panel");
+                    assert_eq!(bits(&wide), bits(&portable), "({m},{k},{n}) 64-column panel");
                     shapes += 1;
                 }
             }
         }
-        assert_eq!((shapes, panels), (495, 3_410));
+        assert_eq!((shapes, panels, wide_panels), (715, 11_160, 2_170));
     }
 
     #[test]
     fn seeded_continuation_is_bit_equal_to_the_full_row() {
         // Seeding each lane with the product of a row's leading columns by
-        // B's leading rows, then running the rest, must give the product of
-        // the whole row bit for bit — in whichever panel this build runs
-        // (the x86-64-v3 test build runs the portable one), over the 495
-        // shapes of `kernel_sum_is_bit_equal_to_reference` and several
-        // split points, B finite. Rows cycle through dense, zero prefix,
+        // B's leading rows, then running the rest over B's remaining row
+        // block, must give the product of the whole row bit for bit — in
+        // whichever panels this build runs (the x86-64-v3 test build runs
+        // the portable one), over the 715 shapes of
+        // `kernel_sum_is_bit_equal_to_reference` and several split points,
+        // B finite. Rows cycle through dense, zero prefix,
         // zero suffix, all zero, ±0 and subnormal (so subnormal products)
         // values; C starts nonzero, so a seeded output must overwrite it.
         let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
@@ -766,7 +898,7 @@ mod tests {
                         _ => {}
                     }
                 }
-                for &n in &[1usize, 7, 15, 16, 17, 31, 32, 33, 64] {
+                for &n in &[1usize, 7, 15, 16, 17, 31, 32, 33, 64, 65, 80, 128, 129] {
                     let b = seq_tensor(k, n, 1.0);
                     let want = bits(&matmul(&a, &b));
                     let mut splits = vec![0, k / 3, k / 2, k];
@@ -775,14 +907,14 @@ mod tests {
                         let seed = matmul(&cols(&a, 0, split), &rows(&b, 0, split));
                         let tail = cols(&a, split, k);
                         let mut got = Tensor::full(m, n, 777.0);
-                        matmul_seeded_into(tail.as_slice(), &rows(&b, split, k), |r| seed.row(r), &mut got);
+                        matmul_seeded_into(tail.as_slice(), &b, split..k, |r| seed.row(r), &mut got);
                         assert_eq!(bits(&got), want, "({m},{k},{n}) split at {split}");
                     }
                     shapes += 1;
                 }
             }
         }
-        assert_eq!(shapes, 495);
+        assert_eq!(shapes, 715);
     }
 
     #[test]
@@ -792,12 +924,16 @@ mod tests {
         let table = seq_tensor(9, 37, 1.0);
         let ids = [4usize, 0, 8, 4, 3, 3, 7];
         let gathered = Tensor::from_vec(ids.len(), 37, ids.iter().flat_map(|&i| table.row(i).to_vec()).collect());
-        for n in [1usize, 16, 33] {
+        for n in [1usize, 16, 33, 80] {
             let b = seq_tensor(37, n, 1.0);
             let mut got = vec![777.0; ids.len() * n];
-            matmul_rows_into(|r| table.row(ids[r]), &b, &mut got);
+            matmul_rows_into(|r| table.row(ids[r]), &b, 0..37, &mut got);
             let want = matmul(&gathered, &b);
             assert!(got.iter().zip(want.as_slice()).all(|(x, y)| x.to_bits() == y.to_bits()), "n = {n}");
+            // A row block of a taller B, each A row cut to its height.
+            let tall = Tensor::from_vec(40, n, [seq_tensor(3, n, 2.0).into_vec(), b.into_vec()].concat());
+            matmul_rows_into(|r| table.row(ids[r]), &tall, 3..40, &mut got);
+            assert!(got.iter().zip(want.as_slice()).all(|(x, y)| x.to_bits() == y.to_bits()), "n = {n}, block");
         }
     }
 

@@ -9,6 +9,7 @@
 
 use crate::matmul::{axpy, dot};
 use crate::Tensor;
+use std::ops::Range;
 
 /// Applies `f` to every element, in place.
 pub fn map_inplace(t: &mut Tensor, f: impl Fn(f32) -> f32) {
@@ -259,21 +260,23 @@ pub fn attn_scores(q: &Tensor, key: &Tensor, scale: f32) -> Tensor {
     }
     let k = key.rows() / n;
     let mut out = Tensor::zeros(n, k);
-    attn_scores_into(q, key, scale, &mut out);
+    attn_scores_into(q, key, 0..key.cols(), scale, &mut out);
     out
 }
 
-/// [`attn_scores`] into a preallocated `[N, K]` destination; prior contents
-/// are overwritten. For `N == 0` the destination must have zero rows.
+/// [`attn_scores`] into a preallocated `[N, K]` destination, each key read
+/// from the columns `key_cols` of its row of a wider `key` (one head's K
+/// block of every head's K|V); prior contents are overwritten. For
+/// `N == 0` the destination must have zero rows.
 // hot-path-root(alloc)
-pub fn attn_scores_into(q: &Tensor, key: &Tensor, scale: f32, out: &mut Tensor) {
+pub fn attn_scores_into(q: &Tensor, key: &Tensor, key_cols: Range<usize>, scale: f32, out: &mut Tensor) {
     let (n, d) = q.shape();
     if n == 0 {
         assert_eq!(out.rows(), 0, "attn_scores_into: bad output shape");
         return;
     }
     assert_eq!(key.rows() % n, 0, "key rows must be a multiple of q rows");
-    assert_eq!(key.cols(), d, "attn_scores dim mismatch");
+    assert!(key_cols.len() == d && key_cols.end <= key.cols(), "attn_scores dim mismatch");
     let k = key.rows() / n;
     assert_eq!(out.shape(), (n, k), "attn_scores_into: bad output shape");
     if k == 0 {
@@ -282,7 +285,7 @@ pub fn attn_scores_into(q: &Tensor, key: &Tensor, scale: f32, out: &mut Tensor) 
     for (i, orow) in out.as_mut_slice().chunks_mut(k).enumerate() {
         let qr = q.row(i);
         for (j, o) in orow.iter_mut().enumerate() {
-            *o = dot(qr, key.row(i * k + j)) * scale;
+            *o = dot(qr, &key.row(i * k + j)[key_cols.clone()]) * scale;
         }
     }
 }
@@ -291,12 +294,14 @@ pub fn attn_scores_into(q: &Tensor, key: &Tensor, scale: f32, out: &mut Tensor) 
 /// is `[N, d]` with `out_n = sum_k w[n,k] * v_{n*K+k}`.
 pub fn attn_weighted_sum(w: &Tensor, v: &Tensor) -> Tensor {
     let mut out = Tensor::zeros(w.rows(), v.cols());
-    attn_weighted_sum_into(w, v, &mut out, 0);
+    attn_weighted_sum_into(w, v, 0..v.cols(), &mut out, 0);
     out
 }
 
-/// [`attn_weighted_sum`] writing head output directly into the column block
-/// `[col_off, col_off + d)` of a wider `[N, D]` destination.
+/// [`attn_weighted_sum`] over the columns `v_cols` of each `v` row (one
+/// head's V block of every head's K|V), writing the head's output directly
+/// into the column block `[col_off, col_off + v_cols.len())` of a wider
+/// `[N, D]` destination.
 ///
 /// Multi-head attention concatenates per-head outputs; giving the sum a
 /// column offset writes each head straight into its slot of the concat
@@ -304,10 +309,11 @@ pub fn attn_weighted_sum(w: &Tensor, v: &Tensor) -> Tensor {
 /// zeroed first; the per-slot `weight == 0.0` skip is the masked-padding
 /// fast path (softmax writes exact zeros there), not a dense-path branch.
 // hot-path-root(alloc)
-pub fn attn_weighted_sum_into(w: &Tensor, v: &Tensor, out: &mut Tensor, col_off: usize) {
+pub fn attn_weighted_sum_into(w: &Tensor, v: &Tensor, v_cols: Range<usize>, out: &mut Tensor, col_off: usize) {
     let (n, k) = w.shape();
     assert_eq!(v.rows(), n * k, "value rows must equal N*K");
-    let d = v.cols();
+    assert!(v_cols.start <= v_cols.end && v_cols.end <= v.cols(), "attn_weighted_sum_into: value columns out of range");
+    let d = v_cols.len();
     assert_eq!(out.rows(), n, "attn_weighted_sum_into: row count mismatch");
     assert!(col_off + d <= out.cols(), "attn_weighted_sum_into: column block out of range");
     if n == 0 || d == 0 {
@@ -322,7 +328,7 @@ pub fn attn_weighted_sum_into(w: &Tensor, v: &Tensor, out: &mut Tensor, col_off:
             if weight == 0.0 {
                 continue; // masked padding slots
             }
-            axpy(weight, v.row(i * k + j), orow);
+            axpy(weight, &v.row(i * k + j)[v_cols.clone()], orow);
         }
     }
 }
@@ -506,26 +512,33 @@ mod tests {
     }
 
     #[test]
-    fn attn_weighted_sum_into_column_block() {
-        // Writing into a column block of a wider tensor must equal the
-        // standalone sum placed at that offset, leaving other columns alone.
+    fn attn_kernels_read_and_write_column_blocks() {
+        // Keys and values read from a column block of wider rows (one
+        // head's K or V block of every head's K|V), and the sum written into
+        // a column block of a wider tensor, must equal the standalone
+        // kernels on the block alone, leaving other columns alone.
         let w = Tensor::from_vec(2, 2, vec![0.5, 0.5, 1.0, 0.0]);
         let v = Tensor::from_vec(4, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
+        let kv = Tensor::from_vec(4, 5, (0..4).flat_map(|r| [9.0, -1.0, v.get(r, 0), v.get(r, 1), 9.0]).collect());
         let standalone = attn_weighted_sum(&w, &v);
         let mut wide = Tensor::full(2, 5, 7.0);
-        attn_weighted_sum_into(&w, &v, &mut wide, 2);
+        attn_weighted_sum_into(&w, &kv, 2..4, &mut wide, 2);
         for i in 0..2 {
             assert_eq!(&wide.row(i)[2..4], standalone.row(i));
             assert_eq!(wide.row(i)[0], 7.0);
             assert_eq!(wide.row(i)[4], 7.0);
         }
+        let q = Tensor::from_vec(2, 2, vec![0.25, -2.0, 1.5, 3.0]);
+        let mut scores = Tensor::full(2, 2, 7.0);
+        attn_scores_into(&q, &kv, 2..4, 0.5, &mut scores);
+        assert_eq!(scores.as_slice(), attn_scores(&q, &v, 0.5).as_slice());
     }
 
     #[test]
     fn attn_kernels_zero_shapes() {
         assert_eq!(attn_scores(&Tensor::zeros(0, 4), &Tensor::zeros(0, 4), 1.0).shape(), (0, 0));
         let mut out = Tensor::zeros(0, 0);
-        attn_scores_into(&Tensor::zeros(0, 4), &Tensor::zeros(0, 4), 1.0, &mut out);
+        attn_scores_into(&Tensor::zeros(0, 4), &Tensor::zeros(0, 4), 0..4, 1.0, &mut out);
         assert_eq!(attn_weighted_sum(&Tensor::zeros(0, 0), &Tensor::zeros(0, 3)).shape(), (0, 3));
         assert_eq!(attn_weighted_sum(&Tensor::zeros(2, 1), &Tensor::zeros(2, 0)).shape(), (2, 0));
     }

@@ -25,11 +25,16 @@
 //! the original per-op allocating implementation as the semantic baseline for
 //! equivalence tests.
 //!
+//! A block multiplies its `z_ngh` rows by every head's `W_K` and `W_V` at
+//! once: [`KvWeights`] holds them side by side as one operand, built once
+//! per engine, and each head's scores and weighted sum read its K and V
+//! column blocks of the product in place.
+//!
 //! A layer whose `h` rows are all zero (layer 1 over featureless nodes) can
 //! run *seeded* ([`EdgeSeeds`]): each slot's K and V lanes start at its
-//! edge's projection `P[eid] = e · W[e-rows]` ([`EdgeProjection`]) and
-//! only the `Φ` block is multiplied, with the same bits (DESIGN.md "Edge
-//! projection").
+//! edge's projection `P[eid] = e · W[e-rows]` ([`KvWeights::project_edges_into`])
+//! and only the `Φ` row block is multiplied, with the same bits (DESIGN.md
+//! "Edge projection").
 
 use crate::config::TgatConfig;
 use crate::params::LayerParams;
@@ -38,6 +43,7 @@ use tg_graph::INVALID_EDGE;
 use tg_tensor::fanout::{fan_chunks, helpers_for};
 use tg_tensor::matmul::{addmm_into, matmul, matmul_into, matmul_rows_into, matmul_seeded_into};
 use tg_tensor::{ops, Scratch, Tensor};
+use std::ops::Range;
 
 /// Targets per attention block. With 10 neighbours and 236 input columns a
 /// block's `z_ngh` is 640 rows ≈ 600 KB — inside L2 — and 64 is also
@@ -45,60 +51,50 @@ use tg_tensor::{ops, Scratch, Tensor};
 /// 64, 128 and 256 measured the same (DESIGN.md "Target blocks").
 pub const TARGET_BLOCK: usize = 64;
 
-/// Edges per fan-out chunk of [`EdgeProjection::project_into`]: 64 rows of
-/// 172 × 64 multiply-adds, about one attention block's K/V work.
+/// Edges per fan-out chunk of [`KvWeights::project_edges_into`]: 64 rows
+/// of 172 × 64 multiply-adds, about one attention block's K/V work.
 const PROJECT_BLOCK: usize = 64;
 
-/// A layer's K/V weights split for seeded attention over all-zero `h`
-/// rows: the edge rows of every head's `W_K` and `W_V` side by side, the
-/// `Φ` rows per head, and the query every target shares.
+/// A layer's `W_K` and `W_V` for every head as one
+/// `[dim + edge_dim + time_dim, 2·H·hd]` operand: head `h`'s `W_K` in
+/// columns `2h·hd..(2h+1)·hd`, its `W_V` in the next `hd`. Its `e` and `Φ`
+/// row blocks are the seeded path's operands, so a projection row is a
+/// whole seed row. An engine builds one per layer, once.
 #[derive(Clone, Debug)]
-pub struct EdgeProjection {
-    /// `[edge_dim, 2 * dim]`: head `h`'s `W_K` edge rows in columns
-    /// `2h·hd..(2h+1)·hd`, then its `W_V` edge rows.
-    w_edge: Tensor,
-    /// Per head, the `Φ` rows of `W_K` and of `W_V`, `[time_dim, hd]` each.
-    w_time: Vec<[Tensor; 2]>,
-    /// `[n_heads, hd]`: row `h` is `[0 | Φ(0)] · W_Q` of head `h`, the query
-    /// of every target when `h` is zero.
-    q: Tensor,
+pub struct KvWeights {
+    w: Tensor,
+    /// The rows that multiply `e`, and those that multiply `Φ`.
+    edge_rows: Range<usize>,
+    time_rows: Range<usize>,
 }
 
-impl EdgeProjection {
-    /// Splits `layer`'s weights and hoists its query with `time`'s `Φ(0)`.
-    pub fn new(layer: &LayerParams, cfg: &TgatConfig, time: &TimeEncoder) -> Self {
-        let (dim, edge_dim, hd) = (cfg.dim, cfg.edge_dim, cfg.head_dim());
-        let rows_from = |t: &Tensor, from: usize| {
-            Tensor::from_vec(t.rows() - from, t.cols(), t.as_slice()[from * t.cols()..].to_vec())
-        };
-        let mut w_edge = Tensor::zeros(edge_dim, 2 * layer.heads.len() * hd);
+impl KvWeights {
+    /// Lays `layer`'s heads' `W_K` and `W_V` side by side.
+    pub fn new(layer: &LayerParams, cfg: &TgatConfig) -> Self {
+        let (hd, key_in) = (cfg.head_dim(), cfg.key_in_dim());
+        let mut w = Tensor::zeros(key_in, 2 * layer.heads.len() * hd);
         for (h, head) in layer.heads.iter().enumerate() {
-            for (j, w) in [&head.wk, &head.wv].into_iter().enumerate() {
-                for r in 0..edge_dim {
-                    w_edge.row_mut(r)[(2 * h + j) * hd..][..hd].copy_from_slice(w.row(dim + r));
+            for (j, wkv) in [&head.wk, &head.wv].into_iter().enumerate() {
+                for r in 0..key_in {
+                    w.row_mut(r)[(2 * h + j) * hd..][..hd].copy_from_slice(wkv.row(r));
                 }
             }
         }
-        let w_time =
-            layer.heads.iter().map(|head| [&head.wk, &head.wv].map(|w| rows_from(w, dim + edge_dim))).collect();
-        let phi0 = time.encode(&[0.0]);
-        let mut q = Tensor::zeros(layer.heads.len(), hd);
-        for (h, head) in layer.heads.iter().enumerate() {
-            q.row_mut(h).copy_from_slice(matmul(&phi0, &rows_from(&head.wq, dim)).as_slice());
-        }
-        Self { w_edge, w_time, q }
+        let edge_end = cfg.dim + cfg.edge_dim;
+        Self { w, edge_rows: cfg.dim..edge_end, time_rows: edge_end..key_in }
     }
 
-    /// Floats in one edge's projection: K and V of every head.
+    /// Columns of the operand: K and V of every head.
     pub fn width(&self) -> usize {
-        self.w_edge.cols()
+        self.w.cols()
     }
 
     /// `out` row `r` = `P` of the edge whose feature row `edge_row(r)`
-    /// returns, for `out.len() / width()` rows, fanned over `helpers` by
-    /// the width rule in [`PROJECT_BLOCK`]-row chunks. Rows are
-    /// independent, so the bits do not depend on the width.
-    pub fn project_into<'a>(
+    /// returns — the row times the operand's `e` rows — for
+    /// `out.len() / width()` rows, fanned over `helpers` by the width rule
+    /// in [`PROJECT_BLOCK`]-row chunks. Rows are independent, so the bits
+    /// do not depend on the width.
+    pub fn project_edges_into<'a>(
         &self,
         edge_row: impl Fn(usize) -> &'a [f32] + Sync,
         out: &mut [f32],
@@ -108,18 +104,33 @@ impl EdgeProjection {
         let chunk = PROJECT_BLOCK * self.width();
         let helpers = helpers_for(helpers, out.len().div_ceil(chunk));
         fan_chunks(out, chunk, scratch, helpers, |b, rows, _| {
-            matmul_rows_into(|r| edge_row(b * PROJECT_BLOCK + r), &self.w_edge, rows);
+            matmul_rows_into(|r| edge_row(b * PROJECT_BLOCK + r), &self.w, self.edge_rows.clone(), rows);
         });
     }
 }
 
+/// `[n_heads, hd]`: row `h` is `[0 | Φ(0)] · W_Q` of head `h`, the query of
+/// every target whose `h` row is zero — the query of a seeded call.
+pub fn zero_h_query(layer: &LayerParams, cfg: &TgatConfig, time: &TimeEncoder) -> Tensor {
+    let phi0 = time.encode(&[0.0]);
+    let mut q = Tensor::zeros(layer.heads.len(), cfg.head_dim());
+    for (h, head) in layer.heads.iter().enumerate() {
+        let hd = head.wq.cols();
+        let wq_time = Tensor::from_vec(cfg.time_dim, hd, head.wq.as_slice()[cfg.dim * hd..].to_vec());
+        q.row_mut(h).copy_from_slice(matmul(&phi0, &wq_time).as_slice());
+    }
+    q
+}
+
 /// Seeds for a layer-1 call: every slot's K/V lanes start at its edge's
 /// projection. Only for a layer whose `h` rows are all zero: `h` is never
-/// read for Q, K or V, and every target's query is [`EdgeProjection`]'s.
+/// read for Q, K or V, and every target's query is `q`.
 #[derive(Clone, Copy)]
 pub struct EdgeSeeds<'a> {
-    pub proj: &'a EdgeProjection,
-    /// Row-major `[u, width]` projections of the call's distinct edges.
+    /// The layer's [`zero_h_query`].
+    pub q: &'a Tensor,
+    /// Row-major `[u, KvWeights::width()]` projections of the call's
+    /// distinct edges.
     pub rows: &'a [f32],
     /// `N*K` entries: slot `s` starts at row `slot_row[s]` of `rows`.
     pub slot_row: &'a [u32],
@@ -147,7 +158,8 @@ pub struct AttentionInputs<'a> {
 
 /// Computes `h_i^{(l)}(t)` for every target (Eqs. 4–7) from pre-gathered
 /// inputs, in caller-provided scratch buffers (see module docs). Returns
-/// `[N, dim]`; the engines call [`forward_by_eid`] instead.
+/// `[N, dim]`; the engines call [`forward_by_eid`] instead, with
+/// [`KvWeights`] they keep, where this builds them per call.
 ///
 /// The returned tensor is owned by the caller; handing it back to the same
 /// `Scratch` later (via `give`) closes the recycling loop.
@@ -160,7 +172,7 @@ pub fn forward_with(
     inp: &AttentionInputs<'_>,
     scratch: &mut Scratch,
 ) -> Tensor {
-    forward_blocked(layer, cfg, inp, None, None, None, TARGET_BLOCK, scratch, &mut [])
+    forward_blocked(layer, &KvWeights::new(layer, cfg), cfg, inp, None, None, None, TARGET_BLOCK, scratch, &mut [])
 }
 
 /// [`forward_with`] reading rows from the tables they live in, so nothing
@@ -171,12 +183,13 @@ pub fn forward_with(
 /// `N + N*K`: target `i` reads `inp.h_src.row(h_idx[i])` and slot `s` reads
 /// `inp.h_ngh.row(h_idx[N + s])`; `N` and `N*K` come from `ht0` and `ht`.
 /// With `seeds`, K and V start at each slot's edge projection and edge
-/// rows are never read. `helpers` are the engine's spare-core scratches;
-/// the width rule ([`helpers_for`]) decides how many of them this call's
-/// blocks occupy.
+/// rows are never read. `kv` is `layer`'s [`KvWeights`]. `helpers` are the
+/// engine's spare-core scratches; the width rule ([`helpers_for`]) decides
+/// how many of them this call's blocks occupy.
 #[allow(clippy::too_many_arguments)]
 pub fn forward_by_eid(
     layer: &LayerParams,
+    kv: &KvWeights,
     cfg: &TgatConfig,
     inp: &AttentionInputs<'_>,
     eids: &[u32],
@@ -186,7 +199,7 @@ pub fn forward_by_eid(
     helpers: &mut [Scratch],
 ) -> Tensor {
     let helpers = helpers_for(helpers, inp.ht0.rows().div_ceil(TARGET_BLOCK));
-    forward_blocked(layer, cfg, inp, Some(eids), h_idx, seeds, TARGET_BLOCK, scratch, helpers)
+    forward_blocked(layer, kv, cfg, inp, Some(eids), h_idx, seeds, TARGET_BLOCK, scratch, helpers)
 }
 
 /// The block routine behind both entry points, with the block size and the
@@ -196,6 +209,7 @@ pub fn forward_by_eid(
 #[allow(clippy::too_many_arguments)]
 pub fn forward_blocked(
     layer: &LayerParams,
+    kv: &KvWeights,
     cfg: &TgatConfig,
     inp: &AttentionInputs<'_>,
     eids: Option<&[u32]>,
@@ -214,9 +228,10 @@ pub fn forward_blocked(
         Some(idx) => debug_assert_eq!(idx.len(), n + nk),
         None => debug_assert_eq!((inp.h_src.rows(), inp.h_ngh.rows()), (n, nk)),
     }
+    debug_assert_eq!(kv.width(), 2 * layer.heads.len() * cfg.head_dim());
     if let Some(sd) = seeds {
         debug_assert_eq!(sd.slot_row.len(), nk);
-        debug_assert_eq!(sd.proj.width(), 2 * layer.heads.len() * cfg.head_dim());
+        debug_assert_eq!(sd.q.shape(), (layer.heads.len(), cfg.head_dim()));
     }
 
     let (dim, edge_dim) = (inp.h_src.cols(), inp.e_feat.cols());
@@ -267,41 +282,43 @@ pub fn forward_blocked(
             }
         };
 
+        // K and V of every head in one product, read in place per head.
+        // Seeded, each lane continues its edge projection over its Phi row.
+        let kv_cols = kv.width();
+        let mut kvs = scratch.take(ns, kv_cols);
+        match &messages {
+            Messages::Gathered(_, z_ngh) => matmul_into(z_ngh, &kv.w, &mut kvs),
+            Messages::Seeded(sd) => {
+                let t_cols = inp.ht.cols();
+                let phi = &inp.ht.as_slice()[s0 * t_cols..(s0 + ns) * t_cols];
+                let seed = |s: usize| &sd.rows[sd.slot_row[s0 + s] as usize * kv_cols..];
+                matmul_seeded_into(phi, &kv.w, kv.time_rows.clone(), seed, &mut kvs);
+            }
+        }
+
         // ffn_in = [r || h_src]: head outputs land directly in their column
         // block, so the multi-head concat never materializes separately.
         let mut ffn_in = scratch.take(nb, r_cols + dim);
         let mut q = scratch.take(nb, head_dim);
-        let mut k = scratch.take(ns, head_dim);
-        let mut v = scratch.take(ns, head_dim);
         let mut scores = scratch.take(nb, k_per);
         for (hidx, head) in layer.heads.iter().enumerate() {
             match &messages {
-                Messages::Gathered(z_src, z_ngh) => {
-                    matmul_into(z_src, &head.wq, &mut q);
-                    matmul_into(z_ngh, &head.wk, &mut k);
-                    matmul_into(z_ngh, &head.wv, &mut v);
-                }
+                Messages::Gathered(z_src, _) => matmul_into(z_src, &head.wq, &mut q),
                 Messages::Seeded(sd) => {
                     for i in 0..nb {
-                        q.row_mut(i).copy_from_slice(sd.proj.q.row(hidx));
-                    }
-                    let t_cols = inp.ht.cols();
-                    let phi = &inp.ht.as_slice()[s0 * t_cols..(s0 + ns) * t_cols];
-                    for (j, out) in [&mut k, &mut v].into_iter().enumerate() {
-                        let col = (2 * hidx + j) * head_dim;
-                        let seed = |s: usize| &sd.rows[sd.slot_row[s0 + s] as usize * sd.proj.width() + col..];
-                        matmul_seeded_into(phi, &sd.proj.w_time[hidx][j], seed, out);
+                        q.row_mut(i).copy_from_slice(sd.q.row(hidx));
                     }
                 }
             }
-            ops::attn_scores_into(&q, &k, 1.0, &mut scores);
+            let (k_cols, v_cols) = (2 * hidx * head_dim, (2 * hidx + 1) * head_dim);
+            ops::attn_scores_into(&q, &kvs, k_cols..k_cols + head_dim, 1.0, &mut scores);
             ops::scale_softmax_rows_masked_inplace(&mut scores, scale, &inp.mask[s0..s0 + ns]);
-            ops::attn_weighted_sum_into(&scores, &v, &mut ffn_in, hidx * head_dim);
+            ops::attn_weighted_sum_into(&scores, &kvs, v_cols..v_cols + head_dim, &mut ffn_in, hidx * head_dim);
         }
         for i in 0..nb {
             ffn_in.row_mut(i)[r_cols..].copy_from_slice(src_row(t0 + i));
         }
-        for t in [scores, v, k, q] {
+        for t in [scores, q, kvs] {
             scratch.give(t);
         }
         if let Messages::Gathered(z_src, z_ngh) = messages {
@@ -450,7 +467,8 @@ mod tests {
             let mut seen = Vec::new();
             for _ in 0..6 {
                 // The output escapes, so the pools hold block buffers only.
-                drop(forward_blocked(&p.layers[0], &cfg, &inp, None, None, None, TARGET_BLOCK, &mut scratch, helpers));
+                let kv = KvWeights::new(&p.layers[0], &cfg);
+                drop(forward_blocked(&p.layers[0], &kv, &cfg, &inp, None, None, None, TARGET_BLOCK, &mut scratch, helpers));
                 seen.extend(helpers.iter().chain([&scratch]).map(Scratch::pooled_capacity));
             }
             seen
@@ -469,161 +487,173 @@ mod tests {
         // lands in, which thread runs the block, or where the row was read
         // from. The pinned width spawns real helper threads whatever the
         // runner's core count.
-        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        // head_dim 16 and a 64-wide FFN: full panels as well as ragged ones.
-        let cfg = TgatConfig { dim: 32, n_layers: 1, ..TgatConfig::tiny() };
-        for n in [0usize, 1, 63, 64, 65, 129, 255, 256, 257, 1000, 6600] {
-            let (cfg, p, _, ht0, _, _, mut ht) = setup_with(cfg, n);
-            let k = cfg.n_neighbors;
-            let mut rng = init::seeded_rng(11);
-            let mut table = init::normal(&mut rng, 40, cfg.edge_dim, 1.0);
-            table.row_mut(1).fill(0.0);
-            let mut eids: Vec<u32> = (0..n * k).map(|s| (2 + s * 7 % 38) as u32).collect();
-            // A node-feature table whose even rows are featureless nodes,
-            // read by node id: targets out of order and repeated, slots
-            // cycling zero / zero-prefix / dense rows, so the span union of
-            // a quad depends on where the block boundaries cut.
-            let mut nodes = init::normal(&mut rng, 40, cfg.dim, 1.0);
-            for r in (0..40).step_by(2) {
-                nodes.row_mut(r).fill(0.0);
+        //
+        // Three K|V widths: 64 (the ledger's model: one 4x64 panel on
+        // AVX-512 builds), 80 (a wide panel then a 16-column one; head_dim
+        // 20 also makes Q and the FFN ragged) and tiny's 16 (no wide panel).
+        let wide = TgatConfig { dim: 32, n_layers: 1, ..TgatConfig::tiny() };
+        let ragged = TgatConfig { dim: 40, ..wide };
+        let many = [0usize, 1, 63, 64, 65, 129, 255, 256, 257, 1000, 6600];
+        let few = [0usize, 1, 64, 65, 257, 1000];
+        for (cfg, ns) in [(wide, &many[..]), (ragged, &few[..]), (TgatConfig::tiny(), &few[..])] {
+            for &n in ns {
+                check_blocks_and_table_rows(cfg, n);
             }
-            let mut h_idx: Vec<u32> = (0..n).map(|i| ((i * 17 + 3) % 40) as u32).collect();
-            h_idx.extend((0..n * k).map(|s| if s % 3 == 2 { s * 11 % 20 * 2 + 1 } else { s * 7 % 20 * 2 } as u32));
-            let mut mask = vec![true; n * k];
-            for (s, eid) in eids.iter_mut().enumerate() {
-                if s % 3 == 0 {
-                    *eid = 1;
-                    ht.row_mut(s).fill(0.0);
-                }
-            }
-            if n > 0 {
-                mask[1] = false; // a masked slot
-                eids[2] = INVALID_EDGE; // padding: reads table row 0
-                mask[2] = false;
-                mask[(n - 1) * k..].fill(false); // fully masked target, last (ragged) block
-            }
-            let rows: Vec<usize> =
-                eids.iter().map(|&e| if e == INVALID_EDGE { 0 } else { e as usize }).collect();
-            let gathered = ops::gather_rows(&table, &rows);
-            let node_rows: Vec<usize> = h_idx.iter().map(|&r| r as usize).collect();
-            let h_src = ops::gather_rows(&nodes, &node_rows[..n]);
-            let h_ngh = ops::gather_rows(&nodes, &node_rows[n..]);
-            let pre = AttentionInputs { h_src: &h_src, ht0: &ht0, h_ngh: &h_ngh, e_feat: &gathered, ht: &ht, mask: &mask };
-            let by_id = AttentionInputs { e_feat: &table, ..pre };
-            let by_index = AttentionInputs { h_src: &nodes, h_ngh: &nodes, ..by_id };
-            let idx = Some(&h_idx[..]);
-            let layer = &p.layers[0];
-            let mut scratch = Scratch::new();
-            let want = forward_blocked(layer, &cfg, &pre, None, None, None, n.max(1), &mut scratch, &mut []);
-            assert_eq!(want.shape(), (n, cfg.dim));
-            assert!(want.max_abs_diff(&forward_reference(layer, &cfg, &pre)) < 1e-5, "n = {n}");
-            let mut helpers: Vec<Scratch> = (0..7).map(|_| Scratch::new()).collect();
-            let cells = [(64, 2), (64, 3), (64, 8), (64, 1), (n.max(1), 8), (1, 1), (16, 1), (16, 3)];
-            // 6,600 targets (the layer-1 frontier of a 600-target batch) run
-            // the shipped block size at the helper widths only, for time.
-            for (block, width) in cells.into_iter().take(if n > 1000 { 3 } else { 8 }) {
-                let helpers = &mut helpers[..width - 1];
-                let got = forward_blocked(layer, &cfg, &pre, None, None, None, block, &mut scratch, helpers);
-                assert_eq!(bits(&got), bits(&want), "n = {n}, block = {block}, width = {width}, pre-gathered");
-                scratch.give(got);
-                let got = forward_blocked(layer, &cfg, &by_id, Some(&eids), None, None, block, &mut scratch, helpers);
-                assert_eq!(bits(&got), bits(&want), "n = {n}, block = {block}, width = {width}, by edge id");
-                scratch.give(got);
-                let got = forward_blocked(layer, &cfg, &by_index, Some(&eids), idx, None, block, &mut scratch, helpers);
-                assert_eq!(bits(&got), bits(&want), "n = {n}, block = {block}, width = {width}, by row index");
-                scratch.give(got);
-            }
-            assert_eq!(bits(&forward_with(layer, &cfg, &pre, &mut scratch)), bits(&want));
-            for width in [1, 2, 3, 8] {
-                let helpers = &mut helpers[..width - 1];
-                let got = forward_by_eid(layer, &cfg, &by_id, &eids, None, None, &mut scratch, helpers);
-                assert_eq!(bits(&got), bits(&want), "n = {n}, width = {width}, by edge id under the width rule");
-                scratch.give(got);
-                let got = forward_by_eid(layer, &cfg, &by_index, &eids, idx, None, &mut scratch, helpers);
-                assert_eq!(bits(&got), bits(&want), "n = {n}, width = {width}, by row index under the width rule");
-                scratch.give(got);
-            }
+        }
+    }
 
-            // Seeded, as layer 1 over featureless nodes runs: h all zero,
-            // every target's time row Phi(0), and each slot's K/V lanes
-            // starting at its edge's projection. The slots above include
-            // padding (projected as edge 0, the row it reads), masked
-            // slots, the zero edge row 1 and repeated edges; every fifth
-            // slot gets a row of its own even when its edge already has
-            // one, as two edges colliding in the engine's dedup do.
-            let zero_nodes = Tensor::zeros(40, cfg.dim);
-            let phi0 = p.time.encode_zeros(n);
-            let plain = AttentionInputs { h_src: &zero_nodes, h_ngh: &zero_nodes, ht0: &phi0, ..by_id };
-            let want = forward_blocked(layer, &cfg, &plain, Some(&eids), idx, None, n.max(1), &mut scratch, &mut []);
-            let proj = EdgeProjection::new(layer, &cfg, &p.time);
-            let mut uniq: Vec<u32> = Vec::new();
-            let slot_row: Vec<u32> = eids
-                .iter()
-                .enumerate()
-                .map(|(s, &e)| {
-                    let e = if e == INVALID_EDGE { 0 } else { e };
-                    match uniq.iter().position(|&u| u == e) {
-                        Some(r) if s % 5 != 4 => r as u32,
-                        _ => {
-                            uniq.push(e);
-                            (uniq.len() - 1) as u32
-                        }
+    fn check_blocks_and_table_rows(cfg: TgatConfig, n: usize) {
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let (cfg, p, _, ht0, _, _, mut ht) = setup_with(cfg, n);
+        let at = format!("kv width {}, n = {n}", 2 * cfg.dim);
+        let k = cfg.n_neighbors;
+        let mut rng = init::seeded_rng(11);
+        let mut table = init::normal(&mut rng, 40, cfg.edge_dim, 1.0);
+        table.row_mut(1).fill(0.0);
+        let mut eids: Vec<u32> = (0..n * k).map(|s| (2 + s * 7 % 38) as u32).collect();
+        // A node-feature table whose even rows are featureless nodes,
+        // read by node id: targets out of order and repeated, slots
+        // cycling zero / zero-prefix / dense rows, so the span union of
+        // a quad depends on where the block boundaries cut.
+        let mut nodes = init::normal(&mut rng, 40, cfg.dim, 1.0);
+        for r in (0..40).step_by(2) {
+            nodes.row_mut(r).fill(0.0);
+        }
+        let mut h_idx: Vec<u32> = (0..n).map(|i| ((i * 17 + 3) % 40) as u32).collect();
+        h_idx.extend((0..n * k).map(|s| if s % 3 == 2 { s * 11 % 20 * 2 + 1 } else { s * 7 % 20 * 2 } as u32));
+        let mut mask = vec![true; n * k];
+        for (s, eid) in eids.iter_mut().enumerate() {
+            if s % 3 == 0 {
+                *eid = 1;
+                ht.row_mut(s).fill(0.0);
+            }
+        }
+        if n > 0 {
+            mask[1] = false; // a masked slot
+            eids[2] = INVALID_EDGE; // padding: reads table row 0
+            mask[2] = false;
+            mask[(n - 1) * k..].fill(false); // fully masked target, last (ragged) block
+        }
+        let rows: Vec<usize> = eids.iter().map(|&e| if e == INVALID_EDGE { 0 } else { e as usize }).collect();
+        let gathered = ops::gather_rows(&table, &rows);
+        let node_rows: Vec<usize> = h_idx.iter().map(|&r| r as usize).collect();
+        let h_src = ops::gather_rows(&nodes, &node_rows[..n]);
+        let h_ngh = ops::gather_rows(&nodes, &node_rows[n..]);
+        let pre = AttentionInputs { h_src: &h_src, ht0: &ht0, h_ngh: &h_ngh, e_feat: &gathered, ht: &ht, mask: &mask };
+        let by_id = AttentionInputs { e_feat: &table, ..pre };
+        let by_index = AttentionInputs { h_src: &nodes, h_ngh: &nodes, ..by_id };
+        let idx = Some(&h_idx[..]);
+        let layer = &p.layers[0];
+        let kv = KvWeights::new(layer, &cfg);
+        let mut scratch = Scratch::new();
+        let want = forward_blocked(layer, &kv, &cfg, &pre, None, None, None, n.max(1), &mut scratch, &mut []);
+        assert_eq!(want.shape(), (n, cfg.dim));
+        let reference = forward_reference(layer, &cfg, &pre);
+        assert!(want.max_abs_diff(&reference) < 1e-5, "{at}");
+        let mut helpers: Vec<Scratch> = (0..7).map(|_| Scratch::new()).collect();
+        let cells = [(64, 2), (64, 3), (64, 8), (64, 1), (n.max(1), 8), (1, 1), (16, 1), (16, 3)];
+        // 6,600 targets (the layer-1 frontier of a 600-target batch) run
+        // the shipped block size at the helper widths only, for time.
+        for (block, width) in cells.into_iter().take(if n > 1000 { 3 } else { 8 }) {
+            let helpers = &mut helpers[..width - 1];
+            let got = forward_blocked(layer, &kv, &cfg, &pre, None, None, None, block, &mut scratch, helpers);
+            assert_eq!(bits(&got), bits(&want), "{at}, block = {block}, width = {width}, pre-gathered");
+            scratch.give(got);
+            let got = forward_blocked(layer, &kv, &cfg, &by_id, Some(&eids), None, None, block, &mut scratch, helpers);
+            assert_eq!(bits(&got), bits(&want), "{at}, block = {block}, width = {width}, by edge id");
+            scratch.give(got);
+            let got = forward_blocked(layer, &kv, &cfg, &by_index, Some(&eids), idx, None, block, &mut scratch, helpers);
+            assert_eq!(bits(&got), bits(&want), "{at}, block = {block}, width = {width}, by row index");
+            scratch.give(got);
+        }
+        assert_eq!(bits(&forward_with(layer, &cfg, &pre, &mut scratch)), bits(&want));
+        for width in [1, 2, 3, 8] {
+            let helpers = &mut helpers[..width - 1];
+            let got = forward_by_eid(layer, &kv, &cfg, &by_id, &eids, None, None, &mut scratch, helpers);
+            assert_eq!(bits(&got), bits(&want), "{at}, width = {width}, by edge id under the width rule");
+            assert!(got.max_abs_diff(&reference) < 1e-5, "{at}, width = {width}, against the reference");
+            scratch.give(got);
+            let got = forward_by_eid(layer, &kv, &cfg, &by_index, &eids, idx, None, &mut scratch, helpers);
+            assert_eq!(bits(&got), bits(&want), "{at}, width = {width}, by row index under the width rule");
+            scratch.give(got);
+        }
+
+        // Seeded, as layer 1 over featureless nodes runs: h all zero,
+        // every target's time row Phi(0), and each slot's K/V lanes
+        // starting at its edge's projection. The slots above include
+        // padding (projected as edge 0, the row it reads), masked
+        // slots, the zero edge row 1 and repeated edges; every fifth
+        // slot gets a row of its own even when its edge already has
+        // one, as two edges colliding in the engine's dedup do.
+        let zero_nodes = Tensor::zeros(40, cfg.dim);
+        let phi0 = p.time.encode_zeros(n);
+        let plain = AttentionInputs { h_src: &zero_nodes, h_ngh: &zero_nodes, ht0: &phi0, ..by_id };
+        let want = forward_blocked(layer, &kv, &cfg, &plain, Some(&eids), idx, None, n.max(1), &mut scratch, &mut []);
+        let mut uniq: Vec<u32> = Vec::new();
+        let slot_row: Vec<u32> = eids
+            .iter()
+            .enumerate()
+            .map(|(s, &e)| {
+                let e = if e == INVALID_EDGE { 0 } else { e };
+                match uniq.iter().position(|&u| u == e) {
+                    Some(r) if s % 5 != 4 => r as u32,
+                    _ => {
+                        uniq.push(e);
+                        (uniq.len() - 1) as u32
                     }
-                })
-                .collect();
-            let mut rows = vec![f32::NAN; uniq.len() * proj.width()];
-            proj.project_into(|r| table.row(uniq[r] as usize), &mut rows, &mut scratch, &mut []);
-            let seeds = EdgeSeeds { proj: &proj, rows: &rows, slot_row: &slot_row };
-            for (block, width) in cells.into_iter().take(if n > 1000 { 3 } else { 8 }) {
-                let helpers = &mut helpers[..width - 1];
-                let got = forward_blocked(layer, &cfg, &plain, Some(&eids), idx, Some(&seeds), block, &mut scratch, helpers);
-                assert_eq!(bits(&got), bits(&want), "n = {n}, block = {block}, width = {width}, seeded");
-                scratch.give(got);
-            }
-            for width in [1, 2, 3, 8] {
-                let helpers = &mut helpers[..width - 1];
-                let got = forward_by_eid(layer, &cfg, &plain, &eids, idx, Some(&seeds), &mut scratch, helpers);
-                assert_eq!(bits(&got), bits(&want), "n = {n}, width = {width}, seeded under the width rule");
-                scratch.give(got);
-            }
+                }
+            })
+            .collect();
+        let mut rows = vec![f32::NAN; uniq.len() * kv.width()];
+        kv.project_edges_into(|r| table.row(uniq[r] as usize), &mut rows, &mut scratch, &mut []);
+        let q = zero_h_query(layer, &cfg, &p.time);
+        let seeds = EdgeSeeds { q: &q, rows: &rows, slot_row: &slot_row };
+        for (block, width) in cells.into_iter().take(if n > 1000 { 3 } else { 8 }) {
+            let helpers = &mut helpers[..width - 1];
+            let got = forward_blocked(layer, &kv, &cfg, &plain, Some(&eids), idx, Some(&seeds), block, &mut scratch, helpers);
+            assert_eq!(bits(&got), bits(&want), "{at}, block = {block}, width = {width}, seeded");
+            scratch.give(got);
+        }
+        for width in [1, 2, 3, 8] {
+            let helpers = &mut helpers[..width - 1];
+            let got = forward_by_eid(layer, &kv, &cfg, &plain, &eids, idx, Some(&seeds), &mut scratch, helpers);
+            assert_eq!(bits(&got), bits(&want), "{at}, width = {width}, seeded under the width rule");
+            scratch.give(got);
         }
     }
 
     #[test]
     fn edge_projection_is_each_heads_edge_block_product() {
-        // P's columns are, per head, the edge rows' product by W_K's and
-        // W_V's edge rows, at every fan-out width, bit for bit.
+        // The operand's e rows hold, per head, W_K's and W_V's edge rows
+        // side by side, and P is the edge rows' product by that block, at
+        // every fan-out width, bit for bit — at K|V widths 64 and 80.
         let bits = |t: &[f32]| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        let cfg = TgatConfig { dim: 32, n_layers: 1, ..TgatConfig::tiny() };
-        let (cfg, p, ..) = setup_with(cfg, 1);
-        let (layer, hd) = (&p.layers[0], cfg.head_dim());
-        let mut rng = init::seeded_rng(5);
-        let edges = init::normal(&mut rng, 300, cfg.edge_dim, 1.0);
-        let proj = EdgeProjection::new(layer, &cfg, &p.time);
-        assert_eq!(proj.width(), 2 * cfg.dim);
-        let project = |width: usize| {
-            let mut out = vec![f32::NAN; 300 * proj.width()];
-            let mut helpers: Vec<Scratch> = (1..width).map(|_| Scratch::new()).collect();
-            proj.project_into(|r| edges.row(r), &mut out, &mut Scratch::new(), &mut helpers);
-            out
-        };
-        let want = project(1);
-        for (h, head) in layer.heads.iter().enumerate() {
-            for (j, w) in [&head.wk, &head.wv].into_iter().enumerate() {
-                let edge_rows = Tensor::from_vec(
-                    cfg.edge_dim,
-                    hd,
-                    w.as_slice()[cfg.dim * hd..(cfg.dim + cfg.edge_dim) * hd].to_vec(),
-                );
-                let direct = matmul(&edges, &edge_rows);
-                for r in 0..300 {
-                    let got = &want[r * proj.width() + (2 * h + j) * hd..][..hd];
-                    assert_eq!(bits(got), bits(direct.row(r)), "head {h}, {}, edge {r}", ["K", "V"][j]);
+        for dim in [32, 40] {
+            let (cfg, p, ..) = setup_with(TgatConfig { dim, n_layers: 1, ..TgatConfig::tiny() }, 1);
+            let (layer, hd) = (&p.layers[0], cfg.head_dim());
+            let mut rng = init::seeded_rng(5);
+            let edges = init::normal(&mut rng, 300, cfg.edge_dim, 1.0);
+            let kv = KvWeights::new(layer, &cfg);
+            assert_eq!((kv.width(), kv.edge_rows.clone()), (2 * cfg.dim, cfg.dim..cfg.dim + cfg.edge_dim));
+            let block = Tensor::from_vec(cfg.edge_dim, kv.width(), kv.w.as_slice()[cfg.dim * kv.width()..][..cfg.edge_dim * kv.width()].to_vec());
+            for (h, head) in layer.heads.iter().enumerate() {
+                for (j, w) in [&head.wk, &head.wv].into_iter().enumerate() {
+                    for r in 0..cfg.edge_dim {
+                        assert_eq!(&block.row(r)[(2 * h + j) * hd..][..hd], w.row(cfg.dim + r), "dim {dim}, head {h}");
+                    }
                 }
             }
-        }
-        for width in [2, 3] {
-            assert_eq!(bits(&project(width)), bits(&want), "width {width}");
+            let project = |width: usize| {
+                let mut out = vec![f32::NAN; 300 * kv.width()];
+                let mut helpers: Vec<Scratch> = (1..width).map(|_| Scratch::new()).collect();
+                kv.project_edges_into(|r| edges.row(r), &mut out, &mut Scratch::new(), &mut helpers);
+                out
+            };
+            let want = project(1);
+            assert_eq!(bits(&want), bits(matmul(&edges, &block).as_slice()), "dim {dim}");
+            for width in [2, 3] {
+                assert_eq!(bits(&project(width)), bits(&want), "dim {dim}, width {width}");
+            }
         }
     }
 

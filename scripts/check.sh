@@ -9,10 +9,11 @@
 #      (includes the streaming-ingest suites: tests/prop_streaming.rs,
 #      the seeded interleaving equivalence battery, and
 #      tests/streaming_stress.rs, real concurrent ingest+query workers)
-#   3. cargo test -q -p tg-tensor at target-cpu=x86-64-v3 (no AVX-512), in
-#      target/portable — keeps the portable matmul panel under its bit
-#      test on hosts whose native build runs the 512-bit one (DESIGN.md
-#      "Kernel architecture"); x86-64 hosts only
+#   3. cargo test -q -p tg-tensor -p tgat at target-cpu=x86-64-v3 (no
+#      AVX-512), in target/portable — keeps the portable matmul panel, and
+#      attention's fused K|V product over it, under their bit tests on
+#      hosts whose native build runs the 512-bit panels (DESIGN.md "Kernel
+#      architecture"); x86-64 hosts only
 #   4. cargo test --release -p tgat -- --ignored — the time encoder's cos
 #      kernel against libm over all 2^32 f32 inputs (~30 s on two cores;
 #      see DESIGN.md "The time encoder's cos")
@@ -60,8 +61,8 @@ echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
 if [ "$(uname -m)" = x86_64 ]; then
-    echo "==> cargo test -q -p tg-tensor (portable panel, x86-64-v3)"
-    CARGO_TARGET_DIR=target/portable RUSTFLAGS="-C target-cpu=x86-64-v3" cargo test -q -p tg-tensor
+    echo "==> cargo test -q -p tg-tensor -p tgat (portable panel, x86-64-v3)"
+    CARGO_TARGET_DIR=target/portable RUSTFLAGS="-C target-cpu=x86-64-v3" cargo test -q -p tg-tensor -p tgat
 fi
 
 echo "==> cargo test --release -p tgat -- --ignored"

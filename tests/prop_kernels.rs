@@ -6,8 +6,9 @@
 //! exactly the ones a fixed unit test misses: dimensions of 0 and 1,
 //! non-multiples of the unroll widths, and rows with leading/trailing zeros.
 //! Every kernel must stay within 1e-5 of `matmul::reference` (naive triple
-//! loops), and the batched scratch attention must match the per-op
-//! allocating implementation it replaced.
+//! loops), and the batched scratch attention — every head's K and V in one
+//! product — must match the per-op, per-head allocating implementation it
+//! replaced.
 
 use proptest::prelude::*;
 use tgopt_repro::tensor::matmul::{self, reference};
@@ -115,20 +116,51 @@ proptest! {
         let v = tensor_for(n * k, d, seed ^ 0xbb, 0);
         let mask = random_mask(n * k, seed ^ 0xcc);
 
+        // The fused kernels read K and V as column blocks of one K|V row,
+        // as attention reads one head's blocks of every head's K|V.
+        let kv = ops::concat_cols(&[&tensor_for(n * k, 1, seed ^ 0xdd, 0), &key, &v]);
         let mut scores = Tensor::full(n, k, -3.0);
-        ops::attn_scores_into(&q, &key, 0.5, &mut scores);
+        ops::attn_scores_into(&q, &kv, 1..1 + d, 0.5, &mut scores);
         prop_assert!(scores.max_abs_diff(&ops::attn_scores(&q, &key, 0.5)) <= TOL);
 
         ops::scale_softmax_rows_masked_inplace(&mut scores, 1.0, &mask);
         // The fused sum writes into a column block of a wider tensor.
         let col_off = 2;
         let mut wide = Tensor::full(n, d + col_off + 1, 9.5);
-        ops::attn_weighted_sum_into(&scores, &v, &mut wide, col_off);
+        ops::attn_weighted_sum_into(&scores, &kv, 1 + d..1 + 2 * d, &mut wide, col_off);
         let plain = ops::attn_weighted_sum(&scores, &v);
         for r in 0..n {
             for c in 0..d {
                 prop_assert!((wide.get(r, col_off + c) - plain.get(r, c)).abs() <= TOL);
             }
+        }
+    }
+}
+
+/// Every K|V width the fused product's panels split differently: 16
+/// (`TgatConfig::tiny`, 16-column panels only), 64 (the ledger's model, one
+/// 4x64 panel on AVX-512 builds) and 80 and 96 (a wide panel, then one or
+/// two 16-column panels), over one ragged and several full blocks, each
+/// against the per-head allocating reference.
+#[test]
+fn fused_kv_product_matches_reference_at_every_panel_mix() {
+    for (n_heads, head_dim, kv_width) in [(2usize, 4usize, 16usize), (2, 16, 64), (2, 20, 80), (3, 16, 96)] {
+        let cfg = TgatConfig { dim: n_heads * head_dim, n_heads, n_layers: 1, ..TgatConfig::tiny() };
+        let params = TgatParams::init(cfg, 17).expect("valid config");
+        assert_eq!(2 * cfg.dim, kv_width);
+        for n in [1usize, 65, 129] {
+            let nk = n * cfg.n_neighbors;
+            let seed = (n * kv_width) as u64;
+            let h_src = tensor_for(n, cfg.dim, seed ^ 1, 0);
+            let ht0 = tensor_for(n, cfg.time_dim, seed ^ 2, 0);
+            let h_ngh = tensor_for(nk, cfg.dim, seed ^ 3, if n % 2 == 0 { 0 } else { cfg.dim });
+            let e_feat = tensor_for(nk, cfg.edge_dim, seed ^ 4, 0);
+            let ht = tensor_for(nk, cfg.time_dim, seed ^ 5, 0);
+            let mask = random_mask(nk, seed ^ 6);
+            let inp = AttentionInputs { h_src: &h_src, ht0: &ht0, h_ngh: &h_ngh, e_feat: &e_feat, ht: &ht, mask: &mask };
+            let want = attention::forward_reference(&params.layers[0], &cfg, &inp);
+            let got = attention::forward_with(&params.layers[0], &cfg, &inp, &mut Scratch::new());
+            assert!(got.max_abs_diff(&want) <= TOL, "kv width {kv_width}, n = {n}");
         }
     }
 }
