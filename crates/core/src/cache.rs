@@ -2,16 +2,17 @@
 //!
 //! A sharded concurrent hash table maps the collision-free `(node, time)`
 //! key to a cached embedding row. Capacity is bounded by an item limit
-//! (paper default 2M ≈ <1 GiB at 100 dims) with FIFO eviction. A growing
-//! graph invalidates nothing eagerly (the paper's §7 future work, after
-//! comemo's constrained memoization): an entry stored under a live view
-//! records what its row depends on ([`Constraint`]) and the view's epoch,
-//! and a lookup under a view returns it only if every one of those
-//! dependencies still holds for the reader's own view
-//! ([`EmbedCache::lookup_in`]). The paper parallelizes `CacheLookup` and,
-//! on the GPU host, `CacheStore` across keys (§5.1.3); here each is one
-//! loop over the keys, and the `parallel` arguments that still carry the
-//! paper's switch are ignored.
+//! (paper default 2M ≈ <1 GiB at 100 dims) with FIFO eviction. A changing
+//! graph invalidates nothing (the paper's §7 future work, after comemo's
+//! constrained memoization): an entry records what its row depends on
+//! ([`Constraint`]) and the epoch of the history it was computed over, and
+//! a lookup returns it only if every one of those dependencies still holds
+//! for the reader's history, a live view or a frozen graph's edit log
+//! ([`EmbedCache::lookup_in`]). A cache follows one history: two clones
+//! of a graph edited apart must not share one. The paper parallelizes
+//! `CacheLookup` and, on the GPU host, `CacheStore` across keys (§5.1.3);
+//! here each is one loop over the keys, and the `parallel` arguments that
+//! still carry the paper's switch are ignored.
 
 use crate::edgeproj::EdgeProjTable;
 use crate::fingerprint::{Constraint, NO_CUT};
@@ -22,7 +23,7 @@ use std::collections::hash_map::Entry as MapEntry;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use tg_error::TgError;
-use tg_graph::{GraphView, NodeId, Time};
+use tg_graph::{TemporalGraph, Versioned};
 use tg_tensor::Tensor;
 
 const NUM_SHARDS: usize = 16;
@@ -45,16 +46,16 @@ const NUM_SHARDS: usize = 16;
 pub struct EmbedCache {
     shards: Vec<RwLock<FxHashMap<u64, Entry>>>,
     /// The admission lock: every change to the map (store, eviction,
-    /// sweep, clear) happens under it, so the queue and the totals always
-    /// agree with the shards. Lookups take only shard read locks.
+    /// clear) happens under it, so the queue and the totals always agree
+    /// with the shards. Lookups take only shard read locks.
     fifo: Mutex<Fifo>,
     limit: usize,
     dim: usize,
     lookups: AtomicU64,
     hits: AtomicU64,
-    /// Entries a view-pinned lookup found but refused (counted as misses).
+    /// Entries a checked lookup found but refused (counted as misses).
     rejected: AtomicU64,
-    /// View-pinned hits accepted only after re-reading some pair's cut.
+    /// Checked hits accepted only after the slow path.
     revalidated: AtomicU64,
 }
 
@@ -71,12 +72,12 @@ struct Fifo {
     stores: u64,
     /// Fresh keys actually inserted (a subset of `stores`, which counts
     /// attempted rows). Every inserted entry leaves the cache through
-    /// exactly one of eviction, invalidation, or residency, giving the
-    /// accounting identity `inserted == evictions + invalidated + len()`.
+    /// exactly one of eviction, `clear`, or residency, giving the
+    /// accounting identity `inserted == evictions + cleared + len()`.
     inserted: u64,
     evictions: u64,
-    /// Entries removed by [`EmbedCache::sweep`] or `clear`.
-    invalidated: u64,
+    /// Entries removed by [`EmbedCache::clear`].
+    cleared: u64,
     /// Rows silently dropped at admission because a single `store` call
     /// exceeded the whole item limit (the oldest rows of that call). These
     /// never reach a shard and are *not* counted in `stores`.
@@ -95,26 +96,28 @@ struct Entry {
     constraint: Box<[u64]>,
     /// `hist_len_before` of each `constraint` pair under the view the row
     /// was computed on ([`NO_CUT`] for a leaf of a deep capture); empty
-    /// when it was stored without a view.
+    /// when its source reads no cuts (a frozen graph) or it was
+    /// plain-stored.
     cuts: Box<[u64]>,
-    /// An epoch at which every cut is known to hold: the compute view's,
-    /// raised by lookups that re-read the cuts under a later view (0 for
-    /// an entry stored without a view). Cuts never shrink as a history
-    /// grows, so they hold at every epoch from the compute epoch up to
-    /// this one. An overwrite replaces it with row and cuts.
+    /// An epoch at which every pair is known to hold: the compute
+    /// source's, raised by lookups that re-check the pairs at a later
+    /// epoch (0 for a plain-stored entry). The pairs hold at every epoch
+    /// from the compute epoch up to this one. An overwrite replaces it
+    /// with row and record.
     valid_at: AtomicU64,
 }
 
-/// What a view-pinned lookup makes of one entry.
+/// What a checked lookup makes of one entry.
 enum Verdict {
-    /// Every pair's node saw no append the reader can see since the cuts
+    /// Every pair's node saw no change the reader can see since the pairs
     /// were last known to hold: the row is the reader's.
     Fresh,
-    /// Some pairs' nodes did; their `(pair, cut)`s are in the recheck list.
-    Recheck,
-    /// It cannot be shown to hold: a deep entry without a fingerprint, or
-    /// a pair without a cut (stored without a view, or a leaf) that the
-    /// fast check did not clear.
+    /// Some pairs' nodes did; their `(pair, cut)`s are in the recheck list,
+    /// to be asked whether they still hold since the epoch carried here.
+    Recheck(u64),
+    /// It cannot be shown to hold: a deep entry without a fingerprint, or,
+    /// under a source that reads cuts, a pair without one (plain-stored,
+    /// or a leaf) that the fast check did not clear.
     Stale,
 }
 
@@ -123,32 +126,32 @@ impl Entry {
         self.constraint.len() + self.cuts.len()
     }
 
-    /// The fast check of a lookup under `view` at a table `levels` deep.
-    /// A pair's window is unchanged for the reader if its node's
-    /// `last_append` stamp is at most `min(valid_at, epoch)`: no append at
-    /// or after that epoch reached the node, so the reader's history of it
-    /// and the one the cuts hold for contain the same interactions. Pairs
-    /// that fail go to `recheck` with their cuts.
-    fn check(&self, key: u64, view: &GraphView, levels: usize, recheck: &mut Vec<(u64, u64)>) -> Verdict { // alloc-ok: `recheck` grows only on the slow path and is reused across a lookup's keys
+    /// The fast check of a lookup over `source` at a table `levels` deep.
+    /// A pair's window is unchanged for the reader if its node's last
+    /// change is at most `min(valid_at, epoch)`: nothing at or after that
+    /// epoch reached the node, so the reader's history of it and the one
+    /// the pairs hold for contain the same interactions. Pairs that fail
+    /// go to `recheck` with their cuts.
+    fn check<S: Versioned>(&self, key: u64, source: &S, levels: usize, recheck: &mut Vec<(u64, Option<u64>)>) -> Verdict { // alloc-ok: `recheck` grows only on the slow path and is reused across a lookup's keys
         if self.constraint.is_empty() && levels > 0 {
             return Verdict::Stale;
         }
         let pairs = if self.constraint.is_empty() { std::slice::from_ref(&key) } else { &self.constraint[..] };
-        let since = self.valid_at.load(Ordering::Acquire).min(view.epoch());
+        let since = self.valid_at.load(Ordering::Acquire).min(source.epoch());
         recheck.clear();
         for (i, &pair) in pairs.iter().enumerate() {
-            if view.last_append(unpack_key(pair).0).is_some_and(|stamp| stamp <= since) {
+            if source.last_change(unpack_key(pair).0).is_some_and(|stamp| stamp <= since) {
                 continue;
             }
-            match self.cuts.get(i) {
-                Some(&cut) if cut != NO_CUT => recheck.push((pair, cut)),
-                _ => return Verdict::Stale,
+            match self.cuts.get(i).copied().filter(|&cut| cut != NO_CUT) {
+                None if S::READS_CUTS => return Verdict::Stale,
+                cut => recheck.push((pair, cut)),
             }
         }
         if recheck.is_empty() {
             Verdict::Fresh
         } else {
-            Verdict::Recheck
+            Verdict::Recheck(since)
         }
     }
 }
@@ -198,8 +201,8 @@ impl EmbedCache {
     /// mask, taking every live entry at its word. Missing rows are
     /// untouched (the engine fills them after recomputation), avoiding an
     /// intermediate tensor exactly as §4.2.2 describes. Errors if `out` is
-    /// not `[keys.len(), dim]`. A reader of a live graph uses
-    /// [`EmbedCache::lookup_in`].
+    /// not `[keys.len(), dim]`. The engine uses [`EmbedCache::lookup_in`];
+    /// the perf ledger's probe uses this one.
     ///
     /// # Invariants
     ///
@@ -210,51 +213,52 @@ impl EmbedCache {
     /// `_parallel` is ignored; the perf ledger's probe still passes it, and
     /// ROADMAP 5(f) drops it.
     pub fn lookup(&self, keys: &[u64], out: &mut Tensor, _parallel: bool) -> Result<Vec<bool>, TgError> {
-        self.lookup_impl(keys, out, None)
+        self.lookup_impl(keys, out, None::<(&TemporalGraph, usize)>)
     }
 
-    /// `CacheLookup` for a reader pinned to `view`, in a table whose
-    /// entries sit `levels` sampling levels above layer 0 (layer `l` has
-    /// `levels = l - 1`): a live entry counts as a hit only if every window
-    /// it depends on is the same under `view` as when its row was
-    /// computed. Otherwise it is *rejected* — a miss the caller recomputes
-    /// and overwrites.
+    /// `CacheLookup` for a reader of `source`, a live view or a frozen
+    /// graph, in a table whose entries sit `levels` sampling levels above
+    /// layer 0 (layer `l` has `levels = l - 1`): a live entry counts as a
+    /// hit only if every window it depends on is the same in `source` as
+    /// when its row was computed. Otherwise it is *rejected* — a miss the
+    /// caller recomputes and overwrites.
     ///
     /// The check per entry: each pair `(y, t')` whose node's
-    /// [`GraphView::last_append`] stamp is at most `min(valid_at, epoch)`
-    /// is unchanged (one load). The rest, read after the shard lock is
-    /// released (`hist_len_before` takes the graph's own lock), must have
-    /// the cut they recorded; if they all do the hit is *revalidated* and
-    /// the entry's `valid_at` rises to the reader's epoch, so the next
-    /// reader takes the one-load path again. A pair without a cut — every
-    /// pair of an entry stored without a view, a leaf of a deep entry —
-    /// passes only by its stamp; a deep entry without a fingerprint never
-    /// passes.
+    /// [`Versioned::last_change`] is at most `min(valid_at, epoch)` is
+    /// unchanged (one load). The rest are asked of [`Versioned::holds`]
+    /// after the shard lock is released (a view's `hist_len_before` takes
+    /// the graph's own lock): a view compares the cut the pair recorded, a
+    /// frozen graph reads its edit log. If they all hold the hit is
+    /// *revalidated* and the entry's `valid_at` rises to the reader's
+    /// epoch, so the next reader takes the one-load path again. Under a
+    /// view a pair without a cut — a plain-stored entry's, a leaf of a
+    /// deep entry — passes only by its stamp; a deep entry without a
+    /// fingerprint never passes.
     ///
     /// # Invariants
     ///
-    /// - Every returned row equals what recomputing its key under `view`
+    /// - Every returned row equals what recomputing its key over `source`
     ///   gives (DESIGN.md "One validity question").
     /// - `out` retains its previous contents in every row whose key was
     ///   absent; a rejected row may have been overwritten.
     /// - Counters: lookups grow by `keys.len()`, hits by the accepted
     ///   keys, `rejected` and `revalidated` by their verdicts; the map and
     ///   FIFO do not change, only revalidated entries' `valid_at`.
-    pub fn lookup_in(
+    pub fn lookup_in<S: Versioned>(
         &self,
         keys: &[u64],
         out: &mut Tensor,
-        view: &GraphView,
+        source: &S,
         levels: usize,
     ) -> Result<Vec<bool>, TgError> {
-        self.lookup_impl(keys, out, Some((view, levels)))
+        self.lookup_impl(keys, out, Some((source, levels)))
     }
 
-    fn lookup_impl( // alloc-ok: the hit mask is the return value; embedding rows land in the caller's scratch tensor, and the recheck lists grow only on the slow path
+    fn lookup_impl<S: Versioned>( // alloc-ok: the hit mask is the return value; embedding rows land in the caller's scratch tensor, and the recheck lists grow only on the slow path
         &self,
         keys: &[u64],
         out: &mut Tensor,
-        under: Option<(&GraphView, usize)>,
+        under: Option<(&S, usize)>,
     ) -> Result<Vec<bool>, TgError> {
         if out.shape() != (keys.len(), self.dim) {
             return Err(TgError::shape(
@@ -270,18 +274,18 @@ impl EmbedCache {
         for ((row, hit), &key) in out.as_mut_slice().chunks_mut(self.dim).zip(&mut mask).zip(keys) {
             let shard = self.shards[shard_of(key)].read();
             let Some(entry) = shard.get(&key) else { continue };
-            let Some((view, levels)) = under else {
+            let Some((source, levels)) = under else {
                 row.copy_from_slice(&entry.row);
                 *hit = true;
                 continue;
             };
-            match entry.check(key, view, levels, &mut recheck) {
+            match entry.check(key, source, levels, &mut recheck) {
                 Verdict::Fresh => {
                     row.copy_from_slice(&entry.row);
                     *hit = true;
                 }
                 Verdict::Stale => rejected += 1,
-                Verdict::Recheck => {
+                Verdict::Recheck(since) => {
                     row.copy_from_slice(&entry.row);
                     record.clear();
                     record.extend_from_slice(&entry.constraint);
@@ -289,12 +293,12 @@ impl EmbedCache {
                     drop(shard);
                     let holds = recheck.iter().all(|&(pair, cut)| {
                         let (y, t) = unpack_key(pair);
-                        view.hist_len_before(y, t) as u64 == cut
+                        source.holds(y, t, since, cut)
                     });
                     if holds {
                         *hit = true;
                         revalidated += 1;
-                        self.restamp(key, &record, view.epoch());
+                        self.restamp(key, &record, source.epoch());
                     } else {
                         rejected += 1;
                     }
@@ -328,8 +332,10 @@ impl EmbedCache {
 
     /// `CacheStore` (Algorithm 3): evicts FIFO-oldest entries if the new
     /// rows would exceed the limit, then inserts row `i` of `h` under
-    /// `keys[i]`, with no dependency record. Errors if `h` is not
-    /// `[keys.len(), dim]`.
+    /// `keys[i]`, with no dependency record and `valid_at = 0`. Errors if
+    /// `h` is not `[keys.len(), dim]`. The engine uses
+    /// [`EmbedCache::store_in`]; a warm restore (`persist::load`) and the
+    /// perf ledger's probe use this one.
     ///
     /// # Invariants
     ///
@@ -339,22 +345,22 @@ impl EmbedCache {
     ///   slot, so `len()` only counts distinct live keys.
     /// - Every key newly inserted by this call is appended to the FIFO
     ///   exactly once, after all older entries; a key re-stored after
-    ///   invalidation starts its FIFO age from this call.
+    ///   `clear` starts its FIFO age from this call.
     /// - The `stores` counter grows by the number of *admitted* rows only;
     ///   rows dropped because this one call exceeds the whole limit are
     ///   counted in [`EmbedCache::total_store_dropped`] instead.
     ///
     /// `_parallel` is ignored, as in [`EmbedCache::lookup`].
     pub fn store(&self, keys: &[u64], h: &Tensor, _parallel: bool) -> Result<(), TgError> {
-        self.store_impl(keys, h, None, None)
+        self.store_impl(keys, h, None, 0, false)
     }
 
-    /// Like [`EmbedCache::store`] but records `constraints[i]` beside row
-    /// `i`. `valid_at` is the epoch of the view the rows were computed
-    /// under: with it the cuts are kept for [`EmbedCache::lookup_in`] to
-    /// re-read, without it (rows of a frozen graph) only the pairs, which
-    /// [`EmbedCache::sweep`] reads. Errors if
-    /// `constraints.len() != keys.len()`.
+    /// Like [`EmbedCache::store`] for rows computed over `source`: each is
+    /// stamped `valid_at = source.epoch()` and, with `records`, records
+    /// `records[i]` beside row `i` — pairs and cuts where the source reads
+    /// cuts (a live view), pairs only where it does not (a frozen graph).
+    /// Without `records` an entry depends on its key alone, which is all a
+    /// layer-1 row reads. Errors if `records.len() != keys.len()`.
     ///
     /// # Invariants
     ///
@@ -362,29 +368,30 @@ impl EmbedCache {
     /// - Row `i`, its record and its `valid_at` are installed atomically
     ///   under one shard lock; an overwrite replaces all three, and
     ///   `bytes_used()` moves by the difference.
-    pub fn store_with_constraints(
+    pub fn store_in<S: Versioned>(
         &self,
         keys: &[u64],
         h: &Tensor,
-        constraints: Vec<Constraint>,
-        valid_at: Option<u64>,
+        records: Option<Vec<Constraint>>,
+        source: &S,
     ) -> Result<(), TgError> {
-        if constraints.len() != keys.len() {
+        if let Some(records) = records.as_ref().filter(|r| r.len() != keys.len()) {
             return Err(TgError::shape(
-                "EmbedCache::store_with_constraints constraints",
+                "EmbedCache::store_in records",
                 format_args!("{}", keys.len()),
-                format_args!("{}", constraints.len()),
+                format_args!("{}", records.len()),
             ));
         }
-        self.store_impl(keys, h, Some(constraints), valid_at)
+        self.store_impl(keys, h, records, source.epoch(), S::READS_CUTS)
     }
 
     fn store_impl( // alloc-ok: cache admission must copy the rows it will own; entries and the distinct-key set are built before the lock, bounded by the batch
         &self,
         keys: &[u64],
         h: &Tensor,
-        mut constraints: Option<Vec<Constraint>>,
-        valid_at: Option<u64>,
+        mut records: Option<Vec<Constraint>>,
+        valid_at: u64,
+        keep_cuts: bool,
     ) -> Result<(), TgError> {
         if h.shape() != (keys.len(), self.dim) {
             return Err(TgError::shape(
@@ -402,12 +409,9 @@ impl EmbedCache {
             .chunks(self.dim)
             .enumerate()
             .map(|(j, row)| {
-                let record = match constraints.as_mut() {
-                    Some(v) => std::mem::take(&mut v[skip + j]),
-                    None => Constraint::default(),
-                };
-                let cuts = if valid_at.is_some() { record.cuts } else { Box::default() };
-                Entry { row: row.into(), constraint: record.pairs, cuts, valid_at: AtomicU64::new(valid_at.unwrap_or(0)) }
+                let record = records.as_mut().map(|v| std::mem::take(&mut v[skip + j])).unwrap_or_default();
+                let cuts = if keep_cuts { record.cuts } else { Box::default() };
+                Entry { row: row.into(), constraint: record.pairs, cuts, valid_at: AtomicU64::new(valid_at) }
             })
             .collect();
         let keys = &keys[skip..];
@@ -449,8 +453,7 @@ impl EmbedCache {
     /// # Invariants
     ///
     /// - Every live entry is emitted exactly once, at its queue position:
-    ///   a key re-stored after invalidation appears at its re-store
-    ///   position.
+    ///   a key re-stored after `clear` appears at its re-store position.
     pub fn export_fifo_order(&self) -> Vec<(u64, Box<[f32]>)> {
         let fifo = self.fifo.lock();
         let row = |key: u64| Some((key, self.shards[shard_of(key)].read().get(&key)?.row.clone()));
@@ -466,60 +469,6 @@ impl EmbedCache {
         fifo.evictions += n as u64;
     }
 
-    /// The explicit invalidation scan, for changes the lookup check cannot
-    /// see (a deletion plus an insert can leave a cut unchanged): drops
-    /// every entry for which `stale` holds on one of its pairs, and
-    /// returns `(removed, retained)` over all entries examined — every
-    /// live one.
-    ///
-    /// An entry's pairs are its own key plus its recorded fingerprint
-    /// ([`crate::fingerprint::capture`] at `levels`). `levels` is the
-    /// sampling depth below this table's entries (layer `l` has
-    /// `levels = l - 1`) and settles what a *missing* fingerprint means:
-    /// with `levels == 0` the key is the whole fingerprint, while with
-    /// `levels > 0` the entry's reach is unknown (restored from a
-    /// snapshot, or overwritten by a plain `store`) and it is dropped
-    /// conservatively. A holder of several tables goes through
-    /// [`LayerCaches::invalidate_nodes`], which states each layer's depth.
-    ///
-    /// # Invariants
-    ///
-    /// - After return, no entry has a pair passing `stale`, and no deep
-    ///   entry lacks a fingerprint (entries stored concurrently are the
-    ///   caller's obligation).
-    /// - `len()` decreases by exactly `removed` and `bytes_used()` by the
-    ///   removed rows and records; the removed keys leave the FIFO in the
-    ///   same critical section, so every slot stays a live entry.
-    pub fn sweep(&self, levels: usize, mut stale: impl FnMut(NodeId, Time) -> bool) -> (usize, usize) {
-        let mut pair_stale = |pk: u64| {
-            let (y, t) = unpack_key(pk);
-            stale(y, t)
-        };
-        let mut fifo = self.fifo.lock();
-        let mut gone = FxHashSet::default();
-        let mut retained = 0usize;
-        for shard in &self.shards {
-            shard.write().retain(|&key, entry| {
-                let fp = &entry.constraint;
-                let hit = (fp.is_empty() && levels > 0)
-                    || pair_stale(key)
-                    || fp.iter().any(|&pk| pk != key && pair_stale(pk));
-                if hit {
-                    gone.insert(key);
-                    fifo.words -= entry.words();
-                } else {
-                    retained += 1;
-                }
-                !hit
-            });
-        }
-        if !gone.is_empty() {
-            fifo.keys.retain(|key| !gone.contains(key));
-            fifo.invalidated += gone.len() as u64;
-        }
-        (gone.len(), retained)
-    }
-
     /// Removes everything.
     ///
     /// # Invariants
@@ -528,14 +477,14 @@ impl EmbedCache {
     ///   section, so `len() == 0` and `bytes_used() == 0` on return, and
     ///   no concurrent store can leave an entry without its slot.
     /// - Lifetime counters (lookups/hits/stores/evictions) are preserved;
-    ///   the dropped entries count as invalidated, keeping the
-    ///   `inserted == evictions + invalidated + len()` identity intact.
+    ///   the dropped entries count as cleared, keeping the
+    ///   `inserted == evictions + cleared + len()` identity intact.
     pub fn clear(&self) {
         let mut fifo = self.fifo.lock();
         for shard in &self.shards {
             shard.write().clear();
         }
-        fifo.invalidated += fifo.keys.len() as u64;
+        fifo.cleared += fifo.keys.len() as u64;
         fifo.keys.clear();
         fifo.words = 0;
     }
@@ -602,17 +551,17 @@ impl EmbedCache {
         self.fifo.lock().inserted
     }
 
-    /// Total entries removed by invalidation sweeps (including `clear`).
-    pub fn total_invalidated(&self) -> u64 {
-        self.fifo.lock().invalidated
+    /// Total entries removed by [`EmbedCache::clear`].
+    pub fn total_cleared(&self) -> u64 {
+        self.fifo.lock().cleared
     }
 
-    /// Total entries a view-pinned lookup found and refused.
+    /// Total entries a checked lookup found and refused.
     pub fn total_rejected(&self) -> u64 {
         self.rejected.load(Ordering::Relaxed)
     }
 
-    /// Total view-pinned hits accepted after re-reading some pair's cut.
+    /// Total checked hits accepted only after the slow path.
     pub fn total_revalidated(&self) -> u64 {
         self.revalidated.load(Ordering::Relaxed)
     }
@@ -727,9 +676,9 @@ impl LayerCaches {
         self.iter().map(|c| c.total_inserted()).sum()
     }
 
-    /// Total invalidated entries across layers.
-    pub fn total_invalidated(&self) -> u64 {
-        self.iter().map(|c| c.total_invalidated()).sum()
+    /// Total cleared entries across layers.
+    pub fn total_cleared(&self) -> u64 {
+        self.iter().map(|c| c.total_cleared()).sum()
     }
 
     /// Total rows dropped at store admission across layers.
@@ -746,25 +695,6 @@ impl LayerCaches {
     /// cached.
     pub fn dim(&self) -> Option<usize> {
         self.iter().next().map(|c| c.dim())
-    }
-
-    /// Drops, in every layer, each entry that sampled the history of one
-    /// of `nodes` — keyed by it, or recording it in its fingerprint — which
-    /// is what a change to those histories (an edge deleted between two
-    /// nodes, a node flushed) can reach at any model depth. Returns total
-    /// removals.
-    ///
-    /// # Invariants
-    ///
-    /// - One [`EmbedCache::sweep`] per cached layer with the predicate
-    ///   `y ∈ nodes`, stating the layer's depth (`levels = l - 1`), so a
-    ///   layer-1 entry is its own fingerprint and deep entries without one
-    ///   go too.
-    pub fn invalidate_nodes(&self, nodes: &[NodeId]) -> usize {
-        let sweep = |(l, cache): (usize, &Option<EmbedCache>)| {
-            Some(cache.as_ref()?.sweep(l.saturating_sub(1), |y, _| nodes.contains(&y)).0)
-        };
-        self.per_layer.iter().enumerate().filter_map(sweep).sum()
     }
 
     /// Clears every layer.
@@ -784,7 +714,7 @@ mod tests {
     use super::*;
     use crate::fingerprint;
     use crate::hash::pack_key;
-    use tg_graph::{Edge, LiveGraph, TemporalGraph};
+    use tg_graph::{Edge, EdgeStream, LiveGraph, TemporalGraph, Time};
 
     /// A fingerprint with no cuts, as a frozen-graph engine records it.
     fn recorded(pairs: &[u64]) -> Constraint {
@@ -911,75 +841,24 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_node_removes_all_times() {
-        let cache = EmbedCache::new(10, 1);
-        cache.store(
-            &[pack_key(1, 1.0), pack_key(1, 2.0), pack_key(2, 1.0)],
-            &Tensor::zeros(3, 1),
-            false,
-        ).unwrap();
-        assert_eq!(cache.sweep(0, |y, _| y == 1).0, 2);
-        assert_eq!(cache.len(), 1);
-        let mut out = Tensor::zeros(3, 1);
-        let mask = cache.lookup(
-            &[pack_key(1, 1.0), pack_key(1, 2.0), pack_key(2, 1.0)],
-            &mut out,
-            false,
-        ).unwrap();
-        assert_eq!(mask, vec![false, false, true]);
-    }
-
-    #[test]
-    fn sweep_removes_only_entries_whose_key_is_stale() {
-        let cache = EmbedCache::new(10, 1);
-        let keys = [pack_key(1, 1.0), pack_key(1, 5.0), pack_key(1, 9.0), pack_key(2, 9.0)];
-        cache.store(&keys, &Tensor::zeros(4, 1), false).unwrap();
-        // Stale: node 1 entries with t > 4.0. Node 2 is untouched even
-        // though its time matches. All four are examined.
-        let (removed, retained) = cache.sweep(0, |n, t| n == 1 && t > 4.0);
-        assert_eq!((removed, retained), (2, 2));
-        assert_eq!(cache.len(), 2);
-        assert!(cache.contains(keys[0]) && cache.contains(keys[3]));
-        assert!(!cache.contains(keys[1]) && !cache.contains(keys[2]));
-        assert_eq!(cache.total_invalidated(), 2);
-    }
-
-    #[test]
-    fn accounting_identity_inserted_equals_evicted_plus_invalidated_plus_resident() {
+    fn accounting_identity_inserted_equals_evicted_plus_cleared_plus_resident() {
         let cache = EmbedCache::new(3, 1);
         for i in 0..5u32 {
             cache.store(&[pack_key(i, i as f32)], &Tensor::zeros(1, 1), false).unwrap();
         }
-        cache.sweep(0, |y, _| y == 3);
-        cache.sweep(0, |_, t| t > 1.0);
-        cache.store(&[pack_key(9, 1.0)], &Tensor::zeros(1, 1), false).unwrap();
-        cache.clear(); // clear counts as invalidation
-        cache.store(&[pack_key(10, 1.0)], &Tensor::zeros(1, 1), false).unwrap();
+        cache.store(&[pack_key(4, 4.0)], &Tensor::zeros(1, 1), false).unwrap(); // an overwrite
+        cache.clear();
+        cache.store(&[pack_key(9, 1.0), pack_key(10, 1.0)], &Tensor::zeros(2, 1), false).unwrap();
+        assert_eq!((cache.total_inserted(), cache.total_evictions(), cache.total_cleared()), (7, 2, 3));
         assert_eq!(
             cache.total_inserted(),
-            cache.total_evictions() + cache.total_invalidated() + cache.len() as u64,
-            "inserted {} != evicted {} + invalidated {} + resident {}",
+            cache.total_evictions() + cache.total_cleared() + cache.len() as u64,
+            "inserted {} != evicted {} + cleared {} + resident {}",
             cache.total_inserted(),
             cache.total_evictions(),
-            cache.total_invalidated(),
+            cache.total_cleared(),
             cache.len()
         );
-    }
-
-    #[test]
-    fn eviction_skips_invalidated_entries() {
-        let cache = EmbedCache::new(3, 1);
-        for i in 0..3u32 {
-            cache.store(&[pack_key(i, 0.0)], &Tensor::zeros(1, 1), false).unwrap();
-        }
-        cache.sweep(0, |y, _| y == 0);
-        assert_eq!(cache.len(), 2);
-        // Storing two more must evict exactly one live entry (key 1): the
-        // swept key 0 left the FIFO with its entry.
-        cache.store(&[pack_key(10, 0.0), pack_key(11, 0.0)], &Tensor::zeros(2, 1), false).unwrap();
-        assert!(cache.len() <= 3);
-        let mut out = Tensor::zeros(1, 1);
-        assert_eq!(cache.lookup(&[pack_key(11, 0.0)], &mut out, false).unwrap(), vec![true]);
     }
 
     #[test]
@@ -998,119 +877,44 @@ mod tests {
     }
 
     #[test]
-    fn restore_after_invalidation_does_not_duplicate_fifo_rows() {
-        let cache = EmbedCache::new(10, 1);
-        let keys: Vec<u64> = (0..3u32).map(|i| pack_key(i, 1.0)).collect();
-        cache.store(&keys, &row_tensor(&[&[0.0], &[1.0], &[2.0]]), false).unwrap();
-        cache.sweep(0, |y, _| y == 1);
-        cache.store(&[keys[1]], &Tensor::from_vec(1, 1, vec![9.0]), false).unwrap();
-        let export = cache.export_fifo_order();
-        let exported: Vec<u64> = export.iter().map(|(k, _)| *k).collect();
-        // Exactly once, at its re-store (newest) position.
-        assert_eq!(exported, vec![keys[0], keys[2], keys[1]]);
-        assert_eq!(export[2].1.as_ref(), &[9.0]);
-    }
-
-    #[test]
-    fn eviction_after_restore_treats_the_entry_as_young() {
-        let cache = EmbedCache::new(3, 1);
-        let keys: Vec<u64> = (0..3u32).map(|i| pack_key(i, 1.0)).collect();
-        cache.store(&keys, &Tensor::zeros(3, 1), false).unwrap();
-        cache.sweep(0, |y, _| y == 0);
-        cache.store(&[keys[0]], &Tensor::zeros(1, 1), false).unwrap();
-        // FIFO age order is now 1, 2, 0. Two more stores must evict keys 1
-        // and 2 — not the re-stored key 0 at its old front position.
-        cache.store(
-            &[pack_key(10, 0.0), pack_key(11, 0.0)],
-            &Tensor::zeros(2, 1),
-            false,
-        ).unwrap();
-        assert!(cache.contains(keys[0]), "re-stored entry must survive as youngest");
-        assert!(!cache.contains(keys[1]) && !cache.contains(keys[2]));
-        assert_eq!(cache.len(), 3);
-    }
-
-    #[test]
-    fn fifo_queue_stays_bounded_when_the_cache_never_fills() {
-        // Under the limit nothing is ever evicted, so only sweeps take
-        // slots out: each invalidate + re-store must not queue one more.
-        let cache = EmbedCache::new(1000, 1);
-        let bystanders: Vec<u64> = (10..14u32).map(|i| pack_key(i, 1.0)).collect();
-        cache.store(&bystanders, &Tensor::zeros(4, 1), false).unwrap();
-        let k = [pack_key(1, 2.0)];
-        for round in 0..10_000 {
-            cache.store(&k, &Tensor::from_vec(1, 1, vec![round as f32]), false).unwrap();
-            assert_eq!(cache.sweep(0, |y, _| y == 1).0, 1);
-            let slots = cache.fifo.lock().keys.len();
-            assert!(slots <= 2 * cache.len() + 3, "round {round}: {slots} slots for {} entries", cache.len());
-        }
-        cache.store(&k, &Tensor::from_vec(1, 1, vec![-1.0]), false).unwrap();
-        let export = cache.export_fifo_order();
-        let exported: Vec<u64> = export.iter().map(|(key, _)| *key).collect();
-        assert_eq!(exported, [&bystanders[..], &k[..]].concat(), "each live key once, re-store last");
-        assert_eq!(export[4].1.as_ref(), &[-1.0]);
-        assert_eq!(cache.total_inserted(), cache.total_invalidated() + cache.len() as u64);
-    }
-
-    #[test]
-    fn constraint_sweep_removes_only_entries_whose_sample_is_hit() {
-        let cache = EmbedCache::new(10, 1);
-        let keys = [pack_key(1, 5.0), pack_key(2, 6.0), pack_key(3, 7.0)];
-        // Entry 1's subgraph read node 8's window at t=4; entry 2's read
-        // node 9's at t=5; entry 3 has no fingerprint (conservative).
-        let constraints = vec![
-            recorded(&[pack_key(1, 5.0), pack_key(8, 4.0)]),
-            recorded(&[pack_key(2, 6.0), pack_key(9, 5.0)]),
-            Constraint::default(),
-        ];
-        cache.store_with_constraints(&keys, &Tensor::zeros(3, 1), constraints, None).unwrap();
-        // Say a change reaches node 9's window at t = 5 but no window of
-        // node 1 or 2.
-        let (removed, retained) = cache.sweep(1, |n, t| t > 4.5 && n == 9);
-        assert_eq!((removed, retained), (2, 1), "entry 2 (hit) and entry 3 (no fp) go");
-        assert!(cache.contains(keys[0]));
-        assert!(!cache.contains(keys[1]) && !cache.contains(keys[2]));
-        // A node flush is the same question with another predicate: it
-        // reaches the survivor through its fingerprint, not its key.
-        assert_eq!(cache.sweep(0, |y, _| y == 8).0, 1);
-        assert!(cache.is_empty());
-    }
-
-    #[test]
     fn a_missing_fingerprint_means_what_the_depth_says() {
         // Overwriting a constrained entry through the plain store path
         // leaves it unrecorded, not freshly guaranteed.
+        let g = TemporalGraph::with_nodes(10);
         let cache = EmbedCache::new(10, 1);
         let k = [pack_key(1, 5.0)];
         let fp = vec![recorded(&[pack_key(1, 5.0), pack_key(8, 4.0)])];
-        cache.store_with_constraints(&k, &Tensor::zeros(1, 1), fp, None).unwrap();
+        cache.store_in(&k, &Tensor::zeros(1, 1), Some(fp), &g).unwrap();
         cache.store(&k, &Tensor::zeros(1, 1), false).unwrap();
-        // In a layer-1 table the key is the whole fingerprint: provably fresh.
-        assert_eq!(cache.sweep(0, |_, _| false), (0, 1));
-        // In a deep table its reach is unknown: dropped without asking.
-        assert_eq!(cache.sweep(1, |_, _| false), (1, 0));
+        let mut out = Tensor::zeros(1, 1);
+        // In a layer-1 table the key is the whole fingerprint: it holds.
+        assert_eq!(cache.lookup_in(&k, &mut out, &g, 0).unwrap(), [true]);
+        // In a deep table its reach is unknown: refused without asking.
+        assert_eq!(cache.lookup_in(&k, &mut out, &g, 1).unwrap(), [false]);
+        assert_eq!(cache.total_rejected(), 1);
     }
 
     #[test]
     fn bytes_used_follows_fingerprints_through_every_way_out() {
         let row = std::mem::size_of::<f32>();
         let pair = std::mem::size_of::<u64>();
+        let g = TemporalGraph::with_nodes(0);
         let cache = EmbedCache::new(2, 1);
-        let fp = |n: u32| vec![recorded(&(0..n).map(|i| pack_key(100 + i, 1.0)).collect::<Vec<_>>())];
+        let fp = |n: u32| Some(vec![recorded(&(0..n).map(|i| pack_key(100 + i, 1.0)).collect::<Vec<_>>())]);
         let (a, b, c) = ([pack_key(1, 5.0)], [pack_key(2, 5.0)], [pack_key(3, 5.0)]);
-        cache.store_with_constraints(&a, &Tensor::zeros(1, 1), fp(3), None).unwrap();
+        cache.store_in(&a, &Tensor::zeros(1, 1), fp(3), &g).unwrap();
         assert_eq!(cache.bytes_used(), row + 3 * pair);
         // Overwrite: the old fingerprint's bytes leave with it.
-        cache.store_with_constraints(&a, &Tensor::zeros(1, 1), fp(5), None).unwrap();
+        cache.store_in(&a, &Tensor::zeros(1, 1), fp(5), &g).unwrap();
         assert_eq!(cache.bytes_used(), row + 5 * pair);
         // Eviction of `a` (limit 2) takes its five pairs along.
-        cache.store_with_constraints(&b, &Tensor::zeros(1, 1), fp(2), None).unwrap();
-        cache.store_with_constraints(&c, &Tensor::zeros(1, 1), fp(4), None).unwrap();
+        cache.store_in(&b, &Tensor::zeros(1, 1), fp(2), &g).unwrap();
+        cache.store_in(&c, &Tensor::zeros(1, 1), fp(4), &g).unwrap();
         assert_eq!(cache.total_evictions(), 1);
         assert_eq!(cache.bytes_used(), 2 * row + 6 * pair);
-        // Sweep of `b`, then clear of `c`.
-        assert_eq!(cache.sweep(1, |n, _| n == 2), (1, 1));
-        assert_eq!(cache.bytes_used(), row + 4 * pair);
+        // A plain overwrite of `b`, then a clear.
+        cache.store(&b, &Tensor::zeros(1, 1), false).unwrap();
+        assert_eq!(cache.bytes_used(), 2 * row + 4 * pair);
         cache.clear();
         assert_eq!(cache.bytes_used(), 0);
     }
@@ -1152,15 +956,14 @@ mod tests {
     }
 
     #[test]
-    fn layer_caches_aggregate_invalidation_and_clear() {
+    fn layer_caches_aggregate_clear() {
         let lc = LayerCaches::new(2, true, 100, 1);
         lc.layer(1).unwrap().store(&[pack_key(5, 1.0)], &Tensor::zeros(1, 1), false).unwrap();
         lc.layer(2).unwrap().store(&[pack_key(5, 2.0)], &Tensor::zeros(1, 1), false).unwrap();
-        assert_eq!(lc.invalidate_nodes(&[5]), 2);
-        lc.layer(1).unwrap().store(&[pack_key(6, 1.0)], &Tensor::zeros(1, 1), false).unwrap();
         lc.clear();
         assert!(lc.is_empty());
         assert_eq!(lc.bytes_used(), 0);
+        assert_eq!((lc.total_inserted(), lc.total_cleared()), (2, 2));
     }
 
     #[test]
@@ -1186,9 +989,10 @@ mod tests {
         assert!((cache.hit_rate() - 0.5).abs() < 1e-12);
     }
 
-    /// Stores, sweeps and clears against a naive model that keeps the
-    /// entries in one FIFO-ordered `Vec`: survivors and their order, every
-    /// counter, the bytes and the accounting identity agree after each step.
+    /// Stores, checked lookups and clears against a naive model that keeps
+    /// the entries in one FIFO-ordered `Vec`: survivors and their order,
+    /// every lookup's rows, every counter, the bytes and the accounting
+    /// identity agree after each step.
     mod equivalence {
         use super::*;
         use proptest::prelude::*;
@@ -1200,7 +1004,7 @@ mod tests {
             live: Vec<(u64, f32, Vec<u64>, usize)>,
             inserted: u64,
             evicted: u64,
-            invalidated: u64,
+            cleared: u64,
         }
 
         impl Model {
@@ -1231,21 +1035,12 @@ mod tests {
                 self.evict(self.live.len().saturating_sub(self.limit));
             }
 
-            fn sweep(&mut self, levels: usize, stale: impl Fn(NodeId, Time) -> bool) -> (usize, usize) {
-                let pair_stale = |pk: u64| {
-                    let (y, t) = unpack_key(pk);
-                    stale(y, t)
-                };
-                let before = self.live.len();
-                self.live.retain(|(key, _, fp, _)| {
-                    let hit = (fp.is_empty() && levels > 0)
-                        || pair_stale(*key)
-                        || fp.iter().any(|&pk| pair_stale(pk));
-                    !hit
-                });
-                let removed = before - self.live.len();
-                self.invalidated += removed as u64;
-                (removed, self.live.len())
+            /// What a checked lookup over a graph nobody edited returns:
+            /// every live entry's row, a deep table's only with a
+            /// fingerprint.
+            fn lookup(&self, keys: &[u64], levels: usize) -> Vec<Option<f32>> {
+                let live = |k: &u64| self.live.iter().find(|e| e.0 == *k);
+                keys.iter().map(|k| live(k).filter(|e| levels == 0 || !e.2.is_empty()).map(|e| e.1)).collect()
             }
         }
 
@@ -1265,12 +1060,12 @@ mod tests {
             prop_assert_eq!(got, want, "survivors in FIFO order");
             prop_assert_eq!(cache.len(), model.live.len());
             prop_assert_eq!(
-                (cache.total_inserted(), cache.total_evictions(), cache.total_invalidated()),
-                (model.inserted, model.evicted, model.invalidated)
+                (cache.total_inserted(), cache.total_evictions(), cache.total_cleared()),
+                (model.inserted, model.evicted, model.cleared)
             );
             prop_assert_eq!(
                 cache.total_inserted(),
-                cache.total_evictions() + cache.total_invalidated() + cache.len() as u64
+                cache.total_evictions() + cache.total_cleared() + cache.len() as u64
             );
             let words: usize = model.live.iter().map(|e| e.3).sum();
             prop_assert_eq!(cache.bytes_used(), 4 * model.live.len() + 8 * words);
@@ -1283,19 +1078,21 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(256))]
 
             #[test]
-            fn sweep_and_fifo_match_a_naive_model(
+            fn store_lookup_clear_and_fifo_match_a_naive_model(
                 limit in 2usize..24,
                 ops in proptest::collection::vec((0u32..10, any::<u32>(), any::<u32>(), any::<u32>()), 1..60),
             ) {
                 let cache = EmbedCache::new(limit, 1);
+                let graph = TemporalGraph::with_nodes(5);
+                let view = LiveGraph::new(graph.clone()).view();
                 let mut model =
-                    Model { limit, live: Vec::new(), inserted: 0, evicted: 0, invalidated: 0 };
+                    Model { limit, live: Vec::new(), inserted: 0, evicted: 0, cleared: 0 };
                 for (step, &(kind, x, y, z)) in ops.iter().enumerate() {
                     match kind {
                         // Stores of 1..=4 keys (repeats within a call and
                         // overwrites included), half of them fingerprinted
                         // (one in three of those with cuts), a fingerprint
-                        // in three left empty.
+                        // in three left empty. Cuts are kept under a view.
                         0..=5 => {
                             let keys: Vec<u64> =
                                 (0..1 + z % 4).map(|i| key_of(x.wrapping_add(i.wrapping_mul(y)))).collect();
@@ -1312,22 +1109,27 @@ mod tests {
                                     pairs: fp.clone().into_boxed_slice(),
                                     cuts: fp.iter().map(|&pk| pk % 7).collect(),
                                 }).collect();
-                                cache.store_with_constraints(&keys, &h, records, with_cuts.then_some(1)).unwrap();
+                                if with_cuts {
+                                    cache.store_in(&keys, &h, Some(records), &view).unwrap();
+                                } else {
+                                    cache.store_in(&keys, &h, Some(records), &graph).unwrap();
+                                }
                             }
                             model.store(&keys, &vals, &fps, with_cuts);
                         }
                         6..=8 => {
                             let levels = (y % 2) as usize;
-                            let stale = |n: NodeId, t: Time| n % 3 == z % 3 || t.to_bits() % 7 == z % 7;
-                            prop_assert_eq!(
-                                cache.sweep(levels, stale),
-                                model.sweep(levels, stale),
-                                "step {}: sweep({})", step, levels
-                            );
+                            let keys: Vec<u64> =
+                                (0..1 + z % 4).map(|i| key_of(x.wrapping_add(i.wrapping_mul(y)))).collect();
+                            let mut out = Tensor::zeros(keys.len(), 1);
+                            let mask = cache.lookup_in(&keys, &mut out, &graph, levels).unwrap();
+                            let got: Vec<Option<f32>> =
+                                mask.iter().enumerate().map(|(i, &hit)| hit.then(|| out.get(i, 0))).collect();
+                            prop_assert_eq!(got, model.lookup(&keys, levels), "step {}: lookup_in(.., {})", step, levels);
                         }
                         _ => {
                             cache.clear();
-                            model.invalidated += model.live.len() as u64;
+                            model.cleared += model.live.len() as u64;
                             model.live.clear();
                         }
                     }
@@ -1349,7 +1151,7 @@ mod tests {
         let cache = EmbedCache::new(10, 1);
         let keys = [pack_key(0, 5.0), pack_key(2, 5.0), pack_key(4, 5.0)];
         let records = fingerprint::capture_many(&v0, 2, &[0, 2, 4], &[5.0; 3], 0);
-        cache.store_with_constraints(&keys, &Tensor::zeros(3, 1), records, Some(v0.epoch())).unwrap();
+        cache.store_in(&keys, &Tensor::zeros(3, 1), Some(records), &v0).unwrap();
         let valid_at = |key: u64| cache.shards[shard_of(key)].read()[&key].valid_at.load(Ordering::Relaxed);
         assert_eq!(valid_at(keys[0]), 4);
 
@@ -1375,8 +1177,8 @@ mod tests {
         // The entry node 2 moved is still there for a reader at v0.
         assert_eq!(cache.lookup_in(&keys[1..2], &mut one, &v0, 0).unwrap(), [true]);
 
-        // Stored without a view: no cuts, valid_at 0. Node 4 never saw an
-        // append, so its row passes; node 0's cannot be shown to hold.
+        // Plain-stored: no cuts, valid_at 0. Node 4 never saw an append,
+        // so its row passes; node 0's cannot be shown to hold.
         cache.store(&[keys[0], keys[2]], &Tensor::zeros(2, 1), false).unwrap();
         let mut two = Tensor::zeros(2, 1);
         assert_eq!(cache.lookup_in(&[keys[0], keys[2]], &mut two, &v2, 0).unwrap(), [false, true]);
@@ -1384,6 +1186,46 @@ mod tests {
         assert_eq!(cache.lookup_in(&keys[2..], &mut one, &v2, 1).unwrap(), [false]);
         // Without a view, every live entry is taken at its word.
         assert_eq!(cache.lookup(&keys, &mut out, false).unwrap(), [true; 3]);
+    }
+
+    #[test]
+    fn frozen_lookups_read_the_edit_log() {
+        // Nodes 0, 2 and 4 each have two interactions before t = 5.
+        let stream = EdgeStream::new(&[0, 2, 4, 0, 2, 4], &[1, 3, 5, 1, 3, 5], &[1.0, 1.0, 1.0, 2.0, 2.0, 2.0]);
+        let mut g = TemporalGraph::from_stream(&stream);
+        let cache = EmbedCache::new(10, 1);
+        let keys = [pack_key(0, 5.0), pack_key(2, 5.0), pack_key(4, 5.0)];
+        // Layer-1 rows record nothing; a deep row its pairs, not its cuts.
+        cache.store_in(&keys, &Tensor::zeros(3, 1), None, &g).unwrap();
+        let deep = EmbedCache::new(10, 1);
+        let records = fingerprint::capture_many(&g, 2, &[0], &[5.0], 1);
+        deep.store_in(&keys[..1], &Tensor::zeros(1, 1), Some(records), &g).unwrap();
+        assert_eq!((cache.bytes_used(), deep.bytes_used()), (3 * 4, 4 + 3 * 8));
+        let valid_at = |key: u64| cache.shards[shard_of(key)].read()[&key].valid_at.load(Ordering::Relaxed);
+
+        // Node 0 gains an interaction after t = 5, node 2 one before it;
+        // node 4 loses one before it and gains another there, so its
+        // history before t = 5 keeps its length but not its window.
+        g.insert(&Edge { src: 0, dst: 5, time: 6.0, eid: 6 });
+        g.insert(&Edge { src: 2, dst: 5, time: 3.0, eid: 7 });
+        assert!(g.delete_edge(4, 5, 5));
+        g.insert(&Edge { src: 4, dst: 3, time: 1.5, eid: 8 });
+        assert_eq!(g.neighbors_before(4, 5.0).len(), 2);
+        let mut out = Tensor::zeros(3, 1);
+        assert_eq!(cache.lookup_in(&keys, &mut out, &g, 0).unwrap(), [true, false, false]);
+        assert_eq!((cache.total_revalidated(), cache.total_rejected()), (1, 2));
+        // The row that held now holds at the graph's epoch: the next
+        // lookup clears it by its last edit alone.
+        assert_eq!(valid_at(keys[0]), g.epoch());
+        let mut one = Tensor::zeros(1, 1);
+        assert_eq!(cache.lookup_in(&keys[..1], &mut one, &g, 0).unwrap(), [true]);
+        assert_eq!(cache.total_revalidated(), 1);
+        // The deep row read node 0's window at t = 5 and, as leaves, node
+        // 1's at t = 1 and t = 2: node 0's edit is after t = 5 and node 1
+        // was never edited, until an insert lands below both leaves.
+        assert_eq!(deep.lookup_in(&keys[..1], &mut one, &g, 1).unwrap(), [true]);
+        g.insert(&Edge { src: 1, dst: 3, time: 0.5, eid: 9 });
+        assert_eq!(deep.lookup_in(&keys[..1], &mut one, &g, 1).unwrap(), [false]);
     }
 
     #[test]

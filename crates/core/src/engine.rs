@@ -16,7 +16,7 @@ use crate::fingerprint;
 use crate::hash::compute_keys;
 use crate::timecache::TimeCache;
 use tg_error::TgError;
-use tg_graph::{GraphView, NodeId, SamplingStrategy, TemporalSampler, Time};
+use tg_graph::{GraphView, NodeId, SamplingStrategy, TemporalSampler, Time, Versioned};
 use tg_tensor::fanout::host_cores;
 use tg_tensor::{Scratch, Tensor};
 use tgat::attention::{self, AttentionInputs, KvWeights};
@@ -172,13 +172,12 @@ impl<'a> TgoptEngine<'a> {
     }
 
     /// Rebuilds an engine around an existing cache (and counters), e.g.
-    /// one per serving worker over a shared cache. Lookups without a
-    /// pinned view take every entry at its word, so a caller that changes
-    /// `ctx.graph` between engines must invalidate what the change reaches
-    /// itself: even an added edge changes the windows of every entry keyed
-    /// after its time at its endpoints (§3.2), and a deletion needs
-    /// [`TgoptEngine::invalidate_edge_deletion`]. Over a live graph, pin a
-    /// view instead ([`TgoptEngine::pin_view`]) and additions need nothing.
+    /// one per serving worker over a shared cache, or the next engine over
+    /// a graph edited since the last one. Every lookup asks whether what
+    /// the row read changed ([`EmbedCache::lookup_in`]), so no edit needs
+    /// anything removed. The cache must follow one history: `ctx.graph`
+    /// is the graph the cache was filled over, edited or not, never a
+    /// clone edited apart from it.
     pub fn with_cache(
         params: &'a TgatParams,
         ctx: GraphContext<'a>,
@@ -227,7 +226,7 @@ impl<'a> TgoptEngine<'a> {
     }
 
     /// The per-layer embedding caches (for memory accounting and
-    /// invalidation).
+    /// clearing).
     pub fn cache(&self) -> &LayerCaches {
         &self.caches
     }
@@ -247,16 +246,6 @@ impl<'a> TgoptEngine<'a> {
     /// The active optimization configuration.
     pub fn opt_config(&self) -> &OptConfig {
         &self.opt
-    }
-
-    /// Invalidation for the deletion of an edge between `src` and `dst`
-    /// (future-work §7), correct for *any* model depth: the deleted
-    /// interaction sat only in windows of its two endpoints, so exactly the
-    /// entries that sampled `src`'s or `dst`'s history — by key at layer 1,
-    /// by recorded fingerprint above — can embed it. For the paper's 2-layer
-    /// configuration this reduces to invalidating the two endpoints.
-    pub fn invalidate_edge_deletion(&mut self, src: NodeId, dst: NodeId) -> usize {
-        self.caches.invalidate_nodes(&[src, dst])
     }
 
     /// True if memoization is actually in effect (enabled *and* sound under
@@ -282,14 +271,10 @@ impl<'a> TgoptEngine<'a> {
     }
 
     /// Pins an epoch-stamped live snapshot, replacing any pinned before
-    /// (a view stays pinned for the engine's life): neighborhood sampling
-    /// reads `view` instead of the frozen `ctx.graph`, cache stores record
-    /// each row's dependencies under it, and cache lookups accept an entry
-    /// only if those dependencies still hold for `view`
-    /// ([`EmbedCache::lookup_in`]). Memoization stays sound however the
-    /// graph grew, with nothing invalidated at write time (DESIGN.md "One
-    /// validity question"); edge deletions still go through
-    /// [`TgoptEngine::invalidate_edge_deletion`].
+    /// (a view stays pinned for the engine's life): the engine reads
+    /// `view` instead of the frozen `ctx.graph` — sampling, and the lookup
+    /// check and store stamp of every cached row ([`EmbedCache::lookup_in`],
+    /// DESIGN.md "One validity question").
     pub fn pin_view(&mut self, view: GraphView) {
         self.view = Some(view);
     }
@@ -306,7 +291,12 @@ impl<'a> TgoptEngine<'a> {
                 ts.len()
             )));
         }
-        let (h, inv_idx) = self.embed(self.params.cfg.n_layers, ns, ts)?;
+        // The history every layer reads: the pinned view, or the graph.
+        let top = self.params.cfg.n_layers;
+        let (h, inv_idx) = match self.view.clone() {
+            Some(view) => self.embed(&view, top, ns, ts)?,
+            None => self.embed(self.ctx.graph, top, ns, ts)?,
+        };
         // §4.1 DedupInvert, once: every layer below read its lower layer's
         // unique rows through the inverse index instead.
         Ok(match inv_idx {
@@ -322,7 +312,13 @@ impl<'a> TgoptEngine<'a> {
     /// Layer `l ≥ 1` of `(ns, ts)` as unique rows plus, when dedup ran, the
     /// inverse index that maps target `i` to its row; without it row `i` is
     /// target `i`.
-    fn embed(&mut self, l: usize, ns: &[NodeId], ts: &[Time]) -> Result<(Tensor, Option<Vec<u32>>), TgError> {
+    fn embed<S: Versioned>(
+        &mut self,
+        source: &S,
+        l: usize,
+        ns: &[NodeId],
+        ts: &[Time],
+    ) -> Result<(Tensor, Option<Vec<u32>>), TgError> {
         debug_assert_eq!(ns.len(), ts.len());
         if ns.is_empty() {
             return Ok((self.scratch.take(0, self.params.cfg.dim), None));
@@ -349,10 +345,10 @@ impl<'a> TgoptEngine<'a> {
         let caches = Arc::clone(&self.caches);
         let cache_l = if self.memoization_active() { caches.layer(l) } else { None };
         let h = match cache_l {
-            Some(cache) => self.embed_cached(cache, l, uns, uts)?,
+            Some(cache) => self.embed_cached(source, cache, l, uns, uts)?,
             None => {
                 self.counters.recomputed += uns.len() as u64;
-                self.attend(l, uns, uts)?
+                self.attend(source, l, uns, uts)?
             }
         };
         Ok((h, dedup.map(|r| r.inv_idx)))
@@ -361,8 +357,9 @@ impl<'a> TgoptEngine<'a> {
     /// Layer `l` of unique targets through the layer's cache: look every key
     /// up, recompute the misses with [`Self::attend`], store them and copy
     /// them into place (Algorithm 1 with Algorithm 3's lookup and store).
-    fn embed_cached(
+    fn embed_cached<S: Versioned>(
         &mut self,
+        source: &S,
         cache: &EmbedCache,
         l: usize,
         uns: &[NodeId],
@@ -373,11 +370,7 @@ impl<'a> TgoptEngine<'a> {
         // below every miss row.
         let mut h = self.scratch.take(n_uniq, self.params.cfg.dim);
         let keys = self.stats.time(OpKind::ComputeKeys, || compute_keys(uns, uts, false));
-        let view = self.view.as_ref();
-        let hit_mask = self.stats.time(OpKind::CacheLookup, || match view {
-            Some(v) => cache.lookup_in(&keys, &mut h, v, l - 1),
-            None => cache.lookup(&keys, &mut h, false),
-        })?;
+        let hit_mask = self.stats.time(OpKind::CacheLookup, || cache.lookup_in(&keys, &mut h, source, l - 1))?;
         self.counters.cache_lookups += n_uniq as u64;
         self.counters.cache_hits += hit_mask.iter().filter(|&&m| m).count() as u64;
 
@@ -388,27 +381,19 @@ impl<'a> TgoptEngine<'a> {
         }
         let m_ns: Vec<NodeId> = miss_idx.iter().map(|&i| uns[i]).collect(); // alloc-ok: miss-target ids; variable-size id lists are not poolable f32 scratch
         let m_ts: Vec<Time> = miss_idx.iter().map(|&i| uts[i]).collect(); // alloc-ok: miss-target times; same per-batch id bookkeeping as m_ns
-        let h_m = self.attend(l, &m_ns, &m_ts)?;
+        let h_m = self.attend(source, l, &m_ns, &m_ts)?;
 
         if self.store_enabled {
             let miss_keys: Vec<u64> = miss_idx.iter().map(|&i| keys[i]).collect(); // alloc-ok: Algorithm 3 CacheStore keys; one u64 per recomputed row
-            // Under a view every entry records its pairs' cuts and the
-            // view's epoch, for a later reader's `lookup_in` to check
-            // (DESIGN.md "One validity question"). Without one, layers >= 2
-            // record their fingerprint for `EmbedCache::sweep`, and a
-            // layer-1 entry's fingerprint is its key, so it records nothing.
+            // Every entry is stamped with the source's epoch and records
+            // what a later reader's `lookup_in` checks (DESIGN.md "One
+            // validity question"): its pairs and their cuts under a view.
+            // A frozen graph's edit log needs no cuts, and a layer-1 entry
+            // reads its key's window alone, so there it records nothing.
             let k = self.params.cfg.n_neighbors;
-            let (graph, view) = (self.ctx.graph, self.view.as_ref());
-            self.stats.time(OpKind::CacheStore, || match view {
-                Some(v) => {
-                    let records = fingerprint::capture_many(v, k, &m_ns, &m_ts, l - 1);
-                    cache.store_with_constraints(&miss_keys, &h_m, records, Some(v.epoch()))
-                }
-                None if l >= 2 => {
-                    let records = fingerprint::capture_many(graph, k, &m_ns, &m_ts, l - 1);
-                    cache.store_with_constraints(&miss_keys, &h_m, records, None)
-                }
-                None => cache.store(&miss_keys, &h_m, false),
+            self.stats.time(OpKind::CacheStore, || {
+                let records = (S::READS_CUTS || l >= 2).then(|| fingerprint::capture_many(source, k, &m_ns, &m_ts, l - 1));
+                cache.store_in(&miss_keys, &h_m, records, source)
             })?;
             self.counters.cache_stores += miss_keys.len() as u64;
         } else {
@@ -428,12 +413,9 @@ impl<'a> TgoptEngine<'a> {
     /// sample, embed targets and neighbors together one layer down
     /// (Algorithm 1 line 12: `Embed(l-1, ns ∪ ns_ngh, ts ∪ ts_ngh)`), encode
     /// the time deltas and attend. Returns `[ns.len(), dim]`.
-    fn attend(&mut self, l: usize, ns: &[NodeId], ts: &[Time]) -> Result<Tensor, TgError> {
-        let (graph, sampler, view) = (self.ctx.graph, &self.sampler, self.view.as_ref());
-        let nb = self.stats.time(OpKind::NghLookup, || match view {
-            Some(v) => sampler.sample_view(v, ns, ts),
-            None => sampler.sample(graph, ns, ts),
-        });
+    fn attend<S: Versioned>(&mut self, source: &S, l: usize, ns: &[NodeId], ts: &[Time]) -> Result<Tensor, TgError> {
+        let sampler = &self.sampler;
+        let nb = self.stats.time(OpKind::NghLookup, || sampler.sample_from(source, ns, ts));
 
         let mut all_ns = Vec::with_capacity(ns.len() + nb.nodes.len()); // alloc-ok: per-layer id concatenation; id lists are not poolable f32 scratch
         all_ns.extend_from_slice(ns);
@@ -447,7 +429,7 @@ impl<'a> TgoptEngine<'a> {
             let mut all_ts = Vec::with_capacity(ts.len() + nb.times.len()); // alloc-ok: per-layer time concatenation, same bookkeeping as all_ns
             all_ts.extend_from_slice(ts);
             all_ts.extend_from_slice(&nb.times);
-            Some(self.embed(l - 1, &all_ns, &all_ts)?)
+            Some(self.embed(source, l - 1, &all_ns, &all_ts)?)
         };
 
         // §4.3 precomputed time encodings when the window exists, the
@@ -917,21 +899,26 @@ mod tests {
     }
 
     #[test]
-    fn invalidation_forces_recompute() {
+    fn an_edit_below_a_cached_time_forces_recompute() {
         let cfg = TgatConfig::tiny();
         let params = TgatParams::init(cfg, 7).unwrap();
-        let (graph, nf, ef) = world(cfg, 12, 80);
+        let (mut graph, nf, ef) = world(cfg, 12, 80);
         let ctx = GraphContext { graph: &graph, node_features: &nf, edge_features: &ef };
         let mut eng = TgoptEngine::new(&params, ctx, OptConfig::all());
         let _ = eng.embed_batch(&[0], &[50.0]).unwrap();
-        let cached = eng.cache().len();
-        assert!(cached > 0);
-        let removed: usize = (0..12).step_by(2).map(|n| eng.invalidate_edge_deletion(n, n + 1)).sum();
-        assert_eq!(removed, cached);
+        let (caches, counters) = eng.into_cache();
+        // Delete node 0's most recent interaction before t = 50: the
+        // layer-1 row of (0, 50) read it, so the next lookup refuses it.
+        let last = *graph.neighbors_before(0, 50.0).last().unwrap();
+        assert!(graph.delete_edge(0, last.ngh, last.eid));
+        let ctx = GraphContext { graph: &graph, node_features: &nf, edge_features: &ef };
+        let mut eng = TgoptEngine::with_cache(&params, ctx, OptConfig::all(), caches, counters);
         let before = eng.counters();
-        let _ = eng.embed_batch(&[0], &[50.0]).unwrap();
+        let h = eng.embed_batch(&[0], &[50.0]).unwrap();
         let delta = eng.counters().delta_since(&before);
-        assert_eq!(delta.cache_hits, 0, "invalidation must clear reuse");
+        assert!(delta.cache_hits < delta.cache_lookups, "{delta:?}");
+        assert_eq!(eng.cache().layer(1).unwrap().total_rejected(), 1);
+        assert!(h.max_abs_diff(&forward_embeddings(&params, &ctx, &[0], &[50.0])) < 1e-5);
     }
 
     #[test]

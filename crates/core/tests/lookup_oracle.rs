@@ -1,22 +1,26 @@
 //! An executable oracle for the one validity question: caches filled by the
-//! real engine under a live view, then read back through view-pinned
-//! lookups after edges land below, at and above the cached times. Every
-//! row a lookup returns must equal the tape forward over the reader's own
-//! graph, whichever epoch the reader is pinned to.
+//! real engine, then read back through checked lookups after the graph
+//! changed. Every row a lookup returns must equal the tape forward over the
+//! reader's own graph.
 //!
-//! On top of that the layer-1 verdicts are checked exactly: an entry is
-//! refused precisely when its cut (`|N(node, t)|`) moved, and it is
-//! re-read (revalidated) precisely when an append reached its node since
-//! the cuts were last known to hold. A deep entry whose fingerprint was
-//! stripped, as a warm restore leaves it, is never returned under a view.
-//! The deletion half checks the explicit path that stays:
-//! `invalidate_edge_deletion`.
+//! The live half fills under a view and adds edges below, at and above the
+//! cached times; readers at the new and the old epoch both check. On top
+//! of that the layer-1 verdicts are checked exactly: an entry is refused
+//! precisely when its cut (`|N(node, t)|`) moved, and it is re-read
+//! (revalidated) precisely when an append reached its node since the cuts
+//! were last known to hold. A deep entry whose fingerprint was stripped,
+//! as a warm restore leaves it, is never returned under a view.
+//!
+//! The frozen half fills over a `TemporalGraph` and edits it in place
+//! between engines, with nothing invalidated: a deletion, an out-of-order
+//! insert, and a deletion plus an insert below the cached times that
+//! leaves the node's history length unchanged.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use rustc_hash::FxHashSet;
 use std::sync::Arc;
-use tg_graph::{Edge, EdgeId, GraphView, LiveGraph, NodeId, TemporalGraph, Time};
+use tg_graph::{Edge, EdgeId, GraphView, LiveGraph, NodeId, TemporalGraph, Time, Versioned};
 use tg_tensor::{init, Tensor};
 use tgat::engine::GraphContext;
 use tgat::train::forward_embeddings;
@@ -77,13 +81,13 @@ impl World {
         forward_embeddings(&params, &self.ctx(graph), &ns, &ts)
     }
 
-    /// Looks every live key of every layer up under `view` and checks each
+    /// Looks every live key of every layer up in `source` and checks each
     /// returned row against the tape over `graph` (the cold rebuild of
-    /// what `view` sees). Returns, per layer, the keys and the hit mask.
-    fn read(
+    /// what `source` sees). Returns, per layer, the keys and the hit mask.
+    fn read<S: Versioned>(
         &self,
         caches: &LayerCaches,
-        view: &GraphView,
+        source: &S,
         graph: &TemporalGraph,
     ) -> Result<Vec<(Vec<u64>, Vec<bool>)>, TestCaseError> {
         let mut reads = vec![(Vec::new(), Vec::new())];
@@ -91,7 +95,7 @@ impl World {
             let cache = caches.layer(l).unwrap();
             let keys: Vec<u64> = cache.export_fifo_order().iter().map(|(k, _)| *k).collect();
             let mut rows = Tensor::zeros(keys.len(), self.params.cfg.dim);
-            let mask = cache.lookup_in(&keys, &mut rows, view, l - 1).unwrap();
+            let mask = cache.lookup_in(&keys, &mut rows, source, l - 1).unwrap();
             let fresh = self.recompute(graph, l, &keys);
             for (i, _) in mask.iter().enumerate().filter(|(_, &hit)| hit) {
                 let diff = rows.row(i).iter().zip(fresh.row(i)).map(|(a, b)| (a - b).abs()).fold(0.0, f32::max);
@@ -99,7 +103,7 @@ impl World {
                     diff <= 1e-5,
                     "layer {l} returned {:?} off by {diff} at epoch {}",
                     unpack_key(keys[i]),
-                    view.epoch()
+                    source.epoch()
                 );
             }
             reads.push((keys, mask));
@@ -198,24 +202,28 @@ proptest! {
         world.read(&caches, &v1, &g1)?;
         world.read(&caches, &v0, &g0)?;
 
-        // --- Deletion ------------------------------------------------------
+        // --- Frozen edits --------------------------------------------------
+        // One cache follows one graph, edited in place between engines;
+        // each edit is followed by a read and a refill.
+        let mut g = g0.clone();
         let frozen = Arc::new(LayerCaches::new(n_layers, true, 10_000, world.params.cfg.dim));
-        world.answer_all(&g0, &frozen, None, max_t);
+        world.answer_all(&g, &frozen, None, max_t);
+        // A deletion.
         let dead = edges[victim % edges.len()];
-        let mut g2 = g0.clone();
-        prop_assert!(g2.delete_edge(dead.src, dead.dst, dead.eid));
-        let mut engine = TgoptEngine::with_cache(
-            &world.params, world.ctx(&g2), OptConfig::all(), Arc::clone(&frozen), EngineCounters::default(),
-        );
-        engine.invalidate_edge_deletion(dead.src, dead.dst);
-        for l in 1..=n_layers {
-            let live_rows = frozen.layer(l).unwrap().export_fifo_order();
-            let keys: Vec<u64> = live_rows.iter().map(|(k, _)| *k).collect();
-            let fresh = world.recompute(&g2, l, &keys);
-            for (i, (key, row)) in live_rows.iter().enumerate() {
-                let diff = row.iter().zip(fresh.row(i)).map(|(a, b)| (a - b).abs()).fold(0.0, f32::max);
-                prop_assert!(diff <= 1e-5, "layer {l} kept {:?} off by {diff}", unpack_key(*key));
-            }
-        }
+        prop_assert!(g.delete_edge(dead.src, dead.dst, dead.eid));
+        world.read(&frozen, &g, &g)?;
+        world.answer_all(&g, &frozen, None, max_t);
+        // An out-of-order insert, below every cached time.
+        g.insert(&Edge { src: dead.dst, dst: dead.src, time: 0.5, eid: dead.eid });
+        world.read(&frozen, &g, &g)?;
+        world.answer_all(&g, &frozen, None, max_t);
+        // A deletion plus an insert at the same node and time: the history
+        // length before every later time is unchanged, the window is not.
+        let swap = edges[(victim + 1) % edges.len()];
+        let before = g.neighbors_before(swap.src, max_t + 2.0).len();
+        prop_assert!(g.delete_edge(swap.src, swap.dst, swap.eid));
+        g.insert(&Edge { eid: edges.len() as EdgeId, ..swap });
+        prop_assert_eq!(g.neighbors_before(swap.src, max_t + 2.0).len(), before);
+        world.read(&frozen, &g, &g)?;
     }
 }

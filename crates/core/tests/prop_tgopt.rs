@@ -114,26 +114,4 @@ proptest! {
         prop_assert!(cached.max_abs_diff(&direct) < 1e-6);
         prop_assert_eq!(tc.hits() + tc.misses(), dts.len() as u64);
     }
-
-    #[test]
-    fn invalidation_is_exhaustive(
-        entries in proptest::collection::vec((0u32..10, 0u32..50), 1..100),
-        victim in 0u32..10,
-    ) {
-        let cache = EmbedCache::new(10_000, 1);
-        for &(n, t) in &entries {
-            cache.store(&[pack_key(n, t as f32)], &Tensor::zeros(1, 1), false).unwrap();
-        }
-        let expected: HashSet<u64> = entries
-            .iter()
-            .filter(|&&(n, _)| n == victim)
-            .map(|&(n, t)| pack_key(n, t as f32))
-            .collect();
-        let removed = cache.sweep(0, |y, _| y == victim).0;
-        prop_assert_eq!(removed, expected.len());
-        for key in expected {
-            let mut out = Tensor::zeros(1, 1);
-            prop_assert!(!cache.lookup(&[key], &mut out, false).unwrap()[0]);
-        }
-    }
 }

@@ -663,14 +663,6 @@ impl TgServer {
         self.shared.queue.len()
     }
 
-    /// Drops every cached embedding computed from `node`'s history — keyed
-    /// by it, or recording it in a deep layer's fingerprint — safe
-    /// concurrently with serving traffic (in-flight batches recompute on
-    /// their next miss). Returns how many entries were removed.
-    pub fn invalidate_node(&self, node: NodeId) -> usize {
-        self.shared.cache.invalidate_nodes(&[node])
-    }
-
     /// A consistent snapshot of the live graph, or `None` when live
     /// ingest is disabled. The view pins its generation: holding it is
     /// free for appenders and only delays reclaiming a compacted base.

@@ -162,14 +162,14 @@ pub struct ServeStats {
     pub degraded_batches: u64,
     /// Edges accepted by `submit_edge` into the live graph.
     pub edges_ingested: u64,
-    /// Cache hits a view-pinned lookup refused because some window the
-    /// entry depends on changed (or could not be shown unchanged) under
-    /// the reader's view; each was recomputed and overwritten. Nothing is
-    /// dropped when an edge arrives, so this is where ingest shows up.
+    /// Cache hits a lookup refused because some window the entry depends
+    /// on changed (or could not be shown unchanged) in the reader's
+    /// history; each was recomputed and overwritten. Nothing is dropped
+    /// when an edge arrives, so this is where ingest shows up.
     pub entries_invalidated: u64,
-    /// View-pinned cache hits accepted only after re-reading a window's
-    /// cut, because an append had reached one of the entry's nodes since
-    /// the cuts were last known to hold.
+    /// Cache hits accepted only after the slow check (a live view re-reads
+    /// a window's cut), because a change had reached one of the entry's
+    /// nodes since its windows were last known to hold.
     pub entries_retained: u64,
     /// Per-layer breakdown of `entries_invalidated`: bin `i` holds cache
     /// layer `i + 1`, with layers past the fourth folded into the last bin.

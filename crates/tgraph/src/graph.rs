@@ -1,6 +1,6 @@
 //! Time-sorted adjacency storage for continuous-time dynamic graphs.
 
-use crate::{Edge, EdgeId, EdgeStream, NodeId, Time};
+use crate::{Edge, EdgeId, EdgeStream, NodeId, Time, Versioned};
 
 /// One adjacency entry: an interaction with `ngh` at `time`, whose features
 /// live at row `eid` of the edge feature matrix.
@@ -30,24 +30,62 @@ enum Storage {
 /// the paper's treatment of all datasets as undirected graphs (§5.1.1).
 /// Each node's list is kept sorted by timestamp so the most-recent sampler
 /// can binary-search the temporal cutoff `t_j < t`.
+///
+/// Every [`TemporalGraph::insert`] and [`TemporalGraph::delete_edge`] is
+/// an *edit*: it advances the graph's [`Versioned::epoch`] and is
+/// logged at both endpoints, so a row memoized at an earlier epoch can be
+/// checked against what changed since ([`Versioned`]).
+/// A graph built by [`TemporalGraph::from_stream`] starts at epoch 0 with
+/// an empty log. Clones carry the log: a clone edited apart from its
+/// original is another history.
 #[derive(Clone, Debug)]
 pub struct TemporalGraph {
     storage: Storage,
     num_edges: usize,
+    edits: Edits,
+}
+
+/// The edit log: the number of edits so far, and per node the
+/// `(epoch, edge time)` of every edit that touched it, oldest first, so
+/// its last element is the node's last-edit epoch. Empty until the first
+/// edit; never shrinks.
+#[derive(Clone, Debug, Default)]
+struct Edits {
+    epoch: u64,
+    by_node: Vec<Vec<(u64, Time)>>,
+}
+
+impl Edits {
+    /// Records one edit at time `time` touching `nodes`.
+    fn log(&mut self, nodes: [NodeId; 2], time: Time) {
+        self.epoch += 1;
+        for node in nodes {
+            let n = node as usize;
+            if n >= self.by_node.len() {
+                self.by_node.resize_with(n + 1, Vec::new);
+            }
+            self.by_node[n].push((self.epoch, time));
+        }
+    }
+
+    fn of(&self, node: NodeId) -> &[(u64, Time)] {
+        self.by_node.get(node as usize).map_or(&[], |v| v.as_slice())
+    }
 }
 
 impl TemporalGraph {
     /// An empty graph over `num_nodes` node ids.
     pub fn with_nodes(num_nodes: usize) -> Self {
-        Self { storage: Storage::Dynamic(vec![Vec::new(); num_nodes]), num_edges: 0 }
+        Self { storage: Storage::Dynamic(vec![Vec::new(); num_nodes]), num_edges: 0, edits: Edits::default() }
     }
 
     /// Builds a graph containing every interaction of the stream, in the
-    /// compact frozen layout (replay workloads are read-only).
+    /// compact frozen layout (replay workloads are read-only). Building
+    /// is not editing: the graph starts at epoch 0 with nothing logged.
     pub fn from_stream(stream: &EdgeStream) -> Self {
         let mut g = Self::with_nodes(stream.num_nodes());
         for e in stream.edges() {
-            g.insert(e);
+            g.push(e);
         }
         g.freeze();
         g
@@ -84,12 +122,20 @@ impl TemporalGraph {
         self.storage = Storage::Dynamic(adj);
     }
 
-    /// Inserts one interaction (both directions).
+    /// Inserts one interaction (both directions), as one logged edit.
     ///
     /// Appending is O(1) when events arrive chronologically (the normal
     /// replay case); out-of-order events fall back to sorted insertion so the
     /// per-node time order invariant always holds. A frozen graph thaws.
     pub fn insert(&mut self, e: &Edge) {
+        self.push(e);
+        self.edits.log([e.src, e.dst], e.time);
+    }
+
+    /// [`TemporalGraph::insert`] without the log entry: for building a
+    /// graph nothing has read yet (`from_stream`, a live graph's
+    /// compaction, which readers see only through their views).
+    pub(crate) fn push(&mut self, e: &Edge) {
         self.thaw();
         // `thaw` always leaves the storage dynamic, so the guard never skips.
         if let Storage::Dynamic(adj) = &mut self.storage {
@@ -114,25 +160,25 @@ impl TemporalGraph {
     }
 
     /// Deletes the interaction identified by `eid` incident to `src`/`dst`
-    /// (future-work extension of the paper, §7). Returns true if found.
+    /// (future-work extension of the paper, §7), as one logged edit at
+    /// the deleted interaction's time. Returns true if found.
     pub fn delete_edge(&mut self, src: NodeId, dst: NodeId, eid: EdgeId) -> bool {
         self.thaw();
-        let mut removed = false;
+        let mut removed = None;
         // `thaw` always leaves the storage dynamic, so the guard never skips.
         if let Storage::Dynamic(adj) = &mut self.storage {
             for node in [src, dst] {
                 if let Some(list) = adj.get_mut(node as usize) {
                     if let Some(pos) = list.iter().position(|x| x.eid == eid) {
-                        list.remove(pos);
-                        removed = true;
+                        removed = Some(list.remove(pos).time);
                     }
                 }
             }
         }
-        if removed {
-            self.num_edges = self.num_edges.saturating_sub(1);
-        }
-        removed
+        let Some(time) = removed else { return false };
+        self.num_edges = self.num_edges.saturating_sub(1);
+        self.edits.log([src, dst], time);
+        true
     }
 
     /// Number of node ids the graph can address.
@@ -175,28 +221,33 @@ impl TemporalGraph {
     pub fn degree(&self, node: NodeId) -> usize {
         self.neighbors(node).len()
     }
+}
 
-    /// Nodes within `hops` undirected hops of `node` (including itself),
-    /// ignoring time: the nodes whose layer-`l` embedding can embed a
-    /// change to `node`'s history when `l > hops`.
-    pub fn k_hop_nodes(&self, node: NodeId, hops: usize) -> Vec<NodeId> {
-        let mut seen = std::collections::HashSet::new();
-        seen.insert(node);
-        let mut frontier = vec![node];
-        for _ in 0..hops {
-            let mut next = Vec::new();
-            for &n in &frontier {
-                for e in self.neighbors(n) {
-                    if seen.insert(e.ngh) {
-                        next.push(e.ngh);
-                    }
-                }
-            }
-            frontier = next;
-        }
-        let mut out: Vec<NodeId> = seen.into_iter().collect();
-        out.sort_unstable();
-        out
+/// A frozen graph answers the cache's validity question from its edit log.
+impl Versioned for TemporalGraph {
+    const READS_CUTS: bool = false;
+
+    /// The number of edits ([`TemporalGraph::insert`],
+    /// [`TemporalGraph::delete_edge`]) made so far: a row computed now
+    /// saw every edit up to this epoch.
+    fn epoch(&self) -> u64 {
+        self.edits.epoch
+    }
+
+    /// The epoch of the last edit that touched `node`, 0 if none.
+    fn last_change(&self, node: NodeId) -> Option<u64> {
+        Some(self.edits.of(node).last().map_or(0, |&(epoch, _)| epoch))
+    }
+
+    /// True if no edit after epoch `since` touched `node` strictly before
+    /// `t`. Sampling `(node, t)` reads only interactions before `t`, so
+    /// then the window `W(node, t)` is the one it was at `since`: an
+    /// insert or a deletion at or after `t` cannot move it, and a
+    /// deletion plus an insert below `t` is two edits, caught like one.
+    /// The log needs no cut.
+    fn holds(&self, node: NodeId, t: Time, since: u64, _cut: Option<u64>) -> bool {
+        let log = self.edits.of(node);
+        log.iter().rev().take_while(|&&(epoch, _)| epoch > since).all(|&(_, time)| time >= t)
     }
 }
 
@@ -311,6 +362,51 @@ mod tests {
     }
 
     #[test]
+    fn a_built_graph_has_logged_nothing() {
+        let s = EdgeStream::new(&[0, 1, 0], &[1, 2, 2], &[1.0, 2.0, 3.0]);
+        let g = TemporalGraph::from_stream(&s);
+        assert_eq!(g.epoch(), 0);
+        assert!(g.edits.by_node.is_empty(), "from_stream allocates no log");
+        assert!((0..4).all(|n| g.last_change(n) == Some(0) && g.holds(n, 10.0, 0, None)));
+    }
+
+    #[test]
+    fn edits_are_logged_at_both_endpoints_at_their_time() {
+        let s = EdgeStream::new(&[0, 1], &[1, 2], &[1.0, 5.0]);
+        let mut g = TemporalGraph::from_stream(&s);
+        let last = |g: &TemporalGraph, n| g.last_change(n).unwrap();
+        g.insert(&edge(0, 3, 4.0, 2));
+        assert_eq!((g.epoch(), last(&g, 0), last(&g, 3), last(&g, 1)), (1, 1, 1, 0));
+        // W(0, t) moved for t > 4 only: sampling reads times strictly
+        // before t.
+        assert!(g.holds(0, 4.0, 0, None) && !g.holds(0, 4.5, 0, None));
+        assert!(g.holds(0, 100.0, 1, None), "nothing after epoch 1");
+        // A deletion is an edit at the deleted interaction's time.
+        assert!(g.delete_edge(1, 2, 1));
+        assert_eq!((g.epoch(), last(&g, 1), last(&g, 2)), (2, 2, 2));
+        assert!(g.holds(2, 5.0, 1, None) && !g.holds(2, 5.5, 1, None));
+        // A missing edge is not an edit.
+        assert!(!g.delete_edge(1, 2, 1));
+        assert_eq!(g.epoch(), 2);
+        // Growth past the node range is logged too.
+        g.insert(&edge(9, 0, 0.5, 3));
+        assert_eq!((last(&g, 9), last(&g, 0)), (3, 3));
+        assert!(!g.holds(0, 4.0, 1, None));
+    }
+
+    #[test]
+    fn delete_then_insert_below_t_is_seen_though_the_length_is_not() {
+        let s = EdgeStream::new(&[0, 0], &[1, 2], &[1.0, 2.0]);
+        let mut g = TemporalGraph::from_stream(&s);
+        let before = g.neighbors_before(0, 3.0).len();
+        assert!(g.delete_edge(0, 1, 0));
+        g.insert(&edge(0, 3, 1.5, 2));
+        assert_eq!(g.neighbors_before(0, 3.0).len(), before, "same history length");
+        assert!(!g.holds(0, 3.0, 0, Some(before as u64)), "the log needs no cut");
+        assert!(g.holds(0, 1.0, 0, None), "both edits at or after t = 1");
+    }
+
+    #[test]
     fn unknown_node_has_empty_neighborhood() {
         let g = TemporalGraph::with_nodes(2);
         assert!(g.neighbors(77).is_empty());
@@ -325,19 +421,5 @@ mod tests {
         g.insert(&edge(0, 1, 2.0, 2));
         assert_eq!(g.degree(0), 3);
         assert_eq!(g.neighbors_before(0, 2.0).len(), 1);
-    }
-
-    #[test]
-    fn k_hop_nodes_expands_by_hops() {
-        // Path graph 0-1-2-3-4.
-        let mut g = TemporalGraph::with_nodes(5);
-        for i in 0..4u32 {
-            g.insert(&edge(i, i + 1, (i + 1) as Time, i));
-        }
-        assert_eq!(g.k_hop_nodes(0, 0), vec![0]);
-        assert_eq!(g.k_hop_nodes(0, 1), vec![0, 1]);
-        assert_eq!(g.k_hop_nodes(0, 2), vec![0, 1, 2]);
-        assert_eq!(g.k_hop_nodes(2, 1), vec![1, 2, 3]);
-        assert_eq!(g.k_hop_nodes(2, 10), vec![0, 1, 2, 3, 4]);
     }
 }

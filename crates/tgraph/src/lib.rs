@@ -7,7 +7,8 @@
 //!   produces and a model consumes in batches.
 //! * [`TemporalGraph`] — a time-sorted CSR adjacency ("T-CSR", after TGL),
 //!   supporting incremental insertion as the stream is replayed, plus edge
-//!   deletion for the cache-invalidation extension.
+//!   deletion; every edit after the build is logged, so a memoized row can
+//!   be checked against what changed since ([`Versioned`]).
 //! * [`LiveGraph`] — streaming ingest: an append-friendly delta-log beside
 //!   the frozen T-CSR with periodic compaction, serving epoch-stamped
 //!   [`GraphView`] snapshots to concurrent readers.
@@ -30,7 +31,7 @@ pub use batch::{BatchIter, EdgeBatch};
 pub use graph::TemporalGraph;
 pub use live::{GraphView, IngestStats, LiveGraph};
 pub use sampler::{
-    HistorySource, NeighborhoodBatch, SamplingStrategy, TemporalSampler, INVALID_EDGE,
+    HistorySource, NeighborhoodBatch, SamplingStrategy, TemporalSampler, Versioned, INVALID_EDGE,
 };
 pub use stream::{Edge, EdgeStream};
 

@@ -297,9 +297,11 @@ impl LiveGraph {
     ///
     /// # Invariants
     ///
-    /// * Replays the log in sequence order through `TemporalGraph::insert`,
-    ///   so the new base is bit-identical to a cold rebuild of the full
-    ///   stream prefix.
+    /// * Replays the log in sequence order through `TemporalGraph::insert`'s
+    ///   unlogged twin, so the new base is bit-identical to a cold rebuild
+    ///   of the full stream prefix and its edit log does not grow (views
+    ///   answer the cache's validity question from the `last_append`
+    ///   stamps).
     /// * Existing views keep the old generation alive via their `Arc`;
     ///   its delta is never mutated again, so they stay consistent.
     /// * The epoch does not move: compaction changes representation, not
@@ -312,8 +314,10 @@ impl LiveGraph {
                 return;
             }
             let mut base = (*gen_slot.base).clone();
+            // Building, not editing: the new base logs nothing.
             for e in &delta.log {
-                base.insert(e);
+                // lint: allow(lock-held-effects, part of the same deliberate stop-the-world fold as the freeze below: the new base is built under gen exclusively so it is bit-identical to a cold rebuild)
+                base.push(e);
             }
             // lint: allow(lock-held-effects, the stop-the-world fold is deliberate: holding gen exclusively serializes compaction against appends so the new base is bit-identical to a cold rebuild; compact_threshold amortizes the pause)
             base.freeze();
@@ -475,6 +479,7 @@ impl GraphView {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Versioned;
 
     fn edge(src: NodeId, dst: NodeId, time: Time, eid: crate::EdgeId) -> Edge {
         Edge { src, dst, time, eid }
@@ -572,6 +577,16 @@ mod tests {
         // Appends keep working after compaction, with contiguous seqs.
         assert_eq!(live.append(&edge(1, 4, 6.0, 5)), 5);
         assert_eq!(live.view().hist_len_before(1, 10.0), 2);
+    }
+
+    #[test]
+    fn compaction_builds_a_base_that_logs_nothing() {
+        let stream = crate::EdgeStream::new(&[0, 0], &[1, 2], &[1.0, 2.0]);
+        let live = LiveGraph::new(TemporalGraph::from_stream(&stream));
+        live.append(&edge(0, 4, 4.0, 2));
+        live.compact();
+        let base = Arc::clone(&rlock(live.gen.read()).base);
+        assert_eq!((base.num_edges(), base.epoch(), base.last_change(0)), (3, 0, Some(0)));
     }
 
     #[test]

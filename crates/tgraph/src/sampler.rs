@@ -64,6 +64,43 @@ impl HistorySource for GraphView {
     }
 }
 
+/// A [`HistorySource`] that can tell whether a window it served at an
+/// earlier epoch is still the same: the question the embedding cache asks
+/// of every row at lookup (DESIGN.md "One validity question"). A frozen
+/// [`TemporalGraph`] answers from its edit log, a live [`GraphView`] from
+/// its append stamps and the history length the row recorded (its cut).
+pub trait Versioned: HistorySource {
+    /// Whether [`Versioned::holds`] reads a pair's cut. Rows computed
+    /// over a source whose check ignores cuts keep none.
+    const READS_CUTS: bool;
+    /// The epoch a row computed over this source now is stamped with.
+    fn epoch(&self) -> u64;
+    /// The fast path: an epoch after which nothing touched `node`, or
+    /// `None` if the source cannot tell without [`Versioned::holds`].
+    fn last_change(&self, node: NodeId) -> Option<u64>;
+    /// The slow path: true if `W(node, t)` is the same here as at epoch
+    /// `since`, given `cut`, `|N(node, t)|` then (`None` if unrecorded).
+    fn holds(&self, node: NodeId, t: Time, since: u64, cut: Option<u64>) -> bool;
+}
+
+impl Versioned for GraphView {
+    const READS_CUTS: bool = true;
+
+    fn epoch(&self) -> u64 {
+        GraphView::epoch(self)
+    }
+
+    fn last_change(&self, node: NodeId) -> Option<u64> {
+        self.last_append(node)
+    }
+
+    /// A live history only grows and an insert never reorders what is
+    /// there, so an unchanged cut is an unchanged window.
+    fn holds(&self, node: NodeId, t: Time, _since: u64, cut: Option<u64>) -> bool {
+        cut.is_some_and(|cut| GraphView::hist_len_before(self, node, t) as u64 == cut)
+    }
+}
+
 /// How neighbors are picked from the temporal neighborhood.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SamplingStrategy {
@@ -173,14 +210,9 @@ impl TemporalSampler {
         self.sample_from(g, ns, ts)
     }
 
-    /// Samples from an epoch-stamped live view: identical slot layout and
-    /// selection to [`TemporalSampler::sample`] on the equivalent frozen
-    /// graph (the stream prefix up to the view's epoch).
-    pub fn sample_view(&self, v: &GraphView, ns: &[NodeId], ts: &[Time]) -> NeighborhoodBatch {
-        self.sample_from(v, ns, ts)
-    }
-
-    /// Shared sampling core over any [`HistorySource`].
+    /// Samples from any [`HistorySource`]: over a live view, identical slot
+    /// layout and selection to [`TemporalSampler::sample`] on the
+    /// equivalent frozen graph (the stream prefix up to the view's epoch).
     pub fn sample_from<S: HistorySource>(&self, src: &S, ns: &[NodeId], ts: &[Time]) -> NeighborhoodBatch {
         assert_eq!(ns.len(), ts.len(), "node/time target arrays differ in length");
         let k = self.k;
@@ -335,7 +367,7 @@ mod tests {
             TemporalSampler::new(4, SamplingStrategy::Uniform { seed: 11 }),
         ] {
             let frozen = sampler.sample(&truth, &ns, &ts);
-            let streamed = sampler.sample_view(&view, &ns, &ts);
+            let streamed = sampler.sample_from(&view, &ns, &ts);
             assert_eq!(frozen.nodes, streamed.nodes);
             assert_eq!(frozen.times, streamed.times);
             assert_eq!(frozen.eids, streamed.eids);

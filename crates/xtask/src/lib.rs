@@ -71,7 +71,6 @@ pub const CACHE_STATE_FILES: &[&str] = &[
     "crates/core/src/fingerprint.rs",
     "crates/core/src/timecache.rs",
     "crates/core/src/persist.rs",
-    "crates/serve/src/ingest.rs",
     "crates/serve/src/queue.rs",
     "crates/serve/src/stats.rs",
     "crates/tgraph/src/live.rs",
@@ -313,6 +312,21 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<std::path::PathBuf>) -> io::Result
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod scope_tests {
+    use super::*;
+
+    /// A scope list naming a path that is gone lints nothing there and
+    /// says nothing about it, so every entry must exist.
+    #[test]
+    fn every_scoped_path_exists() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let lists = [LIBRARY_CRATES, HARNESS_DIRS, HOT_HASH_FILES, CACHE_STATE_FILES, COUNTER_FILES];
+        let missing: Vec<&str> = lists.iter().flat_map(|l| l.iter()).copied().filter(|p| !root.join(p).exists()).collect();
+        assert!(missing.is_empty(), "scoped paths that do not exist: {missing:?}");
+    }
 }
 
 #[cfg(test)]

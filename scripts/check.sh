@@ -31,11 +31,15 @@
 #      DESIGN.md "Error handling & lint policy", "Concurrency model",
 #      "Call-graph reachability (L9-L12)", and
 #      "Effect inference (L13-L16)")
-#   7. ledger --smoke               — all four perf-ledger workloads at
+#   7. the four examples in release — each exits nonzero on an error or a
+#      failed assert (quickstart's none-vs-all drift; evolving_graph_
+#      maintenance's reuse after growth and refusal after a deletion);
+#      ~3 s on two cores
+#   8. ledger --smoke               — all four perf-ledger workloads at
 #      scale 0.05 (~10 s); exits 1 on any oracle mismatch (replay vs the
 #      opposite config, served vs direct, post-ingest served vs cold
 #      rebuild)
-#   8. exp all                      — every table and figure of the paper at
+#   9. exp all                      — every table and figure of the paper at
 #      the laptop profile (~2 min on two cores), each with its shape check;
 #      exits 1 if a shape stops holding. Logs go to a temporary directory,
 #      so the committed logs/ are left as they are
@@ -73,6 +77,11 @@ cargo test --release -q --test replay_checksums -- --ignored
 
 echo "==> cargo run -p tg-xtask -- lint"
 cargo run --release -q -p tg-xtask -- lint
+
+echo "==> examples"
+for example in quickstart link_prediction streaming_recommendations evolving_graph_maintenance; do
+    cargo run --release -q --example "$example" >/dev/null
+done
 
 # Perf-ledger smoke (mirrors the blocking CI step): every workload's
 # correctness oracle, including post-ingest served rows against a cold

@@ -213,11 +213,12 @@ fn live_graph_epoch_publish_never_tears_a_view() {
     assert!(ITERS.load(Ordering::SeqCst) > 1, "model must explore more than one schedule");
 }
 
-/// (b) EmbedCache stores vs lookups, a sweep and a `clear`: two writers,
-/// a reader, and an invalidator that sweeps node 7 and clears once race.
-/// The reader never sees `len()` over the limit; at the end `len()`
-/// agrees with the exported FIFO (an entry left without its slot by a
-/// store racing `clear` would break it), and hit rows are never torn.
+/// (b) EmbedCache stores vs lookups and a `clear`: two writers, a reader,
+/// and an invalidator that clears once race. The reader never sees
+/// `len()` over the limit; at the end `len()` agrees with the exported
+/// FIFO (an entry left without its slot by a store racing `clear` would
+/// break it), every inserted entry was evicted, cleared or is resident,
+/// and hit rows are never torn.
 #[test]
 fn cache_accounting_survives_store_lookup_invalidate_race() {
     static ITERS: AtomicUsize = AtomicUsize::new(0);
@@ -239,13 +240,7 @@ fn cache_accounting_survives_store_lookup_invalidate_race() {
             .collect();
 
         let c = Arc::clone(&cache);
-        let invalidator = thread::spawn(move || {
-            c.sweep(0, |y, _| y == 7);
-            thread::yield_now();
-            c.clear();
-            thread::yield_now();
-            c.sweep(0, |y, _| y == 7);
-        });
+        let invalidator = thread::spawn(move || c.clear());
 
         let c = Arc::clone(&cache);
         let reader = thread::spawn(move || {
@@ -273,6 +268,11 @@ fn cache_accounting_survives_store_lookup_invalidate_race() {
             "count diverged from live entries (underflow or lost accounting)"
         );
         assert!(cache.len() <= cache.limit(), "capacity bound violated: {}", cache.len());
+        assert_eq!(
+            cache.total_inserted(),
+            cache.total_evictions() + cache.total_cleared() + cache.len() as u64,
+            "accounting identity violated"
+        );
     });
     assert!(ITERS.load(Ordering::SeqCst) > 1, "model must explore more than one schedule");
 }

@@ -13,8 +13,8 @@
 //!    including exact-time ties and out-of-order arrivals.
 //! 3. **Deadline behavior** — deadlines on a live server reject exactly
 //!    as on a frozen one; expired requests never consume an embedding.
-//! 4. **Books** — with explicit invalidations mixed into the script, rows
-//!    still match the cold rebuild, and every request and edge is counted
+//! 4. **Books** — with cache clears mixed into the script, rows still
+//!    match the cold rebuild, and every request and edge is counted
 //!    exactly once in the stats and the telemetry built from them.
 //!
 //! The pool of ingestible edges deliberately mixes late timestamps,
@@ -270,12 +270,12 @@ proptest! {
         server.shutdown();
     }
 
-    /// Explicit `invalidate_node` calls interleaved with ingest,
-    /// compaction and drains only force recomputation: every served row
-    /// still equals the cold rebuild, deep entries included. At the end
-    /// the queue is empty and the books balance — each
-    /// submission completed once, each edge ingested once, and the
-    /// telemetry's serve and ingest sections equal the stats.
+    /// Cache clears interleaved with ingest, compaction and drains only
+    /// force recomputation: every served row still equals the cold
+    /// rebuild, deep entries included. At the end the queue is empty and
+    /// the books balance — each submission completed once, each edge
+    /// ingested once, every entry inserted evicted, cleared or resident,
+    /// and the telemetry's serve and ingest sections equal the stats.
     #[test]
     fn invalidation_interleaved_with_ingest_keeps_rows_and_books(
         script in proptest::collection::vec((any::<u8>(), any::<u32>(), any::<u32>()), 1..48),
@@ -315,10 +315,7 @@ proptest! {
                 4 => {
                     prop_assert!(server.compact_live());
                 }
-                _ => {
-                    let (n, _) = decode(a, b);
-                    server.invalidate_node(n);
-                }
+                _ => server.shared_cache().clear(),
             }
         }
         let (n, t) = decode(3, 9);
@@ -343,6 +340,8 @@ proptest! {
         prop_assert_eq!(telemetry.ingest.edges_appended, ingested as u64);
         prop_assert_eq!(telemetry.ingest.entries_invalidated, stats.entries_invalidated);
         prop_assert_eq!(telemetry.ingest.entries_retained, stats.entries_retained);
+        let cache = server.shared_cache();
+        prop_assert_eq!(cache.total_inserted(), cache.total_evictions() + cache.total_cleared() + cache.len() as u64);
         let finals = server.shutdown();
         prop_assert_eq!(finals.completed, stats.completed);
     }
@@ -380,7 +379,7 @@ proptest! {
         let view = live.view();
         prop_assert_eq!(view.num_edges(), (N_BASE + n_ingest) as u64);
         let a = sampler.sample(&cold, &ns, &ts);
-        let b = sampler.sample_view(&view, &ns, &ts);
+        let b = sampler.sample_from(&view, &ns, &ts);
         prop_assert_eq!(&a.nodes, &b.nodes);
         prop_assert_eq!(&a.times, &b.times);
         prop_assert_eq!(&a.eids, &b.eids);

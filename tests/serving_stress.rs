@@ -1,12 +1,12 @@
 //! Invalidation racing with serving traffic.
 //!
-//! Invalidation removes cache entries while worker threads are looking up
-//! and storing into the same sharded tables. Because every cached value is
-//! a deterministic function of its key, a race can only change *whether* a
-//! key is served from cache — never what value comes back. These tests pin
-//! that, plus the accounting invariants: `len` / `bytes_used` /
-//! `total_evictions` must never underflow or exceed their bounds no matter
-//! how invalidation interleaves with stores.
+//! `LayerCaches::clear`, the cache's one removal path besides eviction,
+//! empties the tables while worker threads are looking up and storing into
+//! them. Because every cached value is a deterministic function of its key,
+//! a race can only change *whether* a key is served from cache — never what
+//! value comes back. These tests pin that, plus the accounting invariants:
+//! `len` / `bytes_used` / `total_evictions` must never underflow or exceed
+//! their bounds no matter how clearing interleaves with stores.
 
 use std::sync::Arc;
 use tgopt_repro::datasets::{generate, spec_by_name};
@@ -17,7 +17,7 @@ use tgopt_repro::tensor::Tensor;
 use tgopt_repro::tgat::engine::GraphContext;
 use tgopt_repro::tgat::train::forward_embeddings;
 use tgopt_repro::tgat::{TgatConfig, TgatParams};
-use tgopt_repro::tgopt::{OptConfig, TgoptEngine};
+use tgopt_repro::tgopt::{LayerCaches, OptConfig, TgoptEngine};
 
 fn bundle() -> (Arc<ModelBundle>, usize) {
     let spec = spec_by_name("snap-email").unwrap();
@@ -90,7 +90,7 @@ fn invalidation_racing_with_traffic_keeps_values_and_accounting_correct() {
     let (bundle, num_nodes) = bundle();
     let (ns, ts) = workload(&bundle, 30);
 
-    // Ground truth, computed once up front: invalidation can only force
+    // Ground truth, computed once up front: clearing can only force
     // recomputation, never change a value.
     let expected: Tensor = {
         let ctx = GraphContext {
@@ -132,18 +132,16 @@ fn invalidation_racing_with_traffic_keeps_values_and_accounting_correct() {
             }));
         }
 
-        // Meanwhile, hammer invalidation over every node, twice around.
+        // Meanwhile, hammer `clear`, once per node, twice around.
         let invalidator = scope.spawn(|| {
-            let mut removed_total = 0usize;
-            for sweep in 0..2 {
+            for round in 0..2 {
                 for node in 0..num_nodes {
-                    removed_total += server.invalidate_node(node as NodeId);
-                    if node % 64 == 0 && sweep == 0 {
+                    shared.clear();
+                    if node % 64 == 0 && round == 0 {
                         std::thread::yield_now();
                     }
                 }
             }
-            removed_total
         });
 
         for c in clients {
@@ -163,17 +161,29 @@ fn invalidation_racing_with_traffic_keeps_values_and_accounting_correct() {
     assert_eq!(stats.completed, 3 * 6 * 30, "every request must complete");
     assert_eq!(stats.rejected_deadline, 0);
 
-    // Quiesced: invalidating everything must drain the cache to exactly
-    // zero — a leak or an underflow would leave len() != 0.
-    let removed: usize = (0..num_nodes).map(|n| shared.invalidate_nodes(&[n as NodeId])).sum();
-    assert_eq!(shared.len(), 0, "after removing {removed} entries the cache must be empty");
+    // Quiesced: one more clear must drain the cache to exactly zero — a
+    // leak or an underflow would leave len() != 0 — and every entry ever
+    // inserted was evicted or cleared.
+    shared.clear();
+    assert_eq!(shared.len(), 0, "the cache must be empty after a clear");
     assert_eq!(shared.bytes_used(), 0);
+    assert_books(&shared);
+}
+
+/// `inserted == evictions + cleared + len()`: every entry ever inserted
+/// left through eviction or `clear`, or is still there.
+fn assert_books(caches: &LayerCaches) {
+    assert_eq!(
+        caches.total_inserted(),
+        caches.total_evictions() + caches.total_cleared() + caches.len() as u64,
+        "cache accounting identity violated"
+    );
 }
 
 #[test]
 fn invalidation_racing_with_tiny_cache_never_breaks_the_limit() {
     // A tiny cache forces constant eviction, maximizing contention between
-    // the eviction path's count decrements and invalidation's.
+    // the eviction path's count decrements and `clear`'s.
     let (bundle, num_nodes) = bundle();
     let (ns, ts) = workload(&bundle, 20);
 
@@ -195,10 +205,8 @@ fn invalidation_racing_with_tiny_cache_never_breaks_the_limit() {
             }
         });
         let invalidator = scope.spawn(|| {
-            for _ in 0..4 {
-                for node in 0..num_nodes {
-                    server.invalidate_node(node as NodeId);
-                }
+            for _ in 0..4 * num_nodes {
+                shared.clear();
             }
         });
         client.join().expect("client panicked");
@@ -210,4 +218,5 @@ fn invalidation_racing_with_tiny_cache_never_breaks_the_limit() {
     // u64 counter: an underflow would show up as an absurd magnitude.
     assert!(evictions < u64::MAX / 2, "eviction counter wrapped: {evictions}");
     server.shutdown();
+    assert_books(&shared);
 }

@@ -1,14 +1,14 @@
 //! Concurrent ingest + query stress: real threads hammer a live-ingest
-//! server while a checker thread reads snapshots and an invalidator drops
-//! every node's entries, then quiescent-state invariants are verified:
+//! server while a checker thread reads snapshots and an invalidator clears
+//! the cache, then quiescent-state invariants are verified:
 //!
 //! * **No torn epoch reads** — every `GraphView` taken mid-run has a
 //!   monotonically advancing epoch and internally consistent postings
 //!   (each visible edge contributes exactly two adjacency entries, so a
 //!   half-published edge would break the count identity).
 //! * **Cache accounting identity** — at quiescence, every admitted row is
-//!   accounted for: `inserted == evictions + invalidated + len`, before
-//!   and after a final invalidation of every node empties the cache.
+//!   accounted for: `inserted == evictions + cleared + len`, before and
+//!   after a final `clear` empties the cache.
 //! * **No stale hits** — ingest invalidates nothing, so the cache ends
 //!   the run holding rows of many epochs; every sampled entry that a
 //!   lookup under the final view accepts must equal a from-scratch
@@ -17,7 +17,7 @@
 //!   embedding of its `(node, time)` key) and at layer 2.
 //!
 //! A second test pins the *books* under the same kind of race on a
-//! generated graph: batched clients, a writer and an invalidator, then
+//! generated graph: batched clients, a writer and a clearing invalidator, then
 //! every counter the server reports must add up — edges once each, every
 //! request completed, telemetry equal to the stats it is built from. A
 //! third races four submitters: their edge ids must come out distinct and
@@ -35,7 +35,7 @@ use tgopt_repro::serve::{ModelBundle, ServeConfig, TgServer};
 use tgopt_repro::tensor::{init, Tensor};
 use tgopt_repro::tgat::engine::GraphContext;
 use tgopt_repro::tgat::{TgatConfig, TgatParams};
-use tgopt_repro::tgopt::{unpack_key, OptConfig, TgoptEngine};
+use tgopt_repro::tgopt::{unpack_key, LayerCaches, OptConfig, TgoptEngine};
 
 const N_NODES: usize = 16;
 const N_BASE: usize = 100;
@@ -126,6 +126,7 @@ fn concurrent_ingest_and_queries_hold_invariants() {
     // lookup never accepts a stale layer-2 entry.
     cfg.opt.cache_last_layer = true;
     let server = TgServer::threaded(Arc::clone(&bundle), cfg).unwrap();
+    let cache = server.shared_cache();
 
     let writer_done = AtomicBool::new(false);
     let invalidator_done = AtomicBool::new(false);
@@ -134,6 +135,7 @@ fn concurrent_ingest_and_queries_hold_invariants() {
         let pool = &pool;
         let writer_done = &writer_done;
         let invalidator_done = &invalidator_done;
+        let cache = &cache;
 
         scope.spawn(move || {
             for e in pool {
@@ -165,13 +167,13 @@ fn concurrent_ingest_and_queries_hold_invariants() {
             }
         });
 
-        // Invalidator: explicit per-node invalidation racing the writer's
-        // appends and the workers' lookups and stores. It only removes
-        // entries, so every assertion below still holds.
+        // Invalidator: `clear` racing the writer's appends and the
+        // workers' lookups and stores. It only removes entries, so every
+        // assertion below still holds.
         scope.spawn(move || {
             while !writer_done.load(Ordering::Acquire) {
-                for n in 0..N_NODES {
-                    server.invalidate_node(n as NodeId);
+                for _ in 0..N_NODES {
+                    cache.clear();
                     std::thread::yield_now();
                 }
             }
@@ -207,7 +209,6 @@ fn concurrent_ingest_and_queries_hold_invariants() {
     assert_eq!(ingest.edges_appended, N_POOL as u64);
     assert!(ingest.compactions >= 1, "threshold 48 must compact during a 120-edge ingest");
 
-    let cache = server.shared_cache();
     // Shutdown joins every worker: all stores and counter updates are done
     // before the stats snapshot is taken.
     let stats = server.shutdown();
@@ -215,12 +216,8 @@ fn concurrent_ingest_and_queries_hold_invariants() {
     assert_eq!(stats.completed, (QUERY_THREADS * QUERIES_PER_THREAD) as u64);
 
     // Cache accounting identity at quiescence: every row ever admitted
-    // was either evicted, invalidated, or is still resident.
-    assert_eq!(
-        cache.total_inserted(),
-        cache.total_evictions() + cache.total_invalidated() + cache.len() as u64,
-        "cache accounting identity violated"
-    );
+    // was either evicted, cleared, or is still resident.
+    assert_books(&cache);
 
     // Staleness spot-check: every sampled entry of either layer that a
     // lookup under the final view accepts must match a cold recompute over
@@ -277,17 +274,20 @@ fn concurrent_ingest_and_queries_hold_invariants() {
         }
     }
 
-    // Quiesced: invalidating every node drains every layer, and the
-    // accounting identity survives the drain (an underflow or a missed
-    // removal would show up here).
-    for n in 0..N_NODES {
-        cache.invalidate_nodes(&[n as NodeId]);
-    }
-    assert_eq!(cache.len(), 0, "invalidating every node must empty the cache");
+    // Quiesced: a clear drains every layer, and the accounting identity
+    // survives the drain (an underflow or a missed removal would show up
+    // here).
+    cache.clear();
+    assert_eq!((cache.len(), cache.bytes_used()), (0, 0), "a clear must empty the cache");
+    assert_books(&cache);
+}
+
+/// `inserted == evictions + cleared + len()` over every layer.
+fn assert_books(cache: &LayerCaches) {
     assert_eq!(
         cache.total_inserted(),
-        cache.total_evictions() + cache.total_invalidated() + cache.len() as u64,
-        "cache accounting identity violated after the final invalidation"
+        cache.total_evictions() + cache.total_cleared() + cache.len() as u64,
+        "cache accounting identity violated"
     );
 }
 
@@ -344,10 +344,11 @@ fn batched_clients_racing_ingest_and_invalidation_keep_the_books() {
             }
         });
 
-        // And an invalidator sweeping every node.
+        // And an invalidator clearing the cache, once per node.
+        let cache = &cache;
         scope.spawn(move || {
-            for node in 0..num_nodes {
-                server.invalidate_node(node as NodeId);
+            for _ in 0..num_nodes {
+                cache.clear();
             }
         });
     });
@@ -376,17 +377,11 @@ fn batched_clients_racing_ingest_and_invalidation_keep_the_books() {
     assert_eq!(telemetry.ingest.entries_invalidated, stats.entries_invalidated);
     assert_eq!(telemetry.embed_cache.items, cache.len() as u64);
 
-    // Quiesced: a full sweep leaves the cache empty — an underflow or a
+    // Quiesced: a clear leaves the cache empty — an underflow or a
     // leaked entry would show up as a nonzero count.
-    for node in 0..num_nodes {
-        cache.invalidate_nodes(&[node as NodeId]);
-    }
-    assert_eq!(cache.len(), 0, "invalidating every node must empty the cache");
-    assert_eq!(
-        cache.total_inserted(),
-        cache.total_evictions() + cache.total_invalidated() + cache.len() as u64,
-        "cache accounting identity violated"
-    );
+    cache.clear();
+    assert_eq!((cache.len(), cache.bytes_used()), (0, 0), "a clear must empty the cache");
+    assert_books(&cache);
 }
 
 #[test]

@@ -13,30 +13,30 @@ use tgopt_repro::tgopt::{persist, OptConfig, TgoptEngine};
 /// Regression: invalidating a key and then re-storing it used to leave
 /// two FIFO slots behind — the snapshot exported the row twice (inflating
 /// the on-disk image and `restored.len()`), and eviction later treated
-/// the re-stored entry as old, dropping the *newest* data first.
+/// the re-stored entry as old, dropping the *newest* data first. `clear`
+/// is the invalidation that remains: keys re-stored after it, and then
+/// overwritten, must each take one slot, in re-store order.
 #[test]
 fn restore_after_invalidation_snapshots_each_key_once() {
     let caches = LayerCaches::new(1, true, 4, 2);
     let c1 = caches.layer(1).unwrap();
     let keys: Vec<u64> = (0u32..3).map(|n| pack_key(n, (n + 1) as f32)).collect();
-    let rows = Tensor::from_vec(3, 2, vec![0.0; 6]);
-    c1.store(&keys, &rows, false).unwrap();
+    c1.store(&keys, &Tensor::from_vec(3, 2, vec![0.0; 6]), false).unwrap();
 
-    // Invalidate the middle key, then re-store it with fresh data.
-    let removed = c1.sweep(0, |y, _| y == 1).0;
-    assert_eq!(removed, 1);
-    let fresh = Tensor::from_vec(1, 2, vec![9.0, 9.0]);
-    c1.store(&keys[1..2], &fresh, false).unwrap();
+    // Clear, re-store in reverse order, then overwrite the first re-stored
+    // key with fresh data: the overwrite keeps its slot.
+    caches.clear();
+    let reversed: Vec<u64> = keys.iter().rev().copied().collect();
+    c1.store(&reversed, &Tensor::from_vec(3, 2, vec![1.0; 6]), false).unwrap();
+    c1.store(&keys[2..], &Tensor::from_vec(1, 2, vec![9.0, 9.0]), false).unwrap();
     assert_eq!(c1.len(), 3);
 
-    // The export — and therefore the snapshot — must carry the key once,
-    // with the re-stored row, and the restored cache must agree on len.
+    // The export — and therefore the snapshot — must carry each key once,
+    // in re-store order, with the overwritten row, and the restored cache
+    // must agree on len.
     let export = c1.export_fifo_order();
-    assert_eq!(export.len(), 3, "duplicate FIFO slot leaked into export");
-    let dup = export.iter().filter(|(k, _)| *k == keys[1]).count();
-    assert_eq!(dup, 1);
-    let row = &export.iter().find(|(k, _)| *k == keys[1]).unwrap().1;
-    assert_eq!(row.as_ref(), &[9.0, 9.0], "export must keep the re-stored row");
+    assert_eq!(export.iter().map(|(k, _)| *k).collect::<Vec<_>>(), reversed, "one slot per key, re-store order");
+    assert_eq!(export[0].1.as_ref(), &[9.0, 9.0], "export must keep the overwritten row");
 
     let path = std::env::temp_dir().join(format!("tgopt-dedupe-{}.bin", std::process::id()));
     persist::save(&caches, &path).unwrap();
@@ -44,17 +44,13 @@ fn restore_after_invalidation_snapshots_each_key_once() {
     std::fs::remove_file(&path).ok();
     assert_eq!(restored.len(), 3, "snapshot round trip must not duplicate rows");
 
-    // Eviction order: the re-stored key is the *youngest* entry. Filling
-    // the cache past its 4-slot limit must evict the two untouched old
-    // keys before it.
-    let more: Vec<u64> = (10u32..13).map(|n| pack_key(n, 1.0)).collect();
-    let rows = Tensor::from_vec(3, 2, vec![0.0; 6]);
-    c1.store(&more, &rows, false).unwrap();
-    assert!(
-        c1.contains(keys[1]),
-        "re-stored key evicted as if it were old"
-    );
-    assert!(!c1.contains(keys[0]) && !c1.contains(keys[2]));
+    // Eviction order follows the re-stores, not the first stores: two
+    // more keys past the 4-slot limit evict the oldest re-store only.
+    let more: Vec<u64> = (10u32..12).map(|n| pack_key(n, 1.0)).collect();
+    c1.store(&more, &Tensor::from_vec(2, 2, vec![0.0; 4]), false).unwrap();
+    assert!(!c1.contains(keys[2]), "the first re-stored key is the oldest");
+    assert!(c1.contains(keys[0]) && c1.contains(keys[1]), "younger re-stores survive");
+    assert_eq!(caches.total_inserted(), caches.total_evictions() + caches.total_cleared() + caches.len() as u64);
 }
 
 #[test]
