@@ -7,17 +7,14 @@
 //! `l - 1`). Deeper pairs only contribute static features. The
 //! *fingerprint* of an entry is the set of `(y, t')` pairs whose windows
 //! were sampled, packed with [`crate::hash::pack_key`] and sorted; with
-//! `levels = 0` it is the target's own pair.
+//! `levels = 0` it is the target's own pair. A cache lookup under a later
+//! (or earlier) history accepts the row only if every pair's window is
+//! unchanged (`EmbedCache::lookup_in`, DESIGN.md "One validity question").
 //!
-//! Beside each pair a [`Constraint`] records its *cut*, `|N(y, t')|`: the
-//! number of interactions of `y` strictly before `t'` in the history the
-//! row was computed from (leaves of a deep capture excepted, see
-//! [`capture`]). Live histories only grow and an insert never
-//! reorders what is there (ties go after), so two histories of one live
-//! graph with equal cuts hold the same interactions before `t'` and
-//! therefore the same window. A cache lookup under a later (or earlier)
-//! view accepts the row only if every cut still holds
-//! (`EmbedCache::lookup_in`, DESIGN.md "One validity question").
+//! The engine records each fingerprint while it computes the row, joining
+//! the records of the lower-layer rows it read. [`capture`] re-walks the
+//! frontier instead: it is the reference that recording is tested
+//! against, and the perf ledger's probe.
 //!
 //! Every recorded time satisfies `t' <= t` (temporal sampling only looks
 //! backward).
@@ -26,64 +23,35 @@ use crate::hash::pack_key;
 use rustc_hash::FxHashSet;
 use tg_graph::{HistorySource, NodeId, Time};
 
-/// The cut of a pair whose history length was not read: the leaves of a
-/// deep capture. Such a pair holds only while no append reaches its node.
-pub const NO_CUT: u64 = u64::MAX;
-
-/// The dependency record of one memoized row: its fingerprint pairs and,
-/// aligned with them, each pair's cut (comemo's "constraint").
+/// The dependency record of one memoized row (comemo's "constraint").
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Constraint {
     /// Packed `(y, t')` pairs, sorted and deduplicated; the root included.
     pub pairs: Box<[u64]>,
-    /// `hist_len_before(y, t')` per pair, in `pairs` order, or [`NO_CUT`]
-    /// for a leaf of a deep capture.
-    pub cuts: Box<[u64]>,
 }
 
-/// The fingerprint of one `(node, t)` target with its cuts: the `(y, t')`
-/// pairs whose most-recent-`k` windows a `levels`-deep recursive sampling
-/// from the target reads — the target itself plus `levels` breadth-first
-/// expansion levels (for a layer-`l` entry, `levels = l - 1`).
-///
-/// The root and every pair the walk expands record the history length
-/// the walk reads anyway to size their window. The leaves of a deep
-/// capture (the last level, ten per layer-2 entry at `k = 10`) record
-/// [`NO_CUT`]: reading their lengths would cost one history search per
-/// leaf at every store, and deep hits are rare where the graph moves.
+/// The fingerprint of one `(node, t)` target: the `(y, t')` pairs whose
+/// most-recent-`k` windows a `levels`-deep recursive sampling from the
+/// target reads — the target itself plus `levels` breadth-first expansion
+/// levels (for a layer-`l` entry, `levels = l - 1`).
 ///
 /// Determinism: most-recent sampling is a pure function of the history, so
 /// re-walking the frontier here visits exactly the pairs the engine's
 /// recursive `embed` sampled for the same target over the same source.
-pub fn capture<S: HistorySource>( // alloc-ok: the constraint is the return value, owned by the cache entry it guards
+pub fn capture<S: HistorySource>( // alloc-ok: the constraint is the return value
     source: &S,
     k: usize,
     node: NodeId,
     t: Time,
     levels: usize,
 ) -> Constraint {
-    let root = pack_key(node, t);
-    let cut = |n: NodeId, tn: Time| source.hist_len_before(n, tn) as u64;
-    if levels == 0 {
-        return Constraint { pairs: Box::new([root]), cuts: Box::new([cut(node, t)]) };
-    }
     let mut seen: FxHashSet<u64> = FxHashSet::default();
-    seen.insert(root);
-    let mut recorded: Vec<(u64, u64)> = Vec::new(); // alloc-ok: (pair, cut) per visited pair, materialized into the returned constraint
+    seen.insert(pack_key(node, t));
     let mut frontier = vec![(node, t)]; // alloc-ok: BFS worklist, bounded by the visited-pair count
     let mut next: Vec<(NodeId, Time)> = Vec::new(); // alloc-ok: next BFS level, same bound
-    for level in 0..=levels {
+    for _ in 0..levels {
         for &(n, tn) in &frontier {
-            if level == levels {
-                recorded.push((pack_key(n, tn), NO_CUT));
-                continue;
-            }
-            let len = source.hist_len_before(n, tn);
-            recorded.push((pack_key(n, tn), len as u64));
-            let take = len.min(k);
-            if take == 0 {
-                continue;
-            }
+            let take = source.hist_len_before(n, tn).min(k);
             source.most_recent(n, tn, take, |_, e| {
                 if seen.insert(pack_key(e.ngh, e.time)) {
                     next.push((e.ngh, e.time));
@@ -92,17 +60,14 @@ pub fn capture<S: HistorySource>( // alloc-ok: the constraint is the return valu
         }
         frontier.clear();
         std::mem::swap(&mut frontier, &mut next);
-        if frontier.is_empty() {
-            break;
-        }
     }
-    recorded.sort_unstable_by_key(|&(pair, _)| pair);
-    let (pairs, cuts): (Vec<u64>, Vec<u64>) = recorded.into_iter().unzip();
-    Constraint { pairs: pairs.into_boxed_slice(), cuts: cuts.into_boxed_slice() }
+    let mut pairs: Vec<u64> = seen.into_iter().collect();
+    pairs.sort_unstable();
+    Constraint { pairs: pairs.into_boxed_slice() }
 }
 
 /// [`capture`] for a batch of targets, one constraint per `(ns[i], ts[i])`.
-pub fn capture_many<S: HistorySource>( // alloc-ok: one constraint per recomputed row, handed to the cache
+pub fn capture_many<S: HistorySource>( // alloc-ok: one constraint per target
     source: &S,
     k: usize,
     ns: &[NodeId],
@@ -119,7 +84,7 @@ pub fn capture_many<S: HistorySource>( // alloc-ok: one constraint per recompute
 mod tests {
     use super::*;
     use crate::hash::unpack_key;
-    use tg_graph::{EdgeStream, HistorySource, TemporalGraph};
+    use tg_graph::{EdgeStream, TemporalGraph};
 
     fn graph() -> TemporalGraph {
         // 0-1@1, 0-2@2, 1-2@3, 2-3@4, 0-3@5
@@ -162,29 +127,6 @@ mod tests {
             let (_, t) = unpack_key(pk);
             assert!(t <= root_t, "sampling only looks backward in time");
         }
-    }
-
-    /// The pairs first reached at the last of `levels` expansions.
-    fn leaves(g: &TemporalGraph, k: usize, node: NodeId, t: Time, levels: usize) -> FxHashSet<u64> {
-        let inner: FxHashSet<u64> = capture(g, k, node, t, levels - 1).pairs.iter().copied().collect();
-        capture(g, k, node, t, levels).pairs.iter().copied().filter(|p| !inner.contains(p)).collect()
-    }
-
-    #[test]
-    fn every_pair_but_the_leaves_records_its_history_length() {
-        let g = graph();
-        for (node, t, levels) in [(0, 6.0, 0), (0, 6.0, 1), (2, 5.0, 2), (3, 1.0, 3)] {
-            let fp = capture(&g, 2, node, t, levels);
-            assert_eq!(fp.cuts.len(), fp.pairs.len());
-            let leaves = if levels == 0 { FxHashSet::default() } else { leaves(&g, 2, node, t, levels) };
-            for (&pk, &cut) in fp.pairs.iter().zip(fp.cuts.iter()) {
-                let (y, ty) = unpack_key(pk);
-                let want = if leaves.contains(&pk) { NO_CUT } else { g.hist_len_before(y, ty) as u64 };
-                assert_eq!(cut, want, "({y}, {ty})");
-            }
-        }
-        // Node 0 has three interactions before t = 6.
-        assert_eq!(capture(&g, 2, 0, 6.0, 0).cuts.as_ref(), &[3]);
     }
 
     #[test]

@@ -167,9 +167,10 @@ pub struct ServeStats {
     /// history; each was recomputed and overwritten. Nothing is dropped
     /// when an edge arrives, so this is where ingest shows up.
     pub entries_invalidated: u64,
-    /// Cache hits accepted only after the slow check (a live view re-reads
-    /// a window's cut), because a change had reached one of the entry's
-    /// nodes since its windows were last known to hold.
+    /// Cache hits accepted only after the slow check (was any append
+    /// between the two epochs below the pair's time?), because a change had
+    /// reached one of the entry's nodes since its windows were last known
+    /// to hold.
     pub entries_retained: u64,
     /// Per-layer breakdown of `entries_invalidated`: bin `i` holds cache
     /// layer `i + 1`, with layers past the fourth folded into the last bin.

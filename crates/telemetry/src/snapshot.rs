@@ -103,7 +103,7 @@ pub struct ServeTelemetry {
 }
 
 /// One cache layer's view-pinned lookup verdicts: hits refused because
-/// the graph moved under them, and hits accepted after re-reading a cut.
+/// the graph moved under them, and hits accepted after the slow check.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LayerSweepTelemetry {
     /// Cache layer this bin covers (1-based); the last bin folds in every
@@ -113,9 +113,9 @@ pub struct LayerSweepTelemetry {
     /// overwritten) because some window the entry depends on changed, or
     /// could not be shown unchanged, under the reader's view.
     pub removed: u64,
-    /// Hits this layer's view-pinned lookups accepted only after
-    /// re-reading a cut: an append had reached one of the entry's nodes
-    /// since its cuts were last known to hold.
+    /// Hits this layer's view-pinned lookups accepted only after the slow
+    /// check: an append had reached one of the entry's nodes since its
+    /// windows were last known to hold, none of them below the pair's time.
     pub retained: u64,
 }
 
@@ -133,8 +133,8 @@ pub struct IngestTelemetry {
     /// Cache hits view-pinned lookups refused, all layers (the sum of
     /// `per_layer[].removed`).
     pub entries_invalidated: u64,
-    /// Cache hits view-pinned lookups accepted after re-reading a cut,
-    /// all layers (the sum of `per_layer[].retained`).
+    /// Cache hits view-pinned lookups accepted after the slow check, all
+    /// layers (the sum of `per_layer[].retained`).
     pub entries_retained: u64,
     /// Per-layer verdict bins in layer order (a server emits one bin per
     /// tracked layer).

@@ -64,41 +64,22 @@ impl HistorySource for GraphView {
     }
 }
 
-/// A [`HistorySource`] that can tell whether a window it served at an
-/// earlier epoch is still the same: the question the embedding cache asks
-/// of every row at lookup (DESIGN.md "One validity question"). A frozen
-/// [`TemporalGraph`] answers from its edit log, a live [`GraphView`] from
-/// its append stamps and the history length the row recorded (its cut).
+/// A [`HistorySource`] that can tell whether a window it served at another
+/// epoch is still the same: the question the embedding cache asks of every
+/// row at lookup (DESIGN.md "One validity question"). Both sources answer
+/// it by one rule: `W(node, t)` is the same at two epochs iff no edit
+/// between them touched `node` strictly before `t`. A frozen
+/// [`TemporalGraph`] reads its edit log, a live [`GraphView`] its delta
+/// postings' sequence numbers and times.
 pub trait Versioned: HistorySource {
-    /// Whether [`Versioned::holds`] reads a pair's cut. Rows computed
-    /// over a source whose check ignores cuts keep none.
-    const READS_CUTS: bool;
     /// The epoch a row computed over this source now is stamped with.
     fn epoch(&self) -> u64;
     /// The fast path: an epoch after which nothing touched `node`, or
     /// `None` if the source cannot tell without [`Versioned::holds`].
     fn last_change(&self, node: NodeId) -> Option<u64>;
     /// The slow path: true if `W(node, t)` is the same here as at epoch
-    /// `since`, given `cut`, `|N(node, t)|` then (`None` if unrecorded).
-    fn holds(&self, node: NodeId, t: Time, since: u64, cut: Option<u64>) -> bool;
-}
-
-impl Versioned for GraphView {
-    const READS_CUTS: bool = true;
-
-    fn epoch(&self) -> u64 {
-        GraphView::epoch(self)
-    }
-
-    fn last_change(&self, node: NodeId) -> Option<u64> {
-        self.last_append(node)
-    }
-
-    /// A live history only grows and an insert never reorders what is
-    /// there, so an unchanged cut is an unchanged window.
-    fn holds(&self, node: NodeId, t: Time, _since: u64, cut: Option<u64>) -> bool {
-        cut.is_some_and(|cut| GraphView::hist_len_before(self, node, t) as u64 == cut)
-    }
+    /// `since`.
+    fn holds(&self, node: NodeId, t: Time, since: u64) -> bool;
 }
 
 /// How neighbors are picked from the temporal neighborhood.

@@ -35,11 +35,16 @@
 #      failed assert (quickstart's none-vs-all drift; evolving_graph_
 #      maintenance's reuse after growth and refusal after a deletion);
 #      ~3 s on two cores
-#   8. ledger --smoke               — all four perf-ledger workloads at
+#   8. cargo check --locked --offline of the stand-alone ledger package
+#      (crates/bench/src/bin/ledger/Cargo.toml, BENCHMARK.json's build) —
+#      a product change that breaks a signature the frozen ledger calls,
+#      or that would change its Cargo.lock, fails here (DESIGN.md "What
+#      the frozen ledger pins")
+#   9. ledger --smoke               — all four perf-ledger workloads at
 #      scale 0.05 (~10 s); exits 1 on any oracle mismatch (replay vs the
 #      opposite config, served vs direct, post-ingest served vs cold
 #      rebuild)
-#   9. exp all                      — every table and figure of the paper at
+#  10. exp all                      — every table and figure of the paper at
 #      the laptop profile (~2 min on two cores), each with its shape check;
 #      exits 1 if a shape stops holding. Logs go to a temporary directory,
 #      so the committed logs/ are left as they are
@@ -82,6 +87,9 @@ echo "==> examples"
 for example in quickstart link_prediction streaming_recommendations evolving_graph_maintenance; do
     cargo run --release -q --example "$example" >/dev/null
 done
+
+echo "==> cargo check the stand-alone ledger (--locked --offline)"
+cargo check --locked --offline --manifest-path crates/bench/src/bin/ledger/Cargo.toml
 
 # Perf-ledger smoke (mirrors the blocking CI step): every workload's
 # correctness oracle, including post-ingest served rows against a cold

@@ -17,7 +17,7 @@ use loom::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use loom::sync::{Arc, Condvar, Mutex};
 use loom::thread;
 use std::time::Duration;
-use tg_graph::{Edge, LiveGraph, NodeId, TemporalGraph};
+use tg_graph::{Edge, LiveGraph, NodeId, TemporalGraph, Versioned};
 use tg_serve::BoundedQueue;
 use tg_telemetry::LatencyHistogram;
 use tg_tensor::Tensor;
@@ -97,7 +97,15 @@ fn slot_first_write_wins_under_racing_fulfillments() {
 /// both its endpoints, because `append` stores the stamps before it
 /// publishes the epoch. Every view above checks it, and a second phase
 /// races a burst of appends against a reader spinning on fresh views, so
-/// a stamp stored after the publish has many windows to show in.
+/// a stamp stored after the publish has many windows to show in. The
+/// lookup's slow path reads the postings' `seq` and time, the generation's
+/// log length (postings newer than the reader's own epoch included) and
+/// the appends compaction folded into the base's log: each reader asks
+/// `holds` of its current and its previous view, each about the other's
+/// epoch. A window `holds` vouches for must be the same in both views; a
+/// newer view's answer is exact, folded appends or not (appends arrive in
+/// time order, so a window before `t` moved iff an append below `t`
+/// landed between the epochs).
 #[test]
 fn live_graph_epoch_publish_never_tears_a_view() {
     static ITERS: AtomicUsize = AtomicUsize::new(0);
@@ -110,6 +118,21 @@ fn live_graph_epoch_publish_never_tears_a_view() {
     /// Endpoints of the writer's `i`-th append.
     fn endpoints(i: u32) -> [NodeId; 2] {
         [i % N_NODES, (i + 2) % N_NODES]
+    }
+
+    /// `reader.holds(.., other.epoch())` never vouches for a window that
+    /// differs between the two views, and answers exactly when the reader
+    /// is the newer one.
+    fn holds_sound(reader: &tg_graph::GraphView, other: &tg_graph::GraphView) {
+        for node in 0..N_NODES {
+            for t in [3.5, 1e9] {
+                let holds = reader.holds(node, t, other.epoch());
+                let same = reader.neighbors_before_vec(node, t) == other.neighbors_before_vec(node, t);
+                let (at, since) = (reader.epoch(), other.epoch());
+                assert!(!holds || same, "epoch {at} vouched for ({node}, {t}) as at epoch {since}");
+                assert!(at < since || holds == same, "epoch {at} refused ({node}, {t}) as at epoch {since}");
+            }
+        }
     }
 
     /// Every endpoint of every append the view covers carries a stamp at
@@ -154,6 +177,7 @@ fn live_graph_epoch_publish_never_tears_a_view() {
         let g = Arc::clone(&live);
         let reader = thread::spawn(move || {
             let mut last = 0u64;
+            let mut prev = g.view();
             for _ in 0..4 {
                 let v = g.view();
                 let epoch = v.epoch();
@@ -166,6 +190,9 @@ fn live_graph_epoch_publish_never_tears_a_view() {
                     "torn view at epoch {epoch}: postings do not match visible edges"
                 );
                 stamps_cover(&v);
+                holds_sound(&v, &prev);
+                holds_sound(&prev, &v);
+                prev = v;
                 thread::yield_now();
             }
         });
@@ -202,8 +229,13 @@ fn live_graph_epoch_publish_never_tears_a_view() {
         let (g, s, d) = (Arc::clone(&live), Arc::clone(&started), Arc::clone(&done));
         let reader = thread::spawn(move || {
             s.store(true, Ordering::Release);
+            let mut prev = g.view();
             while !d.load(Ordering::Acquire) {
-                stamps_cover(&g.view());
+                let v = g.view();
+                stamps_cover(&v);
+                holds_sound(&v, &prev);
+                holds_sound(&prev, &v);
+                prev = v;
             }
         });
         writer.join().unwrap();

@@ -260,7 +260,7 @@ fn concurrent_ingest_and_queries_hold_invariants() {
         assert!(!entries.is_empty(), "stress run must leave layer-{l} entries to spot-check");
         let keys: Vec<u64> = entries.iter().take(256).map(|(key, _)| *key).collect();
         let mut rows = Tensor::zeros(keys.len(), bundle.params.cfg.dim);
-        let accepted = layer.lookup_in(&keys, &mut rows, &final_view, l - 1).unwrap();
+        let accepted = layer.lookup_in(&keys, &mut rows, &final_view, l - 1, None).unwrap();
         assert!(accepted.contains(&true), "the final queries' layer-{l} rows hold at the final view");
         let (ns, ts): (Vec<NodeId>, Vec<Time>) = keys.iter().map(|&key| unpack_key(key)).unzip();
         let h = TgoptEngine::new(params, ctx, OptConfig::all()).embed_batch(&ns, &ts).unwrap();
