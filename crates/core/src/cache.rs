@@ -5,9 +5,10 @@
 //! (paper default 2M ≈ <1 GiB at 100 dims) with FIFO eviction. A changing
 //! graph invalidates nothing (the paper's §7 future work, after comemo's
 //! constrained memoization): an entry records what its row depends on
-//! ([`Constraint`]) and the epoch of the history it was computed over, and
-//! a lookup returns it only if every one of those dependencies still holds
-//! for the reader's history, a live view or a frozen graph's edit log
+//! (its fingerprint, [`crate::fingerprint`]) and the epoch of the history
+//! it was computed over, and a lookup returns it only if every one of
+//! those dependencies still holds for the reader's history, a live view
+//! or a frozen graph's edit log
 //! ([`EmbedCache::lookup_in`]). A cache follows one history: two clones
 //! of a graph edited apart must not share one. The paper parallelizes
 //! `CacheLookup` and, on the GPU host, `CacheStore` across keys (§5.1.3);
@@ -15,7 +16,6 @@
 //! still carry the paper's switch are ignored.
 
 use crate::edgeproj::EdgeProjTable;
-use crate::fingerprint::Constraint;
 use crate::hash::unpack_key;
 use parking_lot::{Mutex, RwLock};
 use rustc_hash::{FxHashMap, FxHashSet};
@@ -223,7 +223,7 @@ impl EmbedCache {
         self.lookup_impl(keys, out, Some((source, levels)), pairs)
     }
 
-    fn lookup_impl<S: Versioned>( // alloc-ok: the hit mask is the return value; embedding rows land in the caller's scratch tensor, and the recheck list and the copied pairs are the slow path's and the recording caller's
+    fn lookup_impl<S: Versioned>(
         &self,
         keys: &[u64],
         out: &mut Tensor,
@@ -347,17 +347,17 @@ impl EmbedCache {
         &self,
         keys: &[u64],
         h: &Tensor,
-        records: Option<Vec<Constraint>>,
+        records: Option<Vec<Box<[u64]>>>,
         source: &S,
     ) -> Result<(), TgError> {
         self.store_impl(keys, h, records, source.epoch())
     }
 
-    fn store_impl( // alloc-ok: cache admission must copy the rows it will own; entries and the distinct-key set are built before the lock, bounded by the batch
+    fn store_impl(
         &self,
         keys: &[u64],
         h: &Tensor,
-        mut records: Option<Vec<Constraint>>,
+        mut records: Option<Vec<Box<[u64]>>>,
         valid_at: u64,
     ) -> Result<(), TgError> {
         let n_records = records.as_ref().map_or(keys.len(), Vec::len);
@@ -378,7 +378,7 @@ impl EmbedCache {
             .enumerate()
             .map(|(j, row)| {
                 let record = records.as_mut().map(|v| std::mem::take(&mut v[skip + j])).unwrap_or_default();
-                Entry { row: row.into(), constraint: record.pairs, valid_at: AtomicU64::new(valid_at) }
+                Entry { row: row.into(), constraint: record, valid_at: AtomicU64::new(valid_at) }
             })
             .collect();
         let keys = &keys[skip..];
@@ -398,7 +398,7 @@ impl EmbedCache {
                 MapEntry::Occupied(mut live) => fifo.words -= live.insert(entry).constraint.len(),
                 MapEntry::Vacant(free) => {
                     free.insert(entry);
-                    fifo.keys.push_back(key); // alloc-ok: the queue grows by the fresh keys just inserted, bounded by the limit
+                    fifo.keys.push_back(key);
                     fifo.inserted += 1;
                 }
             }
@@ -684,8 +684,8 @@ mod tests {
     use tg_graph::{Edge, EdgeStream, LiveGraph, TemporalGraph, Time};
 
     /// A recorded fingerprint.
-    fn recorded(pairs: &[u64]) -> Constraint {
-        Constraint { pairs: pairs.into() }
+    fn recorded(pairs: &[u64]) -> Box<[u64]> {
+        pairs.into()
     }
 
     fn row_tensor(rows: &[&[f32]]) -> Tensor {

@@ -49,7 +49,7 @@ impl DedupResult {
 /// assert_eq!(r.inv_idx, vec![0, 1, 0, 2]);
 /// assert_eq!(r.duplication_rate(), 0.25);
 /// ```
-pub fn dedup_filter(ns: &[NodeId], ts: &[Time]) -> DedupResult { // alloc-ok: the dedup table and unique-id lists ARE the DedupResult the caller owns; variable-size id vecs are not poolable f32 scratch
+pub fn dedup_filter(ns: &[NodeId], ts: &[Time]) -> DedupResult {
     assert_eq!(ns.len(), ts.len(), "node/time array length mismatch");
     let mut processed: FxHashMap<u64, u32> = FxHashMap::default();
     processed.reserve(ns.len());
@@ -90,7 +90,7 @@ pub fn dedup_nodes_only(ns: &[NodeId]) -> DedupResult {
 /// `DedupInvert`: expands unique-row results back to the original batch
 /// layout (`out.row(i) = h.row(inv_idx[i])`).
 pub fn dedup_invert(h: &Tensor, inv_idx: &[u32]) -> Tensor {
-    let mut out = Tensor::zeros(inv_idx.len(), h.cols()); // alloc-ok: the expanded batch-layout tensor is the return value
+    let mut out = Tensor::zeros(inv_idx.len(), h.cols());
     ops::gather_rows_map_into(h, inv_idx.len(), |i| inv_idx[i] as usize, &mut out);
     out
 }

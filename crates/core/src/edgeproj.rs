@@ -154,9 +154,9 @@ impl EdgeProjTable {
         let t = &mut *self.edge_proj.lock();
         if t.width == 0 {
             t.width = width;
-            t.tags = vec![0; EDGE_PROJ_SLOTS]; // alloc-ok: once per table, on its first insert
-            t.held = vec![0; EDGE_PROJ_SLOTS / 64]; // alloc-ok: once per table, on its first insert
-            t.pages.resize_with(EDGE_PROJ_SLOTS / PAGE_SLOTS, || None); // alloc-ok: once per table, on its first insert
+            t.tags = vec![0; EDGE_PROJ_SLOTS];
+            t.held = vec![0; EDGE_PROJ_SLOTS / 64];
+            t.pages.resize_with(EDGE_PROJ_SLOTS / PAGE_SLOTS, || None);
         }
         if t.width != width {
             return;
@@ -176,7 +176,7 @@ impl EdgeProjTable {
             t.filled += 1;
             t.held[word] |= bit;
             let page = t.pages[slot / PAGE_SLOTS]
-                .get_or_insert_with(|| vec![0.0; PAGE_SLOTS * width].into_boxed_slice()); // alloc-ok: once per page, on the first insert into it
+                .get_or_insert_with(|| vec![0.0; PAGE_SLOTS * width].into_boxed_slice());
             page[slot % PAGE_SLOTS * width..][..width].copy_from_slice(row);
         }
     }
@@ -237,7 +237,7 @@ impl EdgeProjector {
     /// colliding on one slot each get one (the earlier may get a second).
     fn dedup(&mut self, eids: &[u32]) {
         if self.seen.is_empty() {
-            self.seen = vec![0; EDGE_PROJ_SLOTS]; // alloc-ok: once per engine, on its first layer-1 call
+            self.seen = vec![0; EDGE_PROJ_SLOTS];
         }
         self.uniq.clear();
         self.slot_row.clear();
@@ -247,9 +247,9 @@ impl EdgeProjector {
             let mark = &mut self.seen[slot_of(eid)];
             if self.uniq.get(*mark as usize) != Some(&eid) {
                 *mark = self.uniq.len() as u32; // lint: allow(lossy-cast, rows of one call are u32-indexed like its slots)
-                self.uniq.push(eid); // alloc-ok: reused buffer, grows to the largest layer-1 call once
+                self.uniq.push(eid);
             }
-            self.slot_row.push(*mark); // alloc-ok: reused buffer, grows to the largest layer-1 call once
+            self.slot_row.push(*mark);
         }
     }
 
@@ -269,8 +269,8 @@ impl EdgeProjector {
     ) {
         self.dedup(eids);
         let (u, w) = (self.uniq.len(), kv.width());
-        self.rows.resize(u * w, 0.0); // alloc-ok: reused buffer, grows to the largest layer-1 call once
-        self.row.resize(u, 0); // alloc-ok: reused buffer, grows to the largest layer-1 call once
+        self.rows.resize(u * w, 0.0);
+        self.row.resize(u, 0);
         let hits = table.lookup(&self.uniq, w, &mut self.rows, &mut self.row);
         for r in &mut self.slot_row {
             *r = self.row[*r as usize];
@@ -281,7 +281,7 @@ impl EdgeProjector {
         // The misses take rows `hits..u`, the last of them first.
         self.miss.clear();
         let missed = self.uniq.iter().zip(&self.row).rev().filter(|&(_, &r)| r as usize >= hits);
-        self.miss.extend(missed.map(|(&eid, _)| eid)); // alloc-ok: reused buffer, grows to the largest layer-1 call once
+        self.miss.extend(missed.map(|(&eid, _)| eid));
         let miss = &self.miss;
         let fresh = &mut self.rows[hits * w..];
         kv.project_edges_into(|r| edge_features.row(miss[r] as usize), fresh, scratch, helpers);

@@ -12,7 +12,6 @@ use crate::cache::{EmbedCache, LayerCaches};
 use crate::config::OptConfig;
 use crate::dedup::{dedup_filter, dedup_invert};
 use crate::edgeproj::EdgeProjector;
-use crate::fingerprint::Constraint;
 use crate::hash::{compute_keys, pack_key};
 use crate::timecache::TimeCache;
 use tg_error::TgError;
@@ -295,7 +294,7 @@ impl<'a> TgoptEngine<'a> {
     // hot-path-root
     pub fn embed_batch(&mut self, ns: &[NodeId], ts: &[Time]) -> Result<Tensor, TgError> {
         if ns.len() != ts.len() {
-            return Err(TgError::InvalidArgument(format!( // alloc-ok: rejection path only; one message String per invalid request
+            return Err(TgError::InvalidArgument(format!(
                 "embed_batch needs one timestamp per node: {} nodes vs {} times",
                 ns.len(),
                 ts.len()
@@ -331,7 +330,7 @@ impl<'a> TgoptEngine<'a> {
     ) -> Result<Layer, TgError> {
         debug_assert_eq!(ns.len(), ts.len());
         if ns.is_empty() {
-            return Ok((self.scratch.take(0, self.params.cfg.dim), None, record.then(Vec::new))); // alloc-ok: an empty record list allocates nothing
+            return Ok((self.scratch.take(0, self.params.cfg.dim), None, record.then(Vec::new)));
         }
 
         // §4.1 DedupFilter.
@@ -382,19 +381,19 @@ impl<'a> TgoptEngine<'a> {
         let mut h = self.scratch.take(n_uniq, self.params.cfg.dim);
         let keys = self.stats.time(OpKind::ComputeKeys, || compute_keys(uns, uts, false));
         // A recording caller joins each hit's pairs, read with its row.
-        let mut records = record.then(|| vec![Box::default(); n_uniq]); // alloc-ok: one record slot per unique row, only under a recording caller
+        let mut records = record.then(|| vec![Box::default(); n_uniq]);
         let hit_mask =
             self.stats.time(OpKind::CacheLookup, || cache.lookup_in(&keys, &mut h, source, l - 1, records.as_deref_mut()))?;
         self.counters.cache_lookups += n_uniq as u64;
         self.counters.cache_hits += hit_mask.iter().filter(|&&m| m).count() as u64;
 
         let miss_idx: Vec<usize> =
-            (0..n_uniq).filter(|&i| !hit_mask[i]).collect(); // alloc-ok: Algorithm 1 miss bookkeeping; shrinks to empty as hit rate rises
+            (0..n_uniq).filter(|&i| !hit_mask[i]).collect();
         if miss_idx.is_empty() {
             return Ok((h, records));
         }
-        let m_ns: Vec<NodeId> = miss_idx.iter().map(|&i| uns[i]).collect(); // alloc-ok: miss-target ids; variable-size id lists are not poolable f32 scratch
-        let m_ts: Vec<Time> = miss_idx.iter().map(|&i| uts[i]).collect(); // alloc-ok: miss-target times; same per-batch id bookkeeping as m_ns
+        let m_ns: Vec<NodeId> = miss_idx.iter().map(|&i| uns[i]).collect();
+        let m_ts: Vec<Time> = miss_idx.iter().map(|&i| uts[i]).collect();
         // A layer-1 row reads its key's window alone, so it records
         // nothing; a deeper one records what it sampled.
         let (h_m, mut m_records) = self.attend(source, l, &m_ns, &m_ts, record || (self.store_enabled && l >= 2))?;
@@ -406,9 +405,8 @@ impl<'a> TgoptEngine<'a> {
         }
 
         if self.store_enabled {
-            let miss_keys: Vec<u64> = miss_idx.iter().map(|&i| keys[i]).collect(); // alloc-ok: Algorithm 3 CacheStore keys; one u64 per recomputed row
-            let constraints = m_records.map(|r| r.into_iter().map(|pairs| Constraint { pairs }).collect()); // alloc-ok: one record per stored deep row, owned by its entry
-            self.stats.time(OpKind::CacheStore, || cache.store_in(&miss_keys, &h_m, constraints, source))?;
+            let miss_keys: Vec<u64> = miss_idx.iter().map(|&i| keys[i]).collect();
+            self.stats.time(OpKind::CacheStore, || cache.store_in(&miss_keys, &h_m, m_records, source))?;
             self.counters.cache_stores += miss_keys.len() as u64;
         } else {
             self.counters.stores_skipped += miss_idx.len() as u64;
@@ -435,7 +433,7 @@ impl<'a> TgoptEngine<'a> {
         let sampler = &self.sampler;
         let nb = self.stats.time(OpKind::NghLookup, || sampler.sample_from(source, ns, ts));
 
-        let mut all_ns = Vec::with_capacity(ns.len() + nb.nodes.len()); // alloc-ok: per-layer id concatenation; id lists are not poolable f32 scratch
+        let mut all_ns = Vec::with_capacity(ns.len() + nb.nodes.len());
         all_ns.extend_from_slice(ns);
         all_ns.extend_from_slice(&nb.nodes);
         // Layer 0 is the node-feature table itself, read by node id; above
@@ -444,7 +442,7 @@ impl<'a> TgoptEngine<'a> {
         let lower = if l == 1 {
             None
         } else {
-            let mut all_ts = Vec::with_capacity(ts.len() + nb.times.len()); // alloc-ok: per-layer time concatenation, same bookkeeping as all_ns
+            let mut all_ts = Vec::with_capacity(ts.len() + nb.times.len());
             all_ts.extend_from_slice(ts);
             all_ts.extend_from_slice(&nb.times);
             Some(self.embed(source, l - 1, &all_ns, &all_ts, record && l > 2)?)
@@ -497,11 +495,11 @@ impl<'a> TgoptEngine<'a> {
         });
         let lower_records = lower.as_ref().and_then(|(_, _, r)| r.as_ref());
         let join = |i: usize| {
-            let mut pairs = vec![pack_key(ns[i], ts[i])]; // alloc-ok: the row's record, owned by its cache entry
+            let mut pairs = vec![pack_key(ns[i], ts[i])];
             for slot in (i * nb.k..(i + 1) * nb.k).filter(|&slot| nb.is_valid(slot)) {
                 match lower_records {
                     Some(lower) => pairs.extend_from_slice(&lower[h_idx[ns.len() + slot] as usize]),
-                    None => pairs.push(pack_key(nb.nodes[slot], nb.times[slot])), // alloc-ok: grows the row's own record
+                    None => pairs.push(pack_key(nb.nodes[slot], nb.times[slot])),
                 }
             }
             pairs.sort_unstable();
@@ -509,7 +507,7 @@ impl<'a> TgoptEngine<'a> {
             pairs.into_boxed_slice()
         };
         // Timed as the store it feeds.
-        let records = record.then(|| self.stats.time(OpKind::CacheStore, || (0..ns.len()).map(join).collect())); // alloc-ok: one record per row a cached layer above stores or records
+        let records = record.then(|| self.stats.time(OpKind::CacheStore, || (0..ns.len()).map(join).collect()));
         self.scratch.give(ht);
         self.scratch.give(ht0);
         if let Some((h, _, _)) = lower {

@@ -23,32 +23,27 @@ use crate::hash::pack_key;
 use rustc_hash::FxHashSet;
 use tg_graph::{HistorySource, NodeId, Time};
 
-/// The dependency record of one memoized row (comemo's "constraint").
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Constraint {
-    /// Packed `(y, t')` pairs, sorted and deduplicated; the root included.
-    pub pairs: Box<[u64]>,
-}
-
 /// The fingerprint of one `(node, t)` target: the `(y, t')` pairs whose
 /// most-recent-`k` windows a `levels`-deep recursive sampling from the
 /// target reads — the target itself plus `levels` breadth-first expansion
-/// levels (for a layer-`l` entry, `levels = l - 1`).
+/// levels (for a layer-`l` entry, `levels = l - 1`) — packed, sorted and
+/// deduplicated: the dependency record of one memoized row (comemo's
+/// "constraint").
 ///
 /// Determinism: most-recent sampling is a pure function of the history, so
 /// re-walking the frontier here visits exactly the pairs the engine's
 /// recursive `embed` sampled for the same target over the same source.
-pub fn capture<S: HistorySource>( // alloc-ok: the constraint is the return value
+pub fn capture<S: HistorySource>(
     source: &S,
     k: usize,
     node: NodeId,
     t: Time,
     levels: usize,
-) -> Constraint {
+) -> Box<[u64]> {
     let mut seen: FxHashSet<u64> = FxHashSet::default();
     seen.insert(pack_key(node, t));
-    let mut frontier = vec![(node, t)]; // alloc-ok: BFS worklist, bounded by the visited-pair count
-    let mut next: Vec<(NodeId, Time)> = Vec::new(); // alloc-ok: next BFS level, same bound
+    let mut frontier = vec![(node, t)];
+    let mut next: Vec<(NodeId, Time)> = Vec::new();
     for _ in 0..levels {
         for &(n, tn) in &frontier {
             let take = source.hist_len_before(n, tn).min(k);
@@ -63,17 +58,17 @@ pub fn capture<S: HistorySource>( // alloc-ok: the constraint is the return valu
     }
     let mut pairs: Vec<u64> = seen.into_iter().collect();
     pairs.sort_unstable();
-    Constraint { pairs: pairs.into_boxed_slice() }
+    pairs.into_boxed_slice()
 }
 
-/// [`capture`] for a batch of targets, one constraint per `(ns[i], ts[i])`.
-pub fn capture_many<S: HistorySource>( // alloc-ok: one constraint per target
+/// [`capture`] for a batch of targets, one fingerprint per `(ns[i], ts[i])`.
+pub fn capture_many<S: HistorySource>(
     source: &S,
     k: usize,
     ns: &[NodeId],
     ts: &[Time],
     levels: usize,
-) -> Vec<Constraint> {
+) -> Vec<Box<[u64]>> {
     ns.iter()
         .zip(ts)
         .map(|(&n, &t)| capture(source, k, n, t, levels))
@@ -100,7 +95,7 @@ mod tests {
     fn zero_levels_is_just_the_root() {
         let g = graph();
         let fp = capture(&g, 10, 0, 6.0, 0);
-        assert_eq!(fp.pairs.as_ref(), &[pack_key(0, 6.0)]);
+        assert_eq!(fp.as_ref(), &[pack_key(0, 6.0)]);
     }
 
     #[test]
@@ -111,19 +106,19 @@ mod tests {
         let fp = capture(&g, 2, 0, 6.0, 1);
         let mut want = vec![pack_key(0, 6.0), pack_key(2, 2.0), pack_key(3, 5.0)];
         want.sort_unstable();
-        assert_eq!(fp.pairs.as_ref(), want.as_slice());
+        assert_eq!(fp.as_ref(), want.as_slice());
     }
 
     #[test]
     fn fingerprints_are_sorted_deduped_and_time_bounded() {
         let g = graph();
         let fp = capture(&g, 10, 2, 5.0, 2);
-        let mut sorted = fp.pairs.to_vec();
+        let mut sorted = fp.to_vec();
         sorted.sort_unstable();
         sorted.dedup();
-        assert_eq!(fp.pairs.as_ref(), sorted.as_slice());
+        assert_eq!(fp.as_ref(), sorted.as_slice());
         let (_, root_t) = unpack_key(pack_key(2, 5.0));
-        for &pk in fp.pairs.iter() {
+        for &pk in fp.iter() {
             let (_, t) = unpack_key(pk);
             assert!(t <= root_t, "sampling only looks backward in time");
         }
@@ -133,7 +128,7 @@ mod tests {
     fn isolated_node_has_a_root_only_fingerprint() {
         let g = graph();
         let fp = capture(&g, 10, 3, 1.0, 3);
-        assert_eq!(fp.pairs.as_ref(), &[pack_key(3, 1.0)]);
+        assert_eq!(fp.as_ref(), &[pack_key(3, 1.0)]);
     }
 
     #[test]
@@ -143,7 +138,7 @@ mod tests {
         let ts = [6.0, 4.0, 5.0];
         let many = capture_many(&g, 2, &ns, &ts, 1);
         for (i, fp) in many.iter().enumerate() {
-            assert_eq!(fp.pairs.as_ref(), capture(&g, 2, ns[i], ts[i], 1).pairs.as_ref());
+            assert_eq!(fp.as_ref(), capture(&g, 2, ns[i], ts[i], 1).as_ref());
         }
     }
 }

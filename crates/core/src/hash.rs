@@ -36,7 +36,7 @@ pub fn unpack_key(key: u64) -> (NodeId, Time) {
 /// Batched key computation (the `ComputeKeys` operation of Algorithm 1).
 /// `_parallel` is ignored; the perf ledger's probe still passes it, and
 /// ROADMAP 5(f) drops it.
-pub fn compute_keys(ns: &[NodeId], ts: &[Time], _parallel: bool) -> Vec<u64> { // alloc-ok: the key vector is the return value (ComputeKeys output), one u64 per target
+pub fn compute_keys(ns: &[NodeId], ts: &[Time], _parallel: bool) -> Vec<u64> {
     assert_eq!(ns.len(), ts.len(), "node/time array length mismatch");
     ns.iter().zip(ts).map(|(&n, &t)| pack_key(n, t)).collect()
 }

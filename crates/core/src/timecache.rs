@@ -63,7 +63,7 @@ impl TimeCache {
     ///   [`TimeCache::precompute`]; only the hit/miss counters change.
     /// - `hits() + misses()` grows by exactly `dts.len()`.
     /// - Every output row is bit-identical to `encoder.encode` of its delta.
-    pub fn encode(&mut self, encoder: &TimeEncoder, dts: &[f32]) -> Tensor { // alloc-ok: allocating convenience wrapper; the hot path calls encode_into with a scratch destination
+    pub fn encode(&mut self, encoder: &TimeEncoder, dts: &[f32]) -> Tensor {
         let mut out = Tensor::zeros(dts.len(), self.dim());
         self.encode_into(encoder, dts, &mut out);
         out

@@ -308,7 +308,7 @@ proptest! {
                     fingerprint::capture(&g, K, x, t, l - 1)
                 };
                 prop_assert!(mask[i], "layer {} ({}, {}) refused at its own epoch", l, x, t);
-                prop_assert_eq!(&pairs[i], &want.pairs, "layer {} ({}, {})", l, x, t);
+                prop_assert_eq!(&pairs[i], &want, "layer {} ({}, {})", l, x, t);
             }
         }
     }

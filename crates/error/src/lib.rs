@@ -95,7 +95,6 @@ impl TgError {
     }
 
     /// Builds a [`TgError::ShapeMismatch`] for `context`.
-    // alloc-ok: error constructors run only on the failure path; the formatted strings are the payload
     pub fn shape(
         context: impl Into<String>,
         expected: impl fmt::Display,

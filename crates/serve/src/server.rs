@@ -349,7 +349,7 @@ fn serving_engine<'b>(bundle: &'b ModelBundle, shared: &Shared) -> TgoptEngine<'
     engine
 }
 
-// hot-path-root(serve)
+// hot-path-root
 fn worker_loop(shared: Arc<Shared>, wave_hist: Arc<LatencyHistogram>) {
     let bundle = Arc::clone(&shared.bundle);
     // One engine per worker, reused across waves — which also means one
@@ -458,7 +458,7 @@ impl TgServer {
     /// the request becomes visible to workers — so every counter snapshot
     /// satisfies `submitted >= completed + rejected_deadline`. An invalid
     /// node id is a caller bug and is not counted.
-    // hot-path-root(serve)
+    // hot-path-root
     pub fn submit_request(&self, req: Request) -> Result<Ticket, TgError> {
         let n_nodes = self.shared.bundle.node_features.rows();
         if req.node as usize >= n_nodes {
@@ -498,7 +498,7 @@ impl TgServer {
     /// their pinned snapshot (an edge is never half-visible). A wave at a
     /// later epoch refuses every cached row the edge made stale when it
     /// looks it up (`tgopt::EmbedCache::lookup_in`).
-    // hot-path-root(serve)
+    // hot-path-root
     pub fn submit_edge(&self, src: NodeId, dst: NodeId, time: Time) -> Result<EdgeId, TgError> {
         let Some(live) = self.shared.live.as_ref() else {
             return Err(TgError::InvalidArgument(
@@ -540,7 +540,7 @@ impl TgServer {
     /// Deterministic mode only: processes every queued request on the
     /// calling thread, in submission order, flushing a micro-batch every
     /// `max_batch` requests. Returns how many requests were processed.
-    // hot-path-root(serve)
+    // hot-path-root
     pub fn drain(&self) -> Result<usize, TgError> {
         if !self.deterministic {
             return Err(TgError::InvalidArgument(

@@ -56,7 +56,7 @@ pub fn fan_chunks<S: Send>(
     let mut spawned = 0;
     thread::scope(|scope| {
         for (i, state) in helpers[..width].iter_mut().enumerate() {
-            let name = format!("tg-fanout-{i}"); // alloc-ok: thread creation allocates (name, stack, handle), bounded by width - 1 per fanned-out call; a served wave at workers >= cores has no helpers
+            let name = format!("tg-fanout-{i}");
             // A refused spawn costs nothing: the others claim its chunks.
             spawned += usize::from(Builder::new().name(name).spawn_scoped(scope, || drain_chunks(state)).is_ok());
         }

@@ -115,7 +115,6 @@ pub fn concat_cols(parts: &[&Tensor]) -> Tensor {
 /// Every output element is written exactly once (no zero-fill pass), which
 /// is what makes this the right way to build the attention inputs
 /// `[h | e | Phi]` inside scratch buffers.
-// hot-path-root(alloc)
 pub fn concat_cols_into(parts: &[&Tensor], out: &mut Tensor) {
     assert!(!parts.is_empty(), "concat_cols needs at least one part");
     let rows = parts[0].rows();
@@ -158,7 +157,6 @@ pub fn gather_rows(src: &Tensor, idx: &[usize]) -> Tensor {
 
 /// [`gather_rows`] into a preallocated `[idx.len(), src.cols()]`
 /// destination; prior contents are overwritten.
-// hot-path-root(alloc)
 pub fn gather_rows_into(src: &Tensor, idx: &[usize], out: &mut Tensor) {
     let cols = src.cols();
     assert_eq!(out.shape(), (idx.len(), cols), "gather_rows_into: bad output shape");
@@ -174,7 +172,6 @@ pub fn gather_rows_into(src: &Tensor, idx: &[usize], out: &mut Tensor) {
 /// `0..n`: `out.row(i) = src.row(map(i))`. Lets hot-path callers translate
 /// ids (node ids, edge ids with padding) on the fly instead of
 /// materialising a `Vec<usize>` index buffer per batch.
-// hot-path-root(alloc)
 pub fn gather_rows_map_into<F>(src: &Tensor, n: usize, map: F, out: &mut Tensor)
 where
     F: Fn(usize) -> usize,
@@ -268,7 +265,6 @@ pub fn attn_scores(q: &Tensor, key: &Tensor, scale: f32) -> Tensor {
 /// from the columns `key_cols` of its row of a wider `key` (one head's K
 /// block of every head's K|V); prior contents are overwritten. For
 /// `N == 0` the destination must have zero rows.
-// hot-path-root(alloc)
 pub fn attn_scores_into(q: &Tensor, key: &Tensor, key_cols: Range<usize>, scale: f32, out: &mut Tensor) {
     let (n, d) = q.shape();
     if n == 0 {
@@ -308,7 +304,6 @@ pub fn attn_weighted_sum(w: &Tensor, v: &Tensor) -> Tensor {
 /// buffer, eliminating the per-head temporary plus copy. The target block is
 /// zeroed first; the per-slot `weight == 0.0` skip is the masked-padding
 /// fast path (softmax writes exact zeros there), not a dense-path branch.
-// hot-path-root(alloc)
 pub fn attn_weighted_sum_into(w: &Tensor, v: &Tensor, v_cols: Range<usize>, out: &mut Tensor, col_off: usize) {
     let (n, k) = w.shape();
     assert_eq!(v.rows(), n * k, "value rows must equal N*K");

@@ -57,7 +57,7 @@ impl Scratch {
     ///
     /// (Contents are currently zeroed or stale-but-initialized `f32`s, never
     /// uninitialized memory; "unspecified" is a contract, not a UB hazard.)
-    pub fn take(&mut self, rows: usize, cols: usize) -> Tensor { // alloc-ok: allocates only on pool miss; steady-state waves recycle the high-water set
+    pub fn take(&mut self, rows: usize, cols: usize) -> Tensor {
         let need = rows * cols;
         match self.best_fit(need) {
             Some(mut buf) => {
@@ -78,7 +78,7 @@ impl Scratch {
     }
 
     /// Returns a tensor's buffer to the pool for reuse.
-    pub fn give(&mut self, t: Tensor) { // alloc-ok: the pool vec grows to MAX_POOLED entries once, then swaps in place
+    pub fn give(&mut self, t: Tensor) {
         let buf = t.into_vec();
         if buf.capacity() == 0 {
             return;

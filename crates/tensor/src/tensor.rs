@@ -34,7 +34,7 @@ impl Tensor {
     }
 
     /// Creates a `rows x cols` tensor filled with zeros.
-    pub fn zeros(rows: usize, cols: usize) -> Self { // alloc-ok: the allocation primitive itself; hot paths reach it only through Scratch pool misses
+    pub fn zeros(rows: usize, cols: usize) -> Self {
         Self { data: vec![0.0; rows * cols], rows, cols }
     }
 

@@ -457,7 +457,12 @@ mod tests {
         }
 
         // Fanned out: whichever blocks a helper claims, its pool is empty or
-        // exactly one block's working set after every call, the first included.
+        // exactly one block's working set after every call, the first
+        // included. The caller lends `out` from its own pool before the
+        // fan-out, and `fan_chunks` does not promise it a chunk: when the
+        // helpers claim every block (a loaded host), the caller's pool ends
+        // the call one lent buffer short, and refills it the next time it
+        // runs a block. So the caller's pool never grows past one block.
         let pools_after_each_call = |n: usize, helpers: &mut [Scratch]| {
             let (cfg, p, h_src, ht0, h_ngh, e_feat, ht) = setup(n);
             let mask = vec![true; n * cfg.n_neighbors];
@@ -469,13 +474,16 @@ mod tests {
                 // The output escapes, so the pools hold block buffers only.
                 let kv = KvWeights::new(&p.layers[0], &cfg);
                 drop(forward_blocked(&p.layers[0], &kv, &cfg, &inp, None, None, None, TARGET_BLOCK, &mut scratch, helpers));
-                seen.extend(helpers.iter().chain([&scratch]).map(Scratch::pooled_capacity));
+                seen.push((helpers.iter().map(Scratch::pooled_capacity).collect::<Vec<_>>(), scratch.pooled_capacity()));
             }
             seen
         };
-        let one_block = pools_after_each_call(TARGET_BLOCK, &mut [])[0];
+        let one_block = pools_after_each_call(TARGET_BLOCK, &mut [])[0].1;
         let seen = pools_after_each_call(6 * TARGET_BLOCK, &mut [Scratch::new(), Scratch::new()]);
-        assert!(seen.iter().all(|&held| held == 0 || held == one_block), "{seen:?} vs {one_block}");
+        for (helpers, caller) in &seen {
+            assert!(helpers.iter().all(|&held| held == 0 || held == one_block), "{seen:?} vs {one_block}");
+            assert!(*caller <= one_block, "{seen:?} vs {one_block}");
+        }
     }
 
     #[test]

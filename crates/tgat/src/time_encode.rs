@@ -60,7 +60,7 @@ impl TimeEncoder {
     }
 
     /// Encodes a batch of time deltas into an `[n, d_t]` tensor.
-    pub fn encode(&self, dts: &[f32]) -> Tensor { // alloc-ok: allocating convenience wrapper; the hot path calls encode_into with a scratch destination
+    pub fn encode(&self, dts: &[f32]) -> Tensor {
         let mut out = Tensor::zeros(dts.len(), self.dim());
         self.encode_into(dts, &mut out);
         out

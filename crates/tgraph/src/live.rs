@@ -256,11 +256,8 @@ impl LiveGraph {
             let mut delta = wlock(gen.delta.write());
             let seq = gen.base_seq + delta.log.len() as u64;
             let e = edge_at(seq)?;
-            // lint: allow(lock-held-effects, the append allocates under the inner delta write lock by design; gen is read-held only to pin the generation, and readers never wait on it — view() just clones the Arc)
             delta.log.push(e);
-            // lint: allow(lock-held-effects, posting inserts allocate under the delta lock by design; same rationale as the log push above)
             delta.push_posting(e.src, AdjEntry { time: e.time, ngh: e.dst, eid: e.eid }, seq);
-            // lint: allow(lock-held-effects, posting inserts allocate under the delta lock by design; same rationale as the log push above)
             delta.push_posting(e.dst, AdjEntry { time: e.time, ngh: e.src, eid: e.eid }, seq);
             for node in [e.src, e.dst] {
                 if let Some(last_append) = self.last_append.get(node as usize) {
@@ -320,10 +317,8 @@ impl LiveGraph {
             }
             let mut base = (*gen_slot.base).clone();
             for (seq, e) in (gen_slot.base_seq..).zip(&delta.log) {
-                // lint: allow(lock-held-effects, part of the same deliberate stop-the-world fold as the freeze below: the new base is built under gen exclusively so it is bit-identical to a cold rebuild)
                 base.fold(e, seq);
             }
-            // lint: allow(lock-held-effects, the stop-the-world fold is deliberate: holding gen exclusively serializes compaction against appends so the new base is bit-identical to a cold rebuild; compact_threshold amortizes the pause)
             base.freeze();
             let base_seq = gen_slot.base_seq + delta.log.len() as u64;
             Generation { base: Arc::new(base), base_seq, delta: RwLock::new(DeltaState::default()) }

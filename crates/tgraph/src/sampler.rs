@@ -111,7 +111,7 @@ pub struct NeighborhoodBatch {
 }
 
 impl NeighborhoodBatch {
-    fn empty(n_targets: usize, k: usize, ts: &[Time]) -> Self { // alloc-ok: the sampled neighborhood is a per-wave output the caller owns; its id/time slots are not poolable f32 scratch
+    fn empty(n_targets: usize, k: usize, ts: &[Time]) -> Self {
         let mut times = Vec::with_capacity(n_targets * k);
         for &t in ts {
             times.extend(std::iter::repeat_n(t, k));
@@ -133,7 +133,7 @@ impl NeighborhoodBatch {
     }
 
     /// Boolean validity mask over all `n * k` slots.
-    pub fn mask(&self) -> Vec<bool> { // alloc-ok: the validity mask is the return value, one bool per slot
+    pub fn mask(&self) -> Vec<bool> {
         self.eids.iter().map(|&e| e != INVALID_EDGE).collect()
     }
 

@@ -1,7 +1,7 @@
 //! L10 fail fixture: the serve root reaches an `unwrap`, a `panic!`, and
 //! an `expect` two calls deep — each one a request-killing panic site.
 
-// hot-path-root(serve)
+// hot-path-root
 pub fn handle_request(req: &[u8]) -> u32 {
     let v = decode(req);
     seal(v)

@@ -1,7 +1,7 @@
 //! L10 pass fixture: the serve closure propagates errors instead of
 //! panicking; the only `unwrap` in the file is outside the closure.
 
-// hot-path-root(serve)
+// hot-path-root
 pub fn handle_request(req: &[u8]) -> Result<u32, Error> {
     let v = decode(req)?;
     Ok(double(v))

@@ -1,13 +1,10 @@
 //! L13 fail fixture: calls with transitive effects made while a guard is
-//! live — a blocking `join` two frames down, a re-acquisition of the held
-//! lock, and (under a manifest declaring `delta` in `[lock-held]
-//! no_alloc`) a transitive allocation.
+//! live — a blocking `join` two frames down and a re-acquisition of the
+//! held lock.
 
 struct Pool {
     state: Mutex<Vec<u64>>,
-    delta: Mutex<u64>,
     handle: Handle,
-    buf: Vec<u64>,
 }
 
 impl Pool {
@@ -32,15 +29,5 @@ impl Pool {
         let n = g.len();
         drop(g);
         n
-    }
-
-    fn record(&self) {
-        let g = self.delta.lock();
-        self.grow();
-        drop(g);
-    }
-
-    fn grow(&self) {
-        self.buf.push(1);
     }
 }

@@ -11,7 +11,7 @@ impl Pool {
         let g = self.state.lock();
         let v = g.len() as u64;
         drop(g);
-        self.fill(v) // guard dropped before the allocating call
+        self.fill(v) // guard dropped before the call
     }
 
     fn fill(&self, v: u64) -> u64 {

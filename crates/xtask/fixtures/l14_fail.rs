@@ -1,7 +1,7 @@
 //! L14 fail fixture: unbounded waits reachable from the serve root — one
 //! directly in the root, one two calls down.
 
-// hot-path-root(serve)
+// hot-path-root
 pub fn serve_loop(rx: &Receiver<u64>) -> u64 {
     let job = rx.recv();
     dispatch(job)

@@ -1,15 +1,16 @@
-//! Cross-crate call-graph reachability: the engine behind L9
-//! (`hot-path-alloc`) and L10 (`panic-reach`).
+//! Cross-crate call-graph reachability: the graph behind L10
+//! (`panic-reach`), L13 (`lock-held-effects`) and L14 (`deadline-safety`).
 //!
 //! The per-file lints L1–L8 answer "does this line violate the policy?";
-//! the questions that actually protect the inference hot path are
-//! reachability questions: *can a request entering `embed_batch` hit an
-//! allocation? can the serve worker loop reach a panic?* This module
-//! builds a function-level call graph over the whole workspace from the
-//! blanked code views ([`crate::source`]) and the fn-scope extraction
+//! the questions that protect the serve path are reachability questions:
+//! *can a request entering `embed_batch` or the serve worker loop reach a
+//! panic or an unbounded wait?* This module builds a function-level call
+//! graph over the whole workspace from the blanked code views
+//! ([`crate::source`]) and the fn-scope extraction
 //! ([`crate::scopes::analyze_fns`]), seeds it from `// hot-path-root`
 //! annotations, and checks everything transitively reachable against the
-//! shared call tables in [`crate::rules::calls`].
+//! shared call tables in [`crate::rules::calls`]. (Allocation is not a
+//! lint: `tests/alloc_gate.rs` counts the hot path's real allocations.)
 //!
 //! ## Name resolution model (and its known limits)
 //!
@@ -28,22 +29,20 @@
 //! and function pointers are invisible, and macro bodies are opaque. For
 //! a lint, over-approximation is the safe direction — it can only make
 //! the closure (and therefore the checked region) larger. The escape
-//! hatches (`// alloc-ok:`, `// cold-path:`, `// lint: allow(...)`) are
-//! the pressure valve, and each demands a written reason.
+//! hatches (`// cold-path:`, `// lint: allow(...)`) are the pressure
+//! valve, and each demands a written reason.
 //!
 //! ## Annotation grammar
 //!
 //! * `// hot-path-root` — the fn on this line (or the line below) seeds
-//!   both closures; `(alloc)` / `(serve)` restrict it to L9 / L10.
+//!   the closures and gets a row in `effects.lock`.
 //! * `// cold-path: <reason>` — the fn is pruned from the closures
 //!   (setup/teardown a root calls once per lifetime, not per batch).
-//! * `// alloc-ok: <reason>` — on an allocation line, suppresses L9
-//!   there; on a `fn` declaration line, suppresses L9 for the whole body.
 
-use crate::rules::calls::{ALLOC_CALLS, PANIC_PATTERNS};
+use crate::rules::calls::PANIC_PATTERNS;
 use crate::rules::{is_ident_byte, Finding, Lint};
 use crate::scopes::analyze_fns;
-use crate::source::{RootKind, SourceFile};
+use crate::source::SourceFile;
 
 /// One function in the graph.
 #[derive(Clone, Debug)]
@@ -61,13 +60,10 @@ pub struct FnNode {
     pub line: usize,
     /// Body byte span in the code view, `[open, close]` braces inclusive.
     pub body: (usize, usize),
-    /// `// hot-path-root` annotation, if any.
-    pub root: Option<RootKind>,
+    /// True if annotated `// hot-path-root`.
+    pub root: bool,
     /// True if annotated `// cold-path: <reason>` — pruned from closures.
     pub cold: bool,
-    /// True if the declaration line carries `// alloc-ok: <reason>` —
-    /// the whole body is exempt from L9.
-    pub alloc_ok_body: bool,
 }
 
 impl FnNode {
@@ -131,16 +127,12 @@ impl<'a> CallGraph<'a> {
                     trait_name: owner.and_then(|b| b.trait_name.clone()),
                     line: scope.line,
                     body: scope.body,
-                    root: src.root_kind_for(scope.line),
+                    root: src.is_root(scope.line),
                     // Like roots, a cold-path marker is either trailing on
                     // the declaration line or a whole-line comment above.
                     cold: src.has_cold_path(scope.line)
                         || (scope.line >= 2
                             && src.has_cold_path(scope.line - 1)
-                            && src.code_line(scope.line - 1).trim().is_empty()),
-                    alloc_ok_body: src.has_alloc_ok(scope.line)
-                        || (scope.line >= 2
-                            && src.has_alloc_ok(scope.line - 1)
                             && src.code_line(scope.line - 1).trim().is_empty()),
                 });
             }
@@ -149,15 +141,14 @@ impl<'a> CallGraph<'a> {
         Self { sources, nodes, edges }
     }
 
-    /// BFS over the graph from every root whose kind passes `seeds`,
-    /// skipping `// cold-path:` nodes. Returns, per node, `None`
-    /// (unreached) or `Some(parent)` — the node it was first reached
-    /// from (`parent == self` for roots).
-    pub fn reachable(&self, seeds: impl Fn(RootKind) -> bool) -> Vec<Option<usize>> {
+    /// BFS over the graph from every root, skipping `// cold-path:`
+    /// nodes. Returns, per node, `None` (unreached) or `Some(parent)` —
+    /// the node it was first reached from (`parent == self` for roots).
+    pub fn reachable(&self) -> Vec<Option<usize>> {
         let mut parent: Vec<Option<usize>> = vec![None; self.nodes.len()];
         let mut queue: Vec<usize> = Vec::new();
         for (i, n) in self.nodes.iter().enumerate() {
-            if n.root.is_some_and(&seeds) && !n.cold {
+            if n.root && !n.cold {
                 parent[i] = Some(i);
                 queue.push(i);
             }
@@ -194,52 +185,6 @@ impl<'a> CallGraph<'a> {
         chain.join(" → ")
     }
 
-    /// **L9 `hot-path-alloc`, reference implementation** — flags every
-    /// [`ALLOC_CALLS`] site inside a function reachable from an alloc
-    /// root, unless the line (or the fn declaration line) carries
-    /// `// alloc-ok: <reason>`, or the line carries
-    /// `// lint: allow(hot-path-alloc, <reason>)`.
-    ///
-    /// The production L9 is [`crate::effects::EffectEngine::
-    /// lint_hot_path_alloc`], which derives the same findings from the
-    /// per-function effect summaries; this direct BFS twin is kept as the
-    /// independent oracle the equivalence test in `tests/lint_gate.rs`
-    /// compares against byte-for-byte.
-    pub fn lint_hot_path_alloc_bfs(&self) -> Vec<Finding> {
-        let parent = self.reachable(RootKind::seeds_alloc);
-        let mut out = Vec::new();
-        for (i, node) in self.nodes.iter().enumerate() {
-            if parent[i].is_none() || node.alloc_ok_body {
-                continue;
-            }
-            let src = &self.sources[node.file];
-            for &(pattern, why) in ALLOC_CALLS {
-                for at in body_matches(src, node.body, pattern) {
-                    let line = src.line_of(at);
-                    if src.is_test_line(line)
-                        || src.has_alloc_ok(line)
-                        || src.is_allowed(line, Lint::HotPathAlloc.name())
-                    {
-                        continue;
-                    }
-                    out.push(Finding {
-                        lint: Lint::HotPathAlloc,
-                        file: src.path.clone(),
-                        line,
-                        message: format!(
-                            "{why}; on the hot path `{}`; \
-                             annotate `// alloc-ok: <reason>` if intended",
-                            self.witness(&parent, i)
-                        ),
-                    });
-                }
-            }
-        }
-        out.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
-        out.dedup();
-        out
-    }
-
     /// **L10 `panic-reach`, reference implementation** — flags every
     /// [`PANIC_PATTERNS`] site inside a function reachable from a serve
     /// root (wherever it lives), plus non-literal slice indexing inside
@@ -248,10 +193,11 @@ impl<'a> CallGraph<'a> {
     /// not carry over, because "acceptable in this file" and "acceptable
     /// on the request path" are different claims.
     ///
-    /// Like [`Self::lint_hot_path_alloc_bfs`], this is the BFS oracle the
-    /// summary-derived production L10 is equivalence-tested against.
+    /// This is the BFS oracle the summary-derived production L10
+    /// ([`crate::effects::EffectEngine::lint_panic_reach`]) is
+    /// equivalence-tested against.
     pub fn lint_panic_reach_bfs(&self) -> Vec<Finding> {
-        let parent = self.reachable(RootKind::seeds_serve);
+        let parent = self.reachable();
         let mut out = Vec::new();
         for (i, node) in self.nodes.iter().enumerate() {
             if parent[i].is_none() {
@@ -437,7 +383,7 @@ const NOT_CALLS: &[&str] = &[
 /// `AtomicU64::load` → `TgatParams::load`, `Vec::drain` → `TgServer::drain`,
 /// `Condvar::wait` → `Slot::wait`). Skipped during `Method` resolution
 /// only — `Qualified` calls (`Tape::push(...)`) still resolve, and the
-/// allocation/panic/blocking patterns themselves are still matched
+/// panic/blocking patterns themselves are still matched
 /// textually inside every body that stays reachable, so skipping the edge
 /// drops phantom chains without hiding direct findings.
 const UBIQUITOUS_METHODS: &[&str] = &[
@@ -699,7 +645,7 @@ mod tests {
         let src = "// hot-path-root\nfn root() { warm(); setup(); }\nfn warm() { deep(); }\nfn deep() {}\n// cold-path: runs once at startup\nfn setup() { cold_leaf(); }\nfn cold_leaf() {}\n";
         let sources = vec![SourceFile::parse("t.rs", src)];
         let g = CallGraph::build(&sources);
-        let reach = g.reachable(RootKind::seeds_alloc);
+        let reach = g.reachable();
         assert!(reach[idx(&g.nodes, "warm")].is_some());
         assert!(reach[idx(&g.nodes, "deep")].is_some());
         assert!(reach[idx(&g.nodes, "setup")].is_none(), "cold fn must be pruned");
@@ -707,19 +653,8 @@ mod tests {
     }
 
     #[test]
-    fn l9_fires_transitively_and_honors_alloc_ok() {
-        let src = "// hot-path-root(alloc)\nfn root() { inner(); }\nfn inner() {\n    let v = Vec::with_capacity(8);\n    let w = Vec::with_capacity(8); // alloc-ok: grows once, then reused\n}\n";
-        let sources = vec![SourceFile::parse("t.rs", src)];
-        let g = CallGraph::build(&sources);
-        let f = g.lint_hot_path_alloc_bfs();
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].line, 4);
-        assert!(f[0].message.contains("root → inner"), "{}", f[0].message);
-    }
-
-    #[test]
     fn l10_fires_on_unwrap_reachable_from_serve_root() {
-        let src = "// hot-path-root(serve)\nfn handle() { step(); }\nfn step() { parse().unwrap(); }\nfn parse() -> Option<u32> { None }\nfn unrelated() { other().unwrap(); }\nfn other() -> Option<u32> { None }\n";
+        let src = "// hot-path-root\nfn handle() { step(); }\nfn step() { parse().unwrap(); }\nfn parse() -> Option<u32> { None }\nfn unrelated() { other().unwrap(); }\nfn other() -> Option<u32> { None }\n";
         let sources = vec![SourceFile::parse("t.rs", src)];
         let g = CallGraph::build(&sources);
         let f = g.lint_panic_reach_bfs();

@@ -1,22 +1,23 @@
-//! Interprocedural effect inference: the engine behind L9/L10 (now
-//! summary-derived), L13 (`lock-held-effects`), L14 (`deadline-safety`),
-//! and L16 (`effects-drift`).
+//! Interprocedural effect inference: the engine behind L10
+//! (`panic-reach`, summary-derived), L13 (`lock-held-effects`), L14
+//! (`deadline-safety`), and L16 (`effects-drift`).
 //!
 //! Where [`crate::callgraph`] answers the per-root reachability question
-//! ("can a hot root reach an allocation?"), this module computes, for
-//! *every* workspace function, a transitive **effect summary** — the set
-//! of [`Effect`]s that executing the function may have:
+//! ("can a serve root reach a panic?"), this module computes, for *every*
+//! workspace function, a transitive **effect summary** — the set of
+//! [`Effect`]s that executing the function may have:
 //!
-//! * `Alloc` — heap allocation ([`ALLOC_CALLS`]), minus sites justified
-//!   by `// alloc-ok:` / `allow(hot-path-alloc)` and `#[cfg(test)]` code.
 //! * `Panic` — panicking constructs ([`PANIC_PATTERNS`] plus non-literal
 //!   slice indexing in `crates/serve/`), minus `allow(panic-reach)` sites.
 //! * `Blocking(kind)` — unbounded-wait constructs ([`BLOCKING_CALLS`]):
 //!   channel `recv`, thread `join`, `sleep`, file I/O, `.await`.
 //! * `LockAcquire(name)` — a guard constructor on the named lock (the
 //!   same receiver-derived names `concurrency.toml` uses).
-//! * `FloatNondet` — an unsuppressed L11 float-determinism site.
 //! * `RelaxedAtomic` — an unsuppressed `Ordering::Relaxed` use.
+//!
+//! Allocation is not an effect: `tests/alloc_gate.rs` counts the hot
+//! path's real allocations, in every crate, instead of matching call
+//! names.
 //!
 //! ## Summary computation
 //!
@@ -27,29 +28,28 @@
 //! reverse topological order — every member of an SCC gets the union of
 //! the whole component, which *is* the least fixpoint. Calls to
 //! `// cold-path:` functions contribute nothing, mirroring the closure
-//! pruning the BFS lints have always done.
+//! pruning the BFS lint has always done.
 //!
 //! Suppressed sites are excluded from summaries on purpose: an effect
 //! that has been justified in place is not part of a function's *policy-
-//! relevant* effect surface. This is what makes L16 sharp — deleting an
-//! `// alloc-ok:` annotation adds `Alloc` back into the enclosing root's
-//! summary, and the committed `effects.lock` no longer matches.
+//! relevant* effect surface. This is what makes L16 sharp — deleting a
+//! `// relaxed-ok:` annotation adds `RelaxedAtomic` back into the
+//! enclosing root's summary, and the committed `effects.lock` no longer
+//! matches.
 //!
 //! ## The lints
 //!
-//! * **L9/L10** ([`EffectEngine::lint_hot_path_alloc`] /
-//!   [`EffectEngine::lint_panic_reach`]) — same findings as the BFS
-//!   reference twins in [`crate::callgraph`], byte-for-byte (pinned by an
-//!   equivalence test in `tests/lint_gate.rs`), now emitted from the
+//! * **L10** ([`EffectEngine::lint_panic_reach`]) — same findings as the
+//!   BFS reference twin in [`crate::callgraph`], byte-for-byte (pinned by
+//!   an equivalence test in `tests/lint_gate.rs`), emitted from the
 //!   engine's shared site extraction.
 //! * **L13** ([`EffectEngine::lint_lock_held`]) — the interprocedural
-//!   L7: no call with a transitive `Blocking`/`LockAcquire`/`Alloc`
-//!   effect while a guard is live (lock acquisitions checked against the
-//!   canonical order; `Alloc` only under locks listed in `[lock-held]
-//!   no_alloc` in `concurrency.toml`).
+//!   L7: no call with a transitive `Blocking`/`LockAcquire` effect while
+//!   a guard is live (lock acquisitions checked against the canonical
+//!   order in `concurrency.toml`).
 //! * **L14** ([`EffectEngine::lint_deadline`]) — nothing reachable from a
-//!   serve root may block without a bound: unbounded `Blocking` sites
-//!   need `// bounded-by: <reason>` (timed variants are auto-bounded).
+//!   root may block without a bound: unbounded `Blocking` sites need
+//!   `// bounded-by: <reason>` (timed variants are auto-bounded).
 //! * **L16** ([`check_drift`]) — hot-path-root summaries are serialized
 //!   to a committed `effects.lock`; any change fails lint until the lock
 //!   is deliberately regenerated via `UPDATE_EFFECTS_LOCK=1`. The lock
@@ -61,10 +61,10 @@ use std::collections::BTreeSet;
 
 use crate::callgraph::{self, CallGraph, Resolver};
 use crate::manifest::ConcurrencyManifest;
-use crate::rules::calls::{ALLOC_CALLS, BLOCKING_CALLS, PANIC_PATTERNS};
-use crate::rules::{bounded_matches, determinism, Finding, Lint};
+use crate::rules::calls::{BLOCKING_CALLS, PANIC_PATTERNS};
+use crate::rules::{bounded_matches, Finding, Lint};
 use crate::scopes::{analyze_fns, Region};
-use crate::source::{RootKind, SourceFile};
+use crate::source::SourceFile;
 
 /// File name of the committed lock at the workspace root.
 pub const LOCK_NAME: &str = "effects.lock";
@@ -72,15 +72,14 @@ pub const LOCK_NAME: &str = "effects.lock";
 /// Version of the `effects.lock` text format, independent of the JSON
 /// lint report's [`crate::SCHEMA_VERSION`].
 /// v4: roots are keyed `file label` with no line number, sorted by
-/// `(file, label)`.
-pub const LOCK_SCHEMA: u32 = 4;
+/// `(file, label)`. v5: no root-kind column (every root seeds the same
+/// closure) and no `alloc` or `float-nondet` effects.
+pub const LOCK_SCHEMA: u32 = 5;
 
 /// One element of a function's effect summary. The derived `Ord` gives
 /// summaries (and therefore `effects.lock`) a stable serialization order.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Effect {
-    /// Heap allocation.
-    Alloc,
     /// A panicking construct.
     Panic,
     /// An unbounded-wait construct, tagged `recv`/`join`/`sleep`/
@@ -88,8 +87,6 @@ pub enum Effect {
     Blocking(String),
     /// A guard constructor on the named lock.
     LockAcquire(String),
-    /// An L11 float-nondeterminism site.
-    FloatNondet,
     /// An `Ordering::Relaxed` use.
     RelaxedAtomic,
 }
@@ -98,11 +95,9 @@ impl Effect {
     /// Stable text form used in `effects.lock`.
     pub fn display(&self) -> String {
         match self {
-            Effect::Alloc => "alloc".to_string(),
             Effect::Panic => "panic".to_string(),
             Effect::Blocking(k) => format!("blocking({k})"),
             Effect::LockAcquire(l) => format!("lock({l})"),
-            Effect::FloatNondet => "float-nondet".to_string(),
             Effect::RelaxedAtomic => "relaxed-atomic".to_string(),
         }
     }
@@ -110,9 +105,7 @@ impl Effect {
     /// Inverse of [`Effect::display`], for parsing `effects.lock`.
     pub fn parse(text: &str) -> Option<Effect> {
         match text {
-            "alloc" => Some(Effect::Alloc),
             "panic" => Some(Effect::Panic),
-            "float-nondet" => Some(Effect::FloatNondet),
             "relaxed-atomic" => Some(Effect::RelaxedAtomic),
             _ => {
                 let inner = |p: &str| {
@@ -133,12 +126,12 @@ impl Effect {
 pub struct EffectSite {
     pub effect: Effect,
     /// Byte offset in the file's code view (0 when only a line is known —
-    /// lock acquisitions and float-nondeterminism sites).
+    /// lock acquisitions).
     pub at: usize,
     /// 1-based line.
     pub line: usize,
-    /// Display text for findings: the alloc rationale, the trimmed panic
-    /// or blocking pattern, or the lock name.
+    /// Display text for findings: the trimmed panic or blocking pattern,
+    /// or the lock name.
     pub what: String,
     /// `Blocking` only: the wait bounds itself (`recv_timeout`, `sleep`)
     /// or carries a `// bounded-by: <reason>` annotation.
@@ -153,25 +146,7 @@ pub struct RootSummary {
     /// lock does not record it, so a root parsed from the lock carries 0.
     pub line: usize,
     pub label: String,
-    pub kind: RootKind,
     pub effects: BTreeSet<Effect>,
-}
-
-fn kind_str(kind: RootKind) -> &'static str {
-    match kind {
-        RootKind::Both => "both",
-        RootKind::Alloc => "alloc",
-        RootKind::Serve => "serve",
-    }
-}
-
-fn kind_parse(text: &str) -> Option<RootKind> {
-    match text {
-        "both" => Some(RootKind::Both),
-        "alloc" => Some(RootKind::Alloc),
-        "serve" => Some(RootKind::Serve),
-        _ => None,
-    }
 }
 
 /// The effect-inference engine: a call graph plus per-function direct
@@ -214,14 +189,6 @@ impl<'a> EffectEngine<'a> {
                 scope_data.insert((file, scope.body.0), (scope.regions, acquires));
             }
         }
-        // L11 sites per file, bucketed into nodes by line below.
-        let mut nondet_lines: Vec<Vec<usize>> = Vec::with_capacity(sources.len());
-        for src in sources {
-            let mut v = Vec::new();
-            determinism::lint_float_determinism(src, &mut v);
-            nondet_lines.push(v.into_iter().map(|f| f.line).collect());
-        }
-
         let mut sites: Vec<Vec<EffectSite>> = Vec::with_capacity(n);
         let mut regions: Vec<Vec<Region>> = Vec::with_capacity(n);
         for node in &graph.nodes {
@@ -230,7 +197,7 @@ impl<'a> EffectEngine<'a> {
                 .get(&(node.file, node.body.0))
                 .cloned()
                 .unwrap_or_default();
-            sites.push(direct_sites(src, node, &acquires, &nondet_lines[node.file]));
+            sites.push(direct_sites(src, node, &acquires));
             regions.push(node_regions);
         }
 
@@ -248,45 +215,11 @@ impl<'a> EffectEngine<'a> {
         &self.sites[i]
     }
 
-    /// **L9 `hot-path-alloc`** — the engine's `Alloc` sites of every
-    /// function reachable from an alloc root. Byte-identical to
-    /// [`CallGraph::lint_hot_path_alloc_bfs`]: same site extraction, same
-    /// closure, same witness chains.
-    pub fn lint_hot_path_alloc(&self) -> Vec<Finding> {
-        let parent = self.graph.reachable(RootKind::seeds_alloc);
-        let mut out = Vec::new();
-        for (i, node) in self.graph.nodes.iter().enumerate() {
-            if parent[i].is_none() {
-                continue;
-            }
-            let src = &self.graph.sources[node.file];
-            for site in &self.sites[i] {
-                if site.effect != Effect::Alloc {
-                    continue;
-                }
-                out.push(Finding {
-                    lint: Lint::HotPathAlloc,
-                    file: src.path.clone(),
-                    line: site.line,
-                    message: format!(
-                        "{}; on the hot path `{}`; \
-                         annotate `// alloc-ok: <reason>` if intended",
-                        site.what,
-                        self.graph.witness(&parent, i)
-                    ),
-                });
-            }
-        }
-        out.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
-        out.dedup();
-        out
-    }
-
     /// **L10 `panic-reach`** — the engine's `Panic` sites of every
-    /// function reachable from a serve root. Byte-identical to
+    /// function reachable from a root. Byte-identical to
     /// [`CallGraph::lint_panic_reach_bfs`].
     pub fn lint_panic_reach(&self) -> Vec<Finding> {
-        let parent = self.graph.reachable(RootKind::seeds_serve);
+        let parent = self.graph.reachable();
         let mut out = Vec::new();
         for (i, node) in self.graph.nodes.iter().enumerate() {
             if parent[i].is_none() {
@@ -324,14 +257,11 @@ impl<'a> EffectEngine<'a> {
     ///   lock (deadlock on non-reentrant locks);
     /// * `LockAcquire(l)` where the canonical order in `concurrency.toml`
     ///   puts `l` *before* the held lock — an interprocedural order
-    ///   contradiction L5 cannot see;
-    /// * `Alloc` — only when the held lock is listed in `[lock-held]
-    ///   no_alloc`; plus *direct* allocation sites inside the guarded
-    ///   region of this very function.
+    ///   contradiction L5 cannot see.
     ///
     /// Escape hatch: `// lint: allow(lock-held-effects, <reason>)` on the
-    /// call (or allocation) line, or alone on the line above when the call
-    /// line is too long to carry it.
+    /// call line, or alone on the line above when the call line is too
+    /// long to carry it.
     pub fn lint_lock_held(&self, manifest: &ConcurrencyManifest) -> Vec<Finding> {
         let resolver = Resolver::new(&self.graph.nodes);
         let mut out = Vec::new();
@@ -394,13 +324,6 @@ impl<'a> EffectEngine<'a> {
                                         chain_for(eff)
                                     )
                                 }
-                                Effect::Alloc if manifest.is_no_alloc_lock(g) => format!(
-                                    "`{name}` transitively heap-allocates while the `{g}` \
-                                     guard (acquired line {gline}) is held; `{g}` critical \
-                                     sections are declared alloc-free ([lock-held] no_alloc \
-                                     in concurrency.toml); effect chain `{}`",
-                                    chain_for(eff)
-                                ),
                                 _ => continue,
                             };
                             out.push(Finding {
@@ -412,34 +335,6 @@ impl<'a> EffectEngine<'a> {
                         }
                     }
                 }
-                // Direct allocation sites inside the guarded region, for
-                // no_alloc locks (transitive ones are handled above; L7
-                // owns direct blocking constructs).
-                for site in &self.sites[i] {
-                    if site.effect != Effect::Alloc
-                        || site.at < region.start
-                        || site.at >= region.end
-                        || allow_covers(src, site.line, Lint::LockHeldEffects.name())
-                    {
-                        continue;
-                    }
-                    for (g, gline) in &region.held {
-                        if !manifest.is_no_alloc_lock(g) {
-                            continue;
-                        }
-                        out.push(Finding {
-                            lint: Lint::LockHeldEffects,
-                            file: src.path.clone(),
-                            line: site.line,
-                            message: format!(
-                                "{}; executed while the `{g}` guard (acquired line {gline}) \
-                                 is held; `{g}` critical sections are declared alloc-free \
-                                 ([lock-held] no_alloc in concurrency.toml)",
-                                site.what
-                            ),
-                        });
-                    }
-                }
             }
         }
         out.sort_by(|a, b| (&a.file, a.line, &a.message).cmp(&(&b.file, b.line, &b.message)));
@@ -448,12 +343,12 @@ impl<'a> EffectEngine<'a> {
     }
 
     /// **L14 `deadline-safety`** — every unbounded `Blocking` site inside
-    /// a function reachable from a serve root needs a
+    /// a function reachable from a root needs a
     /// `// bounded-by: <reason>` annotation (on the site line, or alone on
     /// the line above). Timed variants (`recv_timeout`, `sleep`) bound
     /// themselves. Escape hatch: `// lint: allow(deadline-safety, …)`.
     pub fn lint_deadline(&self) -> Vec<Finding> {
-        let parent = self.graph.reachable(RootKind::seeds_serve);
+        let parent = self.graph.reachable();
         let mut out = Vec::new();
         for (i, node) in self.graph.nodes.iter().enumerate() {
             if parent[i].is_none() {
@@ -489,15 +384,13 @@ impl<'a> EffectEngine<'a> {
     pub fn root_summaries(&self) -> Vec<RootSummary> {
         let mut out: Vec<RootSummary> = Vec::new();
         for (i, node) in self.graph.nodes.iter().enumerate() {
-            let Some(kind) = node.root else { continue };
-            if node.cold {
+            if !node.root || node.cold {
                 continue;
             }
             out.push(RootSummary {
                 file: self.graph.sources[node.file].path.clone(),
                 line: node.line,
                 label: node.label(),
-                kind,
                 effects: self.summaries[i].clone(),
             });
         }
@@ -562,36 +455,11 @@ fn order_contradiction(manifest: &ConcurrencyManifest, acquired: &str, held: &st
 }
 
 /// Extracts every direct effect site of one function, suppression-aware.
-/// `Alloc` then `Panic` sites come first, in exactly the order the BFS
-/// L9/L10 twins enumerate them (pattern-major, then position) — the
-/// equivalence guarantee depends on it.
-fn direct_sites(
-    src: &SourceFile,
-    node: &callgraph::FnNode,
-    acquires: &[(String, usize)],
-    nondet_lines: &[usize],
-) -> Vec<EffectSite> {
+/// `Panic` sites come first, in exactly the order the BFS L10 twin
+/// enumerates them (pattern-major, then position) — the equivalence
+/// guarantee depends on it.
+fn direct_sites(src: &SourceFile, node: &callgraph::FnNode, acquires: &[(String, usize)]) -> Vec<EffectSite> {
     let mut out = Vec::new();
-    if !node.alloc_ok_body {
-        for &(pattern, why) in ALLOC_CALLS {
-            for at in callgraph::body_matches(src, node.body, pattern) {
-                let line = src.line_of(at);
-                if src.is_test_line(line)
-                    || src.has_alloc_ok(line)
-                    || src.is_allowed(line, Lint::HotPathAlloc.name())
-                {
-                    continue;
-                }
-                out.push(EffectSite {
-                    effect: Effect::Alloc,
-                    at,
-                    line,
-                    what: why.to_string(),
-                    bounded: false,
-                });
-            }
-        }
-    }
     for &(pattern, _) in PANIC_PATTERNS {
         for at in callgraph::body_matches(src, node.body, pattern) {
             let line = src.line_of(at);
@@ -660,18 +528,6 @@ fn direct_sites(
             what: lock.clone(),
             bounded: false,
         });
-    }
-    let (first_line, last_line) = (src.line_of(node.body.0), src.line_of(node.body.1));
-    for &line in nondet_lines {
-        if line >= first_line && line <= last_line {
-            out.push(EffectSite {
-                effect: Effect::FloatNondet,
-                at: 0,
-                line,
-                what: "float-nondeterminism".to_string(),
-                bounded: false,
-            });
-        }
     }
     let hay = &src.code[node.body.0..=node.body.1.min(src.code.len() - 1)];
     for rel in bounded_matches(hay, "Relaxed") {
@@ -801,7 +657,7 @@ pub fn serialize_lock(roots: &[RootSummary]) -> String {
     );
     s.push_str(&format!("schema {LOCK_SCHEMA}\n"));
     for r in roots {
-        s.push_str(&format!("root {} {} {}\n", r.file, r.label, kind_str(r.kind)));
+        s.push_str(&format!("root {} {}\n", r.file, r.label));
         for e in &r.effects {
             s.push_str(&format!("  effect {}\n", e.display()));
         }
@@ -835,17 +691,7 @@ pub fn parse_lock(text: &str) -> Result<Vec<RootSummary>, String> {
                 .next()
                 .ok_or_else(|| format!("line {}: missing label", i + 1))?
                 .to_string();
-            let kind = parts
-                .next()
-                .and_then(kind_parse)
-                .ok_or_else(|| format!("line {}: missing or bad root kind", i + 1))?;
-            out.push(RootSummary {
-                file: file.to_string(),
-                line: 0,
-                label,
-                kind,
-                effects: BTreeSet::new(),
-            });
+            out.push(RootSummary { file: file.to_string(), line: 0, label, effects: BTreeSet::new() });
         } else if let Some(rest) = line.trim_start().strip_prefix("effect ") {
             let eff = Effect::parse(rest.trim())
                 .ok_or_else(|| format!("line {}: unknown effect `{}`", i + 1, rest.trim()))?;
@@ -866,7 +712,7 @@ pub fn parse_lock(text: &str) -> Result<Vec<RootSummary>, String> {
 /// **L16 `effects-drift`** — compares computed root summaries against the
 /// committed `effects.lock`. Roots are identified by `(file, label)` so
 /// unrelated edits that shift line numbers don't fire; any change to the
-/// root set, a root's kind, or a root's effect set does. The lock holds no
+/// root set or a root's effect set does. The lock holds no
 /// line numbers, so a stale root is reported at line 1 of its file.
 pub fn check_drift(computed: &[RootSummary], committed: Option<&str>) -> Vec<Finding> {
     const REGEN: &str =
@@ -906,19 +752,6 @@ pub fn check_drift(computed: &[RootSummary], committed: Option<&str>) -> Vec<Fin
             });
             continue;
         };
-        if r.kind != c.kind {
-            out.push(Finding {
-                lint: Lint::EffectsDrift,
-                file: c.file.clone(),
-                line: c.line,
-                message: format!(
-                    "hot-path root `{}` changed kind ({} → {}); {REGEN}",
-                    c.label,
-                    kind_str(r.kind),
-                    kind_str(c.kind)
-                ),
-            });
-        }
         for added in c.effects.difference(&r.effects) {
             out.push(Finding {
                 lint: Lint::EffectsDrift,
@@ -991,11 +824,11 @@ mod tests {
 
     #[test]
     fn direct_effects_propagate_to_callers() {
-        let src = "fn top() { mid(); }\nfn mid() { leaf(); }\nfn leaf() { let v = Vec::new(); }\n";
+        let src = "fn top() { mid(); }\nfn mid() { leaf(); }\nfn leaf() { x().unwrap(); }\n";
         let (_s, labels, sums) = engine_of(src);
-        assert!(summary_of(&labels, &sums, "leaf").contains(&Effect::Alloc));
-        assert!(summary_of(&labels, &sums, "mid").contains(&Effect::Alloc));
-        assert!(summary_of(&labels, &sums, "top").contains(&Effect::Alloc));
+        assert!(summary_of(&labels, &sums, "leaf").contains(&Effect::Panic));
+        assert!(summary_of(&labels, &sums, "mid").contains(&Effect::Panic));
+        assert!(summary_of(&labels, &sums, "top").contains(&Effect::Panic));
     }
 
     #[test]
@@ -1008,12 +841,12 @@ mod tests {
     #[test]
     fn mutual_recursion_shares_the_component_summary() {
         let src = "fn even(n: u32) { if n > 0 { odd(n - 1); } }\n\
-                   fn odd(n: u32) { let v = Vec::new(); if n > 0 { even(n - 1); } }\n\
+                   fn odd(n: u32) { x().unwrap(); if n > 0 { even(n - 1); } }\n\
                    fn entry() { even(4); }\n";
         let (_s, labels, sums) = engine_of(src);
-        assert!(summary_of(&labels, &sums, "even").contains(&Effect::Alloc));
-        assert!(summary_of(&labels, &sums, "odd").contains(&Effect::Alloc));
-        assert!(summary_of(&labels, &sums, "entry").contains(&Effect::Alloc));
+        assert!(summary_of(&labels, &sums, "even").contains(&Effect::Panic));
+        assert!(summary_of(&labels, &sums, "odd").contains(&Effect::Panic));
+        assert!(summary_of(&labels, &sums, "entry").contains(&Effect::Panic));
     }
 
     #[test]
@@ -1029,23 +862,23 @@ mod tests {
 
     #[test]
     fn cold_callees_contribute_nothing() {
-        let src = "fn hot() { setup(); }\n// cold-path: runs once at startup\nfn setup() { let v = Vec::new(); }\n";
+        let src = "fn hot() { setup(); }\n// cold-path: runs once at startup\nfn setup() { x().unwrap(); }\n";
         let (_s, labels, sums) = engine_of(src);
-        assert!(summary_of(&labels, &sums, "setup").contains(&Effect::Alloc));
-        assert!(!summary_of(&labels, &sums, "hot").contains(&Effect::Alloc));
+        assert!(summary_of(&labels, &sums, "setup").contains(&Effect::Panic));
+        assert!(!summary_of(&labels, &sums, "hot").contains(&Effect::Panic));
     }
 
     #[test]
     fn suppressed_sites_stay_out_of_summaries() {
-        let src = "fn f() {\n    let v = Vec::new(); // alloc-ok: grows once, then reused\n    g();\n}\nfn g() { let w = vec![1]; }\n";
+        let src = "fn f() {\n    x().unwrap(); // lint: allow(panic-reach, x is Some by construction)\n    g();\n}\nfn g() { y().unwrap(); }\n";
         let sources = vec![SourceFile::parse("t.rs", src)];
         let engine = EffectEngine::build(&sources);
         let f = engine.graph.nodes.iter().position(|n| n.name == "f").expect("f");
         let g = engine.graph.nodes.iter().position(|n| n.name == "g").expect("g");
-        assert!(!engine.sites(f).iter().any(|s| s.effect == Effect::Alloc));
-        // f still inherits g's unsuppressed allocation transitively.
-        assert!(engine.summary(f).contains(&Effect::Alloc));
-        assert!(engine.summary(g).contains(&Effect::Alloc));
+        assert!(!engine.sites(f).iter().any(|s| s.effect == Effect::Panic));
+        // f still inherits g's unsuppressed panic transitively.
+        assert!(engine.summary(f).contains(&Effect::Panic));
+        assert!(engine.summary(g).contains(&Effect::Panic));
     }
 
     #[test]
@@ -1070,9 +903,8 @@ mod tests {
             file: "crates/x/src/a.rs".to_string(),
             line: 12,
             label: "T::run".to_string(),
-            kind: RootKind::Serve,
             effects: [
-                Effect::Alloc,
+                Effect::Panic,
                 Effect::Blocking("recv".to_string()),
                 Effect::LockAcquire("fifo".to_string()),
             ]
@@ -1080,7 +912,7 @@ mod tests {
             .collect(),
         }];
         let text = serialize_lock(&roots);
-        assert!(text.contains("\nroot crates/x/src/a.rs T::run serve\n"), "{text}");
+        assert!(text.contains("\nroot crates/x/src/a.rs T::run\n"), "{text}");
         let parsed = parse_lock(&text).expect("round trip");
         let unlined: Vec<RootSummary> =
             roots.into_iter().map(|r| RootSummary { line: 0, ..r }).collect();
@@ -1093,8 +925,7 @@ mod tests {
             file: "a.rs".to_string(),
             line: 1,
             label: "f".to_string(),
-            kind: RootKind::Both,
-            effects: [Effect::Alloc].into_iter().collect(),
+            effects: [Effect::RelaxedAtomic].into_iter().collect(),
         }];
         let lock = serialize_lock(&base);
         // Unchanged → clean.
@@ -1110,11 +941,6 @@ mod tests {
         shrunk[0].effects.clear();
         let d = check_drift(&shrunk, Some(&lock));
         assert!(d[0].message.contains("no longer inferred"), "{d:?}");
-        // Changed kind → drift.
-        let mut rekinded = base.clone();
-        rekinded[0].kind = RootKind::Serve;
-        let d = check_drift(&rekinded, Some(&lock));
-        assert!(d[0].message.contains("changed kind (both → serve)"), "{d:?}");
         // Missing lock file → one finding.
         let d = check_drift(&base, None);
         assert_eq!(d.len(), 1);
@@ -1132,7 +958,6 @@ mod tests {
             file: "a.rs".to_string(),
             line: 10,
             label: "f".to_string(),
-            kind: RootKind::Both,
             effects: BTreeSet::new(),
         }];
         let lock = serialize_lock(&base);
@@ -1148,12 +973,12 @@ mod tests {
             serialize_lock(&EffectEngine::build(&sources).root_summaries())
         };
         let before = lock_of(
-            "// hot-path-root\nfn b() { let v = Vec::new(); }\n// hot-path-root(serve)\nfn a() {}\n",
+            "// hot-path-root\nfn b() { x().unwrap(); }\n// hot-path-root\nfn a() {}\n",
         );
         let after = lock_of(
-            "// moved\n// hot-path-root(serve)\nfn a() {}\n// hot-path-root\nfn b() { let v = Vec::new(); }\n",
+            "// moved\n// hot-path-root\nfn a() {}\n// hot-path-root\nfn b() { x().unwrap(); }\n",
         );
         assert_eq!(before, after);
-        assert!(before.ends_with("root a.rs a serve\nroot a.rs b both\n  effect alloc\n"), "{before}");
+        assert!(before.ends_with("root a.rs a\nroot a.rs b\n  effect panic\n"), "{before}");
     }
 }

@@ -123,12 +123,12 @@ impl LintReport {
 /// Whole-workspace passes run after the per-file pass has parsed
 /// everything:
 ///
-/// * **L9/L10/L13/L14** — one [`effects::EffectEngine`] spanning every
+/// * **L10/L13/L14** — one [`effects::EffectEngine`] spanning every
 ///   non-test source (library `src/`, `examples/`, bench binaries):
 ///   SCC-condensed effect summaries power the reachability lints and the
 ///   guard-liveness checks. Test files are deliberately excluded from the
 ///   graph: a test helper calling `embed_batch` would otherwise pull the
-///   whole test suite into the zero-alloc closure.
+///   whole test suite into the panic-free closure.
 /// * **L16** — the engine's hot-path-root summaries are diffed against
 ///   the committed `effects.lock`; set `UPDATE_EFFECTS_LOCK=1` to
 ///   regenerate the lock instead of reporting drift.
@@ -236,10 +236,9 @@ pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
         findings.extend(check_lock_graph(&edges, &manifest));
     }
 
-    // L9/L10/L13/L14: one effect-inference pass over the whole non-test
+    // L10/L13/L14: one effect-inference pass over the whole non-test
     // file set (SCC-condensed summaries over the workspace call graph).
     let engine = effects::EffectEngine::build(&graph_sources);
-    findings.extend(engine.lint_hot_path_alloc());
     findings.extend(engine.lint_panic_reach());
     findings.extend(engine.lint_lock_held(&manifest));
     findings.extend(engine.lint_deadline());
@@ -271,8 +270,8 @@ pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
 
 /// Parses the call-graph file set (library `src/`, `examples/`, bench
 /// binaries) with the same discovery and dedup rules as
-/// [`lint_workspace`], no linting — for the test that compares L9/L10
-/// against their BFS oracles over the real tree.
+/// [`lint_workspace`], no linting — for the test that compares L10
+/// against its BFS oracle over the real tree.
 pub fn workspace_graph_sources(root: &Path) -> io::Result<Vec<SourceFile>> {
     let mut seen: BTreeSet<std::path::PathBuf> = BTreeSet::new();
     let mut files = Vec::new();
@@ -354,7 +353,6 @@ mod fixture_tests {
             atomics: lint == Lint::Atomics,
             lock_across: lint == Lint::LockAcross,
             counters: lint == Lint::UnguardedCounter,
-            hot_path_alloc: lint == Lint::HotPathAlloc,
             panic_reach: lint == Lint::PanicReach,
             lock_held: lint == Lint::LockHeldEffects,
             deadline: lint == Lint::DeadlineSafety,
@@ -466,18 +464,6 @@ mod fixture_tests {
     }
 
     #[test]
-    fn l9_pass_fixture_is_clean() {
-        assert_eq!(lint_fixture("l9_pass.rs", scope_for(Lint::HotPathAlloc)).len(), 0);
-    }
-
-    #[test]
-    fn l9_fail_fixture_fires_on_reachable_allocations() {
-        let f = lint_fixture("l9_fail.rs", scope_for(Lint::HotPathAlloc));
-        assert_eq!(f.len(), 3, "findings: {f:?}");
-        assert!(f.iter().all(|x| x.lint == Lint::HotPathAlloc));
-    }
-
-    #[test]
     fn l10_pass_fixture_is_clean() {
         assert_eq!(lint_fixture("l10_pass.rs", scope_for(Lint::PanicReach)).len(), 0);
     }
@@ -530,18 +516,6 @@ mod fixture_tests {
     }
 
     #[test]
-    fn l13_no_alloc_locks_gate_transitive_allocation() {
-        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures").join("l13_fail.rs");
-        let text = std::fs::read_to_string(&path).expect("l13 fixture");
-        let src = SourceFile::parse("l13_fail.rs", text);
-        let manifest =
-            ConcurrencyManifest { no_alloc_locks: vec!["delta".to_string()], ..Default::default() };
-        let f = lint_source_with(&src, scope_for(Lint::LockHeldEffects), &manifest);
-        assert_eq!(f.len(), 3, "findings: {f:?}");
-        assert!(f.iter().any(|x| x.message.contains("alloc-free")), "{f:?}");
-    }
-
-    #[test]
     fn l14_pass_fixture_is_clean() {
         assert_eq!(lint_fixture("l14_pass.rs", scope_for(Lint::DeadlineSafety)).len(), 0);
     }
@@ -577,7 +551,6 @@ mod fixture_tests {
             "l6_fail.rs",
             "l7_fail.rs",
             "l8_fail.rs",
-            "l9_fail.rs",
             "l10_fail.rs",
             "l11_fail.rs",
             "l12_fail.rs",

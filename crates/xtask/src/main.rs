@@ -18,8 +18,8 @@ binaries), and the root integration suite:
   L2 lossy-cast          L6 atomics           (Relaxed control signals, torn RMW)
   L3 std-hash            L7 lock-across       (guards held across expensive calls)
   L4 missing-invariants  L8 unguarded-counter (accounting bypassing snapshot/merge)
-  L9 hot-path-alloc      L10 panic-reach      (effect-summary reachability from
-                                               `// hot-path-root` annotations)
+  L10 panic-reach        (effect-summary reachability from `// hot-path-root`
+                          annotations)
   L11 float-determinism  L12 error-coverage   (TgError constructed AND matched)
   L13 lock-held-effects  L14 deadline-safety  (transitive effects under guards /
                                                unbounded waits on the serve path)
@@ -30,13 +30,14 @@ L16 compares every hot-path root's effect summary with effects.lock at
 the workspace root; regenerate it in place with
 UPDATE_EFFECTS_LOCK=1 cargo run -q -p tg-xtask -- lint.
 
-The canonical lock order, control-atomics list, and alloc-free lock set
+There is no L9: the hot path's allocations are counted by
+tests/alloc_gate.rs. The canonical lock order and control-atomics list
 live in concurrency.toml at the workspace root. See DESIGN.md \"Error
 handling & lint policy\", \"Concurrency model\", and \"Effect inference
 (L13-L16)\" for what each lint means and the
 `// lint: allow(<name>, <reason>)` / `// relaxed-ok: <reason>` /
-`// alloc-ok: <reason>` / `// cold-path: <reason>` / `// safety: <reason>`
-/ `// bounded-by: <reason>` escape hatches.";
+`// cold-path: <reason>` / `// safety: <reason>` /
+`// bounded-by: <reason>` escape hatches.";
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);

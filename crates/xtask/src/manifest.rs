@@ -1,5 +1,6 @@
 //! The `concurrency.toml` manifest: the workspace's declared concurrency
-//! discipline, consumed by the L5 (lock-order) and L6 (atomics) rules.
+//! discipline, consumed by the L5 (lock-order), L6 (atomics) and L13
+//! (lock-held-effects) rules.
 //!
 //! The manifest lives at the workspace root and declares two facts that
 //! cannot be inferred from any single file:
@@ -11,9 +12,6 @@
 //! * `[atomics] control = [...]` — atomic fields that other threads read
 //!   as *control signals* (shutdown flags, mode switches). `AtomicBool`
 //!   fields are control signals implicitly; this list adds non-bool ones.
-//! * `[lock-held] no_alloc = [...]` — locks whose critical sections must
-//!   not (transitively) heap-allocate. L13 (`lock-held-effects`) flags any
-//!   call with an `Alloc` effect made while one of these guards is live.
 //!
 //! The parser is a deliberate TOML subset (sections, string values, and
 //! string arrays, `#` comments) because this crate is dependency-free: a
@@ -35,9 +33,6 @@ pub struct ConcurrencyManifest {
     /// Atomic field names treated as cross-thread control signals in
     /// addition to every `AtomicBool` field.
     pub control_atomics: Vec<String>,
-    /// Locks whose critical sections must not transitively heap-allocate
-    /// (L13 `lock-held-effects` checks the `Alloc` effect against this).
-    pub no_alloc_locks: Vec<String>,
 }
 
 impl ConcurrencyManifest {
@@ -49,11 +44,6 @@ impl ConcurrencyManifest {
     /// True if `name` is declared a control atomic.
     pub fn is_control(&self, name: &str) -> bool {
         self.control_atomics.iter().any(|c| c == name)
-    }
-
-    /// True if critical sections under `lock` must stay allocation-free.
-    pub fn is_no_alloc_lock(&self, lock: &str) -> bool {
-        self.no_alloc_locks.iter().any(|l| l == lock)
     }
 }
 
@@ -105,7 +95,6 @@ pub fn parse(text: &str) -> Result<ConcurrencyManifest, String> {
         match (section.as_str(), key) {
             ("lock-order", "order") => manifest.lock_order = items,
             ("atomics", "control") => manifest.control_atomics = items,
-            ("lock-held", "no_alloc") => manifest.no_alloc_locks = items,
             (s, k) => return Err(format!("line {}: unknown key `{k}` in section `[{s}]`", i + 1)),
         }
     }
@@ -159,16 +148,6 @@ control = [\n\
         assert_eq!(m.order_index("shards"), Some(1));
         assert!(m.is_control("stop"));
         assert!(!m.is_control("fifo"));
-    }
-
-    #[test]
-    fn lock_held_no_alloc_parses() {
-        let text = "[lock-held]\nno_alloc = [\"delta\", \"ingest\"]\n";
-        let m = parse(text).unwrap();
-        assert_eq!(m.no_alloc_locks, vec!["delta", "ingest"]);
-        assert!(m.is_no_alloc_lock("delta"));
-        assert!(!m.is_no_alloc_lock("fifo"));
-        assert!(parse("[lock-held]\nnope = [\"a\"]\n").is_err());
     }
 
     #[test]

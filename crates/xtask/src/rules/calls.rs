@@ -7,13 +7,11 @@
 //! * [`EXPENSIVE_CALLS`] — calls that must not run under a lock guard
 //!   (L7 `lock-across`), and that the call-graph walker treats as leaf
 //!   externals rather than workspace edges.
-//! * [`ALLOC_CALLS`] — heap-allocating constructs. The runtime
-//!   steady-state zero-alloc assertions (PR-4/5) check a handful of entry
-//!   points empirically; L9 (`hot-path-alloc`) checks *everything*
-//!   reachable from a `// hot-path-root` statically against this table.
+//! * [`BLOCKING_CALLS`] — unbounded-wait constructs, classified for the
+//!   effect engine (L13/L14).
 //!
 //! Keeping the tables in one module means a pattern added for one rule is
-//! automatically considered by its siblings — the L7/L9/L10 drift this
+//! automatically considered by its siblings — the L7/L13/L14 drift this
 //! file exists to prevent.
 
 /// Panicking constructs, with the message L1/L10 attach to a finding.
@@ -70,31 +68,6 @@ pub const BLOCKING_CALLS: &[(&str, &str, bool)] = &[
     ("read_to_string(", "file-io", false),
     ("write_all(", "file-io", false),
     (".await", "await", false),
-];
-
-/// Heap-allocating constructs flagged by L9 (`hot-path-alloc`) when they
-/// are reachable from a `// hot-path-root`, unless the line (or the
-/// enclosing fn's declaration line) carries `// alloc-ok: <reason>`.
-///
-/// `Tensor::zeros(` / `Tensor::full(` are this workspace's idiomatic
-/// buffer constructors — spelled here so a hot path that "hides" an
-/// allocation behind them is still caught even though the `vec![]` lives
-/// inside `tg-tensor`.
-pub const ALLOC_CALLS: &[(&str, &str)] = &[
-    ("Vec::new(", "`Vec::new` allocates on first push; take a scratch buffer instead"),
-    ("Vec::with_capacity(", "`Vec::with_capacity` heap-allocates; take a scratch buffer instead"),
-    ("vec![", "`vec![...]` heap-allocates; take a scratch buffer instead"),
-    (".to_vec()", "`.to_vec()` clones into a fresh heap buffer"),
-    (".collect()", "`.collect()` materializes a fresh container"),
-    (".collect::<", "`.collect::<...>()` materializes a fresh container"),
-    (".push(", "`.push` can grow its container; reserve up front or reuse a scratch buffer"),
-    ("format!", "`format!` allocates a `String`"),
-    ("Box::new(", "`Box::new` heap-allocates"),
-    ("String::new(", "`String::new` allocates on first push"),
-    ("String::from(", "`String::from` heap-allocates"),
-    (".to_string(", "`.to_string()` allocates a `String`"),
-    ("Tensor::zeros(", "`Tensor::zeros` heap-allocates a buffer; use the scratch arena"),
-    ("Tensor::full(", "`Tensor::full` heap-allocates a buffer; use the scratch arena"),
 ];
 
 #[cfg(test)]

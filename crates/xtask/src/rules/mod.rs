@@ -31,14 +31,13 @@
 //!   `pub` atomic fields or torn multi-counter getters.
 //!
 //! Reachability and whole-workspace rules (the [`crate::callgraph`]
-//! engine, plus [`determinism`] and [`errors`]):
+//! engine, plus [`determinism`] and [`errors`]). L9 is retired: the hot
+//! path's allocations are counted by `tests/alloc_gate.rs`, not inferred
+//! from call names, and the numbers of the other lints are kept.
 //!
-//! - **L9 `hot-path-alloc`** — no heap allocation (the
-//!   [`calls::ALLOC_CALLS`] table) reachable from a `// hot-path-root`
-//!   without an `// alloc-ok: <reason>` annotation.
-//! - **L10 `panic-reach`** — no panic site reachable from a serve-side
-//!   root (`// hot-path-root(serve)`), plus non-literal slice indexing
-//!   inside reachable `crates/serve/` code.
+//! - **L10 `panic-reach`** — no panic site reachable from a
+//!   `// hot-path-root`, plus non-literal slice indexing inside reachable
+//!   `crates/serve/` code.
 //! - **L11 `float-determinism`** — NaN-unsound comparators
 //!   (`partial_cmp().unwrap()`, float `sort_by`) and numeric accumulation
 //!   over hash-iteration order.
@@ -49,12 +48,11 @@
 //! transitive effect summaries over the SCC-condensed call graph):
 //!
 //! - **L13 `lock-held-effects`** — the interprocedural L7: no call with a
-//!   transitive `Blocking`/`LockAcquire`/`Alloc` effect while a lock guard
-//!   is live (lock acquisitions checked against the canonical
-//!   `concurrency.toml` order; `Alloc` only under `[lock-held] no_alloc`
-//!   locks).
+//!   transitive `Blocking`/`LockAcquire` effect while a lock guard is live
+//!   (lock acquisitions checked against the canonical `concurrency.toml`
+//!   order).
 //! - **L14 `deadline-safety`** — no unbounded blocking construct reachable
-//!   from a serve root without a `// bounded-by: <reason>` annotation.
+//!   from a root without a `// bounded-by: <reason>` annotation.
 //! - **L15 `unsafe-audit`** ([`unsafe_audit`]) — every `unsafe` block, fn,
 //!   trait, or impl outside `vendor/` needs a `// safety: <reason>`
 //!   justification.
@@ -65,9 +63,9 @@
 //! Every lint honors a same-line `// lint: allow(<name>[, reason])`
 //! escape hatch and skips `#[cfg(test)]` items; L6's Relaxed findings use
 //! the dedicated `// relaxed-ok: <reason>` form so the justification
-//! reads as a memory-ordering invariant, not a lint toggle. L9's
-//! `// alloc-ok:` and the call-graph's `// cold-path:` / `// hot-path-root`
-//! markers are documented in [`crate::callgraph`].
+//! reads as a memory-ordering invariant, not a lint toggle. The call
+//! graph's `// cold-path:` / `// hot-path-root` markers are documented in
+//! [`crate::callgraph`].
 
 pub mod atomics;
 pub mod basic;
@@ -95,9 +93,7 @@ pub enum Lint {
     Atomics,
     LockAcross,
     UnguardedCounter,
-    /// L9 — allocation reachable from a `// hot-path-root` (call-graph).
-    HotPathAlloc,
-    /// L10 — panic site reachable from a serve root (call-graph).
+    /// L10 — panic site reachable from a `// hot-path-root` (call-graph).
     PanicReach,
     /// L11 — NaN/order-sensitive float patterns.
     FloatDeterminism,
@@ -126,7 +122,6 @@ impl Lint {
             Lint::Atomics => "atomics",
             Lint::LockAcross => "lock-across",
             Lint::UnguardedCounter => "unguarded-counter",
-            Lint::HotPathAlloc => "hot-path-alloc",
             Lint::PanicReach => "panic-reach",
             Lint::FloatDeterminism => "float-determinism",
             Lint::ErrorCoverage => "error-coverage",
@@ -165,18 +160,16 @@ pub struct Scope {
     pub lock_across: bool,
     /// L8.
     pub counters: bool,
-    /// L9. In a whole-workspace run the walker disables this per-file flag
-    /// and checks one graph spanning every crate instead (hot paths cross
-    /// crate boundaries); single-file runs (fixtures) build the file's own
-    /// graph from its `// hot-path-root` annotations.
-    pub hot_path_alloc: bool,
-    /// L10. Same per-file/workspace split as L9.
+    /// L10. In a whole-workspace run the walker disables this per-file
+    /// flag and checks one graph spanning every crate instead (hot paths
+    /// cross crate boundaries); single-file runs (fixtures) build the
+    /// file's own graph from its `// hot-path-root` annotations.
     pub panic_reach: bool,
-    /// L13. Same per-file/workspace split as L9 (effects cross crates);
+    /// L13. Same per-file/workspace split as L10 (effects cross crates);
     /// single-file runs check the file's own guarded regions against the
     /// summaries of functions defined in that file.
     pub lock_held: bool,
-    /// L14. Same per-file/workspace split as L9.
+    /// L14. Same per-file/workspace split as L10.
     pub deadline: bool,
     /// L15. Purely per-file.
     pub unsafe_audit: bool,
@@ -199,7 +192,6 @@ impl Scope {
             atomics: true,
             lock_across: true,
             counters: true,
-            hot_path_alloc: true,
             panic_reach: true,
             lock_held: true,
             deadline: true,
@@ -261,15 +253,12 @@ pub fn lint_source_with(
     if scope.unsafe_audit {
         unsafe_audit::lint_unsafe_audit(src, &mut out);
     }
-    if scope.hot_path_alloc || scope.panic_reach || scope.lock_held || scope.deadline {
+    if scope.panic_reach || scope.lock_held || scope.deadline {
         // Single-file effect inference (fixtures): the file's own
         // `// hot-path-root` annotations seed the closures and its own
         // function set bounds the summaries.
         let sources = std::slice::from_ref(src);
         let engine = crate::effects::EffectEngine::build(sources);
-        if scope.hot_path_alloc {
-            out.extend(engine.lint_hot_path_alloc());
-        }
         if scope.panic_reach {
             out.extend(engine.lint_panic_reach());
         }

@@ -40,10 +40,10 @@ pub enum Event {
 }
 
 /// A byte range of the code view during which at least one lock guard is
-/// live. The effect engine (L13 `lock-held-effects`) intersects call and
-/// allocation *sites* with these ranges — reusing the call-graph's own
-/// site detection rather than re-implementing it here, so the two can
-/// never disagree about what counts as a call.
+/// live. The effect engine (L13 `lock-held-effects`) intersects call
+/// *sites* with these ranges — reusing the call-graph's own site
+/// detection rather than re-implementing it here, so the two can never
+/// disagree about what counts as a call.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Region {
     /// Start byte (first byte at which the held set below is live).

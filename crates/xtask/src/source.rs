@@ -19,40 +19,6 @@ pub struct Allow {
     pub reason: Option<String>,
 }
 
-/// Which reachability closures a `// hot-path-root` annotation seeds (the
-/// L9/L10 call-graph roots — see [`crate::callgraph`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RootKind {
-    /// `// hot-path-root` — seeds both the zero-alloc (L9) and the
-    /// panic-free (L10) closures.
-    Both,
-    /// `// hot-path-root(alloc)` — L9 only.
-    Alloc,
-    /// `// hot-path-root(serve)` — L10 only.
-    Serve,
-}
-
-impl RootKind {
-    /// True if this root seeds the L9 (zero-alloc) closure.
-    pub fn seeds_alloc(self) -> bool {
-        matches!(self, RootKind::Both | RootKind::Alloc)
-    }
-
-    /// True if this root seeds the L10 (panic-free serve) closure.
-    pub fn seeds_serve(self) -> bool {
-        matches!(self, RootKind::Both | RootKind::Serve)
-    }
-}
-
-/// One `// hot-path-root[(alloc|serve)]` annotation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct HotRoot {
-    /// 1-based line the annotation sits on. It marks the `fn` declared on
-    /// the same line or on the line directly below.
-    pub line: usize,
-    pub kind: RootKind,
-}
-
 /// A parsed source file ready for linting.
 pub struct SourceFile {
     /// Repo-relative path label used in findings.
@@ -68,10 +34,6 @@ pub struct SourceFile {
     /// 1-based lines carrying a `// relaxed-ok: <reason>` annotation with a
     /// non-empty reason (the L6 escape hatch for justified `Relaxed` use).
     pub relaxed_ok: Vec<usize>,
-    /// 1-based lines carrying an `// alloc-ok: <reason>` annotation with a
-    /// non-empty reason (the L9 escape hatch for justified hot-path
-    /// allocation; on a `fn` declaration line it covers the whole body).
-    pub alloc_ok: Vec<usize>,
     /// 1-based lines carrying a `// cold-path: <reason>` annotation with a
     /// non-empty reason. The `fn` declared on the same line or directly
     /// below is pruned from the reachability closures (setup/teardown code
@@ -85,8 +47,10 @@ pub struct SourceFile {
     /// non-empty reason (the L14 `deadline-safety` justification for a
     /// blocking call reachable from a serve root).
     pub bounded_by: Vec<usize>,
-    /// `// hot-path-root[(alloc|serve)]` annotations, in file order.
-    pub hot_roots: Vec<HotRoot>,
+    /// 1-based lines carrying a `// hot-path-root` annotation, in file
+    /// order. Each marks the `fn` declared on the same line or on the line
+    /// directly below.
+    pub hot_roots: Vec<usize>,
     /// Byte offset of the start of each line.
     line_starts: Vec<usize>,
     /// `in_test[i]` is true if 1-based line `i + 1` lies inside a
@@ -102,7 +66,6 @@ impl SourceFile {
         let line_starts = line_starts(&raw);
         let allows = parse_allows(&comments, &line_starts);
         let relaxed_ok = parse_reasoned(&comments, &line_starts, "relaxed-ok:");
-        let alloc_ok = parse_reasoned(&comments, &line_starts, "alloc-ok:");
         let cold_paths = parse_reasoned(&comments, &line_starts, "cold-path:");
         let safety_ok = parse_reasoned(&comments, &line_starts, "safety:");
         let bounded_by = parse_reasoned(&comments, &line_starts, "bounded-by:");
@@ -114,7 +77,6 @@ impl SourceFile {
             code,
             allows,
             relaxed_ok,
-            alloc_ok,
             cold_paths,
             safety_ok,
             bounded_by,
@@ -148,12 +110,6 @@ impl SourceFile {
         self.relaxed_ok.contains(&line)
     }
 
-    /// True if `line` carries an `// alloc-ok: <reason>` annotation. The
-    /// reason is mandatory — a bare `alloc-ok:` does not count.
-    pub fn has_alloc_ok(&self, line: usize) -> bool {
-        self.alloc_ok.contains(&line)
-    }
-
     /// True if `line` carries a `// cold-path: <reason>` annotation (reason
     /// mandatory).
     pub fn has_cold_path(&self, line: usize) -> bool {
@@ -172,19 +128,15 @@ impl SourceFile {
         self.bounded_by.contains(&line)
     }
 
-    /// The root annotation covering a `fn` declared on 1-based `fn_line`:
-    /// a trailing annotation on the declaration line itself, or a
-    /// whole-line comment directly above (one whose code-view line is
+    /// True if a root annotation covers a `fn` declared on 1-based
+    /// `fn_line`: a trailing annotation on the declaration line itself, or
+    /// a whole-line comment directly above (one whose code-view line is
     /// blank — a trailing annotation on the *previous* statement's line
     /// must not leak downward).
-    pub fn root_kind_for(&self, fn_line: usize) -> Option<RootKind> {
-        self.hot_roots
-            .iter()
-            .find(|r| {
-                r.line == fn_line
-                    || (r.line + 1 == fn_line && self.code_line(r.line).trim().is_empty())
-            })
-            .map(|r| r.kind)
+    pub fn is_root(&self, fn_line: usize) -> bool {
+        self.hot_roots.iter().any(|&r| {
+            r == fn_line || (r + 1 == fn_line && self.code_line(r).trim().is_empty())
+        })
     }
 
     /// The code-view text of 1-based `line` (comments/strings blanked).
@@ -389,9 +341,9 @@ fn parse_allows(comments: &str, line_starts: &[usize]) -> Vec<Allow> {
     out
 }
 
-/// Extracts `<marker> <reason>` annotations (`relaxed-ok:`, `alloc-ok:`,
-/// `cold-path:`) from comment text. Only annotations with a non-empty
-/// reason are recorded — the justification is the point of the escape
+/// Extracts `<marker> <reason>` annotations (`relaxed-ok:`, `cold-path:`,
+/// `safety:`, `bounded-by:`) from comment text. Only annotations with a
+/// non-empty reason are recorded — the justification is the point of the escape
 /// hatch, so a bare marker does not suppress anything.
 fn parse_reasoned(comments: &str, line_starts: &[usize], marker: &str) -> Vec<usize> {
     let mut out = Vec::new();
@@ -416,13 +368,13 @@ fn parse_reasoned(comments: &str, line_starts: &[usize], marker: &str) -> Vec<us
     out
 }
 
-/// Extracts `hot-path-root[(alloc|serve)]` annotations from comment text.
-/// An unknown parenthesized kind is ignored entirely (a typo must not
-/// silently seed the wrong closure — the root simply doesn't register and
-/// the fixture/tree tests catch the missing root).
-fn parse_hot_roots(comments: &str, line_starts: &[usize]) -> Vec<HotRoot> {
+/// Extracts `hot-path-root` annotations from comment text. A marker
+/// followed by `(` (a qualifier this grammar does not have) is ignored
+/// entirely: the root simply doesn't register, and L16 reports the root
+/// missing from `effects.lock`.
+fn parse_hot_roots(comments: &str, line_starts: &[usize]) -> Vec<usize> {
     const MARKER: &str = "hot-path-root";
-    let mut out: Vec<HotRoot> = Vec::new();
+    let mut out: Vec<usize> = Vec::new();
     let mut from = 0;
     while let Some(pos) = comments[from..].find(MARKER) {
         let at = from + pos;
@@ -431,22 +383,11 @@ fn parse_hot_roots(comments: &str, line_starts: &[usize]) -> Vec<HotRoot> {
             Ok(i) => i + 1,
             Err(i) => i,
         };
-        // Bound the kind suffix to the annotation's own line (the comments
-        // buffer holds no newlines).
-        let end = line_starts.get(line).map_or(comments.len(), |&n| n - 1);
-        let rest = &comments[at + MARKER.len()..end];
-        let kind = if let Some(tail) = rest.strip_prefix('(') {
-            match tail.split(')').next().map(str::trim) {
-                Some("alloc") => Some(RootKind::Alloc),
-                Some("serve") => Some(RootKind::Serve),
-                _ => None,
-            }
-        } else {
-            Some(RootKind::Both)
-        };
-        let Some(kind) = kind else { continue };
-        if !out.iter().any(|r| r.line == line) {
-            out.push(HotRoot { line, kind });
+        if comments[from..].starts_with('(') {
+            continue;
+        }
+        if !out.contains(&line) {
+            out.push(line);
         }
     }
     out
@@ -548,16 +489,12 @@ mod tests {
     }
 
     #[test]
-    fn alloc_ok_and_cold_path_require_reasons() {
-        let src = "let v = Vec::new(); // alloc-ok: grows once at startup\n\
-                   let w = Vec::new(); // alloc-ok:\n\
-                   // cold-path: runs once per worker lifetime\nfn exit_path() {}\n\
+    fn cold_path_requires_a_reason() {
+        let src = "// cold-path: runs once per worker lifetime\nfn exit_path() {}\n\
                    // cold-path:\nfn not_cold() {}\n";
         let f = SourceFile::parse("t.rs", src);
-        assert!(f.has_alloc_ok(1));
-        assert!(!f.has_alloc_ok(2), "a reason is mandatory");
-        assert!(f.has_cold_path(3));
-        assert!(!f.has_cold_path(5), "a reason is mandatory");
+        assert!(f.has_cold_path(1));
+        assert!(!f.has_cold_path(3), "a reason is mandatory");
     }
 
     #[test]
@@ -574,20 +511,16 @@ mod tests {
     }
 
     #[test]
-    fn hot_root_annotations_parse_kinds() {
+    fn hot_root_annotations_parse() {
         let src = "fn a() {} // hot-path-root\n\
-                   // hot-path-root(alloc)\nfn b() {}\n\
+                   // hot-path-root\nfn b() {}\n\
                    fn c() {} // hot-path-root(serve)\n\
-                   fn d() {} // hot-path-root(typo)\n";
+                   let x = 1; // hot-path-root\nfn d() {}\n";
         let f = SourceFile::parse("t.rs", src);
-        assert_eq!(f.root_kind_for(1), Some(RootKind::Both));
-        assert_eq!(f.root_kind_for(3), Some(RootKind::Alloc), "line-above form");
-        assert_eq!(f.root_kind_for(4), Some(RootKind::Serve));
-        assert_eq!(f.root_kind_for(5), None, "unknown kind must not register");
-        assert!(f.root_kind_for(1).unwrap().seeds_alloc());
-        assert!(f.root_kind_for(1).unwrap().seeds_serve());
-        assert!(!f.root_kind_for(3).unwrap().seeds_serve());
-        assert!(!f.root_kind_for(4).unwrap().seeds_alloc());
+        assert!(f.is_root(1));
+        assert!(f.is_root(3), "line-above form");
+        assert!(!f.is_root(4), "a qualified marker must not register");
+        assert!(!f.is_root(6), "a trailing marker must not leak downward");
     }
 
     #[test]

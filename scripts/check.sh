@@ -20,36 +20,39 @@
 #   5. cargo test --release --test replay_checksums -- --ignored — the
 #      whole jodie-wiki stream through none(), all() and a 2,000-entry
 #      cache, one pinned checksum per seed (~90 s on two cores)
-#   6. cargo run -p tg-xtask -- lint — the repo's static-analysis suite
+#   6. cargo test --release --test alloc_gate — the hot path's pinned
+#      allocation counts in release too (step 2 runs them in debug), so
+#      each count holds in both profiles (DESIGN.md "The allocation
+#      gate")
+#   7. cargo run -p tg-xtask -- lint — the repo's static-analysis suite
 #      (L1 panic, L2 lossy-cast, L3 std-hash, L4 missing-invariants; the
 #      concurrency rules L5 lock-order, L6 atomics, L7 lock-across,
 #      L8 unguarded-counter; the call-graph reachability rules
-#      L9 hot-path-alloc, L10 panic-reach, L11 float-determinism,
-#      L12 error-coverage; and the effect-inference rules
-#      L13 lock-held-effects, L14 deadline-safety, L15 unsafe-audit,
-#      L16 effects-drift against the committed effects.lock; see
-#      DESIGN.md "Error handling & lint policy", "Concurrency model",
-#      "Call-graph reachability (L9-L12)", and
-#      "Effect inference (L13-L16)")
-#   7. the four examples in release — each exits nonzero on an error or a
+#      L10 panic-reach, L11 float-determinism, L12 error-coverage; and
+#      the effect-inference rules L13 lock-held-effects, L14
+#      deadline-safety, L15 unsafe-audit, L16 effects-drift against the
+#      committed effects.lock; see DESIGN.md "Error handling & lint
+#      policy", "Concurrency model", "Call-graph reachability
+#      (L10-L12)", and "Effect inference (L13-L16)")
+#   8. the four examples in release — each exits nonzero on an error or a
 #      failed assert (quickstart's none-vs-all drift; evolving_graph_
 #      maintenance's reuse after growth and refusal after a deletion);
 #      ~3 s on two cores
-#   8. cargo check --locked --offline of the stand-alone ledger package
+#   9. cargo check --locked --offline of the stand-alone ledger package
 #      (crates/bench/src/bin/ledger/Cargo.toml, BENCHMARK.json's build) —
 #      a product change that breaks a signature the frozen ledger calls,
 #      or that would change its Cargo.lock, fails here (DESIGN.md "What
 #      the frozen ledger pins")
-#   9. ledger --smoke               — all four perf-ledger workloads at
+#  10. ledger --smoke               — all four perf-ledger workloads at
 #      scale 0.05 (~10 s); exits 1 on any oracle mismatch (replay vs the
 #      opposite config, served vs direct, post-ingest served vs cold
 #      rebuild)
-#  10. exp all                      — every table and figure of the paper at
+#  11. exp all                      — every table and figure of the paper at
 #      the laptop profile (~2 min on two cores), each with its shape check;
 #      exits 1 if a shape stops holding. Logs go to a temporary directory,
 #      so the committed logs/ are left as they are
 #
-# The lint also runs inside `cargo test` via tests/lint_gate.rs, so step 6
+# The lint also runs inside `cargo test` via tests/lint_gate.rs, so step 7
 # is technically redundant — but running it standalone gives file:line
 # output without a test harness around it. It is the analyzer's only
 # command, and its L16 is the only effects.lock drift gate.
@@ -79,6 +82,9 @@ cargo test --release -q -p tgat -- --ignored
 
 echo "==> cargo test --release --test replay_checksums -- --ignored"
 cargo test --release -q --test replay_checksums -- --ignored
+
+echo "==> cargo test --release --test alloc_gate"
+cargo test --release -q --test alloc_gate
 
 echo "==> cargo run -p tg-xtask -- lint"
 cargo run --release -q -p tg-xtask -- lint

@@ -40,14 +40,13 @@ fn concurrency_fixture_pairs_hold() {
     ]);
 }
 
-/// Same gate for the call-graph reachability lints (L9 hot-path-alloc,
-/// L10 panic-reach, L11 float-determinism, L12 error-coverage): each fail
-/// fixture must fire through the single-file reachability analysis, each
-/// pass fixture must stay clean under the same scope.
+/// Same gate for the call-graph reachability lints (L10 panic-reach, L11
+/// float-determinism, L12 error-coverage): each fail fixture must fire
+/// through the single-file reachability analysis, each pass fixture must
+/// stay clean under the same scope.
 #[test]
 fn reachability_fixture_pairs_hold() {
     check_fixture_pairs(&[
-        ("l9", Scope { hot_path_alloc: true, ..Scope::default() }),
         ("l10", Scope { panic_reach: true, ..Scope::default() }),
         ("l11", Scope { float_determinism: true, ..Scope::default() }),
         ("l12", Scope { error_coverage: true, ..Scope::default() }),
@@ -74,7 +73,6 @@ fn effect_fixture_pairs_hold() {
 fn deleting_one_annotation_trips_the_relevant_lint() {
     let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/xtask/fixtures");
     let cases: &[(&str, &str, Scope)] = &[
-        ("l9_pass.rs", "alloc-ok:", Scope { hot_path_alloc: true, ..Scope::default() }),
         ("l13_pass.rs", "lint: allow(", Scope { lock_held: true, ..Scope::default() }),
         ("l14_pass.rs", "bounded-by:", Scope { deadline: true, ..Scope::default() }),
         ("l15_pass.rs", "safety:", Scope { unsafe_audit: true, ..Scope::default() }),
@@ -91,35 +89,8 @@ fn deleting_one_annotation_trips_the_relevant_lint() {
     }
 }
 
-/// L16 end to end through the library API: adding an allocation to a
-/// hot-path root both fires L9 and changes the root's effect summary, so
-/// a committed `effects.lock` from before the change reports drift.
-#[test]
-fn adding_an_allocation_to_a_hot_path_root_trips_alloc_and_drift() {
-    let clean = "// hot-path-root(alloc)\nfn hot(x: u64) -> u64 { x + 1 }\n";
-    let dirty =
-        "// hot-path-root(alloc)\nfn hot(x: u64) -> u64 { let mut v = Vec::new(); v.push(x); x + 1 }\n";
-    let scope = Scope { hot_path_alloc: true, ..Scope::default() };
-    assert!(lint_source(&SourceFile::parse("t.rs", clean), scope).is_empty());
-    assert!(
-        !lint_source(&SourceFile::parse("t.rs", dirty), scope).is_empty(),
-        "the new Vec::new() must fire hot-path-alloc"
-    );
-    let before = SourceFile::parse("t.rs", clean);
-    let lock = effects::serialize_lock(
-        &EffectEngine::build(std::slice::from_ref(&before)).root_summaries(),
-    );
-    let after = SourceFile::parse("t.rs", dirty);
-    let roots = EffectEngine::build(std::slice::from_ref(&after)).root_summaries();
-    let drift = effects::check_drift(&roots, Some(&lock));
-    assert!(
-        drift.iter().any(|f| f.message.contains("appeared in the summary")),
-        "effects-drift must report the new alloc effect: {drift:?}"
-    );
-}
-
-/// The refactor's equivalence guarantee: L9/L10 derived from the effect
-/// summaries must be byte-identical to the original per-root BFS twins
+/// The refactor's equivalence guarantee: L10 derived from the effect
+/// summaries must be byte-identical to the original per-root BFS twin
 /// over the real workspace tree.
 #[test]
 fn summary_derived_reachability_matches_the_bfs_oracles() {
@@ -127,11 +98,6 @@ fn summary_derived_reachability_matches_the_bfs_oracles() {
     let sources = tg_xtask::workspace_graph_sources(root).expect("workspace walk failed");
     let graph = CallGraph::build(&sources);
     let engine = EffectEngine::build(&sources);
-    assert_eq!(
-        engine.lint_hot_path_alloc(),
-        graph.lint_hot_path_alloc_bfs(),
-        "summary-derived L9 diverged from the BFS oracle"
-    );
     assert_eq!(
         engine.lint_panic_reach(),
         graph.lint_panic_reach_bfs(),
@@ -144,10 +110,10 @@ fn summary_derived_reachability_matches_the_bfs_oracles() {
 /// file and label only. Pinned against an exact rendering.
 #[test]
 fn effects_lock_is_canonically_ordered() {
-    let a = || SourceFile::parse("a.rs", "// hot-path-root(serve)\nfn helper() { }\n");
+    let a = || SourceFile::parse("a.rs", "// hot-path-root\nfn helper() { }\n");
     let b = || SourceFile::parse(
         "b.rs",
-        "// hot-path-root(alloc)\nfn hot() { helper(); other(); }\nfn other() { let v = Vec::new(); }\n",
+        "// hot-path-root\nfn hot() { helper(); other(); }\nfn other() { x().unwrap(); }\n",
     );
     let lock = |sources: &[SourceFile]| {
         effects::serialize_lock(&EffectEngine::build(sources).root_summaries())
@@ -158,7 +124,7 @@ fn effects_lock_is_canonically_ordered() {
     assert_eq!(
         body,
         format!(
-            "{}\nroot a.rs helper serve\nroot b.rs hot alloc\n  effect alloc\n",
+            "{}\nroot a.rs helper\nroot b.rs hot\n  effect panic\n",
             effects::LOCK_SCHEMA
         )
     );
