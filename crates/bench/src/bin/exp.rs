@@ -372,6 +372,7 @@ fn fig3(args: &ExpArgs, ds: &Dataset, params: &TgatParams) -> Vec<Row> {
         reused += b.hits;
         recomputed += b.recomputed;
         if (i + 1) % (n / 16).max(1) == 0 || i + 1 == n {
+            #[expect(clippy::cast_precision_loss, reason = "a ratio of counts; f64 is exact below 2^53")]
             let ratio = reused as f64 / recomputed.max(1) as f64;
             rows.push(vec![
                 ds.name.clone(),
@@ -413,6 +414,7 @@ fn fig4(args: &ExpArgs, ds: &Dataset, _: &TgatParams) -> Vec<Row> {
     let graph = TemporalGraph::from_stream(&ds.stream);
     let sampler = TemporalSampler::most_recent(args.n_neighbors);
     let bounds = [1.0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8];
+    #[expect(clippy::cast_precision_loss, reason = "the window is a small count")]
     let window = OptConfig::all().time_window as f64;
     let (mut counts, mut in_window) = ([0u64; 10], 0u64);
     for batch in BatchIter::new(&ds.stream, args.batch_size) {
@@ -425,6 +427,7 @@ fn fig4(args: &ExpArgs, ds: &Dataset, _: &TgatParams) -> Vec<Row> {
         }
     }
     let total: u64 = counts.iter().sum();
+    #[expect(clippy::cast_precision_loss, reason = "a ratio of counts; f64 is exact below 2^53")]
     let share = |c: u64| pct(c as f64 / total.max(1) as f64);
     let mut row = vec![ds.name.clone(), total.to_string()];
     row.extend(counts.iter().map(|&c| share(c)));
@@ -478,8 +481,8 @@ fn check_fig5(tables: &[Vec<Row>]) -> Check {
 }
 
 /// Figure 6: cache, then + dedup, then + time precompute, as speedups over
-/// the baseline. Paper (CPU): cache alone >= 3x, + dedup a slight gain,
-/// + time precompute a further boost, largest on the jodie-* datasets.
+/// the baseline. Paper (CPU): cache alone >= 3x, + dedup a slight
+/// gain, + time precompute a further boost, largest on the jodie-* datasets.
 /// The last stage adds this reproduction's layer-1 edge projection.
 fn fig6(args: &ExpArgs, ds: &Dataset, params: &TgatParams) -> Vec<Row> {
     let stages = [
@@ -562,6 +565,7 @@ fn check_table3(tables: &[Vec<Row>]) -> Check {
 
 /// Figure 7: ~20 points of the stream. Paper: the rate passes ~80% early
 /// and keeps climbing.
+#[expect(clippy::cast_precision_loss, reason = "a ratio of counts; f64 is exact below 2^53")]
 fn fig7(args: &ExpArgs, ds: &Dataset, params: &TgatParams) -> Vec<Row> {
     let opt = OptConfig::all().with_cache_limit(args.effective_cache_limit());
     let run = replay(ds, params, opt, args.batch_size, false);
@@ -594,7 +598,8 @@ fn table4(args: &ExpArgs, ds: &Dataset, params: &TgatParams) -> Vec<Row> {
     let mut rows = Vec::new();
     for (paper, label) in [(10_000, "10K"), (100_000, "100K"), (1_000_000, "1M"), (3_000_000, "3M")]
     {
-        let limit = ((f64::from(paper) * args.scale).round() as usize).max(16); // lint: allow(lossy-cast, scaled cache limit is a small non-negative count)
+        #[expect(clippy::cast_possible_truncation, reason = "scaled cache limit is a small non-negative count")]
+        let limit = ((f64::from(paper) * args.scale).round() as usize).max(16);
         let opt = OptConfig::all().with_cache_limit(limit);
         let runs: Vec<_> =
             (0..args.runs).map(|_| replay(ds, params, opt, args.batch_size, false)).collect();

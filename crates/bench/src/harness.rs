@@ -72,6 +72,7 @@ pub fn replay(
     let mut prev = eng.counters();
     for batch in BatchIter::new(&dataset.stream, batch_size) {
         let (ns, ts) = batch.targets();
+        #[expect(clippy::panic, reason = "a failed replay aborts the experiment with its context")]
         let h = eng
             .embed_batch(&ns, &ts)
             .unwrap_or_else(|e| panic!("tgopt replay failed: {e}"));
@@ -105,8 +106,10 @@ pub fn replay(
 /// model dimension so `h^(0)` matches `--dim` even when it differs from the
 /// dataset's edge feature dimension.
 pub fn dataset_for(args: &crate::ExpArgs, name: &str) -> Dataset {
+    #[expect(clippy::panic, reason = "an unknown dataset name aborts the experiment")]
     let spec = tg_datasets::spec_by_name(name)
         .unwrap_or_else(|| panic!("unknown dataset {name}"));
+    #[expect(clippy::panic, reason = "a failed generation aborts the experiment with its context")]
     let mut ds = tg_datasets::generate(&spec, args.scale, args.seed)
         .unwrap_or_else(|e| panic!("failed to generate dataset {name}: {e}"));
     ds.node_features = tg_tensor::Tensor::zeros(ds.node_features.rows(), args.dim);
@@ -117,6 +120,7 @@ pub fn dataset_for(args: &crate::ExpArgs, name: &str) -> Dataset {
 ///
 /// Inference runtime is weight-independent, so experiments use seeded
 /// random weights; accuracy-sensitive tests train via `tgat::train`.
+#[expect(clippy::panic, reason = "an invalid model configuration aborts the experiment")]
 pub fn params_for(args: &crate::ExpArgs, dataset: &Dataset) -> TgatParams {
     TgatParams::init(args.model_config(dataset.dim()), args.seed)
         .unwrap_or_else(|e| panic!("invalid model configuration: {e}"))
@@ -127,15 +131,18 @@ pub fn mean_std(xs: &[f64]) -> (f64, f64) {
     if xs.is_empty() {
         return (0.0, 0.0);
     }
+    #[expect(clippy::cast_precision_loss, reason = "series lengths stay far below 2^53")]
     let mean = xs.iter().sum::<f64>() / xs.len() as f64;
     if xs.len() < 2 {
         return (mean, 0.0);
     }
+    #[expect(clippy::cast_precision_loss, reason = "series lengths stay far below 2^53")]
     let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (xs.len() - 1) as f64;
     (mean, var.sqrt())
 }
 
 /// Geometric mean.
+#[expect(clippy::cast_precision_loss, reason = "series lengths stay far below 2^53")]
 pub fn geomean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
         return 0.0;

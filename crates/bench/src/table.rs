@@ -48,6 +48,7 @@ pub fn fmt_secs(s: f64) -> String {
 }
 
 /// Formats bytes as MiB with one decimal.
+#[expect(clippy::cast_precision_loss, reason = "byte counts are formatted to one decimal of MiB")]
 pub fn fmt_mib(bytes: usize) -> String {
     format!("{:.1}MiB", bytes as f64 / (1024.0 * 1024.0))
 }

@@ -15,6 +15,8 @@
 //! here each is one loop over the keys, and the `parallel` arguments that
 //! still carry the paper's switch are ignored.
 
+#![deny(clippy::disallowed_types)]
+
 use crate::edgeproj::EdgeProjTable;
 use crate::hash::unpack_key;
 use parking_lot::{Mutex, RwLock};
@@ -534,6 +536,7 @@ impl EmbedCache {
     }
 
     /// Lifetime hit rate.
+    #[expect(clippy::cast_precision_loss, reason = "a ratio of counts; f64 is exact below 2^53")]
     pub fn hit_rate(&self) -> f64 {
         let l = self.total_lookups();
         if l == 0 {

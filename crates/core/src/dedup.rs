@@ -5,6 +5,8 @@
 //! An inverse index maps unique results back to the original positions so
 //! output shapes (and semantics) are preserved.
 
+#![deny(clippy::disallowed_types)]
+
 use crate::hash::pack_key;
 use rustc_hash::FxHashMap;
 use tg_graph::{NodeId, Time};
@@ -28,6 +30,7 @@ impl DedupResult {
     }
 
     /// Fraction of the original batch that was duplicated (Table 1's metric).
+    #[expect(clippy::cast_precision_loss, reason = "a ratio of batch sizes; f64 is exact below 2^53")]
     pub fn duplication_rate(&self) -> f64 {
         if self.inv_idx.is_empty() {
             return 0.0;
@@ -58,7 +61,8 @@ pub fn dedup_filter(ns: &[NodeId], ts: &[Time]) -> DedupResult {
     let mut inv_idx = Vec::with_capacity(ns.len());
     for (&n, &t) in ns.iter().zip(ts) {
         let key = pack_key(n, t);
-        let next = uniq_ns.len() as u32; // lint: allow(lossy-cast, dedup index; unique targets per batch fit in u32)
+        #[expect(clippy::cast_possible_truncation, reason = "dedup index; unique targets per batch fit in u32")]
+        let next = uniq_ns.len() as u32;
         let idx = *processed.entry(key).or_insert_with(|| {
             uniq_ns.push(n);
             uniq_ts.push(t);
@@ -76,7 +80,8 @@ pub fn dedup_nodes_only(ns: &[NodeId]) -> DedupResult {
     let mut uniq_ns = Vec::new();
     let mut inv_idx = Vec::with_capacity(ns.len());
     for &n in ns {
-        let next = uniq_ns.len() as u32; // lint: allow(lossy-cast, dedup index; unique targets per batch fit in u32)
+        #[expect(clippy::cast_possible_truncation, reason = "dedup index; unique targets per batch fit in u32")]
+        let next = uniq_ns.len() as u32;
         let idx = *processed.entry(n).or_insert_with(|| {
             uniq_ns.push(n);
             next

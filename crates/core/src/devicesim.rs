@@ -72,10 +72,12 @@ impl CostModel {
         }
     }
 
+    #[expect(clippy::cast_precision_loss, reason = "modelled time from op and byte counts; f64 is exact below 2^53")]
     fn pcie_time(&self, s: &TransferStat) -> f64 {
         s.ops as f64 * self.pcie_latency + s.bytes as f64 / self.pcie_bandwidth
     }
 
+    #[expect(clippy::cast_precision_loss, reason = "modelled time from op and byte counts; f64 is exact below 2^53")]
     fn device_time(&self, s: &TransferStat) -> f64 {
         s.ops as f64 * self.device_latency + s.bytes as f64 / self.device_bandwidth
     }

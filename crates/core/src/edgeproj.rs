@@ -42,6 +42,7 @@ pub struct EdgeProjStats {
 
 impl EdgeProjStats {
     /// `hits / lookups`; 0 before the first lookup.
+    #[expect(clippy::cast_precision_loss, reason = "a ratio of counts; f64 is exact below 2^53")]
     pub fn hit_ratio(&self) -> f64 {
         if self.lookups == 0 { 0.0 } else { self.hits as f64 / self.lookups as f64 }
     }
@@ -119,6 +120,7 @@ impl EdgeProjTable {
     pub(crate) fn lookup(&self, eids: &[u32], width: usize, out: &mut [f32], row: &mut [u32]) -> usize {
         let t = &mut *self.edge_proj.lock();
         let (mut hits, mut misses) = (0, 0);
+        #[expect(clippy::cast_possible_truncation, reason = "rows of one call are u32-indexed like its slots")]
         for (&eid, row) in eids.iter().zip(row.iter_mut()) {
             let r = match t.get(eid, width) {
                 Some(p) => {
@@ -131,7 +133,7 @@ impl EdgeProjTable {
                     eids.len() - misses
                 }
             };
-            *row = r as u32; // lint: allow(lossy-cast, rows of one call are u32-indexed like its slots)
+            *row = r as u32;
         }
         t.lookups += eids.len() as u64;
         t.hits += hits as u64;
@@ -245,8 +247,9 @@ impl EdgeProjector {
             // Padding reads edge 0's row unseeded; seeded it reads P[0].
             let eid = if eid == INVALID_EDGE { 0 } else { eid };
             let mark = &mut self.seen[slot_of(eid)];
+            #[expect(clippy::cast_possible_truncation, reason = "rows of one call are u32-indexed like its slots")]
             if self.uniq.get(*mark as usize) != Some(&eid) {
-                *mark = self.uniq.len() as u32; // lint: allow(lossy-cast, rows of one call are u32-indexed like its slots)
+                *mark = self.uniq.len() as u32;
                 self.uniq.push(eid);
             }
             self.slot_row.push(*mark);

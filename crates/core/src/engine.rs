@@ -68,6 +68,7 @@ impl EngineCounters {
     }
 
     /// Hit rate over these counters (0 if nothing was looked up).
+    #[expect(clippy::cast_precision_loss, reason = "a ratio of counts; f64 is exact below 2^53")]
     pub fn hit_rate(&self) -> f64 {
         if self.cache_lookups == 0 {
             0.0
@@ -247,6 +248,7 @@ impl<'a> TgoptEngine<'a> {
     }
 
     /// Hit rate of the time-encoding cache.
+    #[expect(clippy::cast_precision_loss, reason = "a ratio of counts; f64 is exact below 2^53")]
     pub fn time_cache_hit_rate(&self) -> f64 {
         let (h, m) = self.time_cache_stats();
         if h + m == 0 { 0.0 } else { h as f64 / (h + m) as f64 }
@@ -385,10 +387,11 @@ impl<'a> TgoptEngine<'a> {
         let hit_mask =
             self.stats.time(OpKind::CacheLookup, || cache.lookup_in(&keys, &mut h, source, l - 1, records.as_deref_mut()))?;
         self.counters.cache_lookups += n_uniq as u64;
-        self.counters.cache_hits += hit_mask.iter().filter(|&&m| m).count() as u64;
+        let n_hits = hit_mask.iter().filter(|&&m| m).count();
+        self.counters.cache_hits += n_hits as u64;
 
-        let miss_idx: Vec<usize> =
-            (0..n_uniq).filter(|&i| !hit_mask[i]).collect();
+        let mut miss_idx = Vec::with_capacity(n_uniq - n_hits);
+        miss_idx.extend((0..n_uniq).filter(|&i| !hit_mask[i]));
         if miss_idx.is_empty() {
             return Ok((h, records));
         }
@@ -472,7 +475,8 @@ impl<'a> TgoptEngine<'a> {
             Some((h, Some(inv_idx), _)) => (h, inv_idx),
             Some((h, None, _)) => {
                 let n = all_ns.len();
-                self.identity.extend(self.identity.len() as u32..n as u32); // lint: allow(lossy-cast, frontier rows are u32-indexed like dedup's inverse index)
+                #[expect(clippy::cast_possible_truncation, reason = "frontier rows are u32-indexed like dedup's inverse index")]
+                self.identity.extend(self.identity.len() as u32..n as u32);
                 (h, &self.identity[..n])
             }
         };

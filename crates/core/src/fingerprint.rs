@@ -19,6 +19,8 @@
 //! Every recorded time satisfies `t' <= t` (temporal sampling only looks
 //! backward).
 
+#![deny(clippy::disallowed_types)]
+
 use crate::hash::pack_key;
 use rustc_hash::FxHashSet;
 use tg_graph::{HistorySource, NodeId, Time};

@@ -5,6 +5,8 @@
 //! which is what lets the dedup filter and the memoization cache use the
 //! key alone as identity.
 
+#![deny(clippy::disallowed_types)]
+
 use tg_graph::{NodeId, Time};
 
 /// Packs a `(node, time)` pair into a unique 64-bit key.
@@ -29,8 +31,9 @@ pub fn pack_key(node: NodeId, t: Time) -> u64 {
 /// Recovers the `(node, time)` pair from a key (used by cache invalidation
 /// and tests).
 #[inline]
+#[expect(clippy::cast_possible_truncation, reason = "intentional unpack of the low 32 key bits")]
 pub fn unpack_key(key: u64) -> (NodeId, Time) {
-    ((key >> 32) as NodeId, Time::from_bits(key as u32)) // lint: allow(lossy-cast, intentional unpack of the low 32 key bits)
+    ((key >> 32) as NodeId, Time::from_bits(key as u32))
 }
 
 /// Batched key computation (the `ComputeKeys` operation of Algorithm 1).

@@ -13,6 +13,8 @@
 //! Entries are written oldest-first so the restored FIFO evicts in the same
 //! order the original would have.
 
+#![deny(clippy::disallowed_types)]
+
 use crate::cache::{EmbedCache, LayerCaches};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::io::{Read, Write};
@@ -32,14 +34,16 @@ pub fn to_bytes(caches: &LayerCaches) -> Bytes {
     buf.put_slice(MAGIC);
     buf.put_u32_le(VERSION);
     let n_layers = caches.num_layers();
-    buf.put_u32_le(n_layers as u32); // lint: allow(lossy-cast, layer counts are tiny)
+    #[expect(clippy::cast_possible_truncation, reason = "layer counts are tiny")]
+    buf.put_u32_le(n_layers as u32);
     for l in 0..=n_layers {
         match caches.layer(l) {
             None => buf.put_u8(0),
             Some(cache) => {
                 buf.put_u8(1);
                 buf.put_u64_le(cache.limit() as u64);
-                buf.put_u32_le(cache.dim() as u32); // lint: allow(lossy-cast, dims are far below 2^32)
+                #[expect(clippy::cast_possible_truncation, reason = "dims are far below 2^32")]
+                buf.put_u32_le(cache.dim() as u32);
                 let entries = cache.export_fifo_order();
                 buf.put_u64_le(entries.len() as u64);
                 for (key, row) in entries {
@@ -81,7 +85,7 @@ pub fn from_bytes(mut data: Bytes) -> Result<LayerCaches, TgError> {
     if version != VERSION {
         return Err(bad(format!("unsupported snapshot version {version}")));
     }
-    let n_layers = data.get_u32_le() as usize; // lint: allow(lossy-cast, u32 always fits in usize here)
+    let n_layers = data.get_u32_le() as usize;
     if n_layers > 64 {
         return Err(bad("implausible layer count"));
     }
@@ -94,7 +98,7 @@ pub fn from_bytes(mut data: Bytes) -> Result<LayerCaches, TgError> {
         }
         need(&data, 8 + 4 + 8)?;
         let limit = to_usize(data.get_u64_le(), "cache limit")?;
-        let dim = data.get_u32_le() as usize; // lint: allow(lossy-cast, u32 always fits in usize here)
+        let dim = data.get_u32_le() as usize;
         let count = to_usize(data.get_u64_le(), "entry count")?;
         if limit == 0 || dim == 0 || count > limit {
             return Err(bad("inconsistent snapshot header"));

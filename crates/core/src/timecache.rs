@@ -6,6 +6,8 @@
 //! window or non-integral) fall back to the original `Phi` computation.
 //! `Phi(0)`, used for every target (Eq. 4), is computed once ahead of time.
 
+#![deny(clippy::disallowed_types)]
+
 use tg_tensor::Tensor;
 use tgat::TimeEncoder;
 
@@ -38,7 +40,8 @@ impl TimeCache {
     /// Precomputes `Phi(dt)` for `dt` in `0..window` (paper default 10,000).
     pub fn precompute(encoder: &TimeEncoder, window: usize) -> Self {
         assert!(window > 0, "time window must be positive");
-        let dts: Vec<f32> = (0..window).map(|i| i as f32).collect(); // lint: allow(lossy-cast, window deltas stay far below 2^24, exact in f32)
+        #[expect(clippy::cast_precision_loss, reason = "window deltas stay far below 2^24, exact in f32")]
+        let dts: Vec<f32> = (0..window).map(|i| i as f32).collect();
         let table = encoder.encode(&dts);
         let zero_row = table.row(0).to_vec();
         Self { table, zero_row, hits: 0, misses: 0 }
@@ -84,7 +87,8 @@ impl TimeCache {
         let window = self.window();
         assert_eq!(out.shape(), (dts.len(), self.dim()), "time-encode destination shape mismatch");
         for (r, &dt) in dts.iter().enumerate() {
-            let idx = dt as usize; // lint: allow(lossy-cast, used only when dt is a non-negative integer below window)
+            #[expect(clippy::cast_possible_truncation, reason = "used only when dt is a non-negative integer below window")]
+            let idx = dt as usize;
             // Hit iff dt is a non-negative integer inside the window.
             if dt >= 0.0 && dt.fract() == 0.0 && idx < window {
                 out.row_mut(r).copy_from_slice(self.table.row(idx));
@@ -123,6 +127,7 @@ impl TimeCache {
     }
 
     /// Fraction of deltas served from the window.
+    #[expect(clippy::cast_precision_loss, reason = "a ratio of counts; f64 is exact below 2^53")]
     pub fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
         if total == 0 {

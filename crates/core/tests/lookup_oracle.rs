@@ -39,6 +39,9 @@ use tgopt::{fingerprint, unpack_key, EmbedCache, EngineCounters, LayerCaches, Op
 const NODES: u32 = 8;
 const K: usize = 2;
 
+/// Per layer, the keys looked up and the hit mask.
+type LayerReads = Vec<(Vec<u64>, Vec<bool>)>;
+
 struct World {
     params: TgatParams,
     node_features: Tensor,
@@ -103,7 +106,7 @@ impl World {
         caches: &LayerCaches,
         source: &S,
         graph: &TemporalGraph,
-    ) -> Result<Vec<(Vec<u64>, Vec<bool>)>, TestCaseError> {
+    ) -> Result<LayerReads, TestCaseError> {
         let mut reads = vec![(Vec::new(), Vec::new())];
         for l in 1..=caches.num_layers() {
             let cache = caches.layer(l).unwrap();

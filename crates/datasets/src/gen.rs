@@ -38,6 +38,7 @@ impl Zipf {
         assert!(n > 0);
         let mut cdf = Vec::with_capacity(n);
         let mut acc = 0.0;
+        #[expect(clippy::cast_precision_loss, reason = "Zipf ranks stay far below 2^53")]
         for i in 0..n {
             acc += 1.0 / ((i + 1) as f64).powf(exponent);
             cdf.push(acc);
@@ -88,13 +89,16 @@ fn session_gap(rng: &mut StdRng) -> f64 {
 /// event-rate (so `max(t)` scales with the edge count). Everything is
 /// deterministic in `seed`.
 pub fn generate(spec: &DatasetSpec, scale: f64, seed: u64) -> Result<Dataset, TgError> {
+    #[expect(clippy::neg_cmp_op_on_partial_ord, reason = "`!(scale > 0.0)` rejects NaN too, which `scale <= 0.0` would admit")]
     if !(scale > 0.0) {
         return Err(TgError::InvalidArgument(format!(
             "dataset scale must be positive, got {scale}"
         )));
     }
-    let n_edges = ((spec.num_edges as f64 * scale).round() as usize).max(1); // lint: allow(lossy-cast, rounded edge count is far below 2^52)
+    #[expect(clippy::cast_possible_truncation, clippy::cast_precision_loss, reason = "rounded edge count is far below 2^52")]
+    let n_edges = ((spec.num_edges as f64 * scale).round() as usize).max(1);
     let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ hash_name(spec.name));
+    #[expect(clippy::cast_precision_loss, reason = "edge counts and spans stay far below 2^53")]
     let mean_gap = spec.max_time as f64 / spec.num_edges as f64;
 
     let mut srcs: Vec<NodeId> = Vec::with_capacity(n_edges);
@@ -126,8 +130,11 @@ pub fn generate(spec: &DatasetSpec, scale: f64, seed: u64) -> Result<Dataset, Tg
                     _ => item_pick.sample(&mut rng),
                 };
                 last_item[u] = Some(item);
+                #[expect(clippy::cast_possible_truncation, reason = "generated node ids are below the spec's u32 node count")]
                 srcs.push(u as NodeId);
+                #[expect(clippy::cast_possible_truncation, reason = "generated node ids are below the spec's u32 node count")]
                 dsts.push((users + item) as NodeId);
+                #[expect(clippy::cast_possible_truncation, reason = "times are f32 end-to-end; f64 only accumulates the gaps")]
                 times.push(t as Time);
                 if spec.burst_prob > 0.0 && rng.gen_bool(spec.burst_prob) {
                     burst = Some(u);
@@ -166,8 +173,11 @@ pub fn generate(spec: &DatasetSpec, scale: f64, seed: u64) -> Result<Dataset, Tg
                 };
                 last_partner[s] = Some(d);
                 last_partner[d] = Some(s);
+                #[expect(clippy::cast_possible_truncation, reason = "generated node ids are below the spec's u32 node count")]
                 srcs.push(s as NodeId);
+                #[expect(clippy::cast_possible_truncation, reason = "generated node ids are below the spec's u32 node count")]
                 dsts.push(d as NodeId);
+                #[expect(clippy::cast_possible_truncation, reason = "times are f32 end-to-end; f64 only accumulates the gaps")]
                 times.push(t as Time);
                 if spec.burst_prob > 0.0 && rng.gen_bool(spec.burst_prob) {
                     // Same actor fires again at the same second (e.g. an

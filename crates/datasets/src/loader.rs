@@ -57,9 +57,12 @@ pub fn load_csv(path: &Path, name: &str, edge_dim: usize, seed: u64) -> Result<D
         let mut fields = trimmed.split(',').map(str::trim);
         // The artifact writes node ids as floats ("3.0"); truncation back to
         // an integer id is the intended decode, not data loss.
-        let u = parse_field(fields.next(), path, lineno, "user")? as NodeId; // lint: allow(lossy-cast, artifact stores integer ids as floats)
-        let i = parse_field(fields.next(), path, lineno, "item")? as NodeId; // lint: allow(lossy-cast, artifact stores integer ids as floats)
-        let t = parse_field(fields.next(), path, lineno, "timestamp")? as Time; // lint: allow(lossy-cast, times are f32 end-to-end; f64 only for parsing)
+        #[expect(clippy::cast_possible_truncation, reason = "artifact stores integer ids as floats")]
+        let u = parse_field(fields.next(), path, lineno, "user")? as NodeId;
+        #[expect(clippy::cast_possible_truncation, reason = "artifact stores integer ids as floats")]
+        let i = parse_field(fields.next(), path, lineno, "item")? as NodeId;
+        #[expect(clippy::cast_possible_truncation, reason = "times are f32 end-to-end; f64 only for parsing")]
+        let t = parse_field(fields.next(), path, lineno, "timestamp")? as Time;
         srcs.push(u);
         dsts.push(i);
         times.push(t);

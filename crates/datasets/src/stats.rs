@@ -16,6 +16,7 @@ pub struct DatasetStats {
 }
 
 /// Computes Table 2-style statistics for a materialized dataset.
+#[expect(clippy::cast_precision_loss, reason = "a ratio of counts; f64 is exact below 2^53")]
 pub fn dataset_stats(d: &Dataset) -> DatasetStats {
     let mut seen = vec![false; d.stream.num_nodes()];
     for e in d.stream.edges() {

@@ -185,6 +185,7 @@ pub struct ServeStats {
 impl ServeStats {
     /// Fraction of batched requests eliminated by cross-request dedup
     /// (0.0 when nothing has been batched — never NaN).
+    #[expect(clippy::cast_precision_loss, reason = "a ratio of counts; f64 is exact below 2^53")]
     pub fn cross_dedup_ratio(&self) -> f64 {
         if self.batched_requests == 0 {
             0.0
@@ -194,6 +195,7 @@ impl ServeStats {
     }
 
     /// Mean requests per executed micro-batch (0.0 before the first batch).
+    #[expect(clippy::cast_precision_loss, reason = "a ratio of counts; f64 is exact below 2^53")]
     pub fn mean_batch_size(&self) -> f64 {
         if self.batches == 0 {
             0.0

@@ -142,6 +142,7 @@ impl HistogramSnapshot {
     }
 
     /// Mean sample, nanoseconds (0 when empty — never a division by zero).
+    #[expect(clippy::cast_precision_loss, reason = "a mean of nanosecond counts; f64 is exact below 2^53")]
     pub fn mean_ns(&self) -> f64 {
         if self.count == 0 {
             0.0
@@ -158,8 +159,10 @@ impl HistogramSnapshot {
         if self.count == 0 {
             return 0;
         }
+        #[expect(clippy::cast_precision_loss, reason = "a sample count; f64 is exact below 2^53")]
         let rank = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0);
         let mut seen = 0.0;
+        #[expect(clippy::cast_precision_loss, reason = "a sample count; f64 is exact below 2^53")]
         for (b, &n) in self.buckets.iter().enumerate() {
             seen += n as f64;
             if seen >= rank {
@@ -311,6 +314,6 @@ mod tests {
     #[test]
     fn truncated_buckets_are_rejected() {
         let json = r#"{"buckets":[1,2,3],"count":6,"sum_ns":6}"#;
-        assert!(serde_json::from_str::<HistogramSnapshot>(&json).is_err());
+        assert!(serde_json::from_str::<HistogramSnapshot>(json).is_err());
     }
 }

@@ -56,6 +56,7 @@ pub struct TimeCacheTelemetry {
 
 impl TimeCacheTelemetry {
     /// Hit fraction (0.0 before the first lookup — never NaN).
+    #[expect(clippy::cast_precision_loss, reason = "a ratio of counts; f64 is exact below 2^53")]
     pub fn hit_rate(&self) -> f64 {
         if self.lookups == 0 {
             0.0

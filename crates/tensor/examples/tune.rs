@@ -107,6 +107,7 @@ fn main() {
     println!("wide panel: {WIDE_PANEL}");
     println!("{:<20}{:<24}{:>10}{:>10}{:>12}{:>12}", "kernel", "shape", "min ms", "med ms", "max GF/s", "med GF/s");
     for (&(label, m, k, n, _), (min, med)) in shapes.iter().zip(round_robin(DENSE_ROUNDS, &mut runs)) {
+        #[expect(clippy::cast_precision_loss, reason = "a flop count; f64 is exact below 2^53")]
         let gflop = 2.0 * (m * k * n) as f64 / 1e9;
         println!(
             "{label:<20}{:<24}{:>10.3}{:>10.3}{:>12.1}{:>12.1}",
@@ -124,6 +125,7 @@ fn main() {
     // node table by node id, dense edge features from a feature table by
     // edge id, and dense time encodings.
     let cfg = TgatConfig { dim: 32, edge_dim: 172, time_dim: 32, n_heads: 2, n_layers: 2, n_neighbors: 10 };
+    #[expect(clippy::expect_used, reason = "the bench-protocol config is valid")]
     let params = TgatParams::init(cfg, 7).expect("valid bench-protocol config");
     let kv = KvWeights::new(&params.layers[0], &cfg);
     let k = cfg.n_neighbors;
@@ -132,7 +134,9 @@ fn main() {
     let mut layer1 = |n: usize| {
         let ht0 = init::uniform(&mut rng, n, cfg.time_dim, 1.0);
         let ht = init::uniform(&mut rng, n * k, cfg.time_dim, 1.0);
+        #[expect(clippy::cast_possible_truncation, reason = "indices are reduced modulo a table of fewer than 2^32 rows")]
         let eids: Vec<u32> = (0..n * k).map(|s| (s * 7919 % table.rows()) as u32).collect();
+        #[expect(clippy::cast_possible_truncation, reason = "indices are reduced modulo a table of fewer than 2^32 rows")]
         let node_ids: Vec<u32> = (0..n + n * k).map(|j| (j * 4243 % nodes.rows()) as u32).collect();
         (ht0, ht, eids, node_ids, vec![true; n * k])
     };
@@ -154,6 +158,7 @@ fn main() {
                 scratch.give(out);
             }));
         }
+        #[expect(clippy::cast_precision_loss, reason = "row counts are far below 2^53")]
         for (&block, (min, med)) in blocks.iter().zip(round_robin(ATTENTION_ROUNDS, &mut runs)) {
             println!("{n:<8}{block:<8}{:>12.1}{:>12.1}{:>14.2}", min * 1e6, med * 1e6, med * 1e6 / n as f64);
         }
@@ -178,12 +183,14 @@ fn main() {
         for scratches in &mut scratches {
             let (layer, kv, inp, eids, node_ids) = (&params.layers[0], &kv, &inp, &eids, &node_ids);
             runs.push(Box::new(move || {
+                #[expect(clippy::expect_used, reason = "every width is at least 1")]
                 let (own, helpers) = scratches.split_first_mut().expect("width >= 1");
                 let out = forward_blocked(layer, kv, &cfg, black_box(inp), Some(eids), Some(node_ids), None, TARGET_BLOCK, own, helpers);
                 black_box(out.as_slice());
                 own.give(out);
             }));
         }
+        #[expect(clippy::cast_precision_loss, reason = "row counts are far below 2^53")]
         for (&width, (min, med)) in widths.iter().zip(round_robin(WIDTH_ROUNDS, &mut runs)) {
             let blocks = n.div_ceil(TARGET_BLOCK);
             println!("{n:<8}{blocks:<8}{width:<8}{:>12.1}{:>12.1}{:>14.2}", min * 1e6, med * 1e6, med * 1e6 / n as f64);

@@ -44,7 +44,9 @@ impl Adam {
         assert_eq!(params.len(), self.m.len(), "parameter count changed");
         assert_eq!(params.len(), grads.len(), "gradient count mismatch");
         self.t += 1;
+        #[expect(clippy::cast_possible_truncation, reason = "optimizer steps stay far below 2^31")]
         let b1t = 1.0 - self.cfg.beta1.powi(self.t as i32);
+        #[expect(clippy::cast_possible_truncation, reason = "optimizer steps stay far below 2^31")]
         let b2t = 1.0 - self.cfg.beta2.powi(self.t as i32);
         for ((p, g), (m, v)) in params
             .iter_mut()

@@ -228,8 +228,10 @@ impl Tape {
             // max(z,0) - y*z + ln(1 + exp(-|z|))
             loss += (z.max(0.0) - y * z + (-z.abs()).exp().ln_1p()) as f64;
         }
+        #[expect(clippy::cast_precision_loss, reason = "batch sizes stay far below 2^53")]
         let n = targets.len().max(1) as f64;
-        let out = Tensor::from_vec(1, 1, vec![(loss / n) as f32]); // lint: allow(lossy-cast, mean loss scalar; f32 storage precision suffices)
+        #[expect(clippy::cast_possible_truncation, reason = "mean loss scalar; f32 storage precision suffices")]
+        let out = Tensor::from_vec(1, 1, vec![(loss / n) as f32]);
         self.push(out, Op::BceWithLogits { logits: logits.0, targets: targets.to_vec() })
     }
 
@@ -427,7 +429,8 @@ impl Tape {
             }
             Op::BceWithLogits { logits, targets } => {
                 let lv = &self.values[*logits];
-                let gscalar = g.get(0, 0) / targets.len().max(1) as f32; // lint: allow(lossy-cast, batch sizes stay far below 2^24)
+                #[expect(clippy::cast_precision_loss, reason = "batch sizes stay far below 2^24")]
+                let gscalar = g.get(0, 0) / targets.len().max(1) as f32;
                 let mut dl = Tensor::zeros(lv.rows(), lv.cols());
                 for ((d, &z), &y) in
                     dl.as_mut_slice().iter_mut().zip(lv.as_slice()).zip(targets)

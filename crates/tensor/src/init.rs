@@ -6,7 +6,8 @@ use rand::{Rng, SeedableRng};
 
 /// Xavier/Glorot uniform initialization for a `fan_in x fan_out` weight.
 pub fn xavier_uniform(rng: &mut StdRng, fan_in: usize, fan_out: usize) -> Tensor {
-    let bound = (6.0 / (fan_in + fan_out) as f32).sqrt(); // lint: allow(lossy-cast, layer fan sums stay far below 2^24)
+    #[expect(clippy::cast_precision_loss, reason = "layer fan sums stay far below 2^24")]
+    let bound = (6.0 / (fan_in + fan_out) as f32).sqrt();
     let data = (0..fan_in * fan_out)
         .map(|_| rng.gen_range(-bound..=bound))
         .collect();

@@ -334,11 +334,12 @@ pub fn sum_all(t: &Tensor) -> f32 {
 }
 
 /// Mean of all elements (0 for an empty tensor).
+#[expect(clippy::cast_precision_loss, reason = "element counts stay far below 2^24")]
 pub fn mean_all(t: &Tensor) -> f32 {
     if t.is_empty() {
         0.0
     } else {
-        sum_all(t) / t.len() as f32 // lint: allow(lossy-cast, element counts stay far below 2^24)
+        sum_all(t) / t.len() as f32
     }
 }
 

@@ -45,7 +45,7 @@ impl Scratch {
         let mut best: Option<(usize, usize)> = None; // (index, capacity)
         for (i, buf) in self.pool.iter().enumerate() {
             let cap = buf.capacity();
-            if cap >= need && best.map_or(true, |(_, bc)| cap < bc) {
+            if cap >= need && best.is_none_or(|(_, bc)| cap < bc) {
                 best = Some((i, cap));
             }
         }

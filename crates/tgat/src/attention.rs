@@ -249,7 +249,8 @@ pub fn forward_blocked(
     let src_row = |i: usize| inp.h_src.row(h_idx.map_or(i, |idx| idx[i] as usize));
     let ngh_row = |slot: usize| inp.h_ngh.row(h_idx.map_or(slot, |idx| idx[n + slot] as usize));
     let head_dim = cfg.head_dim();
-    let scale = 1.0 / (head_dim as f32).sqrt(); // lint: allow(lossy-cast, head_dim is a small config value)
+    #[expect(clippy::cast_precision_loss, reason = "head_dim is a small config value")]
+    let scale = 1.0 / (head_dim as f32).sqrt();
     let r_cols = layer.heads.len() * head_dim;
 
     fan_chunks(out.as_mut_slice(), block * out_cols, scratch, helpers, |b, out_rows, scratch| {
@@ -359,7 +360,8 @@ pub fn forward_reference(
     let z_src = ops::concat_cols(&[inp.h_src, inp.ht0]);
     let z_ngh = ops::concat_cols(&[inp.h_ngh, inp.e_feat, inp.ht]);
 
-    let scale = 1.0 / (cfg.head_dim() as f32).sqrt(); // lint: allow(lossy-cast, head_dim is a small config value)
+    #[expect(clippy::cast_precision_loss, reason = "head_dim is a small config value")]
+    let scale = 1.0 / (cfg.head_dim() as f32).sqrt();
     let mut head_outs = Vec::with_capacity(layer.heads.len());
     for head in &layer.heads {
         let q = matmul(&z_src, &head.wq);

@@ -15,6 +15,7 @@ pub fn score(pred: &PredictorParams, src: &Tensor, dst: &Tensor) -> Tensor {
 
 /// Area under the ROC curve from positive/negative scores, computed via the
 /// Mann–Whitney U statistic (ties count half).
+#[expect(clippy::cast_precision_loss, reason = "a ratio of pair counts; f64 is exact below 2^53")]
 pub fn auc(pos: &[f32], neg: &[f32]) -> f64 {
     if pos.is_empty() || neg.is_empty() {
         return 0.5;
@@ -34,6 +35,7 @@ pub fn auc(pos: &[f32], neg: &[f32]) -> f64 {
 
 /// Average-precision-style accuracy: fraction of correct classifications at
 /// threshold 0 (logits).
+#[expect(clippy::cast_precision_loss, reason = "a ratio of counts; f64 is exact below 2^53")]
 pub fn accuracy_at_zero(pos: &[f32], neg: &[f32]) -> f64 {
     let total = pos.len() + neg.len();
     if total == 0 {

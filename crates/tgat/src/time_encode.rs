@@ -35,7 +35,8 @@ impl TimeEncoder {
         assert!(time_dim > 0, "time encoder needs a positive dimension");
         let omega: Vec<f32> = (0..time_dim)
             .map(|j| {
-                let exponent = if time_dim == 1 { 0.0 } else { 9.0 * j as f32 / (time_dim - 1) as f32 }; // lint: allow(lossy-cast, time_dim is a small config value)
+                #[expect(clippy::cast_precision_loss, reason = "time_dim is a small config value")]
+                let exponent = if time_dim == 1 { 0.0 } else { 9.0 * j as f32 / (time_dim - 1) as f32 };
                 1.0 / 10.0f32.powf(exponent)
             })
             .collect();
@@ -173,7 +174,8 @@ fn cos(y: f32) -> f32 {
     // lane takes a saturating `as` (which would scalarise the loop); the
     // magic add puts n's low bits in the mantissa.
     let nff = (((x * HPI_INV).trunc() + 8_388_608.0) * (1.0 / 16_777_216.0)).floor();
-    let nf = (nff + 6_755_399_441_055_744.0).to_bits() as u32; // lint: allow(lossy-cast, keeps the low mantissa word, which holds n mod 2^32)
+    #[expect(clippy::cast_possible_truncation, reason = "keeps the low mantissa word, which holds n mod 2^32")]
+    let nf = (nff + 6_755_399_441_055_744.0).to_bits() as u32;
     let xf = (-nff).mul_add(HPI, x);
     // |y| >= 120: 4/π to 192 bits times the 24-bit mantissa.
     let (base, shift) = (((xi >> 26) & 15) as usize, (xi >> 23) & 7);
@@ -185,10 +187,11 @@ fn cos(y: f32) -> f32 {
     let nl = acc.wrapping_add(1 << 61) >> 62;
     let acc = acc.wrapping_sub(nl << 62) as i64;
     // Exact i64 → f64 in one rounding, as two halves (AVX2 has no vcvtqq2pd).
-    let xl = f64::from((acc >> 32) as i32).mul_add(4_294_967_296.0, f64::from(acc as u32)) * PI63; // lint: allow(lossy-cast, splits acc into its two 32-bit halves)
+    #[expect(clippy::cast_possible_truncation, reason = "splits acc into its two 32-bit halves")]
+    let xl = f64::from((acc >> 32) as i32).mul_add(4_294_967_296.0, f64::from(acc as u32)) * PI63;
     let (small, mid) = (top < 0x3f4, top < 0x42f); // |y| < 0.75, |y| < 120
     let xr = if small { x } else if mid { xf } else { xl };
-    let n = if small { 0 } else if mid { nf } else { nl as u32 }; // lint: allow(lossy-cast, nl is a 2-bit quadrant)
+    let n = if small { 0 } else if mid { nf } else { nl as u32 };
     let x2 = xr * xr;
     let (x3, x4) = (xr * x2, x2 * x2);
     let (x5, x6) = (x3 * x2, x4 * x2); // glibc calls x5 `x7`
@@ -196,7 +199,8 @@ fn cos(y: f32) -> f32 {
     let s = x5.mul_add(x2.mul_add(S3, S2), x3.mul_add(S1, xr));
     let p = if n & 1 == 0 { c } else { s };
     // Quadrants 1 and 2 negate.
-    let v = (if n.wrapping_add(1) & 2 != 0 { -p } else { p }) as f32; // lint: allow(lossy-cast, the f64 polynomial rounds to cosf's f32 result)
+    #[expect(clippy::cast_possible_truncation, reason = "the f64 polynomial rounds to cosf's f32 result")]
+    let v = (if n.wrapping_add(1) & 2 != 0 { -p } else { p }) as f32;
     if top < 0x398 {
         1.0 // |y| < 2^-12
     } else if top >= 0x7f8 {

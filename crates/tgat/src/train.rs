@@ -152,7 +152,8 @@ fn embed_tape(
 
     let z_src = tape.concat_cols(&[h_src, ht0]);
     let z_ngh = tape.concat_cols(&[h_ngh, e_feat, ht]);
-    let scale = 1.0 / (cfg.head_dim() as f32).sqrt(); // lint: allow(lossy-cast, head_dim is a small config value)
+    #[expect(clippy::cast_precision_loss, reason = "head_dim is a small config value")]
+    let scale = 1.0 / (cfg.head_dim() as f32).sqrt();
     let mut heads = Vec::with_capacity(cfg.n_heads);
     for h in 0..cfg.n_heads {
         let (wq, wk, wv) = pv.head(l - 1, h);
@@ -241,11 +242,13 @@ pub fn train_with_options(
     // Align the chronological split to a batch boundary so the last batches
     // actually land in the validation set.
     let n_train = {
-        let raw = ((stream.len() as f64) * tc.train_frac).round() as usize; // lint: allow(lossy-cast, train_frac in [0,1] keeps the product within len)
+        #[expect(clippy::cast_possible_truncation, clippy::cast_precision_loss, reason = "train_frac in [0,1] keeps the product within len")]
+        let raw = ((stream.len() as f64) * tc.train_frac).round() as usize;
         let aligned = (raw / tc.batch_size) * tc.batch_size;
         aligned.clamp(tc.batch_size.min(stream.len()), stream.len())
     };
-    let num_nodes = stream.num_nodes() as u32; // lint: allow(lossy-cast, node ids are u32 by EdgeStream construction)
+    #[expect(clippy::cast_possible_truncation, reason = "node ids are u32 by EdgeStream construction")]
+    let num_nodes = stream.num_nodes() as u32;
     let sampler = TemporalSampler::most_recent(cfg.n_neighbors);
     let sizes: Vec<usize> = params.param_list().iter().map(|t| t.len()).collect();
     let mut opt = Adam::new(AdamConfig { lr: tc.lr, ..Default::default() }, &sizes);
@@ -315,7 +318,8 @@ pub fn train_with_options(
                 graph.insert(e);
             }
         }
-        epoch_losses.push((loss_sum / loss_count.max(1) as f64) as f32); // lint: allow(lossy-cast, mean loss scalar; f32 report precision suffices)
+        #[expect(clippy::cast_possible_truncation, clippy::cast_precision_loss, reason = "mean loss scalar; f32 report precision suffices")]
+        epoch_losses.push((loss_sum / loss_count.max(1) as f64) as f32);
     }
 
     // Validation: replay remaining batches, scoring positives vs negatives

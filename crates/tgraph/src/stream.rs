@@ -41,6 +41,7 @@ impl EdgeStream {
             assert!(t >= prev_t, "edge {i}: timestamps must be non-decreasing ({t} < {prev_t})");
             prev_t = t;
             max_node = max_node.max(s).max(d);
+            #[expect(clippy::cast_possible_truncation, reason = "edge ids are u32 like node ids; a stream holds fewer than 2^32 edges")]
             edges.push(Edge { src: s, dst: d, time: t, eid: i as EdgeId });
         }
         let num_nodes = if edges.is_empty() { 0 } else { max_node as usize + 1 };

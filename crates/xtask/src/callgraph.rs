@@ -1,7 +1,7 @@
 //! Cross-crate call-graph reachability: the graph behind L10
 //! (`panic-reach`), L13 (`lock-held-effects`) and L14 (`deadline-safety`).
 //!
-//! The per-file lints L1–L8 answer "does this line violate the policy?";
+//! The per-file lints L4–L8 answer "does this line violate the policy?";
 //! the questions that protect the serve path are reachability questions:
 //! *can a request entering `embed_batch` or the serve worker loop reach a
 //! panic or an unbounded wait?* This module builds a function-level call

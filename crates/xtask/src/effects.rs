@@ -172,8 +172,9 @@ impl<'a> EffectEngine<'a> {
         // body span (CallGraph::build created its nodes from the same walk,
         // so every node has exactly one matching scope).
         use std::collections::BTreeMap;
-        let mut scope_data: BTreeMap<(usize, usize), (Vec<Region>, Vec<(String, usize)>)> =
-            BTreeMap::new();
+        /// A scope's guard regions and its lock acquisitions (name, line).
+        type Scoped = (Vec<Region>, Vec<(String, usize)>);
+        let mut scope_data: BTreeMap<(usize, usize), Scoped> = BTreeMap::new();
         for (file, src) in sources.iter().enumerate() {
             for scope in analyze_fns(src) {
                 let acquires: Vec<(String, usize)> = scope

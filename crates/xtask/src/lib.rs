@@ -31,10 +31,9 @@ use std::collections::BTreeSet;
 use std::io;
 use std::path::Path;
 
-/// Crates whose `src/` trees are subject to L1 (no-panic) and L2
-/// (lossy-cast) — the library crates on the inference path. `tg-bench` is
-/// a harness (panicking with context is its job) and `tg-xtask` analyzes
-/// rather than serves, so neither is listed.
+/// The library crates on the inference path, whose `src/` and `tests/`
+/// trees the walker lints. `tg-bench` is a harness and `tg-xtask`
+/// analyzes rather than serves, so neither is listed.
 pub const LIBRARY_CRATES: &[&str] = &[
     "crates/tensor",
     "crates/tgraph",
@@ -47,22 +46,9 @@ pub const LIBRARY_CRATES: &[&str] = &[
 ];
 
 /// Harness directories — `examples/` and the bench binaries. Covered by
-/// the panic/cast/concurrency/determinism lints (an example that panics
-/// is the first thing a new user runs into) and included in the
-/// call-graph file set, but exempt from the file-list-gated L3/L4/L8.
+/// the concurrency and determinism lints and included in the call-graph
+/// file set, but exempt from the file-list-gated L4/L8.
 pub const HARNESS_DIRS: &[&str] = &["examples", "crates/bench/src/bin"];
-
-/// Hot-path files where SipHash maps are banned (L3): the §4 memoization,
-/// dedup, and time-encode caches, their key packing, and their snapshot
-/// codec.
-pub const HOT_HASH_FILES: &[&str] = &[
-    "crates/core/src/cache.rs",
-    "crates/core/src/dedup.rs",
-    "crates/core/src/fingerprint.rs",
-    "crates/core/src/timecache.rs",
-    "crates/core/src/hash.rs",
-    "crates/core/src/persist.rs",
-];
 
 /// Files holding shared cache state whose public mutators must document
 /// `# Invariants` (L4).
@@ -105,9 +91,8 @@ impl LintReport {
 ///
 /// Coverage per crate in [`LIBRARY_CRATES`]:
 ///
-/// * `src/` **including `src/bin/`** — full scope (L1–L4 per the file
-///   lists above, L6–L8 everywhere). A panicking `src/bin` target is still
-///   a panicking release artifact, so bins are no longer exempt.
+/// * `src/` **including `src/bin/`** — full scope (L4 and L8 per the
+///   file lists above, L6, L7 and L11 everywhere).
 /// * `tests/` — concurrency lints only (L6, L7): panics are the harness's
 ///   failure mechanism, but a guard held across a blocking call deadlocks
 ///   CI just as hard in a test.
@@ -191,35 +176,20 @@ pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
                 .unwrap_or(&path)
                 .to_string_lossy()
                 .replace('\\', "/");
+            // L5 is checked per crate below, not per file.
             let scope = match kind {
-                // Concurrency lints only (plus the unsafe audit — unsafe
-                // in a test deserves its safety argument just as much);
-                // L5 edges are aggregated below.
-                Kind::Test => Scope {
-                    atomics: true,
-                    lock_across: true,
-                    unsafe_audit: true,
-                    ..Scope::default()
-                },
+                Kind::Test => Scope { atomics: true, lock_across: true, ..Scope::default() },
                 Kind::Src => Scope {
-                    panic: true,
-                    lossy_cast: true,
-                    std_hash: HOT_HASH_FILES.contains(&rel.as_str()),
                     invariants: CACHE_STATE_FILES.contains(&rel.as_str()),
-                    lock_order: false, // checked per crate, not per file
                     atomics: true,
                     lock_across: true,
                     counters: COUNTER_FILES.contains(&rel.as_str()),
-                    unsafe_audit: true,
                     float_determinism: true,
                     ..Scope::default()
                 },
                 Kind::Harness => Scope {
-                    panic: true,
-                    lossy_cast: true,
                     atomics: true,
                     lock_across: true,
-                    unsafe_audit: true,
                     float_determinism: true,
                     ..Scope::default()
                 },
@@ -322,7 +292,7 @@ mod scope_tests {
     #[test]
     fn every_scoped_path_exists() {
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let lists = [LIBRARY_CRATES, HARNESS_DIRS, HOT_HASH_FILES, CACHE_STATE_FILES, COUNTER_FILES];
+        let lists = [LIBRARY_CRATES, HARNESS_DIRS, CACHE_STATE_FILES, COUNTER_FILES];
         let missing: Vec<&str> = lists.iter().flat_map(|l| l.iter()).copied().filter(|p| !root.join(p).exists()).collect();
         assert!(missing.is_empty(), "scoped paths that do not exist: {missing:?}");
     }
@@ -345,9 +315,6 @@ mod fixture_tests {
 
     fn scope_for(lint: Lint) -> Scope {
         Scope {
-            panic: lint == Lint::Panic,
-            lossy_cast: lint == Lint::LossyCast,
-            std_hash: lint == Lint::StdHash,
             invariants: lint == Lint::MissingInvariants,
             lock_order: lint == Lint::LockOrder,
             atomics: lint == Lint::Atomics,
@@ -356,46 +323,9 @@ mod fixture_tests {
             panic_reach: lint == Lint::PanicReach,
             lock_held: lint == Lint::LockHeldEffects,
             deadline: lint == Lint::DeadlineSafety,
-            unsafe_audit: lint == Lint::UnsafeAudit,
             float_determinism: lint == Lint::FloatDeterminism,
             error_coverage: lint == Lint::ErrorCoverage,
         }
-    }
-
-    #[test]
-    fn l1_pass_fixture_is_clean() {
-        assert_eq!(lint_fixture("l1_pass.rs", scope_for(Lint::Panic)).len(), 0);
-    }
-
-    #[test]
-    fn l1_fail_fixture_fires_once_per_panic_site() {
-        let f = lint_fixture("l1_fail.rs", scope_for(Lint::Panic));
-        assert_eq!(f.len(), 4, "findings: {f:?}");
-        assert!(f.iter().all(|x| x.lint == Lint::Panic));
-    }
-
-    #[test]
-    fn l2_pass_fixture_is_clean() {
-        assert_eq!(lint_fixture("l2_pass.rs", scope_for(Lint::LossyCast)).len(), 0);
-    }
-
-    #[test]
-    fn l2_fail_fixture_fires_on_each_narrowing_cast() {
-        let f = lint_fixture("l2_fail.rs", scope_for(Lint::LossyCast));
-        assert_eq!(f.len(), 4, "findings: {f:?}");
-        assert!(f.iter().all(|x| x.lint == Lint::LossyCast));
-    }
-
-    #[test]
-    fn l3_pass_fixture_is_clean() {
-        assert_eq!(lint_fixture("l3_pass.rs", scope_for(Lint::StdHash)).len(), 0);
-    }
-
-    #[test]
-    fn l3_fail_fixture_fires_on_std_maps() {
-        let f = lint_fixture("l3_fail.rs", scope_for(Lint::StdHash));
-        assert_eq!(f.len(), 2, "findings: {f:?}");
-        assert!(f.iter().all(|x| x.lint == Lint::StdHash));
     }
 
     #[test]
@@ -529,23 +459,8 @@ mod fixture_tests {
     }
 
     #[test]
-    fn l15_pass_fixture_is_clean() {
-        assert_eq!(lint_fixture("l15_pass.rs", scope_for(Lint::UnsafeAudit)).len(), 0);
-    }
-
-    #[test]
-    fn l15_fail_fixture_fires_on_unjustified_unsafe() {
-        let f = lint_fixture("l15_fail.rs", scope_for(Lint::UnsafeAudit));
-        assert_eq!(f.len(), 3, "findings: {f:?}");
-        assert!(f.iter().all(|x| x.lint == Lint::UnsafeAudit));
-    }
-
-    #[test]
     fn fail_fixtures_fire_under_the_full_scope_too() {
         for name in [
-            "l1_fail.rs",
-            "l2_fail.rs",
-            "l3_fail.rs",
             "l4_fail.rs",
             "l5_fail.rs",
             "l6_fail.rs",
@@ -556,7 +471,6 @@ mod fixture_tests {
             "l12_fail.rs",
             "l13_fail.rs",
             "l14_fail.rs",
-            "l15_fail.rs",
         ] {
             assert!(
                 !lint_fixture(name, Scope::all()).is_empty(),

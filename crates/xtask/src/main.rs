@@ -14,29 +14,29 @@ Usage: cargo run -p tg-xtask -- lint [--format text|json] [--root PATH]
 crates (src/, src/bin/, tests/), the harness code (examples/, bench
 binaries), and the root integration suite:
 
-  L1 panic               L5 lock-order        (per-crate acquisition graph)
-  L2 lossy-cast          L6 atomics           (Relaxed control signals, torn RMW)
-  L3 std-hash            L7 lock-across       (guards held across expensive calls)
-  L4 missing-invariants  L8 unguarded-counter (accounting bypassing snapshot/merge)
+  L4 missing-invariants  L5 lock-order        (per-crate acquisition graph)
+  L6 atomics             (Relaxed control signals, torn RMW)
+  L7 lock-across         (guards held across expensive calls)
+  L8 unguarded-counter   (accounting bypassing snapshot/merge)
   L10 panic-reach        (effect-summary reachability from `// hot-path-root`
                           annotations)
   L11 float-determinism  L12 error-coverage   (TgError constructed AND matched)
   L13 lock-held-effects  L14 deadline-safety  (transitive effects under guards /
                                                unbounded waits on the serve path)
-  L15 unsafe-audit       L16 effects-drift    (`// safety:` justifications /
-                                               summaries vs committed effects.lock)
+  L16 effects-drift      (summaries vs committed effects.lock)
 
 L16 compares every hot-path root's effect summary with effects.lock at
 the workspace root; regenerate it in place with
 UPDATE_EFFECTS_LOCK=1 cargo run -q -p tg-xtask -- lint.
 
 There is no L9: the hot path's allocations are counted by
-tests/alloc_gate.rs. The canonical lock order and control-atomics list
-live in concurrency.toml at the workspace root. See DESIGN.md \"Error
-handling & lint policy\", \"Concurrency model\", and \"Effect inference
-(L13-L16)\" for what each lint means and the
-`// lint: allow(<name>, <reason>)` / `// relaxed-ok: <reason>` /
-`// cold-path: <reason>` / `// safety: <reason>` /
+tests/alloc_gate.rs. There is no L1-L3 or L15: clippy checks panics,
+lossy casts, SipHash maps and unsafe justifications (scripts/check.sh's
+clippy step). The canonical lock order and control-atomics list live in
+concurrency.toml at the workspace root. See DESIGN.md \"Error handling &
+lint policy\", \"Concurrency model\", and \"Effect inference (L13-L16)\"
+for what each lint means and the `// lint: allow(<name>, <reason>)` /
+`// relaxed-ok: <reason>` / `// cold-path: <reason>` /
 `// bounded-by: <reason>` escape hatches.";
 
 fn main() -> ExitCode {

@@ -1,9 +1,8 @@
 //! Shared call-pattern tables: the single source of truth for the call
 //! classifications used by more than one rule.
 //!
-//! * [`PANIC_PATTERNS`] — panicking constructs. L1 (`panic`) flags them at
-//!   file scope; L10 (`panic-reach`) flags them anywhere transitively
-//!   reachable from a serve hot-path root.
+//! * [`PANIC_PATTERNS`] — panicking constructs. L10 (`panic-reach`) flags
+//!   them anywhere transitively reachable from a serve hot-path root.
 //! * [`EXPENSIVE_CALLS`] — calls that must not run under a lock guard
 //!   (L7 `lock-across`), and that the call-graph walker treats as leaf
 //!   externals rather than workspace edges.
@@ -14,7 +13,7 @@
 //! automatically considered by its siblings — the L7/L13/L14 drift this
 //! file exists to prevent.
 
-/// Panicking constructs, with the message L1/L10 attach to a finding.
+/// Panicking constructs, with the message L10 attaches to a finding.
 pub const PANIC_PATTERNS: &[(&str, &str)] = &[
     (".unwrap()", "`.unwrap()` panics on Err/None; return a `TgError` instead"),
     (".expect(", "`.expect(...)` panics on Err/None; return a `TgError` instead"),

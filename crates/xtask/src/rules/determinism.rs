@@ -107,7 +107,7 @@ fn hash_iteration_accumulation(src: &SourceFile, out: &mut Vec<Finding>) {
             let after_in = at + rel_in + 4;
             let Some(rel_open) = src.code[after_in..].find('{') else { continue };
             let head = &src.code[after_in..after_in + rel_open];
-            if !bounded_matches(head, name).next().is_some() {
+            if bounded_matches(head, name).next().is_none() {
                 continue;
             }
             let open = after_in + rel_open;

@@ -142,7 +142,7 @@ pub fn lint_error_coverage(sources: &[&SourceFile]) -> Vec<Finding> {
             });
         }
     }
-    out.sort_by(|a, b| (a.line, a.message.clone()).cmp(&(b.line, b.message.clone())));
+    out.sort_by_key(|f| (f.line, f.message.clone()));
     out
 }
 
@@ -245,7 +245,7 @@ fn occurrence_is_match(code: &str, at: usize, after: usize, name: &str) -> bool 
     }
     // Backward: statement window up to the occurrence.
     let stmt = code[..at]
-        .rfind(|c| c == ';' || c == '{' || c == '}')
+        .rfind([';', '{', '}'])
         .map_or(0, |p| p + 1);
     let window = &code[stmt..at];
     window.contains("matches!") || window.contains("if let") || window.contains("while let")

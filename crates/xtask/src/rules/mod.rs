@@ -1,18 +1,13 @@
 //! The repo-specific lints (see DESIGN.md "Error handling & lint policy"
-//! and "Concurrency model").
+//! and "Concurrency model"). There is no L1–L3 and no L15: clippy and
+//! rustc check panics, lossy casts, SipHash maps and unsafe
+//! justifications, at the levels in the root Cargo.toml's
+//! `[workspace.lints]` table, and the numbers of the other lints are kept.
 //!
-//! Line-oriented policy rules ([`basic`]):
+//! - **L4 `missing-invariants`** ([`invariants`]) — `pub fn`s mutating
+//!   shared cache state must document an `# Invariants` section.
 //!
-//! - **L1 `panic`** — no `.unwrap()` / `.expect(...)` / `panic!` /
-//!   `unreachable!` / `todo!` / `unimplemented!` in non-test library code.
-//! - **L2 `lossy-cast`** — no narrowing numeric casts without an
-//!   annotation stating why the value fits.
-//! - **L3 `std-hash`** — hot-path files must use `FxHashMap`/`FxHashSet`,
-//!   never SipHash `std::collections` maps.
-//! - **L4 `missing-invariants`** — `pub fn`s mutating shared cache state
-//!   must document an `# Invariants` section.
-//!
-//! Concurrency-safety rules (this PR's [`concurrency`], [`atomics`], and
+//! Concurrency-safety rules (the [`concurrency`], [`atomics`], and
 //! [`counters`] modules, backed by the [`crate::scopes`] walker and the
 //! `concurrency.toml` manifest):
 //!
@@ -53,9 +48,6 @@
 //!   order).
 //! - **L14 `deadline-safety`** — no unbounded blocking construct reachable
 //!   from a root without a `// bounded-by: <reason>` annotation.
-//! - **L15 `unsafe-audit`** ([`unsafe_audit`]) — every `unsafe` block, fn,
-//!   trait, or impl outside `vendor/` needs a `// safety: <reason>`
-//!   justification.
 //! - **L16 `effects-drift`** — hot-path-root summaries must match the
 //!   committed `effects.lock` (whole-workspace only; regenerate with
 //!   `UPDATE_EFFECTS_LOCK=1`).
@@ -68,13 +60,12 @@
 //! [`crate::callgraph`].
 
 pub mod atomics;
-pub mod basic;
 pub mod calls;
 pub mod concurrency;
 pub mod counters;
 pub mod determinism;
 pub mod errors;
-pub mod unsafe_audit;
+pub mod invariants;
 
 pub use concurrency::{check_lock_graph, extract_lock_edges, LockEdge};
 pub use errors::lint_error_coverage;
@@ -85,9 +76,6 @@ use crate::source::SourceFile;
 /// Which lint produced a finding.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Lint {
-    Panic,
-    LossyCast,
-    StdHash,
     MissingInvariants,
     LockOrder,
     Atomics,
@@ -103,8 +91,6 @@ pub enum Lint {
     LockHeldEffects,
     /// L14 — unbounded blocking reachable from the serve deadline path.
     DeadlineSafety,
-    /// L15 — `unsafe` without a `// safety: <reason>` justification.
-    UnsafeAudit,
     /// L16 — root effect summaries drifted from the committed
     /// `effects.lock`.
     EffectsDrift,
@@ -114,9 +100,6 @@ impl Lint {
     /// The name used in `// lint: allow(...)` annotations and JSON output.
     pub fn name(self) -> &'static str {
         match self {
-            Lint::Panic => "panic",
-            Lint::LossyCast => "lossy-cast",
-            Lint::StdHash => "std-hash",
             Lint::MissingInvariants => "missing-invariants",
             Lint::LockOrder => "lock-order",
             Lint::Atomics => "atomics",
@@ -127,7 +110,6 @@ impl Lint {
             Lint::ErrorCoverage => "error-coverage",
             Lint::LockHeldEffects => "lock-held-effects",
             Lint::DeadlineSafety => "deadline-safety",
-            Lint::UnsafeAudit => "unsafe-audit",
             Lint::EffectsDrift => "effects-drift",
         }
     }
@@ -146,9 +128,7 @@ pub struct Finding {
 /// the file's crate and path).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Scope {
-    pub panic: bool,
-    pub lossy_cast: bool,
-    pub std_hash: bool,
+    /// L4.
     pub invariants: bool,
     /// L5. In a whole-workspace run the walker disables this per-file flag
     /// and checks the aggregated per-crate graph instead (a cycle can span
@@ -171,8 +151,6 @@ pub struct Scope {
     pub lock_held: bool,
     /// L14. Same per-file/workspace split as L10.
     pub deadline: bool,
-    /// L15. Purely per-file.
-    pub unsafe_audit: bool,
     /// L11.
     pub float_determinism: bool,
     /// L12. In a whole-workspace run the walker checks construction and
@@ -184,9 +162,6 @@ pub struct Scope {
 impl Scope {
     pub fn all() -> Self {
         Self {
-            panic: true,
-            lossy_cast: true,
-            std_hash: true,
             invariants: true,
             lock_order: true,
             atomics: true,
@@ -195,17 +170,9 @@ impl Scope {
             panic_reach: true,
             lock_held: true,
             deadline: true,
-            unsafe_audit: true,
             float_determinism: true,
             error_coverage: true,
         }
-    }
-
-    /// The scope for integration-test files of covered crates: panics are
-    /// the test harness's failure mechanism, but a deadlock or a guard
-    /// held across a blocking call hangs CI just as hard in a test.
-    pub fn concurrency_only() -> Self {
-        Self { lock_order: true, atomics: true, lock_across: true, ..Self::default() }
     }
 }
 
@@ -222,17 +189,8 @@ pub fn lint_source_with(
     manifest: &ConcurrencyManifest,
 ) -> Vec<Finding> {
     let mut out = Vec::new();
-    if scope.panic {
-        basic::lint_panic(src, &mut out);
-    }
-    if scope.lossy_cast {
-        basic::lint_lossy_cast(src, &mut out);
-    }
-    if scope.std_hash {
-        basic::lint_std_hash(src, &mut out);
-    }
     if scope.invariants {
-        basic::lint_invariants(src, &mut out);
+        invariants::lint_invariants(src, &mut out);
     }
     if scope.lock_order {
         let edges = concurrency::extract_lock_edges(src);
@@ -249,9 +207,6 @@ pub fn lint_source_with(
     }
     if scope.float_determinism {
         determinism::lint_float_determinism(src, &mut out);
-    }
-    if scope.unsafe_audit {
-        unsafe_audit::lint_unsafe_audit(src, &mut out);
     }
     if scope.panic_reach || scope.lock_held || scope.deadline {
         // Single-file effect inference (fixtures): the file's own

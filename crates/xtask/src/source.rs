@@ -3,7 +3,7 @@
 //! The lints are deliberately source-level (no syn, no rustc — the registry
 //! is offline), so correctness hinges on a faithful *lexical* pass: rule
 //! patterns must never match inside comments or string literals, and
-//! `#[cfg(test)]` modules are exempt from the panic/cast policies. This
+//! `#[cfg(test)]` modules are exempt from the per-file policies. This
 //! module produces a blanked "code view" of the file (same byte offsets,
 //! comment and string interiors replaced by spaces), the per-line
 //! `// lint: allow(...)` annotations, and the test-module line mask.
@@ -13,7 +13,7 @@
 pub struct Allow {
     /// 1-based line the annotation sits on (and therefore exempts).
     pub line: usize,
-    /// Lint name: `panic`, `lossy-cast`, `std-hash`, or `missing-invariants`.
+    /// Lint name, e.g. `missing-invariants` or `lock-across`.
     pub name: String,
     /// Optional free-text justification after the comma.
     pub reason: Option<String>,
@@ -39,10 +39,6 @@ pub struct SourceFile {
     /// below is pruned from the reachability closures (setup/teardown code
     /// that a hot root calls once per lifetime, not per batch).
     pub cold_paths: Vec<usize>,
-    /// 1-based lines carrying a `// safety: <reason>` annotation with a
-    /// non-empty reason (the L15 `unsafe-audit` justification; on a fn /
-    /// impl declaration line it covers the whole item).
-    pub safety_ok: Vec<usize>,
     /// 1-based lines carrying a `// bounded-by: <reason>` annotation with a
     /// non-empty reason (the L14 `deadline-safety` justification for a
     /// blocking call reachable from a serve root).
@@ -67,7 +63,6 @@ impl SourceFile {
         let allows = parse_allows(&comments, &line_starts);
         let relaxed_ok = parse_reasoned(&comments, &line_starts, "relaxed-ok:");
         let cold_paths = parse_reasoned(&comments, &line_starts, "cold-path:");
-        let safety_ok = parse_reasoned(&comments, &line_starts, "safety:");
         let bounded_by = parse_reasoned(&comments, &line_starts, "bounded-by:");
         let hot_roots = parse_hot_roots(&comments, &line_starts);
         let in_test = test_line_mask(&code, &line_starts);
@@ -78,7 +73,6 @@ impl SourceFile {
             allows,
             relaxed_ok,
             cold_paths,
-            safety_ok,
             bounded_by,
             hot_roots,
             line_starts,
@@ -114,12 +108,6 @@ impl SourceFile {
     /// mandatory).
     pub fn has_cold_path(&self, line: usize) -> bool {
         self.cold_paths.contains(&line)
-    }
-
-    /// True if `line` carries a `// safety: <reason>` annotation (reason
-    /// mandatory).
-    pub fn has_safety_ok(&self, line: usize) -> bool {
-        self.safety_ok.contains(&line)
     }
 
     /// True if `line` carries a `// bounded-by: <reason>` annotation
@@ -223,9 +211,7 @@ fn blank_non_code(text: &str) -> (String, String) {
                 // closes within a few bytes; a lifetime is `'ident` with no
                 // closing quote.
                 if let Some(end) = char_literal_end(bytes, i) {
-                    for j in i + 1..end - 1 {
-                        code[j] = b' ';
-                    }
+                    code[i + 1..end - 1].fill(b' ');
                     i = end;
                 } else {
                     i += 1;
@@ -342,7 +328,7 @@ fn parse_allows(comments: &str, line_starts: &[usize]) -> Vec<Allow> {
 }
 
 /// Extracts `<marker> <reason>` annotations (`relaxed-ok:`, `cold-path:`,
-/// `safety:`, `bounded-by:`) from comment text. Only annotations with a
+/// `bounded-by:`) from comment text. Only annotations with a
 /// non-empty reason are recorded — the justification is the point of the escape
 /// hatch, so a bare marker does not suppress anything.
 fn parse_reasoned(comments: &str, line_starts: &[usize], marker: &str) -> Vec<usize> {
@@ -451,13 +437,13 @@ mod tests {
 
     #[test]
     fn allow_annotations_are_parsed_with_reasons() {
-        let src = "let x = n as f32; // lint: allow(lossy-cast, n < 2^24)\nlet y = 1;\n";
+        let src = "let g = m.lock(); // lint: allow(lock-across, init only)\nlet y = 1;\n";
         let f = SourceFile::parse("t.rs", src);
         assert_eq!(f.allows.len(), 1);
-        assert_eq!(f.allows[0].name, "lossy-cast");
-        assert_eq!(f.allows[0].reason.as_deref(), Some("n < 2^24"));
-        assert!(f.is_allowed(1, "lossy-cast"));
-        assert!(!f.is_allowed(2, "lossy-cast"));
+        assert_eq!(f.allows[0].name, "lock-across");
+        assert_eq!(f.allows[0].reason.as_deref(), Some("init only"));
+        assert!(f.is_allowed(1, "lock-across"));
+        assert!(!f.is_allowed(2, "lock-across"));
     }
 
     #[test]
@@ -498,16 +484,12 @@ mod tests {
     }
 
     #[test]
-    fn safety_and_bounded_by_require_reasons() {
-        let src = "unsafe { ptr.read() } // safety: caller checked bounds\n\
-                   unsafe { ptr.read() } // safety:\n\
-                   let w = rx.recv(); // bounded-by: sender closes on shutdown\n\
+    fn bounded_by_requires_a_reason() {
+        let src = "let w = rx.recv(); // bounded-by: sender closes on shutdown\n\
                    let v = rx.recv(); // bounded-by:\n";
         let f = SourceFile::parse("t.rs", src);
-        assert!(f.has_safety_ok(1));
-        assert!(!f.has_safety_ok(2), "a reason is mandatory");
-        assert!(f.has_bounded_by(3));
-        assert!(!f.has_bounded_by(4), "a reason is mandatory");
+        assert!(f.has_bounded_by(1));
+        assert!(!f.has_bounded_by(2), "a reason is mandatory");
     }
 
     #[test]

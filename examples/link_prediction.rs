@@ -73,7 +73,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map(|e| e.dst)
         .min()
         .ok_or("empty interaction stream")?;
-    let n_items = data.stream.num_nodes() as u32 - first_item; // lint: allow(lossy-cast, node counts are u32-sized by construction of the bipartite encoding)
+    #[expect(clippy::cast_possible_truncation, reason = "node counts are u32-sized by construction of the bipartite encoding")]
+    let n_items = data.stream.num_nodes() as u32 - first_item;
     let candidates: Vec<u32> = (0..5)
         .map(|k| if k == 0 { item } else { first_item + (item - first_item + k * 7) % n_items })
         .collect();

@@ -56,7 +56,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for e in data.stream.edges() {
         counts[e.dst as usize] += 1;
     }
-    let mut popular: Vec<u32> = (users as u32..(users + items) as u32).collect(); // lint: allow(lossy-cast, user/item counts are u32-sized node ids)
+    #[expect(clippy::cast_possible_truncation, reason = "user/item counts are u32-sized node ids")]
+    let mut popular: Vec<u32> = (users as u32..(users + items) as u32).collect();
     popular.sort_by_key(|&i| std::cmp::Reverse(counts[i as usize]));
     popular.truncate(8);
 

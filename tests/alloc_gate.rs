@@ -128,12 +128,12 @@ const PINNED: &[(&str, u64)] = &[
     ("(a) embed_batch, none(), live view", 14),
     // 6,304 stored rows, one boxed row each; per store, the entry list,
     // the distinct-key set, shard-map growth and FIFO growth (164); per
-    // layer-1 miss set, miss_idx's growth and the miss ids, times and
-    // keys (142); per batch, (a)'s 18 plus the sampler buffers, mask and
+    // layer-1 miss set, miss_idx (sized from the hit count) and the miss
+    // ids, times and keys (12 x 4 = 48); per batch, (a)'s 18 plus the sampler buffers, mask and
     // id concatenation of the layer-1 misses (12 x 24 = 288); the scratch
     // pool's first fill (15); the edge-projection table's pages and the
     // projector's reused buffers growing to the largest call (50).
-    ("(b) first 12 cold replay batches, all()", 6963),
+    ("(b) first 12 cold replay batches, all()", 6869),
     // The ticket's slot (1), the wave Vec (1), the live partition, target
     // list and row copy of process_wave (3), coalesce's plan and index
     // (4), and (a)'s 18 for a one-row batch.

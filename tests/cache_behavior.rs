@@ -73,9 +73,9 @@ fn batch_sized_store_evicts_in_key_order() {
 
     let mut out = Tensor::full(N, DIM, -1.0);
     let hit = cache.lookup(&keys, &mut out, true).unwrap();
-    for i in 0..N {
-        assert_eq!(hit[i], i >= EXTRA, "key {i}: the {EXTRA} oldest go first");
-        let want = if hit[i] { rows.row(i).to_vec() } else { vec![-1.0; DIM] };
+    for (i, &h) in hit.iter().enumerate() {
+        assert_eq!(h, i >= EXTRA, "key {i}: the {EXTRA} oldest go first");
+        let want = if h { rows.row(i).to_vec() } else { vec![-1.0; DIM] };
         assert_eq!(out.row(i), want.as_slice(), "row {i}");
     }
     let mut tail = Tensor::zeros(EXTRA, DIM);

@@ -203,7 +203,7 @@ proptest! {
             n_heads,
             n_neighbors: k_per,
         };
-        let params = TgatParams::init(cfg.clone(), seed).expect("valid config");
+        let params = TgatParams::init(cfg, seed).expect("valid config");
         let layer = &params.layers[0];
 
         let n = ATTENTION_TARGETS[n_pick];

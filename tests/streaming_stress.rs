@@ -305,7 +305,7 @@ fn batched_clients_racing_ingest_and_invalidation_keep_the_books() {
         .take(WAVE)
         .collect();
     let ts = vec![t_query; WAVE];
-    let base_edges = bundle.graph.num_edges() as usize;
+    let base_edges = bundle.graph.num_edges();
 
     let cfg = ServeConfig::default()
         .with_workers(2)
