@@ -53,10 +53,9 @@ impl ModelBundle {
     /// Validates feature shapes against the model configuration and the
     /// tables' lengths against the graph (a row per node id, and one per
     /// edge id up to the largest), with [`TgError::InvalidArgument`] for a
-    /// short table. The graph is frozen here (reads are unchanged; see
-    /// `TemporalGraph::freeze`) and its edit log dropped, so every
-    /// downstream consumer — engines, the live view — shares one compact
-    /// immutable base, which `LiveGraph::from_shared` need not copy.
+    /// short table. The graph's edit log is dropped, so every downstream
+    /// consumer — engines, the live view — shares one immutable base,
+    /// which `LiveGraph::from_shared` need not copy.
     pub fn new(
         params: TgatParams,
         mut graph: TemporalGraph,
@@ -94,7 +93,6 @@ impl ModelBundle {
             )));
         }
         graph.forget_edits();
-        graph.freeze();
         Ok(Self { params, graph: Arc::new(graph), node_features, edge_features })
     }
 

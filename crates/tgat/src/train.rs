@@ -314,9 +314,7 @@ pub fn train_with_options(
             let mut plist = params.param_list_mut();
             opt.step(&mut plist, &grad_refs);
 
-            for e in batch.edges {
-                graph.insert(e);
-            }
+            graph.extend(batch.edges);
         }
         #[expect(clippy::cast_possible_truncation, clippy::cast_precision_loss, reason = "mean loss scalar; f32 report precision suffices")]
         epoch_losses.push((loss_sum / loss_count.max(1) as f64) as f32);
@@ -357,9 +355,7 @@ pub fn train_with_options(
             pos_scores.extend_from_slice(pos.as_slice());
             neg_scores.extend_from_slice(neg.as_slice());
         }
-        for e in batch.edges {
-            graph.insert(e);
-        }
+        graph.extend(batch.edges);
     }
 
     TrainReport { epoch_losses, val_auc: predictor::auc(&pos_scores, &neg_scores) }

@@ -11,27 +11,18 @@ pub struct AdjEntry {
     pub eid: EdgeId,
 }
 
-/// Physical layout of the adjacency.
-///
-/// * `Dynamic` — per-node growable vectors; O(1) chronological insertion.
-/// * `Frozen` — a single flat CSR buffer (TGL's T-CSR): one allocation,
-///   sequential per-node entries, better cache behavior for the sampler's
-///   binary search + suffix scan. Built by [`TemporalGraph::freeze`];
-///   mutation transparently thaws back to `Dynamic`.
-#[derive(Clone, Debug)]
-enum Storage {
-    Dynamic(Vec<Vec<AdjEntry>>),
-    Frozen { indptr: Vec<usize>, entries: Vec<AdjEntry> },
-}
-
-/// A dynamic graph as per-node, time-sorted adjacency lists.
+/// A dynamic graph as one time-sorted CSR adjacency (TGL's T-CSR): node
+/// `n`'s interactions are `entries[indptr[n]..indptr[n + 1]]`, one flat
+/// buffer the sampler's binary search and suffix scan read sequentially.
 ///
 /// Interactions are undirected (both endpoints see each other), following
 /// the paper's treatment of all datasets as undirected graphs (§5.1.1).
-/// Each node's list is kept sorted by timestamp so the most-recent sampler
-/// can binary-search the temporal cutoff `t_j < t`.
+/// Each node's slice is sorted by timestamp, equal times in submission
+/// order, so the most-recent sampler can binary-search the temporal cutoff
+/// `t_j < t`.
 ///
-/// Every [`TemporalGraph::insert`] and [`TemporalGraph::delete_edge`] is
+/// Every edge added by [`TemporalGraph::extend`] (or
+/// [`TemporalGraph::insert`]) and every [`TemporalGraph::delete_edge`] is
 /// an *edit*: it advances the graph's [`Versioned::epoch`] and is
 /// logged at both endpoints, so a row memoized at an earlier epoch can be
 /// checked against what changed since ([`Versioned`]).
@@ -40,7 +31,8 @@ enum Storage {
 /// original is another history.
 #[derive(Clone, Debug)]
 pub struct TemporalGraph {
-    storage: Storage,
+    indptr: Vec<usize>,
+    entries: Vec<AdjEntry>,
     num_edges: usize,
     edits: Edits,
 }
@@ -68,128 +60,139 @@ impl Edits {
         }
     }
 
+    /// Records each of `edges` as its own edit, the first at `first_epoch`.
+    fn log_each(&mut self, edges: &[Edge], first_epoch: u64) {
+        for (epoch, e) in (first_epoch..).zip(edges) {
+            self.log([e.src, e.dst], e.time, epoch);
+        }
+    }
+
     fn of(&self, node: NodeId) -> &[(u64, Time)] {
         self.by_node.get(node as usize).map_or(&[], |v| v.as_slice())
     }
 }
 
+/// Time order for the stable sort of a node's new entries. `+ 0.0` makes
+/// -0.0 equal to 0.0, so ties are exactly those of `<=`; `total_cmp` keeps
+/// a NaN time from making the order inconsistent.
+fn by_time(a: &AdjEntry, b: &AdjEntry) -> std::cmp::Ordering {
+    (a.time + 0.0).total_cmp(&(b.time + 0.0))
+}
+
 impl TemporalGraph {
     /// An empty graph over `num_nodes` node ids.
     pub fn with_nodes(num_nodes: usize) -> Self {
-        Self { storage: Storage::Dynamic(vec![Vec::new(); num_nodes]), num_edges: 0, edits: Edits::default() }
+        Self { indptr: vec![0; num_nodes + 1], entries: Vec::new(), num_edges: 0, edits: Edits::default() }
     }
 
-    /// Builds a graph containing every interaction of the stream, in the
-    /// compact frozen layout (replay workloads are read-only). Building
+    /// Builds a graph containing every interaction of the stream. Building
     /// is not editing: the graph starts at epoch 0 with nothing logged.
     pub fn from_stream(stream: &EdgeStream) -> Self {
-        let mut g = Self::with_nodes(stream.num_nodes());
-        for e in stream.edges() {
-            g.push(e);
-        }
-        g.freeze();
-        g
+        Self::with_nodes(stream.num_nodes()).merged(stream.edges(), Edits::default())
     }
 
-    /// Compacts the adjacency into a single flat CSR buffer. Idempotent;
-    /// afterwards reads are allocation-local and [`TemporalGraph::is_frozen`]
-    /// reports true until the next mutation.
-    pub fn freeze(&mut self) {
-        let Storage::Dynamic(adj) = &self.storage else { return };
-        let mut indptr = Vec::with_capacity(adj.len() + 1);
-        let total: usize = adj.iter().map(|v| v.len()).sum();
-        let mut entries = Vec::with_capacity(total);
+    /// The one routine that orders adjacency: this graph's entries plus
+    /// both directions of each of `edges`, as a new graph carrying `edits`.
+    ///
+    /// Per node, the new entries are stably sorted by time (a check when
+    /// they arrived in order) and merged with the existing slice, existing
+    /// ones first at equal times. That is where inserting the edges one by
+    /// one in submission order would put each, so neighbour order never
+    /// depends on how the edges were batched. O(V + E + new entries).
+    fn merged(&self, edges: &[Edge], edits: Edits) -> Self {
+        let postings = || {
+            edges.iter().flat_map(|e| {
+                [(e.src, e.dst), (e.dst, e.src)].map(|(n, ngh)| (n as usize, AdjEntry { time: e.time, ngh, eid: e.eid }))
+            })
+        };
+        let num_nodes = postings().map(|(n, _)| n + 1).max().unwrap_or(0).max(self.indptr.len() - 1);
+        // Counting sort of the new entries by node, submission order kept.
+        let mut start = vec![0; num_nodes + 1];
+        for (n, _) in postings() {
+            start[n + 1] += 1;
+        }
+        for n in 0..num_nodes {
+            start[n + 1] += start[n];
+        }
+        let mut fresh = vec![AdjEntry { time: 0.0, ngh: 0, eid: 0 }; 2 * edges.len()];
+        let mut next = start.clone();
+        for (n, entry) in postings() {
+            fresh[next[n]] = entry;
+            next[n] += 1;
+        }
+        let mut indptr = Vec::with_capacity(num_nodes + 1);
+        let mut entries = Vec::with_capacity(self.entries.len() + fresh.len());
         indptr.push(0);
-        for list in adj {
-            entries.extend_from_slice(list);
+        for (n, w) in start.windows(2).enumerate() {
+            let new = &mut fresh[w[0]..w[1]];
+            if !new.is_sorted_by(|a, b| a.time <= b.time) {
+                new.sort_by(by_time);
+            }
+            let mut old = self.row(n);
+            for &entry in new.iter() {
+                let (before, after) = old.split_at(old.partition_point(|o| o.time <= entry.time));
+                entries.extend_from_slice(before);
+                entries.push(entry);
+                old = after;
+            }
+            entries.extend_from_slice(old);
             indptr.push(entries.len());
         }
-        self.storage = Storage::Frozen { indptr, entries };
+        Self { indptr, entries, num_edges: self.num_edges + edges.len(), edits }
     }
 
-    /// True if the adjacency currently uses the compact layout.
-    pub fn is_frozen(&self) -> bool {
-        matches!(self.storage, Storage::Frozen { .. })
-    }
-
-    /// Reverts to the growable layout (no-op if already dynamic).
-    fn thaw(&mut self) {
-        let Storage::Frozen { indptr, entries } = &self.storage else { return };
-        let adj = indptr
-            .windows(2)
-            .map(|w| entries[w[0]..w[1]].to_vec())
-            .collect();
-        self.storage = Storage::Dynamic(adj);
+    /// Adds every interaction of `edges` (both directions each), each
+    /// logged as its own edit in slice order: the same graph, epochs and
+    /// log as calling [`TemporalGraph::insert`] on each in turn, in one
+    /// pass over the graph. Out-of-order times are placed by time, after
+    /// any equal-time entries already present.
+    pub fn extend(&mut self, edges: &[Edge]) {
+        let first_epoch = self.edits.epoch + 1;
+        let edits = std::mem::take(&mut self.edits);
+        *self = self.merged(edges, edits);
+        self.edits.log_each(edges, first_epoch);
     }
 
     /// Inserts one interaction (both directions), as one logged edit.
-    ///
-    /// Appending is O(1) when events arrive chronologically (the normal
-    /// replay case); out-of-order events fall back to sorted insertion so the
-    /// per-node time order invariant always holds. A frozen graph thaws.
+    /// O(E): it rewrites the whole adjacency, so add a batch with
+    /// [`TemporalGraph::extend`].
     pub fn insert(&mut self, e: &Edge) {
-        self.push(e);
-        self.edits.log([e.src, e.dst], e.time, self.edits.epoch + 1);
+        self.extend(std::slice::from_ref(e));
     }
 
-    /// [`TemporalGraph::insert`] without the log entry: for building a
-    /// graph nothing has read yet (`from_stream`), and under
-    /// [`TemporalGraph::fold`].
-    pub(crate) fn push(&mut self, e: &Edge) {
-        self.thaw();
-        // `thaw` always leaves the storage dynamic, so the guard never skips.
-        if let Storage::Dynamic(adj) = &mut self.storage {
-            let max = e.src.max(e.dst) as usize;
-            if max >= adj.len() {
-                adj.resize(max + 1, Vec::new());
-            }
-            Self::insert_one(&mut adj[e.src as usize], AdjEntry { time: e.time, ngh: e.dst, eid: e.eid });
-            Self::insert_one(&mut adj[e.dst as usize], AdjEntry { time: e.time, ngh: e.src, eid: e.eid });
-            self.num_edges += 1;
-        }
+    /// A live graph's compacted base: this graph plus its appends `log`,
+    /// append `base_seq + i` logged at epoch `base_seq + i + 1`, the epoch
+    /// of the first view that saw it, so [`Versioned::holds`] answers for
+    /// the base as a view does for its postings.
+    pub(crate) fn with_appends(&self, log: &[Edge], base_seq: u64) -> Self {
+        let mut base = self.merged(log, self.edits.clone());
+        base.edits.log_each(log, base_seq + 1);
+        base
     }
 
     /// Drops the edit log: the graph starts a new history at epoch 0. For
     /// a graph whose past edits no cache will ask about: one about to be
     /// shared read-only, or a live graph's base, whose log holds only
-    /// [`TemporalGraph::fold`]s.
+    /// its compacted appends.
     pub fn forget_edits(&mut self) {
         self.edits = Edits::default();
     }
 
-    /// Adds a live graph's append number `seq` to its compacted base,
-    /// logged at epoch `seq + 1`: the epoch of the first view that saw
-    /// it, so [`Versioned::holds`] answers for the base as a view does
-    /// for its postings.
-    pub(crate) fn fold(&mut self, e: &Edge, seq: u64) {
-        self.push(e);
-        self.edits.log([e.src, e.dst], e.time, seq + 1);
-    }
-
-    fn insert_one(list: &mut Vec<AdjEntry>, entry: AdjEntry) {
-        match list.last() {
-            Some(last) if last.time > entry.time => {
-                let pos = list.partition_point(|x| x.time <= entry.time);
-                list.insert(pos, entry);
-            }
-            _ => list.push(entry),
-        }
-    }
-
     /// Deletes the interaction identified by `eid` incident to `src`/`dst`
     /// (future-work extension of the paper, §7), as one logged edit at
-    /// the deleted interaction's time. Returns true if found.
+    /// the deleted interaction's time. Returns true if found. O(E): the
+    /// entries after it shift down in place.
     pub fn delete_edge(&mut self, src: NodeId, dst: NodeId, eid: EdgeId) -> bool {
-        self.thaw();
         let mut removed = None;
-        // `thaw` always leaves the storage dynamic, so the guard never skips.
-        if let Storage::Dynamic(adj) = &mut self.storage {
-            for node in [src, dst] {
-                if let Some(list) = adj.get_mut(node as usize) {
-                    if let Some(pos) = list.iter().position(|x| x.eid == eid) {
-                        removed = Some(list.remove(pos).time);
-                    }
-                }
+        for node in [src, dst] {
+            let n = node as usize;
+            if n + 1 >= self.indptr.len() {
+                continue;
+            }
+            let lo = self.indptr[n];
+            if let Some(pos) = self.entries[lo..self.indptr[n + 1]].iter().position(|x| x.eid == eid) {
+                removed = Some(self.entries.remove(lo + pos).time);
+                self.indptr[n + 1..].iter_mut().for_each(|p| *p -= 1);
             }
         }
         let Some(time) = removed else { return false };
@@ -200,10 +203,7 @@ impl TemporalGraph {
 
     /// Number of node ids the graph can address.
     pub fn num_nodes(&self) -> usize {
-        match &self.storage {
-            Storage::Dynamic(adj) => adj.len(),
-            Storage::Frozen { indptr, .. } => indptr.len() - 1,
-        }
+        self.indptr.len() - 1
     }
 
     /// Number of undirected interactions inserted.
@@ -213,16 +213,14 @@ impl TemporalGraph {
 
     /// The full time-sorted adjacency list of `node`.
     pub fn neighbors(&self, node: NodeId) -> &[AdjEntry] {
-        let n = node as usize;
-        match &self.storage {
-            Storage::Dynamic(adj) => adj.get(n).map_or(&[], |v| v.as_slice()),
-            Storage::Frozen { indptr, entries } => {
-                if n + 1 >= indptr.len() {
-                    &[]
-                } else {
-                    &entries[indptr[n]..indptr[n + 1]]
-                }
-            }
+        self.row(node as usize)
+    }
+
+    fn row(&self, n: usize) -> &[AdjEntry] {
+        if n + 1 >= self.indptr.len() {
+            &[]
+        } else {
+            &self.entries[self.indptr[n]..self.indptr[n + 1]]
         }
     }
 
@@ -315,52 +313,29 @@ mod tests {
     }
 
     #[test]
-    fn from_stream_matches_incremental_and_is_frozen() {
+    fn from_stream_matches_incremental() {
         let s = EdgeStream::new(&[0, 1, 0], &[1, 2, 2], &[1.0, 2.0, 3.0]);
         let g = TemporalGraph::from_stream(&s);
-        assert!(g.is_frozen());
         assert_eq!(g.num_edges(), 3);
         assert_eq!(g.degree(0), 2);
         assert_eq!(g.degree(1), 2);
         assert_eq!(g.degree(2), 2);
+        let mut inserted = TemporalGraph::with_nodes(3);
+        s.edges().iter().for_each(|e| inserted.insert(e));
+        assert!((0..3).all(|n| g.neighbors(n) == inserted.neighbors(n)));
     }
 
     #[test]
-    fn freeze_preserves_every_read() {
-        let mut dynamic = TemporalGraph::with_nodes(6);
-        for i in 0..30u32 {
-            dynamic.insert(&edge(i % 6, (i * 5 + 1) % 6, i as Time, i));
-        }
-        let mut frozen = dynamic.clone();
-        frozen.freeze();
-        assert!(frozen.is_frozen());
-        assert!(!dynamic.is_frozen());
-        assert_eq!(frozen.num_nodes(), dynamic.num_nodes());
-        assert_eq!(frozen.num_edges(), dynamic.num_edges());
-        for n in 0..6u32 {
-            assert_eq!(frozen.neighbors(n), dynamic.neighbors(n));
-            for t in [0.0, 3.0, 15.5, 100.0] {
-                assert_eq!(frozen.neighbors_before(n, t), dynamic.neighbors_before(n, t));
-            }
-        }
-        // Idempotent.
-        frozen.freeze();
-        assert!(frozen.is_frozen());
-    }
-
-    #[test]
-    fn mutation_thaws_and_stays_correct() {
-        let s = EdgeStream::new(&[0, 1], &[1, 2], &[1.0, 2.0]);
-        let mut g = TemporalGraph::from_stream(&s);
-        assert!(g.is_frozen());
-        g.insert(&edge(0, 2, 3.0, 2));
-        assert!(!g.is_frozen());
-        assert_eq!(g.num_edges(), 3);
-        assert_eq!(g.degree(0), 2);
-        g.freeze();
-        assert!(g.delete_edge(0, 2, 2));
-        assert!(!g.is_frozen());
-        assert_eq!(g.degree(0), 1);
+    fn extend_places_new_entries_after_equal_times() {
+        let mut g = TemporalGraph::from_stream(&EdgeStream::new(&[0, 0], &[1, 2], &[1.0, 3.0]));
+        g.extend(&[edge(0, 3, 3.0, 2), edge(0, 4, 1.0, 3), edge(0, 5, 0.5, 4), edge(0, 6, 1.0, 5)]);
+        let order: Vec<NodeId> = g.neighbors(0).iter().map(|x| x.ngh).collect();
+        assert_eq!(order, [5, 1, 4, 6, 2, 3]);
+        assert_eq!((g.num_edges(), g.epoch(), g.last_change(6)), (6, 4, Some(4)));
+        // -0.0 ties with 0.0: submission order, as `<=` decides.
+        let mut g = TemporalGraph::with_nodes(1);
+        g.extend(&[edge(0, 1, 1.0, 0), edge(0, 2, 0.0, 1), edge(0, 3, -0.0, 2)]);
+        assert_eq!(g.neighbors(0).iter().map(|x| x.ngh).collect::<Vec<_>>(), [2, 3, 1]);
     }
 
     #[test]

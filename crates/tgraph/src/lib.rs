@@ -5,12 +5,14 @@
 //!
 //! * [`EdgeStream`] — the raw chronological interaction list a dataset
 //!   produces and a model consumes in batches.
-//! * [`TemporalGraph`] — a time-sorted CSR adjacency ("T-CSR", after TGL),
-//!   supporting incremental insertion as the stream is replayed, plus edge
-//!   deletion; every edit after the build is logged, so a memoized row can
-//!   be checked against what changed since ([`Versioned`]).
+//! * [`TemporalGraph`] — one time-sorted CSR adjacency ("T-CSR", after
+//!   TGL). One stable merge builds it from a stream, grows it by a batch
+//!   of edges ([`TemporalGraph::extend`]; `insert` is a batch of one, O(E)
+//!   per call) and compacts a live graph's appends into it; edge deletion
+//!   is in place. Every edit after the build is logged, so a memoized row
+//!   can be checked against what changed since ([`Versioned`]).
 //! * [`LiveGraph`] — streaming ingest: an append-friendly delta-log beside
-//!   the frozen T-CSR with periodic compaction, serving epoch-stamped
+//!   an immutable T-CSR with periodic compaction, serving epoch-stamped
 //!   [`GraphView`] snapshots to concurrent readers.
 //! * [`sampler`] — most-recent and uniform temporal neighborhood
 //!   samplers upholding the temporal constraint `t_j < t`, generic over

@@ -1,9 +1,10 @@
-//! Live streaming ingest: an append-friendly delta-log beside the frozen
-//! T-CSR, with epoch-stamped consistent views for concurrent readers.
+//! Live streaming ingest: an append-friendly delta-log beside an
+//! immutable T-CSR, with epoch-stamped consistent views for concurrent
+//! readers.
 //!
-//! The paper's replay workloads freeze the graph before inference, but a
-//! deployed system interleaves edge arrivals with queries. [`LiveGraph`]
-//! keeps the bulk of the adjacency in an immutable frozen
+//! The paper's replay workloads build the graph once before inference,
+//! but a deployed system interleaves edge arrivals with queries.
+//! [`LiveGraph`] keeps the bulk of the adjacency in an immutable
 //! [`TemporalGraph`] (*base*) and routes appends into a small per-node
 //! sorted *delta* beside it. Readers take a [`GraphView`] — an
 //! `Arc`-pinned generation plus an epoch (the count of edges submitted so
@@ -27,8 +28,8 @@
 //!   purpose and under the same lock, bounded by the log length it reads
 //!   there: postings and log grow together under `delta.write`.
 //!
-//! Compaction folds the delta log into a fresh frozen base under
-//! `gen.write` and swaps in a new generation; pinned views keep the old
+//! Compaction merges the delta log into a fresh base under `gen.write`
+//! and swaps in a new generation; pinned views keep the old
 //! generation (whose delta is never mutated again) alive through their
 //! `Arc`, so a long-running wave stays consistent across any number of
 //! compactions.
@@ -60,7 +61,7 @@ struct DeltaEntry {
 }
 
 /// Mutable tail of a generation: the append log (in submission order) and
-/// per-node time-sorted postings mirroring `TemporalGraph::insert`'s
+/// per-node time-sorted postings mirroring `TemporalGraph::extend`'s
 /// undirected, equal-times-append-after semantics.
 #[derive(Debug, Default)]
 struct DeltaState {
@@ -69,10 +70,10 @@ struct DeltaState {
 }
 
 impl DeltaState {
-    /// Sorted insert matching `TemporalGraph::insert_one`: chronological
-    /// appends are O(1); an out-of-order entry lands *after* any
-    /// equal-time entries already present (`time <= entry.time` cut), so a
-    /// later submission is always the more recent interaction.
+    /// Sorted insert matching `TemporalGraph::extend`'s merge:
+    /// chronological appends are O(1); an out-of-order entry lands *after*
+    /// any equal-time entries already present (`time <= entry.time` cut),
+    /// so a later submission is always the more recent interaction.
     fn push_posting(&mut self, node: NodeId, entry: AdjEntry, seq: u64) {
         let n = node as usize;
         if n >= self.postings.len() {
@@ -97,10 +98,10 @@ impl DeltaState {
 /// the whole generation; views pin the one they started on.
 ///
 /// The base is held through an `Arc` so a [`LiveGraph`] can share one
-/// frozen T-CSR with its owner: a server layers its delta log over the
+/// T-CSR with its owner: a server layers its delta log over the
 /// model bundle's graph instead of copying the (large, immutable) base.
 struct Generation {
-    /// Frozen T-CSR holding every edge with `seq < base_seq`.
+    /// T-CSR holding every edge with `seq < base_seq`.
     base: Arc<TemporalGraph>,
     /// Global sequence number of the first edge *not* in `base`.
     base_seq: u64,
@@ -167,27 +168,21 @@ pub struct LiveGraph {
 }
 
 impl LiveGraph {
-    /// Wraps a base graph (frozen if it is not already) with an empty
-    /// delta. Edges already in `base` occupy sequence numbers
-    /// `0..base.num_edges()`.
-    pub fn new(mut base: TemporalGraph) -> Self {
-        base.freeze();
+    /// Wraps a base graph with an empty delta. Edges already in `base`
+    /// occupy sequence numbers `0..base.num_edges()`.
+    pub fn new(base: TemporalGraph) -> Self {
         Self::from_shared(Arc::new(base))
     }
 
-    /// Wraps an already-shared frozen base without copying it. Several
-    /// live graphs built from the same `Arc` each get an independent
-    /// delta log over one physical T-CSR. An unfrozen base is cloned and
-    /// frozen (the shared original is left untouched); pass a frozen graph
-    /// to stay zero-copy. The base's edit log is dropped, in place where
-    /// this call owns it and in a copy where a shared base logged edits:
-    /// views read a base's log as the appends compaction folded into it,
-    /// and its epochs are not sequence numbers.
+    /// Wraps an already-shared base without copying it. Several live
+    /// graphs built from the same `Arc` each get an independent delta log
+    /// over one physical T-CSR. The base's edit log is dropped, in place
+    /// where this call owns it and in a copy where a shared base logged
+    /// edits: views read a base's log as the appends compaction merged
+    /// into it, and its epochs are not sequence numbers.
     pub fn from_shared(mut base: Arc<TemporalGraph>) -> Self {
-        if !base.is_frozen() || base.epoch() > 0 || Arc::get_mut(&mut base).is_some() {
-            let own = Arc::make_mut(&mut base);
-            own.forget_edits();
-            own.freeze();
+        if base.epoch() > 0 || Arc::get_mut(&mut base).is_some() {
+            Arc::make_mut(&mut base).forget_edits();
         }
         let base_seq = base.num_edges() as u64;
         let last_append = (0..base.num_nodes()).map(|_| AtomicU64::new(0)).collect();
@@ -294,16 +289,17 @@ impl LiveGraph {
         self.epoch.load(Ordering::Acquire)
     }
 
-    /// Folds the delta log into a fresh frozen base and swaps in a new
+    /// Merges the delta log into a fresh base and swaps in a new
     /// empty-delta generation.
     ///
     /// # Invariants
     ///
-    /// * Replays the log in sequence order into a copy of the base, so the
-    ///   new base is bit-identical to a cold rebuild of the full stream
-    ///   prefix. Its edit log holds exactly the appends folded so far, each
-    ///   at epoch `seq + 1` (`TemporalGraph::fold`): views ask it about the
-    ///   appends no longer in their postings (`Versioned::holds`).
+    /// * Merges the log, in sequence order, with the base in one pass
+    ///   (`TemporalGraph::with_appends`), so the new base is bit-identical
+    ///   to a cold rebuild of the full stream prefix. Its edit log holds
+    ///   exactly the appends compacted so far, each at epoch `seq + 1`:
+    ///   views ask it about the appends no longer in their postings
+    ///   (`Versioned::holds`).
     /// * Existing views keep the old generation alive via their `Arc`;
     ///   its delta is never mutated again, so they stay consistent.
     /// * The epoch does not move: compaction changes representation, not
@@ -315,11 +311,7 @@ impl LiveGraph {
             if delta.log.is_empty() {
                 return;
             }
-            let mut base = (*gen_slot.base).clone();
-            for (seq, e) in (gen_slot.base_seq..).zip(&delta.log) {
-                base.fold(e, seq);
-            }
-            base.freeze();
+            let base = gen_slot.base.with_appends(&delta.log, gen_slot.base_seq);
             let base_seq = gen_slot.base_seq + delta.log.len() as u64;
             Generation { base: Arc::new(base), base_seq, delta: RwLock::new(DeltaState::default()) }
         };
@@ -518,21 +510,15 @@ mod tests {
 
     fn base_line() -> TemporalGraph {
         let mut g = TemporalGraph::with_nodes(6);
-        for i in 1..=3u32 {
-            g.insert(&edge(0, i, i as Time, i - 1));
-        }
-        g.freeze();
+        g.extend(&(1..=3u32).map(|i| edge(0, i, i as Time, i - 1)).collect::<Vec<_>>());
         g
     }
 
-    /// Cold rebuild: every submitted edge inserted in order into one
-    /// frozen graph — the ground truth every view must agree with.
+    /// Cold rebuild: every submitted edge added in order to one graph —
+    /// the ground truth every view must agree with.
     fn rebuild(base: &TemporalGraph, extra: &[Edge]) -> TemporalGraph {
         let mut g = base.clone();
-        for e in extra {
-            g.insert(e);
-        }
-        g.freeze();
+        g.extend(extra);
         g
     }
 
@@ -692,19 +678,6 @@ mod tests {
         // Replicating the same edge into b catches it up to a.
         b.append(&edge(0, 4, 4.0, 3));
         assert_eq!(b.view().neighbors_before_vec(0, 10.0), a.view().neighbors_before_vec(0, 10.0));
-    }
-
-    #[test]
-    fn from_shared_clones_an_unfrozen_base() {
-        let mut g = TemporalGraph::with_nodes(4);
-        g.insert(&edge(0, 1, 1.0, 0));
-        assert!(!g.is_frozen());
-        let shared = Arc::new(g);
-        let live = LiveGraph::from_shared(Arc::clone(&shared));
-        // The shared original stays unfrozen; the live copy serves reads.
-        assert!(!shared.is_frozen());
-        assert_eq!(live.view().hist_len_before(0, 10.0), 1);
-        assert_eq!(live.append(&edge(0, 2, 2.0, 1)), 1);
     }
 
     #[test]

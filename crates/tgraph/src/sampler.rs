@@ -329,17 +329,13 @@ mod tests {
             edges.push(Edge { src: i % 10, dst: (i * 3 + 1) % 10, time: t, eid: i });
         }
         let mut base = TemporalGraph::with_nodes(10);
-        for e in &edges[..60] {
-            base.insert(e);
-        }
-        base.freeze();
+        base.extend(&edges[..60]);
         let mut truth = base.clone();
+        truth.extend(&edges[60..]);
         let live = LiveGraph::new(base);
         for e in &edges[60..] {
             live.append(e);
-            truth.insert(e);
         }
-        truth.freeze();
         let view = live.view();
         let ns: Vec<NodeId> = (0..100).map(|i| i % 10).collect();
         let ts: Vec<Time> = (0..100).map(|i| 20.0 + i as Time).collect();

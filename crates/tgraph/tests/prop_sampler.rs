@@ -1,11 +1,104 @@
 //! Property-based tests for the temporal graph store and samplers: the
-//! temporal constraint, the most-recent window semantics, and the
-//! reuse-enabling invariance of §3.2.
+//! T-CSR against a per-node reference, the temporal constraint, the
+//! most-recent window semantics, and the reuse-enabling invariance of §3.2.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
+use tg_graph::graph::AdjEntry;
 use tg_graph::{
-    BatchIter, Edge, EdgeStream, NodeId, SamplingStrategy, TemporalGraph, TemporalSampler, Time,
+    BatchIter, Edge, EdgeStream, NodeId, SamplingStrategy, TemporalGraph, TemporalSampler, Time, Versioned,
 };
+
+/// The oracle for [`TemporalGraph`]: one growable `Vec` per node, each new
+/// entry inserted after every entry at or before its time, and an edit log
+/// kept the naive way. Inserting the edges one at a time in submission
+/// order defines the neighbour order every build of the T-CSR must equal.
+#[derive(Default)]
+struct Reference {
+    adj: Vec<Vec<AdjEntry>>,
+    log: Vec<Vec<(u64, Time)>>,
+    num_edges: usize,
+    epoch: u64,
+}
+
+impl Reference {
+    fn with_nodes(n: usize) -> Self {
+        Self { adj: vec![Vec::new(); n], ..Self::default() }
+    }
+
+    fn insert_one(list: &mut Vec<AdjEntry>, entry: AdjEntry) {
+        match list.last() {
+            Some(last) if last.time > entry.time => {
+                let pos = list.partition_point(|x| x.time <= entry.time);
+                list.insert(pos, entry);
+            }
+            _ => list.push(entry),
+        }
+    }
+
+    fn record(&mut self, nodes: [NodeId; 2], time: Time) {
+        self.epoch += 1;
+        for n in nodes.map(|n| n as usize) {
+            if n >= self.log.len() {
+                self.log.resize_with(n + 1, Vec::new);
+            }
+            self.log[n].push((self.epoch, time));
+        }
+    }
+
+    fn insert(&mut self, e: &Edge) {
+        let max = e.src.max(e.dst) as usize;
+        if max >= self.adj.len() {
+            self.adj.resize(max + 1, Vec::new());
+        }
+        Self::insert_one(&mut self.adj[e.src as usize], AdjEntry { time: e.time, ngh: e.dst, eid: e.eid });
+        Self::insert_one(&mut self.adj[e.dst as usize], AdjEntry { time: e.time, ngh: e.src, eid: e.eid });
+        self.num_edges += 1;
+        self.record([e.src, e.dst], e.time);
+    }
+
+    fn delete_edge(&mut self, src: NodeId, dst: NodeId, eid: u32) -> bool {
+        let mut removed = None;
+        for node in [src, dst] {
+            if let Some(list) = self.adj.get_mut(node as usize) {
+                if let Some(pos) = list.iter().position(|x| x.eid == eid) {
+                    removed = Some(list.remove(pos).time);
+                }
+            }
+        }
+        let Some(time) = removed else { return false };
+        self.num_edges -= 1;
+        self.record([src, dst], time);
+        true
+    }
+
+    fn last_change(&self, n: NodeId) -> u64 {
+        self.log.get(n as usize).and_then(|l| l.last()).map_or(0, |&(epoch, _)| epoch)
+    }
+
+    fn holds(&self, n: NodeId, t: Time, since: u64) -> bool {
+        let log = self.log.get(n as usize).map_or(&[][..], |l| l.as_slice());
+        log.iter().filter(|&&(epoch, _)| epoch > since).all(|&(_, time)| time >= t)
+    }
+}
+
+/// Every read of `g` equals the reference's: adjacency of every node (and
+/// of ids past the range), sizes, and the edit log's answers.
+fn assert_same(g: &TemporalGraph, r: &Reference) -> Result<(), TestCaseError> {
+    prop_assert_eq!(g.num_nodes(), r.adj.len());
+    prop_assert_eq!(g.num_edges(), r.num_edges);
+    prop_assert_eq!(g.epoch(), r.epoch);
+    for n in 0..g.num_nodes() as NodeId + 2 {
+        prop_assert_eq!(g.neighbors(n), r.adj.get(n as usize).map_or(&[][..], |l| l.as_slice()), "node {}", n);
+        prop_assert_eq!(g.last_change(n), Some(r.last_change(n)), "node {}", n);
+        for t in [0.0, 1.0, 2.5, 4.0, 7.0, 100.0] {
+            for since in 0..=r.epoch {
+                prop_assert_eq!(g.holds(n, t, since), r.holds(n, t, since), "holds({}, {}, {})", n, t, since);
+            }
+        }
+    }
+    Ok(())
+}
 
 /// A random time-sorted edge stream over up to `max_nodes` nodes.
 fn stream_strategy(max_nodes: u32, max_edges: usize) -> impl Strategy<Value = EdgeStream> {
@@ -157,5 +250,78 @@ proptest! {
         }
         prop_assert!(!g.neighbors(e.src).iter().any(|x| x.eid == e.eid));
         prop_assert!(!g.neighbors(e.dst).iter().any(|x| x.eid == e.eid));
+    }
+}
+
+/// Edges over node ids `0..12` with few distinct times (ties) in any order,
+/// self-loops included; the graphs start over fewer ids, so some land past
+/// the range. With `sorted`, stably sorted by time, for `from_stream`.
+fn edges_strategy() -> impl Strategy<Value = Vec<Edge>> {
+    (proptest::collection::vec((0u32..12, 0u32..12, 0u32..8), 0..40), any::<bool>()).prop_map(|(triples, sorted)| {
+        let mut edges: Vec<Edge> = triples
+            .into_iter()
+            .enumerate()
+            .map(|(i, (src, dst, t))| Edge { src, dst, time: t as Time, eid: i as u32 })
+            .collect();
+        if sorted {
+            edges.sort_by(|a, b| a.time.total_cmp(&b.time));
+        }
+        edges
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn every_build_equals_the_per_node_reference(
+        edges in edges_strategy(),
+        start_nodes in 0usize..8,
+        chunks in proptest::collection::vec(1usize..6, 1..12),
+        deletes in proptest::collection::vec(0usize..48, 0..8),
+    ) {
+        let mut reference = Reference::with_nodes(start_nodes);
+        let mut inserted = TemporalGraph::with_nodes(start_nodes);
+        let mut extended = TemporalGraph::with_nodes(start_nodes);
+        for e in &edges {
+            reference.insert(e);
+            inserted.insert(e);
+        }
+        let mut rest = &edges[..];
+        for &len in chunks.iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (chunk, tail) = rest.split_at(len.min(rest.len()));
+            extended.extend(chunk);
+            rest = tail;
+        }
+        assert_same(&inserted, &reference)?;
+        assert_same(&extended, &reference)?;
+
+        if edges.windows(2).all(|w| w[0].time <= w[1].time) {
+            // A built graph has the same adjacency and no edits.
+            let built = TemporalGraph::from_stream(&EdgeStream::from_edges(edges.clone()));
+            let mut cold = Reference::with_nodes(0);
+            edges.iter().for_each(|e| cold.insert(e));
+            prop_assert_eq!(built.num_nodes(), cold.adj.len());
+            prop_assert_eq!(built.num_edges(), edges.len());
+            prop_assert_eq!(built.epoch(), 0);
+            for n in 0..built.num_nodes() as NodeId + 2 {
+                prop_assert_eq!(built.neighbors(n), cold.adj.get(n as usize).map_or(&[][..], |l| l.as_slice()));
+                prop_assert_eq!(built.last_change(n), Some(0));
+            }
+        }
+
+        // Deletions (some of edges already gone, some of ids never added)
+        // edit both the same way.
+        for i in deletes {
+            let e = edges.get(i).copied().unwrap_or(Edge { src: (i % 12) as NodeId, dst: 3, time: 0.0, eid: 1_000 });
+            let want = reference.delete_edge(e.src, e.dst, e.eid);
+            prop_assert_eq!(inserted.delete_edge(e.src, e.dst, e.eid), want);
+            prop_assert_eq!(extended.delete_edge(e.src, e.dst, e.eid), want);
+        }
+        assert_same(&inserted, &reference)?;
+        assert_same(&extended, &reference)?;
     }
 }

@@ -35,9 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let edges = data.stream.edges();
     let split = edges.len() * 8 / 10;
     let mut graph = TemporalGraph::with_nodes(data.stream.num_nodes());
-    for e in &edges[..split] {
-        graph.insert(e);
-    }
+    graph.extend(&edges[..split]);
     let t1 = edges[split - 1].time + 1.0;
     let queries: Vec<u32> = (0..40).map(|i| edges[i * 7 % split].src).collect();
     let qts = vec![t1; queries.len()];
@@ -53,9 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // so the cache is carried over via into_cache/with_cache and every
     // lookup finds its row still valid.
     let (cache, counters) = engine.into_cache();
-    for e in &edges[split..] {
-        graph.insert(e);
-    }
+    graph.extend(&edges[split..]);
     let ctx = GraphContext { graph: &graph, node_features: &node_features, edge_features: &data.edge_features };
     let mut engine = TgoptEngine::with_cache(&params, ctx, OptConfig::all(), cache, counters);
     let before = engine.counters();

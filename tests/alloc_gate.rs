@@ -105,6 +105,9 @@ const BATCH: usize = 200;
 const COLD_BATCHES: usize = 12;
 /// Appends counted by case (d), well below the compaction threshold.
 const APPENDS: usize = 1000;
+/// The delta case (e) compacts: the stream's edges from this one to its
+/// end (649 edges).
+const DELTA_START: usize = 2500;
 
 /// `(case, pinned count)`, one row per case, each with where its
 /// allocations come from (counted, not estimated). `all()` is dedup, the
@@ -141,6 +144,13 @@ const PINNED: &[(&str, u64)] = &[
     // Amortised growth of the touched nodes' posting lists (811), of the
     // posting table (3) and of the delta log (9).
     ("(d) 1000 LiveGraph appends", 823),
+    // The merge's five arrays (node counts, their cursor copy, the new
+    // entries, indptr, entries) and the two Arcs of the new generation (7);
+    // the new base's edit log, logging each append at both endpoints: the
+    // node table's and the touched nodes' list growth (561). Nothing here
+    // grows with the base, so the two rows must stay equal.
+    ("(e) compaction of 649 appends, 1,000-edge base", 568),
+    ("(e) compaction of 649 appends, 2,500-edge base", 568),
 ];
 
 /// The replay checksums' model on 2% of jodie-wiki (3,149 edges): dim 32,
@@ -225,6 +235,19 @@ fn appends(data: &Dataset) -> u64 {
     })
 }
 
+/// Case (e): one compaction of the same delta, the stream's edges from
+/// [`DELTA_START`] on, over a base of its first `base` edges. The count
+/// must not depend on `base`.
+fn compaction(data: &Dataset, base: usize) -> u64 {
+    let edges = data.stream.edges();
+    let live = LiveGraph::new(TemporalGraph::from_stream(&EdgeStream::from_edges(edges[..base].to_vec())))
+        .with_compact_threshold(usize::MAX);
+    for e in &edges[DELTA_START..] {
+        live.append(e);
+    }
+    count(|| live.compact())
+}
+
 #[test]
 fn hot_path_allocation_counts_are_pinned() {
     let w = world();
@@ -246,6 +269,8 @@ fn hot_path_allocation_counts_are_pinned() {
         cold_replay(&w),
         served_request(&w, (last.0[0], last.1[0])),
         appends(&w.0),
+        compaction(&w.0, 1000),
+        compaction(&w.0, DELTA_START),
     ];
     let table: Vec<String> = PINNED
         .iter()

@@ -27,9 +27,7 @@ fn additions_preserve_cached_results_and_reuse() {
     let split = edges.len() / 2;
 
     let mut graph = TemporalGraph::with_nodes(data.stream.num_nodes());
-    for e in &edges[..split] {
-        graph.insert(e);
-    }
+    graph.extend(&edges[..split]);
     let t = edges[split - 1].time + 1.0;
     let ns: Vec<u32> = (0..30).map(|i| edges[i * 3 % split].src).collect();
     let ts = vec![t; ns.len()];
@@ -40,9 +38,7 @@ fn additions_preserve_cached_results_and_reuse() {
 
     // Grow the graph; carry the cache.
     let (cache, counters) = eng.into_cache();
-    for e in &edges[split..] {
-        graph.insert(e);
-    }
+    graph.extend(&edges[split..]);
     let ctx = GraphContext { graph: &graph, node_features: &node_features, edge_features: &data.edge_features };
     let mut eng = TgoptEngine::with_cache(&params, ctx, OptConfig::all(), cache, counters);
     let before = eng.counters();

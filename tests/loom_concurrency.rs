@@ -149,9 +149,7 @@ fn live_graph_epoch_publish_never_tears_a_view() {
     loom::model(|| {
         ITERS.fetch_add(1, Ordering::SeqCst);
         let mut base = TemporalGraph::with_nodes(N_NODES as usize);
-        base.insert(&Edge { src: 0, dst: 1, time: 1.0, eid: 0 });
-        base.insert(&Edge { src: 1, dst: 2, time: 2.0, eid: 1 });
-        base.freeze();
+        base.extend(&[Edge { src: 0, dst: 1, time: 1.0, eid: 0 }, Edge { src: 1, dst: 2, time: 2.0, eid: 1 }]);
         let live = Arc::new(LiveGraph::new(base).with_compact_threshold(2));
 
         let pinned = live.view();

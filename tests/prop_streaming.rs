@@ -86,18 +86,13 @@ fn world() -> &'static World {
 }
 
 /// The cold oracle: base edges plus the first `n_ingested` pool edges
-/// inserted in submission order into a fresh graph, then frozen — exactly
-/// the history a `GraphView` at that point claims to serve.
+/// added in submission order to a fresh graph — exactly the history a
+/// `GraphView` at that point claims to serve.
 fn cold_graph(n_ingested: usize) -> TemporalGraph {
     let w = world();
     let mut g = TemporalGraph::with_nodes(N_NODES);
-    for e in &w.base {
-        g.insert(e);
-    }
-    for e in &w.pool[..n_ingested] {
-        g.insert(e);
-    }
-    g.freeze();
+    g.extend(&w.base);
+    g.extend(&w.pool[..n_ingested]);
     g
 }
 

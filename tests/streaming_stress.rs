@@ -236,10 +236,8 @@ fn concurrent_ingest_and_queries_hold_invariants() {
         }
         v
     };
-    for e in base_edges.iter().chain(&pool) {
-        full.insert(e);
-    }
-    full.freeze();
+    full.extend(&base_edges);
+    full.extend(&pool);
 
     let cfg1 = TgatConfig { n_layers: 1, ..bundle.params.cfg };
     assert_eq!(cfg1.n_neighbors, k);
