@@ -35,6 +35,10 @@
 //! [`TgServer::drain`]) makes every scheduling decision reproducible so
 //! property tests can replay arbitrary interleavings.
 
+// Slice indexing can panic; served code reads with `.get`, `.first` or
+// iterators instead (the rest of the panic rule is the workspace lints').
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 pub mod batch;
 pub mod queue;
 pub mod request;

@@ -421,9 +421,11 @@ impl TgServer {
     /// off the admission queue and sharing a single memoization cache.
     pub fn threaded(bundle: Arc<ModelBundle>, cfg: ServeConfig) -> Result<Self, TgError> {
         let shared = Self::shared_state(bundle, cfg)?;
-        let workers: Vec<JoinHandle<()>> = (0..shared.cfg.workers)
-            .map(|i| {
-                let wave_hist = Arc::clone(&shared.worker_latency[i]);
+        let workers: Vec<JoinHandle<()>> = shared
+            .worker_latency
+            .iter()
+            .map(|hist| {
+                let wave_hist = Arc::clone(hist);
                 let shared = Arc::clone(&shared);
                 std::thread::spawn(move || worker_loop(shared, wave_hist))
             })
@@ -557,8 +559,11 @@ impl TgServer {
         if let Some(live) = self.shared.live.as_ref() {
             engine.pin_view(live.view());
         }
-        // Deterministic mode has no workers; its waves account to slot 0.
-        let wave_hist = Arc::clone(&self.shared.worker_latency[0]);
+        // Deterministic mode has no workers; its waves account to slot 0,
+        // which exists because `workers` is validated positive.
+        let Some(wave_hist) = self.shared.worker_latency.first().map(Arc::clone) else {
+            return Err(TgError::InvalidConfig("workers must be positive".into()));
+        };
         while !items.is_empty() {
             let tail = items.split_off(items.len().min(self.shared.cfg.max_batch));
             process_wave(&mut engine, items, &self.shared, &wave_hist);
@@ -648,11 +653,10 @@ impl TgServer {
                     delta_edges: graph.delta_edges,
                     entries_invalidated: serve.entries_invalidated,
                     entries_retained: serve.entries_retained,
-                    per_layer: (0..TRACKED_LAYERS)
-                        .map(|i| LayerSweepTelemetry {
-                            layer: i as u64 + 1,
-                            removed: serve.layer_removed[i],
-                            retained: serve.layer_retained[i],
+                    per_layer: (1..)
+                        .zip(serve.layer_removed.iter().zip(&serve.layer_retained))
+                        .map(|(layer, (&removed, &retained))| {
+                            LayerSweepTelemetry { layer, removed, retained }
                         })
                         .collect(),
                 }

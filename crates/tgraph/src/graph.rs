@@ -37,38 +37,43 @@ pub struct TemporalGraph {
     edits: Edits,
 }
 
-/// The edit log: the number of edits so far, and per node the
-/// `(epoch, edge time)` of every edit that touched it, oldest first, so
-/// its last element is the node's last-edit epoch. Empty until the first
-/// edit; never shrinks.
+/// The edit log, in the adjacency's own layout: the number of edits so
+/// far, and node `n`'s edits as `(epoch, edge time)`, oldest first, at
+/// `log[indptr[n]..indptr[n + 1]]`, so its last element is the node's
+/// last-edit epoch. Empty, with no `indptr` either, until the first
+/// edit; never shrinks. Copying it is two allocations, however many
+/// nodes it has logged.
 #[derive(Clone, Debug, Default)]
 struct Edits {
     epoch: u64,
-    by_node: Vec<Vec<(u64, Time)>>,
+    indptr: Vec<usize>,
+    log: Vec<(u64, Time)>,
 }
 
 impl Edits {
-    /// Records one edit at time `time` touching `nodes`, as `epoch`.
-    fn log(&mut self, nodes: [NodeId; 2], time: Time, epoch: u64) {
-        self.epoch = epoch;
-        for node in nodes {
-            let n = node as usize;
-            if n >= self.by_node.len() {
-                self.by_node.resize_with(n + 1, Vec::new);
-            }
-            self.by_node[n].push((self.epoch, time));
-        }
-    }
-
-    /// Records each of `edges` as its own edit, the first at `first_epoch`.
-    fn log_each(&mut self, edges: &[Edge], first_epoch: u64) {
-        for (epoch, e) in (first_epoch..).zip(edges) {
-            self.log([e.src, e.dst], e.time, epoch);
-        }
+    /// Where node `n`'s edits start; past the log for nodes it has not
+    /// reached.
+    fn offset(&self, n: usize) -> usize {
+        self.indptr.get(n).copied().unwrap_or(self.log.len())
     }
 
     fn of(&self, node: NodeId) -> &[(u64, Time)] {
-        self.by_node.get(node as usize).map_or(&[], |v| v.as_slice())
+        let n = node as usize;
+        &self.log[self.offset(n)..self.offset(n + 1)]
+    }
+
+    /// Records one edit at time `time` touching `nodes`, as the next
+    /// epoch. O(log length), like the deletion that makes it.
+    fn record(&mut self, nodes: [NodeId; 2], time: Time) {
+        self.epoch += 1;
+        for node in nodes {
+            let n = node as usize;
+            if n + 1 >= self.indptr.len() {
+                self.indptr.resize(n + 2, self.log.len());
+            }
+            self.log.insert(self.indptr[n + 1], (self.epoch, time));
+            self.indptr[n + 1..].iter_mut().for_each(|p| *p += 1);
+        }
     }
 }
 
@@ -88,36 +93,62 @@ impl TemporalGraph {
     /// Builds a graph containing every interaction of the stream. Building
     /// is not editing: the graph starts at epoch 0 with nothing logged.
     pub fn from_stream(stream: &EdgeStream) -> Self {
-        Self::with_nodes(stream.num_nodes()).merged(stream.edges(), Edits::default())
+        Self::with_nodes(stream.num_nodes()).merged(stream.edges(), None)
     }
 
     /// The one routine that orders adjacency: this graph's entries plus
-    /// both directions of each of `edges`, as a new graph carrying `edits`.
+    /// both directions of each of `edges`, as a new graph. With
+    /// `first_epoch`, each edge is also logged as its own edit, the first
+    /// at `first_epoch`, after this graph's log; without, the new graph
+    /// logs nothing (a build).
     ///
     /// Per node, the new entries are stably sorted by time (a check when
     /// they arrived in order) and merged with the existing slice, existing
     /// ones first at equal times. That is where inserting the edges one by
     /// one in submission order would put each, so neighbour order never
-    /// depends on how the edges were batched. O(V + E + new entries).
-    fn merged(&self, edges: &[Edge], edits: Edits) -> Self {
+    /// depends on how the edges were batched. The log keeps submission
+    /// order per node. O(V + E + log + new entries).
+    fn merged(&self, edges: &[Edge], first_epoch: Option<u64>) -> Self {
         let postings = || {
-            edges.iter().flat_map(|e| {
-                [(e.src, e.dst), (e.dst, e.src)].map(|(n, ngh)| (n as usize, AdjEntry { time: e.time, ngh, eid: e.eid }))
+            (0..).zip(edges).flat_map(|(k, e)| {
+                [(e.src, e.dst), (e.dst, e.src)]
+                    .map(|(n, ngh)| (n as usize, k, AdjEntry { time: e.time, ngh, eid: e.eid }))
             })
         };
-        let num_nodes = postings().map(|(n, _)| n + 1).max().unwrap_or(0).max(self.indptr.len() - 1);
+        let num_nodes = postings().map(|(n, ..)| n + 1).max().unwrap_or(0).max(self.num_nodes());
         // Counting sort of the new entries by node, submission order kept.
         let mut start = vec![0; num_nodes + 1];
-        for (n, _) in postings() {
+        for (n, ..) in postings() {
             start[n + 1] += 1;
         }
         for n in 0..num_nodes {
             start[n + 1] += start[n];
         }
+        // The log's node `n` holds its prior edits at `prior.offset(n) +
+        // start[n]`, then its new ones, each at `prior.offset(n + 1)` plus
+        // the node's cursor below. A deletion may have logged a node past
+        // the adjacency; its edits are carried over too.
+        let prior = &self.edits;
+        let mut edits = Edits { epoch: prior.epoch, ..Edits::default() };
+        if first_epoch.is_some() {
+            let log_nodes = num_nodes.max(prior.indptr.len().saturating_sub(1));
+            edits.indptr =
+                (0..=log_nodes).map(|n| prior.offset(n) + start[n.min(num_nodes)]).collect();
+            edits.log = vec![(0, 0.0); prior.log.len() + 2 * edges.len()];
+            for n in 0..log_nodes {
+                let (from, to) = (prior.offset(n), prior.offset(n + 1));
+                let at = edits.indptr[n];
+                edits.log[at..at + to - from].copy_from_slice(&prior.log[from..to]);
+            }
+        }
         let mut fresh = vec![AdjEntry { time: 0.0, ngh: 0, eid: 0 }; 2 * edges.len()];
         let mut next = start.clone();
-        for (n, entry) in postings() {
+        for (n, k, entry) in postings() {
             fresh[next[n]] = entry;
+            if let Some(first) = first_epoch {
+                edits.epoch = first + k;
+                edits.log[prior.offset(n + 1) + next[n]] = (edits.epoch, entry.time);
+            }
             next[n] += 1;
         }
         let mut indptr = Vec::with_capacity(num_nodes + 1);
@@ -147,10 +178,7 @@ impl TemporalGraph {
     /// pass over the graph. Out-of-order times are placed by time, after
     /// any equal-time entries already present.
     pub fn extend(&mut self, edges: &[Edge]) {
-        let first_epoch = self.edits.epoch + 1;
-        let edits = std::mem::take(&mut self.edits);
-        *self = self.merged(edges, edits);
-        self.edits.log_each(edges, first_epoch);
+        *self = self.merged(edges, Some(self.edits.epoch + 1));
     }
 
     /// Inserts one interaction (both directions), as one logged edit.
@@ -165,9 +193,7 @@ impl TemporalGraph {
     /// of the first view that saw it, so [`Versioned::holds`] answers for
     /// the base as a view does for its postings.
     pub(crate) fn with_appends(&self, log: &[Edge], base_seq: u64) -> Self {
-        let mut base = self.merged(log, self.edits.clone());
-        base.edits.log_each(log, base_seq + 1);
-        base
+        self.merged(log, Some(base_seq + 1))
     }
 
     /// Drops the edit log: the graph starts a new history at epoch 0. For
@@ -197,7 +223,7 @@ impl TemporalGraph {
         }
         let Some(time) = removed else { return false };
         self.num_edges = self.num_edges.saturating_sub(1);
-        self.edits.log([src, dst], time, self.edits.epoch + 1);
+        self.edits.record([src, dst], time);
         true
     }
 
@@ -355,7 +381,7 @@ mod tests {
         let s = EdgeStream::new(&[0, 1, 0], &[1, 2, 2], &[1.0, 2.0, 3.0]);
         let g = TemporalGraph::from_stream(&s);
         assert_eq!(g.epoch(), 0);
-        assert!(g.edits.by_node.is_empty(), "from_stream allocates no log");
+        assert!(g.edits.indptr.is_empty() && g.edits.log.is_empty(), "from_stream allocates no log");
         assert!((0..4).all(|n| g.last_change(n) == Some(0) && g.holds(n, 10.0, 0)));
     }
 
@@ -393,6 +419,24 @@ mod tests {
         assert_eq!(g.neighbors_before(0, 3.0).len(), before, "same history length");
         assert!(!g.holds(0, 3.0, 0), "the log sees both edits");
         assert!(g.holds(0, 1.0, 0), "both edits at or after t = 1");
+    }
+
+    #[test]
+    fn edits_logged_past_the_adjacency_survive_an_extend() {
+        let mut g = TemporalGraph::with_nodes(2);
+        g.insert(&edge(0, 1, 1.0, 0));
+        // eid 0 is found at node 0; node 5 is past the adjacency but is
+        // still logged as an endpoint of the deletion.
+        assert!(g.delete_edge(0, 5, 0));
+        assert_eq!(g.last_change(5), Some(2));
+        g.extend(&[edge(0, 1, 3.0, 1)]);
+        assert_eq!(g.epoch(), 3);
+        assert_eq!(g.edits.of(5), &[(2, 1.0)]);
+        assert_eq!(g.edits.of(0), &[(1, 1.0), (2, 1.0), (3, 3.0)]);
+        assert_eq!(g.edits.of(1), &[(1, 1.0), (3, 3.0)]);
+        for n in 2..5 {
+            assert!(g.edits.of(n).is_empty(), "node {n}: {:?}", g.edits.of(n));
+        }
     }
 
     #[test]

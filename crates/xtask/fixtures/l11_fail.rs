@@ -1,11 +1,7 @@
-//! L11 fail fixture: a NaN-panicking comparator, a NaN-inconsistent
-//! sort, and a float sum in hash-iteration order.
+//! L11 fail fixture: a NaN-inconsistent sort and a float sum in
+//! hash-iteration order.
 
 use rustc_hash::FxHashMap;
-
-pub fn pick(a: f32, b: f32) -> std::cmp::Ordering {
-    a.partial_cmp(&b).unwrap()
-}
 
 pub fn order(xs: &mut [f32]) {
     xs.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));

@@ -1,16 +1,15 @@
-//! Cross-crate call-graph reachability: the graph behind L10
-//! (`panic-reach`), L13 (`lock-held-effects`) and L14 (`deadline-safety`).
+//! Cross-crate call-graph reachability: the graph behind L13
+//! (`lock-held-effects`), L14 (`deadline-safety`) and L16
+//! (`effects-drift`).
 //!
-//! The per-file lints L4–L8 answer "does this line violate the policy?";
-//! the questions that protect the serve path are reachability questions:
-//! *can a request entering `embed_batch` or the serve worker loop reach a
-//! panic or an unbounded wait?* This module builds a function-level call
-//! graph over the whole workspace from the blanked code views
-//! ([`crate::source`]) and the fn-scope extraction
-//! ([`crate::scopes::analyze_fns`]), seeds it from `// hot-path-root`
-//! annotations, and checks everything transitively reachable against the
-//! shared call tables in [`crate::rules::calls`]. (Allocation is not a
-//! lint: `tests/alloc_gate.rs` counts the hot path's real allocations.)
+//! The questions that protect the serve path are reachability questions:
+//! *can a request entering `embed_batch` or the serve worker loop reach an
+//! unbounded wait, or a lock it already holds?* This module builds a
+//! function-level call graph over the whole workspace from the blanked
+//! code views ([`crate::source`]) and the fn-scope extraction
+//! ([`crate::scopes::analyze_fns`]), and seeds its closures from
+//! `// hot-path-root` annotations; [`crate::effects`] summarizes what each
+//! function can do over it.
 //!
 //! ## Name resolution model (and its known limits)
 //!
@@ -21,6 +20,8 @@
 //!   inside an `impl` block whose self-type's last path segment is the
 //!   qualifier; if none match, free functions named `name`.
 //!   `Self::name(...)` first rewrites `Self` to the enclosing impl type.
+//! * `self.name(...)` — the enclosing impl type's `name`; if it has none
+//!   (a trait's provided method, say), as `recv.name(...)`.
 //! * `recv.name(...)` — every impl-block function named `name`, in any
 //!   workspace crate (the receiver's type is unknown).
 //! * `name(...)` — every free function named `name`.
@@ -39,8 +40,7 @@
 //! * `// cold-path: <reason>` — the fn is pruned from the closures
 //!   (setup/teardown a root calls once per lifetime, not per batch).
 
-use crate::rules::calls::PANIC_PATTERNS;
-use crate::rules::{is_ident_byte, Finding, Lint};
+use crate::rules::is_ident_byte;
 use crate::scopes::analyze_fns;
 use crate::source::SourceFile;
 
@@ -98,6 +98,8 @@ pub(crate) struct ImplBlock {
 /// How a call site spells its callee.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) enum CallKind {
+    /// `self.name(...)`.
+    SelfMethod,
     /// `recv.name(...)`.
     Method,
     /// `Qual::name(...)` with the qualifier's last segment.
@@ -183,67 +185,6 @@ impl<'a> CallGraph<'a> {
         }
         chain.reverse();
         chain.join(" → ")
-    }
-
-    /// **L10 `panic-reach`, reference implementation** — flags every
-    /// [`PANIC_PATTERNS`] site inside a function reachable from a serve
-    /// root (wherever it lives), plus non-literal slice indexing inside
-    /// reachable `crates/serve/` code. Suppressed only by
-    /// `// lint: allow(panic-reach, <reason>)` — an `allow(panic, …)` does
-    /// not carry over, because "acceptable in this file" and "acceptable
-    /// on the request path" are different claims.
-    ///
-    /// This is the BFS oracle the summary-derived production L10
-    /// ([`crate::effects::EffectEngine::lint_panic_reach`]) is
-    /// equivalence-tested against.
-    pub fn lint_panic_reach_bfs(&self) -> Vec<Finding> {
-        let parent = self.reachable();
-        let mut out = Vec::new();
-        for (i, node) in self.nodes.iter().enumerate() {
-            if parent[i].is_none() {
-                continue;
-            }
-            let src = &self.sources[node.file];
-            for &(pattern, _) in PANIC_PATTERNS {
-                for at in body_matches(src, node.body, pattern) {
-                    self.push_panic_reach(&parent, i, at, pattern, &mut out);
-                }
-            }
-            if src.path.contains("crates/serve/") {
-                for at in slice_index_sites(src, node.body) {
-                    self.push_panic_reach(&parent, i, at, "slice indexing", &mut out);
-                }
-            }
-        }
-        out.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
-        out.dedup();
-        out
-    }
-
-    fn push_panic_reach(
-        &self,
-        parent: &[Option<usize>],
-        node: usize,
-        at: usize,
-        what: &str,
-        out: &mut Vec<Finding>,
-    ) {
-        let src = &self.sources[self.nodes[node].file];
-        let line = src.line_of(at);
-        if src.is_test_line(line) || src.is_allowed(line, Lint::PanicReach.name()) {
-            return;
-        }
-        out.push(Finding {
-            lint: Lint::PanicReach,
-            file: src.path.clone(),
-            line,
-            message: format!(
-                "`{}` can panic and is reachable from the serve path `{}`; \
-                 return a `TgError` instead",
-                what.trim_end_matches('('),
-                self.witness(parent, node)
-            ),
-        });
     }
 }
 
@@ -443,6 +384,11 @@ impl<'n> Resolver<'n> {
                     .and_then(|methods| methods.get(name))
                     .or_else(|| self.free_by_name.get(name))
             }
+            CallKind::SelfMethod => caller
+                .qual
+                .as_deref()
+                .and_then(|q| self.by_qual_name.get(q)?.get(name))
+                .or_else(|| self.targets(caller, &CallKind::Method, name)),
             CallKind::Method if UBIQUITOUS_METHODS.contains(&name) => None,
             CallKind::Method => self.impl_by_name.get(name),
             CallKind::Bare => self.free_by_name.get(name),
@@ -500,7 +446,12 @@ pub(crate) fn call_sites(src: &SourceFile, body: (usize, usize)) -> Vec<(CallKin
             continue; // declaration site or macro invocation
         }
         if before.ends_with('.') {
-            out.push((CallKind::Method, name.to_string(), s));
+            // `self.name(` but not `self.field.name(` or `my_self.name(`.
+            let on_self = before.strip_suffix("self.").is_some_and(|b| {
+                !b.ends_with(|c: char| c == '.' || c == '_' || c.is_ascii_alphanumeric())
+            });
+            let kind = if on_self { CallKind::SelfMethod } else { CallKind::Method };
+            out.push((kind, name.to_string(), s));
         } else if before.ends_with("::") {
             // Qualifier segment before the `::`.
             let mut qs = s - 2;
@@ -537,51 +488,6 @@ pub(crate) fn body_matches(src: &SourceFile, body: (usize, usize), pattern: &str
         out.push(abs);
     }
     out
-}
-
-/// Non-literal slice-index sites in a body: `expr[i]` where the bracket
-/// follows an identifier, `]`, or `)`, and the index is not a bare
-/// integer literal or a full `..` range (which cannot be out of bounds).
-pub(crate) fn slice_index_sites(src: &SourceFile, body: (usize, usize)) -> Vec<usize> {
-    let bytes = src.code.as_bytes();
-    let mut out = Vec::new();
-    for p in body.0..=body.1.min(bytes.len() - 1) {
-        if bytes[p] != b'[' {
-            continue;
-        }
-        let prev = bytes[..p].iter().rposition(|b| !b.is_ascii_whitespace());
-        let indexing = prev.is_some_and(|q| {
-            is_ident_byte(bytes[q]) || bytes[q] == b']' || bytes[q] == b')'
-        });
-        if !indexing {
-            continue; // array literal, attribute, or type syntax
-        }
-        let Some(close) = matching_bracket(bytes, p) else { continue };
-        let inner = src.code[p + 1..close].trim();
-        let literal = !inner.is_empty() && inner.bytes().all(|b| b.is_ascii_digit());
-        if literal || inner == ".." {
-            continue;
-        }
-        out.push(p);
-    }
-    out
-}
-
-fn matching_bracket(bytes: &[u8], open: usize) -> Option<usize> {
-    let mut depth = 0usize;
-    for (j, &b) in bytes[open..].iter().enumerate() {
-        match b {
-            b'[' => depth += 1,
-            b']' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(open + j);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -653,20 +559,13 @@ mod tests {
     }
 
     #[test]
-    fn l10_fires_on_unwrap_reachable_from_serve_root() {
-        let src = "// hot-path-root\nfn handle() { step(); }\nfn step() { parse().unwrap(); }\nfn parse() -> Option<u32> { None }\nfn unrelated() { other().unwrap(); }\nfn other() -> Option<u32> { None }\n";
-        let sources = vec![SourceFile::parse("t.rs", src)];
-        let g = CallGraph::build(&sources);
-        let f = g.lint_panic_reach_bfs();
-        assert_eq!(f.len(), 1, "unreachable unwrap must not fire: {f:?}");
-        assert_eq!(f[0].line, 3);
-    }
-
-    #[test]
-    fn slice_literal_and_full_range_are_not_index_findings() {
-        let src = "fn f(xs: &[f32], i: usize) { let _ = xs[0]; let _ = &xs[..]; let _ = xs[i]; }\n";
-        let f = SourceFile::parse("crates/serve/src/t.rs", src);
-        let sites = slice_index_sites(&f, (0, f.code.len() - 1));
-        assert_eq!(sites.len(), 1, "only xs[i] is a finding");
+    fn self_method_resolves_to_the_enclosing_impl_first() {
+        let src = "struct A;\nimpl A {\n    fn top(&self) { self.size(); self.other(); }\n    fn size(&self) {}\n}\n\
+                   struct B;\nimpl B {\n    fn size(&self) {}\n    fn other(&self) {}\n}\n";
+        let (_s, nodes, edges) = graph_of(src);
+        let outs: Vec<String> = edges[idx(&nodes, "A::top")].iter().map(|&j| nodes[j].label()).collect();
+        // `size` is A's own; `other` is not, so it falls back to every
+        // impl method of that name.
+        assert_eq!(outs, vec!["A::size".to_string(), "B::other".to_string()]);
     }
 }

@@ -1,23 +1,20 @@
-//! Interprocedural effect inference: the engine behind L10
-//! (`panic-reach`, summary-derived), L13 (`lock-held-effects`), L14
-//! (`deadline-safety`), and L16 (`effects-drift`).
+//! Interprocedural effect inference: the engine behind L13
+//! (`lock-held-effects`), L14 (`deadline-safety`), and L16
+//! (`effects-drift`).
 //!
-//! Where [`crate::callgraph`] answers the per-root reachability question
-//! ("can a serve root reach a panic?"), this module computes, for *every*
-//! workspace function, a transitive **effect summary** — the set of
-//! [`Effect`]s that executing the function may have:
+//! For *every* workspace function this module computes a transitive
+//! **effect summary** — the set of [`Effect`]s that executing the function
+//! may have:
 //!
-//! * `Panic` — panicking constructs ([`PANIC_PATTERNS`] plus non-literal
-//!   slice indexing in `crates/serve/`), minus `allow(panic-reach)` sites.
 //! * `Blocking(kind)` — unbounded-wait constructs ([`BLOCKING_CALLS`]):
 //!   channel `recv`, thread `join`, `sleep`, file I/O, `.await`.
 //! * `LockAcquire(name)` — a guard constructor on the named lock (the
 //!   same receiver-derived names `concurrency.toml` uses).
 //! * `RelaxedAtomic` — an unsuppressed `Ordering::Relaxed` use.
 //!
-//! Allocation is not an effect: `tests/alloc_gate.rs` counts the hot
-//! path's real allocations, in every crate, instead of matching call
-//! names.
+//! Panics and allocation are not effects: clippy denies panicking
+//! constructs in non-test code (`scripts/clippy.sh`), and
+//! `tests/alloc_gate.rs` counts the hot path's real allocations.
 //!
 //! ## Summary computation
 //!
@@ -27,8 +24,8 @@
 //! components (iterative Tarjan) and propagating over the condensation in
 //! reverse topological order — every member of an SCC gets the union of
 //! the whole component, which *is* the least fixpoint. Calls to
-//! `// cold-path:` functions contribute nothing, mirroring the closure
-//! pruning the BFS lint has always done.
+//! `// cold-path:` functions contribute nothing, as they are pruned from
+//! the root closures.
 //!
 //! Suppressed sites are excluded from summaries on purpose: an effect
 //! that has been justified in place is not part of a function's *policy-
@@ -39,14 +36,14 @@
 //!
 //! ## The lints
 //!
-//! * **L10** ([`EffectEngine::lint_panic_reach`]) — same findings as the
-//!   BFS reference twin in [`crate::callgraph`], byte-for-byte (pinned by
-//!   an equivalence test in `tests/lint_gate.rs`), emitted from the
-//!   engine's shared site extraction.
-//! * **L13** ([`EffectEngine::lint_lock_held`]) — the interprocedural
-//!   L7: no call with a transitive `Blocking`/`LockAcquire` effect while
-//!   a guard is live (lock acquisitions checked against the canonical
-//!   order in `concurrency.toml`).
+//! * **L13** — the one guard rule. In every region where a lock guard is
+//!   live it flags a blocking construct, a second guard of the held lock,
+//!   an acquisition of a lock `concurrency.toml` orders before the held
+//!   one, and any nested acquisition of a lock missing from that order
+//!   (so, with the order complete, no acquisition cycle can form), each
+//!   found directly ([`lint_guarded_sites`], per file, tests included) or
+//!   through a call's summary ([`EffectEngine::lint_lock_held`], non-test
+//!   code), plus a direct `embed_batch(` or `matmul(` ([`GUARDED_COMPUTE`]).
 //! * **L14** ([`EffectEngine::lint_deadline`]) — nothing reachable from a
 //!   root may block without a bound: unbounded `Blocking` sites need
 //!   `// bounded-by: <reason>` (timed variants are auto-bounded).
@@ -61,10 +58,33 @@ use std::collections::BTreeSet;
 
 use crate::callgraph::{self, CallGraph, Resolver};
 use crate::manifest::ConcurrencyManifest;
-use crate::rules::calls::{BLOCKING_CALLS, PANIC_PATTERNS};
 use crate::rules::{bounded_matches, Finding, Lint};
 use crate::scopes::{analyze_fns, Region};
 use crate::source::SourceFile;
+
+/// Blocking constructs as `(pattern, kind, auto_bounded)`: `pattern` is
+/// matched against the blanked code view, `kind` labels the
+/// `Effect::Blocking`, and `auto_bounded` marks the constructs that bound
+/// their own wait, which L14 accepts without `// bounded-by:`. Condvar
+/// waits are absent: waiting *requires* the guard.
+pub const BLOCKING_CALLS: &[(&str, &str, bool)] = &[
+    (".recv()", "recv", false),
+    (".recv_timeout(", "recv", true),
+    (".join()", "join", false),
+    ("thread::sleep", "sleep", true),
+    ("std::fs::", "file-io", false),
+    ("File::open", "file-io", false),
+    ("File::create", "file-io", false),
+    ("read_to_string(", "file-io", false),
+    ("write_all(", "file-io", false),
+    (".await", "await", false),
+];
+
+/// Expensive compute L13 flags when spelled directly in a guard region:
+/// it holds every other user of the lock for a whole batch. Not an
+/// effect — it is not a wait — so it never enters a summary or
+/// `effects.lock`.
+pub const GUARDED_COMPUTE: &[&str] = &["embed_batch(", "matmul("];
 
 /// File name of the committed lock at the workspace root.
 pub const LOCK_NAME: &str = "effects.lock";
@@ -73,15 +93,14 @@ pub const LOCK_NAME: &str = "effects.lock";
 /// lint report's [`crate::SCHEMA_VERSION`].
 /// v4: roots are keyed `file label` with no line number, sorted by
 /// `(file, label)`. v5: no root-kind column (every root seeds the same
-/// closure) and no `alloc` or `float-nondet` effects.
-pub const LOCK_SCHEMA: u32 = 5;
+/// closure) and no `alloc` or `float-nondet` effects. v6: no `panic`
+/// effect.
+pub const LOCK_SCHEMA: u32 = 6;
 
 /// One element of a function's effect summary. The derived `Ord` gives
 /// summaries (and therefore `effects.lock`) a stable serialization order.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Effect {
-    /// A panicking construct.
-    Panic,
     /// An unbounded-wait construct, tagged `recv`/`join`/`sleep`/
     /// `file-io`/`await`.
     Blocking(String),
@@ -95,7 +114,6 @@ impl Effect {
     /// Stable text form used in `effects.lock`.
     pub fn display(&self) -> String {
         match self {
-            Effect::Panic => "panic".to_string(),
             Effect::Blocking(k) => format!("blocking({k})"),
             Effect::LockAcquire(l) => format!("lock({l})"),
             Effect::RelaxedAtomic => "relaxed-atomic".to_string(),
@@ -105,7 +123,6 @@ impl Effect {
     /// Inverse of [`Effect::display`], for parsing `effects.lock`.
     pub fn parse(text: &str) -> Option<Effect> {
         match text {
-            "panic" => Some(Effect::Panic),
             "relaxed-atomic" => Some(Effect::RelaxedAtomic),
             _ => {
                 let inner = |p: &str| {
@@ -130,8 +147,8 @@ pub struct EffectSite {
     pub at: usize,
     /// 1-based line.
     pub line: usize,
-    /// Display text for findings: the trimmed panic or blocking pattern,
-    /// or the lock name.
+    /// Display text for findings: the trimmed blocking pattern, or the
+    /// lock name.
     pub what: String,
     /// `Blocking` only: the wait bounds itself (`recv_timeout`, `sleep`)
     /// or carries a `// bounded-by: <reason>` annotation.
@@ -153,8 +170,8 @@ pub struct RootSummary {
 /// sites, guard-liveness regions, and fixpoint summaries.
 pub struct EffectEngine<'a> {
     pub graph: CallGraph<'a>,
-    /// Per node: direct effect sites, suppression-aware, in the same
-    /// deterministic order the BFS lints enumerate them.
+    /// Per node: direct effect sites, suppression-aware, in source-pattern
+    /// order.
     sites: Vec<Vec<EffectSite>>,
     /// Per node: transitive summary (direct ∪ non-cold callees).
     summaries: Vec<BTreeSet<Effect>>,
@@ -177,16 +194,8 @@ impl<'a> EffectEngine<'a> {
         let mut scope_data: BTreeMap<(usize, usize), Scoped> = BTreeMap::new();
         for (file, src) in sources.iter().enumerate() {
             for scope in analyze_fns(src) {
-                let acquires: Vec<(String, usize)> = scope
-                    .events
-                    .iter()
-                    .filter_map(|e| match e {
-                        crate::scopes::Event::Acquire { lock, line, .. } => {
-                            Some((lock.clone(), *line))
-                        }
-                        _ => None,
-                    })
-                    .collect();
+                let acquires: Vec<(String, usize)> =
+                    scope.acquires.iter().map(|a| (a.lock.clone(), a.line)).collect();
                 scope_data.insert((file, scope.body.0), (scope.regions, acquires));
             }
         }
@@ -216,49 +225,11 @@ impl<'a> EffectEngine<'a> {
         &self.sites[i]
     }
 
-    /// **L10 `panic-reach`** — the engine's `Panic` sites of every
-    /// function reachable from a root. Byte-identical to
-    /// [`CallGraph::lint_panic_reach_bfs`].
-    pub fn lint_panic_reach(&self) -> Vec<Finding> {
-        let parent = self.graph.reachable();
-        let mut out = Vec::new();
-        for (i, node) in self.graph.nodes.iter().enumerate() {
-            if parent[i].is_none() {
-                continue;
-            }
-            let src = &self.graph.sources[node.file];
-            for site in &self.sites[i] {
-                if site.effect != Effect::Panic {
-                    continue;
-                }
-                out.push(Finding {
-                    lint: Lint::PanicReach,
-                    file: src.path.clone(),
-                    line: site.line,
-                    message: format!(
-                        "`{}` can panic and is reachable from the serve path `{}`; \
-                         return a `TgError` instead",
-                        site.what,
-                        self.graph.witness(&parent, i)
-                    ),
-                });
-            }
-        }
-        out.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
-        out.dedup();
-        out
-    }
-
-    /// **L13 `lock-held-effects`** — flags every call made while a guard
-    /// is live whose callee summary contains:
-    ///
-    /// * `Blocking(_)` — the interprocedural version of L7 (L7 itself only
-    ///   sees the blocking construct spelled directly under the guard);
-    /// * `LockAcquire(held)` — a transitive re-acquisition of the held
-    ///   lock (deadlock on non-reentrant locks);
-    /// * `LockAcquire(l)` where the canonical order in `concurrency.toml`
-    ///   puts `l` *before* the held lock — an interprocedural order
-    ///   contradiction L5 cannot see.
+    /// **L13 `lock-held-effects`, transitive half** — flags every call
+    /// made while a guard is live whose callee summary holds a
+    /// [`hazard`] for that guard: a blocking effect, a second guard of the
+    /// held lock, or an acquisition the canonical order in
+    /// `concurrency.toml` rejects or does not rank.
     ///
     /// Escape hatch: `// lint: allow(lock-held-effects, <reason>)` on the
     /// call line, or alone on the line above when the call line is too
@@ -267,25 +238,11 @@ impl<'a> EffectEngine<'a> {
         let resolver = Resolver::new(&self.graph.nodes);
         let mut out = Vec::new();
         for (i, node) in self.graph.nodes.iter().enumerate() {
-            if self.regions[i].is_empty() {
-                continue;
-            }
             let src = &self.graph.sources[node.file];
             let calls = callgraph::call_sites(src, node.body);
             for region in &self.regions[i] {
-                // A guard acquired inside #[cfg(test)] code is the test
-                // harness's business.
-                if region.held.iter().all(|(_, l)| src.is_test_line(*l)) {
-                    continue;
-                }
                 for (kind, name, at) in &calls {
                     if *at < region.start || *at >= region.end {
-                        continue;
-                    }
-                    let line = src.line_of(*at);
-                    if src.is_test_line(line)
-                        || allow_covers(src, line, Lint::LockHeldEffects.name())
-                    {
                         continue;
                     }
                     let Some(targets) = resolver.targets(node, kind, name) else { continue };
@@ -293,47 +250,15 @@ impl<'a> EffectEngine<'a> {
                     // re-entering the same fn is the fn's own region to
                     // analyze, not a cross-function effect.
                     let targets: Vec<usize> = targets.iter().copied().filter(|&t| t != i).collect();
-                    let mut combined: BTreeSet<Effect> = BTreeSet::new();
+                    let mut combined: BTreeSet<&Effect> = BTreeSet::new();
                     for &t in &targets {
-                        combined.extend(self.summaries[t].iter().cloned());
+                        combined.extend(self.summaries[t].iter());
                     }
-                    let chain_for = |eff: &Effect| self.provider_chain(&targets, eff);
-                    for (g, gline) in &region.held {
-                        for eff in &combined {
-                            let message = match eff {
-                                Effect::Blocking(k) => format!(
-                                    "`{name}` has a transitive blocking effect ({k} wait) \
-                                     while the `{g}` guard (acquired line {gline}) is held; \
-                                     effect chain `{}`; hoist the call out of the critical \
-                                     section",
-                                    chain_for(eff)
-                                ),
-                                Effect::LockAcquire(l) if l == g => format!(
-                                    "`{name}` transitively re-acquires the `{g}` lock \
-                                     already held (acquired line {gline}); effect chain \
-                                     `{}`; this deadlocks on non-reentrant locks",
-                                    chain_for(eff)
-                                ),
-                                Effect::LockAcquire(l)
-                                    if order_contradiction(manifest, l, g) =>
-                                {
-                                    format!(
-                                        "`{name}` transitively acquires `{l}` while `{g}` \
-                                         (acquired line {gline}) is held, contradicting the \
-                                         canonical lock order in concurrency.toml (`{l}` \
-                                         before `{g}`); effect chain `{}`",
-                                        chain_for(eff)
-                                    )
-                                }
-                                _ => continue,
-                            };
-                            out.push(Finding {
-                                lint: Lint::LockHeldEffects,
-                                file: src.path.clone(),
-                                line,
-                                message,
-                            });
-                        }
+                    for eff in combined {
+                        let chain = self.provider_chain(&targets, eff);
+                        let what = format!("`{name}` (effect chain `{chain}`)");
+                        let why = |g: &str| hazard(manifest, eff, g);
+                        push_hazards(src, &region.held, src.line_of(*at), &what, why, &mut out);
                     }
                 }
             }
@@ -448,49 +373,101 @@ fn allow_covers(src: &SourceFile, line: usize, name: &str) -> bool {
             && src.code_line(line - 1).trim().is_empty())
 }
 
-fn order_contradiction(manifest: &ConcurrencyManifest, acquired: &str, held: &str) -> bool {
-    match (manifest.order_index(acquired), manifest.order_index(held)) {
-        (Some(a), Some(h)) => a < h,
-        _ => false,
+/// Why `eff`, reached while the `held` guard is live, is a finding — or
+/// `None` when it is not: a blocking wait, a second guard of `held`, or a
+/// nested acquisition the canonical order rejects or does not rank.
+fn hazard(manifest: &ConcurrencyManifest, eff: &Effect, held: &str) -> Option<String> {
+    Some(match eff {
+        Effect::Blocking(kind) => format!("blocks ({kind} wait)"),
+        Effect::LockAcquire(l) if l == held => {
+            format!("takes a second guard of `{l}`, which deadlocks on non-reentrant locks,")
+        }
+        Effect::LockAcquire(l) => match (manifest.order_index(l), manifest.order_index(held)) {
+            (Some(a), Some(h)) if a > h => return None,
+            (Some(_), Some(_)) => {
+                format!("takes `{l}`, which concurrency.toml orders before `{held}`,")
+            }
+            _ => {
+                let unranked: Vec<String> = [l, held]
+                    .iter()
+                    .filter(|x| manifest.order_index(x).is_none())
+                    .map(|x| format!("`{x}`"))
+                    .collect();
+                format!(
+                    "takes `{l}`, and concurrency.toml's lock order does not rank {} (rank it, so no \
+                     acquisition cycle can form),",
+                    unranked.join(" or ")
+                )
+            }
+        },
+        Effect::RelaxedAtomic => return None,
+    })
+}
+
+/// Pushes one L13 finding per `held` guard for which `why` names a
+/// hazard of `what` at `line`.
+fn push_hazards(
+    src: &SourceFile,
+    held: &[(String, usize)],
+    line: usize,
+    what: &str,
+    why: impl Fn(&str) -> Option<String>,
+    out: &mut Vec<Finding>,
+) {
+    // A site inside #[cfg(test)] code is the test harness's business.
+    if src.is_test_line(line) || allow_covers(src, line, Lint::LockHeldEffects.name()) {
+        return;
+    }
+    for (g, gline) in held {
+        let Some(why) = why(g) else { continue };
+        out.push(Finding {
+            lint: Lint::LockHeldEffects,
+            file: src.path.clone(),
+            line,
+            message: format!("{what} {why} while the `{g}` guard (line {gline}) is held"),
+        });
     }
 }
 
-/// Extracts every direct effect site of one function, suppression-aware.
-/// `Panic` sites come first, in exactly the order the BFS L10 twin
-/// enumerates them (pattern-major, then position) — the equivalence
-/// guarantee depends on it.
-fn direct_sites(src: &SourceFile, node: &callgraph::FnNode, acquires: &[(String, usize)]) -> Vec<EffectSite> {
+/// **L13 `lock-held-effects`, direct half** — over one file, tests
+/// included: in every guard region, each [`BLOCKING_CALLS`] or
+/// [`GUARDED_COMPUTE`] construct, and each nested acquisition that is a
+/// [`hazard`] for a held guard. Same escape hatch as the transitive half.
+pub fn lint_guarded_sites(src: &SourceFile, manifest: &ConcurrencyManifest) -> Vec<Finding> {
     let mut out = Vec::new();
-    for &(pattern, _) in PANIC_PATTERNS {
-        for at in callgraph::body_matches(src, node.body, pattern) {
-            let line = src.line_of(at);
-            if src.is_test_line(line) || src.is_allowed(line, Lint::PanicReach.name()) {
-                continue;
+    for scope in analyze_fns(src) {
+        for a in &scope.acquires {
+            let eff = Effect::LockAcquire(a.lock.clone());
+            let why = |g: &str| hazard(manifest, &eff, g);
+            push_hazards(src, &a.held, a.line, "this line", why, &mut out);
+        }
+        for region in &scope.regions {
+            let span = (region.start, region.end - 1);
+            for &(pattern, kind, _) in BLOCKING_CALLS {
+                let eff = Effect::Blocking(kind.to_string());
+                for at in callgraph::body_matches(src, span, pattern) {
+                    let what = format!("`{}`", pattern.trim_end_matches('('));
+                    let why = |g: &str| hazard(manifest, &eff, g);
+                    push_hazards(src, &region.held, src.line_of(at), &what, why, &mut out);
+                }
             }
-            out.push(EffectSite {
-                effect: Effect::Panic,
-                at,
-                line,
-                what: pattern.trim_end_matches('(').to_string(),
-                bounded: false,
-            });
+            for pattern in GUARDED_COMPUTE {
+                for at in callgraph::body_matches(src, span, pattern) {
+                    let what = format!("`{}`", pattern.trim_end_matches('('));
+                    let why = |_: &str| Some("runs a whole batch".to_string());
+                    push_hazards(src, &region.held, src.line_of(at), &what, why, &mut out);
+                }
+            }
         }
     }
-    if src.path.contains("crates/serve/") {
-        for at in callgraph::slice_index_sites(src, node.body) {
-            let line = src.line_of(at);
-            if src.is_test_line(line) || src.is_allowed(line, Lint::PanicReach.name()) {
-                continue;
-            }
-            out.push(EffectSite {
-                effect: Effect::Panic,
-                at,
-                line,
-                what: "slice indexing".to_string(),
-                bounded: false,
-            });
-        }
-    }
+    out.sort_by(|a, b| (&a.file, a.line, &a.message).cmp(&(&b.file, b.line, &b.message)));
+    out.dedup();
+    out
+}
+
+/// Extracts every direct effect site of one function, suppression-aware.
+fn direct_sites(src: &SourceFile, node: &callgraph::FnNode, acquires: &[(String, usize)]) -> Vec<EffectSite> {
+    let mut out: Vec<EffectSite> = Vec::new();
     for &(pattern, kind, auto_bounded) in BLOCKING_CALLS {
         for at in callgraph::body_matches(src, node.body, pattern) {
             let line = src.line_of(at);
@@ -823,31 +800,35 @@ mod tests {
         &summaries[i]
     }
 
+    fn join() -> Effect {
+        Effect::Blocking("join".to_string())
+    }
+
     #[test]
     fn direct_effects_propagate_to_callers() {
-        let src = "fn top() { mid(); }\nfn mid() { leaf(); }\nfn leaf() { x().unwrap(); }\n";
+        let src = "fn top() { mid(); }\nfn mid() { leaf(); }\nfn leaf() { h.join(); }\n";
         let (_s, labels, sums) = engine_of(src);
-        assert!(summary_of(&labels, &sums, "leaf").contains(&Effect::Panic));
-        assert!(summary_of(&labels, &sums, "mid").contains(&Effect::Panic));
-        assert!(summary_of(&labels, &sums, "top").contains(&Effect::Panic));
+        assert!(summary_of(&labels, &sums, "leaf").contains(&join()));
+        assert!(summary_of(&labels, &sums, "mid").contains(&join()));
+        assert!(summary_of(&labels, &sums, "top").contains(&join()));
     }
 
     #[test]
     fn self_recursion_reaches_a_fixpoint() {
-        let src = "fn rec(n: u32) { if n > 0 { rec(n - 1); } x().unwrap(); }\nfn x() -> Option<u32> { None }\n";
+        let src = "fn rec(n: u32) { if n > 0 { rec(n - 1); } h.join(); }\nfn x() -> Option<u32> { None }\n";
         let (_s, labels, sums) = engine_of(src);
-        assert!(summary_of(&labels, &sums, "rec").contains(&Effect::Panic));
+        assert!(summary_of(&labels, &sums, "rec").contains(&join()));
     }
 
     #[test]
     fn mutual_recursion_shares_the_component_summary() {
         let src = "fn even(n: u32) { if n > 0 { odd(n - 1); } }\n\
-                   fn odd(n: u32) { x().unwrap(); if n > 0 { even(n - 1); } }\n\
+                   fn odd(n: u32) { h.join(); if n > 0 { even(n - 1); } }\n\
                    fn entry() { even(4); }\n";
         let (_s, labels, sums) = engine_of(src);
-        assert!(summary_of(&labels, &sums, "even").contains(&Effect::Panic));
-        assert!(summary_of(&labels, &sums, "odd").contains(&Effect::Panic));
-        assert!(summary_of(&labels, &sums, "entry").contains(&Effect::Panic));
+        assert!(summary_of(&labels, &sums, "even").contains(&join()));
+        assert!(summary_of(&labels, &sums, "odd").contains(&join()));
+        assert!(summary_of(&labels, &sums, "entry").contains(&join()));
     }
 
     #[test]
@@ -863,23 +844,23 @@ mod tests {
 
     #[test]
     fn cold_callees_contribute_nothing() {
-        let src = "fn hot() { setup(); }\n// cold-path: runs once at startup\nfn setup() { x().unwrap(); }\n";
+        let src = "fn hot() { setup(); }\n// cold-path: runs once at startup\nfn setup() { h.join(); }\n";
         let (_s, labels, sums) = engine_of(src);
-        assert!(summary_of(&labels, &sums, "setup").contains(&Effect::Panic));
-        assert!(!summary_of(&labels, &sums, "hot").contains(&Effect::Panic));
+        assert!(summary_of(&labels, &sums, "setup").contains(&join()));
+        assert!(!summary_of(&labels, &sums, "hot").contains(&join()));
     }
 
     #[test]
     fn suppressed_sites_stay_out_of_summaries() {
-        let src = "fn f() {\n    x().unwrap(); // lint: allow(panic-reach, x is Some by construction)\n    g();\n}\nfn g() { y().unwrap(); }\n";
+        let src = "fn f() {\n    a.load(Relaxed); // relaxed-ok: a is a statistic\n    g();\n}\nfn g() { b.load(Relaxed); }\n";
         let sources = vec![SourceFile::parse("t.rs", src)];
         let engine = EffectEngine::build(&sources);
         let f = engine.graph.nodes.iter().position(|n| n.name == "f").expect("f");
         let g = engine.graph.nodes.iter().position(|n| n.name == "g").expect("g");
-        assert!(!engine.sites(f).iter().any(|s| s.effect == Effect::Panic));
-        // f still inherits g's unsuppressed panic transitively.
-        assert!(engine.summary(f).contains(&Effect::Panic));
-        assert!(engine.summary(g).contains(&Effect::Panic));
+        assert!(!engine.sites(f).iter().any(|s| s.effect == Effect::RelaxedAtomic));
+        // f still inherits g's unsuppressed Relaxed transitively.
+        assert!(engine.summary(f).contains(&Effect::RelaxedAtomic));
+        assert!(engine.summary(g).contains(&Effect::RelaxedAtomic));
     }
 
     #[test]
@@ -899,13 +880,49 @@ mod tests {
     }
 
     #[test]
+    fn guard_rule_ranks_nested_locks_directly_and_through_calls() {
+        let manifest =
+            crate::manifest::parse("[lock-order]\norder = [\"fifo\", \"shards\"]\n").expect("manifest");
+        let src = "fn a(&self) {\n    let s = self.shards[0].write();\n    let f = self.fifo.lock();\n}\n\
+                   fn b(&self) {\n    let f = self.fifo.lock();\n    let s = self.shards[1].write(); // lint: allow(lock-held-effects, ordered)\n    tally();\n}\n\
+                   fn tally() { let t = totals.lock(); }\n";
+        let src = SourceFile::parse("t.rs", src);
+        let mut lines: Vec<usize> = lint_guarded_sites(&src, &manifest).iter().map(|f| f.line).collect();
+        let engine = EffectEngine::build(std::slice::from_ref(&src));
+        lines.extend(engine.lint_lock_held(&manifest).iter().map(|f| f.line));
+        // Line 3 contradicts the order, line 7 is allowed, and `tally`
+        // (line 8) takes `totals`, which the order does not rank, under
+        // both held guards.
+        assert_eq!(lines, vec![3, 8, 8], "{lines:?}");
+    }
+
+    #[test]
+    fn auto_bounded_flags_match_the_construct_semantics() {
+        for &(pattern, kind, auto_bounded) in BLOCKING_CALLS {
+            let bounds_itself = pattern.contains("timeout") || kind == "sleep";
+            assert_eq!(
+                auto_bounded, bounds_itself,
+                "`{pattern}` auto_bounded flag disagrees with its semantics"
+            );
+        }
+    }
+
+    #[test]
+    fn condvar_wait_under_its_own_guard_is_not_reported() {
+        let src = "fn f(&self) {\n    let mut st = self.state.lock();\n    st = self.arrived.wait(st);\n}\n";
+        let src = SourceFile::parse("t.rs", src);
+        let found = lint_guarded_sites(&src, &ConcurrencyManifest::default());
+        assert!(found.is_empty(), "{found:?}");
+    }
+
+    #[test]
     fn lock_effects_serialize_and_parse_round_trip() {
         let roots = vec![RootSummary {
             file: "crates/x/src/a.rs".to_string(),
             line: 12,
             label: "T::run".to_string(),
             effects: [
-                Effect::Panic,
+                Effect::RelaxedAtomic,
                 Effect::Blocking("recv".to_string()),
                 Effect::LockAcquire("fifo".to_string()),
             ]
@@ -933,10 +950,10 @@ mod tests {
         assert!(check_drift(&base, Some(&lock)).is_empty());
         // Added effect → drift.
         let mut grown = base.clone();
-        grown[0].effects.insert(Effect::Panic);
+        grown[0].effects.insert(join());
         let d = check_drift(&grown, Some(&lock));
         assert_eq!(d.len(), 1, "{d:?}");
-        assert!(d[0].message.contains("`panic` appeared"), "{}", d[0].message);
+        assert!(d[0].message.contains("`blocking(join)` appeared"), "{}", d[0].message);
         // Removed effect → drift (tighten).
         let mut shrunk = base.clone();
         shrunk[0].effects.clear();
@@ -974,12 +991,12 @@ mod tests {
             serialize_lock(&EffectEngine::build(&sources).root_summaries())
         };
         let before = lock_of(
-            "// hot-path-root\nfn b() { x().unwrap(); }\n// hot-path-root\nfn a() {}\n",
+            "// hot-path-root\nfn b() { h.join(); }\n// hot-path-root\nfn a() {}\n",
         );
         let after = lock_of(
-            "// moved\n// hot-path-root\nfn a() {}\n// hot-path-root\nfn b() { x().unwrap(); }\n",
+            "// moved\n// hot-path-root\nfn a() {}\n// hot-path-root\nfn b() { h.join(); }\n",
         );
         assert_eq!(before, after);
-        assert!(before.ends_with("root a.rs a\nroot a.rs b\n  effect panic\n"), "{before}");
+        assert!(before.ends_with("root a.rs a\nroot a.rs b\n  effect blocking(join)\n"), "{before}");
     }
 }

@@ -26,7 +26,6 @@ pub use report::{render_json, render_text, SCHEMA_VERSION};
 pub use rules::{lint_source, lint_source_with, Finding, Lint, Scope};
 pub use source::SourceFile;
 
-use rules::{check_lock_graph, extract_lock_edges, LockEdge};
 use std::collections::BTreeSet;
 use std::io;
 use std::path::Path;
@@ -92,28 +91,25 @@ impl LintReport {
 /// Coverage per crate in [`LIBRARY_CRATES`]:
 ///
 /// * `src/` **including `src/bin/`** — full scope (L4 and L8 per the
-///   file lists above, L6, L7 and L11 everywhere).
-/// * `tests/` — concurrency lints only (L6, L7): panics are the harness's
-///   failure mechanism, but a guard held across a blocking call deadlocks
-///   CI just as hard in a test.
+///   file lists above, L6, L11 and L13's direct half everywhere).
+/// * `tests/` — concurrency lints only (L6, L13's direct half): panics
+///   are the harness's failure mechanism, but a guard held across a
+///   blocking call deadlocks CI just as hard in a test.
 /// * The root package's `tests/` (the workspace integration suite) gets
 ///   the same concurrency-only treatment.
 ///
-/// L5 is *not* run per file here: lock edges from every file of a crate
-/// (plus the root suite) are aggregated and the acquisition graph is
-/// checked once per crate, because the two halves of a cycle usually live
-/// in different files. Files reachable through two crate roots are linted
-/// once (paths are canonicalized and deduped).
+/// Files reachable through two crate roots are linted once (paths are
+/// canonicalized and deduped).
 ///
 /// Whole-workspace passes run after the per-file pass has parsed
 /// everything:
 ///
-/// * **L10/L13/L14** — one [`effects::EffectEngine`] spanning every
-///   non-test source (library `src/`, `examples/`, bench binaries):
-///   SCC-condensed effect summaries power the reachability lints and the
-///   guard-liveness checks. Test files are deliberately excluded from the
-///   graph: a test helper calling `embed_batch` would otherwise pull the
-///   whole test suite into the panic-free closure.
+/// * **L13's transitive half and L14** — one [`effects::EffectEngine`]
+///   spanning every non-test source (library `src/`, `examples/`, bench
+///   binaries): SCC-condensed effect summaries power the guard-region
+///   and reachability checks. Test files are deliberately excluded from
+///   the graph: a test helper named like a library fn would otherwise
+///   alias into its callers' summaries.
 /// * **L16** — the engine's hot-path-root summaries are diffed against
 ///   the committed `effects.lock`; set `UPDATE_EFFECTS_LOCK=1` to
 ///   regenerate the lock instead of reporting drift.
@@ -129,87 +125,61 @@ pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
     let mut graph_sources: Vec<SourceFile> = Vec::new();
     let mut test_sources: Vec<SourceFile> = Vec::new();
 
-    // One lock-graph unit per crate, plus one for the workspace-level
-    // integration suite (which exercises the same hot paths), plus one
-    // per harness directory.
+    #[derive(Clone, Copy)]
     enum Kind {
         Src,
         Test,
         Harness,
     }
-    let mut units: Vec<Vec<(Kind, std::path::PathBuf)>> = Vec::new();
+    let mut files: Vec<(Kind, std::path::PathBuf)> = Vec::new();
+    let mut push_dir = |dir: std::path::PathBuf, kind: Kind| -> io::Result<()> {
+        let mut found = Vec::new();
+        collect_rs_files(&dir, &mut found)?;
+        found.sort();
+        files.extend(found.into_iter().map(|p| (kind, p)));
+        Ok(())
+    };
     for krate in LIBRARY_CRATES {
-        let mut src_files = Vec::new();
-        collect_rs_files(&root.join(krate).join("src"), &mut src_files)?;
-        let mut test_files = Vec::new();
-        collect_rs_files(&root.join(krate).join("tests"), &mut test_files)?;
-        src_files.sort();
-        test_files.sort();
-        units.push(
-            src_files
-                .into_iter()
-                .map(|p| (Kind::Src, p))
-                .chain(test_files.into_iter().map(|p| (Kind::Test, p)))
-                .collect(),
-        );
+        push_dir(root.join(krate).join("src"), Kind::Src)?;
+        push_dir(root.join(krate).join("tests"), Kind::Test)?;
     }
-    let mut root_tests = Vec::new();
-    collect_rs_files(&root.join("tests"), &mut root_tests)?;
-    root_tests.sort();
-    units.push(root_tests.into_iter().map(|p| (Kind::Test, p)).collect());
+    push_dir(root.join("tests"), Kind::Test)?;
     for dir in HARNESS_DIRS {
-        let mut files = Vec::new();
-        collect_rs_files(&root.join(dir), &mut files)?;
-        files.sort();
-        units.push(files.into_iter().map(|p| (Kind::Harness, p)).collect());
+        push_dir(root.join(dir), Kind::Harness)?;
     }
 
-    for unit in units {
-        let mut edges: Vec<LockEdge> = Vec::new();
-        for (kind, path) in unit {
-            let canonical = path.canonicalize().unwrap_or_else(|_| path.clone());
-            if !seen.insert(canonical) {
-                continue; // already linted via another crate root
-            }
-            let rel = path
-                .strip_prefix(root)
-                .unwrap_or(&path)
-                .to_string_lossy()
-                .replace('\\', "/");
-            // L5 is checked per crate below, not per file.
-            let scope = match kind {
-                Kind::Test => Scope { atomics: true, lock_across: true, ..Scope::default() },
-                Kind::Src => Scope {
-                    invariants: CACHE_STATE_FILES.contains(&rel.as_str()),
-                    atomics: true,
-                    lock_across: true,
-                    counters: COUNTER_FILES.contains(&rel.as_str()),
-                    float_determinism: true,
-                    ..Scope::default()
-                },
-                Kind::Harness => Scope {
-                    atomics: true,
-                    lock_across: true,
-                    float_determinism: true,
-                    ..Scope::default()
-                },
-            };
-            let text = std::fs::read_to_string(&path)?;
-            let src = SourceFile::parse(rel, text);
-            findings.extend(lint_source_with(&src, scope, &manifest));
-            edges.extend(extract_lock_edges(&src));
-            match kind {
-                Kind::Test => test_sources.push(src),
-                Kind::Src | Kind::Harness => graph_sources.push(src),
-            }
+    for (kind, path) in files {
+        let canonical = path.canonicalize().unwrap_or_else(|_| path.clone());
+        if !seen.insert(canonical) {
+            continue; // already linted via another crate root
         }
-        findings.extend(check_lock_graph(&edges, &manifest));
+        let rel = path.strip_prefix(root).unwrap_or(&path).to_string_lossy().replace('\\', "/");
+        let scope = match kind {
+            Kind::Test => Scope { atomics: true, lock_held: true, ..Scope::default() },
+            Kind::Src => Scope {
+                invariants: CACHE_STATE_FILES.contains(&rel.as_str()),
+                atomics: true,
+                counters: COUNTER_FILES.contains(&rel.as_str()),
+                lock_held: true,
+                float_determinism: true,
+                ..Scope::default()
+            },
+            Kind::Harness => {
+                Scope { atomics: true, lock_held: true, float_determinism: true, ..Scope::default() }
+            }
+        };
+        let src = SourceFile::parse(rel, std::fs::read_to_string(&path)?);
+        findings.extend(rules::lint_file(&src, scope, &manifest));
+        match kind {
+            Kind::Test => test_sources.push(src),
+            Kind::Src | Kind::Harness => graph_sources.push(src),
+        }
     }
 
-    // L10/L13/L14: one effect-inference pass over the whole non-test
-    // file set (SCC-condensed summaries over the workspace call graph).
+    // L13's transitive half and L14: one effect-inference pass over the
+    // whole non-test file set (SCC-condensed summaries over the
+    // workspace call graph).
     let engine = effects::EffectEngine::build(&graph_sources);
-    findings.extend(engine.lint_panic_reach());
     findings.extend(engine.lint_lock_held(&manifest));
     findings.extend(engine.lint_deadline());
 
@@ -236,36 +206,6 @@ pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
     });
     findings.dedup();
     Ok(LintReport { findings, files_checked })
-}
-
-/// Parses the call-graph file set (library `src/`, `examples/`, bench
-/// binaries) with the same discovery and dedup rules as
-/// [`lint_workspace`], no linting — for the test that compares L10
-/// against its BFS oracle over the real tree.
-pub fn workspace_graph_sources(root: &Path) -> io::Result<Vec<SourceFile>> {
-    let mut seen: BTreeSet<std::path::PathBuf> = BTreeSet::new();
-    let mut files = Vec::new();
-    for krate in LIBRARY_CRATES {
-        collect_rs_files(&root.join(krate).join("src"), &mut files)?;
-    }
-    for dir in HARNESS_DIRS {
-        collect_rs_files(&root.join(dir), &mut files)?;
-    }
-    files.sort();
-    let mut out = Vec::new();
-    for path in files {
-        let canonical = path.canonicalize().unwrap_or_else(|_| path.clone());
-        if !seen.insert(canonical) {
-            continue;
-        }
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(&path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        out.push(SourceFile::parse(rel, std::fs::read_to_string(&path)?));
-    }
-    Ok(out)
 }
 
 fn collect_rs_files(dir: &Path, out: &mut Vec<std::path::PathBuf>) -> io::Result<()> {
@@ -301,26 +241,25 @@ mod scope_tests {
 #[cfg(test)]
 mod fixture_tests {
     //! Self-tests over `fixtures/`: one passing and one violating example
-    //! per lint. The fail fixtures also pin *which* lines fire, so a rule
-    //! that silently widens or narrows its matching breaks the build.
+    //! per lint, under the workspace's own `concurrency.toml`. The fail
+    //! fixtures also pin *which* lines fire, so a rule that silently
+    //! widens or narrows its matching breaks the build.
 
     use super::*;
 
     fn lint_fixture(name: &str, scope: Scope) -> Vec<Finding> {
-        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures").join(name);
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("missing fixture {}: {e}", path.display()));
-        lint_source(&SourceFile::parse(name, text), scope)
+        let here = Path::new(env!("CARGO_MANIFEST_DIR"));
+        let text = std::fs::read_to_string(here.join("fixtures").join(name))
+            .unwrap_or_else(|e| panic!("missing fixture {name}: {e}"));
+        let manifest = manifest::load(&here.join("../..")).expect("concurrency.toml parses");
+        lint_source_with(&SourceFile::parse(name, text), scope, &manifest)
     }
 
     fn scope_for(lint: Lint) -> Scope {
         Scope {
             invariants: lint == Lint::MissingInvariants,
-            lock_order: lint == Lint::LockOrder,
             atomics: lint == Lint::Atomics,
-            lock_across: lint == Lint::LockAcross,
             counters: lint == Lint::UnguardedCounter,
-            panic_reach: lint == Lint::PanicReach,
             lock_held: lint == Lint::LockHeldEffects,
             deadline: lint == Lint::DeadlineSafety,
             float_determinism: lint == Lint::FloatDeterminism,
@@ -328,154 +267,46 @@ mod fixture_tests {
         }
     }
 
-    #[test]
-    fn l4_pass_fixture_is_clean() {
-        assert_eq!(lint_fixture("l4_pass.rs", scope_for(Lint::MissingInvariants)).len(), 0);
-    }
+    /// `(fixture stem, lint, findings its fail fixture must produce)`.
+    const PAIRS: &[(&str, Lint, usize)] = &[
+        ("l4", Lint::MissingInvariants, 2),
+        ("l6", Lint::Atomics, 3),
+        ("l8", Lint::UnguardedCounter, 2),
+        ("l11", Lint::FloatDeterminism, 2),
+        ("l12", Lint::ErrorCoverage, 2),
+        ("l13", Lint::LockHeldEffects, 7),
+        ("l14", Lint::DeadlineSafety, 2),
+    ];
 
     #[test]
-    fn l4_fail_fixture_fires_on_undocumented_mutators() {
-        let f = lint_fixture("l4_fail.rs", scope_for(Lint::MissingInvariants));
-        assert_eq!(f.len(), 2, "findings: {f:?}");
-        assert!(f.iter().all(|x| x.lint == Lint::MissingInvariants));
-    }
-
-    #[test]
-    fn l5_pass_fixture_is_clean() {
-        assert_eq!(lint_fixture("l5_pass.rs", scope_for(Lint::LockOrder)).len(), 0);
-    }
-
-    #[test]
-    fn l5_fail_fixture_fires_on_cycle_and_self_edge() {
-        let f = lint_fixture("l5_fail.rs", scope_for(Lint::LockOrder));
-        assert_eq!(f.len(), 3, "findings: {f:?}");
-        assert!(f.iter().all(|x| x.lint == Lint::LockOrder));
-        assert!(f.iter().filter(|x| x.message.contains("cycle")).count() == 2);
-        assert!(f.iter().any(|x| x.message.contains("two guards")));
-    }
-
-    #[test]
-    fn l6_pass_fixture_is_clean() {
-        assert_eq!(lint_fixture("l6_pass.rs", scope_for(Lint::Atomics)).len(), 0);
-    }
-
-    #[test]
-    fn l6_fail_fixture_fires_on_relaxed_control_and_torn_rmw() {
-        let f = lint_fixture("l6_fail.rs", scope_for(Lint::Atomics));
-        assert_eq!(f.len(), 3, "findings: {f:?}");
-        assert!(f.iter().all(|x| x.lint == Lint::Atomics));
-        assert!(f.iter().any(|x| x.message.contains("compare_exchange")));
-    }
-
-    #[test]
-    fn l7_pass_fixture_is_clean() {
-        assert_eq!(lint_fixture("l7_pass.rs", scope_for(Lint::LockAcross)).len(), 0);
-    }
-
-    #[test]
-    fn l7_fail_fixture_fires_on_guard_held_across_expensive_calls() {
-        let f = lint_fixture("l7_fail.rs", scope_for(Lint::LockAcross));
-        assert_eq!(f.len(), 2, "findings: {f:?}");
-        assert!(f.iter().all(|x| x.lint == Lint::LockAcross));
-    }
-
-    #[test]
-    fn l8_pass_fixture_is_clean() {
-        assert_eq!(lint_fixture("l8_pass.rs", scope_for(Lint::UnguardedCounter)).len(), 0);
-    }
-
-    #[test]
-    fn l8_fail_fixture_fires_on_pub_field_and_torn_getter() {
-        let f = lint_fixture("l8_fail.rs", scope_for(Lint::UnguardedCounter));
-        assert_eq!(f.len(), 2, "findings: {f:?}");
-        assert!(f.iter().all(|x| x.lint == Lint::UnguardedCounter));
-        assert!(f.iter().any(|x| x.message.contains("pub atomic")));
-        assert!(f.iter().any(|x| x.message.contains("torn snapshot")));
-    }
-
-    #[test]
-    fn l10_pass_fixture_is_clean() {
-        assert_eq!(lint_fixture("l10_pass.rs", scope_for(Lint::PanicReach)).len(), 0);
-    }
-
-    #[test]
-    fn l10_fail_fixture_fires_on_reachable_panics() {
-        let f = lint_fixture("l10_fail.rs", scope_for(Lint::PanicReach));
-        assert_eq!(f.len(), 3, "findings: {f:?}");
-        assert!(f.iter().all(|x| x.lint == Lint::PanicReach));
-    }
-
-    #[test]
-    fn l11_pass_fixture_is_clean() {
-        assert_eq!(lint_fixture("l11_pass.rs", scope_for(Lint::FloatDeterminism)).len(), 0);
-    }
-
-    #[test]
-    fn l11_fail_fixture_fires_on_nondeterministic_float_patterns() {
-        let f = lint_fixture("l11_fail.rs", scope_for(Lint::FloatDeterminism));
-        assert_eq!(f.len(), 3, "findings: {f:?}");
-        assert!(f.iter().all(|x| x.lint == Lint::FloatDeterminism));
-    }
-
-    #[test]
-    fn l12_pass_fixture_is_clean() {
-        assert_eq!(lint_fixture("l12_pass.rs", scope_for(Lint::ErrorCoverage)).len(), 0);
-    }
-
-    #[test]
-    fn l12_fail_fixture_fires_on_unbalanced_variants() {
-        let f = lint_fixture("l12_fail.rs", scope_for(Lint::ErrorCoverage));
-        assert_eq!(f.len(), 2, "findings: {f:?}");
-        assert!(f.iter().all(|x| x.lint == Lint::ErrorCoverage));
-        assert!(f.iter().any(|x| x.message.contains("never constructed")));
-        assert!(f.iter().any(|x| x.message.contains("never matched")));
-    }
-
-    #[test]
-    fn l13_pass_fixture_is_clean() {
-        assert_eq!(lint_fixture("l13_pass.rs", scope_for(Lint::LockHeldEffects)).len(), 0);
-    }
-
-    #[test]
-    fn l13_fail_fixture_fires_on_transitive_effects_under_guards() {
-        let f = lint_fixture("l13_fail.rs", scope_for(Lint::LockHeldEffects));
-        assert_eq!(f.len(), 2, "findings: {f:?}");
-        assert!(f.iter().all(|x| x.lint == Lint::LockHeldEffects));
-        assert!(f.iter().any(|x| x.message.contains("blocking effect")));
-        assert!(f.iter().any(|x| x.message.contains("re-acquires")));
-    }
-
-    #[test]
-    fn l14_pass_fixture_is_clean() {
-        assert_eq!(lint_fixture("l14_pass.rs", scope_for(Lint::DeadlineSafety)).len(), 0);
-    }
-
-    #[test]
-    fn l14_fail_fixture_fires_on_unbounded_serve_waits() {
-        let f = lint_fixture("l14_fail.rs", scope_for(Lint::DeadlineSafety));
-        assert_eq!(f.len(), 2, "findings: {f:?}");
-        assert!(f.iter().all(|x| x.lint == Lint::DeadlineSafety));
-        assert!(f.iter().all(|x| x.message.contains("bounded-by")));
-    }
-
-    #[test]
-    fn fail_fixtures_fire_under_the_full_scope_too() {
-        for name in [
-            "l4_fail.rs",
-            "l5_fail.rs",
-            "l6_fail.rs",
-            "l7_fail.rs",
-            "l8_fail.rs",
-            "l10_fail.rs",
-            "l11_fail.rs",
-            "l12_fail.rs",
-            "l13_fail.rs",
-            "l14_fail.rs",
-        ] {
-            assert!(
-                !lint_fixture(name, Scope::all()).is_empty(),
-                "{name} should fail under Scope::all()"
-            );
+    fn pass_fixtures_are_clean_and_fail_fixtures_fire_their_lint() {
+        for &(stem, lint, count) in PAIRS {
+            let clean = lint_fixture(&format!("{stem}_pass.rs"), scope_for(lint));
+            assert!(clean.is_empty(), "{stem}_pass.rs: {clean:?}");
+            let f = lint_fixture(&format!("{stem}_fail.rs"), scope_for(lint));
+            assert_eq!(f.len(), count, "{stem}_fail.rs: {f:?}");
+            assert!(f.iter().all(|x| x.lint == lint), "{stem}_fail.rs: {f:?}");
+            assert!(!lint_fixture(&format!("{stem}_fail.rs"), Scope::all()).is_empty());
         }
+    }
+
+    #[test]
+    fn fail_fixture_messages_name_each_case() {
+        let has = |stem: &str, lint: Lint, needle: &str| {
+            let f = lint_fixture(&format!("{stem}_fail.rs"), scope_for(lint));
+            assert!(f.iter().any(|x| x.message.contains(needle)), "{stem}: no `{needle}` in {f:?}");
+        };
+        has("l6", Lint::Atomics, "compare_exchange");
+        has("l8", Lint::UnguardedCounter, "pub atomic");
+        has("l8", Lint::UnguardedCounter, "torn snapshot");
+        has("l12", Lint::ErrorCoverage, "never constructed");
+        has("l12", Lint::ErrorCoverage, "never matched");
+        has("l13", Lint::LockHeldEffects, "blocks (join wait)");
+        has("l13", Lint::LockHeldEffects, "blocks (recv wait)");
+        has("l13", Lint::LockHeldEffects, "second guard");
+        has("l13", Lint::LockHeldEffects, "orders before");
+        has("l13", Lint::LockHeldEffects, "does not rank");
+        has("l13", Lint::LockHeldEffects, "runs a whole batch");
+        has("l14", Lint::DeadlineSafety, "bounded-by");
     }
 }

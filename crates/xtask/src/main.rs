@@ -14,15 +14,13 @@ Usage: cargo run -p tg-xtask -- lint [--format text|json] [--root PATH]
 crates (src/, src/bin/, tests/), the harness code (examples/, bench
 binaries), and the root integration suite:
 
-  L4 missing-invariants  L5 lock-order        (per-crate acquisition graph)
-  L6 atomics             (Relaxed control signals, torn RMW)
-  L7 lock-across         (guards held across expensive calls)
+  L4 missing-invariants  L6 atomics          (Relaxed control signals, torn RMW)
   L8 unguarded-counter   (accounting bypassing snapshot/merge)
-  L10 panic-reach        (effect-summary reachability from `// hot-path-root`
-                          annotations)
   L11 float-determinism  L12 error-coverage   (TgError constructed AND matched)
-  L13 lock-held-effects  L14 deadline-safety  (transitive effects under guards /
-                                               unbounded waits on the serve path)
+  L13 lock-held-effects  (the one guard rule: no blocking wait, second guard,
+                          misordered or unranked nested lock, directly or
+                          through a call, and no direct embed_batch/matmul)
+  L14 deadline-safety    (unbounded waits reachable from `// hot-path-root`)
   L16 effects-drift      (summaries vs committed effects.lock)
 
 L16 compares every hot-path root's effect summary with effects.lock at
@@ -30,9 +28,10 @@ the workspace root; regenerate it in place with
 UPDATE_EFFECTS_LOCK=1 cargo run -q -p tg-xtask -- lint.
 
 There is no L9: the hot path's allocations are counted by
-tests/alloc_gate.rs. There is no L1-L3 or L15: clippy checks panics,
-lossy casts, SipHash maps and unsafe justifications (scripts/check.sh's
-clippy step). The canonical lock order and control-atomics list live in
+tests/alloc_gate.rs. There is no L1-L3, L10 or L15: clippy checks panics
+(slice indexing too, in tg-serve), lossy casts, SipHash maps and unsafe
+justifications (scripts/check.sh's clippy step). L5 and L7 are L13.
+The canonical lock order and control-atomics list live in
 concurrency.toml at the workspace root. See DESIGN.md \"Error handling &
 lint policy\", \"Concurrency model\", and \"Effect inference (L13-L16)\"
 for what each lint means and the `// lint: allow(<name>, <reason>)` /

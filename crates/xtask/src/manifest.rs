@@ -1,13 +1,15 @@
 //! The `concurrency.toml` manifest: the workspace's declared concurrency
-//! discipline, consumed by the L5 (lock-order), L6 (atomics) and L13
-//! (lock-held-effects) rules.
+//! discipline, consumed by the L6 (atomics) and L13 (lock-held-effects)
+//! rules.
 //!
 //! The manifest lives at the workspace root and declares two facts that
 //! cannot be inferred from any single file:
 //!
 //! * `[lock-order] order = [...]` — the canonical acquisition order of the
 //!   workspace's named locks. A lock earlier in the list must never be
-//!   acquired while a later one is held. Locks are named by the field or
+//!   acquired while a later one is held, and both locks of every nested
+//!   acquisition must be listed, so no acquisition cycle can form. Locks
+//!   are named by the field or
 //!   binding the guard comes from (`self.fifo.lock()` → `fifo`).
 //! * `[atomics] control = [...]` — atomic fields that other threads read
 //!   as *control signals* (shutdown flags, mode switches). `AtomicBool`
@@ -24,8 +26,8 @@ use std::path::Path;
 pub const MANIFEST_NAME: &str = "concurrency.toml";
 
 /// Parsed manifest contents. An absent manifest parses as `default()`:
-/// no declared order (cycle detection still runs) and no extra control
-/// atomics (`AtomicBool` fields are still control signals).
+/// no declared order (every nested acquisition is an L13 finding) and no
+/// extra control atomics (`AtomicBool` fields are still control signals).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ConcurrencyManifest {
     /// Canonical lock-acquisition order, outermost first.

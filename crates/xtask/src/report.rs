@@ -9,7 +9,7 @@
 //!   "files_checked": 30,
 //!   "count": 1,
 //!   "findings": [
-//!     {"lint": "panic-reach", "file": "crates/core/src/cache.rs", "line": 7,
+//!     {"lint": "lock-held-effects", "file": "crates/core/src/cache.rs", "line": 7,
 //!      "message": "..."}
 //!   ]
 //! }
@@ -105,7 +105,7 @@ mod tests {
     fn sample() -> LintReport {
         LintReport {
             findings: vec![Finding {
-                lint: Lint::PanicReach,
+                lint: Lint::LockHeldEffects,
                 file: "crates/core/src/cache.rs".to_string(),
                 line: 7,
                 message: "a \"quoted\" message".to_string(),
@@ -117,7 +117,7 @@ mod tests {
     #[test]
     fn text_report_lists_file_line_and_lint() {
         let text = render_text(&sample());
-        assert!(text.contains("crates/core/src/cache.rs:7: [panic-reach]"));
+        assert!(text.contains("crates/core/src/cache.rs:7: [lock-held-effects]"));
         assert!(text.contains("1 finding(s) in 3 file(s)"));
     }
 

@@ -5,10 +5,9 @@
 //! since-deleted hash-memoized time cache showed the same bug class live in
 //! this repo (which deltas it kept followed map iteration order): float
 //! results must not depend on hash-iteration order or on `partial_cmp`'s
-//! NaN behavior. Three patterns:
+//! NaN behavior. Two patterns (pattern 1, `partial_cmp(..).unwrap()`, is
+//! clippy's `unwrap_used`/`expect_used` now; the numbers are kept):
 //!
-//! 1. `a.partial_cmp(b).unwrap()` (or `.expect(…)`) — panics on NaN;
-//!    `f32::total_cmp` is total and branch-free.
 //! 2. A float comparator built from `partial_cmp` inside `sort_by` /
 //!    `sort_unstable_by` / `max_by` / `min_by` — NaN makes the comparator
 //!    inconsistent and the result order-dependent. Comparators using
@@ -34,25 +33,10 @@ const INT_TURBOFISH: &[&str] = &[
 ];
 
 pub(crate) fn lint_float_determinism(src: &SourceFile, out: &mut Vec<Finding>) {
-    partial_cmp_unwrap(src, out);
     float_sorters(src, out);
     hash_iteration_accumulation(src, out);
     out.sort_by_key(|f| f.line);
     out.dedup();
-}
-
-/// Pattern 1: `partial_cmp` immediately unwrapped on the same statement.
-fn partial_cmp_unwrap(src: &SourceFile, out: &mut Vec<Finding>) {
-    for at in match_all(&src.code, ".partial_cmp(") {
-        let Some(close) = paren_close(src.code.as_bytes(), at + ".partial_cmp".len()) else {
-            continue;
-        };
-        let rest = &src.code[close + 1..];
-        if !(rest.starts_with(".unwrap()") || rest.starts_with(".expect(")) {
-            continue;
-        }
-        push(src, at, "`partial_cmp(..).unwrap()` panics on NaN; use `f32::total_cmp`", out);
-    }
 }
 
 /// Pattern 2: `sort_by`-family call whose comparator uses `partial_cmp`.
@@ -252,12 +236,6 @@ mod tests {
     fn findings(src: &str) -> Vec<Finding> {
         let scope = Scope { float_determinism: true, ..Scope::default() };
         lint_source(&SourceFile::parse("t.rs", src), scope)
-    }
-
-    #[test]
-    fn partial_cmp_unwrap_is_flagged() {
-        let src = "fn f(a: f32, b: f32) { let _ = a.partial_cmp(&b).unwrap(); }\n";
-        assert_eq!(findings(src).len(), 1);
     }
 
     #[test]

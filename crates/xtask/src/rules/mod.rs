@@ -7,45 +7,38 @@
 //! - **L4 `missing-invariants`** ([`invariants`]) — `pub fn`s mutating
 //!   shared cache state must document an `# Invariants` section.
 //!
-//! Concurrency-safety rules (the [`concurrency`], [`atomics`], and
-//! [`counters`] modules, backed by the [`crate::scopes`] walker and the
-//! `concurrency.toml` manifest):
+//! Concurrency-safety rules (the [`atomics`] and [`counters`] modules,
+//! backed by the [`crate::scopes`] walker and the `concurrency.toml`
+//! manifest):
 //!
-//! - **L5 `lock-order`** — the per-crate lock-acquisition graph (which
-//!   locks are taken while which are held) must be acyclic and must not
-//!   contradict the canonical order declared in `concurrency.toml`.
 //! - **L6 `atomics`** — `Ordering::Relaxed` on cross-thread *control*
 //!   atomics (every `AtomicBool`, plus the manifest's `control` list)
 //!   needs a `// relaxed-ok: <invariant>` justification; load-then-store
 //!   sequences on one atomic must use `fetch_*`/`compare_exchange`.
-//! - **L7 `lock-across`** — no lock guard may be held across an
-//!   expensive or blocking call (`embed_batch`, `matmul`, channel
-//!   `recv`, file I/O, `.await`).
 //! - **L8 `unguarded-counter`** — accounting state must stay private and
 //!   be read through an aggregating `snapshot()`/`merge()` path, never as
 //!   `pub` atomic fields or torn multi-counter getters.
 //!
-//! Reachability and whole-workspace rules (the [`crate::callgraph`]
-//! engine, plus [`determinism`] and [`errors`]). L9 is retired: the hot
-//! path's allocations are counted by `tests/alloc_gate.rs`, not inferred
-//! from call names, and the numbers of the other lints are kept.
+//! Whole-workspace rules ([`determinism`] and [`errors`]). L5, L7, L9 and
+//! L10 are retired: L13 is the one guard rule, `tests/alloc_gate.rs`
+//! counts the hot path's allocations, and clippy denies panicking
+//! constructs (`indexing_slicing` too, in `tg-serve`); the numbers of the
+//! other lints are kept.
 //!
-//! - **L10 `panic-reach`** — no panic site reachable from a
-//!   `// hot-path-root`, plus non-literal slice indexing inside reachable
-//!   `crates/serve/` code.
-//! - **L11 `float-determinism`** — NaN-unsound comparators
-//!   (`partial_cmp().unwrap()`, float `sort_by`) and numeric accumulation
-//!   over hash-iteration order.
+//! - **L11 `float-determinism`** — NaN-unsound float comparators
+//!   (`partial_cmp` inside `sort_by`) and numeric accumulation over
+//!   hash-iteration order.
 //! - **L12 `error-coverage`** — every `TgError` variant must be both
 //!   constructed and matched somewhere in the workspace.
 //!
 //! Effect-inference rules (the [`crate::effects`] engine: per-function
 //! transitive effect summaries over the SCC-condensed call graph):
 //!
-//! - **L13 `lock-held-effects`** — the interprocedural L7: no call with a
-//!   transitive `Blocking`/`LockAcquire` effect while a lock guard is live
-//!   (lock acquisitions checked against the canonical `concurrency.toml`
-//!   order).
+//! - **L13 `lock-held-effects`** — the one guard rule: while a lock guard
+//!   is live, no blocking construct, no second guard of the held lock, no
+//!   acquisition of a lock ordered before it, and no nested acquisition
+//!   of a lock missing from `concurrency.toml`'s order — directly or
+//!   through a call — and no direct `embed_batch(` or `matmul(`.
 //! - **L14 `deadline-safety`** — no unbounded blocking construct reachable
 //!   from a root without a `// bounded-by: <reason>` annotation.
 //! - **L16 `effects-drift`** — hot-path-root summaries must match the
@@ -60,16 +53,12 @@
 //! [`crate::callgraph`].
 
 pub mod atomics;
-pub mod calls;
-pub mod concurrency;
 pub mod counters;
 pub mod determinism;
 pub mod errors;
 pub mod invariants;
 
-pub use concurrency::{check_lock_graph, extract_lock_edges, LockEdge};
 pub use errors::lint_error_coverage;
-
 use crate::manifest::ConcurrencyManifest;
 use crate::source::SourceFile;
 
@@ -77,17 +66,14 @@ use crate::source::SourceFile;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Lint {
     MissingInvariants,
-    LockOrder,
     Atomics,
-    LockAcross,
     UnguardedCounter,
-    /// L10 — panic site reachable from a `// hot-path-root` (call-graph).
-    PanicReach,
     /// L11 — NaN/order-sensitive float patterns.
     FloatDeterminism,
     /// L12 — `TgError` variants never constructed or never matched.
     ErrorCoverage,
-    /// L13 — transitive effect invoked while a lock guard is live.
+    /// L13 — a blocking, re-entrant or unordered effect, or expensive
+    /// compute, while a lock guard is live.
     LockHeldEffects,
     /// L14 — unbounded blocking reachable from the serve deadline path.
     DeadlineSafety,
@@ -101,11 +87,8 @@ impl Lint {
     pub fn name(self) -> &'static str {
         match self {
             Lint::MissingInvariants => "missing-invariants",
-            Lint::LockOrder => "lock-order",
             Lint::Atomics => "atomics",
-            Lint::LockAcross => "lock-across",
             Lint::UnguardedCounter => "unguarded-counter",
-            Lint::PanicReach => "panic-reach",
             Lint::FloatDeterminism => "float-determinism",
             Lint::ErrorCoverage => "error-coverage",
             Lint::LockHeldEffects => "lock-held-effects",
@@ -130,26 +113,17 @@ pub struct Finding {
 pub struct Scope {
     /// L4.
     pub invariants: bool,
-    /// L5. In a whole-workspace run the walker disables this per-file flag
-    /// and checks the aggregated per-crate graph instead (a cycle can span
-    /// two files); single-file runs (fixtures) check the file's own graph.
-    pub lock_order: bool,
     /// L6.
     pub atomics: bool,
-    /// L7.
-    pub lock_across: bool,
     /// L8.
     pub counters: bool,
-    /// L10. In a whole-workspace run the walker disables this per-file
-    /// flag and checks one graph spanning every crate instead (hot paths
-    /// cross crate boundaries); single-file runs (fixtures) build the
-    /// file's own graph from its `// hot-path-root` annotations.
-    pub panic_reach: bool,
-    /// L13. Same per-file/workspace split as L10 (effects cross crates);
-    /// single-file runs check the file's own guarded regions against the
-    /// summaries of functions defined in that file.
+    /// L13. Per file, its direct half; a single-file run adds the
+    /// transitive half over the file's own functions, which a
+    /// whole-workspace run checks once over every non-test file instead.
     pub lock_held: bool,
-    /// L14. Same per-file/workspace split as L10.
+    /// L14. Single-file runs only, over the file's own `// hot-path-root`
+    /// closure; a whole-workspace run checks one graph spanning every
+    /// crate (hot paths cross crate boundaries).
     pub deadline: bool,
     /// L11.
     pub float_determinism: bool,
@@ -163,11 +137,8 @@ impl Scope {
     pub fn all() -> Self {
         Self {
             invariants: true,
-            lock_order: true,
             atomics: true,
-            lock_across: true,
             counters: true,
-            panic_reach: true,
             lock_held: true,
             deadline: true,
             float_determinism: true,
@@ -176,31 +147,16 @@ impl Scope {
     }
 }
 
-/// Runs every in-scope lint over one parsed file with no manifest (the
-/// canonical-order and control-atomics checks degrade gracefully).
-pub fn lint_source(src: &SourceFile, scope: Scope) -> Vec<Finding> {
-    lint_source_with(src, scope, &ConcurrencyManifest::default())
-}
-
-/// Runs every in-scope lint over one parsed file against `manifest`.
-pub fn lint_source_with(
-    src: &SourceFile,
-    scope: Scope,
-    manifest: &ConcurrencyManifest,
-) -> Vec<Finding> {
+/// Runs the per-file lints in `scope` over one parsed file: L4, L6, L8,
+/// L11 and L13's direct half. The workspace walker runs this per file and
+/// the whole-workspace passes once.
+pub(crate) fn lint_file(src: &SourceFile, scope: Scope, manifest: &ConcurrencyManifest) -> Vec<Finding> {
     let mut out = Vec::new();
     if scope.invariants {
         invariants::lint_invariants(src, &mut out);
     }
-    if scope.lock_order {
-        let edges = concurrency::extract_lock_edges(src);
-        out.extend(concurrency::check_lock_graph(&edges, manifest));
-    }
     if scope.atomics {
         atomics::lint_atomics(src, manifest, &mut out);
-    }
-    if scope.lock_across {
-        concurrency::lint_lock_across(src, &mut out);
     }
     if scope.counters {
         counters::lint_unguarded_counter(src, &mut out);
@@ -208,15 +164,24 @@ pub fn lint_source_with(
     if scope.float_determinism {
         determinism::lint_float_determinism(src, &mut out);
     }
-    if scope.panic_reach || scope.lock_held || scope.deadline {
-        // Single-file effect inference (fixtures): the file's own
-        // `// hot-path-root` annotations seed the closures and its own
-        // function set bounds the summaries.
-        let sources = std::slice::from_ref(src);
-        let engine = crate::effects::EffectEngine::build(sources);
-        if scope.panic_reach {
-            out.extend(engine.lint_panic_reach());
-        }
+    if scope.lock_held {
+        out.extend(crate::effects::lint_guarded_sites(src, manifest));
+    }
+    out
+}
+
+/// Runs every in-scope lint over one file on its own (fixtures): the
+/// per-file lints, then the whole-workspace passes over this file alone.
+/// Its own `// hot-path-root` annotations seed the closures and its own
+/// function set bounds the summaries.
+pub fn lint_source_with(
+    src: &SourceFile,
+    scope: Scope,
+    manifest: &ConcurrencyManifest,
+) -> Vec<Finding> {
+    let mut out = lint_file(src, scope, manifest);
+    if scope.lock_held || scope.deadline {
+        let engine = crate::effects::EffectEngine::build(std::slice::from_ref(src));
         if scope.lock_held {
             out.extend(engine.lint_lock_held(manifest));
         }
@@ -228,6 +193,13 @@ pub fn lint_source_with(
         out.extend(errors::lint_error_coverage(&[src]));
     }
     out
+}
+
+/// [`lint_source_with`] under an empty manifest: no control atomics
+/// beyond `AtomicBool`, and no lock order, so every nested acquisition is
+/// an L13 finding.
+pub fn lint_source(src: &SourceFile, scope: Scope) -> Vec<Finding> {
+    lint_source_with(src, scope, &ConcurrencyManifest::default())
 }
 
 pub(crate) fn is_ident_byte(b: u8) -> bool {

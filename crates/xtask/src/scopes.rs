@@ -2,9 +2,9 @@
 //!
 //! The walker scans each `fn` body in a file's code view (comments and
 //! strings already blanked by [`crate::source`]) and reconstructs the one
-//! fact the L5 (lock-order) and L7 (lock-across-expensive-call) rules
-//! need: **which lock guards are live at each point**. Guard liveness
-//! follows Rust's drop rules closely enough for linting:
+//! fact L13 (`lock-held-effects`) needs: **which lock guards are live at
+//! each point**. Guard liveness follows Rust's drop rules closely enough
+//! for linting:
 //!
 //! * `let g = ...lock();` binds a guard that lives until its enclosing
 //!   block closes or an explicit `drop(g)`.
@@ -17,26 +17,25 @@
 //! `.read()`, and `.write()` — the shared `std::sync`/`parking_lot` API
 //! surface. A lock's *name* is the last path segment of its receiver
 //! (`self.shards[i].write()` → `shards`), which is how the canonical
-//! order in `concurrency.toml` refers to it.
+//! order in `concurrency.toml` refers to it; a loop binding takes the
+//! name of the field it iterates (`for shard in &self.shards` →
+//! `shards`).
 
 use crate::source::SourceFile;
 
 /// A lock-guard constructor call.
 const LOCK_CALLS: &[&str] = &[".lock()", ".read()", ".write()"];
 
-// The L7 expensive-call table lives in `rules/calls.rs` with the other
-// shared call classifications; re-exported here because this is where it
-// historically lived and external callers use the `scopes::` path.
-pub use crate::rules::calls::EXPENSIVE_CALLS;
-
-/// One event observed during the walk of a function body, in source order.
+/// One lock acquisition observed during the walk of a function body.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Event {
-    /// A lock acquisition. `held` is every distinct lock name already
-    /// guarded at this point (binding line attached for diagnostics).
-    Acquire { lock: String, line: usize, held: Vec<(String, usize)> },
-    /// An expensive call executed while at least one guard is live.
-    Expensive { call: String, line: usize, held: Vec<(String, usize)> },
+pub struct Acquire {
+    /// Lock name (receiver's last path segment).
+    pub lock: String,
+    /// 1-based line of the guard constructor.
+    pub line: usize,
+    /// Every distinct lock already guarded at this point, with its
+    /// acquisition line, outermost first.
+    pub held: Vec<(String, usize)>,
 }
 
 /// A byte range of the code view during which at least one lock guard is
@@ -55,7 +54,7 @@ pub struct Region {
     pub held: Vec<(String, usize)>,
 }
 
-/// The walked events of one `fn`.
+/// The walked acquisitions and guard regions of one `fn`.
 #[derive(Clone, Debug)]
 pub struct FnScope {
     /// Function name (empty for closures promoted to items — not expected).
@@ -64,8 +63,8 @@ pub struct FnScope {
     pub line: usize,
     /// Body byte span in the code view, `[open, close]` braces inclusive.
     pub body: (usize, usize),
-    /// Acquisition / expensive-call events in source order.
-    pub events: Vec<Event>,
+    /// Lock acquisitions in source order.
+    pub acquires: Vec<Acquire>,
     /// Guard-liveness byte ranges (non-empty held sets only), in order.
     pub regions: Vec<Region>,
 }
@@ -107,8 +106,8 @@ pub fn analyze_fns(src: &SourceFile) -> Vec<FnScope> {
             .map(char::from)
             .collect();
         let Some((open, close)) = body_span(bytes, at) else { continue };
-        let (events, regions) = walk_body(src, open, close);
-        out.push(FnScope { name, line: src.line_of(at), body: (open, close), events, regions });
+        let (acquires, regions) = walk_body(src, open, close);
+        out.push(FnScope { name, line: src.line_of(at), body: (open, close), acquires, regions });
     }
     out
 }
@@ -148,12 +147,12 @@ fn body_span(bytes: &[u8], at: usize) -> Option<(usize, usize)> {
     Some((open, bytes.len().saturating_sub(1)))
 }
 
-/// Linear walk of one body span, producing events and guard-liveness
-/// regions in order.
-fn walk_body(src: &SourceFile, open: usize, close: usize) -> (Vec<Event>, Vec<Region>) {
+/// Linear walk of one body span, producing acquisitions and
+/// guard-liveness regions in order.
+fn walk_body(src: &SourceFile, open: usize, close: usize) -> (Vec<Acquire>, Vec<Region>) {
     let code = &src.code;
     let bytes = code.as_bytes();
-    let mut events = Vec::new();
+    let mut acquires = Vec::new();
     let mut guards: Vec<Guard> = Vec::new();
     let mut regions: Vec<Region> = Vec::new();
     let mut cur_held: Vec<(String, usize)> = Vec::new();
@@ -166,7 +165,7 @@ fn walk_body(src: &SourceFile, open: usize, close: usize) -> (Vec<Event>, Vec<Re
             b'{' => {
                 depth += 1;
                 // A `{` ends the scrutinee/initializer expression: any
-                // statement temporary has done its job for L7 purposes.
+                // statement temporary has done its job for lint purposes.
                 guards.retain(|g| !g.temp);
                 sync_regions(&mut regions, &mut cur_held, &mut cur_start, &guards, i);
                 stmt_start = i + 1;
@@ -197,8 +196,8 @@ fn walk_body(src: &SourceFile, open: usize, close: usize) -> (Vec<Event>, Vec<Re
                 if let Some(call) = LOCK_CALLS.iter().find(|c| code[i..].starts_with(**c)) {
                     let lock = receiver_name(code, i);
                     let line = src.line_of(i);
-                    let held: Vec<(String, usize)> = distinct_held(&guards);
-                    events.push(Event::Acquire { lock: lock.clone(), line, held });
+                    let held = distinct_held(&guards);
+                    acquires.push(Acquire { lock: lock.clone(), line, held });
                     let stmt = &code[stmt_start..i];
                     let (binding, temp) = classify_binding(stmt, code, i + call.len(), close);
                     guards.push(Guard { binding, lock, depth, temp, line });
@@ -209,23 +208,13 @@ fn walk_body(src: &SourceFile, open: usize, close: usize) -> (Vec<Event>, Vec<Re
                     sync_regions(&mut regions, &mut cur_held, &mut cur_start, &guards, i);
                     continue;
                 }
-                if let Some(call) = expensive_at(code, i) {
-                    push_expensive(src, &guards, call, i, &mut events);
-                }
             }
-            _ => {
-                if let Some(call) = expensive_at(code, i) {
-                    // Word boundary for non-`.`-prefixed patterns.
-                    if i == 0 || !(bytes[i - 1].is_ascii_alphanumeric() || bytes[i - 1] == b'_') {
-                        push_expensive(src, &guards, call, i, &mut events);
-                    }
-                }
-            }
+            _ => {}
         }
         i += 1;
     }
     sync_regions(&mut regions, &mut cur_held, &mut cur_start, &[], close + 1);
-    (events, regions)
+    (acquires, regions)
 }
 
 /// Closes the open guard-liveness region (if any) when the distinct held
@@ -246,27 +235,6 @@ fn sync_regions(
     }
     *cur_held = held;
     *cur_start = at;
-}
-
-fn expensive_at(code: &str, i: usize) -> Option<&'static str> {
-    EXPENSIVE_CALLS.iter().copied().find(|c| code[i..].starts_with(*c))
-}
-
-fn push_expensive(
-    src: &SourceFile,
-    guards: &[Guard],
-    call: &'static str,
-    at: usize,
-    events: &mut Vec<Event>,
-) {
-    if guards.is_empty() {
-        return;
-    }
-    events.push(Event::Expensive {
-        call: call.trim_end_matches("()").trim_end_matches('(').to_string(),
-        line: src.line_of(at),
-        held: distinct_held(guards),
-    });
 }
 
 fn distinct_held(guards: &[Guard]) -> Vec<(String, usize)> {
@@ -327,6 +295,7 @@ pub(crate) fn receiver_name(code: &str, dot: usize) -> String {
     let bytes = code.as_bytes();
     let mut i = dot;
     let mut last_segment = String::new();
+    let mut segments = 0usize;
     while i > 0 {
         let b = bytes[i - 1];
         match b {
@@ -350,6 +319,7 @@ pub(crate) fn receiver_name(code: &str, dot: usize) -> String {
                 while i > 0 && (bytes[i - 1].is_ascii_alphanumeric() || bytes[i - 1] == b'_') {
                     i -= 1;
                 }
+                segments += 1;
                 if last_segment.is_empty() {
                     last_segment = code[i..end].to_string();
                 } else {
@@ -365,95 +335,113 @@ pub(crate) fn receiver_name(code: &str, dot: usize) -> String {
             _ => break,
         }
     }
+    if segments == 1 {
+        if let Some(field) = loop_source(code, dot, &last_segment) {
+            return field;
+        }
+    }
     last_segment
+}
+
+/// The last path segment iterated by the innermost `for name in <path>`
+/// loop whose body encloses byte `at` (`for shard in &self.shards` →
+/// `shards`), so an element taken through a loop binding carries the
+/// name of what it came from. `None` when no such loop encloses `at` or
+/// its iterator is not a plain path.
+fn loop_source(code: &str, at: usize, name: &str) -> Option<String> {
+    let bytes = code.as_bytes();
+    let head = format!("for {name} in ");
+    let mut end = at;
+    while let Some(pos) = code[..end].rfind(&head) {
+        end = pos;
+        if pos > 0 && (bytes[pos - 1].is_ascii_alphanumeric() || bytes[pos - 1] == b'_') {
+            continue;
+        }
+        let iter_at = pos + head.len();
+        let open = iter_at + code[iter_at..].find('{')?;
+        let mut depth = 0usize;
+        let close = (open..bytes.len()).find(|&j| {
+            match bytes[j] {
+                b'{' => depth += 1,
+                b'}' => depth -= 1,
+                _ => {}
+            }
+            depth == 0
+        })?;
+        if !(open < at && at < close) {
+            continue;
+        }
+        let iter = code[iter_at..open].trim();
+        let iter = iter.strip_prefix("&mut ").or_else(|| iter.strip_prefix('&')).unwrap_or(iter);
+        let iter = iter.strip_suffix(".iter()").or_else(|| iter.strip_suffix(".iter_mut()")).unwrap_or(iter);
+        let plain = iter.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'_' || b == b'.');
+        return plain.then(|| iter.rsplit('.').next().unwrap_or(iter).to_string());
+    }
+    None
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn events(src: &str) -> Vec<Event> {
+    fn acquires(src: &str) -> Vec<Acquire> {
         let f = SourceFile::parse("t.rs", src);
-        analyze_fns(&f).into_iter().flat_map(|s| s.events).collect()
+        analyze_fns(&f).into_iter().flat_map(|s| s.acquires).collect()
+    }
+
+    fn regions(src: &str) -> Vec<Region> {
+        analyze_fns(&SourceFile::parse("t.rs", src)).remove(0).regions
     }
 
     #[test]
     fn bound_guard_is_held_until_block_end() {
-        let src = "fn f(&self) {\n    let g = self.fifo.lock();\n    let s = self.shards[0].write();\n}\n";
-        let ev = events(src);
+        let ev = acquires("fn f(&self) {\n    let g = self.fifo.lock();\n    let s = self.shards[0].write();\n}\n");
         assert_eq!(ev.len(), 2);
-        match &ev[1] {
-            Event::Acquire { lock, held, .. } => {
-                assert_eq!(lock, "shards");
-                assert_eq!(held.len(), 1);
-                assert_eq!(held[0].0, "fifo");
-            }
-            other => panic!("expected Acquire, got {other:?}"),
-        }
+        assert_eq!(ev[1].lock, "shards");
+        assert_eq!(ev[1].held, vec![("fifo".to_string(), 2)]);
     }
 
     #[test]
     fn inner_block_guard_dies_at_block_close() {
-        let src = "fn f(&self) {\n    {\n        let g = self.fifo.lock();\n    }\n    let s = self.state.lock();\n}\n";
-        let ev = events(src);
-        match &ev[1] {
-            Event::Acquire { lock, held, .. } => {
-                assert_eq!(lock, "state");
-                assert!(held.is_empty(), "fifo guard must be dead: {held:?}");
-            }
-            other => panic!("expected Acquire, got {other:?}"),
-        }
+        let ev = acquires("fn f(&self) {\n    {\n        let g = self.fifo.lock();\n    }\n    let s = self.state.lock();\n}\n");
+        assert_eq!(ev[1].lock, "state");
+        assert!(ev[1].held.is_empty(), "fifo guard must be dead: {:?}", ev[1].held);
     }
 
     #[test]
     fn explicit_drop_releases_the_guard() {
-        let src = "fn f(&self) {\n    let g = self.a.lock();\n    drop(g);\n    let h = self.b.lock();\n}\n";
-        let ev = events(src);
-        match &ev[1] {
-            Event::Acquire { held, .. } => assert!(held.is_empty()),
-            other => panic!("expected Acquire, got {other:?}"),
-        }
+        let ev = acquires("fn f(&self) {\n    let g = self.a.lock();\n    drop(g);\n    let h = self.b.lock();\n}\n");
+        assert!(ev[1].held.is_empty());
     }
 
     #[test]
     fn deref_copy_is_a_statement_temporary() {
         let src = "fn f(&self) {\n    let c = *self.counters.lock();\n    self.engine.embed_batch(&c);\n}\n";
-        let ev = events(src);
-        assert_eq!(ev.len(), 1, "no Expensive event once the temp died: {ev:?}");
+        let r = regions(src);
+        assert!(r.iter().all(|r| r.end <= src.find("self.engine").unwrap()), "{r:?}");
     }
 
     #[test]
     fn chained_call_holds_a_temporary_through_the_statement() {
         let src = "fn f(&self) {\n    let wave = match relock(rx.lock()).recv() { Ok(w) => w, Err(_) => return };\n}\n";
-        let ev = events(src);
-        assert!(
-            ev.iter().any(|e| matches!(
-                e,
-                Event::Expensive { call, held, .. }
-                    if call == ".recv" && held.iter().any(|(l, _)| l == "rx")
-            )),
-            "recv under rx guard must be seen: {ev:?}"
-        );
-    }
-
-    #[test]
-    fn expensive_call_under_bound_guard_is_reported() {
-        let src = "fn f(&self) {\n    let g = self.cache.lock();\n    let h = engine.embed_batch(&ns, &ts);\n}\n";
-        let ev = events(src);
-        assert!(ev.iter().any(|e| matches!(
-            e,
-            Event::Expensive { call, .. } if call == "embed_batch"
-        )));
+        let recv = src.find(".recv").unwrap();
+        assert!(regions(src).iter().any(|r| r.start <= recv && recv < r.end && r.held[0].0 == "rx"));
     }
 
     #[test]
     fn indexed_receiver_names_the_field() {
-        let src = "fn f(&self) {\n    let s = self.shards[shard_of(key)].read();\n}\n";
-        let ev = events(src);
-        match &ev[0] {
-            Event::Acquire { lock, .. } => assert_eq!(lock, "shards"),
-            other => panic!("expected Acquire, got {other:?}"),
-        }
+        assert_eq!(acquires("fn f(&self) {\n    let s = self.shards[shard_of(key)].read();\n}\n")[0].lock, "shards");
+    }
+
+    #[test]
+    fn loop_binding_names_the_field_it_iterates() {
+        let src = "fn f(&self) {\n    let g = self.fifo.lock();\n    for shard in &self.shards {\n        shard.write().clear();\n    }\n    for s in self.locks.iter() {\n        s.read();\n    }\n}\nfn g(shard: &L) {\n    shard.write();\n}\n";
+        let ev = acquires(src);
+        assert_eq!(ev[1].lock, "shards");
+        assert_eq!(ev[1].held, vec![("fifo".to_string(), 2)]);
+        assert_eq!(ev[2].lock, "locks");
+        // Outside any loop that binds it, the name is the binding's own.
+        assert_eq!(ev[3].lock, "shard");
     }
 
     #[test]
@@ -510,12 +498,5 @@ mod tests {
             .find(|r| r.start < outer && outer < r.end)
             .expect("outer call must be covered");
         assert_eq!(only_gen.held.iter().map(|(l, _)| l.as_str()).collect::<Vec<_>>(), vec!["gen"]);
-    }
-
-    #[test]
-    fn condvar_wait_is_not_expensive() {
-        let src = "fn f(&self) {\n    let mut st = self.state.lock();\n    st = self.arrived.wait(st);\n}\n";
-        let ev = events(src);
-        assert_eq!(ev.len(), 1, "only the acquisition: {ev:?}");
     }
 }

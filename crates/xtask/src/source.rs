@@ -13,7 +13,7 @@
 pub struct Allow {
     /// 1-based line the annotation sits on (and therefore exempts).
     pub line: usize,
-    /// Lint name, e.g. `missing-invariants` or `lock-across`.
+    /// Lint name, e.g. `missing-invariants` or `lock-held-effects`.
     pub name: String,
     /// Optional free-text justification after the comma.
     pub reason: Option<String>,
@@ -437,13 +437,13 @@ mod tests {
 
     #[test]
     fn allow_annotations_are_parsed_with_reasons() {
-        let src = "let g = m.lock(); // lint: allow(lock-across, init only)\nlet y = 1;\n";
+        let src = "let g = m.lock(); // lint: allow(lock-held-effects, init only)\nlet y = 1;\n";
         let f = SourceFile::parse("t.rs", src);
         assert_eq!(f.allows.len(), 1);
-        assert_eq!(f.allows[0].name, "lock-across");
+        assert_eq!(f.allows[0].name, "lock-held-effects");
         assert_eq!(f.allows[0].reason.as_deref(), Some("init only"));
-        assert!(f.is_allowed(1, "lock-across"));
-        assert!(!f.is_allowed(2, "lock-across"));
+        assert!(f.is_allowed(1, "lock-held-effects"));
+        assert!(!f.is_allowed(2, "lock-held-effects"));
     }
 
     #[test]

@@ -27,18 +27,18 @@
 #   7. scripts/clippy.sh — clippy and rustc with -D warnings at the levels
 #      of the root Cargo.toml's [workspace.lints] table: L1 panic, L2
 #      lossy-cast (non-test code), L3 std-hash (six hot-path modules of
-#      tgopt), L15 unsafe-audit (tests included) and clippy's default lints;
+#      tgopt), L10 panic-reach (indexing_slicing in tg-serve's non-test
+#      code), L15 unsafe-audit (tests included) and clippy's default lints;
 #      an #[expect] that is no longer needed fails it too. `cargo test`
 #      does not run it (DESIGN.md "Error handling & lint policy")
 #   8. cargo run -p tg-xtask -- lint — the repo's static-analysis suite
-#      (L4 missing-invariants; the concurrency rules L5 lock-order,
-#      L6 atomics, L7 lock-across, L8 unguarded-counter; the call-graph
-#      reachability rules L10 panic-reach, L11 float-determinism,
-#      L12 error-coverage; and the effect-inference rules
-#      L13 lock-held-effects, L14 deadline-safety, L16 effects-drift
-#      against the committed effects.lock; see DESIGN.md "Error handling
-#      & lint policy", "Concurrency model", "Call-graph reachability
-#      (L10-L12)", and "Effect inference (L13-L16)")
+#      (L4 missing-invariants; the concurrency rules L6 atomics and
+#      L8 unguarded-counter; L11 float-determinism, L12 error-coverage;
+#      and the effect-inference rules L13 lock-held-effects, the one
+#      guard rule, L14 deadline-safety, L16 effects-drift against the
+#      committed effects.lock; see DESIGN.md "Error handling & lint
+#      policy", "Concurrency model", "Call-graph reachability", and
+#      "Effect inference (L13-L16)")
 #   9. the four examples in release — each exits nonzero on an error or a
 #      failed assert (quickstart's none-vs-all drift; evolving_graph_
 #      maintenance's reuse after growth and refusal after a deletion);
@@ -91,7 +91,7 @@ cargo test --release -q --test replay_checksums -- --ignored
 echo "==> cargo test --release --test alloc_gate"
 cargo test --release -q --test alloc_gate
 
-echo "==> clippy (L1-L3, L15)"
+echo "==> clippy (L1-L3, L10, L15)"
 scripts/clippy.sh
 
 echo "==> cargo run -p tg-xtask -- lint"

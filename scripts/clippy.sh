@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Clippy and rustc at the levels of the root Cargo.toml's [workspace.lints]
 # table, as errors: the panic (L1), lossy-cast (L2), std-hash (L3) and
-# unsafe-audit (L15) rules plus clippy's default lints (DESIGN.md "Error
-# handling & lint policy"). An exemption is an #[expect(<lint>, reason =
+# unsafe-audit (L15) rules plus clippy's default lints, and L10's
+# indexing_slicing, which tg-serve's lib.rs denies in its non-test code
+# (DESIGN.md "Error handling & lint policy"). An exemption is an #[expect(<lint>, reason =
 # "...")] on the narrowest statement or item; an #[expect] that is no
 # longer needed fails here too.
 #

@@ -32,13 +32,13 @@ fn golden_lines() -> Vec<String> {
 fn sample_report() -> LintReport {
     let fixture = concat!(
         env!("CARGO_MANIFEST_DIR"),
-        "/crates/xtask/fixtures/l10_fail.rs"
+        "/crates/xtask/fixtures/l13_fail.rs"
     );
-    let text = std::fs::read_to_string(fixture).expect("l10 fixture exists");
-    let src = tg_xtask::SourceFile::parse("l10_fail.rs".to_string(), text);
-    let scope = tg_xtask::Scope { panic_reach: true, ..Default::default() };
+    let text = std::fs::read_to_string(fixture).expect("l13 fixture exists");
+    let src = tg_xtask::SourceFile::parse("l13_fail.rs".to_string(), text);
+    let scope = tg_xtask::Scope { lock_held: true, ..Default::default() };
     let findings = tg_xtask::lint_source(&src, scope);
-    assert!(!findings.is_empty(), "l10 fail fixture must fire");
+    assert!(!findings.is_empty(), "l13 fail fixture must fire");
     LintReport { findings, files_checked: 1 }
 }
 
