@@ -8,9 +8,9 @@
 //! (its fingerprint, [`crate::fingerprint`]) and the epoch of the history
 //! it was computed over, and a lookup returns it only if every one of
 //! those dependencies still holds for the reader's history, a live view
-//! or a frozen graph's edit log
-//! ([`EmbedCache::lookup_in`]). A cache follows one history: two clones
-//! of a graph edited apart must not share one. The paper parallelizes
+//! or a built graph ([`EmbedCache::lookup_in`]). A cache follows one
+//! history: two live graphs that took different appends must not share
+//! one. The paper parallelizes
 //! `CacheLookup` and, on the GPU host, `CacheStore` across keys (§5.1.3);
 //! here each is one loop over the keys, and the `parallel` arguments that
 //! still carry the paper's switch are ignored.
@@ -199,7 +199,7 @@ impl EmbedCache {
     /// [`Versioned::last_change`] is at most `min(valid_at, epoch)` is
     /// unchanged (one load). The rest are asked of [`Versioned::holds`]
     /// since `valid_at`, after the shard lock is released (a view's check
-    /// takes the graph's own lock): did an edit between the two epochs
+    /// takes the graph's own lock): did an append between the two epochs
     /// touch `y` strictly before `t'`? If none did the hit is
     /// *revalidated* and the entry's `valid_at` rises to the reader's
     /// epoch, so the next reader takes the one-load path again. A deep
@@ -850,7 +850,7 @@ mod tests {
     fn a_missing_fingerprint_means_what_the_depth_says() {
         // Overwriting a constrained entry through the plain store path
         // leaves it unrecorded, not freshly guaranteed.
-        let g = TemporalGraph::with_nodes(10);
+        let g = TemporalGraph::from_edges(10, &[]);
         let cache = EmbedCache::new(10, 1);
         let k = [pack_key(1, 5.0)];
         let fp = vec![recorded(&[pack_key(1, 5.0), pack_key(8, 4.0)])];
@@ -868,7 +868,7 @@ mod tests {
     fn bytes_used_follows_fingerprints_through_every_way_out() {
         let row = std::mem::size_of::<f32>();
         let pair = std::mem::size_of::<u64>();
-        let g = TemporalGraph::with_nodes(0);
+        let g = TemporalGraph::from_edges(0, &[]);
         let cache = EmbedCache::new(2, 1);
         let fp = |n: u32| Some(vec![recorded(&(0..n).map(|i| pack_key(100 + i, 1.0)).collect::<Vec<_>>())]);
         let (a, b, c) = ([pack_key(1, 5.0)], [pack_key(2, 5.0)], [pack_key(3, 5.0)]);
@@ -1005,7 +1005,7 @@ mod tests {
                 self.evict(self.live.len().saturating_sub(self.limit));
             }
 
-            /// What a checked lookup over a graph nobody edited returns:
+            /// What a checked lookup over a built graph returns:
             /// every live entry's row, a deep table's only with a
             /// fingerprint.
             fn lookup(&self, keys: &[u64], levels: usize) -> Vec<Option<f32>> {
@@ -1053,7 +1053,7 @@ mod tests {
                 ops in proptest::collection::vec((0u32..10, any::<u32>(), any::<u32>(), any::<u32>()), 1..60),
             ) {
                 let cache = EmbedCache::new(limit, 1);
-                let graph = TemporalGraph::with_nodes(5);
+                let graph = TemporalGraph::from_edges(5, &[]);
                 let view = LiveGraph::new(graph.clone()).view();
                 let mut model =
                     Model { limit, live: Vec::new(), inserted: 0, evicted: 0, cleared: 0 };
@@ -1108,11 +1108,12 @@ mod tests {
     #[test]
     fn view_pinned_lookups_reject_revalidate_and_restamp() {
         // Nodes 0 and 2 each have two interactions before t = 5.
-        let mut g = TemporalGraph::with_nodes(6);
-        for (i, (src, dst, time)) in [(0, 1, 1.0), (0, 1, 2.0), (2, 3, 1.0), (2, 3, 2.0)].into_iter().enumerate() {
-            g.insert(&Edge { src, dst, time, eid: i as u32 });
-        }
-        let live = LiveGraph::new(g);
+        let edges: Vec<Edge> = [(0, 1, 1.0), (0, 1, 2.0), (2, 3, 1.0), (2, 3, 2.0)]
+            .into_iter()
+            .enumerate()
+            .map(|(i, (src, dst, time))| Edge { src, dst, time, eid: i as u32 })
+            .collect();
+        let live = LiveGraph::new(TemporalGraph::from_edges(6, &edges));
         let v0 = live.view();
         let cache = EmbedCache::new(10, 1);
         let keys = [pack_key(0, 5.0), pack_key(2, 5.0), pack_key(4, 5.0)];
@@ -1155,69 +1156,74 @@ mod tests {
     }
 
     #[test]
-    fn frozen_lookups_read_the_edit_log() {
+    fn lookups_after_a_compaction_read_the_folded_log() {
         // Nodes 0, 2 and 4 each have two interactions before t = 5.
         let stream = EdgeStream::new(&[0, 2, 4, 0, 2, 4], &[1, 3, 5, 1, 3, 5], &[1.0, 1.0, 1.0, 2.0, 2.0, 2.0]);
-        let mut g = TemporalGraph::from_stream(&stream);
+        let live = LiveGraph::new(TemporalGraph::from_stream(&stream)).with_compact_threshold(usize::MAX);
+        let v0 = live.view();
         let cache = EmbedCache::new(10, 1);
         let keys = [pack_key(0, 5.0), pack_key(2, 5.0), pack_key(4, 5.0)];
         // Layer-1 rows record nothing; a deep row its pairs.
-        cache.store_in(&keys, &Tensor::zeros(3, 1), None, &g).unwrap();
+        cache.store_in(&keys, &Tensor::zeros(3, 1), None, &v0).unwrap();
         let deep = EmbedCache::new(10, 1);
-        let records = fingerprint::capture_many(&g, 2, &[0], &[5.0], 1);
-        deep.store_in(&keys[..1], &Tensor::zeros(1, 1), Some(records), &g).unwrap();
+        let records = fingerprint::capture_many(&v0, 2, &[0], &[5.0], 1);
+        deep.store_in(&keys[..1], &Tensor::zeros(1, 1), Some(records), &v0).unwrap();
         assert_eq!((cache.bytes_used(), deep.bytes_used()), (3 * 4, 4 + 3 * 8));
         let valid_at = |key: u64| cache.shards[shard_of(key)].read()[&key].valid_at.load(Ordering::Relaxed);
 
-        // Node 0 gains an interaction after t = 5, node 2 one before it;
-        // node 4 loses one before it and gains another there, so its
-        // history before t = 5 keeps its length but not its window.
-        g.insert(&Edge { src: 0, dst: 5, time: 6.0, eid: 6 });
-        g.insert(&Edge { src: 2, dst: 5, time: 3.0, eid: 7 });
-        assert!(g.delete_edge(4, 5, 5));
-        g.insert(&Edge { src: 4, dst: 3, time: 1.5, eid: 8 });
-        assert_eq!(g.neighbors_before(4, 5.0).len(), 2);
+        // Node 0 gains an interaction after t = 5; nodes 2 and 4 one
+        // before it, node 4's below both of its own. Compaction folds
+        // all three into the base, so the view reads them from its log.
+        live.append(&Edge { src: 0, dst: 5, time: 6.0, eid: 6 });
+        live.append(&Edge { src: 2, dst: 5, time: 3.0, eid: 7 });
+        live.append(&Edge { src: 4, dst: 3, time: 0.5, eid: 8 });
+        live.compact();
+        let v = live.view();
+        assert_eq!(v.neighbors_before_vec(4, 5.0).len(), 3);
         let mut out = Tensor::zeros(3, 1);
-        assert_eq!(cache.lookup_in(&keys, &mut out, &g, 0, None).unwrap(), [true, false, false]);
+        assert_eq!(cache.lookup_in(&keys, &mut out, &v, 0, None).unwrap(), [true, false, false]);
         assert_eq!((cache.total_revalidated(), cache.total_rejected()), (1, 2));
-        // The row that held now holds at the graph's epoch: the next
-        // lookup clears it by its last edit alone.
-        assert_eq!(valid_at(keys[0]), g.epoch());
+        // The row that held now holds at the view's epoch: the next
+        // lookup clears it by its last change alone.
+        assert_eq!(valid_at(keys[0]), v.epoch());
         let mut one = Tensor::zeros(1, 1);
-        assert_eq!(cache.lookup_in(&keys[..1], &mut one, &g, 0, None).unwrap(), [true]);
+        assert_eq!(cache.lookup_in(&keys[..1], &mut one, &v, 0, None).unwrap(), [true]);
         assert_eq!(cache.total_revalidated(), 1);
         // The deep row read node 0's window at t = 5 and, as leaves, node
-        // 1's at t = 1 and t = 2: node 0's edit is after t = 5 and node 1
-        // was never edited, until an insert lands below both leaves.
-        assert_eq!(deep.lookup_in(&keys[..1], &mut one, &g, 1, None).unwrap(), [true]);
-        g.insert(&Edge { src: 1, dst: 3, time: 0.5, eid: 9 });
-        assert_eq!(deep.lookup_in(&keys[..1], &mut one, &g, 1, None).unwrap(), [false]);
+        // 1's at t = 1 and t = 2: node 0's append is after t = 5 and node
+        // 1 took none, until one lands below both leaves.
+        assert_eq!(deep.lookup_in(&keys[..1], &mut one, &v, 1, None).unwrap(), [true]);
+        live.append(&Edge { src: 1, dst: 3, time: 0.5, eid: 9 });
+        live.compact();
+        assert_eq!(deep.lookup_in(&keys[..1], &mut one, &live.view(), 1, None).unwrap(), [false]);
     }
 
     #[test]
     fn restamp_raises_only_an_entry_that_held_at_since() {
-        // An entry stored at epoch 1; two more edits follow, none near it.
-        let mut g = TemporalGraph::with_nodes(6);
-        g.insert(&Edge { src: 0, dst: 1, time: 1.0, eid: 0 });
+        // An entry stored at epoch 1; two more appends follow, none near it.
+        let live = LiveGraph::new(TemporalGraph::from_edges(6, &[]));
+        live.append(&Edge { src: 0, dst: 1, time: 1.0, eid: 0 });
         let cache = EmbedCache::new(10, 1);
         let key = pack_key(4, 5.0);
-        cache.store_in(&[key], &Tensor::zeros(1, 1), None, &g).unwrap();
-        g.insert(&Edge { src: 2, dst: 3, time: 1.0, eid: 1 });
-        g.insert(&Edge { src: 4, dst: 5, time: 9.0, eid: 2 });
+        cache.store_in(&[key], &Tensor::zeros(1, 1), None, &live.view()).unwrap();
+        live.append(&Edge { src: 2, dst: 3, time: 1.0, eid: 1 });
+        live.append(&Edge { src: 4, dst: 5, time: 9.0, eid: 2 });
+        let v3 = live.view();
         let valid_at = || cache.shards[shard_of(key)].read()[&key].valid_at.load(Ordering::Relaxed);
         // Shown to hold from epoch 2 on: an entry stored over the checked
         // one at epoch 1 is not known to hold at 2, so it keeps its stamp.
-        cache.restamp(key, 2, &[key], &g);
+        cache.restamp(key, 2, &[key], &v3);
         assert_eq!(valid_at(), 1);
-        cache.restamp(key, 1, &[key], &g);
+        cache.restamp(key, 1, &[key], &v3);
         assert_eq!(valid_at(), 3);
         // Pairs neither shown to hold nor untouched since block it too.
         let deep = EmbedCache::new(10, 1);
-        deep.store_in(&[key], &Tensor::zeros(1, 1), Some(vec![recorded(&[key, pack_key(5, 4.0)])]), &g).unwrap();
-        g.insert(&Edge { src: 5, dst: 0, time: 2.0, eid: 3 });
-        deep.restamp(key, 3, &[key], &g);
+        deep.store_in(&[key], &Tensor::zeros(1, 1), Some(vec![recorded(&[key, pack_key(5, 4.0)])]), &v3).unwrap();
+        live.append(&Edge { src: 5, dst: 0, time: 2.0, eid: 3 });
+        let v4 = live.view();
+        deep.restamp(key, 3, &[key], &v4);
         assert_eq!(deep.shards[shard_of(key)].read()[&key].valid_at.load(Ordering::Relaxed), 3);
-        deep.restamp(key, 3, &[key, pack_key(5, 4.0)], &g);
+        deep.restamp(key, 3, &[key, pack_key(5, 4.0)], &v4);
         assert_eq!(deep.shards[shard_of(key)].read()[&key].valid_at.load(Ordering::Relaxed), 4);
     }
 

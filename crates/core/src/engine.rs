@@ -183,11 +183,11 @@ impl<'a> TgoptEngine<'a> {
 
     /// Rebuilds an engine around an existing cache (and counters), e.g.
     /// one per serving worker over a shared cache, or the next engine over
-    /// a graph edited since the last one. Every lookup asks whether what
-    /// the row read changed ([`EmbedCache::lookup_in`]), so no edit needs
-    /// anything removed. The cache must follow one history: `ctx.graph`
-    /// is the graph the cache was filled over, edited or not, never a
-    /// clone edited apart from it.
+    /// a live graph that grew since the last one. Every lookup asks
+    /// whether what the row read changed ([`EmbedCache::lookup_in`]), so
+    /// no append needs anything removed. The cache must follow one
+    /// history: the graph, or the live graph whose views are pinned, that
+    /// it was filled over.
     pub fn with_cache(
         params: &'a TgatParams,
         ctx: GraphContext<'a>,
@@ -524,22 +524,25 @@ impl<'a> TgoptEngine<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tg_graph::{EdgeStream, TemporalGraph};
+    use tg_graph::{Edge, LiveGraph, TemporalGraph};
     use tg_tensor::init;
     use tgat::train::forward_embeddings;
     use tgat::TgatConfig;
 
+    /// `n_edges` interactions, one per time step, round the node ids.
+    fn world_edges(n_nodes: usize, n_edges: usize) -> Vec<Edge> {
+        (0..n_edges)
+            .map(|i| Edge {
+                src: (i % n_nodes) as NodeId,
+                dst: ((i * 3 + 1) % n_nodes) as NodeId,
+                time: (i + 1) as Time,
+                eid: i as u32,
+            })
+            .collect()
+    }
+
     fn world(cfg: TgatConfig, n_nodes: usize, n_edges: usize) -> (TemporalGraph, Tensor, Tensor) {
-        let mut srcs = Vec::new();
-        let mut dsts = Vec::new();
-        let mut times = Vec::new();
-        for i in 0..n_edges {
-            srcs.push((i % n_nodes) as NodeId);
-            dsts.push(((i * 3 + 1) % n_nodes) as NodeId);
-            times.push((i + 1) as Time);
-        }
-        let stream = EdgeStream::new(&srcs, &dsts, &times);
-        let graph = TemporalGraph::from_stream(&stream);
+        let graph = TemporalGraph::from_edges(n_nodes, &world_edges(n_nodes, n_edges));
         let mut rng = init::seeded_rng(5);
         let nf = init::normal(&mut rng, n_nodes, cfg.dim, 0.5);
         let ef = init::normal(&mut rng, n_edges, cfg.edge_dim, 0.5);
@@ -937,22 +940,28 @@ mod tests {
     fn an_edit_below_a_cached_time_forces_recompute() {
         let cfg = TgatConfig::tiny();
         let params = TgatParams::init(cfg, 7).unwrap();
-        let (mut graph, nf, ef) = world(cfg, 12, 80);
+        let (graph, nf, ef) = world(cfg, 12, 80);
         let ctx = GraphContext { graph: &graph, node_features: &nf, edge_features: &ef };
+        let live = LiveGraph::new(graph.clone());
         let mut eng = TgoptEngine::new(&params, ctx, OptConfig::all());
+        eng.pin_view(live.view());
         let _ = eng.embed_batch(&[0], &[50.0]).unwrap();
         let (caches, counters) = eng.into_cache();
-        // Delete node 0's most recent interaction before t = 50: the
-        // layer-1 row of (0, 50) read it, so the next lookup refuses it.
+        // A late interaction of node 0 below t = 50, after its most recent
+        // one there: the layer-1 row of (0, 50) read that window, so the
+        // next lookup refuses it.
         let last = *graph.neighbors_before(0, 50.0).last().unwrap();
-        assert!(graph.delete_edge(0, last.ngh, last.eid));
-        let ctx = GraphContext { graph: &graph, node_features: &nf, edge_features: &ef };
+        let late = Edge { src: 0, dst: 5, time: last.time + 0.5, eid: last.eid };
+        live.append(&late);
         let mut eng = TgoptEngine::with_cache(&params, ctx, OptConfig::all(), caches, counters);
+        eng.pin_view(live.view());
         let before = eng.counters();
         let h = eng.embed_batch(&[0], &[50.0]).unwrap();
         let delta = eng.counters().delta_since(&before);
         assert!(delta.cache_hits < delta.cache_lookups, "{delta:?}");
         assert_eq!(eng.cache().layer(1).unwrap().total_rejected(), 1);
+        let cold = TemporalGraph::from_edges(12, &[world_edges(12, 80), vec![late]].concat());
+        let ctx = GraphContext { graph: &cold, node_features: &nf, edge_features: &ef };
         assert!(h.max_abs_diff(&forward_embeddings(&params, &ctx, &[0], &[50.0])) < 1e-5);
     }
 

@@ -16,10 +16,10 @@
 //! fingerprint was stripped, as a warm restore leaves it, is never
 //! returned under a view.
 //!
-//! The frozen half fills over a `TemporalGraph` and edits it in place
-//! between engines, with nothing invalidated: a deletion, an out-of-order
-//! insert, and a deletion plus an insert below the cached times that
-//! leaves the node's history length unchanged.
+//! The late-append half has one cache follow the live graph through two
+//! out-of-order appends below the cached times, one read from the
+//! postings and one from the folded log, each followed by a read and the
+//! first by a refill.
 //!
 //! `recorded_pairs_match_capture`: the pairs the engine records beside
 //! every row it stores, joined from the rows it read while computing, equal
@@ -130,9 +130,7 @@ impl World {
 }
 
 fn cold(edges: &[Edge]) -> TemporalGraph {
-    let mut g = TemporalGraph::with_nodes(NODES as usize);
-    edges.iter().for_each(|e| g.insert(e));
-    g
+    TemporalGraph::from_edges(NODES as usize, edges)
 }
 
 proptest! {
@@ -236,29 +234,27 @@ proptest! {
         world.read(&caches, &v1, &g1)?;
         world.read(&caches, &v0, &g0)?;
 
-        // --- Frozen edits --------------------------------------------------
-        // One cache follows one graph, edited in place between engines;
-        // each edit is followed by a read and a refill.
-        let mut g = g0.clone();
-        let frozen = Arc::new(LayerCaches::new(n_layers, true, 10_000, world.params.cfg.dim));
-        world.answer_all(&g, &frozen, None, max_t);
-        // A deletion.
+        // --- Late appends ---------------------------------------------------
+        // One cache follows the live graph, read and refilled after each
+        // late append, with nothing invalidated: refills compute deep rows
+        // from cached children, whose records a later read must see.
+        let follow = Arc::new(LayerCaches::new(n_layers, true, 10_000, world.params.cfg.dim));
+        world.answer_all(&g1, &follow, Some(v1), max_t);
+        // An append below every cached time, read from the postings.
         let dead = edges[victim % edges.len()];
-        prop_assert!(g.delete_edge(dead.src, dead.dst, dead.eid));
-        world.read(&frozen, &g, &g)?;
-        world.answer_all(&g, &frozen, None, max_t);
-        // An out-of-order insert, below every cached time.
-        g.insert(&Edge { src: dead.dst, dst: dead.src, time: 0.5, eid: dead.eid });
-        world.read(&frozen, &g, &g)?;
-        world.answer_all(&g, &frozen, None, max_t);
-        // A deletion plus an insert at the same node and time: the history
-        // length before every later time is unchanged, the window is not.
-        let swap = edges[(victim + 1) % edges.len()];
-        let before = g.neighbors_before(swap.src, max_t + 2.0).len();
-        prop_assert!(g.delete_edge(swap.src, swap.dst, swap.eid));
-        g.insert(&Edge { eid: edges.len() as EdgeId, ..swap });
-        prop_assert_eq!(g.neighbors_before(swap.src, max_t + 2.0).len(), before);
-        world.read(&frozen, &g, &g)?;
+        let mut grown = after.clone();
+        grown.push(Edge { src: dead.dst, dst: dead.src, time: 0.5, eid: dead.eid });
+        live.append(grown.last().unwrap());
+        let g2 = cold(&grown);
+        world.read(&follow, &live.view(), &g2)?;
+        world.answer_all(&g2, &follow, Some(live.view()), max_t);
+        // One tying an existing interaction's time, read from the folded
+        // log.
+        let tie = edges[(victim + 1) % edges.len()];
+        grown.push(Edge { eid: edges.len() as EdgeId, ..tie });
+        live.append(grown.last().unwrap());
+        live.compact();
+        world.read(&follow, &live.view(), &cold(&grown))?;
     }
 
     #[test]

@@ -53,12 +53,12 @@ impl ModelBundle {
     /// Validates feature shapes against the model configuration and the
     /// tables' lengths against the graph (a row per node id, and one per
     /// edge id up to the largest), with [`TgError::InvalidArgument`] for a
-    /// short table. The graph's edit log is dropped, so every downstream
-    /// consumer — engines, the live view — shares one immutable base,
-    /// which `LiveGraph::from_shared` need not copy.
+    /// short table. Every downstream consumer — engines, the live view —
+    /// shares the graph as one immutable base, which
+    /// `LiveGraph::from_shared` does not copy.
     pub fn new(
         params: TgatParams,
-        mut graph: TemporalGraph,
+        graph: TemporalGraph,
         node_features: Tensor,
         edge_features: Tensor,
     ) -> Result<Self, TgError> {
@@ -92,7 +92,6 @@ impl ModelBundle {
                 edge_features.rows()
             )));
         }
-        graph.forget_edits();
         Ok(Self { params, graph: Arc::new(graph), node_features, edge_features })
     }
 
@@ -762,11 +761,13 @@ mod tests {
 
     fn bundle() -> Arc<ModelBundle> {
         let cfg = TgatConfig::tiny();
-        let mut graph = TemporalGraph::with_nodes(NODES);
-        for i in 0..24 {
-            let (src, dst) = ((i % NODES) as NodeId, ((i * 3 + 1) % NODES) as NodeId);
-            graph.insert(&Edge { src, dst, time: (i + 1) as Time, eid: i as EdgeId });
-        }
+        let edges: Vec<Edge> = (0..24)
+            .map(|i| {
+                let (src, dst) = ((i % NODES) as NodeId, ((i * 3 + 1) % NODES) as NodeId);
+                Edge { src, dst, time: (i + 1) as Time, eid: i as EdgeId }
+            })
+            .collect();
+        let graph = TemporalGraph::from_edges(NODES, &edges);
         let mut rng = init::seeded_rng(11);
         let nf = init::normal(&mut rng, NODES, cfg.dim, 0.5);
         let ef = init::normal(&mut rng, 24, cfg.edge_dim, 0.5);

@@ -16,7 +16,9 @@ use crate::params::TgatParams;
 use crate::predictor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tg_graph::{BatchIter, EdgeStream, NodeId, TemporalGraph, TemporalSampler, Time, INVALID_EDGE};
+use tg_graph::{
+    BatchIter, EdgeStream, HistorySource, LiveGraph, NodeId, TemporalGraph, TemporalSampler, Time, INVALID_EDGE,
+};
 use tg_tensor::adam::{Adam, AdamConfig};
 use tg_tensor::autograd::{Tape, Var};
 use tg_tensor::Tensor;
@@ -100,12 +102,14 @@ impl ParamVars {
 /// unique row. `tgopt::train` supplies the paper's Algorithm 2 here.
 pub type DedupHook<'h> = &'h dyn Fn(&[NodeId], &[Time]) -> (Vec<NodeId>, Vec<Time>, Vec<u32>);
 
-/// Recursive tape-recorded embedding (Algorithm 1 with nothing reused).
+/// Recursive tape-recorded embedding (Algorithm 1 with nothing reused),
+/// sampling from `history` and reading features from `ctx`.
 #[allow(clippy::too_many_arguments)]
 fn embed_tape(
     tape: &mut Tape,
     pv: &ParamVars,
     ctx: &GraphContext<'_>,
+    history: &impl HistorySource,
     sampler: &TemporalSampler,
     l: usize,
     ns: &[NodeId],
@@ -127,17 +131,17 @@ fn embed_tape(
     if let Some(filter) = dedup {
         let (uns, uts, inv) = filter(ns, ts);
         if uns.len() < ns.len() {
-            let h = embed_tape(tape, pv, ctx, sampler, l, &uns, &uts, dedup, dropout, rng);
+            let h = embed_tape(tape, pv, ctx, history, sampler, l, &uns, &uts, dedup, dropout, rng);
             let idx: Vec<usize> = inv.iter().map(|&i| i as usize).collect();
             return tape.gather_rows(h, &idx);
         }
     }
-    let nb = sampler.sample(ctx.graph, ns, ts);
+    let nb = sampler.sample_from(history, ns, ts);
     let mut all_ns = ns.to_vec();
     all_ns.extend_from_slice(&nb.nodes);
     let mut all_ts = ts.to_vec();
     all_ts.extend_from_slice(&nb.times);
-    let h_all = embed_tape(tape, pv, ctx, sampler, l - 1, &all_ns, &all_ts, dedup, dropout, rng);
+    let h_all = embed_tape(tape, pv, ctx, history, sampler, l - 1, &all_ns, &all_ts, dedup, dropout, rng);
     let src_idx: Vec<usize> = (0..ns.len()).collect();
     let ngh_idx: Vec<usize> = (ns.len()..ns.len() + nb.nodes.len()).collect();
     let h_src = tape.gather_rows(h_all, &src_idx);
@@ -205,20 +209,34 @@ pub fn forward_embeddings_with(
     ts: &[Time],
     dedup: Option<DedupHook<'_>>,
 ) -> Tensor {
+    forward_over(params, ctx, ctx.graph, ns, ts, dedup)
+}
+
+/// The dropout-free tape forward, sampling from `history`.
+fn forward_over(
+    params: &TgatParams,
+    ctx: &GraphContext<'_>,
+    history: &impl HistorySource,
+    ns: &[NodeId],
+    ts: &[Time],
+    dedup: Option<DedupHook<'_>>,
+) -> Tensor {
     let sampler = TemporalSampler::most_recent(params.cfg.n_neighbors);
     let mut tape = Tape::new();
     let pv = ParamVars::register(&mut tape, params);
     let mut rng = StdRng::seed_from_u64(0); // dropout 0.0: rng is never used
-    let h = embed_tape(&mut tape, &pv, ctx, &sampler, params.cfg.n_layers, ns, ts, dedup, 0.0, &mut rng);
+    let h = embed_tape(&mut tape, &pv, ctx, history, &sampler, params.cfg.n_layers, ns, ts, dedup, 0.0, &mut rng);
     tape.value(h).clone()
 }
 
 /// Trains `params` in place on the stream's chronological prefix and
 /// evaluates link-prediction AUC on the suffix.
 ///
-/// The graph is replayed: when a batch is processed, only strictly earlier
-/// batches have been inserted, so the model never sees an interaction before
-/// predicting it.
+/// The graph is replayed: a [`LiveGraph`] over an empty base, to which
+/// each batch is appended after it is processed, so the model never sees
+/// an interaction before predicting it. Features are read through a
+/// [`GraphContext`] over that empty base; sampling reads the batch's
+/// view.
 pub fn train(
     params: &mut TgatParams,
     stream: &EdgeStream,
@@ -254,9 +272,11 @@ pub fn train_with_options(
     let mut opt = Adam::new(AdamConfig { lr: tc.lr, ..Default::default() }, &sizes);
     let mut rng = StdRng::seed_from_u64(tc.seed);
     let mut epoch_losses = Vec::with_capacity(tc.epochs);
+    let empty = TemporalGraph::from_edges(stream.num_nodes(), &[]);
+    let ctx = GraphContext { graph: &empty, node_features, edge_features };
 
     for _epoch in 0..tc.epochs {
-        let mut graph = TemporalGraph::with_nodes(stream.num_nodes());
+        let graph = LiveGraph::new(empty.clone());
         let mut loss_sum = 0.0f64;
         let mut loss_count = 0usize;
         for batch in BatchIter::new(stream, tc.batch_size) {
@@ -276,17 +296,13 @@ pub fn train_with_options(
             ts3.extend_from_slice(&times);
             ts3.extend_from_slice(&times);
 
-            let ctx = GraphContext {
-                graph: &graph,
-                node_features,
-                edge_features,
-            };
             let mut tape = Tape::new();
             let pv = ParamVars::register(&mut tape, params);
             let h = embed_tape(
                 &mut tape,
                 &pv,
                 &ctx,
+                &graph.view(),
                 &sampler,
                 cfg.n_layers,
                 &ns,
@@ -314,7 +330,9 @@ pub fn train_with_options(
             let mut plist = params.param_list_mut();
             opt.step(&mut plist, &grad_refs);
 
-            graph.extend(batch.edges);
+            batch.edges.iter().for_each(|e| {
+                graph.append(e);
+            });
         }
         #[expect(clippy::cast_possible_truncation, clippy::cast_precision_loss, reason = "mean loss scalar; f32 report precision suffices")]
         epoch_losses.push((loss_sum / loss_count.max(1) as f64) as f32);
@@ -322,7 +340,7 @@ pub fn train_with_options(
 
     // Validation: replay remaining batches, scoring positives vs negatives
     // with the dropout-free tape forward.
-    let mut graph = TemporalGraph::with_nodes(stream.num_nodes());
+    let graph = LiveGraph::new(empty.clone());
     let mut pos_scores: Vec<f32> = Vec::new();
     let mut neg_scores: Vec<f32> = Vec::new();
     for batch in BatchIter::new(stream, tc.batch_size) {
@@ -333,14 +351,13 @@ pub fn train_with_options(
             let times: Vec<Time> = batch.edges.iter().map(|e| e.time).collect();
             let negs: Vec<NodeId> =
                 (0..srcs.len()).map(|_| rng.gen_range(0..num_nodes)).collect();
-            let ctx = GraphContext { graph: &graph, node_features, edge_features };
             let mut ns = srcs.clone();
             ns.extend_from_slice(&dsts);
             ns.extend_from_slice(&negs);
             let mut ts3 = times.clone();
             ts3.extend_from_slice(&times);
             ts3.extend_from_slice(&times);
-            let h = forward_embeddings(params, &ctx, &ns, &ts3);
+            let h = forward_over(params, &ctx, &graph.view(), &ns, &ts3, None);
             let n = srcs.len();
             let rows = |a: usize, b: usize| {
                 Tensor::from_vec(
@@ -355,7 +372,9 @@ pub fn train_with_options(
             pos_scores.extend_from_slice(pos.as_slice());
             neg_scores.extend_from_slice(neg.as_slice());
         }
-        graph.extend(batch.edges);
+        batch.edges.iter().for_each(|e| {
+            graph.append(e);
+        });
     }
 
     TrainReport { epoch_losses, val_auc: predictor::auc(&pos_scores, &neg_scores) }

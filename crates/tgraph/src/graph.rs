@@ -21,14 +21,11 @@ pub struct AdjEntry {
 /// order, so the most-recent sampler can binary-search the temporal cutoff
 /// `t_j < t`.
 ///
-/// Every edge added by [`TemporalGraph::extend`] (or
-/// [`TemporalGraph::insert`]) and every [`TemporalGraph::delete_edge`] is
-/// an *edit*: it advances the graph's [`Versioned::epoch`] and is
-/// logged at both endpoints, so a row memoized at an earlier epoch can be
-/// checked against what changed since ([`Versioned`]).
-/// A graph built by [`TemporalGraph::from_stream`] starts at epoch 0 with
-/// an empty log. Clones carry the log: a clone edited apart from its
-/// original is another history.
+/// Immutable once built. [`TemporalGraph::from_stream`] and
+/// [`TemporalGraph::from_edges`] build it with an empty log, at epoch 0.
+/// Only a [`crate::LiveGraph`] grows over it; its compaction builds the
+/// next base with every append it folded logged at both endpoints, so a
+/// view can ask that base what changed since an epoch ([`Versioned`]).
 #[derive(Clone, Debug)]
 pub struct TemporalGraph {
     indptr: Vec<usize>,
@@ -37,12 +34,12 @@ pub struct TemporalGraph {
     edits: Edits,
 }
 
-/// The edit log, in the adjacency's own layout: the number of edits so
-/// far, and node `n`'s edits as `(epoch, edge time)`, oldest first, at
-/// `log[indptr[n]..indptr[n + 1]]`, so its last element is the node's
-/// last-edit epoch. Empty, with no `indptr` either, until the first
-/// edit; never shrinks. Copying it is two allocations, however many
-/// nodes it has logged.
+/// The log of folded appends, in the adjacency's own layout: the epoch
+/// of the last, and node `n`'s appends as `(epoch, edge time)`, oldest
+/// first, at `log[indptr[n]..indptr[n + 1]]`, so its last element is the
+/// node's last-change epoch. Empty, with no `indptr` either, in a built
+/// graph. Copying it is two allocations, however many nodes it has
+/// logged.
 #[derive(Clone, Debug, Default)]
 struct Edits {
     epoch: u64,
@@ -51,7 +48,7 @@ struct Edits {
 }
 
 impl Edits {
-    /// Where node `n`'s edits start; past the log for nodes it has not
+    /// Where node `n`'s appends start; past the log for nodes it has not
     /// reached.
     fn offset(&self, n: usize) -> usize {
         self.indptr.get(n).copied().unwrap_or(self.log.len())
@@ -60,20 +57,6 @@ impl Edits {
     fn of(&self, node: NodeId) -> &[(u64, Time)] {
         let n = node as usize;
         &self.log[self.offset(n)..self.offset(n + 1)]
-    }
-
-    /// Records one edit at time `time` touching `nodes`, as the next
-    /// epoch. O(log length), like the deletion that makes it.
-    fn record(&mut self, nodes: [NodeId; 2], time: Time) {
-        self.epoch += 1;
-        for node in nodes {
-            let n = node as usize;
-            if n + 1 >= self.indptr.len() {
-                self.indptr.resize(n + 2, self.log.len());
-            }
-            self.log.insert(self.indptr[n + 1], (self.epoch, time));
-            self.indptr[n + 1..].iter_mut().for_each(|p| *p += 1);
-        }
     }
 }
 
@@ -85,22 +68,24 @@ fn by_time(a: &AdjEntry, b: &AdjEntry) -> std::cmp::Ordering {
 }
 
 impl TemporalGraph {
-    /// An empty graph over `num_nodes` node ids.
-    pub fn with_nodes(num_nodes: usize) -> Self {
-        Self { indptr: vec![0; num_nodes + 1], entries: Vec::new(), num_edges: 0, edits: Edits::default() }
+    /// Builds a graph containing every interaction of the stream.
+    pub fn from_stream(stream: &EdgeStream) -> Self {
+        Self::from_edges(stream.num_nodes(), stream.edges())
     }
 
-    /// Builds a graph containing every interaction of the stream. Building
-    /// is not editing: the graph starts at epoch 0 with nothing logged.
-    pub fn from_stream(stream: &EdgeStream) -> Self {
-        Self::with_nodes(stream.num_nodes()).merged(stream.edges(), None)
+    /// Builds a graph over at least `num_nodes` node ids (more if an edge
+    /// names a larger one) from `edges` in any time order: each node's
+    /// neighbours are ordered by time, equal times in slice order.
+    pub fn from_edges(num_nodes: usize, edges: &[Edge]) -> Self {
+        let empty = Self { indptr: vec![0; num_nodes + 1], entries: Vec::new(), num_edges: 0, edits: Edits::default() };
+        empty.merged(edges, None)
     }
 
     /// The one routine that orders adjacency: this graph's entries plus
     /// both directions of each of `edges`, as a new graph. With
-    /// `first_epoch`, each edge is also logged as its own edit, the first
-    /// at `first_epoch`, after this graph's log; without, the new graph
-    /// logs nothing (a build).
+    /// `first_epoch`, each edge is also logged as its own change, the
+    /// first at `first_epoch`, after this graph's log; without, the new
+    /// graph logs nothing (a build).
     ///
     /// Per node, the new entries are stably sorted by time (a check when
     /// they arrived in order) and merged with the existing slice, existing
@@ -124,18 +109,15 @@ impl TemporalGraph {
         for n in 0..num_nodes {
             start[n + 1] += start[n];
         }
-        // The log's node `n` holds its prior edits at `prior.offset(n) +
+        // The log's node `n` holds its prior appends at `prior.offset(n) +
         // start[n]`, then its new ones, each at `prior.offset(n + 1)` plus
-        // the node's cursor below. A deletion may have logged a node past
-        // the adjacency; its edits are carried over too.
+        // the node's cursor below.
         let prior = &self.edits;
         let mut edits = Edits { epoch: prior.epoch, ..Edits::default() };
         if first_epoch.is_some() {
-            let log_nodes = num_nodes.max(prior.indptr.len().saturating_sub(1));
-            edits.indptr =
-                (0..=log_nodes).map(|n| prior.offset(n) + start[n.min(num_nodes)]).collect();
+            edits.indptr = (0..=num_nodes).map(|n| prior.offset(n) + start[n]).collect();
             edits.log = vec![(0, 0.0); prior.log.len() + 2 * edges.len()];
-            for n in 0..log_nodes {
+            for n in 0..num_nodes {
                 let (from, to) = (prior.offset(n), prior.offset(n + 1));
                 let at = edits.indptr[n];
                 edits.log[at..at + to - from].copy_from_slice(&prior.log[from..to]);
@@ -172,22 +154,6 @@ impl TemporalGraph {
         Self { indptr, entries, num_edges: self.num_edges + edges.len(), edits }
     }
 
-    /// Adds every interaction of `edges` (both directions each), each
-    /// logged as its own edit in slice order: the same graph, epochs and
-    /// log as calling [`TemporalGraph::insert`] on each in turn, in one
-    /// pass over the graph. Out-of-order times are placed by time, after
-    /// any equal-time entries already present.
-    pub fn extend(&mut self, edges: &[Edge]) {
-        *self = self.merged(edges, Some(self.edits.epoch + 1));
-    }
-
-    /// Inserts one interaction (both directions), as one logged edit.
-    /// O(E): it rewrites the whole adjacency, so add a batch with
-    /// [`TemporalGraph::extend`].
-    pub fn insert(&mut self, e: &Edge) {
-        self.extend(std::slice::from_ref(e));
-    }
-
     /// A live graph's compacted base: this graph plus its appends `log`,
     /// append `base_seq + i` logged at epoch `base_seq + i + 1`, the epoch
     /// of the first view that saw it, so [`Versioned::holds`] answers for
@@ -196,43 +162,12 @@ impl TemporalGraph {
         self.merged(log, Some(base_seq + 1))
     }
 
-    /// Drops the edit log: the graph starts a new history at epoch 0. For
-    /// a graph whose past edits no cache will ask about: one about to be
-    /// shared read-only, or a live graph's base, whose log holds only
-    /// its compacted appends.
-    pub fn forget_edits(&mut self) {
-        self.edits = Edits::default();
-    }
-
-    /// Deletes the interaction identified by `eid` incident to `src`/`dst`
-    /// (future-work extension of the paper, §7), as one logged edit at
-    /// the deleted interaction's time. Returns true if found. O(E): the
-    /// entries after it shift down in place.
-    pub fn delete_edge(&mut self, src: NodeId, dst: NodeId, eid: EdgeId) -> bool {
-        let mut removed = None;
-        for node in [src, dst] {
-            let n = node as usize;
-            if n + 1 >= self.indptr.len() {
-                continue;
-            }
-            let lo = self.indptr[n];
-            if let Some(pos) = self.entries[lo..self.indptr[n + 1]].iter().position(|x| x.eid == eid) {
-                removed = Some(self.entries.remove(lo + pos).time);
-                self.indptr[n + 1..].iter_mut().for_each(|p| *p -= 1);
-            }
-        }
-        let Some(time) = removed else { return false };
-        self.num_edges = self.num_edges.saturating_sub(1);
-        self.edits.record([src, dst], time);
-        true
-    }
-
     /// Number of node ids the graph can address.
     pub fn num_nodes(&self) -> usize {
         self.indptr.len() - 1
     }
 
-    /// Number of undirected interactions inserted.
+    /// Number of undirected interactions it holds.
     pub fn num_edges(&self) -> usize {
         self.num_edges
     }
@@ -264,25 +199,25 @@ impl TemporalGraph {
     }
 }
 
-/// A frozen graph answers the cache's validity question from its edit log.
+/// A compacted base answers the cache's validity question from the log
+/// of the appends compaction folded into it; a built graph, whose log is
+/// empty, answers that nothing changed.
 impl Versioned for TemporalGraph {
-    /// The number of edits ([`TemporalGraph::insert`],
-    /// [`TemporalGraph::delete_edge`]) made so far: a row computed now
-    /// saw every edit up to this epoch.
+    /// The epoch of the last folded append (0 for a built graph): a row
+    /// computed now saw every append up to this epoch.
     fn epoch(&self) -> u64 {
         self.edits.epoch
     }
 
-    /// The epoch of the last edit that touched `node`, 0 if none.
+    /// The epoch of the last folded append that touched `node`, 0 if none.
     fn last_change(&self, node: NodeId) -> Option<u64> {
         Some(self.edits.of(node).last().map_or(0, |&(epoch, _)| epoch))
     }
 
-    /// True if no edit after epoch `since` touched `node` strictly before
-    /// `t`. Sampling `(node, t)` reads only interactions before `t`, so
-    /// then the window `W(node, t)` is the one it was at `since`: an
-    /// insert or a deletion at or after `t` cannot move it, and a
-    /// deletion plus an insert below `t` is two edits, caught like one.
+    /// True if no append folded after epoch `since` touched `node`
+    /// strictly before `t`. Sampling `(node, t)` reads only interactions
+    /// before `t`, so then the window `W(node, t)` is the one it was at
+    /// `since`: an append at or after `t` cannot move it.
     fn holds(&self, node: NodeId, t: Time, since: u64) -> bool {
         let log = self.edits.of(node);
         log.iter().rev().take_while(|&&(epoch, _)| epoch > since).all(|&(_, time)| time >= t)
@@ -298,10 +233,8 @@ mod tests {
     }
 
     #[test]
-    fn insert_is_bidirectional_and_sorted() {
-        let mut g = TemporalGraph::with_nodes(3);
-        g.insert(&edge(0, 1, 5.0, 0));
-        g.insert(&edge(0, 2, 7.0, 1));
+    fn a_build_is_bidirectional_and_sorted() {
+        let g = TemporalGraph::from_edges(3, &[edge(0, 1, 5.0, 0), edge(0, 2, 7.0, 1)]);
         assert_eq!(g.num_edges(), 2);
         assert_eq!(g.neighbors(0).len(), 2);
         assert_eq!(g.neighbors(1), &[AdjEntry { time: 5.0, ngh: 0, eid: 0 }]);
@@ -310,20 +243,18 @@ mod tests {
     }
 
     #[test]
-    fn out_of_order_insert_keeps_time_order() {
-        let mut g = TemporalGraph::with_nodes(4);
-        g.insert(&edge(0, 1, 9.0, 0));
-        g.insert(&edge(0, 2, 3.0, 1));
-        g.insert(&edge(0, 3, 6.0, 2));
+    fn out_of_order_edges_are_built_in_time_order() {
+        let g = TemporalGraph::from_edges(4, &[edge(0, 1, 9.0, 0), edge(0, 2, 3.0, 1), edge(0, 3, 6.0, 2)]);
         let times: Vec<Time> = g.neighbors(0).iter().map(|e| e.time).collect();
         assert_eq!(times, vec![3.0, 6.0, 9.0]);
+        // -0.0 ties with 0.0: slice order, as `<=` decides.
+        let g = TemporalGraph::from_edges(1, &[edge(0, 1, 1.0, 0), edge(0, 2, 0.0, 1), edge(0, 3, -0.0, 2)]);
+        assert_eq!(g.neighbors(0).iter().map(|x| x.ngh).collect::<Vec<_>>(), [2, 3, 1]);
     }
 
     #[test]
     fn neighbors_before_enforces_strict_inequality() {
-        let mut g = TemporalGraph::with_nodes(3);
-        g.insert(&edge(0, 1, 5.0, 0));
-        g.insert(&edge(0, 2, 7.0, 1));
+        let g = TemporalGraph::from_edges(3, &[edge(0, 1, 5.0, 0), edge(0, 2, 7.0, 1)]);
         // t_j < t is strict: the edge at exactly t=5 is excluded.
         assert_eq!(g.neighbors_before(0, 5.0).len(), 0);
         assert_eq!(g.neighbors_before(0, 5.1).len(), 1);
@@ -331,49 +262,33 @@ mod tests {
     }
 
     #[test]
-    fn insert_grows_node_range() {
-        let mut g = TemporalGraph::with_nodes(1);
-        g.insert(&edge(0, 10, 1.0, 0));
+    fn edges_grow_the_node_range() {
+        let g = TemporalGraph::from_edges(1, &[edge(0, 10, 1.0, 0)]);
         assert_eq!(g.num_nodes(), 11);
         assert_eq!(g.degree(10), 1);
     }
 
     #[test]
-    fn from_stream_matches_incremental() {
+    fn from_stream_matches_one_edge_at_a_time() {
         let s = EdgeStream::new(&[0, 1, 0], &[1, 2, 2], &[1.0, 2.0, 3.0]);
         let g = TemporalGraph::from_stream(&s);
         assert_eq!(g.num_edges(), 3);
         assert_eq!(g.degree(0), 2);
         assert_eq!(g.degree(1), 2);
         assert_eq!(g.degree(2), 2);
-        let mut inserted = TemporalGraph::with_nodes(3);
-        s.edges().iter().for_each(|e| inserted.insert(e));
-        assert!((0..3).all(|n| g.neighbors(n) == inserted.neighbors(n)));
+        let one_by_one = s.edges().iter().fold(TemporalGraph::from_edges(3, &[]), |g, e| {
+            g.merged(std::slice::from_ref(e), None)
+        });
+        assert!((0..3).all(|n| g.neighbors(n) == one_by_one.neighbors(n)));
     }
 
     #[test]
-    fn extend_places_new_entries_after_equal_times() {
-        let mut g = TemporalGraph::from_stream(&EdgeStream::new(&[0, 0], &[1, 2], &[1.0, 3.0]));
-        g.extend(&[edge(0, 3, 3.0, 2), edge(0, 4, 1.0, 3), edge(0, 5, 0.5, 4), edge(0, 6, 1.0, 5)]);
+    fn folded_appends_land_after_equal_times() {
+        let g = TemporalGraph::from_stream(&EdgeStream::new(&[0, 0], &[1, 2], &[1.0, 3.0]));
+        let g = g.with_appends(&[edge(0, 3, 3.0, 2), edge(0, 4, 1.0, 3), edge(0, 5, 0.5, 4), edge(0, 6, 1.0, 5)], 2);
         let order: Vec<NodeId> = g.neighbors(0).iter().map(|x| x.ngh).collect();
         assert_eq!(order, [5, 1, 4, 6, 2, 3]);
-        assert_eq!((g.num_edges(), g.epoch(), g.last_change(6)), (6, 4, Some(4)));
-        // -0.0 ties with 0.0: submission order, as `<=` decides.
-        let mut g = TemporalGraph::with_nodes(1);
-        g.extend(&[edge(0, 1, 1.0, 0), edge(0, 2, 0.0, 1), edge(0, 3, -0.0, 2)]);
-        assert_eq!(g.neighbors(0).iter().map(|x| x.ngh).collect::<Vec<_>>(), [2, 3, 1]);
-    }
-
-    #[test]
-    fn delete_edge_removes_both_directions() {
-        let mut g = TemporalGraph::with_nodes(3);
-        g.insert(&edge(0, 1, 1.0, 0));
-        g.insert(&edge(0, 2, 2.0, 1));
-        assert!(g.delete_edge(0, 1, 0));
-        assert_eq!(g.num_edges(), 1);
-        assert_eq!(g.degree(0), 1);
-        assert_eq!(g.degree(1), 0);
-        assert!(!g.delete_edge(0, 1, 0), "double delete reports missing");
+        assert_eq!((g.num_edges(), g.epoch(), g.last_change(6)), (6, 6, Some(6)));
     }
 
     #[test]
@@ -386,72 +301,38 @@ mod tests {
     }
 
     #[test]
-    fn edits_are_logged_at_both_endpoints_at_their_time() {
+    fn folded_appends_are_logged_at_both_endpoints_at_their_time() {
         let s = EdgeStream::new(&[0, 1], &[1, 2], &[1.0, 5.0]);
-        let mut g = TemporalGraph::from_stream(&s);
-        let last = |g: &TemporalGraph, n| g.last_change(n).unwrap();
-        g.insert(&edge(0, 3, 4.0, 2));
-        assert_eq!((g.epoch(), last(&g, 0), last(&g, 3), last(&g, 1)), (1, 1, 1, 0));
+        // Appends 2 and 3 of a live graph over the two-edge stream: first
+        // seen at epochs 3 and 4.
+        let g = TemporalGraph::from_stream(&s).with_appends(&[edge(0, 3, 4.0, 2), edge(2, 1, 0.5, 3)], 2);
+        let last = |n| g.last_change(n).unwrap();
+        assert_eq!((g.epoch(), last(0), last(3), last(1), last(2)), (4, 3, 3, 4, 4));
         // W(0, t) moved for t > 4 only: sampling reads times strictly
         // before t.
-        assert!(g.holds(0, 4.0, 0) && !g.holds(0, 4.5, 0));
-        assert!(g.holds(0, 100.0, 1), "nothing after epoch 1");
-        // A deletion is an edit at the deleted interaction's time.
-        assert!(g.delete_edge(1, 2, 1));
-        assert_eq!((g.epoch(), last(&g, 1), last(&g, 2)), (2, 2, 2));
-        assert!(g.holds(2, 5.0, 1) && !g.holds(2, 5.5, 1));
-        // A missing edge is not an edit.
-        assert!(!g.delete_edge(1, 2, 1));
-        assert_eq!(g.epoch(), 2);
-        // Growth past the node range is logged too.
-        g.insert(&edge(9, 0, 0.5, 3));
-        assert_eq!((last(&g, 9), last(&g, 0)), (3, 3));
-        assert!(!g.holds(0, 4.0, 1));
-    }
-
-    #[test]
-    fn delete_then_insert_below_t_is_seen_though_the_length_is_not() {
-        let s = EdgeStream::new(&[0, 0], &[1, 2], &[1.0, 2.0]);
-        let mut g = TemporalGraph::from_stream(&s);
-        let before = g.neighbors_before(0, 3.0).len();
-        assert!(g.delete_edge(0, 1, 0));
-        g.insert(&edge(0, 3, 1.5, 2));
-        assert_eq!(g.neighbors_before(0, 3.0).len(), before, "same history length");
-        assert!(!g.holds(0, 3.0, 0), "the log sees both edits");
-        assert!(g.holds(0, 1.0, 0), "both edits at or after t = 1");
-    }
-
-    #[test]
-    fn edits_logged_past_the_adjacency_survive_an_extend() {
-        let mut g = TemporalGraph::with_nodes(2);
-        g.insert(&edge(0, 1, 1.0, 0));
-        // eid 0 is found at node 0; node 5 is past the adjacency but is
-        // still logged as an endpoint of the deletion.
-        assert!(g.delete_edge(0, 5, 0));
-        assert_eq!(g.last_change(5), Some(2));
-        g.extend(&[edge(0, 1, 3.0, 1)]);
-        assert_eq!(g.epoch(), 3);
-        assert_eq!(g.edits.of(5), &[(2, 1.0)]);
-        assert_eq!(g.edits.of(0), &[(1, 1.0), (2, 1.0), (3, 3.0)]);
-        assert_eq!(g.edits.of(1), &[(1, 1.0), (3, 3.0)]);
-        for n in 2..5 {
-            assert!(g.edits.of(n).is_empty(), "node {n}: {:?}", g.edits.of(n));
-        }
+        assert!(g.holds(0, 4.0, 2) && !g.holds(0, 4.5, 2));
+        assert!(g.holds(0, 100.0, 3), "nothing reached node 0 after epoch 3");
+        assert!(g.holds(1, 0.5, 3) && !g.holds(1, 0.6, 3));
+        // A second fold keeps the first's log and adds after it, growing
+        // the node range too.
+        let g = g.with_appends(&[edge(9, 0, 0.5, 4)], 4);
+        assert_eq!(g.edits.of(0), &[(3, 4.0), (5, 0.5)]);
+        assert_eq!(g.edits.of(9), &[(5, 0.5)]);
+        assert_eq!(g.edits.of(1), &[(4, 0.5)]);
+        assert!((4..9).all(|n| g.edits.of(n).is_empty()));
+        assert!(!g.holds(0, 4.0, 3) && g.holds(0, 0.5, 3));
     }
 
     #[test]
     fn unknown_node_has_empty_neighborhood() {
-        let g = TemporalGraph::with_nodes(2);
+        let g = TemporalGraph::from_edges(2, &[]);
         assert!(g.neighbors(77).is_empty());
         assert!(g.neighbors_before(77, 10.0).is_empty());
     }
 
     #[test]
     fn multigraph_same_pair_multiple_times() {
-        let mut g = TemporalGraph::with_nodes(2);
-        g.insert(&edge(0, 1, 1.0, 0));
-        g.insert(&edge(0, 1, 2.0, 1));
-        g.insert(&edge(0, 1, 2.0, 2));
+        let g = TemporalGraph::from_edges(2, &[edge(0, 1, 1.0, 0), edge(0, 1, 2.0, 1), edge(0, 1, 2.0, 2)]);
         assert_eq!(g.degree(0), 3);
         assert_eq!(g.neighbors_before(0, 2.0).len(), 1);
     }

@@ -5,15 +5,15 @@
 //!
 //! * [`EdgeStream`] — the raw chronological interaction list a dataset
 //!   produces and a model consumes in batches.
-//! * [`TemporalGraph`] — one time-sorted CSR adjacency ("T-CSR", after
-//!   TGL). One stable merge builds it from a stream, grows it by a batch
-//!   of edges ([`TemporalGraph::extend`]; `insert` is a batch of one, O(E)
-//!   per call) and compacts a live graph's appends into it; edge deletion
-//!   is in place. Every edit after the build is logged, so a memoized row
-//!   can be checked against what changed since ([`Versioned`]).
-//! * [`LiveGraph`] — streaming ingest: an append-friendly delta-log beside
-//!   an immutable T-CSR with periodic compaction, serving epoch-stamped
-//!   [`GraphView`] snapshots to concurrent readers.
+//! * [`TemporalGraph`] — one immutable time-sorted CSR adjacency ("T-CSR",
+//!   after TGL). One stable merge builds it from a stream or from edges in
+//!   any order ([`TemporalGraph::from_edges`]) and compacts a live graph's
+//!   appends into a new one, logging each so a memoized row can be checked
+//!   against what changed since ([`Versioned`]).
+//! * [`LiveGraph`] — the one way to change a graph: an append-friendly
+//!   delta-log beside an immutable T-CSR with periodic compaction, serving
+//!   epoch-stamped [`GraphView`] snapshots to concurrent readers. Edges
+//!   are only ever added; nothing deletes one.
 //! * [`sampler`] — most-recent and uniform temporal neighborhood
 //!   samplers upholding the temporal constraint `t_j < t`, generic over
 //!   frozen graphs and live views via [`HistorySource`].

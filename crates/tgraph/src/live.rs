@@ -61,8 +61,8 @@ struct DeltaEntry {
 }
 
 /// Mutable tail of a generation: the append log (in submission order) and
-/// per-node time-sorted postings mirroring `TemporalGraph::extend`'s
-/// undirected, equal-times-append-after semantics.
+/// per-node time-sorted postings with the T-CSR's undirected,
+/// equal-times-after semantics.
 #[derive(Debug, Default)]
 struct DeltaState {
     log: Vec<Edge>,
@@ -70,7 +70,7 @@ struct DeltaState {
 }
 
 impl DeltaState {
-    /// Sorted insert matching `TemporalGraph::extend`'s merge:
+    /// Sorted insert matching the T-CSR's merge (`TemporalGraph::from_edges`):
     /// chronological appends are O(1); an out-of-order entry lands *after*
     /// any equal-time entries already present (`time <= entry.time` cut),
     /// so a later submission is always the more recent interaction.
@@ -143,7 +143,7 @@ pub const DEFAULT_COMPACT_THRESHOLD: usize = 4096;
 /// ```
 /// use tg_graph::{Edge, LiveGraph, TemporalGraph};
 ///
-/// let live = LiveGraph::new(TemporalGraph::with_nodes(4));
+/// let live = LiveGraph::new(TemporalGraph::from_edges(4, &[]));
 /// let v0 = live.view();
 /// live.append(&Edge { src: 0, dst: 1, time: 1.0, eid: 0 });
 /// let v1 = live.view();
@@ -176,14 +176,10 @@ impl LiveGraph {
 
     /// Wraps an already-shared base without copying it. Several live
     /// graphs built from the same `Arc` each get an independent delta log
-    /// over one physical T-CSR. The base's edit log is dropped, in place
-    /// where this call owns it and in a copy where a shared base logged
-    /// edits: views read a base's log as the appends compaction merged
-    /// into it, and its epochs are not sequence numbers.
-    pub fn from_shared(mut base: Arc<TemporalGraph>) -> Self {
-        if base.epoch() > 0 || Arc::get_mut(&mut base).is_some() {
-            Arc::make_mut(&mut base).forget_edits();
-        }
+    /// over one physical T-CSR. A graph a caller can hold was built, so
+    /// its log is empty: a base's log only ever holds the appends this
+    /// live graph's compactions fold into it.
+    pub fn from_shared(base: Arc<TemporalGraph>) -> Self {
         let base_seq = base.num_edges() as u64;
         let last_append = (0..base.num_nodes()).map(|_| AtomicU64::new(0)).collect();
         Self {
@@ -211,8 +207,8 @@ impl LiveGraph {
     /// # Invariants
     ///
     /// * The edge's postings are inserted (both endpoints, time-sorted,
-    ///   equal times after existing ones — identical to
-    ///   `TemporalGraph::insert`) and both endpoints' `last_append` stamps
+    ///   equal times after existing ones — where a cold rebuild places
+    ///   it) and both endpoints' `last_append` stamps
     ///   are raised to `seq + 1` *before* the epoch advances past its
     ///   sequence number, so no view can have a visible-but-absent edge or
     ///   a visible edge its endpoints' stamps do not cover.
@@ -296,7 +292,7 @@ impl LiveGraph {
     ///
     /// * Merges the log, in sequence order, with the base in one pass
     ///   (`TemporalGraph::with_appends`), so the new base is bit-identical
-    ///   to a cold rebuild of the full stream prefix. Its edit log holds
+    ///   to a cold rebuild of the full stream prefix. Its log holds
     ///   exactly the appends compacted so far, each at epoch `seq + 1`:
     ///   views ask it about the appends no longer in their postings
     ///   (`Versioned::holds`).
@@ -390,8 +386,8 @@ impl GraphView {
     ///
     /// The merge walks base and delta backward from the `t` cutoff,
     /// preferring delta at equal times (a delta edge was submitted later,
-    /// hence is the more recent interaction — matching where
-    /// `TemporalGraph::insert` would have placed it in a cold rebuild).
+    /// hence is the more recent interaction — matching where a cold
+    /// rebuild, `TemporalGraph::from_edges`, places it).
     pub fn most_recent<F: FnMut(usize, AdjEntry)>(&self, node: NodeId, t: Time, take: usize, mut f: F) {
         let base = self.gen.base.neighbors_before(node, t);
         let delta = rlock(self.gen.delta.read());
@@ -508,18 +504,19 @@ mod tests {
         Edge { src, dst, time, eid }
     }
 
-    fn base_line() -> TemporalGraph {
-        let mut g = TemporalGraph::with_nodes(6);
-        g.extend(&(1..=3u32).map(|i| edge(0, i, i as Time, i - 1)).collect::<Vec<_>>());
-        g
+    /// Node 0 meets nodes 1, 2 and 3 at times 1, 2 and 3, over 6 node ids.
+    fn base_edges() -> Vec<Edge> {
+        (1..=3u32).map(|i| edge(0, i, i as Time, i - 1)).collect()
     }
 
-    /// Cold rebuild: every submitted edge added in order to one graph —
-    /// the ground truth every view must agree with.
-    fn rebuild(base: &TemporalGraph, extra: &[Edge]) -> TemporalGraph {
-        let mut g = base.clone();
-        g.extend(extra);
-        g
+    fn base_line() -> TemporalGraph {
+        TemporalGraph::from_edges(6, &base_edges())
+    }
+
+    /// Cold rebuild: the base's edges and then `extra`, in submission
+    /// order, built at once — the ground truth every view must agree with.
+    fn rebuild(extra: &[Edge]) -> TemporalGraph {
+        TemporalGraph::from_edges(6, &[base_edges(), extra.to_vec()].concat())
     }
 
     fn assert_view_matches(view: &GraphView, truth: &TemporalGraph, node: NodeId, t: Time) {
@@ -547,8 +544,7 @@ mod tests {
 
     #[test]
     fn view_equals_cold_rebuild_including_out_of_order_and_ties() {
-        let base = base_line();
-        let live = LiveGraph::new(base.clone());
+        let live = LiveGraph::new(base_line());
         let extra = [
             edge(0, 4, 5.0, 3),
             edge(0, 5, 2.0, 4), // out of order: lands between base times 2 and 3
@@ -558,7 +554,7 @@ mod tests {
         for e in &extra {
             live.append(e);
         }
-        let truth = rebuild(&base, &extra);
+        let truth = rebuild(&extra);
         let view = live.view();
         for node in 0..6u32 {
             for t in [0.5, 2.0, 2.5, 3.0, 5.5, 100.0] {
@@ -569,30 +565,35 @@ mod tests {
 
     #[test]
     fn compaction_preserves_views_and_visibility() {
-        let base = base_line();
-        let live = LiveGraph::new(base.clone());
-        let extra = [edge(2, 3, 4.0, 3), edge(0, 5, 4.5, 4)];
+        let live = LiveGraph::new(base_line());
+        // The last two tie with base times at nodes 0, 2 and 3, so the
+        // compacted base must place them after the base's entries.
+        let extra = [edge(2, 3, 4.0, 3), edge(0, 5, 4.5, 4), edge(0, 4, 2.0, 5), edge(3, 2, 3.0, 6)];
         live.append(&extra[0]);
         let old_view = live.view();
-        live.append(&extra[1]);
+        extra[1..].iter().for_each(|e| {
+            live.append(e);
+        });
         live.compact();
         assert_eq!(live.ingest_stats().compactions, 1);
         assert_eq!(live.ingest_stats().delta_edges, 0);
 
         // The pre-compaction view still serves its prefix.
-        let truth_old = rebuild(&base, &extra[..1]);
+        let truth_old = rebuild(&extra[..1]);
         for node in 0..6u32 {
             assert_view_matches(&old_view, &truth_old, node, 100.0);
         }
         // A fresh view serves everything, now from the compacted base.
-        let truth_new = rebuild(&base, &extra);
+        let truth_new = rebuild(&extra);
         let new_view = live.view();
-        assert_eq!(new_view.epoch(), 5);
+        assert_eq!(new_view.epoch(), 7);
         for node in 0..6u32 {
-            assert_view_matches(&new_view, &truth_new, node, 100.0);
+            for t in [2.5, 3.5, 100.0] {
+                assert_view_matches(&new_view, &truth_new, node, t);
+            }
         }
         // Appends keep working after compaction, with contiguous seqs.
-        assert_eq!(live.append(&edge(1, 4, 6.0, 5)), 5);
+        assert_eq!(live.append(&edge(1, 4, 6.0, 7)), 7);
         assert_eq!(live.view().hist_len_before(1, 10.0), 2);
     }
 
@@ -604,23 +605,15 @@ mod tests {
 
     #[test]
     fn a_base_logs_only_the_appends_folded_into_it() {
-        // `base_line()` is built by three logged inserts.
-        assert_eq!(base_line().epoch(), 3);
-        let live = LiveGraph::new(base_line());
-        assert_eq!(base_log(&live), (0, vec![Some(0); 6]), "an owned base drops its log");
+        let built = Arc::new(base_line());
+        let live = LiveGraph::from_shared(Arc::clone(&built));
+        assert!(Arc::ptr_eq(&rlock(live.gen.read()).base, &built), "a shared base is not copied");
+        assert_eq!(base_log(&live), (0, vec![Some(0); 6]), "a built base has logged nothing");
         live.append(&edge(0, 4, 4.0, 3));
         live.compact();
         let folded = |n| Some(if n == 0 || n == 4 { 4 } else { 0 });
         assert_eq!(base_log(&live), (4, (0..6).map(folded).collect()), "seq 3 at epoch 4");
-        // A shared base that logged edits is copied without its log; one
-        // that logged none stays shared.
-        let logged = Arc::new(base_line());
-        let live = LiveGraph::from_shared(Arc::clone(&logged));
-        assert!(!Arc::ptr_eq(&rlock(live.gen.read()).base, &logged));
-        assert_eq!((logged.epoch(), base_log(&live).0), (3, 0));
-        let built = Arc::new(TemporalGraph::from_stream(&crate::EdgeStream::new(&[0], &[1], &[1.0])));
-        let live = LiveGraph::from_shared(Arc::clone(&built));
-        assert!(Arc::ptr_eq(&rlock(live.gen.read()).base, &built));
+        assert_eq!(built.epoch(), 0, "compaction builds a new base");
     }
 
     #[test]
@@ -724,13 +717,12 @@ mod tests {
 
     #[test]
     fn most_recent_window_matches_suffix_of_rebuild() {
-        let base = base_line();
-        let live = LiveGraph::new(base.clone());
+        let live = LiveGraph::new(base_line());
         let extra = [edge(0, 4, 2.5, 3), edge(0, 5, 9.0, 4)];
         for e in &extra {
             live.append(e);
         }
-        let truth = rebuild(&base, &extra);
+        let truth = rebuild(&extra);
         let view = live.view();
         let full = truth.neighbors_before(0, 100.0);
         for take in 0..=full.len() {

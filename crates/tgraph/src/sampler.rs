@@ -67,10 +67,11 @@ impl HistorySource for GraphView {
 /// A [`HistorySource`] that can tell whether a window it served at another
 /// epoch is still the same: the question the embedding cache asks of every
 /// row at lookup (DESIGN.md "One validity question"). Both sources answer
-/// it by one rule: `W(node, t)` is the same at two epochs iff no edit
-/// between them touched `node` strictly before `t`. A frozen
-/// [`TemporalGraph`] reads its edit log, a live [`GraphView`] its delta
-/// postings' sequence numbers and times.
+/// it by one rule: `W(node, t)` is the same at two epochs iff no append
+/// between them touched `node` strictly before `t`. A [`TemporalGraph`]
+/// reads the log of the appends compaction folded into it (empty for a
+/// built graph, which never changes); a live [`GraphView`] reads its
+/// base's log and its delta postings' sequence numbers and times.
 pub trait Versioned: HistorySource {
     /// The epoch a row computed over this source now is stamped with.
     fn epoch(&self) -> u64;
@@ -148,10 +149,12 @@ impl NeighborhoodBatch {
 /// ```
 /// use tg_graph::{Edge, TemporalGraph, TemporalSampler};
 ///
-/// let mut g = TemporalGraph::with_nodes(4);
-/// for (i, (dst, t)) in [(1u32, 1.0f32), (2, 2.0), (3, 3.0)].iter().enumerate() {
-///     g.insert(&Edge { src: 0, dst: *dst, time: *t, eid: i as u32 });
-/// }
+/// let edges: Vec<Edge> = [(1u32, 1.0f32), (2, 2.0), (3, 3.0)]
+///     .iter()
+///     .enumerate()
+///     .map(|(i, &(dst, time))| Edge { src: 0, dst, time, eid: i as u32 })
+///     .collect();
+/// let g = TemporalGraph::from_edges(4, &edges);
 /// // Two most-recent neighbors of node 0 strictly before t=3.0:
 /// let nb = TemporalSampler::most_recent(2).sample(&g, &[0], &[3.0]);
 /// assert_eq!(&nb.nodes[..2], &[1, 2]);     // chronological order
@@ -242,13 +245,13 @@ mod tests {
     use super::*;
     use crate::Edge;
 
+    /// Node 0 interacts with 1..=5 at times 1..=5.
+    fn line_edges() -> Vec<Edge> {
+        (1..=5u32).map(|i| Edge { src: 0, dst: i, time: i as Time, eid: i - 1 }).collect()
+    }
+
     fn line_graph() -> TemporalGraph {
-        // node 0 interacts with 1..=5 at times 1..=5
-        let mut g = TemporalGraph::with_nodes(6);
-        for i in 1..=5u32 {
-            g.insert(&Edge { src: 0, dst: i, time: i as Time, eid: i - 1 });
-        }
-        g
+        TemporalGraph::from_edges(6, &line_edges())
     }
 
     #[test]
@@ -292,11 +295,10 @@ mod tests {
     fn same_target_same_subgraph() {
         // The memoization premise (§3.2): sampling the same (i, t) after the
         // graph gained new, later interactions yields the identical result.
-        let mut g = line_graph();
         let s = TemporalSampler::most_recent(3);
-        let before = s.sample(&g, &[0], &[4.5]);
-        g.insert(&Edge { src: 0, dst: 1, time: 9.0, eid: 99 });
-        let after = s.sample(&g, &[0], &[4.5]);
+        let before = s.sample(&line_graph(), &[0], &[4.5]);
+        let later = [line_edges(), vec![Edge { src: 0, dst: 1, time: 9.0, eid: 99 }]].concat();
+        let after = s.sample(&TemporalGraph::from_edges(6, &later), &[0], &[4.5]);
         assert_eq!(before.nodes, after.nodes);
         assert_eq!(before.times, after.times);
         assert_eq!(before.eids, after.eids);
@@ -328,11 +330,8 @@ mod tests {
             let t = if i % 7 == 0 { (i / 2) as Time } else { i as Time }; // some out-of-order
             edges.push(Edge { src: i % 10, dst: (i * 3 + 1) % 10, time: t, eid: i });
         }
-        let mut base = TemporalGraph::with_nodes(10);
-        base.extend(&edges[..60]);
-        let mut truth = base.clone();
-        truth.extend(&edges[60..]);
-        let live = LiveGraph::new(base);
+        let truth = TemporalGraph::from_edges(10, &edges);
+        let live = LiveGraph::new(TemporalGraph::from_edges(10, &edges[..60]));
         for e in &edges[60..] {
             live.append(e);
         }

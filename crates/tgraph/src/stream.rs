@@ -14,11 +14,12 @@ pub struct Edge {
 
 /// A chronologically ordered list of edge interactions.
 ///
-/// This is the on-disk / generated representation of a dataset; the model's
-/// inference task iterates it in batches while the [`crate::TemporalGraph`]
-/// is grown alongside (so sampling at batch `b` only sees interactions from
-/// batches `< b` plus earlier edges of `b` — enforced by the temporal
-/// constraint `t_j < t` rather than insertion order, see `sampler`).
+/// This is the on-disk / generated representation of a dataset. Inference
+/// builds one [`crate::TemporalGraph`] from the whole stream and replays it
+/// in batches: sampling at batch `b` sees only interactions before each
+/// target's time, by the temporal constraint `t_j < t` (see `sampler`).
+/// Training grows a [`crate::LiveGraph`] by appending each batch after it
+/// is processed.
 #[derive(Clone, Debug, Default)]
 pub struct EdgeStream {
     edges: Vec<Edge>,

@@ -6,24 +6,27 @@ use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use tg_graph::graph::AdjEntry;
 use tg_graph::{
-    BatchIter, Edge, EdgeStream, NodeId, SamplingStrategy, TemporalGraph, TemporalSampler, Time, Versioned,
+    BatchIter, Edge, EdgeStream, LiveGraph, NodeId, SamplingStrategy, TemporalGraph, TemporalSampler, Time,
+    Versioned,
 };
 
-/// The oracle for [`TemporalGraph`]: one growable `Vec` per node, each new
-/// entry inserted after every entry at or before its time, and an edit log
-/// kept the naive way. Inserting the edges one at a time in submission
-/// order defines the neighbour order every build of the T-CSR must equal.
+/// The oracle for every graph: one growable `Vec` per node, each new entry
+/// inserted after every entry at or before its time, and, when the edges
+/// are appends, a change log kept the naive way (append `i` at epoch
+/// `i + 1`). Inserting the edges one at a time in submission order
+/// defines the neighbour order every build of the T-CSR must equal.
 #[derive(Default)]
 struct Reference {
     adj: Vec<Vec<AdjEntry>>,
     log: Vec<Vec<(u64, Time)>>,
-    num_edges: usize,
     epoch: u64,
 }
 
 impl Reference {
-    fn with_nodes(n: usize) -> Self {
-        Self { adj: vec![Vec::new(); n], ..Self::default() }
+    fn new(num_nodes: usize, edges: &[Edge], logged: bool) -> Self {
+        let mut r = Self { adj: vec![Vec::new(); num_nodes], ..Self::default() };
+        edges.iter().for_each(|e| r.insert(e, logged));
+        r
     }
 
     fn insert_one(list: &mut Vec<AdjEntry>, entry: AdjEntry) {
@@ -36,40 +39,22 @@ impl Reference {
         }
     }
 
-    fn record(&mut self, nodes: [NodeId; 2], time: Time) {
-        self.epoch += 1;
-        for n in nodes.map(|n| n as usize) {
-            if n >= self.log.len() {
-                self.log.resize_with(n + 1, Vec::new);
-            }
-            self.log[n].push((self.epoch, time));
-        }
-    }
-
-    fn insert(&mut self, e: &Edge) {
+    fn insert(&mut self, e: &Edge, logged: bool) {
         let max = e.src.max(e.dst) as usize;
         if max >= self.adj.len() {
             self.adj.resize(max + 1, Vec::new());
         }
         Self::insert_one(&mut self.adj[e.src as usize], AdjEntry { time: e.time, ngh: e.dst, eid: e.eid });
         Self::insert_one(&mut self.adj[e.dst as usize], AdjEntry { time: e.time, ngh: e.src, eid: e.eid });
-        self.num_edges += 1;
-        self.record([e.src, e.dst], e.time);
-    }
-
-    fn delete_edge(&mut self, src: NodeId, dst: NodeId, eid: u32) -> bool {
-        let mut removed = None;
-        for node in [src, dst] {
-            if let Some(list) = self.adj.get_mut(node as usize) {
-                if let Some(pos) = list.iter().position(|x| x.eid == eid) {
-                    removed = Some(list.remove(pos).time);
+        if logged {
+            self.epoch += 1;
+            for n in [e.src, e.dst].map(|n| n as usize) {
+                if n >= self.log.len() {
+                    self.log.resize_with(n + 1, Vec::new);
                 }
+                self.log[n].push((self.epoch, e.time));
             }
         }
-        let Some(time) = removed else { return false };
-        self.num_edges -= 1;
-        self.record([src, dst], time);
-        true
     }
 
     fn last_change(&self, n: NodeId) -> u64 {
@@ -82,15 +67,18 @@ impl Reference {
     }
 }
 
-/// Every read of `g` equals the reference's: adjacency of every node (and
-/// of ids past the range), sizes, and the edit log's answers.
-fn assert_same(g: &TemporalGraph, r: &Reference) -> Result<(), TestCaseError> {
-    prop_assert_eq!(g.num_nodes(), r.adj.len());
-    prop_assert_eq!(g.num_edges(), r.num_edges);
+/// Every read of `g` equals the reference's: the whole history of every
+/// node (and of ids past the range) and the validity answers. `stamped`
+/// is the id range `last_change` answers for.
+fn assert_same<S: Versioned>(g: &S, r: &Reference, stamped: usize) -> Result<(), TestCaseError> {
     prop_assert_eq!(g.epoch(), r.epoch);
-    for n in 0..g.num_nodes() as NodeId + 2 {
-        prop_assert_eq!(g.neighbors(n), r.adj.get(n as usize).map_or(&[][..], |l| l.as_slice()), "node {}", n);
-        prop_assert_eq!(g.last_change(n), Some(r.last_change(n)), "node {}", n);
+    for n in 0..r.adj.len() as NodeId + 2 {
+        let len = g.hist_len_before(n, Time::INFINITY);
+        let mut history = vec![AdjEntry { time: 0.0, ngh: 0, eid: 0 }; len];
+        g.most_recent(n, Time::INFINITY, len, |slot, e| history[slot] = e);
+        prop_assert_eq!(&history[..], r.adj.get(n as usize).map_or(&[][..], |l| l.as_slice()), "node {}", n);
+        let want = ((n as usize) < stamped).then(|| r.last_change(n));
+        prop_assert_eq!(g.last_change(n), want, "node {}", n);
         for t in [0.0, 1.0, 2.5, 4.0, 7.0, 100.0] {
             for since in 0..=r.epoch {
                 prop_assert_eq!(g.holds(n, t, since), r.holds(n, t, since), "holds({}, {}, {})", n, t, since);
@@ -181,20 +169,21 @@ proptest! {
         stream in stream_strategy(10, 50),
         extra in proptest::collection::vec((0u32..10, 0u32..10, 1u32..20), 1..10),
     ) {
-        // §3.2: appending strictly-later interactions never changes the
-        // sampled subgraph of an existing (node, t) target.
-        let mut g = TemporalGraph::from_stream(&stream);
+        // §3.2: strictly-later interactions never change the sampled
+        // subgraph of an existing (node, t) target.
+        let g = TemporalGraph::from_stream(&stream);
         let sampler = TemporalSampler::most_recent(4);
         let t = stream.max_time() * 0.7;
         let ns: Vec<NodeId> = (0..10).collect();
         let ts = vec![t; ns.len()];
         let before = sampler.sample(&g, &ns, &ts);
+        let mut edges = stream.edges().to_vec();
         let mut time = stream.max_time() + 1.0;
         for (i, (s, d, gap)) in extra.into_iter().enumerate() {
             time += gap as f32;
-            g.insert(&Edge { src: s, dst: d, time, eid: 10_000 + i as u32 });
+            edges.push(Edge { src: s, dst: d, time, eid: 10_000 + i as u32 });
         }
-        let after = sampler.sample(&g, &ns, &ts);
+        let after = sampler.sample(&TemporalGraph::from_edges(0, &edges), &ns, &ts);
         prop_assert_eq!(before.nodes, after.nodes);
         prop_assert_eq!(before.times, after.times);
         prop_assert_eq!(before.eids, after.eids);
@@ -236,21 +225,6 @@ proptest! {
         }
     }
 
-    #[test]
-    fn deletions_shrink_history(stream in stream_strategy(8, 40), victim in 0usize..40) {
-        let mut g = TemporalGraph::from_stream(&stream);
-        if victim >= stream.len() { return Ok(()); }
-        let e = stream.edges()[victim];
-        let before_src = g.degree(e.src);
-        prop_assert!(g.delete_edge(e.src, e.dst, e.eid));
-        if e.src == e.dst {
-            prop_assert_eq!(g.degree(e.src), before_src - 2);
-        } else {
-            prop_assert_eq!(g.degree(e.src), before_src - 1);
-        }
-        prop_assert!(!g.neighbors(e.src).iter().any(|x| x.eid == e.eid));
-        prop_assert!(!g.neighbors(e.dst).iter().any(|x| x.eid == e.eid));
-    }
 }
 
 /// Edges over node ids `0..12` with few distinct times (ties) in any order,
@@ -277,51 +251,41 @@ proptest! {
     fn every_build_equals_the_per_node_reference(
         edges in edges_strategy(),
         start_nodes in 0usize..8,
-        chunks in proptest::collection::vec(1usize..6, 1..12),
-        deletes in proptest::collection::vec(0usize..48, 0..8),
+        chunks in proptest::collection::vec((1usize..6, any::<bool>()), 1..12),
     ) {
-        let mut reference = Reference::with_nodes(start_nodes);
-        let mut inserted = TemporalGraph::with_nodes(start_nodes);
-        let mut extended = TemporalGraph::with_nodes(start_nodes);
-        for e in &edges {
-            reference.insert(e);
-            inserted.insert(e);
+        // Any order, in one build.
+        let built = TemporalGraph::from_edges(start_nodes, &edges);
+        let reference = Reference::new(start_nodes, &edges, false);
+        prop_assert_eq!((built.num_nodes(), built.num_edges()), (reference.adj.len(), edges.len()));
+        assert_same(&built, &reference, usize::MAX)?;
+
+        if edges.windows(2).all(|w| w[0].time <= w[1].time) {
+            let built = TemporalGraph::from_stream(&EdgeStream::from_edges(edges.clone()));
+            let reference = Reference::new(0, &edges, false);
+            prop_assert_eq!((built.num_nodes(), built.num_edges()), (reference.adj.len(), edges.len()));
+            assert_same(&built, &reference, usize::MAX)?;
         }
+
+        // Appended in chunks to an empty base, compacted after some, and
+        // read through a view: append `i` is first seen at epoch `i + 1`.
+        let live = LiveGraph::new(TemporalGraph::from_edges(start_nodes, &[])).with_compact_threshold(usize::MAX);
         let mut rest = &edges[..];
-        for &len in chunks.iter().cycle() {
+        for &(len, compact) in chunks.iter().cycle() {
             if rest.is_empty() {
                 break;
             }
             let (chunk, tail) = rest.split_at(len.min(rest.len()));
-            extended.extend(chunk);
+            chunk.iter().for_each(|e| {
+                live.append(e);
+            });
+            if compact {
+                live.compact();
+            }
             rest = tail;
         }
-        assert_same(&inserted, &reference)?;
-        assert_same(&extended, &reference)?;
-
-        if edges.windows(2).all(|w| w[0].time <= w[1].time) {
-            // A built graph has the same adjacency and no edits.
-            let built = TemporalGraph::from_stream(&EdgeStream::from_edges(edges.clone()));
-            let mut cold = Reference::with_nodes(0);
-            edges.iter().for_each(|e| cold.insert(e));
-            prop_assert_eq!(built.num_nodes(), cold.adj.len());
-            prop_assert_eq!(built.num_edges(), edges.len());
-            prop_assert_eq!(built.epoch(), 0);
-            for n in 0..built.num_nodes() as NodeId + 2 {
-                prop_assert_eq!(built.neighbors(n), cold.adj.get(n as usize).map_or(&[][..], |l| l.as_slice()));
-                prop_assert_eq!(built.last_change(n), Some(0));
-            }
-        }
-
-        // Deletions (some of edges already gone, some of ids never added)
-        // edit both the same way.
-        for i in deletes {
-            let e = edges.get(i).copied().unwrap_or(Edge { src: (i % 12) as NodeId, dst: 3, time: 0.0, eid: 1_000 });
-            let want = reference.delete_edge(e.src, e.dst, e.eid);
-            prop_assert_eq!(inserted.delete_edge(e.src, e.dst, e.eid), want);
-            prop_assert_eq!(extended.delete_edge(e.src, e.dst, e.eid), want);
-        }
-        assert_same(&inserted, &reference)?;
-        assert_same(&extended, &reference)?;
+        let view = live.view();
+        let reference = Reference::new(start_nodes, &edges, true);
+        prop_assert_eq!((view.num_nodes(), view.num_edges()), (reference.adj.len(), edges.len() as u64));
+        assert_same(&view, &reference, start_nodes)?;
     }
 }

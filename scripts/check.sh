@@ -41,7 +41,7 @@
 #      "Effect inference (L13-L16)")
 #   9. the four examples in release — each exits nonzero on an error or a
 #      failed assert (quickstart's none-vs-all drift; evolving_graph_
-#      maintenance's reuse after growth and refusal after a deletion);
+#      maintenance's reuse after growth and refusal after a late edge);
 #      ~3 s on two cores
 #  10. cargo check --locked --offline of the stand-alone ledger package
 #      (crates/bench/src/bin/ledger/Cargo.toml, BENCHMARK.json's build) —

@@ -148,8 +148,10 @@ fn live_graph_epoch_publish_never_tears_a_view() {
 
     loom::model(|| {
         ITERS.fetch_add(1, Ordering::SeqCst);
-        let mut base = TemporalGraph::with_nodes(N_NODES as usize);
-        base.extend(&[Edge { src: 0, dst: 1, time: 1.0, eid: 0 }, Edge { src: 1, dst: 2, time: 2.0, eid: 1 }]);
+        let base = TemporalGraph::from_edges(
+            N_NODES as usize,
+            &[Edge { src: 0, dst: 1, time: 1.0, eid: 0 }, Edge { src: 1, dst: 2, time: 2.0, eid: 1 }],
+        );
         let live = Arc::new(LiveGraph::new(base).with_compact_threshold(2));
 
         let pinned = live.view();

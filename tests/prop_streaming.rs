@@ -90,10 +90,7 @@ fn world() -> &'static World {
 /// `GraphView` at that point claims to serve.
 fn cold_graph(n_ingested: usize) -> TemporalGraph {
     let w = world();
-    let mut g = TemporalGraph::with_nodes(N_NODES);
-    g.extend(&w.base);
-    g.extend(&w.pool[..n_ingested]);
-    g
+    TemporalGraph::from_edges(N_NODES, &[&w.base[..], &w.pool[..n_ingested]].concat())
 }
 
 fn bits(xs: &[f32]) -> Vec<u32> {

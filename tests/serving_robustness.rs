@@ -298,15 +298,17 @@ fn short_feature_tables_are_refused_at_construction() {
 
 #[test]
 fn a_live_server_shares_an_edited_bundle_graph() {
-    // A graph grown by `insert` logs its edits. The bundle drops that log,
-    // so a live-ingest server layers its delta over the bundle's T-CSR
-    // instead of copying it, and the graph's history starts at epoch 0.
+    // A graph built from edges in any order (here newest first) has
+    // logged nothing, so a live-ingest server layers its delta over the
+    // bundle's T-CSR instead of copying it, and the graph's history
+    // starts at epoch 0.
     let base = world();
-    let mut graph = TemporalGraph::with_nodes(10);
-    for i in 0..60 {
-        graph.insert(&Edge { src: (i % 10) as NodeId, dst: ((i * 7 + 2) % 10) as NodeId, time: (i + 1) as Time, eid: i });
-    }
-    assert!(graph.epoch() > 0);
+    let edges: Vec<Edge> = (0..60)
+        .rev()
+        .map(|i| Edge { src: (i % 10) as NodeId, dst: ((i * 7 + 2) % 10) as NodeId, time: (i + 1) as Time, eid: i })
+        .collect();
+    let graph = TemporalGraph::from_edges(10, &edges);
+    assert_eq!(graph.epoch(), 0);
     let bundle = Arc::new(
         ModelBundle::new(base.params.clone(), graph, base.node_features.clone(), base.edge_features.clone()).unwrap(),
     );

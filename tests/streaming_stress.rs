@@ -222,7 +222,6 @@ fn concurrent_ingest_and_queries_hold_invariants() {
     // Staleness spot-check: every sampled entry of either layer that a
     // lookup under the final view accepts must match a cold recompute over
     // the final graph.
-    let mut full = TemporalGraph::with_nodes(N_NODES);
     let base_edges: Vec<Edge> = {
         // Rebuild the base stream exactly as build_world constructed it.
         let mut v = Vec::new();
@@ -236,8 +235,7 @@ fn concurrent_ingest_and_queries_hold_invariants() {
         }
         v
     };
-    full.extend(&base_edges);
-    full.extend(&pool);
+    let full = TemporalGraph::from_edges(N_NODES, &[base_edges, pool].concat());
 
     let cfg1 = TgatConfig { n_layers: 1, ..bundle.params.cfg };
     assert_eq!(cfg1.n_neighbors, k);

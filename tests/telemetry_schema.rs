@@ -133,11 +133,13 @@ fn live_server_snapshot_matches_golden() {
     const NODES: usize = 8;
     const BASE: usize = 24;
     let cfg = TgatConfig::tiny();
-    let mut graph = TemporalGraph::with_nodes(NODES);
-    for i in 0..BASE {
-        let (src, dst) = ((i % NODES) as NodeId, ((i * 3 + 1) % NODES) as NodeId);
-        graph.insert(&Edge { src, dst, time: (i + 1) as Time, eid: i as u32 });
-    }
+    let edges: Vec<Edge> = (0..BASE)
+        .map(|i| {
+            let (src, dst) = ((i % NODES) as NodeId, ((i * 3 + 1) % NODES) as NodeId);
+            Edge { src, dst, time: (i + 1) as Time, eid: i as u32 }
+        })
+        .collect();
+    let graph = TemporalGraph::from_edges(NODES, &edges);
     let mut rng = init::seeded_rng(11);
     let nf = init::normal(&mut rng, NODES, cfg.dim, 0.5);
     // One spare edge-feature row for the live edge below.

@@ -81,3 +81,26 @@ fn training_loss_decreases_on_learnable_structure() {
     assert!(last < first, "loss should fall: {:?}", report.epoch_losses);
     assert!(report.val_auc > 0.55, "AUC should beat chance, got {}", report.val_auc);
 }
+
+/// FNV-1a (64-bit) of the trained parameters' bits, every epoch loss and
+/// the validation AUC, after a fixed run.
+#[test]
+fn training_bits_are_pinned() {
+    // ~4.9k edges: both the training and the validation pass grow their
+    // graph past one compaction.
+    let spec = spec_by_name("jodie-mooc").unwrap();
+    let data = generate(&spec, 0.012, 23).unwrap();
+    let cfg = TgatConfig { dim: 8, edge_dim: data.dim(), time_dim: 8, n_layers: 2, n_heads: 2, n_neighbors: 2 };
+    let mut params = TgatParams::init(cfg, 5).unwrap();
+    let node_features = Tensor::zeros(data.stream.num_nodes(), cfg.dim);
+    let tc = TrainConfig { epochs: 2, batch_size: 200, lr: 3e-3, train_frac: 0.9, seed: 6, ..Default::default() };
+    let report = train(&mut params, &data.stream, &node_features, &data.edge_features, &tc);
+    let fnv = |h: u64, bits: u64| (h ^ bits).wrapping_mul(0x0100_0000_01b3);
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    for t in params.param_list() {
+        h = t.as_slice().iter().fold(h, |h, v| fnv(h, u64::from(v.to_bits())));
+    }
+    h = report.epoch_losses.iter().fold(h, |h, l| fnv(h, u64::from(l.to_bits())));
+    h = fnv(h, report.val_auc.to_bits());
+    assert_eq!(h, 0xe9dc_38e6_deb2_3571, "{h:#018x}");
+}
