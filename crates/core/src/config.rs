@@ -25,8 +25,11 @@ pub struct OptConfig {
     /// Precomputed time-encoding window (paper default 10,000).
     pub time_window: usize,
     /// The paper's switch for a `CacheLookup` parallel across keys (on for
-    /// both machines in §5.1.3). Ignored: a lookup is one loop over the keys.
-    /// The perf ledger's probe still reads it; ROADMAP 5(f) drops it.
+    /// both machines in §5.1.3). Ignored: the engine's width, not a flag,
+    /// decides what runs on more than one core — each layer's sample and
+    /// `Φ(dt)` encode, and attention — and the lookup stays one loop on
+    /// the caller (DESIGN.md "Fan-out"). The perf ledger's probe still
+    /// reads it; ROADMAP 5(f) deletes it.
     pub parallel_lookup: bool,
     /// The paper's switch for a parallel `CacheStore` (GPU host only).
     /// Ignored like [`OptConfig::parallel_lookup`].

@@ -15,13 +15,18 @@ use crate::edgeproj::EdgeProjector;
 use crate::hash::{compute_keys, pack_key};
 use crate::timecache::TimeCache;
 use tg_error::TgError;
-use tg_graph::{GraphView, NodeId, SamplingStrategy, TemporalSampler, Time, Versioned};
-use tg_tensor::fanout::host_cores;
+use tg_graph::{GraphView, NeighborhoodBatch, NodeId, SamplingStrategy, SlotRows, TemporalSampler, Time, Versioned};
+use tg_tensor::fanout::{fan_chunks, helpers_for, host_cores};
 use tg_tensor::{Scratch, Tensor};
 use tgat::attention::{self, AttentionInputs, KvWeights};
 use tgat::{engine::GraphContext, TgatParams};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 use tg_telemetry::{OpKind, Recorder};
+
+/// Targets per chunk of a layer's fan-out ([`TgoptEngine::attend`]'s
+/// sample and `Φ(dt)` encode): DESIGN.md "Measured tuning constants".
+const SAMPLE_CHUNK: usize = 32;
 
 /// Cumulative reuse counters (drive Figures 3 and 7 and Table 3's hit rate).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -87,6 +92,16 @@ type Records = Option<Vec<Box<[u64]>>>;
 /// row when dedup ran (without it row `i` is target `i`), and their
 /// records.
 type Layer = (Tensor, Option<Vec<u32>>, Records);
+
+/// One chunk of a layer's fan-out: its targets' slots and `Φ(dt)` rows,
+/// and what its participant reports back — the time window's hits, and
+/// (with stats on) how long sampling and encoding took.
+struct SlotChunk<'a> {
+    rows: SlotRows<'a>,
+    ht: &'a mut [f32],
+    hits: u64,
+    took: [Duration; 2],
+}
 
 /// TGOpt's redundancy-aware TGAT inference engine.
 pub struct TgoptEngine<'a> {
@@ -322,7 +337,7 @@ impl<'a> TgoptEngine<'a> {
 
     /// Layer `l ≥ 1` of `(ns, ts)`, with the rows' records if `record`
     /// (asked only at `l ≥ 2`: a layer-1 row's record is its key).
-    fn embed<S: Versioned>(
+    fn embed<S: Versioned + Sync>(
         &mut self,
         source: &S,
         l: usize,
@@ -368,7 +383,7 @@ impl<'a> TgoptEngine<'a> {
     /// Layer `l` of unique targets through the layer's cache: look every key
     /// up, recompute the misses with [`Self::attend`], store them and copy
     /// them into place (Algorithm 1 with Algorithm 3's lookup and store).
-    fn embed_cached<S: Versioned>(
+    fn embed_cached<S: Versioned + Sync>(
         &mut self,
         source: &S,
         cache: &EmbedCache,
@@ -425,16 +440,17 @@ impl<'a> TgoptEngine<'a> {
     }
 
     /// One TGAT layer over `ns`/`ts` with nothing reused at this layer:
-    /// sample, embed targets and neighbors together one layer down
-    /// (Algorithm 1 line 12: `Embed(l-1, ns ∪ ns_ngh, ts ∪ ts_ngh)`), encode
-    /// the time deltas and attend. Returns `[ns.len(), dim]` and, if
+    /// sample and encode the time deltas, embed targets and neighbors
+    /// together one layer down (Algorithm 1 line 12: `Embed(l-1, ns ∪
+    /// ns_ngh, ts ∪ ts_ngh)`) and attend. Returns `[ns.len(), dim]` and, if
     /// `record` (at `l ≥ 2`), each row's record: its own pair joined with
     /// the records of the lower-layer rows its real neighbor slots read
     /// (comemo's `join`; padding reads nothing, and a layer-1 row's record
     /// is its key).
-    fn attend<S: Versioned>(&mut self, source: &S, l: usize, ns: &[NodeId], ts: &[Time], record: bool) -> Result<(Tensor, Records), TgError> {
-        let sampler = &self.sampler;
-        let nb = self.stats.time(OpKind::NghLookup, || sampler.sample_from(source, ns, ts));
+    fn attend<S: Versioned + Sync>(&mut self, source: &S, l: usize, ns: &[NodeId], ts: &[Time], record: bool) -> Result<(Tensor, Records), TgError> {
+        // Φ(dt) depends on the sample alone, so it is encoded here, ahead
+        // of the recursion, in the same pass.
+        let (nb, ht) = self.sample_and_encode(source, ns, ts);
 
         let mut all_ns = Vec::with_capacity(ns.len() + nb.nodes.len());
         all_ns.extend_from_slice(ns);
@@ -451,22 +467,14 @@ impl<'a> TgoptEngine<'a> {
             Some(self.embed(source, l - 1, &all_ns, &all_ts, record && l > 2)?)
         };
 
-        // §4.3 precomputed time encodings when the window exists, the
-        // encoder otherwise; both fill scratch-backed destinations, so a
-        // steady-state batch performs no time-encode allocations.
+        // §4.3 Φ(0) from the window when it exists, the encoder otherwise,
+        // into a scratch-backed destination.
         let params = self.params;
-        let time_dim = params.time.dim();
-        let (stats, timecache) = (&mut self.stats, &mut self.timecache);
-        let mut ht0 = self.scratch.take(ns.len(), time_dim);
-        stats.time(OpKind::TimeEncodeZero, || match timecache {
+        let mut ht0 = self.scratch.take(ns.len(), params.time.dim());
+        let timecache = &self.timecache;
+        self.stats.time(OpKind::TimeEncodeZero, || match timecache {
             Some(c) => c.encode_zeros_into(&mut ht0),
             None => params.time.encode_zeros_into(&mut ht0),
-        });
-        let mut ht = self.scratch.take(nb.dts.len(), time_dim);
-        let helpers = &mut self.helpers[..];
-        stats.time(OpKind::TimeEncodeDt, || match timecache {
-            Some(c) => c.encode_into(&params.time, &nb.dts, &mut ht),
-            None => params.time.encode_into_fanned(&nb.dts, &mut ht, helpers),
         });
         let mask = nb.mask();
 
@@ -518,6 +526,74 @@ impl<'a> TgoptEngine<'a> {
             self.scratch.give(h);
         }
         Ok((out, records))
+    }
+
+    /// Samples `(ns, ts)` (`NghLookup`) and encodes every slot's `Φ(dt)`
+    /// (`TimeEncode (dt)`, §4.3: through the window when it exists, the
+    /// encoder otherwise) into a scratch-backed `[ns.len() · k, d_t]`.
+    /// Under the width rule the layer's one fan-out runs both, chunk by
+    /// chunk of [`SAMPLE_CHUNK`] targets, straight into the batch's and
+    /// `ht`'s rows; at width 1 the caller samples the whole layer in one
+    /// call and encodes it in another. Chunk order fixes the layout, so the
+    /// bits are the same at every width, and the window's hits are summed
+    /// after the join.
+    fn sample_and_encode<S: Versioned + Sync>(&mut self, source: &S, ns: &[NodeId], ts: &[Time]) -> (NeighborhoodBatch, Tensor) {
+        let start = self.stats.is_enabled().then(Instant::now);
+        let (k, encoder) = (self.sampler.k(), &self.params.time);
+        let d = encoder.dim();
+        let mut nb = NeighborhoodBatch::zeroed(ns.len(), k);
+        let mut ht = self.scratch.take(ns.len() * k, d);
+        let (sampler, window) = (&self.sampler, self.timecache.as_ref());
+        // One participant's run of targets: the window's hits and, with
+        // stats on, how long sampling and encoding took.
+        let pass = |ns: &[NodeId], ts: &[Time], rows: &mut SlotRows<'_>, ht: &mut [f32]| {
+            let sampling = start.map(|_| Instant::now());
+            sampler.sample_rows(source, ns, ts, rows);
+            let encoding = start.map(|_| Instant::now());
+            let hits = match window {
+                Some(c) => c.encode_rows_into(encoder, rows.dts, ht),
+                None => {
+                    encoder.encode_rows_into(rows.dts, ht);
+                    0
+                }
+            };
+            let took = match (sampling, encoding) {
+                (Some(s), Some(e)) => [e - s, e.elapsed()],
+                _ => [Duration::ZERO; 2],
+            };
+            (hits, took)
+        };
+        let helpers = helpers_for(&mut self.helpers, ns.len().div_ceil(SAMPLE_CHUNK));
+        let (hits, [sampling, encoding]) = if helpers.is_empty() {
+            pass(ns, ts, &mut nb.slot_rows(), ht.as_mut_slice())
+        } else {
+            let mut slots = nb.slot_rows();
+            let mut chunks: Vec<SlotChunk<'_>> = slots
+                .chunks(SAMPLE_CHUNK * k)
+                .zip(ht.as_mut_slice().chunks_mut(SAMPLE_CHUNK * k * d))
+                .map(|(rows, ht)| SlotChunk { rows, ht, hits: 0, took: [Duration::ZERO; 2] })
+                .collect();
+            fan_chunks(&mut chunks, 1, &mut self.scratch, helpers, |c, chunk, _| {
+                let span = c * SAMPLE_CHUNK..ns.len().min((c + 1) * SAMPLE_CHUNK);
+                for SlotChunk { rows, ht, hits, took } in chunk {
+                    (*hits, *took) = pass(&ns[span.clone()], &ts[span.clone()], rows, ht);
+                }
+            });
+            chunks.iter().fold((0, [Duration::ZERO; 2]), |(h, [s, e]), c| (h + c.hits, [s + c.took[0], e + c.took[1]]))
+        };
+        if let Some(start) = start {
+            // The pass's wall time, from its allocations to the join, split
+            // in the ratio of the participants' sampling and encoding times.
+            let wall = start.elapsed();
+            let share = sampling.as_secs_f64() / (sampling + encoding).as_secs_f64().max(f64::MIN_POSITIVE);
+            let ngh = wall.mul_f64(share);
+            self.stats.record(OpKind::NghLookup, ngh);
+            self.stats.record(OpKind::TimeEncodeDt, wall.saturating_sub(ngh));
+        }
+        if let Some(c) = self.timecache.as_mut() {
+            c.record(hits, nb.dts.len() as u64 - hits);
+        }
+        (nb, ht)
     }
 }
 
@@ -748,6 +824,33 @@ mod tests {
         assert_eq!(s.count(OpKind::Attention), cfg.n_layers as u64);
         for kind in [OpKind::DedupFilter, OpKind::ComputeKeys, OpKind::CacheLookup, OpKind::CacheStore] {
             assert_eq!(s.count(kind), 0, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn a_fanned_pass_keeps_both_stage_rows() {
+        // 120 targets are four sample chunks, so at width 2 the top layer's
+        // sample and encode run as one fan-out: its wall time is split
+        // into the same two rows, one count each per layer, as at width 1.
+        let cfg = TgatConfig::tiny();
+        let params = TgatParams::init(cfg, 1).unwrap();
+        let (graph, nf, ef) = world(cfg, 40, 400);
+        let ctx = GraphContext { graph: &graph, node_features: &nf, edge_features: &ef };
+        let ns: Vec<NodeId> = (0..120).map(|i| i % 40).collect();
+        let ts: Vec<Time> = (0..120).map(|i| 300.0 + i as Time).collect();
+        assert!(ns.len().div_ceil(SAMPLE_CHUNK) >= 4);
+        for cores in [1, 2] {
+            let mut eng = TgoptEngine::new(&params, ctx, OptConfig::none()).with_cores(cores);
+            eng.enable_stats();
+            let started = Instant::now();
+            let _ = eng.embed_batch(&ns, &ts).unwrap();
+            let wall = started.elapsed();
+            let s = eng.stats();
+            for kind in [OpKind::NghLookup, OpKind::TimeEncodeDt] {
+                assert_eq!(s.count(kind), cfg.n_layers as u64, "{kind:?}, {cores} cores");
+                assert!(s.total(kind) > Duration::ZERO, "{kind:?}, {cores} cores");
+            }
+            assert!(s.grand_total() <= wall, "{cores} cores: stages {:?} vs wall {wall:?}", s.grand_total());
         }
     }
 

@@ -84,20 +84,44 @@ impl TimeCache {
     ///   exactly `dts.len()`.
     /// - Allocation-free.
     pub fn encode_into(&mut self, encoder: &TimeEncoder, dts: &[f32], out: &mut Tensor) {
-        let window = self.window();
         assert_eq!(out.shape(), (dts.len(), self.dim()), "time-encode destination shape mismatch");
-        for (r, &dt) in dts.iter().enumerate() {
+        let hits = self.encode_rows_into(encoder, dts, out.as_mut_slice());
+        self.record(hits, dts.len() as u64 - hits);
+    }
+
+    /// [`TimeCache::encode_into`] over a run of rows (`out` holds one
+    /// `dim()`-wide row per delta), counting nothing: returns how many
+    /// deltas the window served, for the caller to [`TimeCache::record`].
+    /// Takes `&self`, so runs of one batch can be encoded on several
+    /// threads at once; each row is the same whichever run holds it.
+    pub fn encode_rows_into(&self, encoder: &TimeEncoder, dts: &[f32], out: &mut [f32]) -> u64 {
+        let (window, d) = (self.window(), self.dim());
+        assert_eq!(out.len(), dts.len() * d, "time-encode destination length mismatch");
+        let mut hits = 0;
+        for (&dt, row) in dts.iter().zip(out.chunks_exact_mut(d)) {
             #[expect(clippy::cast_possible_truncation, reason = "used only when dt is a non-negative integer below window")]
             let idx = dt as usize;
             // Hit iff dt is a non-negative integer inside the window.
             if dt >= 0.0 && dt.fract() == 0.0 && idx < window {
-                out.row_mut(r).copy_from_slice(self.table.row(idx));
-                self.hits += 1;
+                row.copy_from_slice(self.table.row(idx));
+                hits += 1;
             } else {
-                encoder.encode_row_into(dt, out.row_mut(r));
-                self.misses += 1;
+                encoder.encode_row_into(dt, row);
             }
         }
+        hits
+    }
+
+    /// Adds the verdicts of [`TimeCache::encode_rows_into`] calls to the
+    /// hit and miss counters.
+    ///
+    /// # Invariants
+    ///
+    /// - Only the counters change, by exactly `hits` and `misses`; the
+    ///   table and the `Phi(0)` row never do.
+    pub fn record(&mut self, hits: u64, misses: u64) {
+        self.hits += hits;
+        self.misses += misses;
     }
 
     /// `Phi(0)` broadcast over `n` rows, from the precomputed row.
@@ -224,6 +248,19 @@ mod tests {
         tc.encode_into(&enc, &dts, &mut dst);
         assert_eq!(bits(&dst), bits(&enc.encode(&dts)));
         assert_eq!((tc.hits(), tc.misses()), (4, 7));
+    }
+
+    #[test]
+    fn runs_encoded_separately_equal_one_call() {
+        let enc = TimeEncoder::random(4, 2);
+        let dts = [0.0f32, 3.0, 2.5, 300.0, 3.0, -1.0, 7.0];
+        let mut whole = TimeCache::precompute(&enc, 100);
+        let want = whole.encode(&enc, &dts);
+        let runs = TimeCache::precompute(&enc, 100);
+        let mut got = vec![777.0; dts.len() * 4];
+        let hits: u64 = dts.chunks(3).zip(got.chunks_mut(12)).rev().map(|(d, out)| runs.encode_rows_into(&enc, d, out)).sum();
+        assert_eq!(got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), bits(&want));
+        assert_eq!((hits, dts.len() as u64 - hits), (whole.hits(), whole.misses()));
     }
 
     #[test]

@@ -1,9 +1,15 @@
-//! The workspace's one fan-out: row-independent chunks of an output buffer
+//! The workspace's one fan-out: independent chunks of an output slice
 //! computed by the caller plus scoped helper threads, each with its own
 //! state (a [`crate::Scratch`]). Chunks are claimed one at a time, so the
 //! split follows whichever core is free, and a chunk's arithmetic never
 //! depends on who runs it. No pool, no `unsafe`: `std::thread::scope`
-//! lends the borrows and joins before returning (DESIGN.md "Fan-out").
+//! lends the borrows and joins before returning.
+//!
+//! The slice's elements are whatever one chunk writes: `f32` rows for the
+//! attention blocks and the edge projection, and for an engine layer's
+//! sample-and-encode pass one element per chunk, holding its slots of
+//! every sampled array and of `Φ(dt)`, so one call covers all of them
+//! (DESIGN.md "Fan-out").
 
 use std::sync::{Mutex, OnceLock, PoisonError};
 use std::thread::{self, Builder};
@@ -31,12 +37,12 @@ pub fn helpers_for<S>(helpers: &mut [S], chunks: usize) -> &mut [S] {
 ///
 /// # Panics
 /// Panics if `chunk_len` is zero.
-pub fn fan_chunks<S: Send>(
-    out: &mut [f32],
+pub fn fan_chunks<T: Send, S: Send>(
+    out: &mut [T],
     chunk_len: usize,
     own: &mut S,
     helpers: &mut [S],
-    per_chunk: impl Fn(usize, &mut [f32], &mut S) + Sync,
+    per_chunk: impl Fn(usize, &mut [T], &mut S) + Sync,
 ) -> usize {
     let width = helpers.len().min(out.len().div_ceil(chunk_len).saturating_sub(1));
     if width == 0 {

@@ -8,8 +8,7 @@
 //! vectorises it across a row's frequencies.
 
 use serde::{Deserialize, Serialize};
-use tg_tensor::fanout::{fan_chunks, helpers_for};
-use tg_tensor::{init, Scratch, Tensor};
+use tg_tensor::{init, Tensor};
 
 /// Learnable time encoder mapping a time delta to a `d_t`-dim vector.
 ///
@@ -23,11 +22,6 @@ pub struct TimeEncoder {
     /// `1 x d_t` phases.
     pub phi: Tensor,
 }
-
-/// Rows per fan-out chunk of [`TimeEncoder::encode_into_fanned`]: ≈ 0.16 ms
-/// of `cos` at 32 frequencies (2.5 ns per element on a 2-vCPU AVX-512 Xeon;
-/// libm took 0.37 ms), a third of one attention block.
-pub const ENCODE_CHUNK: usize = 2048;
 
 impl TimeEncoder {
     /// Creates the encoder with TGAT's geometric frequency initialization.
@@ -70,27 +64,19 @@ impl TimeEncoder {
     /// [`Self::encode`] into a preallocated `[dts.len(), d_t]` destination;
     /// prior contents are overwritten.
     pub fn encode_into(&self, dts: &[f32], out: &mut Tensor) {
-        let d = self.dim();
-        assert_eq!(out.shape(), (dts.len(), d), "encode_into: bad output shape");
-        for (r, &dt) in dts.iter().enumerate() {
-            self.encode_row_into(dt, out.row_mut(r));
-        }
+        assert_eq!(out.shape(), (dts.len(), self.dim()), "encode_into: bad output shape");
+        self.encode_rows_into(dts, out.as_mut_slice());
     }
 
-    /// [`Self::encode_into`] with the rows fanned out in chunks of
-    /// [`ENCODE_CHUNK`] over the caller and the engine's `helpers`, under the
-    /// same width rule as the attention blocks. Rows are independent, so the
-    /// result is bit-identical at every width. (The scratches are only the
-    /// engine's count of spare cores here; encoding needs no buffers.)
-    pub fn encode_into_fanned(&self, dts: &[f32], out: &mut Tensor, helpers: &mut [Scratch]) {
+    /// [`Self::encode_into`] over a run of rows: `out` holds one `d_t`-wide
+    /// row per delta, in order. Rows are independent, so a batch encoded
+    /// run by run, on any thread, equals one encoded whole.
+    pub fn encode_rows_into(&self, dts: &[f32], out: &mut [f32]) {
         let d = self.dim();
-        assert_eq!(out.shape(), (dts.len(), d), "encode_into_fanned: bad output shape");
-        let helpers = helpers_for(helpers, dts.len().div_ceil(ENCODE_CHUNK));
-        fan_chunks(out.as_mut_slice(), ENCODE_CHUNK * d, &mut Scratch::new(), helpers, |c, rows, _| {
-            for (&dt, row) in dts[c * ENCODE_CHUNK..].iter().zip(rows.chunks_exact_mut(d)) {
-                self.encode_row_into(dt, row);
-            }
-        });
+        assert_eq!(out.len(), dts.len() * d, "encode_rows_into: bad output length");
+        for (&dt, row) in dts.iter().zip(out.chunks_exact_mut(d)) {
+            self.encode_row_into(dt, row);
+        }
     }
 
     /// `Phi(dt)` into one `d_t`-wide row; prior contents are overwritten.
@@ -326,25 +312,6 @@ mod tests {
         let batch = enc.encode(&dts);
         for (r, &dt) in dts.iter().enumerate() {
             assert_eq!(batch.row(r), enc.encode_one(dt).row(0));
-        }
-    }
-
-    #[test]
-    fn fanned_chunks_are_bit_equal_to_encode_into() {
-        let enc = TimeEncoder::random(32, 4);
-        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        // 48,000 rows are 24 chunks: real helper threads at widths 2 and 3
-        // on any runner; 4,097 rows (3 chunks) stay inline under the rule.
-        for n in [0usize, 1, 2047, 2048, 4097, 8192, 48_000] {
-            let dts: Vec<f32> = (0..n).map(|i| (i * 37 % 1009) as f32 * 0.73).collect();
-            let mut want = Tensor::full(n, 32, 777.0);
-            enc.encode_into(&dts, &mut want);
-            for width in [1usize, 2, 3] {
-                let mut helpers: Vec<Scratch> = (1..width).map(|_| Scratch::new()).collect();
-                let mut got = Tensor::full(n, 32, -777.0);
-                enc.encode_into_fanned(&dts, &mut got, &mut helpers);
-                assert_eq!(bits(&got), bits(&want), "n = {n}, width = {width}");
-            }
         }
     }
 

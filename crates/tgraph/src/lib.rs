@@ -33,7 +33,7 @@ pub use batch::{BatchIter, EdgeBatch};
 pub use graph::TemporalGraph;
 pub use live::{GraphView, IngestStats, LiveGraph};
 pub use sampler::{
-    HistorySource, NeighborhoodBatch, SamplingStrategy, TemporalSampler, Versioned, INVALID_EDGE,
+    HistorySource, NeighborhoodBatch, SamplingStrategy, SlotRows, TemporalSampler, Versioned, INVALID_EDGE,
 };
 pub use stream::{Edge, EdgeStream};
 

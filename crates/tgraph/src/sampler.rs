@@ -112,19 +112,17 @@ pub struct NeighborhoodBatch {
 }
 
 impl NeighborhoodBatch {
-    fn empty(n_targets: usize, k: usize, ts: &[Time]) -> Self {
-        let mut times = Vec::with_capacity(n_targets * k);
-        for &t in ts {
-            times.extend(std::iter::repeat_n(t, k));
-        }
-        Self {
-            n_targets,
-            k,
-            nodes: vec![0; n_targets * k],
-            times,
-            eids: vec![INVALID_EDGE; n_targets * k],
-            dts: vec![0.0; n_targets * k],
-        }
+    /// `n_targets` rows of `k` zeroed slots, for
+    /// [`TemporalSampler::sample_rows`] to overwrite: until it has, a slot
+    /// reads as edge 0, not as padding.
+    pub fn zeroed(n_targets: usize, k: usize) -> Self {
+        let slots = n_targets * k;
+        Self { n_targets, k, nodes: vec![0; slots], times: vec![0.0; slots], eids: vec![0; slots], dts: vec![0.0; slots] }
+    }
+
+    /// Every slot, as one [`SlotRows`].
+    pub fn slot_rows(&mut self) -> SlotRows<'_> {
+        SlotRows { nodes: &mut self.nodes, times: &mut self.times, eids: &mut self.eids, dts: &mut self.dts }
     }
 
     /// True if slot `i` holds a real neighbor (not padding).
@@ -141,6 +139,30 @@ impl NeighborhoodBatch {
     /// Number of real (non-padding) neighbor slots.
     pub fn num_valid(&self) -> usize {
         self.eids.iter().filter(|&&e| e != INVALID_EDGE).count()
+    }
+}
+
+/// The slots of a run of consecutive targets of a [`NeighborhoodBatch`],
+/// `k` per target in each of its four arrays: what
+/// [`TemporalSampler::sample_rows`] fills.
+pub struct SlotRows<'a> {
+    pub nodes: &'a mut [NodeId],
+    pub times: &'a mut [Time],
+    pub eids: &'a mut [EdgeId],
+    pub dts: &'a mut [Time],
+}
+
+impl SlotRows<'_> {
+    /// Consecutive runs of `slots` slots (the last may be shorter), in
+    /// order.
+    ///
+    /// # Panics
+    /// Panics if `slots` is zero.
+    pub fn chunks(&mut self, slots: usize) -> impl Iterator<Item = SlotRows<'_>> {
+        let Self { nodes, times, eids, dts } = self;
+        nodes.chunks_mut(slots).zip(times.chunks_mut(slots)).zip(eids.chunks_mut(slots)).zip(dts.chunks_mut(slots)).map(
+            |(((nodes, times), eids), dts)| SlotRows { nodes, times, eids, dts },
+        )
     }
 }
 
@@ -198,12 +220,30 @@ impl TemporalSampler {
     /// layout and selection to [`TemporalSampler::sample`] on the
     /// equivalent frozen graph (the stream prefix up to the view's epoch).
     pub fn sample_from<S: HistorySource>(&self, src: &S, ns: &[NodeId], ts: &[Time]) -> NeighborhoodBatch {
+        let mut out = NeighborhoodBatch::zeroed(ns.len(), self.k);
+        self.sample_rows(src, ns, ts, &mut out.slot_rows());
+        out
+    }
+
+    /// [`TemporalSampler::sample_from`] into the rows of a run of targets:
+    /// row `i` of `out` receives `(ns[i], ts[i])`'s neighborhood, padding
+    /// included, so every slot is overwritten. A target's slots depend on
+    /// nothing but the target, so a batch sampled run by run, in any order
+    /// and on any thread, equals one sampled whole.
+    ///
+    /// # Panics
+    /// Panics unless `out` holds `k` slots per target in every array.
+    pub fn sample_rows<S: HistorySource>(&self, src: &S, ns: &[NodeId], ts: &[Time], out: &mut SlotRows<'_>) {
         assert_eq!(ns.len(), ts.len(), "node/time target arrays differ in length");
         let k = self.k;
-        let mut out = NeighborhoodBatch::empty(ns.len(), k, ts);
-        let rows = out.nodes.chunks_mut(k).zip(out.times.chunks_mut(k));
-        let rows = rows.zip(out.eids.chunks_mut(k)).zip(out.dts.chunks_mut(k));
-        for (i, (((nodes, times), eids), dts)) in rows.enumerate() {
+        for len in [out.nodes.len(), out.times.len(), out.eids.len(), out.dts.len()] {
+            assert_eq!(len, ns.len() * k, "sample_rows needs k slots per target");
+        }
+        for (i, SlotRows { nodes, times, eids, dts }) in out.chunks(k).enumerate() {
+            nodes.fill(0);
+            times.fill(ts[i]);
+            eids.fill(INVALID_EDGE);
+            dts.fill(0.0);
             let len = src.hist_len_before(ns[i], ts[i]);
             if len == 0 {
                 continue;
@@ -236,7 +276,6 @@ impl TemporalSampler {
                 }
             }
         }
-        out
     }
 }
 
@@ -348,6 +387,27 @@ mod tests {
             assert_eq!(frozen.times, streamed.times);
             assert_eq!(frozen.eids, streamed.eids);
             assert_eq!(frozen.dts, streamed.dts);
+        }
+    }
+
+    #[test]
+    fn runs_sampled_out_of_order_over_stale_slots_equal_one_whole_sample() {
+        // Rows of 3 targets, sampled last run first into slots holding
+        // another batch's values: padding is rewritten, not assumed.
+        let g = line_graph();
+        let ns: Vec<NodeId> = (0..10).map(|i| [0, 5, 0, 3][i % 4]).collect();
+        let ts: Vec<Time> = (0..10).map(|i| 0.5 + i as Time * 0.6).collect();
+        for sampler in [TemporalSampler::most_recent(3), TemporalSampler::new(3, SamplingStrategy::Uniform { seed: 5 })] {
+            let whole = sampler.sample(&g, &ns, &ts);
+            let mut runs = sampler.sample(&g, &[0; 10], &[9.0; 10]);
+            let mut all = runs.slot_rows();
+            let mut chunks: Vec<_> = all.chunks(3 * 3).enumerate().collect();
+            while let Some((c, mut rows)) = chunks.pop() {
+                let span = c * 3..(c * 3 + 3).min(ns.len());
+                sampler.sample_rows(&g, &ns[span.clone()], &ts[span], &mut rows);
+            }
+            assert_eq!((runs.nodes, runs.times), (whole.nodes, whole.times));
+            assert_eq!((runs.eids, runs.dts), (whole.eids, whole.dts));
         }
     }
 

@@ -15,11 +15,11 @@
 //!   of every container is a function of lengths, and lengths are a
 //!   function of those inputs; no count depends on a hash seed or a clock.
 //! * Nothing fans out. Engines are built `with_cores(1)`, so attention
-//!   blocks and time-encode chunks run on the caller. The served case's
-//!   worker engine gets the host's cores, but a repeated one-row wave
-//!   hits every layer-1 row, runs one attention block at layer 2 and
-//!   reads the time window (`OptConfig::all()`), so it spawns no helper
-//!   whatever the runner's core count.
+//!   blocks and each layer's sample-and-encode pass run on the caller.
+//!   The served case's worker engine gets the host's cores, but a
+//!   repeated one-row wave hits every layer-1 row and samples, encodes
+//!   and attends one target at layer 2 (`OptConfig::all()`), so it
+//!   spawns no helper whatever the runner's core count.
 //! * The window counts every thread, so all cases run in this one test:
 //!   another test in this binary (or the harness reporting one) would be
 //!   counted too. The served case's worker allocates nothing after it

@@ -5,8 +5,9 @@
 //! An optimization that keeps the paper's 1e-5 but reorders a sum, fuses a
 //! multiply-add or reads a time-window row one ulp off changes a checksum.
 //!
-//! The full-scale twin replays the whole stream and is `#[ignore]`d; it
-//! runs in release:
+//! The full-scale twin replays the whole stream, with the engine's width
+//! pinned at 1 and 2 as well as the host's, and is `#[ignore]`d; it runs in
+//! release:
 //! `cargo test --release -q --test replay_checksums -- --ignored`.
 //!
 //! A change that means to change the bits re-pins [`PINNED`] and
@@ -14,6 +15,7 @@
 
 use tgopt_repro::datasets::{generate, spec_by_name, Dataset};
 use tgopt_repro::graph::{BatchIter, EdgeBatch, TemporalGraph};
+use tgopt_repro::tensor::fanout::host_cores;
 use tgopt_repro::tensor::Tensor;
 use tgopt_repro::tgat::engine::GraphContext;
 use tgopt_repro::tgat::{TgatConfig, TgatParams};
@@ -49,11 +51,18 @@ fn fnv(h: u64, xs: &[f32]) -> u64 {
     xs.iter().fold(h, |h, v| (h ^ u64::from(v.to_bits())).wrapping_mul(0x0100_0000_01b3))
 }
 
-/// Embeds `batches` in order, from a cold engine, and hashes their outputs.
+/// Embeds `batches` in order, from a cold engine on the host's cores, and
+/// hashes their outputs.
 fn checksum(world: &(Dataset, TgatParams, TemporalGraph), opt: OptConfig, batches: &[EdgeBatch<'_>]) -> u64 {
+    checksum_on(host_cores(), world, opt, batches)
+}
+
+/// [`checksum`] with the engine's core count pinned, so 2 runs real helper
+/// threads even on a one-core runner.
+fn checksum_on(cores: usize, world: &(Dataset, TgatParams, TemporalGraph), opt: OptConfig, batches: &[EdgeBatch<'_>]) -> u64 {
     let (data, params, graph) = world;
     let ctx = GraphContext { graph, node_features: &data.node_features, edge_features: &data.edge_features };
-    let mut eng = TgoptEngine::new(params, ctx, opt);
+    let mut eng = TgoptEngine::new(params, ctx, opt).with_cores(cores);
     batches.iter().fold(0xcbf2_9ce4_8422_2325, |h, batch| {
         let (ns, ts) = batch.targets();
         fnv(h, eng.embed_batch(&ns, &ts).unwrap().as_slice())
@@ -82,16 +91,22 @@ fn replay_checksums_are_pinned_through_every_configuration() {
 #[test]
 #[ignore = "full-scale replay; run in release with --ignored"]
 fn full_scale_replay_checksums_are_pinned() {
-    let configs = [
-        ("none", OptConfig::none()),
-        ("all", OptConfig::all()),
-        ("all, cache limit 2000", OptConfig::all().with_cache_limit(2000)),
+    // The baseline at the host's width; every optimization, with and
+    // without an evicting cache, at widths 1 and 2 pinned, so the fanned
+    // path is checked at scale on any runner.
+    let all = OptConfig::all();
+    let runs = [
+        ("none", OptConfig::none(), host_cores()),
+        ("all, 1 core", all, 1),
+        ("all, 2 cores", all, 2),
+        ("all, cache limit 2000, 1 core", all.with_cache_limit(2000), 1),
+        ("all, cache limit 2000, 2 cores", all.with_cache_limit(2000), 2),
     ];
     for (seed, pinned) in PINNED_FULL {
         let world = world(1.0, seed);
         let batches: Vec<_> = BatchIter::new(&world.0.stream, FULL_BATCH).collect();
-        for (name, opt) in configs {
-            let got = checksum(&world, opt, &batches);
+        for (name, opt, cores) in runs {
+            let got = checksum_on(cores, &world, opt, &batches);
             assert_eq!(got, pinned, "seed {seed}, {name}: {got:#018x} vs pinned {pinned:#018x}");
         }
     }
